@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _bounded(kind, ok, want: str):
+    """argparse type: parse with ``kind``, reject values failing ``ok``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text!r}")
+        return value
+    return parse
+
+
+_tol = _bounded(float, lambda v: math.isfinite(v) and v > 0,
+                "a finite number > 0")
+_seed = _bounded(int, lambda v: v >= 0, "an integer >= 0")
+# the tail is the upper half of the horizon; see converge.upper_half
+_horizon = _bounded(int, lambda v: v >= 8, "an integer >= 8")
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="setorder",
                 description="set-order solvers and convergence checkers")
@@ -65,12 +86,13 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                        help="order tolerance (default %(default)g)")
-        sp.add_argument("--horizon", type=int, default=DEFAULT_HORIZON,
-                        help="sequence horizon N (default %(default)s)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="battery seed (default %(default)s)")
+        sp.add_argument("--tol", type=_tol, default=DEFAULT_TOL,
+                        help="order tolerance, finite and > 0 "
+                             "(default %(default)g)")
+        sp.add_argument("--horizon", type=_horizon, default=DEFAULT_HORIZON,
+                        help="sequence horizon N >= 8 (default %(default)s)")
+        sp.add_argument("--seed", type=_seed, default=0,
+                        help="battery seed >= 0 (default %(default)s)")
         sp.add_argument("--format", choices=("json", "table", "both"),
                         default="json")
         sp.add_argument("--out", type=Path, default=None,

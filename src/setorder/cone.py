@@ -145,11 +145,6 @@ def _is_orthant_rows(G: np.ndarray, dim: int) -> bool:
     return len(seen) == dim
 
 
-def find_interior_direction(C: Cone) -> np.ndarray:
-    """u with min_i g_i . u = 1 exactly up to rounding (>= 1 guaranteed)."""
-    return C.interior_direction
-
-
 def _search_interior(G: np.ndarray) -> np.ndarray:
     """Maximize min_i g_i . u over the unit box, then rescale to margin >= 1.
 

@@ -5,7 +5,18 @@ Tail quantifiers are operationalized once, here, and stamped into every
 report: "eventually" means every index in the upper half of the horizon,
 "infinitely often" means at least a quarter of the upper half. Universal
 statements over sequences are falsified by a seeded generator battery;
-clean passes are therefore sampled evidence and tagged as such.
+clean passes are therefore sampled evidence and tagged as such. Horizons
+below 8 are rejected, so no verdict rests on an empty or degenerate tail.
+
+One tail scan walks the battery, checking an eps-shifted strict
+comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
+usc_check and the lower condition of variational convergence all use it.
+Variational convergence has one core with two routes: fixed domain
+(gamma_check), where shrinking grid neighborhoods cross-check the lower
+scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
+inside D_n and the domains get a Kuratowski-pair verdict. The level-set
+experiment runs the fixed-domain route on the family re-hosted on the
+base grid.
 """
 
 from __future__ import annotations
@@ -37,6 +48,9 @@ RECOVERY_BUDGET = 10_000
 
 
 def upper_half(horizon: int) -> range:
+    """The tail indices of a horizon; shorter horizons have no usable tail."""
+    if horizon < 8:
+        raise ValueError(f"horizon N = {horizon} must be >= 8")
     return range(math.ceil(horizon / 2), horizon)
 
 
@@ -182,8 +196,7 @@ def pk_limits(seq: Callable[[int], np.ndarray], candidates, N: int,
     (default: the candidates themselves): lower = target covered by Li,
     upper = Ls contained in target.
     """
-    if N < 8:
-        raise ValueError(f"horizon N = {N} must be >= 8")
+    tail = list(upper_half(N))
     cand = np.atleast_2d(np.asarray(candidates, dtype=float))
     if callable(tol_schedule):
         tol_fn = tol_schedule
@@ -191,7 +204,6 @@ def pk_limits(seq: Callable[[int], np.ndarray], candidates, N: int,
         tol_fn = _default_pk_tol
     else:
         tol_fn = lambda n, _t=float(tol_schedule): _t
-    tail = list(upper_half(N))
     need = io_threshold(N)
 
     hits = np.zeros((len(cand), len(tail)), dtype=bool)
@@ -364,45 +376,61 @@ def _largest_failing_eps(cond: Callable[[float], bool], ctx: OrderCtx) -> float:
     return floored_eps(ctx)[-1]
 
 
+def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
+               Fx: SetRep, battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
+               domain_at: Callable[[int], Domain], mode: str) -> Optional[dict]:
+    """First tail break of the eps-shifted strict comparison, or None.
+
+    ``value(x, n)`` is the n-th value at x. The "lsc" orientation asks
+    F(x̄) - eps·u strictly below value(x_n, n), which is also the lower
+    condition of variational convergence; "usc" asks value(x_n, n) - eps·u
+    strictly below F(x̄). Every tail index of every battery sequence inside
+    ``domain_at(n)`` is checked at the floored eps; a break reports the
+    largest scheduled eps that breaks there too.
+    """
+    u = ctx.u
+    flo = floored_eps(ctx)[-1]
+    lsc = mode == "lsc"
+    # the lsc left side depends on eps only, so shift it once per eps
+    fx_down = {e: translate(Fx, -e * u) for e in floored_eps(ctx)} if lsc else {}
+
+    def holds(Fn: SetRep, e: float) -> bool:
+        if lsc:
+            return strict_lt(fx_down[e], Fn, ctx)
+        return strict_lt(translate(Fn, -e * u), Fx, ctx)
+
+    def margin(x: np.ndarray, n: int) -> float:
+        Fn = value(x, n)
+        return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
+
+    for name, variant, pts in battery.sequences(t, domain_at, horizon,
+                                                margin=margin):
+        for n in upper_half(horizon):
+            Fn = value(pts[n], n)
+            if not holds(Fn, flo):
+                eps = _largest_failing_eps(lambda e: holds(Fn, e), ctx)
+                return {"strategy": name, "variant": variant, "n": n,
+                        "x_n": [float(v) for v in pts[n]], "eps": float(eps)}
+    return None
+
+
 def _sc_check(P: Problem, xbar, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str) -> Verdict:
     t = np.asarray(xbar, dtype=float).reshape(-1)
     Fx = P.map.value(tuple(t), P.n)
-    u = ctx.u
-    flo = floored_eps(ctx)[-1]
-    tail = set(upper_half(horizon))
-
-    def margin(x: np.ndarray, n: int) -> float:
-        Fn = P.map.value(tuple(x), P.n)
-        if mode == "lsc":
-            return shift_margin(Fx, Fn, ctx)[0]
-        return shift_margin(Fn, Fx, ctx)[0]
-
-    for name, variant, pts in battery.sequences(t, lambda n: P.domain,
-                                                horizon, margin=margin):
-        for n in sorted(tail):
-            x_n = pts[n]
-            Fn = P.map.value(tuple(x_n), P.n)
-            if mode == "lsc":
-                ok = strict_lt(translate(Fx, -flo * u), Fn, ctx)
-                cond = lambda e: strict_lt(translate(Fx, -e * u), Fn, ctx)
-            else:
-                ok = strict_lt(translate(Fn, -flo * u), Fx, ctx)
-                cond = lambda e: strict_lt(translate(Fn, -e * u), Fx, ctx)
-            if not ok:
-                eps = _largest_failing_eps(cond, ctx)
-                return Verdict.fails(
-                    reason=f"{mode} comparison breaks at n = {n} under "
-                           f"strategy {name} with eps = {eps:.6g}",
-                    counterexample={"strategy": name, "variant": variant,
-                                    "n": n, "x_n": [float(v) for v in x_n],
-                                    "eps": float(eps)},
-                    sampled=True)
+    ce = _tail_scan(lambda x, n: P.map.value(tuple(x), P.n), t, Fx, battery,
+                    ctx, horizon, lambda n: P.domain, mode)
+    if ce is not None:
+        return Verdict.fails(
+            reason=f"{mode} comparison breaks at n = {ce['n']} under "
+                   f"strategy {ce['strategy']} with eps = {ce['eps']:.6g}",
+            counterexample=ce, sampled=True)
     return Verdict.holds(
         reason=f"{mode} inequality held on every tail index of every "
                "generated sequence",
         certificate={"seed": battery.seed, "horizon": horizon,
-                     "eps_floor": flo, "strategies": list(battery.strategy_names())},
+                     "eps_floor": floored_eps(ctx)[-1],
+                     "strategies": list(battery.strategy_names())},
         sampled=True)
 
 
@@ -462,59 +490,36 @@ class GammaReport:
         return out
 
 
-def _gamma_lower_battery(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
-                         battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
-                         domain_at: Callable[[int], Domain]):
-    u = ctx.u
-    flo = floored_eps(ctx)[-1]
-    tail = set(upper_half(horizon))
-    shifted = translate(Fx, -flo * u)
+def _tail_tables(fam: PerturbedFamily, ctx: OrderCtx, horizon: int) -> list:
+    """(Pn, C, T) per tail member: corner table and per-row tolerance.
 
-    def margin(x: np.ndarray, n: int) -> float:
-        Fn = family_at(fam, n).map.value(tuple(x), n)
-        return shift_margin(Fx, Fn, ctx)[0]
-
-    for name, variant, pts in battery.sequences(t, domain_at, horizon,
-                                                margin=margin):
-        for n in sorted(tail):
-            Fn = family_at(fam, n).map.value(tuple(pts[n]), n)
-            if not strict_lt(shifted, Fn, ctx):
-                eps = _largest_failing_eps(
-                    lambda e: strict_lt(translate(Fx, -e * u), Fn, ctx), ctx)
-                return False, {"route": "battery", "strategy": name,
-                               "variant": variant, "n": n,
-                               "x_n": [float(v) for v in pts[n]],
-                               "eps": float(eps)}
-    return True, {}
-
-
-def _tail_tables(fam, ctx: OrderCtx, tail) -> dict:
-    """Per-n corner tables of the family over the base-aligned grid.
-
-    Built once per family/experiment; single-corner problems vectorize the
-    neighborhood scan, everything else falls back to pairwise predicates.
+    C and T are None unless every value of Pn has a single corner; then the
+    neighborhood scan vectorizes. Memoized on each member per ctx, as
+    relation_matrices does, so checks at many points build them once.
     """
-    tables = {}
-    for n in tail:
+    out = []
+    for n in upper_half(horizon):
         Pn = family_at(fam, n)
-        corners, opens, clouds, single = _corner_table(Pn, ctx)
-        if single:
-            C = np.vstack(corners)
-            T = np.where(clouds, ctx.tol, 0.0)[:, None]
-            tables[n] = (Pn, C, T)
-        else:
-            tables[n] = (Pn, None, None)
-    return tables
+        cache = vars(Pn).setdefault("_tail_cache", {})
+        got = cache.get(ctx)
+        if got is None:
+            corners, _, clouds, single = _corner_table(Pn, ctx)
+            got = ((np.vstack(corners), np.where(clouds, ctx.tol, 0.0)[:, None])
+                   if single else (None, None))
+            cache[ctx] = got
+        out.append((Pn, *got))
+    return out
 
 
 def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
-                              ctx: OrderCtx, base: Problem, tables: dict):
+                              ctx: OrderCtx, fam: PerturbedFamily, horizon: int):
     flo = floored_eps(ctx)[-1]
     shifted = translate(Fx, -flo * ctx.u)
     sc, _, _ = _corner_data(shifted, ctx.cone)
+    base = fam.base
     pts = base.domain.points
     ok = np.ones(len(pts), dtype=bool)
-    for n, (Pn, C, T) in tables.items():
+    for Pn, C, T in _tail_tables(fam, ctx, horizon):
         if C is not None and sc.shape[0] == 1:
             ok &= ((C - sc[0][None, :]) > T).all(axis=1)
         else:
@@ -589,7 +594,7 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
             found = _recovery_search(fam, t, Fx, battery, ctx, horizon, domain_at)
         except NoRecoveryFound as err:
             v = Verdict.inconclusive(
-                reason=f"recovery sequence not determined: {err.message}",
+                reason=f"recovery sequence not determined: {err}",
                 sampled=True)
             return v, ()
         seq = {n: x for n, (_, x) in found.items()}
@@ -616,53 +621,69 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
     return v, tuple(recovery_used)
 
 
+def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
+           limit: Optional[Problem], horizon: int,
+           domain_at: Callable[[int], Domain], neighborhood: bool,
+           domains_verdict: Optional[Verdict] = None) -> GammaReport:
+    """Both conditions of variational convergence at x̄, F(x̄) from ``limit``.
+
+    Lower: the lsc-oriented tail scan of the family along every battery
+    sequence inside ``domain_at(n)``; with ``neighborhood`` the shrinking
+    grid-neighborhood route runs too, and the two must agree, since the
+    theorem they operationalize states their equivalence, so disagreement
+    is an internal error, not a verdict. Upper: a recovery sequence.
+    """
+    limit = limit or fam.base
+    t = np.asarray(xbar, dtype=float).reshape(-1)
+    Fx = limit.map.value(tuple(t), limit.n)
+    flo = floored_eps(ctx)[-1]
+
+    ce = _tail_scan(lambda x, n: family_at(fam, n).map.value(tuple(x), n),
+                    t, Fx, battery, ctx, horizon, domain_at, "lsc")
+    reason = "lower inequality held along every in-domain sequence"
+    certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
+    if neighborhood:
+        ok_n, found = _gamma_lower_neighborhood(t, Fx, battery, ctx, fam,
+                                                horizon)
+        if ok_n != (ce is None):
+            raise InternalCheckError(
+                f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
+                f"{ce is None}, neighborhoods say {ok_n}; the characterization "
+                "lemma makes these equivalent")
+        reason = "both lower routes pass on the floored eps schedule"
+        certificate["neighborhood_j"] = found.get("j")
+    if ce is None:
+        lower_v = Verdict.holds(reason=reason, certificate=certificate,
+                                sampled=True)
+    else:
+        ce = {"route": "battery", **ce}
+        lower_v = Verdict.fails(reason="lower inequality falsified",
+                                counterexample=ce, sampled=False)
+
+    upper_v, recovery = _gamma_upper(fam, t, Fx, battery, ctx, horizon, domain_at)
+    if ce is None:
+        ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
+    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
+                       floored_eps(ctx), ce, domains_verdict, horizon,
+                       battery.seed)
+
+
 def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
                 ctx: OrderCtx, limit: Optional[Problem] = None,
                 horizon: int = DEFAULT_HORIZON) -> GammaReport:
     """Variational convergence at a point for families on a fixed domain.
 
     The lower condition runs twice (sequence battery and shrinking grid
-    neighborhoods) and the two routes must agree; the theorem they
-    operationalize states their equivalence, so disagreement is an
-    internal error, not a verdict.
+    neighborhoods) and the two routes must agree.
     """
     base = fam.base
-    limit = limit or base
-    t = np.asarray(xbar, dtype=float).reshape(-1)
     probe = family_at(fam, 0).domain
     if (probe.points.shape != base.domain.points.shape
             or not np.array_equal(probe.points, base.domain.points)):
         raise Unsupported("gamma_check requires the family to live on the "
                           "base domain; use gamma_seq_check for moving domains")
-    Fx = limit.map.value(tuple(t), limit.n)
-    domain_at = lambda n: base.domain
-
-    tables = _tail_tables(fam, ctx, upper_half(horizon))
-    ok_b, ce_b = _gamma_lower_battery(fam, t, Fx, battery, ctx, horizon, domain_at)
-    ok_n, ce_n = _gamma_lower_neighborhood(t, Fx, battery, ctx, base, tables)
-    if ok_b != ok_n:
-        raise InternalCheckError(
-            f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
-            f"{ok_b}, neighborhoods say {ok_n}; the characterization lemma "
-            "makes these equivalent")
-    if ok_b:
-        lower_v = Verdict.holds(
-            reason="both lower routes pass on the floored eps schedule",
-            certificate={"seed": battery.seed, "horizon": horizon,
-                         "neighborhood_j": ce_n.get("j"),
-                         "eps_floor": floored_eps(ctx)[-1]},
-            sampled=True)
-        ce = {}
-    else:
-        lower_v = Verdict.fails(reason="lower inequality falsified",
-                                counterexample=ce_b or ce_n, sampled=False)
-        ce = ce_b or ce_n
-
-    upper_v, recovery = _gamma_upper(fam, t, Fx, battery, ctx, horizon, domain_at)
-    if upper_v.is_fails and not ce:
-        ce = dict(upper_v.counterexample)
-    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                       floored_eps(ctx), ce, None, horizon, battery.seed)
+    return _gamma(fam, xbar, battery, ctx, limit, horizon,
+                  lambda n: base.domain, neighborhood=True)
 
 
 def gamma_seq_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
@@ -676,29 +697,11 @@ def gamma_seq_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
     constrained to D_n. A precomputed domains verdict may be injected to
     avoid re-probing the same family at many points.
     """
-    base = fam.base
-    limit = limit or base
-    t = np.asarray(xbar, dtype=float).reshape(-1)
-    Fx = limit.map.value(tuple(t), limit.n)
-    domain_at = fam.domain_at
-
     dv = domains_verdict
     if dv is None:
-        dv = kuratowski_pair(domain_at, base.domain, horizon)
-    ok_b, ce_b = _gamma_lower_battery(fam, t, Fx, battery, ctx, horizon, domain_at)
-    if ok_b:
-        lower_v = Verdict.holds(
-            reason="lower inequality held along every in-domain sequence",
-            certificate={"seed": battery.seed, "horizon": horizon,
-                         "eps_floor": floored_eps(ctx)[-1]},
-            sampled=True)
-    else:
-        lower_v = Verdict.fails(reason="lower inequality falsified",
-                                counterexample=ce_b, sampled=False)
-    upper_v, recovery = _gamma_upper(fam, t, Fx, battery, ctx, horizon, domain_at)
-    ce = ce_b or (dict(upper_v.counterexample) if upper_v.is_fails else {})
-    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                       floored_eps(ctx), ce, dv, horizon, battery.seed)
+        dv = kuratowski_pair(fam.domain_at, fam.base.domain, horizon)
+    return _gamma(fam, xbar, battery, ctx, limit, horizon, fam.domain_at,
+                  neighborhood=False, domains_verdict=dv)
 
 
 # -------------------------------------------------- level-set convergence
@@ -720,20 +723,14 @@ class LevelsetReport:
         }
 
 
-def _restricted(fam: PerturbedFamily, n: int, cache: dict) -> Problem:
-    """The n-th map evaluated over the base grid (shared-domain view)."""
-    got = cache.get(n)
-    if got is None:
-        Pn = family_at(fam, n)
-        base = fam.base
-        if Pn.domain is base.domain or np.array_equal(
-                Pn.domain.points, base.domain.points):
-            got = Pn
-        else:
-            got = Problem(f"{fam.label}[n={n}|D]", Pn.map, base.cone,
-                          base.domain, n=n)
-        cache[n] = got
-    return got
+def _restricted(fam: PerturbedFamily, n: int) -> Problem:
+    """The n-th member re-hosted on the base grid (itself when already there)."""
+    Pn = family_at(fam, n)
+    base = fam.base
+    if Pn.domain is base.domain or np.array_equal(
+            Pn.domain.points, base.domain.points):
+        return Pn
+    return Problem(f"{fam.label}[n={n}|D]", Pn.map, base.cone, base.domain, n=n)
 
 
 def _gate(raw: Verdict, gates: Sequence[tuple[str, Verdict]]) -> Verdict:
@@ -764,28 +761,25 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     """
     battery = battery or SeqGenBattery()
     base = fam.base
-    cache: dict = {}
     tail = list(upper_half(horizon))
     u = ctx.u
     flo = floored_eps(ctx)[-1]
+    shared = PerturbedFamily(base, lambda n: _restricted(fam, n), fam.n_max,
+                             recovery_hint=fam.recovery_hint, label=fam.label,
+                             domain_factory=lambda n: base.domain)
 
     # hypothesis (a): variational convergence on the shared grid, all points
-    shadow = _RestrictedFamily(fam, cache)
-    tables = _tail_tables(shadow, ctx, tail)
-    bad_points = []
-    reports = []
+    bad = None
     for i in range(len(base)):
-        rep = _shared_domain_gamma(fam, base.domain.points[i], battery, ctx,
-                                   horizon, cache, tables=tables)
-        reports.append(rep)
-        if rep.overall is not Status.HOLDS:
-            bad_points.append(i)
-    if bad_points:
-        first = reports[bad_points[0]]
+        # every point runs, so the lower-route cross-check covers the grid
+        rep = gamma_check(shared, base.domain.points[i], battery, ctx,
+                          horizon=horizon)
+        if bad is None and rep.overall is not Status.HOLDS:
+            bad = (i, rep)
+    if bad is not None:
         hyp_gamma = Verdict.fails(
-            reason=f"variational convergence fails at grid index {bad_points[0]}",
-            counterexample={"index": bad_points[0],
-                            "detail": first.counterexample},
+            reason=f"variational convergence fails at grid index {bad[0]}",
+            counterexample={"index": bad[0], "detail": bad[1].counterexample},
             sampled=True)
     else:
         hyp_gamma = Verdict.holds(
@@ -833,8 +827,7 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     tol_const = max(EPS_FLOOR, step / 2)
 
     def lev_seq(n: int) -> np.ndarray:
-        Rn = _restricted(fam, n, cache)
-        idx = strong_level_set(Rn, omega_n(n), ctx)
+        idx = strong_level_set(family_at(shared, n), omega_n(n), ctx)
         if not idx:
             return np.empty((0, base.domain.dim))
         return base.domain.points[list(idx)]
@@ -892,67 +885,6 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
               "seed": battery.seed, "io_threshold": need,
               "pk": pk.to_json() if pk is not None else None},
     )
-
-
-def _shared_domain_gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
-                         ctx: OrderCtx, horizon: int, cache: dict,
-                         tables: Optional[dict] = None) -> GammaReport:
-    """gamma_check semantics against the family restricted to the base grid."""
-    base = fam.base
-    t = np.asarray(xbar, dtype=float).reshape(-1)
-    Fx = base.map.value(tuple(t), base.n)
-    domain_at = lambda n: base.domain
-
-    shadow = _RestrictedFamily(fam, cache)
-    if tables is None:
-        tables = _tail_tables(shadow, ctx, upper_half(horizon))
-    ok_b, ce_b = _gamma_lower_battery(shadow, t, Fx, battery, ctx, horizon,
-                                      domain_at)
-    ok_n, ce_n = _gamma_lower_neighborhood(t, Fx, battery, ctx, base, tables)
-    if ok_b != ok_n:
-        raise InternalCheckError(
-            f"lower-route disagreement at x̄ = {t.tolist()} on the "
-            "restricted family")
-    if ok_b:
-        lower_v = Verdict.holds(reason="lower routes agree and pass",
-                                certificate={"seed": battery.seed}, sampled=True)
-        ce = {}
-    else:
-        lower_v = Verdict.fails(reason="lower inequality falsified",
-                                counterexample=ce_b or ce_n, sampled=False)
-        ce = ce_b or ce_n
-    upper_v, recovery = _gamma_upper(shadow, t, Fx, battery, ctx, horizon,
-                                     domain_at)
-    if upper_v.is_fails and not ce:
-        ce = dict(upper_v.counterexample)
-    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                       floored_eps(ctx), ce, None, horizon, battery.seed)
-
-
-class _RestrictedFamily:
-    """Family view whose members are re-hosted on the base grid.
-
-    Duck-types PerturbedFamily far enough for family_at: the shared cache
-    dict means repeated views over one experiment reuse the same restricted
-    problems.
-    """
-
-    def __init__(self, fam: PerturbedFamily, cache: dict):
-        self._fam = fam
-        self._cache = cache
-        self.base = fam.base
-        self.n_max = fam.n_max
-        self.recovery_hint = fam.recovery_hint
-        self.label = fam.label
-
-    def factory(self, n: int) -> Problem:
-        return _restricted(self._fam, n, self._cache)
-
-    def recovery_point(self, x, n: int):
-        return self._fam.recovery_point(x, n)
-
-    def domain_at(self, n: int) -> Domain:
-        return self.base.domain
 
 
 # ---------------------------------------------------- stability experiment

@@ -253,6 +253,36 @@ class TestOutputPlumbing:
             main([])
         assert exc.value.code == EX_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "gamma_cos", "--at", "0", "--tol", "-1"],
+        ["gamma", "gamma_cos", "--at", "0", "--tol", "0"],
+        ["gamma", "gamma_cos", "--at", "0", "--tol", "nan"],
+        ["gamma", "gamma_cos", "--at", "0", "--tol", "inf"],
+        ["gamma", "gamma_cos", "--at", "0", "--tol", "tiny"],
+        ["gamma", "gamma_cos", "--at", "0", "--seed", "-1"],
+        ["gamma", "gamma_cos", "--at", "0", "--horizon", "4"],
+        ["stability", "sop_sin", "--kind", "Relaxed",
+         "--direction", "external", "--horizon", "0"],
+        ["pk", "sop_sin", "--horizon", "7"],
+        ["solve", "geff_vs_reff", "--seed", "1.5"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_bad_config_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"setorder {argv[0]}: error: argument "
+                              f"{argv[-2]}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "1e-300"), ("--seed", "0"), ("--horizon", "8")])
+    def test_config_bounds_are_accepted(self, capsys, flags):
+        code, rep = run_json(capsys, "solve", "geff_vs_reff",
+                             "--kind", "Strong", *flags)
+        assert code == 0
+        assert rep["config"][flags[0][2:]] == float(flags[1])
+
     def test_threads_env_recorded(self, capsys, monkeypatch):
         monkeypatch.setenv("SETORDER_THREADS", "4")
         _, rep = run_json(capsys, "solve", "geff_vs_reff",

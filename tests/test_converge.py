@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from reference import pk_cluster_oracle
 
+from setorder import converge
 from setorder.converge import (
     DEFAULT_HORIZON,
     EPS_FLOOR,
@@ -37,7 +38,7 @@ from setorder.converge import (
     upper_half,
     usc_check,
 )
-from setorder.errors import SetSpecError, Unsupported
+from setorder.errors import InternalCheckError, SetSpecError, Unsupported
 from setorder.order import OrderCtx
 from setorder.problem import Domain, Window, load_builtin, load_dict
 from setorder.setrep import translate
@@ -109,6 +110,14 @@ class TestScheduleHelpers:
     def test_io_threshold_quarter_of_tail(self):
         assert io_threshold(64) == 8
         assert io_threshold(9) == 1
+
+    def test_upper_half_rejects_short_horizons(self):
+        # below 8 the tail has fewer than 4 indices and the io threshold is 1
+        with pytest.raises(ValueError, match="horizon N = 7 must be >= 8"):
+            upper_half(7)
+        with pytest.raises(ValueError, match="horizon N = 0 must be >= 8"):
+            io_threshold(0)
+        assert list(upper_half(8)) == [4, 5, 6, 7]
 
     def test_floored_eps_schedule(self, ctx1):
         vals = floored_eps(ctx1)
@@ -392,6 +401,61 @@ class TestGammaCheck:
         blob = json.dumps(rep.to_json())
         assert "Holds" in blob
 
+    def test_exhausted_recovery_budget_is_inconclusive(self, battery,
+                                                       monkeypatch):
+        # without the hint the upper route searches the grid; a budget of
+        # 3 candidates runs out in the first tail ball
+        fam = load_builtin("gamma_cos")
+        fam.recovery_hint = None
+        monkeypatch.setattr(converge, "RECOVERY_BUDGET", 3)
+        rep = gamma_check(fam, [0.0], battery, OrderCtx(fam.base.cone))
+        assert rep.lower_verdict.is_holds
+        assert rep.upper_verdict.is_inconclusive
+        assert "budget 3 exhausted" in rep.upper_verdict.reason
+        assert rep.recovery_used == ()
+        assert rep.overall is Status.INCONCLUSIVE
+
+    def test_fixed_domain_lower_verdict_shape(self, battery):
+        fam = load_builtin("gamma_cos")
+        rep = gamma_check(fam, [0.0], battery, OrderCtx(fam.base.cone))
+        low = rep.lower_verdict
+        assert low.reason == ("both lower routes pass on the floored eps "
+                              "schedule")
+        assert set(low.certificate) == {"seed", "horizon", "neighborhood_j",
+                                        "eps_floor"}
+        assert rep.domains_verdict is None
+
+
+class TestLowerRouteCrossCheck:
+    """The battery and neighborhood routes are equivalent by theorem, so a
+    disagreement must surface as an internal error on every fixed-domain
+    caller, the level-set experiment's gamma hypothesis included."""
+
+    @pytest.fixture()
+    def flipped(self, monkeypatch):
+        real = converge._gamma_lower_neighborhood
+
+        def flip(*args, **kwargs):
+            ok, info = real(*args, **kwargs)
+            return not ok, info
+
+        monkeypatch.setattr(converge, "_gamma_lower_neighborhood", flip)
+
+    def test_gamma_check_raises(self, flipped, ctx1, battery):
+        fam = linear_family(map_n=("x1 + exp(-n)", "x1 + 1 + exp(-n)"),
+                            step=0.1)
+        with pytest.raises(InternalCheckError,
+                           match="lower-route disagreement"):
+            gamma_check(fam, [0.5], battery, ctx1)
+
+    def test_levelset_experiment_raises(self, flipped, ctx1, battery):
+        fam = linear_family(step=0.1)
+        omega = fam.base.value(5)
+        with pytest.raises(InternalCheckError,
+                           match="lower-route disagreement"):
+            levelset_convergence_experiment(fam, lambda n: omega, omega,
+                                            ctx1, battery=battery)
+
 
 class TestGammaSeqCheck:
     def test_sop_holds_at_sampled_grid_points(self, sop, sop_ctx, battery):
@@ -408,6 +472,16 @@ class TestGammaSeqCheck:
         rep = gamma_seq_check(sop, sop.base.domain.points[0], battery,
                               sop_ctx, domains_verdict=bad)
         assert rep.overall is Status.FAILS
+
+    def test_moving_domain_lower_verdict_shape(self, sop, sop_ctx, battery):
+        # no neighborhood route on moving domains, so no neighborhood_j
+        rep = gamma_seq_check(sop, sop.base.domain.points[25], battery,
+                              sop_ctx)
+        low = rep.lower_verdict
+        assert low.reason == ("lower inequality held along every in-domain "
+                              "sequence")
+        assert set(low.certificate) == {"seed", "horizon", "eps_floor"}
+        assert rep.domains_verdict.is_holds
 
 
 class TestLevelsetExperiment:
