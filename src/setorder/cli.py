@@ -177,9 +177,14 @@ def _parse_point(text: str, base: Problem) -> np.ndarray:
         idx = int(text)
     except ValueError:
         try:
-            return np.array([float(c) for c in text.split(",")], dtype=float)
+            x = np.array([float(c) for c in text.split(",")], dtype=float)
         except ValueError:
             raise ProblemLoadError(f"cannot parse point {text!r}") from None
+        if len(x) != base.domain.dim:
+            raise ProblemLoadError(
+                f"point {text!r} has {len(x)} coordinates; the problem "
+                f"domain has dimension {base.domain.dim}")
+        return x
     if not 0 <= idx < len(base.domain.points):
         raise ProblemLoadError(
             f"grid index {idx} outside [0, {len(base.domain.points) - 1}]")

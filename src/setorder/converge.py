@@ -7,6 +7,8 @@ report: "eventually" means every index in the upper half of the horizon,
 statements over sequences are falsified by a seeded generator battery;
 clean passes are therefore sampled evidence and tagged as such. Horizons
 below 8 are rejected, so no verdict rests on an empty or degenerate tail.
+Since verdicts read only the tail, the battery generates only the tail
+points; the prefix of a sequence is never built or scored.
 
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -147,13 +149,22 @@ class SeqGenBattery:
 
     def sequences(self, target, domain_at: Callable[[int], Domain],
                   horizon: int,
-                  margin: Optional[Callable[[np.ndarray, int], float]] = None):
-        """Yield (strategy, variant, points list over n < horizon)."""
+                  margin: Optional[Callable[[np.ndarray, int], float]] = None,
+                  indices: Optional[Sequence[int]] = None):
+        """Yield (strategy, variant, points list), one point per index.
+
+        ``indices`` defaults to ``range(horizon)``, the full sequence; the
+        list holds the point at each requested index, in the order given.
+        Every strategy is index-local (random-in-ball seeds per (seed,
+        variant, n), adversarial-worst scores its own ball at n), so a point
+        is the same whichever other indices are requested.
+        """
+        wanted = range(horizon) if indices is None else indices
         for name in self.strategy_names():
             variants = self.count if name == "random-in-ball" else 1
             for v in range(variants):
                 pts = []
-                for n in range(horizon):
+                for n in wanted:
                     m = (lambda x, _n=n: margin(x, _n)) if margin else None
                     pts.append(self.point(name, target, domain_at(n), n,
                                           margin=m, variant=v))
@@ -386,7 +397,8 @@ def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
     condition of variational convergence; "usc" asks value(x_n, n) - eps·u
     strictly below F(x̄). Every tail index of every battery sequence inside
     ``domain_at(n)`` is checked at the floored eps; a break reports the
-    largest scheduled eps that breaks there too.
+    largest scheduled eps that breaks there too. Only the tail points are
+    generated, since no verdict reads the prefix.
     """
     u = ctx.u
     flo = floored_eps(ctx)[-1]
@@ -403,14 +415,15 @@ def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
         Fn = value(x, n)
         return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
 
+    tail = upper_half(horizon)
     for name, variant, pts in battery.sequences(t, domain_at, horizon,
-                                                margin=margin):
-        for n in upper_half(horizon):
-            Fn = value(pts[n], n)
+                                                margin=margin, indices=tail):
+        for n, x in zip(tail, pts):
+            Fn = value(x, n)
             if not holds(Fn, flo):
                 eps = _largest_failing_eps(lambda e: holds(Fn, e), ctx)
                 return {"strategy": name, "variant": variant, "n": n,
-                        "x_n": [float(v) for v in pts[n]], "eps": float(eps)}
+                        "x_n": [float(v) for v in x], "eps": float(eps)}
     return None
 
 
@@ -733,6 +746,36 @@ def _restricted(fam: PerturbedFamily, n: int) -> Problem:
     return Problem(f"{fam.label}[n={n}|D]", Pn.map, base.cone, base.domain, n=n)
 
 
+def _grid_gamma_hypothesis(reports: Iterable[GammaReport], what: str,
+                           holds: str, certificate: dict) -> Verdict:
+    """Fold per-grid-point gamma reports into one hypothesis verdict.
+
+    Fails at the first failing point (a lazy ``reports`` is consumed no
+    further), otherwise Inconclusive at the first inconclusive point,
+    naming its index and the reason of the sub-verdict that held it back,
+    otherwise Holds.
+    """
+    pending = None
+    for i, rep in enumerate(reports):
+        status = rep.overall
+        if status is Status.FAILS:
+            return Verdict.fails(
+                reason=f"{what} fails at grid index {i}",
+                counterexample={"index": i, "detail": rep.counterexample},
+                sampled=True)
+        if status is Status.INCONCLUSIVE and pending is None:
+            pending = (i, rep)
+    if pending is not None:
+        i, rep = pending
+        sub = next(v for v in (rep.lower_verdict, rep.upper_verdict,
+                               rep.domains_verdict)
+                   if v is not None and not v.is_holds)
+        return Verdict.inconclusive(
+            reason=f"{what} not established at grid index {i}: {sub.reason}",
+            sampled=True)
+    return Verdict.holds(reason=holds, certificate=certificate, sampled=True)
+
+
 def _gate(raw: Verdict, gates: Sequence[tuple[str, Verdict]]) -> Verdict:
     failed = [name for name, v in gates if not v.is_holds]
     if not failed:
@@ -768,23 +811,14 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
                              recovery_hint=fam.recovery_hint, label=fam.label,
                              domain_factory=lambda n: base.domain)
 
-    # hypothesis (a): variational convergence on the shared grid, all points
-    bad = None
-    for i in range(len(base)):
-        # every point runs, so the lower-route cross-check covers the grid
-        rep = gamma_check(shared, base.domain.points[i], battery, ctx,
-                          horizon=horizon)
-        if bad is None and rep.overall is not Status.HOLDS:
-            bad = (i, rep)
-    if bad is not None:
-        hyp_gamma = Verdict.fails(
-            reason=f"variational convergence fails at grid index {bad[0]}",
-            counterexample={"index": bad[0], "detail": bad[1].counterexample},
-            sampled=True)
-    else:
-        hyp_gamma = Verdict.holds(
-            reason=f"variational convergence holds at all {len(base)} grid points",
-            certificate={"points": len(base)}, sampled=True)
+    # hypothesis (a): variational convergence on the shared grid; every
+    # point runs, so the lower-route cross-check covers the grid
+    reports = [gamma_check(shared, base.domain.points[i], battery, ctx,
+                           horizon=horizon) for i in range(len(base))]
+    hyp_gamma = _grid_gamma_hypothesis(
+        reports, "variational convergence",
+        holds=f"variational convergence holds at all {len(base)} grid points",
+        certificate={"points": len(base)})
 
     # hypothesis (b) upper: a subsequence of shifted targets below omega
     need = io_threshold(horizon)
@@ -959,25 +993,14 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
 
     # shared gate: sequential variational convergence at every base point
     dv = kuratowski_pair(fam.domain_at, base.domain, horizon)
-    bad = None
-    for i in range(len(base)):
-        rep = gamma_seq_check(fam, base.domain.points[i], battery, ctx,
-                              horizon=horizon, domains_verdict=dv)
-        if rep.overall is not Status.HOLDS:
-            bad = (i, rep)
-            break
-    if bad is None:
-        hypotheses["gamma_seq"] = Verdict.holds(
-            reason=f"sequential variational convergence at all {len(base)} "
-                   "base grid points",
-            certificate={"points": len(base), "seed": battery.seed},
-            sampled=True)
-    else:
-        hypotheses["gamma_seq"] = Verdict.fails(
-            reason=f"sequential variational convergence fails at grid "
-                   f"index {bad[0]}",
-            counterexample={"index": bad[0], "detail": bad[1].counterexample},
-            sampled=True)
+    reports = (gamma_seq_check(fam, base.domain.points[i], battery, ctx,
+                               horizon=horizon, domains_verdict=dv)
+               for i in range(len(base)))
+    hypotheses["gamma_seq"] = _grid_gamma_hypothesis(
+        reports, "sequential variational convergence",
+        holds=f"sequential variational convergence at all {len(base)} "
+              "base grid points",
+        certificate={"points": len(base), "seed": battery.seed})
 
     if direction == "external" and kind == "Geoffroy":
         from .solve import seq_lower_converse

@@ -259,19 +259,17 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     rng = np.random.default_rng(battery.seed + 7)
     if len(pairs) > samples:
         pairs = pairs[rng.choice(len(pairs), size=samples, replace=False)]
-    tail = set(upper_half(horizon))
+    tail = upper_half(horizon)
 
     checked = 0
     for i, j in pairs:
         xb = base.domain.points[int(i)]
         x0 = base.domain.points[int(j)]
         for name in battery.strategy_names():
-            for n in range(horizon):
+            for n in tail:
                 Pn = family_at(fam, n)
                 xn = battery.point(name, xb, Pn.domain, n)
                 pn = battery.point(name, x0, Pn.domain, n)
-                if n not in tail:
-                    continue
                 fa = Pn.map.value(xn, n)
                 fb = Pn.map.value(pn, n)
                 checked += 1

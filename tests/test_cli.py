@@ -172,6 +172,14 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", "sop_sin", "--at", "500")
         assert code == EX_USAGE
 
+    @pytest.mark.parametrize("cmd", ["gamma", "levelset-conv"])
+    @pytest.mark.parametrize("at", ["1,2", "0.1,0.2,0.3"])
+    def test_wrong_dimension_point_is_usage_error(self, capsys, cmd, at):
+        code, out, err = run(capsys, cmd, "sop_sin", "--at", at)
+        assert code == EX_USAGE
+        assert out == ""
+        assert "domain has dimension 1" in err
+
     def test_plain_problem_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gamma", "geff_vs_reff", "--at", "0.0")
         assert code == EX_USAGE
@@ -206,6 +214,19 @@ class TestStability:
                              "--kind", "Relaxed", "--direction", "external")
         assert code == 0
         assert rep["result"]["conclusion"]["status"] == "Holds"
+
+    def test_inconclusive_gamma_gate_exits_two(self, capsys):
+        # N = 129 leaves the family (n_max = 128) no index past N to probe,
+        # so each point is Inconclusive, not a failure
+        code, rep = run_json(capsys, "stability", "sop_sin", "--kind",
+                             "Relaxed", "--direction", "external",
+                             "--horizon", "129")
+        assert code == 2
+        gate = rep["result"]["hypotheses"]["gamma_seq"]
+        assert gate["status"] == "Inconclusive"
+        assert "grid index 0" in gate["reason"]
+        assert "too short to probe past N" in gate["reason"]
+        assert rep["result"]["conclusion"]["status"] == "Inconclusive"
 
     def test_bad_direction_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -178,6 +178,40 @@ class TestBattery:
         assert battery.radius(dom, 5) == battery.radius(dom, 4) / 2
         assert battery.radius(dom, 2000) == battery.radius(dom, 1000)
 
+    @given(data=st.data(), seed=st.integers(0, 50), count=st.integers(1, 3),
+           horizon=st.integers(8, 48))
+    @settings(max_examples=30, deadline=None)
+    def test_tail_indices_match_the_full_sequence(self, data, seed, count,
+                                                  horizon):
+        # every strategy is index-local, so generating only the tail must
+        # reproduce the full sequence at the tail indices bit for bit
+        dim = data.draw(st.integers(1, 2), label="dim")
+        if data.draw(st.booleans(), label="windows"):
+            step = data.draw(st.sampled_from([0.05, 0.1, 0.25]), label="step")
+            dom = Domain.from_windows([Window(0.0, 1.0, step)] * dim)
+        else:
+            coords = st.floats(-1.0, 1.0, allow_nan=False)
+            dom = Domain.from_points(data.draw(
+                st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                         min_size=1, max_size=12), label="points"))
+        target = np.array(data.draw(
+            st.lists(st.floats(-0.5, 1.5, allow_nan=False),
+                     min_size=dim, max_size=dim), label="target"))
+        margin = lambda x, n: float(np.sin(7.0 * x.sum() + n))
+        bat = SeqGenBattery(seed=seed, count=count)
+        tail = upper_half(horizon)
+        for m in (None, margin):
+            full = list(bat.sequences(target, lambda n: dom, horizon,
+                                      margin=m))
+            part = list(bat.sequences(target, lambda n: dom, horizon,
+                                      margin=m, indices=tail))
+            assert [k[:2] for k in part] == [k[:2] for k in full]
+            for (name, v, pts), (_, _, sub) in zip(full, part):
+                assert len(sub) == len(tail)
+                for n, p in zip(tail, sub):
+                    assert p.dtype == pts[n].dtype
+                    assert p.tobytes() == pts[n].tobytes(), (name, v, n)
+
 
 class TestPkLimits:
     def test_harmonic_sequence_collapses_to_origin(self):
@@ -638,3 +672,156 @@ class TestSeqLowerConverse:
         assert set(ce) >= {"n", "strategy", "xbar_index", "x0_index",
                            "x_n", "phi_n"}
         assert ce["n"] % 2 == 1
+
+
+class TestTailOnlyWork:
+    """Verdicts read only the upper half of the horizon, so the battery
+    generates exactly the tail points and never scores a prefix index."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        seen = {"points": [], "scored": []}
+        real_point = SeqGenBattery.point
+        real_sequences = SeqGenBattery.sequences
+
+        def point(self, name, target, domain, n, **kwargs):
+            seen["points"].append(n)
+            return real_point(self, name, target, domain, n, **kwargs)
+
+        def sequences(self, target, domain_at, horizon, margin=None,
+                      indices=None):
+            def scored(x, n):
+                seen["scored"].append(n)
+                return margin(x, n)
+            return real_sequences(self, target, domain_at, horizon,
+                                  margin=scored if margin else None,
+                                  indices=indices)
+
+        monkeypatch.setattr(SeqGenBattery, "point", point)
+        monkeypatch.setattr(SeqGenBattery, "sequences", sequences)
+        return seen
+
+    @pytest.mark.parametrize("horizon", [8, 64])
+    @pytest.mark.parametrize("check", ["lsc", "gamma_seq"])
+    def test_scan_generates_only_tail_points(self, counted, sop, sop_ctx,
+                                             battery, horizon, check):
+        # at x̄ = 0 every in-domain x_n has sin(x_n) >= sin(0), so both
+        # scans hold even at N = 8
+        x = sop.base.domain.points[0]
+        if check == "lsc":
+            v = lsc_check(sop.base, x, battery, sop_ctx, horizon)
+        else:
+            v = gamma_seq_check(sop, x, battery, sop_ctx,
+                                horizon=horizon).lower_verdict
+        assert v.is_holds       # a clean scan walks every sequence
+        per_scan = len(battery.strategy_names()) + battery.count - 1
+        tail = upper_half(horizon)
+        assert len(counted["points"]) == per_scan * len(tail)
+        assert set(counted["points"]) == set(tail)
+        assert all(n >= math.ceil(horizon / 2) for n in counted["scored"])
+        if horizon == 8:
+            # tail balls at n = 4..7 hold several grid points, so the
+            # adversarial strategy does score candidates
+            assert counted["scored"]
+
+    def test_seq_lower_converse_builds_only_tail_members(self, sop, sop_ctx,
+                                                         battery,
+                                                         monkeypatch):
+        import setorder.problem as problem
+        built = []
+        real = problem.family_at
+
+        def family_at(fam, n):
+            built.append(n)
+            return real(fam, n)
+
+        monkeypatch.setattr(problem, "family_at", family_at)
+        v = seq_lower_converse(sop, sop_ctx, battery=battery, horizon=16)
+        assert v.is_holds
+        assert built and set(built) == set(upper_half(16))
+
+
+class TestGridGammaHypothesis:
+    """An Inconclusive gamma point leaves the hypothesis Inconclusive; only a
+    failing point makes it Fails, wherever it sits on the grid."""
+
+    @staticmethod
+    def far_drop():
+        # F_n drops far below F at x >= 0.9, so the lower condition fails
+        # from grid index 18 on; no recovery hint, so the upper route
+        # searches the grid
+        return load_dict({
+            "label": "far-drop",
+            "cone": {"kind": "orthant", "dim": 1},
+            "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 0.05}]},
+            "map": {"pieces": [{"guard": "true",
+                                "box": [{"lo": "x1", "hi": "x1 + 1"}]}]},
+            "family": {"subst": "n", "n_max": 200, "map_n": {"pieces": [
+                {"guard": "x1 < 0.9",
+                 "box": [{"lo": "x1", "hi": "x1 + 1"}]},
+                {"guard": "x1 >= 0.9",
+                 "box": [{"lo": "x1 - 2 - 1/(n+1)", "hi": "x1 + 1"}]},
+            ]}},
+        })
+
+    @pytest.fixture()
+    def tiny_budget(self, monkeypatch):
+        # 3 candidates run out inside the first tail indices, so every
+        # point's upper condition is Inconclusive
+        monkeypatch.setattr(converge, "RECOVERY_BUDGET", 3)
+
+    def test_levelset_inconclusive_points(self, tiny_budget, ctx1, battery):
+        fam = linear_family(step=0.1)
+        omega = fam.base.value(5)
+        rep = levelset_convergence_experiment(fam, lambda n: omega, omega,
+                                              ctx1, battery=battery)
+        hyp = rep.hypotheses["gamma"]
+        assert hyp.is_inconclusive
+        assert hyp.reason.startswith(
+            "variational convergence not established at grid index 0: "
+            "recovery sequence not determined")
+        assert "budget 3 exhausted" in hyp.reason
+        assert rep.conclusions["upper"].is_inconclusive
+        assert "gamma" in rep.conclusions["upper"].reason
+
+    def test_levelset_failing_point_dominates(self, tiny_budget, ctx1,
+                                              battery):
+        fam = self.far_drop()
+        omega = fam.base.value(5)
+        rep = levelset_convergence_experiment(fam, lambda n: omega, omega,
+                                              ctx1, battery=battery)
+        hyp = rep.hypotheses["gamma"]
+        assert hyp.is_fails
+        assert hyp.reason == "variational convergence fails at grid index 18"
+        assert hyp.counterexample["index"] == 18
+
+    def test_stability_inconclusive_points(self, tiny_budget, ctx1, battery):
+        fam = linear_family(step=0.1)
+        rep = stability_experiment(fam, "Relaxed", "external", ctx1,
+                                   battery=battery)
+        hyp = rep.hypotheses["gamma_seq"]
+        assert hyp.is_inconclusive
+        assert hyp.reason.startswith(
+            "sequential variational convergence not established at grid "
+            "index 0: recovery sequence not determined")
+        assert rep.conclusion.is_inconclusive
+
+    def test_stability_scans_past_inconclusive_to_first_failure(
+            self, tiny_budget, ctx1, battery, monkeypatch):
+        calls = []
+        real = converge.gamma_seq_check
+
+        def gamma_seq(fam, xbar, *args, **kwargs):
+            calls.append(float(xbar[0]))
+            return real(fam, xbar, *args, **kwargs)
+
+        monkeypatch.setattr(converge, "gamma_seq_check", gamma_seq)
+        fam = self.far_drop()
+        rep = stability_experiment(fam, "Relaxed", "internal", ctx1,
+                                   battery=battery)
+        hyp = rep.hypotheses["gamma_seq"]
+        assert hyp.is_fails
+        assert hyp.reason == ("sequential variational convergence fails at "
+                              "grid index 18")
+        assert len(calls) == 19          # the scan stops at the failure
+        assert rep.conclusion.is_inconclusive
