@@ -1,9 +1,12 @@
 """Polyhedral cones in halfspace form.
 
 A cone is C = {z : g_i . z >= 0 for all i} with unit-normalized rows g_i.
-Construction fails unless the cone is solid (an interior direction exists);
-the found direction u is cached, rescaled so min_i g_i . u >= 1, and reused
-by every quantifier instantiation of the form "epsilon = t * u".
+Construction fails unless the cone is solid (an interior direction exists).
+The direction u is the exact optimum of the max-margin linear program
+max min_i g_i . u over the unit box, solved by a small dense simplex; it is
+cached, rescaled so min_i g_i . u >= 1, and reused by every quantifier
+instantiation of the form "epsilon = t * u". Cone containment is decided
+exactly by the same simplex.
 
 The orthant gets a dedicated kind tag: box-union set arithmetic is exact
 only there, and detection is by row inspection after normalization.
@@ -26,9 +29,9 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 
-_SEARCH_RESTARTS = 24
-_SEARCH_SWEEPS = 40
-_TERNARY_STEPS = 72
+_PIVOT_TOL = 1e-12
+_EPS = 2.0 ** -52              # float64 machine epsilon
+_NUDGE_STEPS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +68,7 @@ class Cone:
         dim = G.shape[1]
         if _is_orthant_rows(G, dim):
             return Cone.orthant(dim)
-        u = _search_interior(G)
+        u = _interior_direction(G)
         return Cone._build(dim, G, "general", u)
 
     @staticmethod
@@ -145,61 +148,64 @@ def _is_orthant_rows(G: np.ndarray, dim: int) -> bool:
     return len(seen) == dim
 
 
-def _search_interior(G: np.ndarray) -> np.ndarray:
-    """Maximize min_i g_i . u over the unit box, then rescale to margin >= 1.
+def _box_lp(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Maximize c . (u, t) over u in [-1, 1]^d and t >= 0 with G u >= t.
 
-    The objective is concave piecewise-linear, so per-coordinate ternary
-    search inside a sweep loop converges; random restarts guard against
-    flat starts. Deterministic: fixed internal seed.
+    Returns the optimal u. A dense tableau simplex on x = (u+, u-, t) >= 0,
+    u = u+ - u-, started from the slack basis at the origin, which is
+    feasible because every cone row has right-hand side 0. That start is
+    degenerate, so Bland's rule picks both pivots (lowest-index improving
+    column; among tied ratios, lowest-index basic variable) and the simplex
+    cannot cycle. The LP is bounded: |g . u| <= sqrt(d) on the box.
     """
     m, d = G.shape
+    n = 2 * d + 1
+    rows = m + 2 * d
+    T = np.zeros((rows + 1, n + rows + 1))
+    T[:m, :d], T[:m, d:2 * d], T[:m, 2 * d] = -G, G, 1.0   # t - G u <= 0
+    T[m:rows, :2 * d] = np.eye(2 * d)                       # u+, u- <= 1
+    T[:rows, n:-1] = np.eye(rows)
+    T[m:rows, -1] = 1.0
+    T[rows, :n] = -np.r_[c[:d], -c[:d], c[d]]
+    basis = np.arange(n, n + rows)
+    while True:
+        improving = np.flatnonzero(T[rows, :-1] < -_PIVOT_TOL)
+        if improving.size == 0:
+            break
+        j = improving[0]
+        cand = np.flatnonzero(T[:rows, j] > _PIVOT_TOL)
+        ratios = T[cand, -1] / T[cand, j]
+        tied = cand[ratios == ratios.min()]
+        i = tied[np.argmin(basis[tied])]
+        T[i] /= T[i, j]
+        f = T[:, j].copy()
+        f[i] = 0.0
+        T -= np.outer(f, T[i])
+        basis[i] = j
+    x = np.zeros(n + rows)
+    x[basis] = T[:rows, -1]
+    return x[:d] - x[d:2 * d]
 
-    def margin(u: np.ndarray) -> float:
-        return float((G @ u).min())
 
-    rng = np.random.default_rng(1729)
-    starts = [np.ones(d), np.clip(G.sum(axis=0), -1.0, 1.0)]
-    starts += [rng.uniform(-1.0, 1.0, size=d) for _ in range(_SEARCH_RESTARTS)]
+def _interior_direction(G: np.ndarray) -> np.ndarray:
+    """Maximize min_i g_i . u over the unit box, then rescale to margin >= 1.
 
-    best_u, best_t = None, -math.inf
-    for start in starts:
-        u = start.copy()
-        t = margin(u)
-        for _ in range(_SEARCH_SWEEPS):
-            improved = False
-            for j in range(d):
-                lo, hi = -1.0, 1.0
-                uj = u.copy()
-                for _ in range(_TERNARY_STEPS):
-                    m1 = lo + (hi - lo) / 3.0
-                    m2 = hi - (hi - lo) / 3.0
-                    uj[j] = m1
-                    f1 = margin(uj)
-                    uj[j] = m2
-                    f2 = margin(uj)
-                    if f1 < f2:
-                        lo = m1
-                    else:
-                        hi = m2
-                uj[j] = 0.5 * (lo + hi)
-                t_new = margin(uj)
-                if t_new > t + 1e-15:
-                    u, t = uj, t_new
-                    improved = True
-            if not improved:
-                break
-        if t > best_t:
-            best_u, best_t = u, t
-
-    if best_u is None or best_t <= 1e-9:
+    The max-margin problem is a (d+1)-variable LP, solved exactly by _box_lp.
+    """
+    d = G.shape[1]
+    u = _box_lp(G, np.eye(d + 1)[d])
+    best_t = float((G @ u).min())
+    if best_t <= 1e-9:
         raise NotSolid(f"no interior direction found (best margin {best_t:.3e})")
 
-    u = best_u / best_t
-    # float rounding can leave min margin a hair under 1
-    for _ in range(8):
+    u = u / best_t
+    # rounding in G @ u can leave the min margin under 1 by about
+    # eps * |u| / best_t, far more than one ulp on thin cones: grow the
+    # nudge geometrically until it clears
+    for k in range(_NUDGE_STEPS):
         if (G @ u).min() >= 1.0:
             break
-        u = u * (1.0 + 4e-16)
+        u = u * (1.0 + 2.0 ** k * _EPS)
     if (G @ u).min() < 1.0:
         raise NotSolid("interior direction normalization failed")
     return u
@@ -232,12 +238,12 @@ def scale_witness(C: Cone, c, u, tol: float = DEFAULT_TOL) -> int:
     raise ContainmentNotEstablished("no finite scale witness found")  # pragma: no cover
 
 
-def cone_subset(C1: Cone, C2: Cone, tol: float = DEFAULT_TOL,
-                samples: int = 512) -> tuple[bool, str]:
-    """Decide C1 <= C2 where cheap, otherwise sample.
+def cone_subset(C1: Cone, C2: Cone, tol: float = DEFAULT_TOL) -> tuple[bool, str]:
+    """Decide C1 <= C2 exactly.
 
-    Returns (ok, method). Raises ContainmentNotEstablished with a witness
-    when a point of C1 outside C2 is found.
+    Returns (True, "exact"). For each row h of C2, _box_lp minimizes h . z
+    over C1 within the unit box; a minimum below -tol refutes containment,
+    and ContainmentNotEstablished names the minimizer as the witness.
     """
     if C1.dim != C2.dim:
         raise DimensionMismatch("cones live in different dimensions")
@@ -252,33 +258,11 @@ def cone_subset(C1: Cone, C2: Cone, tol: float = DEFAULT_TOL,
             z[axis] = 1.0
             raise ContainmentNotEstablished(f"orthant axis {axis} leaves C2 (row {row})")
         return True, "exact"
-    if d == 2:
-        # extreme rays of a planar cone: boundary directions of active rows
-        rays = []
-        for g in C1.halfspaces:
-            for r in (np.array([g[1], -g[0]]), np.array([-g[1], g[0]])):
-                if np.all(C1.halfspaces @ r >= -1e-12):
-                    rays.append(r)
-        rays.append(C1.interior_direction)
-        for r in rays:
-            if not C2.contains(r, tol):
-                raise ContainmentNotEstablished(f"ray {r.tolist()} of C1 leaves C2")
-        return True, "exact"
-    # sampled fallback: random points pushed into C1
-    rng = np.random.default_rng(97)
-    u1 = C1.interior_direction
-    checked = 0
-    for _ in range(samples * 4):
-        if checked >= samples:
-            break
-        z = rng.standard_normal(d)
-        z = z + u1 * max(0.0, -float((C1.halfspaces @ z).min())) * 1.001
-        if not C1.contains(z, 0.0):
-            continue
-        checked += 1
-        if not C2.contains(z, tol):
-            raise ContainmentNotEstablished(f"sampled point {z.tolist()} of C1 leaves C2")
-    return True, "sampled"
+    for row, h in enumerate(C2.halfspaces):
+        z = _box_lp(C1.halfspaces, np.r_[-h, 0.0])
+        if h @ z < -tol:
+            raise ContainmentNotEstablished(f"point {z.tolist()} of C1 leaves C2 (row {row})")
+    return True, "exact"
 
 
 def fineness_witness(C1: Cone, C2: Cone, u2, tol: float = DEFAULT_TOL) -> tuple[int, np.ndarray]:

@@ -24,7 +24,7 @@ class NotSolid(SetOrderError):
 
 
 class ContainmentNotEstablished(SetOrderError):
-    """Cone containment precondition failed or was refuted by sampling."""
+    """Cone containment precondition failed or was refuted by a witness."""
 
 
 class SetSpecError(SetOrderError):

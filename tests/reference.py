@@ -7,6 +7,8 @@ shared code with setorder.solve beyond the order module itself.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from setorder.cone import Cone
@@ -136,3 +138,28 @@ def pk_cluster_oracle(phase_sets, n0, candidates, N, tol_fn, need):
         if hits >= need:
             ls.append(tuple(map(float, x)))
     return tuple(li), tuple(ls)
+
+
+def max_margin_oracle(G: np.ndarray) -> float:
+    """max_{|u|_inf <= 1} min_i g_i . u by enumerating the LP's vertices.
+
+    The LP in (u, t) is max t s.t. G u >= t, -1 <= u <= 1. Its feasible set
+    is pointed and t is bounded above, so the optimum sits at a vertex: a
+    point where d+1 linearly independent constraints hold with equality.
+    Try every (d+1)-subset; exponential, so keep d <= 3 and few rows.
+    """
+    m, d = G.shape
+    # every constraint written as a . (u, t) >= b
+    A = np.vstack([np.c_[G, -np.ones(m)],
+                   np.c_[np.eye(d), np.zeros(d)],
+                   np.c_[-np.eye(d), np.zeros(d)]])
+    b = np.r_[np.zeros(m), -np.ones(2 * d)]
+    best = -np.inf
+    for S in combinations(range(len(A)), d + 1):
+        M = A[list(S)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        y = np.linalg.solve(M, b[list(S)])
+        if np.all(A @ y >= b - 1e-12):
+            best = max(best, float(y[-1]))
+    return best

@@ -16,6 +16,7 @@ from setorder.errors import (
 )
 
 from conftest import random_solid_cone
+from reference import max_margin_oracle
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
@@ -91,6 +92,44 @@ class TestInteriorDirection:
         for _ in range(25):
             C = random_solid_cone(rng, int(rng.integers(2, 5)), int(rng.integers(1, 5)))
             assert (C.halfspaces @ C.interior_direction).min() >= 1.0
+
+    def test_direction_is_max_margin(self):
+        # the direction is the LP optimum, not just some interior point
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            C = random_solid_cone(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+            u = C.interior_direction
+            margin = (C.halfspaces @ u).min() / np.abs(u).max()
+            assert margin == pytest.approx(max_margin_oracle(C.halfspaces), abs=1e-12)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.0, 0.0], [-1.0, 0.0]],
+        [[1.0, 2.0, 3.0], [0.0, 1.0, 0.0], [-1.0, -2.0, -3.0]],
+    ])
+    def test_cone_with_opposite_rows_rejected(self, rows):
+        with pytest.raises(NotSolid):
+            Cone.from_halfspaces(rows)
+
+    @pytest.mark.parametrize("s", [1e-4, 1e-6, 1e-8])
+    def test_thin_cone_builds(self, s):
+        # optimal box margin ~1.4 s is far above the NotSolid floor; rounding
+        # after the rescale must not reject it
+        c = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        p = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        C = Cone.from_halfspaces([p + s * c, -p + s * c])
+        assert (C.halfspaces @ C.interior_direction).min() >= 1.0
+
+    def test_non_pointed_and_few_row_cones_build(self):
+        C = Cone.from_halfspaces([[1.0, 2.0, 0.5]])
+        D = Cone.from_halfspaces([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0]])
+        for K in (HALFPLANE, C, D):
+            assert (K.halfspaces @ K.interior_direction).min() >= 1.0
+
+    def test_direction_is_deterministic(self):
+        rows = np.random.default_rng(3).standard_normal((5, 4)) * 0.4 + 1.0
+        u1 = Cone.from_halfspaces(rows).interior_direction
+        u2 = Cone.from_halfspaces(rows).interior_direction
+        assert u1.tobytes() == u2.tobytes()
 
 
 class TestConstruction:
@@ -183,6 +222,22 @@ class TestFinenessWitness:
     def test_non_subset_refuted(self):
         with pytest.raises(ContainmentNotEstablished):
             cone_subset(R2, ABS_CONE)
+
+
+class TestConeSubset:
+    def test_general_cones_decided_exactly(self):
+        assert cone_subset(ABS_CONE, HALFPLANE) == (True, "exact")
+        C = Cone.from_halfspaces([[1.0, 1.0, 1.0]])
+        assert cone_subset(Cone.from_halfspaces(np.eye(3) + 0.1), C) == (True, "exact")
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_sliver_refuted(self, eps):
+        # C1 reaches to near e3, where the extra row of C2 reads about -eps
+        rows = np.eye(3) + 1e-3 * np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        C1 = Cone.from_halfspaces(rows)
+        C2 = Cone.from_halfspaces(np.vstack([rows, [1.0, 1.0, -eps]]))
+        with pytest.raises(ContainmentNotEstablished, match="row 3"):
+            cone_subset(C1, C2)
 
 
 NONNEG = st.floats(0.0, 10.0, allow_nan=False)
