@@ -4,11 +4,12 @@ Run from the repository root:
 
     python3 benchmarks/bench_kernels.py [--repeat 5]
 
-Two workloads: the raw per-pair kernel on random corner data, and the
-full pairwise relation sweep the solver performs when values are mixed
-(clouds force the per-pair path, so this is the path that matters).
-Both backends are imported directly, bypassing the SETORDER_PURE switch,
-and their answers are cross-checked before timing.
+Times the two single-pair kernels, rel_corners in each mode and
+shift_bound, on random corner data: the calls the order module makes one
+pair of sets at a time. solve.relation_matrices runs the batched NumPy
+kernel on either backend, so it is not compared here. Both backends are
+imported directly, whichever one setorder._kernels picked, and their
+answers are cross-checked before timing.
 """
 
 from __future__ import annotations

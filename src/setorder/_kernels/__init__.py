@@ -1,28 +1,23 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; SETORDER_PURE=1 forces
-the NumPy reference. Both expose the same two functions with identical
-semantics (asserted by the backend-equivalence test suite).
+The compiled extension is used when importable, the NumPy reference
+otherwise. Both expose the same two functions with identical semantics
+(asserted by the backend-equivalence test suite); ``covered`` is NumPy only.
 """
 
 from __future__ import annotations
 
-import os
+from .pure import LARGE, LOWER, STRICT, covered
 
-from .pure import LARGE, LOWER, STRICT
-
-if os.environ.get("SETORDER_PURE", "").strip() not in ("", "0"):
+try:
+    from . import _fast as _impl  # type: ignore[attr-defined]
+    BACKEND = "fast"
+except ImportError:
     from . import pure as _impl
     BACKEND = "pure"
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[attr-defined]
-        BACKEND = "fast"
-    except ImportError:
-        from . import pure as _impl
-        BACKEND = "pure"
 
 rel_corners = _impl.rel_corners
 shift_bound = _impl.shift_bound
 
-__all__ = ["BACKEND", "LARGE", "LOWER", "STRICT", "rel_corners", "shift_bound"]
+__all__ = ["BACKEND", "LARGE", "LOWER", "STRICT", "covered", "rel_corners",
+           "shift_bound"]

@@ -1,9 +1,10 @@
-"""NumPy reference kernels for pairwise corner comparisons.
+"""NumPy kernels for corner comparisons.
 
 Every preorder query between two finitely-represented sets reduces to a
 "for every B-corner there is an A-corner dominating it" sweep over
-halfspace coordinates. These two reductions are the package's hot path;
-a compiled twin lives in _fast.pyx and must match this module bit for bit.
+halfspace coordinates. ``covered`` states the rule once for a pair of sets
+(``rel_corners``) or a block of pairs (``solve.relation_matrices``); a
+compiled twin of the other two lives in _fast.pyx and must match bit for bit.
 
 Conventions shared by both backends:
   * ca/cb: (na, m) / (nb, m) float64 lower corners in halfspace coordinates;
@@ -23,29 +24,40 @@ LARGE = 1
 STRICT = 2
 
 
-def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
-                mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
-    A = ca[None, :, :]   # (1, na, m)
-    B = cb[:, None, :]   # (nb, 1, m)
-    if mode == STRICT:
-        need = B > A + tol if b_cloud else B > A
-    elif mode == LARGE:
-        need = B >= A - tol if b_cloud else B >= A
+def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
+            b_cloud, t, mode: int) -> np.ndarray:
+    """Whether some A-corner covers each B-corner under ``mode``.
+
+    A and oa end in (ka, m), B and ob in (kb, 1, m); the leading axes,
+    ``b_cloud`` and the tolerance ``t`` (tol for a cloud B, 0 for a box)
+    broadcast against B, and the result is their leading shape plus kb.
+    Per axis, LARGE is B >= A - t and STRICT is B > A + t; LOWER is STRICT
+    where A's end is open and B's closed (a cloud B counts as closed
+    whatever its flags), LARGE elsewhere. With t = 0 this is exact box
+    logic. A corner of +inf covers no finite corner and is covered by any
+    finite one, so ragged corner lists are padded with +inf, not masked.
+    """
+    exact = not isinstance(t, np.ndarray) and t == 0
+    if mode == LARGE:
+        axes = B >= (A if exact else A - t)
+    elif mode == STRICT:
+        axes = B > (A if exact else A + t)
     elif mode == LOWER:
-        if b_cloud:
-            open_a = oa[None, :, :] != 0
-            need = np.where(open_a, B > A + tol, B >= A - tol)
-        else:
-            # box corner lies in the upper set iff per axis:
-            # cb > ca, or cb == ca and (ca open implies cb open)
-            flag_ok = (oa[None, :, :] == 0) | (ob[:, None, :] != 0)
-            need = (B > A) | ((B == A) & flag_ok)
+        strict_axis = (oa != 0) & ((ob == 0) | b_cloud)
+        axes = np.where(strict_axis, B > (A if exact else A + t),
+                        B >= (A if exact else A - t))
     else:
         raise ValueError(f"unknown relation mode {mode}")
-    covered = need.all(axis=2).any(axis=1)   # (nb,)
-    if covered.all():
+    return axes.all(axis=-1).any(axis=-1)
+
+
+def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
+                mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
+    ok = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud,
+                 tol if b_cloud else 0.0, mode)
+    if ok.all():
         return True, -1
-    return False, int(np.flatnonzero(~covered)[0])
+    return False, int(np.flatnonzero(~ok)[0])
 
 
 def shift_bound(ha: np.ndarray, hb: np.ndarray, w: np.ndarray) -> tuple[float, int]:

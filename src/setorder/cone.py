@@ -256,7 +256,8 @@ def cone_subset(C1: Cone, C2: Cone, tol: float = DEFAULT_TOL) -> tuple[bool, str
             axis = int(np.argmin(C2.halfspaces[row]))
             z = np.zeros(d)
             z[axis] = 1.0
-            raise ContainmentNotEstablished(f"orthant axis {axis} leaves C2 (row {row})")
+            raise ContainmentNotEstablished(
+                f"point {z.tolist()} of C1 (orthant axis {axis}) leaves C2 (row {row})")
         return True, "exact"
     for row, h in enumerate(C2.halfspaces):
         z = _box_lp(C1.halfspaces, np.r_[-h, 0.0])

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
+from ._kernels import STRICT, covered
 from .errors import (
     HorizonExceeded,
     InternalCheckError,
@@ -39,7 +40,7 @@ from .errors import (
 from .order import OrderCtx, equiv, large_le, shift_margin, strict_lt
 from .problem import Domain, PerturbedFamily, Problem, family_at
 from .setrep import SetRep, _corner_data, translate
-from .solve import _corner_table, eff, hypothesis_h, strong_level_set
+from .solve import eff, hypothesis_h, strong_level_set, value_table
 from .verdict import Status, Verdict
 
 DEFAULT_HORIZON = 64
@@ -503,42 +504,18 @@ class GammaReport:
         return out
 
 
-def _tail_tables(fam: PerturbedFamily, ctx: OrderCtx, horizon: int) -> list:
-    """(Pn, C, T) per tail member: corner table and per-row tolerance.
-
-    C and T are None unless every value of Pn has a single corner; then the
-    neighborhood scan vectorizes. Memoized on each member per ctx, as
-    relation_matrices does, so checks at many points build them once.
-    """
-    out = []
-    for n in upper_half(horizon):
-        Pn = family_at(fam, n)
-        cache = vars(Pn).setdefault("_tail_cache", {})
-        got = cache.get(ctx)
-        if got is None:
-            corners, _, clouds, single = _corner_table(Pn, ctx)
-            got = ((np.vstack(corners), np.where(clouds, ctx.tol, 0.0)[:, None])
-                   if single else (None, None))
-            cache[ctx] = got
-        out.append((Pn, *got))
-    return out
-
-
 def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
                               ctx: OrderCtx, fam: PerturbedFamily, horizon: int):
     flo = floored_eps(ctx)[-1]
-    shifted = translate(Fx, -flo * ctx.u)
-    sc, _, _ = _corner_data(shifted, ctx.cone)
+    sc, so, _ = _corner_data(translate(Fx, -flo * ctx.u), ctx.cone)
     base = fam.base
     pts = base.domain.points
     ok = np.ones(len(pts), dtype=bool)
-    for Pn, C, T in _tail_tables(fam, ctx, horizon):
-        if C is not None and sc.shape[0] == 1:
-            ok &= ((C - sc[0][None, :]) > T).all(axis=1)
-        else:
-            for i in np.flatnonzero(ok):
-                if not strict_lt(shifted, Pn.value(i), ctx):
-                    ok[i] = False
+    for n in upper_half(horizon):
+        # value_table is memoized per member, so checks at many points share it
+        V, O, clouds, T = value_table(family_at(fam, n), ctx)
+        ok &= covered(sc, so, V[:, :, None], O[:, :, None], clouds[:, None, None],
+                      T[:, None, None], STRICT).all(axis=-1)
     dists = np.linalg.norm(pts - t, axis=1)
     bad = ~ok
     bad_dist = float(dists[bad].min()) if bad.any() else math.inf

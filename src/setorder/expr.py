@@ -11,9 +11,11 @@ than unary minus, so -x1^2 is -(x1^2)):
               | VAR | "(" expr ")"
 
 VAR is x1..xd (domain coordinates) or n (perturbation index). NAME is one
-of sin, cos, exp, abs, sqrt. Evaluation is IEEE double: exp overflow
-saturates to +inf, while NaN-producing operations (0/0, sqrt of a
-negative, inf - inf) raise DomainError — no NaN ever escapes.
+of sin, cos, exp, abs, sqrt. Parsing and evaluation recurse, so factor
+nesting and tree height are capped at MAX_DEPTH (ExprSyntaxError beyond).
+Evaluation is IEEE double: exp overflow saturates to +inf, while
+NaN-producing operations (0/0, sqrt of a negative, inf - inf) raise
+DomainError — no NaN ever escapes.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _TOKEN = re.compile(r"""
 _FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
 _CONSTANTS = {"pi": math.pi, "e": math.e, "inf": math.inf}
 _VAR = re.compile(r"^(x[1-9][0-9]*|n)$")
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.src))
@@ -105,6 +109,8 @@ class _Parser:
         kind, text, pos = self.peek()
         if kind is not None:
             raise ExprSyntaxError(f"trailing input {text!r}", pos)
+        if _height(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
@@ -128,11 +134,18 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
+        # every nested parse (parentheses, calls, unary minus, ^) comes here
+        kind, text, pos = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
         if kind == "op" and text == "-":
             self.take()
-            return Neg(self.factor())
-        return self.power()
+            e = Neg(self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -163,6 +176,17 @@ class _Parser:
             return e
         raise ExprSyntaxError(
             f"expected a value, got {text!r}" if kind else "unexpected end of input", pos)
+
+
+def _height(e: Expr) -> int:
+    """Levels of the tree, counted level by level instead of by recursion."""
+    h, level = 0, [e]
+    while level:
+        h += 1
+        level = [k for node in level for k in
+                 ((node.arg,) if isinstance(node, (Neg, Call)) else
+                  (node.left, node.right) if isinstance(node, BinOp) else ())]
+    return h
 
 
 def parse(src: str) -> Expr:

@@ -2,21 +2,20 @@
 
 All four minimality notions reduce to three pairwise relation matrices
 over the grid (one per preorder flavor); the matrices are computed once
-per (problem, context) pair and cached on the problem. Single-corner
-instances under the orthant cone take a vectorized path; everything else
-goes through the same per-pair kernels the order module uses, so both
-paths share one set of comparison rules.
+per (problem, context) pair and cached on the problem. They are filled
+in row blocks by the batched corner kernel whose one-pair case the order
+module uses, so the matrices and the pairwise predicates share one set of
+comparison rules.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT, rel_corners
+from ._kernels import LARGE, LOWER, STRICT, covered
 from .errors import InternalCheckError
 from .order import OrderCtx, large_le, lower_le
 from .problem import PieceMap, Problem
@@ -65,61 +64,52 @@ class LSetResult:
 
 # ------------------------------------------------------- relation matrices
 
-def _corner_table(P: Problem, ctx: OrderCtx):
-    """Per-value corner arrays in H-coordinates, or None if multi-corner."""
-    corners, opens, clouds = [], [], []
-    single = True
-    for v in P.values():
-        h, o, is_cloud = _corner_data(v, ctx.cone)
-        corners.append(h)
-        opens.append(o)
-        clouds.append(is_cloud)
-        if h.shape[0] != 1:
-            single = False
-    return corners, opens, np.array(clouds, dtype=bool), single
+# elements of the largest boolean block one kernel call builds; keeps the
+# temporaries of relation_matrices O(N) in memory rather than O(N^2)
+_BLOCK_ELEMENTS = 2 ** 16
+
+
+def value_table(P: Problem, ctx: OrderCtx):
+    """(V, O, clouds, t): P's values as one table, memoized on P per ctx.
+
+    V (N, K, m) holds the lower corners in H-coordinates, padded with +inf
+    up to the largest corner count K, and O their uint8 openness flags;
+    clouds (N,) marks point-cloud values and t (N,) their tolerance.
+    """
+    cache = vars(P).setdefault("_table_cache", {})
+    got = cache.get(ctx)
+    if got is None:
+        hs, flags, clouds = zip(*(_corner_data(v, ctx.cone) for v in P.values()))
+        V = np.full((len(hs), max(map(len, hs)), hs[0].shape[1]), np.inf)
+        O = np.zeros(V.shape, dtype=np.uint8)
+        for i, (h, o) in enumerate(zip(hs, flags)):
+            V[i, :len(h)], O[i, :len(h)] = h, o
+        got = cache[ctx] = (V, O, np.array(clouds), np.where(clouds, ctx.tol, 0.0))
+    return got
 
 
 def relation_matrices(P: Problem, ctx: OrderCtx):
     """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j)."""
-    cache = getattr(P, "_rel_cache", None)
-    if cache is None:
-        cache = {}
-        P._rel_cache = cache
+    cache = vars(P).setdefault("_rel_cache", {})
     got = cache.get(ctx)
     if got is not None:
         return got
 
-    corners, opens, clouds, single = _corner_table(P, ctx)
-    n = len(P)
-    tol = ctx.tol
-    if single:
-        C = np.vstack(corners)                      # (N, d)
-        O = np.vstack(opens).astype(bool)           # (N, d)
-        D3 = C[None, :, :] - C[:, None, :]          # cb - ca per axis
-        T = np.where(clouds, tol, 0.0)[None, :, None]
-        strict = (D3 > T).all(axis=2)
-        large = (D3 >= -T).all(axis=2)
-        Oa = O[:, None, :]
-        Ob = O[None, :, :]
-        low_box = (D3 > 0) | ((D3 == 0) & (~Oa | Ob))
-        low_cloud = np.where(Oa, D3 > tol, D3 >= -tol)
-        lower = np.where(clouds[None, :, None], low_cloud, low_box).all(axis=2)
-    else:
-        lower = np.empty((n, n), dtype=bool)
-        large = np.empty((n, n), dtype=bool)
-        strict = np.empty((n, n), dtype=bool)
-        for i in range(n):
-            ca, oa = corners[i], opens[i]
-            for j in range(n):
-                cb, ob = corners[j], opens[j]
-                bc = bool(clouds[j])
-                lower[i, j] = rel_corners(ca, oa, cb, ob, LOWER, bc, tol)[0]
-                large[i, j] = rel_corners(ca, oa, cb, ob, LARGE, bc, tol)[0]
-                strict[i, j] = rel_corners(ca, oa, cb, ob, STRICT, bc, tol)[0]
+    V, O, clouds, t = value_table(P, ctx)
+    n, k, m = V.shape
+    # row i is the A side, column j the B side: (i, j, b-corner, a-corner, axis)
+    A, OA = V[:, None, None], O[:, None, None]
+    B, OB = V[None, :, :, None], O[None, :, :, None]
+    cloud, T = clouds[None, :, None, None, None], t[None, :, None, None, None]
+    rows = max(1, _BLOCK_ELEMENTS // (n * k * k * m))
+    out = tuple(np.empty((n, n), dtype=bool) for _ in range(3))
+    for i in range(0, n, rows):
+        blk = slice(i, i + rows)
+        for mat, mode in zip(out, (LOWER, LARGE, STRICT)):
+            mat[blk] = covered(A[blk], OA[blk], B, OB, cloud, T, mode).all(axis=-1)
 
-    out = (lower, large, strict)
     cache[ctx] = out
-    _assert_geff_in_reff(large, strict, P)
+    _assert_geff_in_reff(out[1], out[2], P)
     return out
 
 

@@ -130,6 +130,19 @@ class TestSolve:
         assert code == EX_USAGE
         assert "no such file or builtin" in err
 
+    @pytest.mark.parametrize("lo", [
+        pytest.param("(" * 500 + "sin(x1)" + ")" * 500, id="parens-500-deep"),
+        pytest.param("+".join(["sin(x1)"] + ["0"] * 3000), id="sum-3001-terms")])
+    def test_too_deep_expression_is_usage_error(self, capsys, tmp_path, lo):
+        doc = json.loads((Path(cli.__file__).parent / "data" / "problems" /
+                          "sop_sin.json").read_text())
+        doc["map"]["pieces"][0]["box"][0]["lo"] = lo
+        p = tmp_path / "deep.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", str(p))
+        assert code == EX_USAGE
+        assert "nests deeper than 100 levels" in err
+
 
 class TestLevelset:
     def test_sop_level_set(self, capsys):

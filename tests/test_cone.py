@@ -230,6 +230,12 @@ class TestConeSubset:
         C = Cone.from_halfspaces([[1.0, 1.0, 1.0]])
         assert cone_subset(Cone.from_halfspaces(np.eye(3) + 0.1), C) == (True, "exact")
 
+    def test_orthant_refutation_names_its_point(self):
+        # e1 lies in the orthant and fails ABS_CONE's row 0 (z2 >= z1)
+        with pytest.raises(ContainmentNotEstablished,
+                           match=r"point \[1\.0, 0\.0\] of C1 .* \(row 0\)"):
+            cone_subset(R2, ABS_CONE)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6])
     def test_sliver_refuted(self, eps):
         # C1 reaches to near e3, where the extra row of C2 reads about -eps

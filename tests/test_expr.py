@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setorder.errors import DomainError, ExprSyntaxError, UnboundVariable
-from setorder.expr import BinOp, Call, Lit, Neg, Var, evaluate, parse, unparse, variables
+from setorder.expr import (MAX_DEPTH, BinOp, Call, Lit, Neg, Var, evaluate, parse,
+                           unparse, variables)
 
 
 def ev(src, x=(), n=None):
@@ -93,10 +94,28 @@ class TestErrors:
     @pytest.mark.parametrize("src", [
         "", "   ", "1 +", "* 2", "sin", "sin 3", "sin(1", "(1+2", "1 2",
         "foo(3)", "bar", "1 +* 2", ")", "x0", "x01",
+        pytest.param("(" * 100 + "1" + ")" * 100, id="parens-101-deep"),
+        pytest.param("-" * 100 + "1", id="minus-101-deep"),
+        pytest.param("sin(" * 100 + "1" + ")" * 100, id="calls-101-deep"),
+        pytest.param("2^" * 100 + "2", id="power-101-deep"),
+        pytest.param("+".join(["1"] * 101), id="sum-101-terms"),
+        pytest.param("-" * 60 + "sin(" * 45 + "1" + ")" * 45, id="minus-calls-106-deep"),
     ])
     def test_syntax_errors(self, src):
         with pytest.raises(ExprSyntaxError):
             parse(src)
+
+    @pytest.mark.parametrize("src", [
+        pytest.param("(" * 99 + "1" + ")" * 99, id="parens"),
+        pytest.param("-" * 99 + "1", id="minus"),
+        pytest.param("sin(" * 99 + "1" + ")" * 99, id="calls"),
+        pytest.param("2^" * 99 + "2", id="power"),
+        pytest.param("+".join(["1"] * 100), id="sum"),
+    ])
+    def test_depth_limit_is_inclusive(self, src):
+        # one level below each rejected case above: MAX_DEPTH levels parse
+        assert MAX_DEPTH == 100
+        parse(src)
 
     def test_error_carries_column(self):
         with pytest.raises(ExprSyntaxError, match=r"column 5"):

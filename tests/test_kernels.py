@@ -19,8 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setorder import _kernels
+from setorder import _kernels, solve
 from setorder._kernels import LARGE, LOWER, STRICT, pure
+from setorder.cone import Cone
+from setorder.order import OrderCtx
+from setorder.problem import Domain, Problem, TableMap
+from setorder.setrep import Box, BoxUnion, _corner_data, points
 
 REPO = Path(__file__).resolve().parents[1]
 FAST_MODULE = "setorder._kernels._fast"
@@ -41,11 +45,9 @@ def built_extension(src):
     return src / "setorder" / "_kernels" / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
 
 
-def child_backend(src, **overrides):
+def child_backend(src):
     """BACKEND as seen by a fresh interpreter importing setorder from ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("SETORDER_PURE", None)
-    env.update(overrides)
     out = subprocess.run(
         [sys.executable, "-c", "from setorder._kernels import BACKEND; print(BACKEND)"],
         env=env, capture_output=True, text=True, check=True)
@@ -176,6 +178,48 @@ class TestRelCorners:
             assert (ok, bad) == (False, 1), impl.__name__
 
 
+def random_value(rng, m, lattice: bool):
+    """A cloud or a box union of 1-3 corners, with random lower-end flags."""
+    k = int(rng.integers(1, 4))
+    lo = rng.integers(-2, 3, size=(k, m)) * 0.5 if lattice else rng.standard_normal((k, m))
+    if rng.random() < 0.5:
+        return points(lo)
+    boxes = []
+    for row in lo:
+        hi = np.where(rng.random(m) < 0.3, np.inf, row + 1.0)
+        boxes.append(Box(tuple(map(float, row)), tuple(map(float, hi)),
+                         tuple(bool(f) for f in rng.random(m) < 0.5),
+                         tuple(bool(h == np.inf) for h in hi)))
+    return BoxUnion(m, tuple(boxes))
+
+
+class TestCovered:
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_blocked_matrices_match_brute_force(self, lattice, monkeypatch):
+        # relation_matrices pads the values into one table and calls the
+        # batched kernel per row block; 23 rows in blocks of 4 leave a
+        # ragged last block
+        rng = np.random.default_rng(11 + lattice)
+        n, m = 23, 2
+        vals = [random_value(rng, m, lattice) for _ in range(n)]
+        pts = np.arange(n, dtype=float)[:, None]
+        keyed = {float(p[0]): v for p, v in zip(pts, vals)}
+        P = Problem("table", TableMap(lambda x: keyed[float(x[0])], m),
+                    Cone.orthant(m), Domain.from_points(pts))
+        ctx = OrderCtx(P.cone)
+        data = [_corner_data(v, P.cone) for v in vals]
+        assert {len(h) for h, _, _ in data} == {1, 2, 3}
+        assert {b_cloud for _, _, b_cloud in data} == {False, True}
+        k = solve.value_table(P, ctx)[0].shape[1]
+        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 4 * n * k * k * m)
+        mats = solve.relation_matrices(P, ctx)
+        for r, mode in enumerate((LOWER, LARGE, STRICT)):
+            for i, (ca, oa, _) in enumerate(data):
+                for j, (cb, ob, b_cloud) in enumerate(data):
+                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
+                    assert mats[r][i, j] == want, (mode, i, j)
+
+
 class TestShiftBound:
     def test_matches_brute_force(self, backends):
         rng = np.random.default_rng(42)
@@ -205,10 +249,6 @@ class TestBackendSelection:
         path = built_extension(built_src)
         assert path.is_file(), f"setup.py build_ext produced no {path.name}"
         assert child_backend(built_src) == "fast"
-
-    def test_pure_override(self, built_src):
-        assert child_backend(built_src) == "fast"
-        assert child_backend(built_src, SETORDER_PURE="1") == "pure"
 
     def test_built_extension_stays_private(self, fast, built_src):
         # the oracle checks load the built module; the session's own

@@ -11,11 +11,12 @@ import pytest
 
 from reference import brute_eff, random_problem, validate_witnesses
 
+from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
 from setorder.cone import Cone
 from setorder.errors import InternalCheckError
-from setorder.order import OrderCtx, large_le, lower_le
+from setorder.order import OrderCtx, large_le, lower_le, strict_lt
 from setorder.problem import Domain, Problem, TableMap, load_builtin
-from setorder.setrep import box, points
+from setorder.setrep import _corner_data, box, points
 from setorder.solve import (
     KINDS,
     EffResult,
@@ -107,6 +108,46 @@ class TestMinimalSets:
         other = OrderCtx(geff.cone, tol=1e-6)
         c = relation_matrices(geff, other)
         assert c[0] is not a[0]
+
+
+def per_pair_matrices(P, ctx):
+    """(lower, large, strict) from one rel_corners call per pair and relation."""
+    data = [_corner_data(v, ctx.cone) for v in P.values()]
+    n = len(data)
+    out = np.empty((3, n, n), dtype=bool)
+    for i, (ca, oa, _) in enumerate(data):
+        for j, (cb, ob, b_cloud) in enumerate(data):
+            for r, mode in enumerate((LOWER, LARGE, STRICT)):
+                out[r, i, j] = rel_corners(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
+    return out
+
+
+class TestRelationMatrices:
+    def test_cloud_tolerance_boundary(self):
+        # the second point sits just above the first plus tol; the matrices
+        # must apply strict_lt's B > A + tol, which B - A > tol rounds away
+        P = table_problem([points([[2.739233746429086]]),
+                           points([[2.739233747429086]])], Cone.orthant(1))
+        ctx = OrderCtx(P.cone)
+        for kind in KINDS:
+            assert eff(P, kind, ctx).indices == brute_eff(P, kind, ctx), kind
+        lower, large, strict = relation_matrices(P, ctx)
+        for i, a in enumerate(P.values()):
+            for j, b in enumerate(P.values()):
+                assert (lower[i, j], large[i, j], strict[i, j]) == (
+                    lower_le(a, b, ctx), large_le(a, b, ctx), strict_lt(a, b, ctx))
+
+    def test_matches_per_pair_kernel(self):
+        rng = np.random.default_rng(20261018)
+        multi = 0
+        for trial in range(20):
+            P = random_problem(rng, max_points=24)
+            ctx = OrderCtx(P.cone)
+            multi += any(_corner_data(v, P.cone)[0].shape[0] > 1 for v in P.values())
+            got = np.array(relation_matrices(P, ctx))
+            np.testing.assert_array_equal(got, per_pair_matrices(P, ctx),
+                                          err_msg=f"trial {trial}, {P.label}")
+        assert multi >= 15
 
 
 class TestBruteForceAgreement:
