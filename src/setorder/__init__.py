@@ -32,7 +32,7 @@ from .problem import (
     load_builtin,
     load_dict,
 )
-from .setrep import BoxUnion, PointCloud, box, points, translate, upset
+from .setrep import BoxUnion, PointCloud, box, points, translate
 from .solve import (
     KINDS,
     EffResult,
@@ -62,6 +62,6 @@ __all__ = [
     "levelset_convergence_experiment", "load", "load_builtin", "load_dict",
     "lower_le", "lsc_check", "pk_limits", "points", "representants",
     "scale_witness", "seq_lower_converse", "stability_experiment",
-    "strict_lt", "strong_level_set", "translate", "upset", "usc_check",
+    "strict_lt", "strong_level_set", "translate", "usc_check",
     "__version__",
 ]

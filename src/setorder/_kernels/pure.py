@@ -3,8 +3,9 @@
 Every preorder query between two finitely-represented sets reduces to a
 "for every B-corner there is an A-corner dominating it" sweep over
 halfspace coordinates. ``covered`` states the rule once for a pair of sets
-(``rel_corners``) or a block of pairs (``solve.relation_matrices``); a
-compiled twin of the other two lives in _fast.pyx and must match bit for bit.
+(``rel_corners``), one set against every grid value (``solve``'s level-set
+queries) or a block of pairs (``solve.relation_matrices``); a compiled twin
+of the other two lives in _fast.pyx and must match bit for bit.
 
 Conventions shared by both backends:
   * ca/cb: (na, m) / (nb, m) float64 lower corners in halfspace coordinates;
@@ -25,36 +26,45 @@ STRICT = 2
 
 
 def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
-            b_cloud, t, mode: int) -> np.ndarray:
-    """Whether some A-corner covers each B-corner under ``mode``.
+            b_cloud, t, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Whether some A-corner covers each B-corner, once per mode in ``modes``.
 
-    A and oa end in (ka, m), B and ob in (kb, 1, m); the leading axes,
-    ``b_cloud`` and the tolerance ``t`` (tol for a cloud B, 0 for a box)
-    broadcast against B, and the result is their leading shape plus kb.
+    A and oa end in (ka, m), B and ob in (kb, 1, m), and their leading axes
+    broadcast; each result is that leading shape plus kb. ``b_cloud`` and
+    the tolerance ``t`` (tol for a cloud B, 0 for a box) are scalars, or
+    arrays of B's rank with size 1 on its last three axes, so that they
+    vary with the B set only.
     Per axis, LARGE is B >= A - t and STRICT is B > A + t; LOWER is STRICT
     where A's end is open and B's closed (a cloud B counts as closed
-    whatever its flags), LARGE elsewhere. With t = 0 this is exact box
-    logic. A corner of +inf covers no finite corner and is covered by any
-    finite one, so ragged corner lists are padded with +inf, not masked.
+    whatever its flags), LARGE elsewhere. Each comparison is made at most
+    once, and only when a requested mode reads it. With t = 0 this is exact
+    box logic. A corner of +inf covers no finite corner and is covered by
+    any finite one, so ragged corner lists are padded with +inf, not masked.
     """
     exact = not isinstance(t, np.ndarray) and t == 0
-    if mode == LARGE:
-        axes = B >= (A if exact else A - t)
-    elif mode == STRICT:
-        axes = B > (A if exact else A + t)
-    elif mode == LOWER:
-        strict_axis = (oa != 0) & ((ob == 0) | b_cloud)
-        axes = np.where(strict_axis, B > (A if exact else A + t),
-                        B >= (A if exact else A - t))
-    else:
-        raise ValueError(f"unknown relation mode {mode}")
-    return axes.all(axis=-1).any(axis=-1)
+    large = strict = None
+    if LARGE in modes or LOWER in modes:
+        large = B >= (A if exact else A - t)
+    if STRICT in modes or LOWER in modes:
+        strict = B > (A if exact else A + t)
+    out = []
+    for mode in modes:
+        if mode == LARGE:
+            axes = large
+        elif mode == STRICT:
+            axes = strict
+        elif mode == LOWER:
+            axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
+        else:
+            raise ValueError(f"unknown relation mode {mode}")
+        out.append(axes.all(axis=-1).any(axis=-1))
+    return tuple(out)
 
 
 def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
                 mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
-    ok = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud,
-                 tol if b_cloud else 0.0, mode)
+    ok, = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud,
+                  tol if b_cloud else 0.0, (mode,))
     if ok.all():
         return True, -1
     return False, int(np.flatnonzero(~ok)[0])

@@ -32,6 +32,7 @@ from .converge import (
     gamma_seq_check,
     kuratowski_pair,
     levelset_convergence_experiment,
+    on_base_domain,
     stability_experiment,
 )
 from .errors import (
@@ -375,21 +376,12 @@ def _cmd_levelset(args) -> int:
                  args)
 
 
-def _is_stationary(fam: PerturbedFamily) -> bool:
-    probe = fam.domain_at(0)
-    base = fam.base.domain
-    return (probe.points.shape == base.points.shape
-            and np.array_equal(probe.points, base.points)
-            and all(np.array_equal(fam.domain_at(n).points, base.points)
-                    for n in (1, fam.n_max)))
-
-
 def _cmd_gamma(args) -> int:
     fam = _need_family(_load_problem(args.family))
     ctx = OrderCtx(fam.base.cone, tol=args.tol)
     battery = SeqGenBattery(seed=args.seed)
     xbar = _parse_point(args.at, fam.base)
-    if _is_stationary(fam):
+    if on_base_domain(fam, args.horizon):
         rep = gamma_check(fam, xbar, battery, ctx, horizon=args.horizon)
         route = "fixed-domain"
     else:

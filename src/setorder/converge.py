@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import STRICT, covered
+from ._kernels import STRICT
 from .errors import (
     HorizonExceeded,
     InternalCheckError,
@@ -39,8 +39,8 @@ from .errors import (
 )
 from .order import OrderCtx, equiv, large_le, shift_margin, strict_lt
 from .problem import Domain, PerturbedFamily, Problem, family_at
-from .setrep import SetRep, _corner_data, translate
-from .solve import eff, hypothesis_h, strong_level_set, value_table
+from .setrep import SetRep, translate
+from .solve import _values_above, eff, hypothesis_h, strong_level_set
 from .verdict import Status, Verdict
 
 DEFAULT_HORIZON = 64
@@ -506,16 +506,13 @@ class GammaReport:
 
 def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
                               ctx: OrderCtx, fam: PerturbedFamily, horizon: int):
-    flo = floored_eps(ctx)[-1]
-    sc, so, _ = _corner_data(translate(Fx, -flo * ctx.u), ctx.cone)
+    shifted = translate(Fx, -floored_eps(ctx)[-1] * ctx.u)
     base = fam.base
     pts = base.domain.points
     ok = np.ones(len(pts), dtype=bool)
     for n in upper_half(horizon):
-        # value_table is memoized per member, so checks at many points share it
-        V, O, clouds, T = value_table(family_at(fam, n), ctx)
-        ok &= covered(sc, so, V[:, :, None], O[:, :, None], clouds[:, None, None],
-                      T[:, None, None], STRICT).all(axis=-1)
+        # the value table is memoized per member, so checks at many points share it
+        ok &= _values_above(shifted, family_at(fam, n), ctx, STRICT)
     dists = np.linalg.norm(pts - t, axis=1)
     bad = ~ok
     bad_dist = float(dists[bad].min()) if bad.any() else math.inf
@@ -658,6 +655,18 @@ def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
                        battery.seed)
 
 
+def on_base_domain(fam: PerturbedFamily, horizon: int) -> bool:
+    """Whether D_n is the base grid at n = 0 and at every tail index.
+
+    These are the members a variational-convergence check at this horizon
+    reads. Domains come from ``fam.domain_at``, which evaluates no map when
+    the family has a domain factory.
+    """
+    base = fam.base.domain.points
+    return all(np.array_equal(fam.domain_at(n).points, base)
+               for n in (0, *upper_half(horizon)))
+
+
 def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
                 ctx: OrderCtx, limit: Optional[Problem] = None,
                 horizon: int = DEFAULT_HORIZON) -> GammaReport:
@@ -667,9 +676,7 @@ def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
     neighborhoods) and the two routes must agree.
     """
     base = fam.base
-    probe = family_at(fam, 0).domain
-    if (probe.points.shape != base.domain.points.shape
-            or not np.array_equal(probe.points, base.domain.points)):
+    if not on_base_domain(fam, horizon):
         raise Unsupported("gamma_check requires the family to live on the "
                           "base domain; use gamma_seq_check for moving domains")
     return _gamma(fam, xbar, battery, ctx, limit, horizon,

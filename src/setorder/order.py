@@ -8,8 +8,9 @@ Three relations on nonempty sets, induced by a solid polyhedral cone C:
 
 plus the equivalence large_le both ways. For finite representations
 strict_lt is decided pointwise (every B-corner strictly dominated by some
-A-corner); equivalence with the existential-epsilon form is re-checked on
-demand along the ray eps = t*u, u the cone's interior direction.
+A-corner); strict_lt_by_search states the existential-epsilon form along
+the ray eps = t*u, u the cone's interior direction, and serves as the
+reference the pointwise form is tested against.
 
 Universal epsilon quantifiers everywhere in the package are instantiated
 along that same ray, on a strictly decreasing schedule.
@@ -17,7 +18,6 @@ along that same ray, on a strictly decreasing schedule.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,17 +25,11 @@ import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT, rel_corners, shift_bound
 from .cone import DEFAULT_TOL, Cone
-from .errors import InternalCheckError
 from .setrep import SetRep, _corner_data, translate
 from .verdict import Verdict
 from . import setrep
 
 DEFAULT_EPS_SCHEDULE: tuple[float, ...] = tuple(2.0 ** -k for k in range(21))
-
-
-def crosscheck_enabled() -> bool:
-    """Redundant strict_lt verification via the epsilon-schedule search."""
-    return os.environ.get("SETORDER_DEBUG", "").strip() not in ("", "0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +78,7 @@ def large_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
 
 def strict_lt(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
     """A strictly below B: some interior eps with A + eps below B."""
-    primary = _rel(A, B, ctx, STRICT)
-    if crosscheck_enabled():
-        searched = strict_lt_by_search(A, B, ctx)
-        # the ray search can only miss when the true margin sits below the
-        # schedule floor; that direction is not a disagreement
-        if searched and not primary:
-            raise InternalCheckError(
-                "strict_lt: epsilon search succeeded where pointwise domination failed")
-        if primary and not searched and _margin(A, B, ctx) > ctx.eps_schedule[-1] * 4:
-            raise InternalCheckError(
-                "strict_lt: pointwise domination not confirmed by epsilon search")
-    return primary
+    return _rel(A, B, ctx, STRICT)
 
 
 def strict_lt_by_search(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
@@ -119,10 +102,6 @@ def shift_margin(A: SetRep, B: SetRep, ctx: OrderCtx) -> tuple[float, int]:
     ha, _, _ = _corner_data(A, ctx.cone)
     hb, _, _ = _corner_data(B, ctx.cone)
     return shift_bound(ha, hb, ctx.w)
-
-
-def _margin(A: SetRep, B: SetRep, ctx: OrderCtx) -> float:
-    return shift_margin(A, B, ctx)[0]
 
 
 def not_proper_witness(A: SetRep, ctx: OrderCtx) -> Verdict:

@@ -14,7 +14,6 @@ reading a verdict never requires guessing the discretization.
 from __future__ import annotations
 
 import inspect
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -32,6 +31,12 @@ from .setrep import Box, BoxUnion, PointCloud, SetRep, is_c_proper
 # exp(n) values from overflowing later arithmetic while changing nothing
 # about lower-corner comparisons
 _HI_CAP = 1e15
+
+#: most points a product of windows may have. A grid is refused before any
+#: point is built. 2^14 admits a 100 x 100 (or 128 x 128) grid, whose three
+#: N x N relation matrices take 0.3 GB (0.8 GB); the solvers need such
+#: quadratic memory, so much larger grids would exhaust a desktop machine.
+MAX_GRID_POINTS = 2 ** 14
 
 
 # ---------------------------------------------------------------- domains
@@ -58,15 +63,34 @@ class Window:
         if self.b < self.a:
             raise ProblemLoadError(f"empty window [{self.a}, {self.b}]")
 
-    def points(self) -> list[float]:
-        out = []
-        j = 0
-        while True:
-            v = self.a + j * self.step
-            if v > self.b or (self.hi_open and v >= self.b):
-                return out
-            out.append(v)
-            j += 1
+    def _holds(self, j: int) -> bool:
+        v = self.a + j * self.step
+        return v < self.b if self.hi_open else v <= self.b
+
+    def __len__(self) -> int:
+        """Point count, found without building the points.
+
+        a + j*step never falls as j grows, so the count is the first j
+        whose point lies outside: double an upper bound, then bisect.
+        """
+        hi = 1
+        while self._holds(hi):
+            if hi > 2 ** 53:
+                raise ProblemLoadError(
+                    f"window [{self.a}, {self.b}] step {self.step} has over 2^53 points")
+            hi *= 2
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._holds(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def points(self) -> np.ndarray:
+        # the same single rounding of a + j*step as in _holds
+        return self.a + np.arange(len(self), dtype=np.float64) * self.step
 
 
 class Domain:
@@ -88,11 +112,18 @@ class Domain:
 
     @classmethod
     def from_windows(cls, windows: Sequence[Window]) -> "Domain":
-        axes = [w.points() for w in windows]
-        for w, ax in zip(windows, axes):
-            if not ax:
+        """Product grid, last window varying fastest; refused over MAX_GRID_POINTS."""
+        counts = [len(w) for w in windows]
+        for w, count in zip(windows, counts):
+            if not count:
                 raise ProblemLoadError(f"window [{w.a}, {w.b}] step {w.step} has no grid points")
-        pts = np.array(list(itertools.product(*axes)), dtype=np.float64)
+        size = math.prod(counts)
+        if size > MAX_GRID_POINTS:
+            raise ProblemLoadError(
+                f"grid of {size} points exceeds the budget of {MAX_GRID_POINTS}; "
+                "use coarser window steps")
+        axes = np.meshgrid(*(w.points() for w in windows), indexing="ij")
+        pts = np.stack(axes, axis=-1).reshape(-1, len(windows))
         return cls(pts, tuple(windows))
 
     @classmethod
@@ -255,7 +286,7 @@ class Problem:
     """SetValuedMap + Cone + Domain, fully validated and memoized on the grid."""
 
     def __init__(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
-                 n: Optional[int] = None, check_proper: bool = True):
+                 n: Optional[int] = None):
         if map.image_dim != cone.dim:
             raise ProblemLoadError(
                 f"map image dim {map.image_dim} != cone dim {cone.dim}")
@@ -273,14 +304,13 @@ class Problem:
                     f"value at x = {tuple(float(c) for c in x)}: {e}") from e
             values.append(v)
         self._values = tuple(values)
-        if check_proper:
-            for i, v in enumerate(self._values):
-                verdict = is_c_proper(v, cone)
-                if verdict.is_fails:
-                    raise ProblemLoadError(
-                        f"value at x = {tuple(domain.points[i])} is not proper "
-                        f"for the cone: {verdict.reason} "
-                        f"(certificate {verdict.counterexample})")
+        for i, v in enumerate(self._values):
+            verdict = is_c_proper(v, cone)
+            if verdict.is_fails:
+                raise ProblemLoadError(
+                    f"value at x = {tuple(domain.points[i])} is not proper "
+                    f"for the cone: {verdict.reason} "
+                    f"(certificate {verdict.counterexample})")
 
     def value(self, i: int) -> SetRep:
         return self._values[i]
@@ -304,9 +334,8 @@ class Problem:
 class PerturbedFamily:
     """Base problem plus n -> Problem, sharing one cone.
 
-    ``factory(n)`` results are cached; the cache is filled before the
-    family is handed to any worker threads, or grows monotonically under
-    the interpreter lock, so concurrent readers are safe.
+    ``factory(n)`` results are cached on first use by ``family_at``, and
+    domains by ``domain_at``; neither cache ever drops an entry.
     """
 
     def __init__(self, base: Problem, factory: Callable[[int], Problem],

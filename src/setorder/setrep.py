@@ -4,7 +4,10 @@ Two concrete forms: PointCloud (finite point list, any polyhedral cone) and
 BoxUnion (finite union of axis boxes with per-axis open/closed lower and
 upper ends; exact set arithmetic under the orthant only). The preorders
 never need more than A + C, cl(A + C) and A + int(C), all of which reduce
-to lower-corner sweeps in halfspace coordinates.
+to lower-corner sweeps in halfspace coordinates; ``_corner_data`` supplies
+the corners and the order module's relations ask the questions. Whether a
+point z lies in A + C, or in cl(A + C), is lower_le(A, points([z]), ctx),
+or large_le.
 
 Structural equality between SetReps is intentionally not defined; compare
 through the order module's equivalence relation.
@@ -14,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, rel_corners
+from ._kernels import LARGE, rel_corners
 from .cone import DEFAULT_TOL, Cone
 from .errors import DimensionMismatch, SetSpecError, Unsupported
 from .verdict import Verdict
@@ -116,44 +119,6 @@ def points(pts: Sequence[Sequence[float]]) -> PointCloud:
     return PointCloud(arr.shape[1], arr)
 
 
-@dataclass(frozen=True, eq=False)
-class UpSet:
-    """Union of upper sets prod_i (l_i, inf) with per-axis lower-end flags.
-
-    Exact representation of A + C (flags preserved) or cl(A + C) (flags
-    cleared) for a BoxUnion A under the orthant cone.
-    """
-    dim: int
-    corners: np.ndarray     # (k, dim) float64
-    lo_open: np.ndarray     # (k, dim) uint8
-    closed: bool
-
-
-@dataclass(frozen=True, eq=False)
-class UpsetPredicate:
-    """Membership test for A + C (closed=False) or cl(A + C) (closed=True).
-
-    For point-cloud A the two coincide (a finite union of translated closed
-    cones is closed); `closed_noop` records that.
-    """
-    cone: Cone
-    closed: bool
-    closed_noop: bool
-    h_corners: np.ndarray   # (k, m) halfspace coordinates of the corners
-    lo_open: np.ndarray     # (k, m) uint8; all zero for point clouds
-    upset: UpSet | None     # exact orthant object when A is a BoxUnion
-
-    def __call__(self, z: Sequence[float] | np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        z = np.asarray(z, dtype=float).reshape(1, -1)
-        if z.shape[1] != self.cone.dim:
-            raise DimensionMismatch(f"point of dim {z.shape[1]} against cone dim {self.cone.dim}")
-        hz = np.ascontiguousarray(self.cone.h_coords(z))
-        mode = LARGE if self.closed else LOWER
-        ok, _ = rel_corners(self.h_corners, self.lo_open, hz,
-                            np.zeros_like(hz, dtype=np.uint8), mode, True, tol)
-        return ok
-
-
 def _corner_data(A: SetRep, C: Cone) -> tuple[np.ndarray, np.ndarray, bool]:
     """(h_corners, lo_open flags, is_cloud) for a set under a cone."""
     if isinstance(A, PointCloud):
@@ -166,28 +131,6 @@ def _corner_data(A: SetRep, C: Cone) -> tuple[np.ndarray, np.ndarray, bool]:
         c, o = A.lower_corners()
         return np.ascontiguousarray(c), np.ascontiguousarray(o), False
     raise TypeError(f"not a SetRep: {A!r}")
-
-
-def upset(A: SetRep, C: Cone, closed: bool) -> UpsetPredicate:
-    """Membership predicate for A + C, or cl(A + C) when closed=True."""
-    if dim_of(A) != C.dim:
-        raise DimensionMismatch(f"set dim {dim_of(A)} against cone dim {C.dim}")
-    h, o, is_cloud = _corner_data(A, C)
-    if is_cloud:
-        return UpsetPredicate(C, closed, True, h, o, None)
-    flags = np.zeros_like(o) if closed else o
-    exact = UpSet(A.dim, h, flags, closed)
-    return UpsetPredicate(C, closed, False, h, flags, exact)
-
-
-def contains_set(p: UpsetPredicate, B: SetRep, tol: float = DEFAULT_TOL) -> bool:
-    """B subset-of the upper set described by p."""
-    if dim_of(B) != p.cone.dim:
-        raise DimensionMismatch(f"set dim {dim_of(B)} against cone dim {p.cone.dim}")
-    hb, ob, b_cloud = _corner_data(B, p.cone)
-    mode = LARGE if p.closed else LOWER
-    ok, _ = rel_corners(p.h_corners, p.lo_open, hb, ob, mode, b_cloud, tol)
-    return ok
 
 
 def translate(A: SetRep, v: Sequence[float] | np.ndarray) -> SetRep:
@@ -222,17 +165,19 @@ def is_c_proper(A: SetRep, C: Cone) -> Verdict:
         raise DimensionMismatch(f"set dim {dim_of(A)} against cone dim {C.dim}")
     if isinstance(A, BoxUnion) and C.kind != "orthant":
         return Verdict.inconclusive("box-union sets under a general cone are unsupported")
-    if isinstance(A, PointCloud):
+    h, o, is_cloud = _corner_data(A, C)
+    if is_cloud:
         # push far enough along -u that the first halfspace row rules out
         # domination by every point of A
-        h = C.h_coords(A.points)
         pmin = A.points.min(axis=0)
         t = 1.0 + float(C.h_coords(pmin.reshape(1, -1))[0, 0] - h[:, 0].min())
         z = pmin - t * C.interior_direction
     else:
         z = min_corner(A) - 1.0
-    pred = upset(A, C, closed=True)
-    if pred(z, tol=DEFAULT_TOL):  # pragma: no cover - defensive
+    hz = np.ascontiguousarray(C.h_coords(z.reshape(1, -1)))
+    inside, _ = rel_corners(h, o, hz, np.zeros(hz.shape, dtype=np.uint8),
+                            LARGE, True, DEFAULT_TOL)
+    if inside:  # pragma: no cover - defensive
         return Verdict.fails("constructed exterior point landed inside A + C",
                              counterexample={"point": z})
     return Verdict.holds("found a point outside cl(A + C)", certificate={"point": z})

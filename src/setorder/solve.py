@@ -2,9 +2,12 @@
 
 All four minimality notions reduce to three pairwise relation matrices
 over the grid (one per preorder flavor); the matrices are computed once
-per (problem, context) pair and cached on the problem. They are filled
-in row blocks by the batched corner kernel whose one-pair case the order
-module uses, so the matrices and the pairwise predicates share one set of
+per (problem, context) pair and cached on the problem, and representants
+and Hypothesis (H) read their level sets off them. A level set at an
+arbitrary target S is one kernel call over the problem's memoized value
+table, as is its mirror, S against every grid value. All of these use the
+batched corner kernel whose one-pair case the order module uses, so the
+matrices, the level sets and the pairwise predicates share one set of
 comparison rules.
 """
 
@@ -88,6 +91,29 @@ def value_table(P: Problem, ctx: OrderCtx):
     return got
 
 
+def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray:
+    """rel(F_i, S) for every grid index i, as one (N,) kernel call."""
+    V, O, _, _ = value_table(P, ctx)
+    hs, fs, s_cloud = _corner_data(S, ctx.cone)
+    ok, = covered(V[:, None], O[:, None], hs[:, None], fs[:, None], s_cloud,
+                  ctx.tol if s_cloud else 0.0, (mode,))
+    return ok.all(axis=-1)
+
+
+def _values_above(S: SetRep, P: Problem, ctx: OrderCtx, mode: int) -> np.ndarray:
+    """rel(S, F_j) for every grid index j, as one (N,) kernel call."""
+    hs, fs, _ = _corner_data(S, ctx.cone)
+    V, O, clouds, t = value_table(P, ctx)
+    # (j, b-corner, a-corner, axis); per-value entries vary along j only
+    ok, = covered(hs, fs, V[:, :, None], O[:, :, None],
+                  clouds[:, None, None, None], t[:, None, None, None], (mode,))
+    return ok.all(axis=-1)
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(i) for i in np.flatnonzero(mask))
+
+
 def relation_matrices(P: Problem, ctx: OrderCtx):
     """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j)."""
     cache = vars(P).setdefault("_rel_cache", {})
@@ -105,8 +131,9 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     out = tuple(np.empty((n, n), dtype=bool) for _ in range(3))
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
-        for mat, mode in zip(out, (LOWER, LARGE, STRICT)):
-            mat[blk] = covered(A[blk], OA[blk], B, OB, cloud, T, mode).all(axis=-1)
+        got = covered(A[blk], OA[blk], B, OB, cloud, T, (LOWER, LARGE, STRICT))
+        for mat, ok in zip(out, got):
+            mat[blk] = ok.all(axis=-1)
 
     cache[ctx] = out
     _assert_geff_in_reff(out[1], out[2], P)
@@ -152,15 +179,15 @@ def eff(P: Problem, kind: str, ctx: OrderCtx) -> EffResult:
         else:
             w = int(np.flatnonzero(strict[:, i])[0])
         witness[int(i)] = w
-    return EffResult(kind, tuple(int(i) for i in np.flatnonzero(mask)), witness)
+    return EffResult(kind, _indices(mask), witness)
 
 
 def strong_level_set(P: Problem, omega: SetRep, ctx: OrderCtx) -> tuple[int, ...]:
-    return tuple(i for i in range(len(P)) if large_le(P.value(i), omega, ctx))
+    return _indices(_values_below(P, omega, ctx, LARGE))
 
 
 def classical_level_set(P: Problem, omega: SetRep, ctx: OrderCtx) -> tuple[int, ...]:
-    return tuple(i for i in range(len(P)) if lower_le(P.value(i), omega, ctx))
+    return _indices(_values_below(P, omega, ctx, LOWER))
 
 
 # ----------------------------------------------------------- representants
@@ -172,12 +199,13 @@ def representants(P: Problem, ctx: OrderCtx) -> Union[Representant, NoFiniteRepr
     Disjointness and exact cover are re-verified rather than assumed.
     """
     geff = set(eff(P, "Geoffroy", ctx).indices)
+    large = relation_matrices(P, ctx)[1]
     remaining = set(geff)
     reps: list[int] = []
     parts: list[tuple[int, ...]] = []
     while remaining:
         r = min(remaining)
-        lev = strong_level_set(P, P.value(r), ctx)
+        lev = _indices(large[:, r])
         if not set(lev) <= geff:
             stray = min(set(lev) - geff)
             raise InternalCheckError(
@@ -216,7 +244,7 @@ def hypothesis_h(P: Problem, kind: str, xbar, ctx: OrderCtx) -> Verdict:
     if not eff_idx:
         return Verdict.inconclusive(
             reason=f"{kind} minimal set is empty; nothing to intersect")
-    lev = set(classical_level_set(P, P.value(i), ctx))
+    lev = set(_indices(relation_matrices(P, ctx)[0][:, i]))
     hits = sorted(lev & set(eff_idx))
     if hits:
         return Verdict.holds(
@@ -286,7 +314,7 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
 def l_set(P: Problem, y, ctx: OrderCtx) -> LSetResult:
     """Grid points whose value sits lower-below the singleton {y}."""
     target = PointCloud(P.cone.dim, np.atleast_2d(np.asarray(y, dtype=float)))
-    idx = tuple(i for i in range(len(P)) if lower_le(P.value(i), target, ctx))
+    idx = _indices(_values_below(P, target, ctx, LOWER))
     return LSetResult(idx, _closedness_probe(P, target, idx, ctx))
 
 

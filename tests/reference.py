@@ -38,6 +38,16 @@ def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:
     return tuple(keep)
 
 
+def brute_level_set(P: Problem, S, ctx: OrderCtx, rel) -> tuple[int, ...]:
+    """Grid indices i with rel(F_i, S), one pairwise predicate call each."""
+    return tuple(i for i, fi in enumerate(P.values()) if rel(fi, S, ctx))
+
+
+def brute_level_set_above(S, P: Problem, ctx: OrderCtx, rel) -> tuple[int, ...]:
+    """Grid indices j with rel(S, F_j), one pairwise predicate call each."""
+    return tuple(j for j, fj in enumerate(P.values()) if rel(S, fj, ctx))
+
+
 def validate_witnesses(P: Problem, kind: str, indices, witness, ctx: OrderCtx) -> None:
     """Every excluded index must carry a pair that definitionally excludes it."""
     included = set(indices)

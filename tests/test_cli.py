@@ -5,6 +5,7 @@ bytes are asserted directly.
 """
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -143,6 +144,21 @@ class TestSolve:
         assert code == EX_USAGE
         assert "nests deeper than 100 levels" in err
 
+    def test_grid_over_budget_is_refused_before_enumeration(self, capsys,
+                                                            tmp_path):
+        # step 1e-9 on [0, pi/4] is about 7.9e8 points
+        doc = json.loads((Path(cli.__file__).parent / "data" / "problems" /
+                          "sop_sin.json").read_text())
+        doc["domain"]["windows"][0]["step"] = 1e-9
+        p = tmp_path / "fine.json"
+        p.write_text(json.dumps(doc))
+        start = time.monotonic()
+        code, out, err = run(capsys, "solve", str(p))
+        assert time.monotonic() - start < 10
+        assert code == EX_USAGE
+        assert out == ""
+        assert "grid of 785398164 points exceeds the budget" in err
+
 
 class TestLevelset:
     def test_sop_level_set(self, capsys):
@@ -176,6 +192,22 @@ class TestGamma:
         code, rep = run_json(capsys, "gamma", "sop_sin", "--at", "0.0")
         assert code == 0
         assert rep["result"]["route"] == "moving-domain"
+
+    def test_domain_moving_only_inside_the_tail(self, capsys, tmp_path):
+        # D_n is the base grid at n = 0, 1 and n_max but nowhere in between
+        doc = json.loads((Path(cli.__file__).parent / "data" / "problems" /
+                          "gamma_cos.json").read_text())
+        doc["family"]["n_max"] = 64
+        doc["family"]["domain_n"] = {"windows": [{
+            "a": -0.3125, "b": 0.3125,
+            "step": "0.015625 + 0.000001*n*(n-1)*(64-n)"}]}
+        p = tmp_path / "late.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "gamma", str(p), "--at", "0")
+        assert "Traceback" not in err
+        report = json.loads(out)
+        assert report["result"]["route"] == "moving-domain"
+        assert code == exit_code_for(report)
 
     def test_index_form_of_at(self, capsys):
         _, rep = run_json(capsys, "gamma", "sop_sin", "--at", "0")

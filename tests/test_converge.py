@@ -429,6 +429,33 @@ class TestGammaCheck:
         with pytest.raises(Unsupported, match="gamma_seq_check"):
             gamma_check(sop, [0.0], battery, sop_ctx)
 
+    def test_domain_moving_only_inside_the_tail_rejected(self, battery):
+        # D_n is the base grid at n = 0, 1 and n_max but nowhere in between
+        doc = json.loads((PROBLEM_DIR / "gamma_cos.json").read_text())
+        doc["family"]["n_max"] = 64
+        doc["family"]["domain_n"] = {"windows": [{
+            "a": -0.3125, "b": 0.3125,
+            "step": "0.015625 + 0.000001*n*(n-1)*(64-n)"}]}
+        fam = load_dict(doc)
+        with pytest.raises(Unsupported, match="gamma_seq_check"):
+            gamma_check(fam, [0.0], battery, OrderCtx(fam.base.cone))
+
+    def test_multi_point_cloud_values(self, ctx1, battery):
+        # two-point clouds on a five-point grid: the neighborhood route's
+        # per-value tolerance must run along the value axis, not the corner axis
+        doc = {
+            "label": "clouds",
+            "cone": {"kind": "orthant", "dim": 1},
+            "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 0.25}]},
+            "map": {"pieces": [{"guard": "true",
+                                "points": [["x1"], ["x1 + 2"]]}]},
+            "family": {"subst": "n", "n_max": 200, "map_n": {"pieces": [{
+                "guard": "true", "points": [["x1 + exp(-n)"], ["x1 + 2"]]}]}},
+        }
+        rep = gamma_check(load_dict(doc), [0.5], battery, ctx1)
+        assert rep.lower_verdict.is_holds
+        assert "neighborhood_j" in rep.lower_verdict.certificate
+
     def test_report_serializes(self, ctx1, battery):
         fam = linear_family(map_n=("x1 + exp(-n)", "x1 + 1 + exp(-n)"))
         rep = gamma_check(fam, [0.5], battery, ctx1)

@@ -164,11 +164,6 @@ class TestEpsilonLemmas:
         # lattice margins are never inside (0, 2^-20), so the two routes agree
         assert strict_lt(A, B, CTX2) == strict_lt_by_search(A, B, CTX2)
 
-    def test_crosscheck_hook(self, monkeypatch):
-        monkeypatch.setenv("SETORDER_DEBUG", "1")
-        assert strict_lt(points([[0.0]]), points([[1.0]]), CTX1)
-        assert not strict_lt(points([[0.0]]), points([[0.0]]), CTX1)
-
 
 class TestGeneralCone:
     def test_cloud_relations(self):

@@ -7,8 +7,9 @@ import pytest
 
 from setorder.cone import Cone
 from setorder.errors import HorizonExceeded, ProblemLoadError
-from setorder.problem import (Domain, PerturbedFamily, Problem, TableMap, Window,
-                              builtin_names, family_at, load_builtin, load_dict)
+from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
+                              TableMap, Window, builtin_names, family_at,
+                              load_builtin, load_dict)
 from setorder.setrep import BoxUnion, PointCloud, box, is_c_proper
 
 
@@ -26,10 +27,10 @@ def spec(label="t", cone=None, domain=None, pieces=None, family=None):
 
 class TestWindowGrid:
     def test_inclusive_count(self):
-        assert Window(0, 3, 1).points() == [0.0, 1.0, 2.0, 3.0]
+        assert Window(0, 3, 1).points().tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_hi_open_drops_endpoint(self):
-        assert Window(0, 3, 1, hi_open=True).points() == [0.0, 1.0, 2.0]
+        assert Window(0, 3, 1, hi_open=True).points().tolist() == [0.0, 1.0, 2.0]
 
     def test_grid_rule_is_single_product(self):
         # points are a + j*step (one rounding each), never accumulated sums
@@ -38,6 +39,19 @@ class TestWindowGrid:
         assert len(pts) == 50
         assert pts[9] == -0.95 + 9 * 0.1
         assert all(p == -0.95 + j * 0.1 for j, p in enumerate(pts))
+
+    def test_count_without_points(self):
+        for w in (Window(0, 3, 1), Window(0, 3, 1, hi_open=True), Window(0, 0, 1),
+                  Window(0, 0.5, 1), Window(-0.95, 4.0, 0.1), Window(0, 1, 1e-3)):
+            assert len(w) == len(w.points())
+        assert len(Window(0, 0, 1, hi_open=True)) == 0
+        assert len(Window(0, math.pi / 4, 1e-9)) == 785398164
+
+    def test_grid_budget_is_inclusive(self):
+        side = Window(0, 127, 1)
+        assert len(Domain.from_windows([side, side])) == MAX_GRID_POINTS
+        with pytest.raises(ProblemLoadError, match="exceeds the budget"):
+            Domain.from_windows([side, Window(0, 128, 1)])
 
     def test_bad_windows(self):
         with pytest.raises(ProblemLoadError):

@@ -1,4 +1,9 @@
-"""Set representations, upset machinery, and their sampling oracles."""
+"""Set representations, upset membership, and their sampling oracles.
+
+A point z lies in A + C exactly when lower_le(A, points([z])), and in
+cl(A + C) exactly when large_le(A, points([z])); membership is asked
+through those relations.
+"""
 
 import math
 
@@ -8,19 +13,18 @@ from hypothesis import given, settings
 
 from setorder.cone import Cone
 from setorder.errors import DimensionMismatch, SetSpecError, Unsupported
+from setorder.order import OrderCtx, large_le, lower_le
 from setorder.setrep import (
     Box,
     BoxUnion,
     PointCloud,
     box,
-    contains_set,
     is_c_proper,
     points,
     sample_points,
     set_from_json,
     set_to_json,
     translate,
-    upset,
 )
 
 from conftest import lattice_box_union, lattice_set
@@ -28,6 +32,22 @@ from conftest import lattice_box_union, lattice_set
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
 ABS_CONE = Cone.from_halfspaces([[-1.0, 1.0], [1.0, 1.0]])
+CTX1 = OrderCtx(R1)
+CTX2 = OrderCtx(R2)
+ABS_CTX = OrderCtx(ABS_CONE)
+# tol = 0 makes a singleton-cloud probe an exact membership test
+EXACT2 = OrderCtx(R2, tol=0.0)
+EXACT_ABS = OrderCtx(ABS_CONE, tol=0.0)
+
+
+def in_upset(A, z, ctx) -> bool:
+    """z in A + C."""
+    return lower_le(A, points([z]), ctx)
+
+
+def in_closed_upset(A, z, ctx) -> bool:
+    """z in cl(A + C)."""
+    return large_le(A, points([z]), ctx)
 
 
 class TestValidation:
@@ -63,48 +83,40 @@ class TestValidation:
 
 class TestUpset:
     def test_point_origin(self):
-        p = upset(points([[0.0, 0.0]]), R2, closed=False)
-        assert p([1.0, 1.0])
-        assert not p([-1.0, 0.0])
+        A = points([[0.0, 0.0]])
+        assert in_upset(A, [1.0, 1.0], CTX2)
+        assert not in_upset(A, [-1.0, 0.0], CTX2)
 
     def test_openness_semantics(self):
         A = box([0.0, 0.0], [1.0, 1.0], [True, True], [True, False])
-        exact = upset(A, R2, closed=False)
-        closed = upset(A, R2, closed=True)
-        assert not exact([0.0, 0.5])
-        assert closed([0.0, 0.5])
+        assert not in_upset(A, [0.0, 0.5], CTX2)
+        assert in_closed_upset(A, [0.0, 0.5], CTX2)
 
     def test_scalar_corner(self):
-        p = upset(points([[0.0]]), R1, closed=False)
-        assert p([0.0])
-        assert p.upset is None and p.closed_noop
+        assert in_upset(points([[0.0]]), [0.0], CTX1)
 
-    def test_box_union_exposes_upset_object(self):
+    def test_box_union_flags_per_axis(self):
+        # open lower end on axis 0 only; the closure clears it
         A = box([0.0, 0.0], [1.0, 1.0], [True, False], [False, False])
-        p = upset(A, R2, closed=False)
-        assert p.upset is not None
-        assert p.upset.corners.shape == (1, 2)
-        assert p.upset.lo_open.tolist() == [[1, 0]]
-        assert upset(A, R2, closed=True).upset.lo_open.tolist() == [[0, 0]]
+        assert in_upset(A, [0.5, 0.0], CTX2)
+        assert not in_upset(A, [0.0, 0.5], CTX2)
+        assert in_closed_upset(A, [0.0, 0.5], CTX2)
 
     def test_box_with_general_cone_unsupported(self):
         with pytest.raises(Unsupported):
-            upset(box([0.0, 0.0], [1.0, 1.0]), ABS_CONE, closed=False)
+            in_upset(box([0.0, 0.0], [1.0, 1.0]), [1.0, 1.0], ABS_CTX)
 
     def test_cloud_with_general_cone_supported(self):
-        p = upset(points([[0.0, 0.0]]), ABS_CONE, closed=False)
-        assert p([0.0, 1.0])
-        assert not p([1.0, 0.0])
+        A = points([[0.0, 0.0]])
+        assert in_upset(A, [0.0, 1.0], ABS_CTX)
+        assert not in_upset(A, [1.0, 0.0], ABS_CTX)
 
     def test_cloud_closed_equals_open(self):
-        # A + C is closed for finite A: the flag must be a no-op
+        # A + C is closed for finite A: closure changes no membership
         rng = np.random.default_rng(3)
         A = points(rng.standard_normal((5, 2)))
-        po = upset(A, ABS_CONE, closed=False)
-        pc = upset(A, ABS_CONE, closed=True)
-        assert po.closed_noop and pc.closed_noop
         for z in rng.standard_normal((200, 2)) * 2:
-            assert po(z, tol=0.0) == pc(z, tol=0.0)
+            assert in_upset(A, z, EXACT_ABS) == in_closed_upset(A, z, EXACT_ABS)
 
 
 def brute_membership(A: BoxUnion, z, closed: bool) -> bool:
@@ -127,44 +139,40 @@ class TestUpsetAgainstSampling:
     @given(lattice_box_union(dim=2))
     @settings(max_examples=150)
     def test_exact_on_lattice_probes(self, A):
-        po = upset(A, R2, closed=False)
-        pc = upset(A, R2, closed=True)
         probes = [(x * 0.5, y * 0.5) for x in range(-7, 8, 3) for y in range(-7, 8, 3)]
         for z in probes:
-            assert po(z, tol=0.0) == brute_membership(A, z, closed=False)
-            assert pc(z, tol=0.0) == brute_membership(A, z, closed=True)
+            assert in_upset(A, z, EXACT2) == brute_membership(A, z, closed=False)
+            assert in_closed_upset(A, z, EXACT2) == brute_membership(A, z, closed=True)
 
     @given(lattice_box_union(dim=2))
     @settings(max_examples=100)
     def test_closed_and_open_differ_only_on_lower_faces(self, A):
-        po = upset(A, R2, closed=False)
-        pc = upset(A, R2, closed=True)
         rng = np.random.default_rng(0)
         for z in rng.uniform(-4.2, 4.2, size=(60, 2)):
             # irrational-ish probes never sit on a lattice face
-            if po(z, tol=0.0) != pc(z, tol=0.0):
+            if in_upset(A, z, EXACT2) != in_closed_upset(A, z, EXACT2):
                 assert any(math.isclose(z[j], b.lo[j]) for b in A.boxes for j in range(2))
 
 
 class TestContainsSet:
     def test_point_above_origin(self):
-        assert contains_set(upset(points([[0.0, 0.0]]), R2, False), points([[1.0, 1.0]]))
+        assert lower_le(points([[0.0, 0.0]]), points([[1.0, 1.0]]), CTX2)
 
     def test_paper_style_corner_refusal(self):
         # [-1,5]x[2,3] is not inside (0,1)x(0,1] + C: -1 < 0 on axis 1
         A = box([0.0, 0.0], [1.0, 1.0], [True, True], [True, False])
         B = box([-1.0, 2.0], [5.0, 3.0])
-        assert not contains_set(upset(A, R2, False), B)
+        assert not lower_le(A, B, CTX2)
 
     def test_reflexive(self):
         A = box([0.0, 0.0], [1.0, 1.0], [True, False], [False, True])
-        assert contains_set(upset(A, R2, True), A)
-        assert contains_set(upset(A, R2, False), A)
+        assert large_le(A, A, CTX2)
+        assert lower_le(A, A, CTX2)
 
     @given(lattice_set(dim=2))
     @settings(max_examples=150)
     def test_reflexive_random(self, A):
-        assert contains_set(upset(A, R2, True), A, tol=0.0)
+        assert large_le(A, A, EXACT2)
 
 
 class TestTranslate:
@@ -217,7 +225,7 @@ class TestIsCProper:
         v = is_c_proper(points([[0.0, 0.0], [1.0, 3.0]]), ABS_CONE)
         assert v.is_holds
         z = v.certificate["point"]
-        assert not upset(points([[0.0, 0.0], [1.0, 3.0]]), ABS_CONE, True)(z)
+        assert not in_closed_upset(points([[0.0, 0.0], [1.0, 3.0]]), z, ABS_CTX)
 
     def test_box_general_cone_inconclusive(self):
         v = is_c_proper(box([0.0, 0.0], [1.0, 1.0]), ABS_CONE)
@@ -235,11 +243,10 @@ class TestInteriorProposition:
                 for _ in range(rng.integers(1, 4)))
             A = BoxUnion(2, boxes)
             u = rng.uniform(0.05, 2.0, 2)   # interior of the orthant
-            closed = upset(A, R2, closed=True)
             corners, _ = A.lower_corners()
             samples = np.vstack([corners, sample_points(A, rng, 20)])
             for z in samples:
-                assert closed(z, tol=0.0)
+                assert in_closed_upset(A, z, EXACT2)
                 zu = z + u
                 assert any(R2.dominates(c, zu, strict=True, tol=0.0) for c in corners)
 

@@ -9,16 +9,23 @@ import math
 import numpy as np
 import pytest
 
-from reference import brute_eff, random_problem, validate_witnesses
+from reference import (
+    brute_eff,
+    brute_level_set,
+    brute_level_set_above,
+    random_problem,
+    validate_witnesses,
+)
 
 from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
 from setorder.cone import Cone
 from setorder.errors import InternalCheckError
 from setorder.order import OrderCtx, large_le, lower_le, strict_lt
 from setorder.problem import Domain, Problem, TableMap, load_builtin
-from setorder.setrep import _corner_data, box, points
+from setorder.setrep import PointCloud, _corner_data, box, points, translate
 from setorder.solve import (
     KINDS,
+    _values_above,
     EffResult,
     NoFiniteRepresentant,
     Representant,
@@ -216,6 +223,37 @@ class TestLevelSets:
         g = set(eff(geff, "Geoffroy", geff_ctx).indices)
         for i in list(g)[:5]:
             assert set(strong_level_set(geff, geff.value(i), geff_ctx)) <= g
+
+    def test_queries_match_per_pair_loop(self):
+        # mixed clouds and boxes with open flags, general cones, and cloud
+        # targets one tolerance away from a cloud value on either side
+        rng = np.random.default_rng(20261019)
+        boundary = 0
+        for trial in range(30):
+            P = random_problem(rng, max_points=20)
+            ctx = OrderCtx(P.cone)
+            targets = [P.value(int(i)) for i in rng.integers(0, len(P), 3)]
+            targets += [translate(S, rng.uniform(-0.5, 0.5, P.cone.dim))
+                        for S in targets]
+            clouds = [v for v in P.values() if isinstance(v, PointCloud)]
+            for v in clouds[:3]:
+                targets += [points(v.points - ctx.tol), points(v.points + ctx.tol)]
+                boundary += 2
+            for k, S in enumerate(targets):
+                where = f"trial {trial}, target {k}, {P.label}"
+                assert strong_level_set(P, S, ctx) == \
+                    brute_level_set(P, S, ctx, large_le), where
+                assert classical_level_set(P, S, ctx) == \
+                    brute_level_set(P, S, ctx, lower_le), where
+                for mode, rel in ((LOWER, lower_le), (LARGE, large_le),
+                                  (STRICT, strict_lt)):
+                    got = tuple(np.flatnonzero(_values_above(S, P, ctx, mode)))
+                    assert got == brute_level_set_above(S, P, ctx, rel), (where, mode)
+            for v in clouds[:3]:
+                y = v.points[0] - ctx.tol
+                assert l_set(P, y, ctx).indices == \
+                    brute_level_set(P, points([y]), ctx, lower_le), trial
+        assert boundary >= 40
 
 
 class TestRepresentants:
