@@ -192,18 +192,19 @@ def _parse_point(text: str, base: Problem) -> np.ndarray:
     return base.domain.points[idx]
 
 
-def _setrep_from_spec(spec: dict, dim: int) -> SetRep:
+def _setrep_from_spec(spec: dict) -> SetRep:
     if not isinstance(spec, dict):
         raise SetSpecError("set literal must be an object")
-    if "points" in spec:
-        return points(spec["points"])
-    if "box" in spec:
-        axes = spec["box"]
-        lo = [a["lo"] for a in axes]
-        hi = [a["hi"] for a in axes]
-        return box(lo, hi,
-                   lo_open=[bool(a.get("lo_open", False)) for a in axes],
-                   hi_open=[bool(a.get("hi_open", False)) for a in axes])
+    try:
+        if "points" in spec:
+            return points(spec["points"])
+        if "box" in spec:
+            axes = spec["box"]
+            return box([a["lo"] for a in axes], [a["hi"] for a in axes],
+                       lo_open=[bool(a.get("lo_open", False)) for a in axes],
+                       hi_open=[bool(a.get("hi_open", False)) for a in axes])
+    except (KeyError, TypeError, ValueError) as err:
+        raise SetSpecError(f"malformed set literal {spec!r}: {err!r}") from None
     raise SetSpecError("set literal needs a 'box' or 'points' field")
 
 
@@ -331,8 +332,8 @@ def _cmd_compare(args) -> int:
         if field not in doc:
             raise SetSpecError(f"compare input needs field {field!r}")
     cone = Cone.from_json(doc["cone"])
-    a = _setrep_from_spec(doc["a"], cone.dim)
-    b = _setrep_from_spec(doc["b"], cone.dim)
+    a = _setrep_from_spec(doc["a"])
+    b = _setrep_from_spec(doc["b"])
     ctx = OrderCtx(cone, tol=args.tol)
     result = {
         "lower_le": bool(lower_le(a, b, ctx)),

@@ -128,11 +128,14 @@ class Cone:
     def from_json(obj: dict[str, Any]) -> "Cone":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ConeSpecError(f"bad cone literal: {obj!r}")
-        if obj["kind"] == "orthant":
-            return Cone.orthant(int(obj["dim"]))
-        if obj["kind"] == "halfspaces":
-            return Cone.from_halfspaces(obj["rows"])
-        raise ConeSpecError(f"unknown cone kind {obj['kind']!r}")
+        orthant = obj["kind"] == "orthant"
+        if not orthant and obj["kind"] != "halfspaces":
+            raise ConeSpecError(f"unknown cone kind {obj['kind']!r}")
+        try:
+            arg = int(obj["dim"]) if orthant else np.asarray(obj["rows"], dtype=float)
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConeSpecError(f"bad cone literal {obj!r}: {err!r}") from None
+        return Cone.orthant(arg) if orthant else Cone.from_halfspaces(arg)
 
 
 def _is_orthant_rows(G: np.ndarray, dim: int) -> bool:

@@ -13,6 +13,10 @@ points; the prefix of a sequence is never built or scored.
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
+A sequence's tail over the floored eps schedule is one corner-table
+comparison (order.table_rel), as are the recovery tail, each recovery ball
+and the level-set targets; a break is the first failing index in
+(strategy, variant, n) order, as a pair-at-a-time scan would find it.
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -29,7 +33,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import STRICT
+from ._kernels import LARGE, STRICT
 from .errors import (
     HorizonExceeded,
     InternalCheckError,
@@ -37,7 +41,8 @@ from .errors import (
     SetSpecError,
     Unsupported,
 )
-from .order import OrderCtx, equiv, large_le, shift_margin, strict_lt
+from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
+                    shift_margin, table_rel)
 from .problem import Domain, PerturbedFamily, Problem, family_at
 from .setrep import SetRep, translate
 from .solve import _values_above, eff, hypothesis_h, strong_level_set
@@ -143,10 +148,9 @@ class SeqGenBattery:
         if margin is None or len(cand) == 1:
             best = cand[int(np.argmin(dists[cand]))]
             return domain.points[best].copy()
-        scored = [(float(margin(domain.points[i])), float(dists[i]), int(i))
-                  for i in cand]
-        scored.sort()
-        return domain.points[scored[0][2]].copy()
+        best = min((float(margin(domain.points[i])), float(dists[i]), int(i))
+                   for i in cand)
+        return domain.points[best[2]].copy()
 
     def sequences(self, target, domain_at: Callable[[int], Domain],
                   horizon: int,
@@ -268,10 +272,8 @@ def _window_signature(dom: Domain):
 
 
 def _endpoint_gap(da: Domain, db: Domain) -> float:
-    gaps = []
-    for wa, wb in zip(da.windows, db.windows):
-        gaps.append(max(abs(wa.a - wb.a), abs(wa.b - wb.b)))
-    return max(gaps)
+    return max(max(abs(wa.a - wb.a), abs(wa.b - wb.b))
+               for wa, wb in zip(da.windows, db.windows))
 
 
 def kuratowski_pair(Dn: Callable[[int], Domain], D: Domain, N: int,
@@ -338,9 +340,7 @@ def kuratowski_pair(Dn: Callable[[int], Domain], D: Domain, N: int,
     early = [D] + [d for n, d in doms if n < N]
     lo = min(min(w.a for w in d.windows) for d in early)
     hi = max(max(w.b for w in d.windows) for d in early)
-    for n, d in doms:
-        if n < N:
-            continue
+    for n, d in probes:
         d_lo = min(w.a for w in d.windows)
         d_hi = max(w.b for w in d.windows)
         if d_lo < lo - tol or d_hi > hi + tol:
@@ -351,7 +351,7 @@ def kuratowski_pair(Dn: Callable[[int], Domain], D: Domain, N: int,
 
     # (ii) upper convergence via endpoint decay
     e_early = max(_endpoint_gap(d, D) for n, d in doms if n < N)
-    tail_gaps = [(_endpoint_gap(d, D), n) for n, d in doms if n >= N]
+    tail_gaps = [(_endpoint_gap(d, D), n) for n, d in probes]
     if not tail_gaps:
         return Verdict.inconclusive(
             reason="family horizon too short to probe past N; "
@@ -381,11 +381,42 @@ def _min_gap(pts: np.ndarray) -> float:
 
 # ------------------------------------------------- semicontinuity probes
 
-def _largest_failing_eps(cond: Callable[[float], bool], ctx: OrderCtx) -> float:
-    for t in floored_eps(ctx):
-        if not cond(t):
-            return t
-    return floored_eps(ctx)[-1]
+def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
+    """Table of translate(S, sign·e·u), e along floored_eps(ctx) as rows (the
+    floored eps last) and S along columns."""
+    eps = floored_eps(ctx)
+    tab = corner_table([translate(S, sign * e * ctx.u) for e in eps for S in sets],
+                       ctx)
+    return CornerTable(*(x.reshape((len(eps), len(sets)) + x.shape[1:]) for x in tab))
+
+
+def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
+    """(j, eps) for the first column of an (eps, j) mask failing at the
+    floored eps, eps the largest scheduled one failing there; or None."""
+    bad = np.flatnonzero(~ok[-1])
+    if not bad.size:
+        return None
+    j = int(bad[0])
+    return j, floored_eps(ctx)[int(np.argmin(ok[:, j]))]
+
+
+def _tail_break(make: Callable, items: Iterable, ok_of: Callable, ctx: OrderCtx):
+    """(values, _first_break(ok_of(values))) for make(item) over the items.
+
+    If make raises, the values built before it are compared first, so a
+    break that a pair-at-a-time scan would reach before the error is still
+    reported; otherwise the error propagates.
+    """
+    vals, err = [], None
+    try:
+        for item in items:
+            vals.append(make(item))
+    except Exception as e:
+        err = e
+    brk = _first_break(ok_of(vals), ctx) if vals else None
+    if brk is None and err is not None:
+        raise err
+    return vals, brk
 
 
 def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
@@ -396,35 +427,31 @@ def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
     ``value(x, n)`` is the n-th value at x. The "lsc" orientation asks
     F(x̄) - eps·u strictly below value(x_n, n), which is also the lower
     condition of variational convergence; "usc" asks value(x_n, n) - eps·u
-    strictly below F(x̄). Every tail index of every battery sequence inside
-    ``domain_at(n)`` is checked at the floored eps; a break reports the
-    largest scheduled eps that breaks there too. Only the tail points are
-    generated, since no verdict reads the prefix.
+    strictly below F(x̄). Each battery sequence inside ``domain_at(n)`` is one
+    (eps, n) table comparison; a break is the first tail index failing at
+    the floored eps, with the largest scheduled eps failing there too. Only
+    the tail points are generated, since no verdict reads the prefix.
     """
-    u = ctx.u
-    flo = floored_eps(ctx)[-1]
     lsc = mode == "lsc"
-    # the lsc left side depends on eps only, so shift it once per eps
-    fx_down = {e: translate(Fx, -e * u) for e in floored_eps(ctx)} if lsc else {}
-
-    def holds(Fn: SetRep, e: float) -> bool:
-        if lsc:
-            return strict_lt(fx_down[e], Fn, ctx)
-        return strict_lt(translate(Fn, -e * u), Fx, ctx)
+    tail = upper_half(horizon)
+    # the lsc left side depends on eps only, so shift it once
+    fx = _shifted([Fx], -1, ctx) if lsc else corner_table([Fx], ctx)
 
     def margin(x: np.ndarray, n: int) -> float:
         Fn = value(x, n)
         return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
 
-    tail = upper_half(horizon)
+    def ok_of(vals: list) -> np.ndarray:
+        a, b = (fx, corner_table(vals, ctx)) if lsc else (_shifted(vals, -1, ctx), fx)
+        return table_rel(a, b, (STRICT,))[0]
+
     for name, variant, pts in battery.sequences(t, domain_at, horizon,
                                                 margin=margin, indices=tail):
-        for n, x in zip(tail, pts):
-            Fn = value(x, n)
-            if not holds(Fn, flo):
-                eps = _largest_failing_eps(lambda e: holds(Fn, e), ctx)
-                return {"strategy": name, "variant": variant, "n": n,
-                        "x_n": [float(v) for v in x], "eps": float(eps)}
+        _, brk = _tail_break(lambda xn: value(*xn), zip(pts, tail), ok_of, ctx)
+        if brk is not None:
+            j, eps = brk
+            return {"strategy": name, "variant": variant, "n": tail[j],
+                    "x_n": [float(v) for v in pts[j]], "eps": float(eps)}
     return None
 
 
@@ -476,9 +503,8 @@ class GammaReport:
 
     @property
     def overall(self) -> Status:
-        vs = [self.lower_verdict, self.upper_verdict]
-        if self.domains_verdict is not None:
-            vs.append(self.domains_verdict)
+        vs = [v for v in (self.lower_verdict, self.upper_verdict,
+                          self.domains_verdict) if v is not None]
         if any(v.is_fails for v in vs):
             return Status.FAILS
         if all(v.is_holds for v in vs):
@@ -525,20 +551,13 @@ def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
                    "bad_distance": bad_dist, "max_j": MAX_BALL_SPLITS}
 
 
-def _theta(Fn: SetRep, Fx: SetRep, u: np.ndarray, ctx: OrderCtx) -> float:
-    """Largest scheduled eps for which F_n(x) is not largely below F(x̄)+eps·u."""
-    worst = 0.0
-    for e in floored_eps(ctx):
-        if not large_le(Fn, translate(Fx, e * u), ctx):
-            worst = max(worst, e)
-    return worst
-
-
 def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
                      battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                      domain_at: Callable[[int], Domain]):
-    """Grid search for x*_n minimizing the failure level theta, per tail n."""
-    u = ctx.u
+    """Grid search for x*_n minimizing theta, the largest scheduled eps with
+    F_n(x*_n) not largely below F(x̄) + eps·u (0 if none), per tail n."""
+    fx_up = _shifted([Fx], 1, ctx)
+    eps = np.array(floored_eps(ctx))
     best: dict[int, tuple[float, np.ndarray]] = {}
     spent = 0
     for n in upper_half(horizon):
@@ -551,13 +570,12 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
             raise NoRecoveryFound(
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
                 best={k: (th, [float(v) for v in x]) for k, (th, x) in best.items()})
-        scored = []
-        for i in cand:
-            Fn = family_at(fam, n).map.value(tuple(dom.points[i]), n)
-            scored.append((_theta(Fn, Fx, u, ctx), float(dists[i]), int(i)))
-            spent += 1
-        scored.sort()
-        th, _, idx = scored[0]
+        spent += len(cand)
+        Fmap = family_at(fam, n).map
+        vals = [Fmap.value(tuple(dom.points[i]), n) for i in cand]
+        ok, = table_rel(corner_table(vals, ctx), fx_up, (LARGE,))
+        theta = np.where(ok.all(axis=0), 0.0, eps[np.argmin(ok, axis=0)])
+        th, _, idx = min(zip(theta.tolist(), dists[cand].tolist(), cand.tolist()))
         best[n] = (th, dom.points[idx])
     return best
 
@@ -565,17 +583,13 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
 def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
                  battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                  domain_at: Callable[[int], Domain]):
-    u = ctx.u
     flo = floored_eps(ctx)[-1]
-    recovery_used = []
     hint = fam.recovery_hint is not None
 
     if hint:
-        seq = {}
-        for n in upper_half(horizon):
-            x = fam.recovery_point(t, n)
-            x = battery._clamp(np.asarray(x, dtype=float), domain_at(n))
-            seq[n] = x
+        seq = {n: battery._clamp(np.asarray(fam.recovery_point(t, n), dtype=float),
+                                 domain_at(n))
+               for n in upper_half(horizon)}
     else:
         try:
             found = _recovery_search(fam, t, Fx, battery, ctx, horizon, domain_at)
@@ -586,26 +600,26 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
             return v, ()
         seq = {n: x for n, (_, x) in found.items()}
 
-    fails = None
-    for n, x in sorted(seq.items()):
-        recovery_used.append((n, tuple(float(v) for v in x)))
-        Fn = family_at(fam, n).map.value(tuple(x), n)
-        if not large_le(Fn, translate(Fx, flo * u), ctx):
-            eps = _theta(Fn, Fx, u, ctx)
-            fails = {"n": n, "x_star": [float(v) for v in x],
-                     "eps": float(eps), "via_hint": hint}
-            break
-    if fails is None:
-        v = Verdict.holds(
+    ns = sorted(seq)
+    fx_up = _shifted([Fx], 1, ctx)
+    _, brk = _tail_break(
+        lambda n: family_at(fam, n).map.value(tuple(seq[n]), n), ns,
+        lambda vals: table_rel(corner_table(vals, ctx), fx_up, (LARGE,))[0], ctx)
+    used = ns if brk is None else ns[:brk[0] + 1]
+    recovery_used = tuple((n, tuple(float(v) for v in seq[n])) for n in used)
+    if brk is None:
+        return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
                    "the shifted limit value",
-            certificate={"via_hint": hint, "eps_floor": flo}, sampled=not hint)
-    else:
-        v = Verdict.fails(
-            reason=f"recovery value exceeds the limit value at n = {fails['n']} "
-                   f"for eps up to {fails['eps']:.6g}",
-            counterexample=fails, sampled=False)
-    return v, tuple(recovery_used)
+            certificate={"via_hint": hint, "eps_floor": flo},
+            sampled=not hint), recovery_used
+    n, eps = used[-1], float(brk[1])
+    return Verdict.fails(
+        reason=f"recovery value exceeds the limit value at n = {n} "
+               f"for eps up to {eps:.6g}",
+        counterexample={"n": n, "x_star": [float(v) for v in seq[n]],
+                        "eps": eps, "via_hint": hint},
+        sampled=False), recovery_used
 
 
 def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
@@ -774,6 +788,41 @@ def _gate(raw: Verdict, gates: Sequence[tuple[str, Verdict]]) -> Verdict:
     )
 
 
+def _target_hypotheses(targets: Sequence[SetRep], omega: SetRep,
+                       ctx: OrderCtx, horizon: int) -> tuple[Verdict, Verdict]:
+    """Level-set hypotheses (b), upper and lower, over the tail targets."""
+    need = io_threshold(horizon)
+    flo = floored_eps(ctx)[-1]
+    omega_t = corner_table([omega], ctx)
+    hits_at = table_rel(_shifted(targets, -1, ctx), omega_t, (LARGE,))[0].sum(axis=1)
+    hits = int(hits_at[-1])
+    if hits >= need:
+        hyp_up = Verdict.holds(
+            reason=f"shifted target sets fall below the limit target on "
+                   f"{hits}/{len(targets)} tail indices",
+            certificate={"hits": hits, "needed": need, "eps_floor": flo},
+            sampled=True)
+    else:
+        _, eps_bad = _first_break((hits_at >= need)[:, None], ctx)
+        hyp_up = Verdict.fails(
+            reason=f"no tail subsequence of shifted target sets stays below "
+                   f"the limit target (eps = {eps_bad:.6g})",
+            counterexample={"hits": hits, "needed": need, "eps": float(eps_bad)},
+            sampled=True)
+
+    below, = table_rel(omega_t, corner_table(targets, ctx), (STRICT,))
+    if below.all():
+        hyp_lo = Verdict.holds(
+            reason="limit target strictly below every tail target set",
+            certificate={"tail": len(targets)}, sampled=True)
+    else:
+        bad_n = upper_half(horizon)[int(np.argmin(below))]
+        hyp_lo = Verdict.fails(
+            reason=f"limit target not strictly below the target at n = {bad_n}",
+            counterexample={"n": int(bad_n)}, sampled=True)
+    return hyp_up, hyp_lo
+
+
 def levelset_convergence_experiment(fam: PerturbedFamily,
                                     omega_n: Callable[[int], SetRep],
                                     omega: SetRep, ctx: OrderCtx,
@@ -789,7 +838,6 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     battery = battery or SeqGenBattery()
     base = fam.base
     tail = list(upper_half(horizon))
-    u = ctx.u
     flo = floored_eps(ctx)[-1]
     shared = PerturbedFamily(base, lambda n: _restricted(fam, n), fam.n_max,
                              recovery_hint=fam.recovery_hint, label=fam.label,
@@ -804,53 +852,21 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
         holds=f"variational convergence holds at all {len(base)} grid points",
         certificate={"points": len(base)})
 
-    # hypothesis (b) upper: a subsequence of shifted targets below omega
-    need = io_threshold(horizon)
-    hits = sum(1 for n in tail
-               if large_le(translate(omega_n(n), -flo * u), omega, ctx))
-    if hits >= need:
-        hyp_up = Verdict.holds(
-            reason=f"shifted target sets fall below the limit target on "
-                   f"{hits}/{len(tail)} tail indices",
-            certificate={"hits": hits, "needed": need, "eps_floor": flo},
-            sampled=True)
-    else:
-        eps_bad = _largest_failing_eps(
-            lambda e: sum(1 for n in tail
-                          if large_le(translate(omega_n(n), -e * u), omega, ctx)
-                          ) >= need, ctx)
-        hyp_up = Verdict.fails(
-            reason=f"no tail subsequence of shifted target sets stays below "
-                   f"the limit target (eps = {eps_bad:.6g})",
-            counterexample={"hits": hits, "needed": need, "eps": float(eps_bad)},
-            sampled=True)
-
-    # hypothesis (b) lower: omega strictly below every tail target
-    bad_n = next((n for n in tail if not strict_lt(omega, omega_n(n), ctx)), None)
-    if bad_n is None:
-        hyp_lo = Verdict.holds(
-            reason="limit target strictly below every tail target set",
-            certificate={"tail": len(tail)}, sampled=True)
-    else:
-        hyp_lo = Verdict.fails(
-            reason=f"limit target not strictly below the target at n = {bad_n}",
-            counterexample={"n": int(bad_n)}, sampled=True)
+    # hypotheses (b) read each tail target once
+    targets = [omega_n(n) for n in tail]
+    hyp_up, hyp_lo = _target_hypotheses(targets, omega, ctx, horizon)
 
     # conclusions via set limits of the level sets on the base grid
     lev_limit = set(strong_level_set(base, omega, ctx))
-    lev_pts = base.domain.points[sorted(lev_limit)] if lev_limit else \
-        np.empty((0, base.domain.dim))
+    lev_pts = base.domain.points[sorted(lev_limit)]
     steps = base.domain.step_summary()
     step = min(steps) if isinstance(steps, list) else _min_gap(base.domain.points)
     tol_const = max(EPS_FLOOR, step / 2)
 
-    def lev_seq(n: int) -> np.ndarray:
-        idx = strong_level_set(family_at(shared, n), omega_n(n), ctx)
-        if not idx:
-            return np.empty((0, base.domain.dim))
-        return base.domain.points[list(idx)]
+    levs = {n: base.domain.points[list(strong_level_set(family_at(shared, n), w, ctx))]
+            for n, w in zip(tail, targets)}
 
-    empties = [n for n in tail if lev_seq(n).shape[0] == 0]
+    empties = [n for n in tail if levs[n].shape[0] == 0]
     if empties:
         raw_upper = Verdict.holds(
             reason="upper limit trivially inside the limit level set "
@@ -865,7 +881,7 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
                 certificate={}, sampled=True)
         pk = None
     else:
-        pk = pk_limits(lev_seq, base.domain.points, horizon,
+        pk = pk_limits(levs.__getitem__, base.domain.points, horizon,
                        tol_schedule=tol_const, target=lev_pts)
         raw_upper = pk.upper_verdict
         raw_lower = pk.lower_verdict
@@ -878,12 +894,9 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     extras: Dict[str, object] = {}
     if hyp_gamma.is_holds:
         # the variational limit is lower semicontinuous; record, never raise
-        bad = None
-        for i in range(len(base)):
-            v = lsc_check(base, base.domain.points[i], battery, ctx, horizon)
-            if not v.is_holds:
-                bad = (i, v)
-                break
+        checks = ((i, lsc_check(base, x, battery, ctx, horizon))
+                  for i, x in enumerate(base.domain.points))
+        bad = next(((i, v) for i, v in checks if not v.is_holds), None)
         extras["lsc_cross"] = (
             Verdict.holds(reason="limit map lsc at every grid point",
                           certificate={"points": len(base)}, sampled=True)
@@ -900,7 +913,7 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
         conclusions=conclusions,
         extras=extras,
         meta={"horizon": horizon, "eps_floor": flo, "tol": tol_const,
-              "seed": battery.seed, "io_threshold": need,
+              "seed": battery.seed, "io_threshold": io_threshold(horizon),
               "pk": pk.to_json() if pk is not None else None},
     )
 
@@ -992,9 +1005,7 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
             fam, ctx, battery=battery, horizon=horizon)
 
     base_eff = eff(base, kind, ctx)
-    en: dict[int, tuple[int, ...]] = {}
-    for n in range(horizon):
-        en[n] = eff(family_at(fam, n), kind, ctx).indices
+    en = {n: eff(family_at(fam, n), kind, ctx).indices for n in range(horizon)}
 
     if direction == "internal":
         empty_n = next((n for n in range(horizon) if not en[n]), None)
@@ -1004,18 +1015,13 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
             if empty_n is None else
             Verdict.fails(reason=f"minimal set empty at n = {empty_n}",
                           counterexample={"n": empty_n}))
-        hh_bad = None
-        for i in base_eff.indices:
-            xb = base.domain.points[i]
-            for n in tail:
-                Pn = family_at(fam, n)
-                j = Pn.domain.nearest_index(xb)
-                v = hypothesis_h(Pn, kind, j, ctx)
-                if not v.is_holds:
-                    hh_bad = (i, n, v)
-                    break
-            if hh_bad:
-                break
+        def reach(i: int, n: int) -> Verdict:
+            Pn = family_at(fam, n)
+            j = Pn.domain.nearest_index(base.domain.points[i])
+            return hypothesis_h(Pn, kind, j, ctx)
+
+        checks = ((i, n, reach(i, n)) for i in base_eff.indices for n in tail)
+        hh_bad = next((c for c in checks if not c[2].is_holds), None)
         hypotheses["hypothesis_h"] = (
             Verdict.holds(reason="level-set reachability holds along the tail "
                                  "at every base minimal point",
@@ -1043,11 +1049,8 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     # tail solution points and their clusters
     steps = base.domain.step_summary()
     step = min(steps) if isinstance(steps, list) else _min_gap(base.domain.points)
-    tagged = []
-    for n in tail:
-        dom_n = family_at(fam, n).domain
-        for i in en[n]:
-            tagged.append((n, dom_n.points[i]))
+    tagged = [(n, p) for n in tail
+              for p in family_at(fam, n).domain.points[list(en[n])]]
     clusters_raw = _cluster(tagged, 2.0 * ctx.tol)
 
     clusters = []
@@ -1100,18 +1103,12 @@ def _external_conclusion(clusters, base_eff, step: float, ctx: OrderCtx) -> Verd
 def _internal_conclusion(clusters, base_eff, base: Problem, kind: str,
                          need: int, step: float, ctx: OrderCtx) -> Verdict:
     matches = {}
+    value_matches = equiv if kind == "Geoffroy" else large_le
+    near = [c for c in clusters
+            if c["span"] >= need and c["dist"] <= step / 2 + ctx.tol]
     for i in base_eff.indices:
-        Fx = base.value(i)
-        found = None
-        for c in clusters:
-            if c["span"] < need or c["dist"] > step / 2 + ctx.tol:
-                continue
-            Fz = base.value(c["base_index"])
-            ok = equiv(Fz, Fx, ctx) if kind == "Geoffroy" \
-                else large_le(Fz, Fx, ctx)
-            if ok:
-                found = c
-                break
+        found = next((c for c in near if value_matches(
+            base.value(c["base_index"]), base.value(i), ctx)), None)
         if found is None:
             return Verdict.fails(
                 reason=f"base minimal index {i} is not approached by any "

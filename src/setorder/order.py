@@ -8,9 +8,11 @@ Three relations on nonempty sets, induced by a solid polyhedral cone C:
 
 plus the equivalence large_le both ways. For finite representations
 strict_lt is decided pointwise (every B-corner strictly dominated by some
-A-corner); strict_lt_by_search states the existential-epsilon form along
-the ray eps = t*u, u the cone's interior direction, and serves as the
-reference the pointwise form is tested against.
+A-corner); the tests check it against the existential-epsilon form along
+the ray eps = t*u, u the cone's interior direction.
+
+A relation is asked for one pair of sets (``_rel``, the predicates above)
+or over two corner tables of sets (``table_rel``); both use one kernel rule.
 
 Universal epsilon quantifiers everywhere in the package are instantiated
 along that same ray, on a strictly decreasing schedule.
@@ -20,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT, rel_corners, shift_bound
+from ._kernels import LARGE, LOWER, STRICT, covered, rel_corners, shift_bound
 from .cone import DEFAULT_TOL, Cone
-from .setrep import SetRep, _corner_data, translate
+from .setrep import SetRep, _corner_data
 from .verdict import Verdict
 from . import setrep
 
@@ -66,6 +69,37 @@ def _rel(A: SetRep, B: SetRep, ctx: OrderCtx, mode: int) -> bool:
     return ok
 
 
+class CornerTable(NamedTuple):
+    """Sets along leading axes L: h (L, K, m) lower corners in H-coordinates,
+    padded with +inf to the largest corner count K, o their uint8 openness
+    flags, cloud (L) marking point clouds and t (L) their tolerance."""
+    h: np.ndarray
+    o: np.ndarray
+    cloud: np.ndarray
+    t: np.ndarray
+
+
+def corner_table(values: Sequence[SetRep], ctx: OrderCtx) -> CornerTable:
+    """A nonempty sequence of sets as one table with leading axis (N,)."""
+    hs, flags, clouds = zip(*(_corner_data(v, ctx.cone) for v in values))
+    h = np.full((len(hs), max(map(len, hs)), hs[0].shape[1]), np.inf)
+    o = np.zeros(h.shape, dtype=np.uint8)
+    for i, (hi, oi) in enumerate(zip(hs, flags)):
+        h[i, :len(hi)], o[i, :len(hi)] = hi, oi
+    return CornerTable(h, o, np.array(clouds), np.where(clouds, ctx.tol, 0.0))
+
+
+def table_rel(a: CornerTable, b: CornerTable,
+              modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """rel(A, B) per mode, over the broadcast leading axes of two tables."""
+    # (leading, b-corner, a-corner, axis); B's per-set scalars on leading axes
+    per_set = (..., None, None, None)
+    got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
+                  b.h[..., None, :], b.o[..., None, :],
+                  b.cloud[per_set], b.t[per_set], modes)
+    return tuple(ok.all(axis=-1) for ok in got)
+
+
 def lower_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
     """A below B: B inside A + C."""
     return _rel(A, B, ctx, LOWER)
@@ -79,11 +113,6 @@ def large_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
 def strict_lt(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
     """A strictly below B: some interior eps with A + eps below B."""
     return _rel(A, B, ctx, STRICT)
-
-
-def strict_lt_by_search(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
-    """Existential form of strict_lt along the ray eps = t*u."""
-    return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in ctx.eps_schedule)
 
 
 def equiv(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:

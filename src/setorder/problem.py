@@ -102,6 +102,9 @@ class Domain:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ProblemLoadError("domain must contain at least one point")
+        if pts.shape[0] > MAX_GRID_POINTS:
+            raise ProblemLoadError(
+                f"domain of {pts.shape[0]} points exceeds the budget of {MAX_GRID_POINTS}")
         if not np.all(np.isfinite(pts)):
             raise ProblemLoadError("domain points must be finite")
         pts.setflags(write=False)

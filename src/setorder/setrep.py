@@ -89,8 +89,8 @@ class PointCloud:
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
         if pts.ndim == 1:
             pts = pts.reshape(1, -1)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise SetSpecError("a point cloud needs a nonempty (k, d) point array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise SetSpecError("a point cloud needs a nonempty (k, d) point array, d >= 1")
         if pts.shape[1] != self.dim:
             raise DimensionMismatch(f"points of dim {pts.shape[1]} in a cloud of dim {self.dim}")
         if not np.all(np.isfinite(pts)):
@@ -121,6 +121,8 @@ def points(pts: Sequence[Sequence[float]]) -> PointCloud:
 
 def _corner_data(A: SetRep, C: Cone) -> tuple[np.ndarray, np.ndarray, bool]:
     """(h_corners, lo_open flags, is_cloud) for a set under a cone."""
+    if A.dim != C.dim:
+        raise DimensionMismatch(f"set dim {A.dim} against cone dim {C.dim}")
     if isinstance(A, PointCloud):
         h = np.ascontiguousarray(C.h_coords(A.points))
         return h, np.zeros(h.shape, dtype=np.uint8), True

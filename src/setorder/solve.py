@@ -4,11 +4,10 @@ All four minimality notions reduce to three pairwise relation matrices
 over the grid (one per preorder flavor); the matrices are computed once
 per (problem, context) pair and cached on the problem, and representants
 and Hypothesis (H) read their level sets off them. A level set at an
-arbitrary target S is one kernel call over the problem's memoized value
-table, as is its mirror, S against every grid value. All of these use the
-batched corner kernel whose one-pair case the order module uses, so the
-matrices, the level sets and the pairwise predicates share one set of
-comparison rules.
+arbitrary target S is one order.table_rel call between the problem's
+memoized value table and S, as is its mirror, S against every grid value;
+the matrices and seq_lower_converse's tail comparisons use table_rel too.
+It shares one kernel rule with the pairwise predicates.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT, covered
+from ._kernels import LARGE, LOWER, STRICT
 from .errors import InternalCheckError
-from .order import OrderCtx, large_le, lower_le
+from .order import CornerTable, OrderCtx, corner_table, lower_le, table_rel
 from .problem import PieceMap, Problem
-from .setrep import PointCloud, SetRep, _corner_data
+from .setrep import PointCloud, SetRep
 from .verdict import Verdict
 
 KINDS = ("Strong", "Pareto", "Geoffroy", "Relaxed")
@@ -72,42 +71,23 @@ class LSetResult:
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-def value_table(P: Problem, ctx: OrderCtx):
-    """(V, O, clouds, t): P's values as one table, memoized on P per ctx.
-
-    V (N, K, m) holds the lower corners in H-coordinates, padded with +inf
-    up to the largest corner count K, and O their uint8 openness flags;
-    clouds (N,) marks point-cloud values and t (N,) their tolerance.
-    """
+def value_table(P: Problem, ctx: OrderCtx) -> CornerTable:
+    """P's values as one corner table, memoized on P per ctx."""
     cache = vars(P).setdefault("_table_cache", {})
     got = cache.get(ctx)
     if got is None:
-        hs, flags, clouds = zip(*(_corner_data(v, ctx.cone) for v in P.values()))
-        V = np.full((len(hs), max(map(len, hs)), hs[0].shape[1]), np.inf)
-        O = np.zeros(V.shape, dtype=np.uint8)
-        for i, (h, o) in enumerate(zip(hs, flags)):
-            V[i, :len(h)], O[i, :len(h)] = h, o
-        got = cache[ctx] = (V, O, np.array(clouds), np.where(clouds, ctx.tol, 0.0))
+        got = cache[ctx] = corner_table(P.values(), ctx)
     return got
 
 
 def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray:
     """rel(F_i, S) for every grid index i, as one (N,) kernel call."""
-    V, O, _, _ = value_table(P, ctx)
-    hs, fs, s_cloud = _corner_data(S, ctx.cone)
-    ok, = covered(V[:, None], O[:, None], hs[:, None], fs[:, None], s_cloud,
-                  ctx.tol if s_cloud else 0.0, (mode,))
-    return ok.all(axis=-1)
+    return table_rel(value_table(P, ctx), corner_table([S], ctx), (mode,))[0]
 
 
 def _values_above(S: SetRep, P: Problem, ctx: OrderCtx, mode: int) -> np.ndarray:
     """rel(S, F_j) for every grid index j, as one (N,) kernel call."""
-    hs, fs, _ = _corner_data(S, ctx.cone)
-    V, O, clouds, t = value_table(P, ctx)
-    # (j, b-corner, a-corner, axis); per-value entries vary along j only
-    ok, = covered(hs, fs, V[:, :, None], O[:, :, None],
-                  clouds[:, None, None, None], t[:, None, None, None], (mode,))
-    return ok.all(axis=-1)
+    return table_rel(corner_table([S], ctx), value_table(P, ctx), (mode,))[0]
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
@@ -121,19 +101,15 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     if got is not None:
         return got
 
-    V, O, clouds, t = value_table(P, ctx)
-    n, k, m = V.shape
-    # row i is the A side, column j the B side: (i, j, b-corner, a-corner, axis)
-    A, OA = V[:, None, None], O[:, None, None]
-    B, OB = V[None, :, :, None], O[None, :, :, None]
-    cloud, T = clouds[None, :, None, None, None], t[None, :, None, None, None]
+    tab = value_table(P, ctx)
+    n, k, m = tab.h.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * k * k * m))
     out = tuple(np.empty((n, n), dtype=bool) for _ in range(3))
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
-        got = covered(A[blk], OA[blk], B, OB, cloud, T, (LOWER, LARGE, STRICT))
-        for mat, ok in zip(out, got):
-            mat[blk] = ok.all(axis=-1)
+        block = CornerTable(*(x[blk, None] for x in tab))
+        for mat, ok in zip(out, table_rel(block, tab, (LOWER, LARGE, STRICT))):
+            mat[blk] = ok
 
     cache[ctx] = out
     _assert_geff_in_reff(out[1], out[2], P)
@@ -141,9 +117,8 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
 
 
 def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:
-    geff = _eff_mask(large, strict, "Geoffroy")
-    reff = _eff_mask(large, strict, "Relaxed")
-    bad = geff & ~reff
+    geff = ~_excluders(large, strict, "Geoffroy").any(axis=0)
+    bad = geff & strict.any(axis=0)
     if bad.any():
         raise InternalCheckError(
             f"Geoffroy-minimal index {int(np.flatnonzero(bad)[0])} is not "
@@ -151,15 +126,16 @@ def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> N
             "the relation matrices are inconsistent")
 
 
-def _eff_mask(large, strict, kind, lower=None):
+def _excluders(large, strict, kind, lower=None):
+    """[w, i]: grid index w excludes index i from the kind-minimal set."""
     if kind == "Strong":
-        return lower.all(axis=1)
+        return ~lower.T
     if kind == "Pareto":
-        return ~(lower & ~lower.T).any(axis=0)
+        return lower & ~lower.T
     if kind == "Geoffroy":
-        return ~(large & ~large.T).any(axis=0)
+        return large & ~large.T
     if kind == "Relaxed":
-        return ~strict.any(axis=0)
+        return strict
     raise ValueError(f"unknown minimality kind {kind!r}; expected one of {KINDS}")
 
 
@@ -167,18 +143,11 @@ def _eff_mask(large, strict, kind, lower=None):
 
 def eff(P: Problem, kind: str, ctx: OrderCtx) -> EffResult:
     lower, large, strict = relation_matrices(P, ctx)
-    mask = _eff_mask(large, strict, kind, lower)
-    witness: dict[int, int] = {}
-    for i in np.flatnonzero(~mask):
-        if kind == "Strong":
-            w = int(np.flatnonzero(~lower[i, :])[0])
-        elif kind == "Pareto":
-            w = int(np.flatnonzero(lower[:, i] & ~lower[i, :])[0])
-        elif kind == "Geoffroy":
-            w = int(np.flatnonzero(large[:, i] & ~large[i, :])[0])
-        else:
-            w = int(np.flatnonzero(strict[:, i])[0])
-        witness[int(i)] = w
+    excl = _excluders(large, strict, kind, lower)
+    mask = ~excl.any(axis=0)
+    # each excluded index's witness is its lowest excluder
+    first = excl.argmax(axis=0)
+    witness = {int(i): int(first[i]) for i in np.flatnonzero(~mask)}
     return EffResult(kind, _indices(mask), witness)
 
 
@@ -267,40 +236,45 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     pair of sequences must keep F_n(x_n) large-below F_n(φ_n) through the
     tail. Holds is sampled evidence only; Fails is definitive.
     """
-    from .converge import SeqGenBattery, upper_half
+    from .converge import SeqGenBattery, _tail_break, upper_half
     from .problem import family_at
 
     battery = battery or SeqGenBattery()
     base = fam.base
-    lower, large, strict = relation_matrices(base, ctx)
-    pairs = np.argwhere(large)
+    pairs = np.argwhere(relation_matrices(base, ctx)[1])
     rng = np.random.default_rng(battery.seed + 7)
     if len(pairs) > samples:
         pairs = pairs[rng.choice(len(pairs), size=samples, replace=False)]
     tail = upper_half(horizon)
+    names = battery.strategy_names()
 
-    checked = 0
+    def pair_at(name, xb, x0, n):
+        Pn = family_at(fam, n)
+        xn = battery.point(name, xb, Pn.domain, n)
+        pn = battery.point(name, x0, Pn.domain, n)
+        return xn, pn, Pn.map.value(xn, n), Pn.map.value(pn, n)
+
+    def ok_of(got):
+        # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
+        _, _, fa, fb = zip(*got)
+        return table_rel(corner_table(fa, ctx), corner_table(fb, ctx), (LARGE,))[0][None]
+
     for i, j in pairs:
-        xb = base.domain.points[int(i)]
-        x0 = base.domain.points[int(j)]
-        for name in battery.strategy_names():
-            for n in tail:
-                Pn = family_at(fam, n)
-                xn = battery.point(name, xb, Pn.domain, n)
-                pn = battery.point(name, x0, Pn.domain, n)
-                fa = Pn.map.value(xn, n)
-                fb = Pn.map.value(pn, n)
-                checked += 1
-                if not large_le(fa, fb, ctx):
-                    return Verdict.fails(
-                        reason=f"order between indices {int(i)} and {int(j)} breaks "
-                               f"at n = {n} under strategy {name}",
-                        counterexample={
-                            "n": n, "strategy": name,
-                            "xbar_index": int(i), "x0_index": int(j),
-                            "x_n": [float(v) for v in xn],
-                            "phi_n": [float(v) for v in pn]},
-                        sampled=True)
+        xb, x0 = base.domain.points[int(i)], base.domain.points[int(j)]
+        for name in names:
+            got, brk = _tail_break(lambda n: pair_at(name, xb, x0, n), tail, ok_of, ctx)
+            if brk is not None:
+                n, (xn, pn, _, _) = tail[brk[0]], got[brk[0]]
+                return Verdict.fails(
+                    reason=f"order between indices {int(i)} and {int(j)} breaks "
+                           f"at n = {n} under strategy {name}",
+                    counterexample={
+                        "n": n, "strategy": name,
+                        "xbar_index": int(i), "x0_index": int(j),
+                        "x_n": [float(v) for v in xn],
+                        "phi_n": [float(v) for v in pn]},
+                    sampled=True)
+    checked = len(pairs) * len(names) * len(tail)
     return Verdict.holds(
         reason=f"order preserved along {checked} tail comparisons "
                f"({len(pairs)} target pairs)",

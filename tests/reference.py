@@ -1,8 +1,14 @@
 """Definitional brute-force oracles for cross-checking the solvers.
 
-Everything here is written straight from the minimality definitions using
+The minimality oracles are written straight from the definitions using
 only the public pairwise order predicates. No matrices, no caching, no
 shared code with setorder.solve beyond the order module itself.
+
+The tail-scan references further down ask every (n, eps) pair of a
+convergence check as its own pairwise predicate call, the way the package
+did before it asked whole tails and eps schedules through corner tables.
+They share the battery, the schedule helpers and the pair sampling with
+the package and differ from it only in how the relations are asked.
 """
 
 from __future__ import annotations
@@ -12,9 +18,26 @@ from itertools import combinations
 import numpy as np
 
 from setorder.cone import Cone
-from setorder.order import OrderCtx, large_le, lower_le, strict_lt
-from setorder.problem import Domain, Problem, TableMap
-from setorder.setrep import BoxUnion, Box, PointCloud, box, points
+from setorder.converge import (
+    MAX_BALL_SPLITS,
+    RECOVERY_BUDGET,
+    floored_eps,
+    io_threshold,
+    upper_half,
+)
+from setorder.errors import NoRecoveryFound
+from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
+from setorder.problem import (
+    Domain,
+    PerturbedFamily,
+    Problem,
+    TableMap,
+    Window,
+    family_at,
+)
+from setorder.setrep import BoxUnion, Box, PointCloud, box, points, translate
+from setorder.solve import relation_matrices
+from setorder.verdict import Verdict
 
 
 def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:
@@ -36,6 +59,11 @@ def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:
         if good:
             keep.append(i)
     return tuple(keep)
+
+
+def strict_lt_by_search(A, B, ctx: OrderCtx) -> bool:
+    """Existential form of strict_lt along the ray eps = t*u."""
+    return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in ctx.eps_schedule)
 
 
 def brute_level_set(P: Problem, S, ctx: OrderCtx, rel) -> tuple[int, ...]:
@@ -118,6 +146,44 @@ def random_problem(rng: np.random.Generator, *, max_points: int = 50,
                    Domain.from_points(pts))
 
 
+def random_family(rng: np.random.Generator, n_max: int = 40):
+    """Seeded family F_n(x) = S + (c·|x - 1/2|_1 + s_n)·v on a window grid.
+
+    S is a random value as in random_problem (clouds under general cones,
+    clouds or box unions with open flags under the orthant), v a random
+    direction and s_n a per-n offset of random scale that is zero at n = 0
+    and at about a fifth of the other indices, so tails both hold and break,
+    at varied eps. Returns the family and a grid point x̄.
+    """
+    d = int(rng.integers(1, 4))
+    cone = Cone.orthant(d)
+    if rng.random() < 0.5:
+        try:
+            cone = Cone.from_halfspaces(np.eye(d) + rng.uniform(-0.3, 0.3, size=(d, d)))
+        except Exception:
+            pass
+    S = _random_value(rng, d, clouds_only=cone.kind != "orthant",
+                      closed_only=False)
+    v = rng.normal(size=d)
+    c = float(rng.choice([0.0, 0.05, 0.5]))
+    offsets = rng.uniform(-1.0, 1.0, size=n_max + 1) * float(rng.choice([1e-4, 0.01, 0.3]))
+    offsets[rng.random(n_max + 1) < 0.2] = 0.0
+    offsets[0] = 0.0
+    dom = Domain.from_windows([Window(0.0, 1.0, float(rng.choice([0.125, 0.25])))]
+                              * int(rng.integers(1, 3)))
+
+    def value(x, n):
+        return translate(S, (c * float(np.abs(np.asarray(x) - 0.5).sum())
+                             + offsets[n]) * v)
+
+    base = Problem("random-family", TableMap(lambda x: value(x, 0), d), cone, dom)
+    fam = PerturbedFamily(
+        base, lambda n: Problem(f"random-family[{n}]", TableMap(value, d), cone,
+                                dom, n=n),
+        n_max, domain_factory=lambda n: dom)
+    return fam, dom.points[int(rng.integers(0, len(dom)))]
+
+
 def pk_cluster_oracle(phase_sets, n0, candidates, N, tol_fn, need):
     """Li/Ls of an eventually periodic set sequence, by phase arithmetic.
 
@@ -173,3 +239,183 @@ def max_margin_oracle(G: np.ndarray) -> float:
         if np.all(A @ y >= b - 1e-12):
             best = max(best, float(y[-1]))
     return best
+
+
+# ------------------------------------------------- pair-at-a-time tail scans
+
+def largest_failing_eps(cond, ctx: OrderCtx) -> float:
+    for t in floored_eps(ctx):
+        if not cond(t):
+            return t
+    return floored_eps(ctx)[-1]
+
+
+def tail_scan(value, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at,
+              mode: str):
+    """converge._tail_scan with one strict_lt call per (n, eps)."""
+    u = ctx.u
+    flo = floored_eps(ctx)[-1]
+    lsc = mode == "lsc"
+    fx_down = {e: translate(Fx, -e * u) for e in floored_eps(ctx)} if lsc else {}
+
+    def holds(Fn, e):
+        if lsc:
+            return strict_lt(fx_down[e], Fn, ctx)
+        return strict_lt(translate(Fn, -e * u), Fx, ctx)
+
+    def margin(x, n):
+        Fn = value(x, n)
+        return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
+
+    tail = upper_half(horizon)
+    for name, variant, pts in battery.sequences(t, domain_at, horizon,
+                                                margin=margin, indices=tail):
+        for n, x in zip(tail, pts):
+            Fn = value(x, n)
+            if not holds(Fn, flo):
+                eps = largest_failing_eps(lambda e: holds(Fn, e), ctx)
+                return {"strategy": name, "variant": variant, "n": n,
+                        "x_n": [float(v) for v in x], "eps": float(eps)}
+    return None
+
+
+def theta(Fn, Fx, ctx: OrderCtx) -> float:
+    """Largest scheduled eps for which Fn is not largely below Fx + eps·u."""
+    worst = 0.0
+    for e in floored_eps(ctx):
+        if not large_le(Fn, translate(Fx, e * ctx.u), ctx):
+            worst = max(worst, e)
+    return worst
+
+
+def recovery_search(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
+    best = {}
+    spent = 0
+    for n in upper_half(horizon):
+        dom = domain_at(n)
+        dists = np.linalg.norm(dom.points - t, axis=1)
+        near = int(np.argmin(dists))
+        r = max(battery.radius(dom, min(n, MAX_BALL_SPLITS)), float(dists[near]))
+        cand = np.flatnonzero(dists <= r + 1e-12)
+        if spent + len(cand) > RECOVERY_BUDGET:
+            raise NoRecoveryFound(
+                f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}")
+        scored = []
+        for i in cand:
+            Fn = family_at(fam, n).map.value(tuple(dom.points[i]), n)
+            scored.append((theta(Fn, Fx, ctx), float(dists[i]), int(i)))
+            spent += 1
+        scored.sort()
+        th, _, idx = scored[0]
+        best[n] = (th, dom.points[idx])
+    return best
+
+
+def gamma_upper(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
+    """converge._gamma_upper with one large_le call per (n, eps)."""
+    flo = floored_eps(ctx)[-1]
+    hint = fam.recovery_hint is not None
+    if hint:
+        seq = {n: battery._clamp(np.asarray(fam.recovery_point(t, n), dtype=float),
+                                 domain_at(n))
+               for n in upper_half(horizon)}
+    else:
+        try:
+            found = recovery_search(fam, t, Fx, battery, ctx, horizon, domain_at)
+        except NoRecoveryFound as err:
+            return Verdict.inconclusive(
+                reason=f"recovery sequence not determined: {err}",
+                sampled=True), ()
+        seq = {n: x for n, (_, x) in found.items()}
+    recovery_used = []
+    fails = None
+    for n, x in sorted(seq.items()):
+        recovery_used.append((n, tuple(float(v) for v in x)))
+        Fn = family_at(fam, n).map.value(tuple(x), n)
+        if not large_le(Fn, translate(Fx, flo * ctx.u), ctx):
+            fails = {"n": n, "x_star": [float(v) for v in x],
+                     "eps": float(theta(Fn, Fx, ctx)), "via_hint": hint}
+            break
+    if fails is None:
+        v = Verdict.holds(
+            reason="recovery sequence keeps every tail value largely below "
+                   "the shifted limit value",
+            certificate={"via_hint": hint, "eps_floor": flo}, sampled=not hint)
+    else:
+        v = Verdict.fails(
+            reason=f"recovery value exceeds the limit value at n = {fails['n']} "
+                   f"for eps up to {fails['eps']:.6g}",
+            counterexample=fails, sampled=False)
+    return v, tuple(recovery_used)
+
+
+def target_hypotheses(omega_n, omega, ctx: OrderCtx, horizon: int):
+    """Level-set hypotheses (b), upper and lower, one call per (n, eps)."""
+    tail = list(upper_half(horizon))
+    u = ctx.u
+    flo = floored_eps(ctx)[-1]
+    need = io_threshold(horizon)
+    hits = sum(1 for n in tail
+               if large_le(translate(omega_n(n), -flo * u), omega, ctx))
+    if hits >= need:
+        hyp_up = Verdict.holds(
+            reason=f"shifted target sets fall below the limit target on "
+                   f"{hits}/{len(tail)} tail indices",
+            certificate={"hits": hits, "needed": need, "eps_floor": flo},
+            sampled=True)
+    else:
+        eps_bad = largest_failing_eps(
+            lambda e: sum(1 for n in tail
+                          if large_le(translate(omega_n(n), -e * u), omega, ctx)
+                          ) >= need, ctx)
+        hyp_up = Verdict.fails(
+            reason=f"no tail subsequence of shifted target sets stays below "
+                   f"the limit target (eps = {eps_bad:.6g})",
+            counterexample={"hits": hits, "needed": need, "eps": float(eps_bad)},
+            sampled=True)
+    bad_n = next((n for n in tail if not strict_lt(omega, omega_n(n), ctx)), None)
+    if bad_n is None:
+        hyp_lo = Verdict.holds(
+            reason="limit target strictly below every tail target set",
+            certificate={"tail": len(tail)}, sampled=True)
+    else:
+        hyp_lo = Verdict.fails(
+            reason=f"limit target not strictly below the target at n = {bad_n}",
+            counterexample={"n": int(bad_n)}, sampled=True)
+    return hyp_up, hyp_lo
+
+
+def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32, battery=None,
+                       horizon: int = 64) -> Verdict:
+    """solve.seq_lower_converse with one large_le call per tail index."""
+    base = fam.base
+    pairs = np.argwhere(relation_matrices(base, ctx)[1])
+    rng = np.random.default_rng(battery.seed + 7)
+    if len(pairs) > samples:
+        pairs = pairs[rng.choice(len(pairs), size=samples, replace=False)]
+    checked = 0
+    for i, j in pairs:
+        xb = base.domain.points[int(i)]
+        x0 = base.domain.points[int(j)]
+        for name in battery.strategy_names():
+            for n in upper_half(horizon):
+                Pn = family_at(fam, n)
+                xn = battery.point(name, xb, Pn.domain, n)
+                pn = battery.point(name, x0, Pn.domain, n)
+                checked += 1
+                if not large_le(Pn.map.value(xn, n), Pn.map.value(pn, n), ctx):
+                    return Verdict.fails(
+                        reason=f"order between indices {int(i)} and {int(j)} breaks "
+                               f"at n = {n} under strategy {name}",
+                        counterexample={
+                            "n": n, "strategy": name,
+                            "xbar_index": int(i), "x0_index": int(j),
+                            "x_n": [float(v) for v in xn],
+                            "phi_n": [float(v) for v in pn]},
+                        sampled=True)
+    return Verdict.holds(
+        reason=f"order preserved along {checked} tail comparisons "
+               f"({len(pairs)} target pairs)",
+        certificate={"pairs": int(len(pairs)), "comparisons": checked,
+                     "seed": battery.seed, "horizon": horizon},
+        sampled=True)

@@ -92,6 +92,38 @@ class TestCompare:
         assert code == EX_USAGE
         assert "JSON" in err
 
+    ORTHANT_1 = {"kind": "orthant", "dim": 1}
+
+    @pytest.mark.parametrize("cone,a", [
+        (ORTHANT_1, {"box": [{"lo": 0}]}),
+        (ORTHANT_1, {"box": [{"lo": "x", "hi": 1}]}),
+        (ORTHANT_1, {"points": "abc"}),
+        (ORTHANT_1, {"box": "zz"}),
+        ({"kind": "orthant"}, {"points": [[0.0]]}),
+        (ORTHANT_1, {"points": []}),
+    ], ids=["box-without-hi", "non-numeric-lo", "points-string", "box-string",
+            "orthant-without-dim", "empty-points"])
+    def test_malformed_literal_is_usage_error(self, capsys, tmp_path, cone, a):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"cone": cone, "a": a, "b": {"points": [[1.0]]}}))
+        code, _, err = run(capsys, "compare", str(p))
+        assert code == EX_USAGE
+        assert err.startswith("setorder: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cone", [
+        {"kind": "orthant", "dim": 2},
+        {"kind": "halfspaces", "rows": [[1, 0], [0, 1], [1, 1]]},
+    ], ids=["orthant", "halfspaces"])
+    def test_set_of_the_wrong_dimension_is_usage_error(self, capsys, tmp_path,
+                                                       cone):
+        p = tmp_path / "dims.json"
+        p.write_text(json.dumps({"cone": cone, "a": {"points": [[0.0]]},
+                                 "b": {"points": [[1.0, 1.0]]}}))
+        code, out, err = run(capsys, "compare", str(p))
+        assert (code, out) == (EX_USAGE, "")
+        assert "set dim 1 against cone dim 2" in err
+
     def test_missing_field_is_usage_error(self, capsys, tmp_path):
         p = tmp_path / "half.json"
         p.write_text(json.dumps({"cone": {"kind": "orthant", "dim": 1},

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import pk_cluster_oracle
 
 from setorder import converge
@@ -40,8 +41,18 @@ from setorder.converge import (
 )
 from setorder.errors import InternalCheckError, SetSpecError, Unsupported
 from setorder.order import OrderCtx
-from setorder.problem import Domain, Window, load_builtin, load_dict
-from setorder.setrep import translate
+from setorder.expr import parse
+from setorder.problem import (
+    Domain,
+    PerturbedFamily,
+    Problem,
+    TableMap,
+    Window,
+    family_at,
+    load_builtin,
+    load_dict,
+)
+from setorder.setrep import box, translate
 from setorder.solve import seq_lower_converse
 from setorder.verdict import Status, Verdict
 
@@ -699,6 +710,153 @@ class TestSeqLowerConverse:
         assert set(ce) >= {"n", "strategy", "xbar_index", "x0_index",
                            "x_n", "phi_n"}
         assert ce["n"] % 2 == 1
+
+
+class TestTablesMatchPairLoops:
+    """The tail scans, the recovery search, the gamma upper check, level-set
+    hypotheses (b) and seq_lower_converse ask whole tails and eps schedules
+    as corner-table comparisons; the pair-at-a-time loops of
+    tests/reference.py must report the same verdicts and counterexamples."""
+
+    def test_random_families(self):
+        seen = {"break": 0, "clean": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            fam, t = reference.random_family(rng)
+            if rng.random() < 0.3:
+                fam.recovery_hint = tuple(
+                    parse(f"x{k + 1} + 0.3/(n + 1)") for k in range(len(t)))
+            ctx = OrderCtx(fam.base.cone)
+            battery = SeqGenBattery(seed=seed)
+            horizon = int(rng.choice([8, 16, 33]))
+            if rng.random() < 0.5:
+                # midway between grid points, so recovery balls hold two
+                # candidates at one distance and theta decides
+                t = t + 0.0625
+            Fx = fam.base.map.value(tuple(t), None)
+
+            def value(x, n):
+                return family_at(fam, n).map.value(tuple(x), n)
+
+            for mode in ("lsc", "usc"):
+                args = (value, t, Fx, battery, ctx, horizon, fam.domain_at, mode)
+                got = converge._tail_scan(*args)
+                assert got == reference.tail_scan(*args), (seed, mode)
+                seen["break" if got else "clean"] += 1
+            args = (fam, t, Fx, battery, ctx, horizon, fam.domain_at)
+            if fam.recovery_hint is None:
+                # theta per candidate, not only the chosen point, must agree
+                got = converge._recovery_search(*args)
+                want = reference.recovery_search(*args)
+                assert {n: (th, x.tolist()) for n, (th, x) in got.items()} == \
+                    {n: (th, x.tolist()) for n, (th, x) in want.items()}, seed
+            v, used = converge._gamma_upper(*args)
+            want_v, want_used = reference.gamma_upper(*args)
+            assert (v.to_json(), used) == (want_v.to_json(), want_used), seed
+            seen["break" if v.is_fails else "clean"] += 1
+
+            def omega_n(n):
+                return family_at(fam, n).value(0)
+
+            got = converge._target_hypotheses(
+                [omega_n(n) for n in upper_half(horizon)], fam.base.value(0),
+                ctx, horizon)
+            want = reference.target_hypotheses(omega_n, fam.base.value(0), ctx,
+                                               horizon)
+            assert [h.to_json() for h in got] == [h.to_json() for h in want], seed
+            seen["break"] += sum(h.is_fails for h in got)
+            v = seq_lower_converse(fam, ctx, battery=battery, horizon=horizon)
+            want_v = reference.seq_lower_converse(fam, ctx, battery=battery,
+                                                  horizon=horizon)
+            assert v.to_json() == want_v.to_json(), seed
+        assert min(seen.values()) >= 20, seen
+
+    @staticmethod
+    def odd_shift(shift: float, raise_from: int):
+        """F_n(x) = [x, x + 1] + shift on odd n, raising from n = raise_from."""
+        def fn(x, n):
+            if n >= raise_from:
+                raise SetSpecError(f"no value at n = {n}")
+            s = shift if n % 2 else 0.0
+            return box([x[0] + s], [x[0] + s + 1.0])
+        return TableMap(fn, 1)
+
+    def test_scan_reports_a_break_before_an_error(self, ctx1, battery):
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
+        t = np.array([0.5])
+        for raise_from, breaks in ((36, True), (32, False)):
+            tm = self.odd_shift(-0.25, raise_from)
+            args = (tm.value, t, box([0.5], [1.5]), battery, ctx1, 64,
+                    lambda n: dom, "lsc")
+            if breaks:
+                ce = converge._tail_scan(*args)
+                assert ce == reference.tail_scan(*args)
+                assert (ce["n"], ce["eps"]) == (33, 0.25)
+            else:
+                for scan in (converge._tail_scan, reference.tail_scan):
+                    with pytest.raises(SetSpecError, match="n = 32"):
+                        scan(*args)
+
+    def test_gamma_upper_reports_a_break_before_an_error(self, ctx1, battery):
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
+        t = np.array([0.5])
+        for raise_from, breaks in ((36, True), (33, False)):
+            tm = self.odd_shift(0.25 if breaks else 0.0, raise_from)
+            base = Problem("odd", tm, ctx1.cone, dom, n=0)
+            fam = PerturbedFamily(
+                base, lambda n: Problem("odd", tm, ctx1.cone, dom, n=n), 64,
+                recovery_hint=(parse("x1"),), domain_factory=lambda n: dom)
+            args = (fam, t, box([0.5], [1.5]), battery, ctx1, 64, fam.domain_at)
+            if breaks:
+                v, used = converge._gamma_upper(*args)
+                want_v, want_used = reference.gamma_upper(*args)
+                assert (v.to_json(), used) == (want_v.to_json(), want_used)
+                assert v.counterexample["n"] == 33 and used[-1][0] == 33
+            else:
+                for check in (converge._gamma_upper, reference.gamma_upper):
+                    with pytest.raises(Exception, match="n = 33"):
+                        check(*args)
+
+    def test_seq_lower_converse_reports_a_break_before_an_error(self, ctx1,
+                                                               battery):
+        # the sign flip breaks the order between x = 0 and x = 1 at odd n;
+        # from n = 10 on the map refuses x = 1, which the first sampled
+        # pair, (0, 0), never asks
+        doc = {
+            "label": "flip",
+            "cone": {"kind": "orthant", "dim": 1},
+            "domain": {"points": [[0.0], [1.0]]},
+            "map": {"pieces": [{"guard": "true",
+                                "box": [{"lo": "x1", "hi": "x1 + 1"}]}]},
+            "family": {"subst": "n", "n_max": 200, "map_n": {"pieces": [
+                {"guard": "true",
+                 "box": [{"lo": "cos(pi*n)*x1", "hi": "cos(pi*n)*x1 + 1"}]},
+            ]}},
+        }
+        flip = load_dict(doc)
+
+        def member(n):
+            Pn = family_at(flip, n)
+            if n < 10:
+                return Pn
+
+            def refuse(x, n):
+                if x[0] == 1.0:
+                    raise SetSpecError(f"no value at x = 1, n = {n}")
+                return Pn.map.value(x, n)
+
+            # Problem evaluates its whole grid, so swap the map in afterwards
+            P = Problem(Pn.label, Pn.map, Pn.cone, Pn.domain, n=n)
+            P.map = TableMap(refuse, 1)
+            return P
+
+        fam = PerturbedFamily(flip.base, member, 200,
+                              domain_factory=flip.domain_at)
+        v = seq_lower_converse(fam, ctx1, battery=battery, horizon=16)
+        want = reference.seq_lower_converse(fam, ctx1, battery=battery,
+                                            horizon=16)
+        assert v.to_json() == want.to_json()
+        assert v.is_fails and v.counterexample["n"] == 9
 
 
 class TestTailOnlyWork:

@@ -10,20 +10,21 @@ import pytest
 from hypothesis import given, settings
 
 from setorder.cone import Cone
-from setorder.errors import Unsupported
+from setorder.errors import DimensionMismatch, Unsupported
 from setorder.order import (
     OrderCtx,
+    corner_table,
     equiv,
     large_le,
     lower_le,
     not_proper_witness,
     shift_margin,
     strict_lt,
-    strict_lt_by_search,
 )
 from setorder.setrep import box, points, translate
 
 from conftest import EXACT_SCALES, lattice_cloud, lattice_set, scale_set
+from reference import strict_lt_by_search
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
@@ -177,6 +178,18 @@ class TestGeneralCone:
     def test_box_raises_unsupported(self):
         with pytest.raises(Unsupported):
             lower_le(box([0.0, 0.0], [1.0, 1.0]), points([[1.0, 1.0]]), ABS_CTX)
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("ctx", [CTX2, ABS_CTX], ids=["orthant", "general"])
+    def test_both_relation_paths_refuse(self, ctx):
+        # a 1-D set against a 2-D cone, asked pair by pair and as a table
+        A, B = points([[0.0]]), points([[1.0, 1.0]])
+        for rel in (lower_le, large_le, strict_lt):
+            with pytest.raises(DimensionMismatch, match="set dim 1"):
+                rel(A, B, ctx)
+        with pytest.raises(DimensionMismatch, match="set dim 1"):
+            corner_table([B, A], ctx)
 
 
 class TestShiftMargin:

@@ -53,6 +53,12 @@ class TestWindowGrid:
         with pytest.raises(ProblemLoadError, match="exceeds the budget"):
             Domain.from_windows([side, Window(0, 128, 1)])
 
+    def test_point_domain_budget_is_inclusive(self):
+        pts = np.arange(MAX_GRID_POINTS + 1, dtype=float).reshape(-1, 1)
+        assert len(Domain.from_points(pts[:-1])) == MAX_GRID_POINTS
+        with pytest.raises(ProblemLoadError, match="exceeds the budget"):
+            Domain.from_points(pts)
+
     def test_bad_windows(self):
         with pytest.raises(ProblemLoadError):
             Window(0, -1, 0.5)

@@ -76,6 +76,10 @@ class TestValidation:
         with pytest.raises(SetSpecError):
             PointCloud(1, np.zeros((0, 1)))
 
+    def test_zero_dimensional_cloud_rejected(self):
+        with pytest.raises(SetSpecError):
+            points([])
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DimensionMismatch):
             BoxUnion(2, (Box((0.0,), (1.0,), (False,), (False,)),))
