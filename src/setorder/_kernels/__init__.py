@@ -1,23 +1,84 @@
-"""Kernel backend selection.
+"""NumPy kernels for corner comparisons.
 
-The compiled extension is used when importable, the NumPy reference
-otherwise. Both expose the same two functions with identical semantics
-(asserted by the backend-equivalence test suite); ``covered`` is NumPy only.
+Every preorder query between two finitely-represented sets reduces to a
+"for every B-corner there is an A-corner dominating it" sweep over
+halfspace coordinates. ``covered`` states the rule once, for broadcast
+blocks of sets (``order.table_rel``); ``rel_corners`` is its one-pair case.
+
+Conventions of the one-pair kernels:
+  * ca/cb: (na, m) / (nb, m) float64 lower corners in halfspace coordinates;
+  * oa/ob: matching uint8 openness flags (1 = open lower end); point clouds
+    pass all-zero flags;
+  * b_cloud: True when B is a point cloud, which is the only case where tol
+    enters (box-vs-box corner logic is exact);
+  * returns (ok, bad_b) with bad_b the first uncovered B-corner, -1 if ok.
 """
 
 from __future__ import annotations
 
-from .pure import LARGE, LOWER, STRICT, covered
+import numpy as np
 
-try:
-    from . import _fast as _impl  # type: ignore[attr-defined]
-    BACKEND = "fast"
-except ImportError:
-    from . import pure as _impl
-    BACKEND = "pure"
+#: the kernel implementation, recorded in perfbench's environment record
+BACKEND = "pure"
 
-rel_corners = _impl.rel_corners
-shift_bound = _impl.shift_bound
+LOWER = 0
+LARGE = 1
+STRICT = 2
 
-__all__ = ["BACKEND", "LARGE", "LOWER", "STRICT", "covered", "rel_corners",
-           "shift_bound"]
+
+def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
+            b_cloud, t, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Whether some A-corner covers each B-corner, once per mode in ``modes``.
+
+    A and oa end in (ka, m), B and ob in (kb, 1, m), and their leading axes
+    broadcast; each result is that leading shape plus kb. ``b_cloud`` and
+    the tolerance ``t`` (tol for a cloud B, 0 for a box) are scalars, or
+    arrays of B's rank with size 1 on its last three axes, so that they
+    vary with the B set only.
+    Per axis, LARGE is B >= A - t and STRICT is B > A + t; LOWER is STRICT
+    where A's end is open and B's closed (a cloud B counts as closed
+    whatever its flags), LARGE elsewhere. Each comparison is made at most
+    once, and only when a requested mode reads it. With t = 0 this is exact
+    box logic. A corner of +inf covers no finite corner and is covered by
+    any finite one, so ragged corner lists are padded with +inf, not masked.
+    """
+    exact = not isinstance(t, np.ndarray) and t == 0
+    large = strict = None
+    if LARGE in modes or LOWER in modes:
+        large = B >= (A if exact else A - t)
+    if STRICT in modes or LOWER in modes:
+        strict = B > (A if exact else A + t)
+    out = []
+    for mode in modes:
+        if mode == LARGE:
+            axes = large
+        elif mode == STRICT:
+            axes = strict
+        elif mode == LOWER:
+            axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
+        else:
+            raise ValueError(f"unknown relation mode {mode}")
+        out.append(axes.all(axis=-1).any(axis=-1))
+    return tuple(out)
+
+
+def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
+                mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
+    ok, = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud,
+                  tol if b_cloud else 0.0, (mode,))
+    if ok.all():
+        return True, -1
+    return False, int(np.flatnonzero(~ok)[0])
+
+
+def shift_bound(ha: np.ndarray, hb: np.ndarray, w: np.ndarray) -> tuple[float, int]:
+    """Largest s with ha + s*w componentwise-below hb in the forall-exists sense.
+
+    Openness flags are deliberately ignored: the bound is consumed only where
+    a strict epsilon of slack exists on at least one side. Returns (s, b) with
+    b the index of the tightest B-corner.
+    """
+    diff = (hb[:, None, :] - ha[None, :, :]) / w   # (nb, na, m)
+    per_b = diff.min(axis=2).max(axis=1)           # (nb,)
+    b = int(np.argmin(per_b))
+    return float(per_b[b]), b

@@ -328,6 +328,8 @@ def _emit(report: dict, args) -> int:
 
 def _cmd_compare(args) -> int:
     doc = json.loads(args.input.read_text())
+    if not isinstance(doc, dict):
+        raise SetSpecError(f"compare input must be a JSON object, got {doc!r}")
     for field in ("cone", "a", "b"):
         if field not in doc:
             raise SetSpecError(f"compare input needs field {field!r}")

@@ -43,7 +43,7 @@ class Cone:
 
     @staticmethod
     def orthant(dim: int) -> "Cone":
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise ConeSpecError(f"orthant dimension must be a positive integer, got {dim!r}")
         rows = np.eye(dim)
         return Cone._build(dim, rows, "orthant", np.ones(dim))
@@ -132,7 +132,7 @@ class Cone:
         if not orthant and obj["kind"] != "halfspaces":
             raise ConeSpecError(f"unknown cone kind {obj['kind']!r}")
         try:
-            arg = int(obj["dim"]) if orthant else np.asarray(obj["rows"], dtype=float)
+            arg = obj["dim"] if orthant else np.asarray(obj["rows"], dtype=float)
         except (KeyError, TypeError, ValueError) as err:
             raise ConeSpecError(f"bad cone literal {obj!r}: {err!r}") from None
         return Cone.orthant(arg) if orthant else Cone.from_halfspaces(arg)

@@ -23,9 +23,12 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import expr as ex
+from ._kernels import LARGE
 from .cone import Cone
 from .errors import ExprError, HorizonExceeded, ProblemLoadError, SetSpecError
-from .setrep import Box, BoxUnion, PointCloud, SetRep, is_c_proper
+from .order import OrderCtx, corner_table, table_rel
+from .setrep import (EXTERIOR_INSIDE, Box, BoxUnion, PointCloud, SetRep,
+                     exterior_point, points)
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
 # exp(n) values from overflowing later arithmetic while changing nothing
@@ -307,13 +310,20 @@ class Problem:
                     f"value at x = {tuple(float(c) for c in x)}: {e}") from e
             values.append(v)
         self._values = tuple(values)
-        for i, v in enumerate(self._values):
-            verdict = is_c_proper(v, cone)
-            if verdict.is_fails:
+        # properness: one LARGE query pairs each value with its exterior point
+        zs = [exterior_point(v, cone) for v in values]
+        checked = [i for i, z in enumerate(zs) if z is not None]
+        if checked:
+            ctx = OrderCtx(cone)
+            inside, = table_rel(corner_table([values[i] for i in checked], ctx),
+                                corner_table([points(zs[i]) for i in checked], ctx),
+                                (LARGE,))
+            if inside.any():
+                i = checked[int(np.argmax(inside))]
                 raise ProblemLoadError(
                     f"value at x = {tuple(domain.points[i])} is not proper "
-                    f"for the cone: {verdict.reason} "
-                    f"(certificate {verdict.counterexample})")
+                    f"for the cone: {EXTERIOR_INSIDE} "
+                    f"(certificate {dict(point=zs[i])})")
 
     def value(self, i: int) -> SetRep:
         return self._values[i]

@@ -161,27 +161,35 @@ def min_corner(A: SetRep) -> np.ndarray:
     return c.min(axis=0)
 
 
-def is_c_proper(A: SetRep, C: Cone) -> Verdict:
-    """A + C != R^d, certified by an explicit point outside cl(A + C)."""
+def exterior_point(A: SetRep, C: Cone) -> np.ndarray | None:
+    """A point z outside cl(A + C), or None for a box union under a general cone."""
     if dim_of(A) != C.dim:
         raise DimensionMismatch(f"set dim {dim_of(A)} against cone dim {C.dim}")
-    if isinstance(A, BoxUnion) and C.kind != "orthant":
+    if isinstance(A, BoxUnion):
+        return min_corner(A) - 1.0 if C.kind == "orthant" else None
+    # push far enough along -u that the first halfspace row rules out
+    # domination by every point of A
+    pmin = A.points.min(axis=0)
+    h0 = C.h_coords(A.points)[:, 0]
+    t = 1.0 + float(C.h_coords(pmin.reshape(1, -1))[0, 0] - h0.min())
+    return pmin - t * C.interior_direction
+
+
+#: why a value whose exterior point lies in cl(A + C) is refused
+EXTERIOR_INSIDE = "constructed exterior point landed inside A + C"
+
+
+def is_c_proper(A: SetRep, C: Cone) -> Verdict:
+    """A + C != R^d, certified by an explicit point outside cl(A + C)."""
+    z = exterior_point(A, C)
+    if z is None:
         return Verdict.inconclusive("box-union sets under a general cone are unsupported")
-    h, o, is_cloud = _corner_data(A, C)
-    if is_cloud:
-        # push far enough along -u that the first halfspace row rules out
-        # domination by every point of A
-        pmin = A.points.min(axis=0)
-        t = 1.0 + float(C.h_coords(pmin.reshape(1, -1))[0, 0] - h[:, 0].min())
-        z = pmin - t * C.interior_direction
-    else:
-        z = min_corner(A) - 1.0
+    h, o, _ = _corner_data(A, C)
     hz = np.ascontiguousarray(C.h_coords(z.reshape(1, -1)))
     inside, _ = rel_corners(h, o, hz, np.zeros(hz.shape, dtype=np.uint8),
                             LARGE, True, DEFAULT_TOL)
     if inside:  # pragma: no cover - defensive
-        return Verdict.fails("constructed exterior point landed inside A + C",
-                             counterexample={"point": z})
+        return Verdict.fails(EXTERIOR_INSIDE, counterexample={"point": z})
     return Verdict.holds("found a point outside cl(A + C)", certificate={"point": z})
 
 

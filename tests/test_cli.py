@@ -93,19 +93,37 @@ class TestCompare:
         assert "JSON" in err
 
     ORTHANT_1 = {"kind": "orthant", "dim": 1}
+    POINT_1 = {"points": [[1.0]]}
+    POINT_2 = {"points": [[1.0, 1.0]]}
 
-    @pytest.mark.parametrize("cone,a", [
-        (ORTHANT_1, {"box": [{"lo": 0}]}),
-        (ORTHANT_1, {"box": [{"lo": "x", "hi": 1}]}),
-        (ORTHANT_1, {"points": "abc"}),
-        (ORTHANT_1, {"box": "zz"}),
-        ({"kind": "orthant"}, {"points": [[0.0]]}),
-        (ORTHANT_1, {"points": []}),
+    # the sets of the non-integer dims match the dimension that coercing
+    # the dim would give, so only the cone itself can be refused
+    @pytest.mark.parametrize("cone,a,b", [
+        (ORTHANT_1, {"box": [{"lo": 0}]}, POINT_1),
+        (ORTHANT_1, {"box": [{"lo": "x", "hi": 1}]}, POINT_1),
+        (ORTHANT_1, {"points": "abc"}, POINT_1),
+        (ORTHANT_1, {"box": "zz"}, POINT_1),
+        ({"kind": "orthant"}, {"points": [[0.0]]}, POINT_1),
+        (ORTHANT_1, {"points": []}, POINT_1),
+        ({"kind": "orthant", "dim": 2.7}, POINT_2, POINT_2),
+        ({"kind": "orthant", "dim": "2"}, POINT_2, POINT_2),
+        ({"kind": "orthant", "dim": True}, POINT_1, POINT_1),
     ], ids=["box-without-hi", "non-numeric-lo", "points-string", "box-string",
-            "orthant-without-dim", "empty-points"])
-    def test_malformed_literal_is_usage_error(self, capsys, tmp_path, cone, a):
+            "orthant-without-dim", "empty-points", "fractional-dim", "string-dim",
+            "bool-dim"])
+    def test_malformed_literal_is_usage_error(self, capsys, tmp_path, cone, a, b):
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps({"cone": cone, "a": a, "b": {"points": [[1.0]]}}))
+        p.write_text(json.dumps({"cone": cone, "a": a, "b": b}))
+        code, _, err = run(capsys, "compare", str(p))
+        assert code == EX_USAGE
+        assert err.startswith("setorder: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["5", "null", "true"])
+    def test_document_that_is_not_an_object_is_usage_error(self, capsys, tmp_path,
+                                                           text):
+        p = tmp_path / "bare.json"
+        p.write_text(text)
         code, _, err = run(capsys, "compare", str(p))
         assert code == EX_USAGE
         assert err.startswith("setorder: ") and err.count("\n") == 1

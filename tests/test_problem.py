@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from setorder import problem, setrep
 from setorder.cone import Cone
 from setorder.errors import HorizonExceeded, ProblemLoadError
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
                               load_builtin, load_dict)
-from setorder.setrep import BoxUnion, PointCloud, box, is_c_proper
+from setorder.setrep import BoxUnion, PointCloud, box, is_c_proper, points
 
 
 def spec(label="t", cone=None, domain=None, pieces=None, family=None):
@@ -269,3 +271,73 @@ class TestProgrammaticProblems:
         assert isinstance(B.value_at([0.0]), BoxUnion)
         with pytest.raises(ProblemLoadError, match="not a grid point"):
             B.value_at([0.0001])
+
+
+def point_inside(A, C):
+    """A point on the boundary of cl(A + C): the first point or box lower corner."""
+    return A.points[0] if isinstance(A, PointCloud) else np.array(A.boxes[0].lo)
+
+
+def move_inside(monkeypatch, chosen):
+    """Make the exterior-point helper answer from inside cl(A + C) for the
+    values in ``chosen`` (by identity), for Problem and is_c_proper alike."""
+    real = setrep.exterior_point
+
+    def fake(A, C):
+        return point_inside(A, C) if any(A is v for v in chosen) else real(A, C)
+
+    monkeypatch.setattr(setrep, "exterior_point", fake)
+    monkeypatch.setattr(problem, "exterior_point", fake)
+
+
+class TestProperness:
+    def test_batched_check_agrees_with_per_value(self, monkeypatch):
+        # seeded problems mix clouds, box unions with open flags and general
+        # cones; each is rebuilt with a random subset of its values (maybe
+        # none) given an "exterior" point in cl(A + C)
+        rng = np.random.default_rng(5)
+        raised = 0
+        for _ in range(30):
+            P = reference.random_problem(rng, max_points=12)
+            assert all(is_c_proper(v, P.cone).is_holds for v in P.values())
+            vals = P.values()
+            chosen = [v for v in vals if rng.random() < 0.2]
+            with monkeypatch.context() as m:
+                move_inside(m, chosen)
+                verdicts = [is_c_proper(v, P.cone) for v in vals]
+                bad = [i for i, v in enumerate(verdicts) if v.is_fails]
+                assert bad == [i for i, v in enumerate(vals)
+                               if any(v is c for c in chosen)]
+                if not bad:
+                    Problem(P.label, P.map, P.cone, P.domain)
+                    continue
+                with pytest.raises(ProblemLoadError) as err:
+                    Problem(P.label, P.map, P.cone, P.domain)
+                # the text of the check that asked one value at a time
+                i, v = bad[0], verdicts[bad[0]]
+                assert str(err.value) == (
+                    f"value at x = {tuple(P.domain.points[i])} is not proper "
+                    f"for the cone: {v.reason} (certificate {v.counterexample})")
+                raised += 1
+        assert raised >= 10
+
+    def test_improper_value_names_the_first_bad_x(self, monkeypatch):
+        dom = Domain.from_points([[0.0], [1.0], [2.0], [3.0]])
+        vals = [box([x], [x + 1.0]) for x in range(4)]
+        move_inside(monkeypatch, [vals[2], vals[3]])
+        with pytest.raises(ProblemLoadError) as err:
+            Problem("t", TableMap(lambda x: vals[int(x[0])], 1), Cone.orthant(1), dom)
+        assert str(err.value) == (
+            f"value at x = {tuple(dom.points[2])} is not proper for the cone: "
+            "constructed exterior point landed inside A + C "
+            f"(certificate {{'point': {np.array([2.0])!r}}})")
+
+    def test_boxes_under_a_general_cone_still_load(self):
+        cone = Cone.from_halfspaces([[1.0, 0.0], [1.0, 1.0]])
+        P = Problem("t", TableMap(lambda x: box([x[0], 0.0], [x[0] + 1, 1.0]), 2),
+                    cone, Domain.from_points([[0.0], [1.0]]))
+        assert all(is_c_proper(v, cone).is_inconclusive for v in P.values())
+        mixed = Problem("t", TableMap(
+            lambda x: box([0.0, 0.0], [1.0, 1.0]) if x[0] else points([[0.0, 0.0]]), 2),
+            cone, Domain.from_points([[0.0], [1.0]]))
+        assert isinstance(mixed.value(0), PointCloud)
