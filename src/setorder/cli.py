@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cone import DEFAULT_TOL, Cone
+from .cone import DEFAULT_TOL, Cone, json_numbers
 from .converge import (
     DEFAULT_HORIZON,
     SeqGenBattery,
@@ -42,7 +42,7 @@ from .errors import (
     SetSpecError,
 )
 from .order import OrderCtx, equiv, large_le, lower_le, strict_lt
-from .problem import PerturbedFamily, Problem, builtin_names, family_at, load, load_builtin
+from .problem import PerturbedFamily, Problem, builtin_names, load, load_builtin
 from .setrep import SetRep, box, points
 from .solve import KINDS, eff, l_set
 
@@ -185,6 +185,8 @@ def _parse_point(text: str, base: Problem) -> np.ndarray:
             raise ProblemLoadError(
                 f"point {text!r} has {len(x)} coordinates; the problem "
                 f"domain has dimension {base.domain.dim}")
+        if not np.all(np.isfinite(x)):
+            raise ProblemLoadError(f"point {text!r} has a non-finite coordinate")
         return x
     if not 0 <= idx < len(base.domain.points):
         raise ProblemLoadError(
@@ -193,16 +195,27 @@ def _parse_point(text: str, base: Problem) -> np.ndarray:
 
 
 def _setrep_from_spec(spec: dict) -> SetRep:
+    """A set from its JSON literal: coordinates and endpoints are JSON
+    numbers (an upper end may be "inf"), open flags JSON booleans."""
     if not isinstance(spec, dict):
         raise SetSpecError("set literal must be an object")
     try:
         if "points" in spec:
+            if not json_numbers(spec["points"]):
+                raise ValueError("point coordinates must be JSON numbers")
             return points(spec["points"])
         if "box" in spec:
             axes = spec["box"]
+            for a in axes:
+                if not json_numbers(a["lo"]) or not (json_numbers(a["hi"])
+                                                     or a["hi"] == "inf"):
+                    raise ValueError("box ends must be JSON numbers or an upper 'inf'")
+                if not all(isinstance(a.get(f, False), bool)
+                           for f in ("lo_open", "hi_open")):
+                    raise ValueError("box open flags must be JSON booleans")
             return box([a["lo"] for a in axes], [a["hi"] for a in axes],
-                       lo_open=[bool(a.get("lo_open", False)) for a in axes],
-                       hi_open=[bool(a.get("hi_open", False)) for a in axes])
+                       lo_open=[a.get("lo_open", False) for a in axes],
+                       hi_open=[a.get("hi_open", False) for a in axes])
     except (KeyError, TypeError, ValueError) as err:
         raise SetSpecError(f"malformed set literal {spec!r}: {err!r}") from None
     raise SetSpecError("set literal needs a 'box' or 'points' field")
@@ -420,7 +433,7 @@ def _cmd_levelset_conv(args) -> int:
     omega = fam.base.map.value(tuple(xbar), fam.base.n)
 
     def omega_n(n: int) -> SetRep:
-        return family_at(fam, n).map.value(tuple(xbar), n)
+        return fam.map.value(tuple(xbar), n)
 
     rep = levelset_convergence_experiment(fam, omega_n, omega, ctx,
                                           battery=battery,

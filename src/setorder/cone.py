@@ -132,10 +132,20 @@ class Cone:
         if not orthant and obj["kind"] != "halfspaces":
             raise ConeSpecError(f"unknown cone kind {obj['kind']!r}")
         try:
+            if not (orthant or json_numbers(obj["rows"])):
+                raise ValueError("cone rows must hold JSON numbers")
             arg = obj["dim"] if orthant else np.asarray(obj["rows"], dtype=float)
         except (KeyError, TypeError, ValueError) as err:
             raise ConeSpecError(f"bad cone literal {obj!r}: {err!r}") from None
         return Cone.orthant(arg) if orthant else Cone.from_halfspaces(arg)
+
+
+def json_numbers(v: Any) -> bool:
+    """Whether a JSON value is a number, or nested lists of numbers; a JSON
+    boolean or a numeric string is neither."""
+    if isinstance(v, list):
+        return all(json_numbers(c) for c in v)
+    return type(v) in (int, float)
 
 
 def _is_orthant_rows(G: np.ndarray, dim: int) -> bool:

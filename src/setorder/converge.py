@@ -21,8 +21,9 @@ Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
 inside D_n and the domains get a Kuratowski-pair verdict. The level-set
-experiment runs the fixed-domain route on the family re-hosted on the
-base grid.
+experiment runs the fixed-domain route on a family with the same member
+map over the base grid. Values at single points come from the member map;
+a member is built (``family_at``) only where its grid values are read.
 """
 
 from __future__ import annotations
@@ -571,8 +572,7 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
                 best={k: (th, [float(v) for v in x]) for k, (th, x) in best.items()})
         spent += len(cand)
-        Fmap = family_at(fam, n).map
-        vals = [Fmap.value(tuple(dom.points[i]), n) for i in cand]
+        vals = [fam.map.value(tuple(dom.points[i]), n) for i in cand]
         ok, = table_rel(corner_table(vals, ctx), fx_up, (LARGE,))
         theta = np.where(ok.all(axis=0), 0.0, eps[np.argmin(ok, axis=0)])
         th, _, idx = min(zip(theta.tolist(), dists[cand].tolist(), cand.tolist()))
@@ -603,7 +603,7 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
     ns = sorted(seq)
     fx_up = _shifted([Fx], 1, ctx)
     _, brk = _tail_break(
-        lambda n: family_at(fam, n).map.value(tuple(seq[n]), n), ns,
+        lambda n: fam.map.value(tuple(seq[n]), n), ns,
         lambda vals: table_rel(corner_table(vals, ctx), fx_up, (LARGE,))[0], ctx)
     used = ns if brk is None else ns[:brk[0] + 1]
     recovery_used = tuple((n, tuple(float(v) for v in seq[n])) for n in used)
@@ -639,7 +639,7 @@ def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
     Fx = limit.map.value(tuple(t), limit.n)
     flo = floored_eps(ctx)[-1]
 
-    ce = _tail_scan(lambda x, n: family_at(fam, n).map.value(tuple(x), n),
+    ce = _tail_scan(lambda x, n: fam.map.value(tuple(x), n),
                     t, Fx, battery, ctx, horizon, domain_at, "lsc")
     reason = "lower inequality held along every in-domain sequence"
     certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
@@ -673,8 +673,7 @@ def on_base_domain(fam: PerturbedFamily, horizon: int) -> bool:
     """Whether D_n is the base grid at n = 0 and at every tail index.
 
     These are the members a variational-convergence check at this horizon
-    reads. Domains come from ``fam.domain_at``, which evaluates no map when
-    the family has a domain factory.
+    reads. Domains come from ``fam.domain_at``, which evaluates no map.
     """
     base = fam.base.domain.points
     return all(np.array_equal(fam.domain_at(n).points, base)
@@ -732,16 +731,6 @@ class LevelsetReport:
                        for k, v in self.extras.items()},
             "meta": dict(self.meta),
         }
-
-
-def _restricted(fam: PerturbedFamily, n: int) -> Problem:
-    """The n-th member re-hosted on the base grid (itself when already there)."""
-    Pn = family_at(fam, n)
-    base = fam.base
-    if Pn.domain is base.domain or np.array_equal(
-            Pn.domain.points, base.domain.points):
-        return Pn
-    return Problem(f"{fam.label}[n={n}|D]", Pn.map, base.cone, base.domain, n=n)
 
 
 def _grid_gamma_hypothesis(reports: Iterable[GammaReport], what: str,
@@ -839,9 +828,8 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     base = fam.base
     tail = list(upper_half(horizon))
     flo = floored_eps(ctx)[-1]
-    shared = PerturbedFamily(base, lambda n: _restricted(fam, n), fam.n_max,
-                             recovery_hint=fam.recovery_hint, label=fam.label,
-                             domain_factory=lambda n: base.domain)
+    shared = PerturbedFamily(base, fam.map, lambda n: base.domain, fam.n_max,
+                             recovery_hint=fam.recovery_hint, label=fam.label)
 
     # hypothesis (a): variational convergence on the shared grid; every
     # point runs, so the lower-route cross-check covers the grid
@@ -1050,7 +1038,7 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     steps = base.domain.step_summary()
     step = min(steps) if isinstance(steps, list) else _min_gap(base.domain.points)
     tagged = [(n, p) for n in tail
-              for p in family_at(fam, n).domain.points[list(en[n])]]
+              for p in fam.domain_at(n).points[list(en[n])]]
     clusters_raw = _cluster(tagged, 2.0 * ctx.tol)
 
     clusters = []

@@ -62,7 +62,7 @@ class ProblemLoadError(SetOrderError):
 
 
 class HorizonExceeded(SetOrderError):
-    """family_at was asked for an index beyond the family's n_max."""
+    """A family was asked for an index beyond its n_max."""
 
 
 class NoRecoveryFound(SetOrderError):

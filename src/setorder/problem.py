@@ -1,10 +1,14 @@
 """Set optimization problems: discretized domains, piecewise maps, families.
 
 A Problem bundles a set-valued objective over a finite grid with an
-ordering cone. A PerturbedFamily adds an indexed sequence of problems
-sharing that cone. Everything is validated eagerly at load time: guard
-coverage, value well-formedness, and properness of every grid value, so
-the solvers can assume a total, memoized ``value``.
+ordering cone. It is validated eagerly when built: guard coverage, value
+well-formedness, and properness of every grid value, so the solvers can
+assume a total, memoized ``value``.
+
+A PerturbedFamily adds the members F_n = ``map(·, n)`` on the domains
+D_n = ``domains(n)``, under the base cone. ``family_at`` builds a member
+as a Problem, for the callers that read its grid values; a value at one
+point is ``fam.map.value(x, n)`` and builds no member.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -345,24 +349,27 @@ class Problem:
 # ----------------------------------------------------------------- family
 
 class PerturbedFamily:
-    """Base problem plus n -> Problem, sharing one cone.
+    """Base problem plus the members F_n = ``map(·, n)`` on D_n = ``domains(n)``.
 
-    ``factory(n)`` results are cached on first use by ``family_at``, and
-    domains by ``domain_at``; neither cache ever drops an entry.
+    Members share the base cone by construction. ``family_at`` builds a
+    member, with its grid values and properness check, for callers that
+    read those values; a value at one point is ``map.value(x, n)`` and
+    builds nothing. ``domain_at`` caches D_n and ``family_at`` the
+    members; neither cache ever drops an entry.
     """
 
-    def __init__(self, base: Problem, factory: Callable[[int], Problem],
-                 n_max: int, recovery_hint: Optional[tuple[ex.Expr, ...]] = None,
-                 label: Optional[str] = None,
-                 domain_factory: Optional[Callable[[int], Domain]] = None):
+    def __init__(self, base: Problem, map: SetValuedMap,
+                 domains: Callable[[int], Domain], n_max: int,
+                 recovery_hint: Optional[tuple[ex.Expr, ...]] = None,
+                 label: Optional[str] = None):
         if n_max < 8:
             raise ProblemLoadError(f"family horizon n_max = {n_max} must be >= 8")
         self.base = base
-        self.factory = factory
+        self.map = map
+        self.domains = domains
         self.n_max = int(n_max)
         self.recovery_hint = recovery_hint
         self.label = label or base.label
-        self.domain_factory = domain_factory
         self._cache: dict[int, Problem] = {}
         self._domain_cache: dict[int, Domain] = {}
 
@@ -373,38 +380,22 @@ class PerturbedFamily:
         return np.array([ex.evaluate(h, env) for h in self.recovery_hint])
 
     def domain_at(self, n: int) -> Domain:
-        """D_n without the cost of evaluating the map over its grid."""
+        """D_n, without evaluating the map over its grid."""
         if not (0 <= n <= self.n_max):
             raise HorizonExceeded(f"n = {n} outside [0, {self.n_max}]")
         got = self._domain_cache.get(n)
         if got is None:
-            cached = self._cache.get(n)
-            if cached is not None:
-                got = cached.domain
-            elif self.domain_factory is not None:
-                got = self.domain_factory(n)
-            else:
-                got = family_at(self, n).domain
-            self._domain_cache[n] = got
+            got = self._domain_cache[n] = self.domains(n)
         return got
 
 
 def family_at(fam: PerturbedFamily, n: int) -> Problem:
-    if not (0 <= n <= fam.n_max):
-        raise HorizonExceeded(f"n = {n} outside [0, {fam.n_max}]")
+    """The n-th member, F_n on D_n, built and checked once."""
     got = fam._cache.get(n)
     if got is None:
-        got = fam.factory(n)
-        if not _cones_equal(got.cone, fam.base.cone):
-            raise ProblemLoadError(f"family cone changed at n = {n}; "
-                                   "only the map and domain may vary")
-        fam._cache[n] = got
+        got = fam._cache[n] = Problem(f"{fam.label}[n={n}]", fam.map,
+                                      fam.base.cone, fam.domain_at(n), n=n)
     return got
-
-
-def _cones_equal(c1: Cone, c2: Cone) -> bool:
-    return c1 is c2 or (c1.dim == c2.dim and
-                        np.array_equal(c1.halfspaces, c2.halfspaces))
 
 
 # ------------------------------------------------------------ JSON loader
@@ -492,16 +483,12 @@ def load_dict(doc: dict) -> Union[Problem, PerturbedFamily]:
     map_n = (_build_map(fam_spec["map_n"], cone.dim)
              if "map_n" in fam_spec else base_map)
 
-    def domain_factory(n: int) -> Domain:
+    def domains(n: int) -> Domain:
         return _build_domain(dom_n_spec, env={"n": n})
-
-    def factory(n: int) -> Problem:
-        return Problem(f"{label}[n={n}]", map_n, cone, domain_factory(n), n=n)
 
     hint = fam_spec.get("recovery_hint")
     hint_exprs = tuple(ex.parse(h) for h in hint) if hint else None
-    return PerturbedFamily(base, factory, n_max=int(fam_spec["n_max"]),
-                           domain_factory=domain_factory,
+    return PerturbedFamily(base, map_n, domains, int(fam_spec["n_max"]),
                            recovery_hint=hint_exprs, label=label)
 
 

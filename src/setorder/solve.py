@@ -237,7 +237,6 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     tail. Holds is sampled evidence only; Fails is definitive.
     """
     from .converge import SeqGenBattery, _tail_break, upper_half
-    from .problem import family_at
 
     battery = battery or SeqGenBattery()
     base = fam.base
@@ -249,10 +248,10 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     names = battery.strategy_names()
 
     def pair_at(name, xb, x0, n):
-        Pn = family_at(fam, n)
-        xn = battery.point(name, xb, Pn.domain, n)
-        pn = battery.point(name, x0, Pn.domain, n)
-        return xn, pn, Pn.map.value(xn, n), Pn.map.value(pn, n)
+        dom = fam.domain_at(n)
+        xn = battery.point(name, xb, dom, n)
+        pn = battery.point(name, x0, dom, n)
+        return xn, pn, fam.map.value(xn, n), fam.map.value(pn, n)
 
     def ok_of(got):
         # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row

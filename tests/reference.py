@@ -33,7 +33,6 @@ from setorder.problem import (
     Problem,
     TableMap,
     Window,
-    family_at,
 )
 from setorder.setrep import BoxUnion, Box, PointCloud, box, points, translate
 from setorder.solve import relation_matrices
@@ -177,10 +176,7 @@ def random_family(rng: np.random.Generator, n_max: int = 40):
                              + offsets[n]) * v)
 
     base = Problem("random-family", TableMap(lambda x: value(x, 0), d), cone, dom)
-    fam = PerturbedFamily(
-        base, lambda n: Problem(f"random-family[{n}]", TableMap(value, d), cone,
-                                dom, n=n),
-        n_max, domain_factory=lambda n: dom)
+    fam = PerturbedFamily(base, TableMap(value, d), lambda n: dom, n_max)
     return fam, dom.points[int(rng.integers(0, len(dom)))]
 
 
@@ -302,7 +298,7 @@ def recovery_search(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at)
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}")
         scored = []
         for i in cand:
-            Fn = family_at(fam, n).map.value(tuple(dom.points[i]), n)
+            Fn = fam.map.value(tuple(dom.points[i]), n)
             scored.append((theta(Fn, Fx, ctx), float(dists[i]), int(i)))
             spent += 1
         scored.sort()
@@ -331,7 +327,7 @@ def gamma_upper(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
     fails = None
     for n, x in sorted(seq.items()):
         recovery_used.append((n, tuple(float(v) for v in x)))
-        Fn = family_at(fam, n).map.value(tuple(x), n)
+        Fn = fam.map.value(tuple(x), n)
         if not large_le(Fn, translate(Fx, flo * ctx.u), ctx):
             fails = {"n": n, "x_star": [float(v) for v in x],
                      "eps": float(theta(Fn, Fx, ctx)), "via_hint": hint}
@@ -399,11 +395,11 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32, battery=None,
         x0 = base.domain.points[int(j)]
         for name in battery.strategy_names():
             for n in upper_half(horizon):
-                Pn = family_at(fam, n)
-                xn = battery.point(name, xb, Pn.domain, n)
-                pn = battery.point(name, x0, Pn.domain, n)
+                dom = fam.domain_at(n)
+                xn = battery.point(name, xb, dom, n)
+                pn = battery.point(name, x0, dom, n)
                 checked += 1
-                if not large_le(Pn.map.value(xn, n), Pn.map.value(pn, n), ctx):
+                if not large_le(fam.map.value(xn, n), fam.map.value(pn, n), ctx):
                     return Verdict.fails(
                         reason=f"order between indices {int(i)} and {int(j)} breaks "
                                f"at n = {n} under strategy {name}",

@@ -108,9 +108,16 @@ class TestCompare:
         ({"kind": "orthant", "dim": 2.7}, POINT_2, POINT_2),
         ({"kind": "orthant", "dim": "2"}, POINT_2, POINT_2),
         ({"kind": "orthant", "dim": True}, POINT_1, POINT_1),
+        ({"kind": "halfspaces", "rows": [["1", "0"], [True, "1e0"]]},
+         POINT_2, POINT_2),
+        ({"kind": "orthant", "dim": 2}, {"points": [["0", False]]}, POINT_2),
+        (ORTHANT_1, {"box": [{"lo": "1", "hi": 2}]}, POINT_1),
+        (ORTHANT_1, {"box": [{"lo": True, "hi": 2}]}, POINT_1),
+        (ORTHANT_1, {"box": [{"lo": 0, "hi": 2, "lo_open": "no"}]}, POINT_1),
     ], ids=["box-without-hi", "non-numeric-lo", "points-string", "box-string",
             "orthant-without-dim", "empty-points", "fractional-dim", "string-dim",
-            "bool-dim"])
+            "bool-dim", "string-and-bool-rows", "string-and-bool-point",
+            "numeric-string-lo", "bool-lo", "string-flag"])
     def test_malformed_literal_is_usage_error(self, capsys, tmp_path, cone, a, b):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"cone": cone, "a": a, "b": b}))
@@ -118,6 +125,16 @@ class TestCompare:
         assert code == EX_USAGE
         assert err.startswith("setorder: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_inf_upper_end_is_accepted(self, capsys, tmp_path):
+        doc = {"cone": self.ORTHANT_1,
+               "a": {"box": [{"lo": 0, "hi": "inf", "hi_open": True}]},
+               "b": {"points": [[1.0]]}}
+        p = tmp_path / "inf.json"
+        p.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "compare", str(p))
+        assert code == 0
+        assert rep["result"]["lower_le"] is True
 
     @pytest.mark.parametrize("text", ["5", "null", "true"])
     def test_document_that_is_not_an_object_is_usage_error(self, capsys, tmp_path,
@@ -274,6 +291,23 @@ class TestGamma:
         assert code == EX_USAGE
         assert out == ""
         assert "domain has dimension 1" in err
+
+    @pytest.mark.parametrize("cmd,at", [("gamma", "nan"), ("gamma", "inf"),
+                                        ("levelset-conv", "nan")])
+    def test_non_finite_point_is_usage_error(self, capsys, tmp_path, cmd, at):
+        # constant values and no recovery hint: nothing downstream raises on
+        # its own, so only the point parser can refuse the coordinate
+        doc = {"label": "flat", "cone": {"kind": "orthant", "dim": 1},
+               "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 0.25}]},
+               "map": {"pieces": [{"guard": "true",
+                                   "box": [{"lo": 0.0, "hi": 1.0}]}]},
+               "family": {"subst": "n", "n_max": 64}}
+        p = tmp_path / "flat.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, cmd, str(p), "--at", at)
+        assert (code, out) == (EX_USAGE, "")
+        assert err.startswith("setorder: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_plain_problem_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gamma", "geff_vs_reff", "--at", "0.0")

@@ -113,6 +113,20 @@ def ctx1():
     return OrderCtx(Cone.orthant(1))
 
 
+@pytest.fixture()
+def built(monkeypatch):
+    """(n, domain) of every Problem built while the test runs."""
+    seen = []
+    real = Problem.__init__
+
+    def init(self, label, map, cone, domain, n=None):
+        seen.append((n, domain))
+        real(self, label, map, cone, domain, n=n)
+
+    monkeypatch.setattr(Problem, "__init__", init)
+    return seen
+
+
 class TestScheduleHelpers:
     def test_upper_half_is_back_half(self):
         assert list(upper_half(64)) == list(range(32, 64))
@@ -803,9 +817,8 @@ class TestTablesMatchPairLoops:
         for raise_from, breaks in ((36, True), (33, False)):
             tm = self.odd_shift(0.25 if breaks else 0.0, raise_from)
             base = Problem("odd", tm, ctx1.cone, dom, n=0)
-            fam = PerturbedFamily(
-                base, lambda n: Problem("odd", tm, ctx1.cone, dom, n=n), 64,
-                recovery_hint=(parse("x1"),), domain_factory=lambda n: dom)
+            fam = PerturbedFamily(base, tm, lambda n: dom, 64,
+                                  recovery_hint=(parse("x1"),))
             args = (fam, t, box([0.5], [1.5]), battery, ctx1, 64, fam.domain_at)
             if breaks:
                 v, used = converge._gamma_upper(*args)
@@ -835,23 +848,12 @@ class TestTablesMatchPairLoops:
         }
         flip = load_dict(doc)
 
-        def member(n):
-            Pn = family_at(flip, n)
-            if n < 10:
-                return Pn
+        def refuse(x, n):
+            if n >= 10 and x[0] == 1.0:
+                raise SetSpecError(f"no value at x = 1, n = {n}")
+            return flip.map.value(x, n)
 
-            def refuse(x, n):
-                if x[0] == 1.0:
-                    raise SetSpecError(f"no value at x = 1, n = {n}")
-                return Pn.map.value(x, n)
-
-            # Problem evaluates its whole grid, so swap the map in afterwards
-            P = Problem(Pn.label, Pn.map, Pn.cone, Pn.domain, n=n)
-            P.map = TableMap(refuse, 1)
-            return P
-
-        fam = PerturbedFamily(flip.base, member, 200,
-                              domain_factory=flip.domain_at)
+        fam = PerturbedFamily(flip.base, TableMap(refuse, 1), flip.domain_at, 200)
         v = seq_lower_converse(fam, ctx1, battery=battery, horizon=16)
         want = reference.seq_lower_converse(fam, ctx1, battery=battery,
                                             horizon=16)
@@ -909,21 +911,57 @@ class TestTailOnlyWork:
             # adversarial strategy does score candidates
             assert counted["scored"]
 
-    def test_seq_lower_converse_builds_only_tail_members(self, sop, sop_ctx,
-                                                         battery,
-                                                         monkeypatch):
-        import setorder.problem as problem
-        built = []
-        real = problem.family_at
+    def test_seq_lower_converse_asks_only_tail_values(self, sop_ctx, battery,
+                                                      built, monkeypatch):
+        fam = load_builtin("sop_sin")
+        built.clear()
+        asked = {"domains": [], "values": []}
+        real_domain_at, real_value = fam.domain_at, fam.map.value
 
-        def family_at(fam, n):
-            built.append(n)
-            return real(fam, n)
+        def domain_at(n):
+            asked["domains"].append(n)
+            return real_domain_at(n)
 
-        monkeypatch.setattr(problem, "family_at", family_at)
-        v = seq_lower_converse(sop, sop_ctx, battery=battery, horizon=16)
+        def value(x, n):
+            asked["values"].append(n)
+            return real_value(x, n)
+
+        monkeypatch.setattr(fam, "domain_at", domain_at)
+        monkeypatch.setattr(fam.map, "value", value)
+        v = seq_lower_converse(fam, sop_ctx, battery=battery, horizon=16)
         assert v.is_holds
-        assert built and set(built) == set(upper_half(16))
+        assert set(asked["domains"]) == set(upper_half(16))
+        assert set(asked["values"]) == set(upper_half(16))
+        assert built == []
+
+
+class TestMemberBuilds:
+    """Values at single points come from the member map; a member is built
+    only where its grid values are read."""
+
+    def test_levelset_builds_one_base_grid_member_per_tail_index(
+            self, ctx1, battery, built):
+        fam = linear_family(domain_n={
+            "windows": [{"a": 0.0, "b": "1 + 1/(n+1)", "step": 0.05}]})
+        built.clear()
+        omega = fam.base.value(10)
+        omega_n = lambda n: fam.map.value((0.5,), n)
+        rep = levelset_convergence_experiment(fam, omega_n, omega, ctx1,
+                                              battery=battery)
+        assert rep.hypotheses["gamma"].is_holds
+        # none is a member of the input family, whose D_n is not the base grid
+        assert all(dom is fam.base.domain for _, dom in built)
+        assert sorted(n for n, _ in built) == list(upper_half(DEFAULT_HORIZON))
+
+    def test_gamma_seq_check_with_a_hint_builds_no_member(self, sop_ctx,
+                                                          battery, built):
+        fam = load_builtin("sop_sin")
+        assert fam.recovery_hint is not None
+        built.clear()
+        rep = gamma_seq_check(fam, fam.base.domain.points[0], battery, sop_ctx,
+                              horizon=16)
+        assert rep.lower_verdict.is_holds and rep.upper_verdict.is_holds
+        assert built == []
 
 
 class TestGridGammaHypothesis:

@@ -237,24 +237,21 @@ class TestProgrammaticProblems:
                     Cone.orthant(1), dom)
         assert P.value(1).boxes[0].lo == (1.0,)
 
-    def test_table_map_family_and_cone_guard(self):
+    def test_table_map_family_and_image_dim_guard(self):
         dom = Domain.from_points([[0.0]])
         base = Problem("t", TableMap(lambda x: box([0.0], [1.0]), 1),
                        Cone.orthant(1), dom)
-
-        def make(n):
-            return Problem("tn", TableMap(lambda x, n=n: box([1.0 / (n + 1)], [2.0]), 1),
-                           Cone.orthant(1), dom, n=n)
-
-        fam = PerturbedFamily(base, make, n_max=16)
+        fam = PerturbedFamily(
+            base, TableMap(lambda x, n: box([1.0 / (n + 1)], [2.0]), 1),
+            lambda n: dom, n_max=16)
         assert family_at(fam, 3).value(0).boxes[0].lo == (0.25,)
+        assert family_at(fam, 3).label == "t[n=3]"
 
-        def bad(n):
-            return Problem("tn", TableMap(lambda x: box([0.0, 0.0], [1.0, 1.0]), 2),
-                           Cone.orthant(2), Domain.from_points([[0.0]]), n=n)
-
-        fam2 = PerturbedFamily(base, bad, n_max=16)
-        with pytest.raises(ProblemLoadError, match="cone"):
+        # members take the base cone, so a 2-D member map cannot be built
+        fam2 = PerturbedFamily(
+            base, TableMap(lambda x: box([0.0, 0.0], [1.0, 1.0]), 2),
+            lambda n: dom, n_max=16)
+        with pytest.raises(ProblemLoadError, match="image dim 2 != cone dim 1"):
             family_at(fam2, 0)
 
     def test_direct_horizon_floor(self):
@@ -262,7 +259,7 @@ class TestProgrammaticProblems:
         base = Problem("t", TableMap(lambda x: box([0.0], [1.0]), 1),
                        Cone.orthant(1), dom)
         with pytest.raises(ProblemLoadError, match=">= 8"):
-            PerturbedFamily(base, lambda n: base, n_max=4)
+            PerturbedFamily(base, base.map, lambda n: dom, n_max=4)
 
     def test_value_at_requires_exact_grid_point(self):
         P = load_builtin("gamma_cos")
