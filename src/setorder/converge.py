@@ -13,10 +13,13 @@ points; the prefix of a sequence is never built or scored.
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
-A sequence's tail over the floored eps schedule is one corner-table
-comparison (order.table_rel), as are the recovery tail, each recovery ball
-and the level-set targets; a break is the first failing index in
-(strategy, variant, n) order, as a pair-at-a-time scan would find it.
+A sequence's tail is one array program: one (T, d) array of battery
+points, one evaluation of the map over it straight into a corner table
+(problem.tail_table), and one comparison over the floored eps schedule
+(order.table_rel). The recovery tail, each recovery ball and the
+level-set targets are asked the same way. A break is the first failing
+index in (strategy, variant, n) order, as a pair-at-a-time scan would find
+it, and a value that raises past a break does not hide it.
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -29,7 +32,7 @@ a member is built (``family_at``) only where its grid values are read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +47,8 @@ from .errors import (
 )
 from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
                     shift_margin, table_rel)
-from .problem import Domain, PerturbedFamily, Problem, family_at
+from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
+                      tail_table)
 from .setrep import SetRep, translate
 from .solve import _values_above, eff, hypothesis_h, strong_level_set
 from .verdict import Status, Verdict
@@ -84,97 +88,144 @@ class SeqGenBattery:
     to the nearest listed point. adversarial-worst is the one grid-bound
     strategy: it picks the in-ball grid point minimizing a caller-supplied
     margin.
+
+    Each strategy is written once over an array of indices (``sequence``);
+    ``sequences`` yields every strategy's points as one (T, d) array, and
+    ``point`` is the one-index case. random-in-ball's draws depend only on
+    (seed, variant, n, d), so they are memoized per battery.
     """
 
     seed: int = 0
     count: int = 2
+    _draws: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def strategy_names(self) -> tuple[str, ...]:
         return ("constant", "radial-shrink", "boundary-hugging",
                 "random-in-ball", "adversarial-worst")
 
     def radius(self, domain: Domain, n: int) -> float:
-        if domain.windows:
-            R = max(w.b - w.a for w in domain.windows)
-        else:
-            spread = domain.points.max(axis=0) - domain.points.min(axis=0)
-            R = float(spread.max())
-        if R <= 0.0:
-            R = 1.0
-        return R / (2.0 ** min(n, 1000))
+        return domain.extent / (2.0 ** min(n, 1000))
 
-    def _clamp(self, x: np.ndarray, domain: Domain) -> np.ndarray:
-        if not domain.windows:
-            return domain.points[domain.nearest_index(x)].copy()
-        out = np.array(x, dtype=float)
-        for k, w in enumerate(domain.windows):
-            hi = np.nextafter(w.b, w.a) if w.hi_open else w.b
-            out[k] = min(max(out[k], w.a), hi)
+    def _draw(self, variant: int, n: int, d: int) -> tuple[np.ndarray, float]:
+        """random-in-ball's unit vector and radius fraction at n."""
+        key = (self.seed, variant, n, d)
+        got = self._draws.get(key)
+        if got is None:
+            rng = np.random.default_rng((self.seed, variant, n, 17))
+            vec = rng.normal(size=d)
+            vec /= max(np.linalg.norm(vec), 1e-300)
+            got = self._draws[key] = (vec, rng.uniform(0.0, 1.0))
+        return got
+
+    def clamp(self, X: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
+        """Row i of X moved into domains[i]: clamped per window axis, or the
+        nearest listed point of an explicit domain."""
+        out = np.array(X, dtype=float)
+        boxes = [dom.bounds for dom in domains]
+        rows = [i for i, b in enumerate(boxes) if b is not None]
+        if rows:
+            lo = np.array([boxes[i][0] for i in rows])
+            hi = np.array([boxes[i][1] for i in rows])
+            x = out[rows, :lo.shape[1]]
+            # Python's max/min tie rule: on a tie x is kept, signed zero too
+            x = np.where(lo > x, lo, x)
+            out[rows, :lo.shape[1]] = np.where(hi < x, hi, x)
+        for i, b in enumerate(boxes):
+            if b is None:
+                out[i] = domains[i].points[domains[i].nearest_index(X[i])]
         return out
+
+    def sequence(self, name: str, target, domains: Sequence[Domain],
+                 ns: Sequence[int],
+                 margin: Optional[Callable[[np.ndarray, int], float]] = None,
+                 variant: int = 0) -> np.ndarray:
+        """The strategy's points at the indices ns, ns[i] inside domains[i],
+        as a (len(ns), d) array."""
+        t = np.asarray(target, dtype=float).reshape(-1)
+        d = t.shape[0]
+        ns = list(ns)
+        # R / 2.0 ** min(n, 1000), exactly: the power of two is exact
+        r = (np.array([dom.extent for dom in domains], dtype=float)
+             / np.ldexp(1.0, np.minimum(np.asarray(ns, dtype=np.int64), 1000)))
+        e = np.ones(d) / math.sqrt(d)
+        if name == "constant":
+            raw = np.broadcast_to(t, (len(ns), d))
+        elif name == "radial-shrink":
+            raw = t + r[:, None] * e
+        elif name == "boundary-hugging":
+            raw = t - r[:, None] * e
+        elif name == "random-in-ball":
+            draws = [self._draw(variant, n, d) for n in ns]
+            vec = np.array([v for v, _ in draws]).reshape(len(ns), d)
+            frac = np.array([f for _, f in draws])
+            raw = t + (r * frac)[:, None] * vec
+        elif name == "adversarial-worst":
+            return self._adversarial(t, domains, ns, r, margin)
+        else:
+            raise ValueError(f"unknown strategy {name!r}")
+        return self.clamp(raw, domains)
 
     def point(self, name: str, target, domain: Domain, n: int,
               margin: Optional[Callable[[np.ndarray], float]] = None,
               variant: int = 0) -> np.ndarray:
-        t = np.asarray(target, dtype=float).reshape(-1)
-        r = self.radius(domain, n)
-        d = t.shape[0]
-        e = np.ones(d) / math.sqrt(d)
-        if name == "constant":
-            raw = t
-        elif name == "radial-shrink":
-            raw = t + r * e
-        elif name == "boundary-hugging":
-            raw = t - r * e
-        elif name == "random-in-ball":
-            rng = np.random.default_rng((self.seed, variant, n, 17))
-            vec = rng.normal(size=d)
-            vec /= max(np.linalg.norm(vec), 1e-300)
-            raw = t + r * rng.uniform(0.0, 1.0) * vec
-        elif name == "adversarial-worst":
-            return self._adversarial(t, domain, n, margin)
-        else:
-            raise ValueError(f"unknown strategy {name!r}")
-        return self._clamp(raw, domain)
+        m = (lambda x, _n: margin(x)) if margin else None
+        return self.sequence(name, target, [domain], [n], margin=m,
+                             variant=variant)[0]
 
-    def _adversarial(self, t: np.ndarray, domain: Domain, n: int,
-                     margin: Optional[Callable[[np.ndarray], float]]) -> np.ndarray:
+    def _adversarial(self, t: np.ndarray, domains: Sequence[Domain],
+                     ns: list, r: np.ndarray,
+                     margin: Optional[Callable[[np.ndarray, int], float]]) -> np.ndarray:
         # the ball must shrink with n or the emitted sequence would not
         # converge to the target; an empty ball degrades to the clamped
-        # continuous point
-        dists = np.linalg.norm(domain.points - t, axis=1)
-        ball = self.radius(domain, n)
-        cand = np.flatnonzero(dists <= ball + 1e-12)
-        if len(cand) == 0:
-            return self._clamp(t, domain)
-        if margin is None or len(cand) == 1:
-            best = cand[int(np.argmin(dists[cand]))]
-            return domain.points[best].copy()
-        best = min((float(margin(domain.points[i])), float(dists[i]), int(i))
-                   for i in cand)
-        return domain.points[best[2]].copy()
+        # continuous point. The nearest grid point is the lowest index at
+        # the least distance, which a stable sort puts first
+        out = np.empty((len(ns), t.shape[0]))
+        near: dict[int, tuple] = {}
+        empty = []
+        for i, (dom, n) in enumerate(zip(domains, ns)):
+            got = near.get(id(dom))
+            if got is None:
+                dists = np.linalg.norm(dom.points - t, axis=1)
+                order = np.argsort(dists, kind="stable")
+                got = near[id(dom)] = (dists, order, dists[order])
+            dists, order, ranked = got
+            ball = r[i] + 1e-12
+            inside = int(np.searchsorted(ranked, ball, side="right"))
+            if inside == 0:
+                empty.append(i)
+            elif margin is None or inside == 1:
+                out[i] = dom.points[order[0]]
+            else:
+                cand = np.flatnonzero(dists <= ball)
+                best = min((float(margin(dom.points[j], n)), float(dists[j]), int(j))
+                           for j in cand)
+                out[i] = dom.points[best[2]]
+        if empty:
+            out[empty] = self.clamp(np.broadcast_to(t, (len(empty), t.shape[0])),
+                                    [domains[i] for i in empty])
+        return out
 
     def sequences(self, target, domain_at: Callable[[int], Domain],
                   horizon: int,
                   margin: Optional[Callable[[np.ndarray, int], float]] = None,
                   indices: Optional[Sequence[int]] = None):
-        """Yield (strategy, variant, points list), one point per index.
+        """Yield (strategy, variant, points), points a (T, d) array with the
+        point at each requested index in its row, in the order given.
 
-        ``indices`` defaults to ``range(horizon)``, the full sequence; the
-        list holds the point at each requested index, in the order given.
+        ``indices`` defaults to ``range(horizon)``, the full sequence.
         Every strategy is index-local (random-in-ball seeds per (seed,
         variant, n), adversarial-worst scores its own ball at n), so a point
-        is the same whichever other indices are requested.
+        is the same whichever other indices are requested. Sequences are
+        generated one at a time, as they are consumed.
         """
-        wanted = range(horizon) if indices is None else indices
+        wanted = list(range(horizon) if indices is None else indices)
+        domains = [domain_at(n) for n in wanted]
         for name in self.strategy_names():
             variants = self.count if name == "random-in-ball" else 1
             for v in range(variants):
-                pts = []
-                for n in wanted:
-                    m = (lambda x, _n=n: margin(x, _n)) if margin else None
-                    pts.append(self.point(name, target, domain_at(n), n,
-                                          margin=m, variant=v))
-                yield name, v, pts
+                yield name, v, self.sequence(name, target, domains, wanted,
+                                             margin=margin, variant=v)
 
 
 # ------------------------------------------------- Painleve-Kuratowski set limits
@@ -382,13 +433,18 @@ def _min_gap(pts: np.ndarray) -> float:
 
 # ------------------------------------------------- semicontinuity probes
 
+def _eps_shifts(sign: int, ctx: OrderCtx) -> np.ndarray:
+    """The translations sign·e·u, e along floored_eps(ctx), as rows."""
+    return np.array([sign * e * ctx.u for e in floored_eps(ctx)])
+
+
 def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
     """Table of translate(S, sign·e·u), e along floored_eps(ctx) as rows (the
     floored eps last) and S along columns."""
-    eps = floored_eps(ctx)
-    tab = corner_table([translate(S, sign * e * ctx.u) for e in eps for S in sets],
-                       ctx)
-    return CornerTable(*(x.reshape((len(eps), len(sets)) + x.shape[1:]) for x in tab))
+    shifts = _eps_shifts(sign, ctx)
+    tab = corner_table([translate(S, v) for v in shifts for S in sets], ctx)
+    return CornerTable(*(x.reshape((len(shifts), len(sets)) + x.shape[1:])
+                         for x in tab))
 
 
 def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
@@ -401,54 +457,51 @@ def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
     return j, floored_eps(ctx)[int(np.argmin(ok[:, j]))]
 
 
-def _tail_break(make: Callable, items: Iterable, ok_of: Callable, ctx: OrderCtx):
-    """(values, _first_break(ok_of(values))) for make(item) over the items.
+def _break_or_raise(ok: np.ndarray, err: Optional[Exception],
+                    ctx: OrderCtx) -> Optional[tuple[int, float]]:
+    """_first_break of an (eps, j) mask over the rows tail_table returned.
 
-    If make raises, the values built before it are compared first, so a
-    break that a pair-at-a-time scan would reach before the error is still
-    reported; otherwise the error propagates.
+    ``err`` is the exception that ended those rows. A break among them is
+    what a pair-at-a-time scan would reach first, so it is reported;
+    otherwise the error propagates.
     """
-    vals, err = [], None
-    try:
-        for item in items:
-            vals.append(make(item))
-    except Exception as e:
-        err = e
-    brk = _first_break(ok_of(vals), ctx) if vals else None
+    brk = _first_break(ok, ctx)
     if brk is None and err is not None:
         raise err
-    return vals, brk
+    return brk
 
 
-def _tail_scan(value: Callable[[np.ndarray, int], SetRep], t: np.ndarray,
-               Fx: SetRep, battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
+def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
+               t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
+               ctx: OrderCtx, horizon: int,
                domain_at: Callable[[int], Domain], mode: str) -> Optional[dict]:
     """First tail break of the eps-shifted strict comparison, or None.
 
-    ``value(x, n)`` is the n-th value at x. The "lsc" orientation asks
-    F(x̄) - eps·u strictly below value(x_n, n), which is also the lower
-    condition of variational convergence; "usc" asks value(x_n, n) - eps·u
-    strictly below F(x̄). Each battery sequence inside ``domain_at(n)`` is one
-    (eps, n) table comparison; a break is the first tail index failing at
-    the floored eps, with the largest scheduled eps failing there too. Only
-    the tail points are generated, since no verdict reads the prefix.
+    The value at x_n is ``map.value(x_n, index(n))``. The "lsc" orientation
+    asks F(x̄) - eps·u strictly below that value, which is also the lower
+    condition of variational convergence; "usc" asks the value - eps·u
+    strictly below F(x̄). Each battery sequence inside ``domain_at(n)`` is
+    one array of tail points, one ``tail_table`` and one (eps, n) table
+    comparison; a break is the first tail index failing at the floored
+    eps, with the largest scheduled eps failing there too. Only the tail
+    points are generated, since no verdict reads the prefix.
     """
     lsc = mode == "lsc"
     tail = upper_half(horizon)
+    ns = [index(n) for n in tail]
     # the lsc left side depends on eps only, so shift it once
     fx = _shifted([Fx], -1, ctx) if lsc else corner_table([Fx], ctx)
+    down = None if lsc else _eps_shifts(-1, ctx)
 
     def margin(x: np.ndarray, n: int) -> float:
-        Fn = value(x, n)
+        Fn = map.value(tuple(x), index(n))
         return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
-
-    def ok_of(vals: list) -> np.ndarray:
-        a, b = (fx, corner_table(vals, ctx)) if lsc else (_shifted(vals, -1, ctx), fx)
-        return table_rel(a, b, (STRICT,))[0]
 
     for name, variant, pts in battery.sequences(t, domain_at, horizon,
                                                 margin=margin, indices=tail):
-        _, brk = _tail_break(lambda xn: value(*xn), zip(pts, tail), ok_of, ctx)
+        tab, err = tail_table(map, pts, ns, ctx, shift=down)
+        ok, = table_rel(fx, tab, (STRICT,)) if lsc else table_rel(tab, fx, (STRICT,))
+        brk = _break_or_raise(ok, err, ctx)
         if brk is not None:
             j, eps = brk
             return {"strategy": name, "variant": variant, "n": tail[j],
@@ -460,8 +513,8 @@ def _sc_check(P: Problem, xbar, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str) -> Verdict:
     t = np.asarray(xbar, dtype=float).reshape(-1)
     Fx = P.map.value(tuple(t), P.n)
-    ce = _tail_scan(lambda x, n: P.map.value(tuple(x), P.n), t, Fx, battery,
-                    ctx, horizon, lambda n: P.domain, mode)
+    ce = _tail_scan(P.map, lambda n: P.n, t, Fx, battery, ctx, horizon,
+                    lambda n: P.domain, mode)
     if ce is not None:
         return Verdict.fails(
             reason=f"{mode} comparison breaks at n = {ce['n']} under "
@@ -572,8 +625,10 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
                 best={k: (th, [float(v) for v in x]) for k, (th, x) in best.items()})
         spent += len(cand)
-        vals = [fam.map.value(tuple(dom.points[i]), n) for i in cand]
-        ok, = table_rel(corner_table(vals, ctx), fx_up, (LARGE,))
+        tab, err = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx)
+        if err is not None:
+            raise err
+        ok, = table_rel(tab, fx_up, (LARGE,))
         theta = np.where(ok.all(axis=0), 0.0, eps[np.argmin(ok, axis=0)])
         th, _, idx = min(zip(theta.tolist(), dists[cand].tolist(), cand.tolist()))
         best[n] = (th, dom.points[idx])
@@ -587,9 +642,8 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
     hint = fam.recovery_hint is not None
 
     if hint:
-        seq = {n: battery._clamp(np.asarray(fam.recovery_point(t, n), dtype=float),
-                                 domain_at(n))
-               for n in upper_half(horizon)}
+        ns = list(upper_half(horizon))
+        seq = battery.clamp(fam.recovery_points(t, ns), [domain_at(n) for n in ns])
     else:
         try:
             found = _recovery_search(fam, t, Fx, battery, ctx, horizon, domain_at)
@@ -598,15 +652,15 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
                 reason=f"recovery sequence not determined: {err}",
                 sampled=True)
             return v, ()
-        seq = {n: x for n, (_, x) in found.items()}
+        ns = sorted(found)
+        seq = np.array([found[n][1] for n in ns])
 
-    ns = sorted(seq)
-    fx_up = _shifted([Fx], 1, ctx)
-    _, brk = _tail_break(
-        lambda n: fam.map.value(tuple(seq[n]), n), ns,
-        lambda vals: table_rel(corner_table(vals, ctx), fx_up, (LARGE,))[0], ctx)
+    tab, err = tail_table(fam.map, seq, ns, ctx)
+    ok, = table_rel(tab, _shifted([Fx], 1, ctx), (LARGE,))
+    brk = _break_or_raise(ok, err, ctx)
     used = ns if brk is None else ns[:brk[0] + 1]
-    recovery_used = tuple((n, tuple(float(v) for v in seq[n])) for n in used)
+    recovery_used = tuple((n, tuple(float(v) for v in x))
+                          for n, x in zip(used, seq))
     if brk is None:
         return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
@@ -617,7 +671,7 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
     return Verdict.fails(
         reason=f"recovery value exceeds the limit value at n = {n} "
                f"for eps up to {eps:.6g}",
-        counterexample={"n": n, "x_star": [float(v) for v in seq[n]],
+        counterexample={"n": n, "x_star": [float(v) for v in seq[brk[0]]],
                         "eps": eps, "via_hint": hint},
         sampled=False), recovery_used
 
@@ -639,8 +693,8 @@ def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
     Fx = limit.map.value(tuple(t), limit.n)
     flo = floored_eps(ctx)[-1]
 
-    ce = _tail_scan(lambda x, n: fam.map.value(tuple(x), n),
-                    t, Fx, battery, ctx, horizon, domain_at, "lsc")
+    ce = _tail_scan(fam.map, lambda n: n, t, Fx, battery, ctx, horizon,
+                    domain_at, "lsc")
     reason = "lower inequality held along every in-domain sequence"
     certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
     if neighborhood:
@@ -932,8 +986,20 @@ class StabilityReport:
 
 
 def _cluster(points: list, radius: float):
-    """Union-find agglomeration: points within radius share a cluster."""
+    """Union-find agglomeration: points within radius share a cluster.
+
+    Tagged points (n, p) join when ``np.linalg.norm`` of their difference
+    is at most radius. Only pairs whose largest coordinate difference is
+    within radius·(1 + 1e-9) can pass that test, and the slack keeps every
+    pair the norm accepts despite rounding; below 2^-500 the squares in the
+    norm underflow, so such pairs are always kept. Those pairs come from one
+    sort along the first axis. Unions run in (a, b) order and join the
+    larger root to the smaller, so each group lists its points by index,
+    group[0] first, and the groups come in the order of their first points.
+    """
     n = len(points)
+    if not n:
+        return []
     parent = list(range(n))
 
     def find(a):
@@ -942,16 +1008,38 @@ def _cluster(points: list, radius: float):
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    for a, b in _close_pairs(np.array([p for _, p in points]).reshape(n, -1),
+                             max(radius * (1 + 1e-9), 2.0 ** -500)):
+        ra, rb = find(a), find(b)
+        # a pair inside one cluster already would change nothing
+        if ra != rb and np.linalg.norm(points[a][1] - points[b][1]) <= radius:
+            parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list] = {}
     for a in range(n):
         groups.setdefault(find(a), []).append(points[a])
     return list(groups.values())
+
+
+def _close_pairs(P: np.ndarray, lim: float):
+    """Yield the pairs a < b of rows with max |P[a] - P[b]| <= lim, in (a, b)
+    order, a block of rows a at a time so that memory stays bounded."""
+    order = np.argsort(P[:, 0], kind="stable")
+    xs = P[order, 0]
+    # every row within lim of row a on axis 0 lies in its window of the
+    # sorted axis; the 2·lim margin absorbs the rounding of x ± 2·lim
+    lo = np.searchsorted(xs, P[:, 0] - 2 * lim, side="left")
+    width = np.searchsorted(xs, P[:, 0] + 2 * lim, side="right") - lo
+    step = max(1, 2 ** 18 // max(int(width.max(initial=0)), 1))
+    for start in range(0, len(P), step):
+        rows = np.arange(start, min(start + step, len(P)))
+        w = width[rows]
+        a = np.repeat(rows, w)
+        b = order[np.repeat(lo[rows] - np.cumsum(w) + w, w) + np.arange(len(a))]
+        a, b = a[b > a], b[b > a]
+        keep = np.abs(P[a] - P[b]).max(axis=1, initial=0.0) <= lim
+        a, b = a[keep], b[keep]
+        idx = np.lexsort((b, a))
+        yield from zip(a[idx].tolist(), b[idx].tolist())
 
 
 def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
@@ -993,7 +1081,9 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
             fam, ctx, battery=battery, horizon=horizon)
 
     base_eff = eff(base, kind, ctx)
-    en = {n: eff(family_at(fam, n), kind, ctx).indices for n in range(horizon)}
+    # the external direction reads only the tail members' minimal sets
+    read = tail if direction == "external" else range(horizon)
+    en = {n: eff(family_at(fam, n), kind, ctx).indices for n in read}
 
     if direction == "internal":
         empty_n = next((n for n in range(horizon) if not en[n]), None)

@@ -16,6 +16,10 @@ nesting and tree height are capped at MAX_DEPTH (ExprSyntaxError beyond).
 Evaluation is IEEE double: exp overflow saturates to +inf, while
 NaN-producing operations (0/0, sqrt of a negative, inf - inf) raise
 DomainError — no NaN ever escapes.
+
+``evaluate_rows`` evaluates one expression over many points at once. It
+gives ``evaluate``'s value bit for bit on every row it does not flag as
+suspect, and flags every row where ``evaluate`` could raise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnboundVariable
 
@@ -277,9 +283,7 @@ def _eval(e: Expr, env: Mapping[str, object]) -> float:
                 raise DomainError(f"{e.func} of an infinite argument")
             return math.sin(a) if e.func == "sin" else math.cos(a)
         if e.func == "exp":
-            if a > 700.0:
-                return math.inf   # saturating overflow contract
-            return math.exp(a)
+            return _exp(a)
         if e.func == "abs":
             return abs(a)
         if e.func == "sqrt":
@@ -300,11 +304,96 @@ def _eval(e: Expr, env: Mapping[str, object]) -> float:
             raise DomainError("division by zero")
         return a / b
     if e.op == "^":
-        try:
-            v = math.pow(a, b)
-        except OverflowError:
-            return math.inf if a > 1 else 0.0
-        except ValueError:
-            raise DomainError(f"invalid power {a} ^ {b}") from None
-        return v
+        return _pow(a, b)
     raise DomainError(f"unknown operator {e.op}")  # pragma: no cover
+
+
+def _exp(a: float) -> float:
+    if a > 700.0:
+        return math.inf   # saturating overflow contract
+    return math.exp(a)
+
+
+def _pow(a: float, b: float) -> float:
+    try:
+        return math.pow(a, b)
+    except OverflowError:
+        return math.inf if a > 1 else 0.0
+    except ValueError:
+        raise DomainError(f"invalid power {a} ^ {b}") from None
+
+
+def _pow_or_nan(a: float, b: float) -> float:
+    try:
+        return _pow(a, b)
+    except DomainError:
+        return math.nan
+
+
+# sin, cos, exp and ^ call the math functions element by element, so row
+# values do not depend on the SIMD routines NumPy picks on a given host;
+# + - * /, negation, abs and sqrt are correctly rounded in both
+_ROW_CALLS = {"sin": np.frompyfunc(math.sin, 1, 1),
+              "cos": np.frompyfunc(math.cos, 1, 1),
+              "exp": np.frompyfunc(_exp, 1, 1)}
+_ROW_POW = np.frompyfunc(_pow_or_nan, 2, 1)
+
+
+def evaluate_rows(e: Expr, x: np.ndarray,
+                  n: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` at every row of x (T, d), n unbound or one value per row.
+
+    Returns (values, suspect), both of shape (T,). A row is suspect when
+    some intermediate is NaN or infinite, a divisor is zero, a sqrt
+    argument is negative, a power raises or a variable is unbound; every
+    row where ``evaluate`` raises is among them. On the other rows the value
+    is ``evaluate``'s, bit for bit.
+    """
+    suspect = np.zeros(x.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        v = _eval_rows(e, x, n, suspect)
+    return np.broadcast_to(np.asarray(v, dtype=float), suspect.shape), suspect
+
+
+def _eval_rows(e: Expr, x: np.ndarray, n: Optional[np.ndarray],
+               suspect: np.ndarray):
+    if isinstance(e, Lit):
+        v = e.value
+    elif isinstance(e, Var):
+        if e.name == "n":
+            v = n
+        else:
+            k = int(e.name[1:]) - 1
+            v = x[:, k] if k < x.shape[1] else None
+        if v is None:
+            suspect[:] = True   # unbound, so evaluate raises on every row
+            return 0.0
+    elif isinstance(e, Neg):
+        v = -_eval_rows(e.arg, x, n, suspect)
+    elif isinstance(e, Call):
+        a = _eval_rows(e.arg, x, n, suspect)
+        if e.func in _ROW_CALLS:
+            # non-finite arguments are already suspect; math.sin(inf) raises
+            v = np.asarray(_ROW_CALLS[e.func](np.where(np.isfinite(a), a, 0.0)),
+                           dtype=float)
+        elif e.func == "abs":
+            v = np.abs(a)
+        else:
+            suspect |= a < 0
+            v = np.sqrt(a)
+    else:
+        a = _eval_rows(e.left, x, n, suspect)
+        b = _eval_rows(e.right, x, n, suspect)
+        if e.op == "+":
+            v = np.add(a, b)
+        elif e.op == "-":
+            v = np.subtract(a, b)
+        elif e.op == "*":
+            v = np.multiply(a, b)
+        elif e.op == "/":
+            suspect |= np.equal(b, 0.0)
+            v = np.divide(a, b)
+        else:
+            v = np.asarray(_ROW_POW(a, b), dtype=float)
+    suspect |= ~np.isfinite(v)
+    return v

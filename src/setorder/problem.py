@@ -8,7 +8,9 @@ assume a total, memoized ``value``.
 A PerturbedFamily adds the members F_n = ``map(·, n)`` on the domains
 D_n = ``domains(n)``, under the base cone. ``family_at`` builds a member
 as a Problem, for the callers that read its grid values; a value at one
-point is ``fam.map.value(x, n)`` and builds no member.
+point is ``fam.map.value(x, n)`` and builds no member. Values along a
+sequence tail go straight into a corner table (``tail_table``): one array
+evaluation of the map over all the tail's points.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -21,6 +23,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -30,9 +33,9 @@ from . import expr as ex
 from ._kernels import LARGE
 from .cone import Cone
 from .errors import ExprError, HorizonExceeded, ProblemLoadError, SetSpecError
-from .order import OrderCtx, corner_table, table_rel
+from .order import CornerTable, OrderCtx, corner_table, table_rel
 from .setrep import (EXTERIOR_INSIDE, Box, BoxUnion, PointCloud, SetRep,
-                     exterior_point, points)
+                     _corner_data, exterior_point, points)
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
 # exp(n) values from overflowing later arithmetic while changing nothing
@@ -164,6 +167,28 @@ class Domain:
             return "explicit"
         return [w.step for w in self.windows]
 
+    @cached_property
+    def extent(self) -> float:
+        """The widest window, or the largest coordinate spread of the
+        points; 1.0 when that is not positive."""
+        if self.windows:
+            R = max(w.b - w.a for w in self.windows)
+        else:
+            spread = self.points.max(axis=0) - self.points.min(axis=0)
+            R = float(spread.max())
+        return 1.0 if R <= 0.0 else R
+
+    @cached_property
+    def bounds(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(lo, hi) per window of the continuous box the windows span, hi one
+        float below an open upper end; None for an explicit point list."""
+        if not self.windows:
+            return None
+        lo = np.array([w.a for w in self.windows])
+        hi = np.array([np.nextafter(w.b, w.a) if w.hi_open else w.b
+                       for w in self.windows])
+        return lo, hi
+
 
 # ----------------------------------------------------------- guarded maps
 
@@ -226,7 +251,17 @@ class Piece:
 
 
 class PieceMap:
-    """First-matching-piece expression map x -> SetRep."""
+    """First-matching-piece expression map x -> SetRep.
+
+    ``value`` evaluates at one point. ``tail_table`` evaluates guards and
+    expressions over arrays of points instead (``_rows``) and sends a row
+    back through ``value`` when it is suspect: when some expression of the
+    row is suspect in ``expr.evaluate_rows`` (a NaN or infinite
+    intermediate, a zero divisor, a negative sqrt argument, a failing
+    power, an unbound variable), no guard matches it, or an endpoint check
+    fails. So every row whose ``value`` raises is re-run and raises the same
+    exception, and every other row holds ``value``'s corners bit for bit.
+    """
 
     def __init__(self, pieces: Sequence[Piece], image_dim: int):
         if not pieces:
@@ -242,6 +277,72 @@ class PieceMap:
             if piece.guard.matches(env):
                 return _eval_piece(piece, k, env, self.image_dim)
         raise ProblemLoadError(f"no piece matches x = {env['x']}")
+
+    def _rows(self, X: np.ndarray, ns: Sequence[Optional[int]]):
+        """``value`` at each row of X (T, d), n = ns[i], as arrays.
+
+        Returns (corners, flags, cloud, count, suspect): corners (T, K, dim)
+        are the box lower corners or cloud points of each row, padded with
+        +inf, flags their uint8 lower-openness, cloud and count (T,) the
+        representation and corner count of each row, and suspect (T,) the
+        rows whose arrays are not to be trusted (see the class docstring).
+        """
+        T, dim = len(X), self.image_dim
+        n = None if any(k is None for k in ns) else np.asarray(ns, dtype=float)
+        suspect = np.zeros(T, dtype=bool)
+        which = np.full(T, -1)
+        unmatched = np.ones(T, dtype=bool)
+        for k, piece in enumerate(self.pieces):
+            # an atom is evaluated where the piece is reached and every
+            # earlier atom of its guard held, as in Guard.matches
+            match = unmatched.copy()
+            for lhs, op, rhs in piece.guard.atoms:
+                a, bad_a = ex.evaluate_rows(lhs, X, n)
+                b, bad_b = ex.evaluate_rows(rhs, X, n)
+                suspect |= match & (bad_a | bad_b)
+                match &= _COMPARE[op](a, b)
+            which[match] = k
+            unmatched &= ~match
+        suspect |= unmatched
+
+        used = [k for k in range(len(self.pieces)) if (which == k).any()]
+        K = max((1 if self.pieces[k].box_axes is not None
+                 else len(self.pieces[k].point_vectors) for k in used), default=0)
+        corners = np.full((T, K, dim), np.inf)
+        flags = np.zeros((T, K, dim), dtype=np.uint8)
+        cloud = np.zeros(T, dtype=bool)
+        count = np.zeros(T, dtype=np.intp)
+        for k in used:
+            piece = self.pieces[k]
+            rows = np.flatnonzero(which == k)
+            Xk, nk = X[rows], None if n is None else n[rows]
+            if piece.box_axes is not None:
+                if len(piece.box_axes) != dim:
+                    suspect[rows] = True
+                    continue
+                for axis, spec in enumerate(piece.box_axes):
+                    a, bad_a = ex.evaluate_rows(spec.lo, Xk, nk)
+                    b, bad_b = ex.evaluate_rows(spec.hi, Xk, nk)
+                    b_open = spec.hi_open | (b > _HI_CAP)
+                    b = np.where(b > _HI_CAP, np.inf, b)
+                    suspect[rows] |= (bad_a | bad_b | (b < a)
+                                      | ((b == a) & (spec.lo_open | b_open)))
+                    corners[rows, 0, axis] = a
+                    flags[rows, 0, axis] = spec.lo_open
+                count[rows] = 1
+            else:
+                vecs = piece.point_vectors
+                if not vecs or any(len(vec) != dim for vec in vecs):
+                    suspect[rows] = True
+                    continue
+                for j, vec in enumerate(vecs):
+                    for c, expr in enumerate(vec):
+                        v, bad = ex.evaluate_rows(expr, Xk, nk)
+                        suspect[rows] |= bad
+                        corners[rows, j, c] = v
+                cloud[rows] = True
+                count[rows] = len(vecs)
+        return corners, flags, cloud, count, suspect
 
 
 def _eval_piece(piece: Piece, k: int, env, image_dim: int) -> SetRep:
@@ -274,7 +375,11 @@ def _eval_piece(piece: Piece, k: int, env, image_dim: int) -> SetRep:
 
 
 class TableMap:
-    """Programmatic map for crafted test families: a callable per point."""
+    """Programmatic map for crafted test families: a callable per point.
+
+    Nothing is known of its values ahead of a call, so ``tail_table``
+    treats every row as suspect and asks ``value`` for each.
+    """
 
     def __init__(self, fn: Callable[..., SetRep], image_dim: int):
         self.fn = fn
@@ -288,6 +393,72 @@ class TableMap:
 
 
 SetValuedMap = Union[PieceMap, TableMap]
+
+
+def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
+               shift: Optional[np.ndarray] = None
+               ) -> tuple[CornerTable, Optional[Exception]]:
+    """map.value(X[i], ns[i]) for the rows of X as one corner table.
+
+    The table holds the rows before the first row whose value raises, and
+    that exception is returned with it (None when every row has a value),
+    so a caller can still report what the earlier rows show. With
+    ``shift`` (E, dim) the table has leading axes (E, rows) and holds each
+    value translated by each shift vector. The table equals
+    ``corner_table`` over the same values bit for bit: a PieceMap is
+    evaluated over arrays and only its suspect rows go through ``value``;
+    under a general cone each cloud's corners go through ``Cone.h_coords``
+    once per value, as ``_corner_data`` does.
+    """
+    X = np.asarray(X, dtype=float)
+    T, cone = len(X), ctx.cone
+    if isinstance(map, PieceMap) and map.image_dim == cone.dim:
+        corners, flags, cloud, count, suspect = map._rows(X, ns)
+        if cone.kind != "orthant":
+            suspect |= ~cloud   # _corner_data refuses boxes under this cone
+    else:
+        corners = np.full((T, 0, cone.dim), np.inf)
+        flags = np.zeros(corners.shape, dtype=np.uint8)
+        cloud = np.zeros(T, dtype=bool)
+        count = np.zeros(T, dtype=np.intp)
+        suspect = np.ones(T, dtype=bool)
+
+    stop, err, got = T, None, {}
+    for i in np.flatnonzero(suspect).tolist():
+        try:
+            got[i] = map.value(tuple(X[i]), ns[i])
+        except Exception as e:
+            stop, err = i, e
+            break
+    data = {i: _corner_data(v, cone) for i, v in got.items()}
+    extra = max((len(h) for h, _, _ in data.values()), default=0) - corners.shape[1]
+    if extra > 0:
+        corners = np.concatenate([corners, np.full((T, extra, cone.dim), np.inf)], axis=1)
+        flags = np.concatenate([flags, np.zeros((T, extra, cone.dim), np.uint8)], axis=1)
+    for i, (h, o, c) in data.items():
+        k = len(h)
+        corners[i], flags[i] = np.inf, 0
+        corners[i, :k] = got[i].points if c else h
+        flags[i, :k] = 0 if c else o
+        cloud[i], count[i] = c, k
+
+    K = int(count[:stop].max(initial=0))
+    corners, flags = corners[:stop, :K], flags[:stop, :K]
+    cloud, count = cloud[:stop], count[:stop]
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
+        corners = corners[None] + shift[:, None, None, :]
+        flags = np.broadcast_to(flags, corners.shape)
+        cloud = np.broadcast_to(cloud, corners.shape[:-2])
+    if cone.kind == "orthant":
+        h, o = corners, np.array(flags)
+    else:
+        h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
+        for idx in np.ndindex(corners.shape[:-2]):
+            k = count[idx[-1]]
+            h[idx][:k] = cone.h_coords(corners[idx][:k].copy())
+        o = np.zeros(h.shape, dtype=np.uint8)
+    return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0)), err
 
 
 # ---------------------------------------------------------------- problem
@@ -378,6 +549,23 @@ class PerturbedFamily:
             return None
         env = {"x": tuple(x), "n": n}
         return np.array([ex.evaluate(h, env) for h in self.recovery_hint])
+
+    def recovery_points(self, x, ns: Sequence[int]) -> np.ndarray:
+        """recovery_point(x, n) for each n in ns, as rows of one array.
+
+        The hint is evaluated over the array; suspect rows are asked of
+        recovery_point, in order, so the first failing index raises.
+        """
+        X = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, -1), (len(ns), len(x)))
+        cols, suspect = [], np.zeros(len(ns), dtype=bool)
+        for h in self.recovery_hint:
+            v, bad = ex.evaluate_rows(h, X, np.asarray(ns, dtype=float))
+            cols.append(v)
+            suspect |= bad
+        out = np.stack(cols, axis=1)
+        for i in np.flatnonzero(suspect).tolist():
+            out[i] = self.recovery_point(x, ns[i])
+        return out
 
     def domain_at(self, n: int) -> Domain:
         """D_n, without evaluating the map over its grid."""

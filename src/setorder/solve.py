@@ -20,7 +20,7 @@ import numpy as np
 from ._kernels import LARGE, LOWER, STRICT
 from .errors import InternalCheckError
 from .order import CornerTable, OrderCtx, corner_table, lower_le, table_rel
-from .problem import PieceMap, Problem
+from .problem import PieceMap, Problem, tail_table
 from .setrep import PointCloud, SetRep
 from .verdict import Verdict
 
@@ -236,7 +236,7 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     pair of sequences must keep F_n(x_n) large-below F_n(φ_n) through the
     tail. Holds is sampled evidence only; Fails is definitive.
     """
-    from .converge import SeqGenBattery, _tail_break, upper_half
+    from .converge import SeqGenBattery, _break_or_raise, upper_half
 
     battery = battery or SeqGenBattery()
     base = fam.base
@@ -247,31 +247,43 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     tail = upper_half(horizon)
     names = battery.strategy_names()
 
-    def pair_at(name, xb, x0, n):
-        dom = fam.domain_at(n)
-        xn = battery.point(name, xb, dom, n)
-        pn = battery.point(name, x0, dom, n)
-        return xn, pn, fam.map.value(xn, n), fam.map.value(pn, n)
-
-    def ok_of(got):
-        # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
-        _, _, fa, fb = zip(*got)
-        return table_rel(corner_table(fa, ctx), corner_table(fb, ctx), (LARGE,))[0][None]
+    # the rows end where D_n, F_n(x_n) or F_n(phi_n) first raises; at one n
+    # they are asked in that order, so the earliest (row, order) error is
+    # the one a pair-at-a-time scan would meet
+    doms, dom_err = [], None
+    if len(pairs):
+        for n in tail:
+            try:
+                doms.append(fam.domain_at(n))
+            except Exception as e:
+                dom_err = e
+                break
+    ns = list(tail)[:len(doms)]
 
     for i, j in pairs:
         xb, x0 = base.domain.points[int(i)], base.domain.points[int(j)]
         for name in names:
-            got, brk = _tail_break(lambda n: pair_at(name, xb, x0, n), tail, ok_of, ctx)
+            xs = battery.sequence(name, xb, doms, ns)
+            ps = battery.sequence(name, x0, doms, ns)
+            ta, err_a = tail_table(fam.map, xs, ns, ctx)
+            tb, err_b = tail_table(fam.map, ps, ns, ctx)
+            # a table without an error has every row, so D_n's end wins
+            cut, _, err = min((len(doms), 0, dom_err), (len(ta.h), 1, err_a),
+                              (len(tb.h), 2, err_b), key=lambda end: end[:2])
+            # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
+            ok, = table_rel(CornerTable(*(x[:cut] for x in ta)),
+                            CornerTable(*(x[:cut] for x in tb)), (LARGE,))
+            brk = _break_or_raise(ok[None], err, ctx)
             if brk is not None:
-                n, (xn, pn, _, _) = tail[brk[0]], got[brk[0]]
+                k = brk[0]
                 return Verdict.fails(
                     reason=f"order between indices {int(i)} and {int(j)} breaks "
-                           f"at n = {n} under strategy {name}",
+                           f"at n = {tail[k]} under strategy {name}",
                     counterexample={
-                        "n": n, "strategy": name,
+                        "n": tail[k], "strategy": name,
                         "xbar_index": int(i), "x0_index": int(j),
-                        "x_n": [float(v) for v in xn],
-                        "phi_n": [float(v) for v in pn]},
+                        "x_n": [float(v) for v in xs[k]],
+                        "phi_n": [float(v) for v in ps[k]]},
                     sampled=True)
     checked = len(pairs) * len(names) * len(tail)
     return Verdict.holds(

@@ -5,14 +5,17 @@ only the public pairwise order predicates. No matrices, no caching, no
 shared code with setorder.solve beyond the order module itself.
 
 The tail-scan references further down ask every (n, eps) pair of a
-convergence check as its own pairwise predicate call, the way the package
-did before it asked whole tails and eps schedules through corner tables.
-They share the battery, the schedule helpers and the pair sampling with
-the package and differ from it only in how the relations are asked.
+convergence check as its own pairwise predicate call, and every value as
+its own map.value call, the way the package did before it asked whole
+tails and eps schedules through corner tables. They share the battery's
+sequences, the schedule helpers and the pair sampling with the package.
+``battery_point`` is the battery's former one-point-at-a-time generator,
+and ``cluster`` the former all-pairs clustering loop.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -239,6 +242,83 @@ def max_margin_oracle(G: np.ndarray) -> float:
 
 # ------------------------------------------------- pair-at-a-time tail scans
 
+def battery_radius(domain: Domain, n: int) -> float:
+    if domain.windows:
+        R = max(w.b - w.a for w in domain.windows)
+    else:
+        spread = domain.points.max(axis=0) - domain.points.min(axis=0)
+        R = float(spread.max())
+    if R <= 0.0:
+        R = 1.0
+    return R / (2.0 ** min(n, 1000))
+
+
+def clamp_point(x: np.ndarray, domain: Domain) -> np.ndarray:
+    if not domain.windows:
+        return domain.points[domain.nearest_index(x)].copy()
+    out = np.array(x, dtype=float)
+    for k, w in enumerate(domain.windows):
+        hi = np.nextafter(w.b, w.a) if w.hi_open else w.b
+        out[k] = min(max(out[k], w.a), hi)
+    return out
+
+
+def battery_point(battery, name: str, target, domain: Domain, n: int,
+                  margin=None, variant: int = 0) -> np.ndarray:
+    """SeqGenBattery's point at n, built on its own with a fresh generator."""
+    t = np.asarray(target, dtype=float).reshape(-1)
+    r = battery_radius(domain, n)
+    d = t.shape[0]
+    e = np.ones(d) / math.sqrt(d)
+    if name == "constant":
+        raw = t
+    elif name == "radial-shrink":
+        raw = t + r * e
+    elif name == "boundary-hugging":
+        raw = t - r * e
+    elif name == "random-in-ball":
+        rng = np.random.default_rng((battery.seed, variant, n, 17))
+        vec = rng.normal(size=d)
+        vec /= max(np.linalg.norm(vec), 1e-300)
+        raw = t + r * rng.uniform(0.0, 1.0) * vec
+    elif name == "adversarial-worst":
+        dists = np.linalg.norm(domain.points - t, axis=1)
+        cand = np.flatnonzero(dists <= r + 1e-12)
+        if len(cand) == 0:
+            return clamp_point(t, domain)
+        if margin is None or len(cand) == 1:
+            return domain.points[cand[int(np.argmin(dists[cand]))]].copy()
+        best = min((float(margin(domain.points[i])), float(dists[i]), int(i))
+                   for i in cand)
+        return domain.points[best[2]].copy()
+    else:
+        raise ValueError(f"unknown strategy {name!r}")
+    return clamp_point(raw, domain)
+
+
+def cluster(points: list, radius: float):
+    """converge._cluster as an all-pairs loop, one norm per pair."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list] = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(points[a])
+    return list(groups.values())
+
+
 def largest_failing_eps(cond, ctx: OrderCtx) -> float:
     for t in floored_eps(ctx):
         if not cond(t):
@@ -312,8 +392,8 @@ def gamma_upper(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
     flo = floored_eps(ctx)[-1]
     hint = fam.recovery_hint is not None
     if hint:
-        seq = {n: battery._clamp(np.asarray(fam.recovery_point(t, n), dtype=float),
-                                 domain_at(n))
+        seq = {n: clamp_point(np.asarray(fam.recovery_point(t, n), dtype=float),
+                              domain_at(n))
                for n in upper_half(horizon)}
     else:
         try:
@@ -396,8 +476,8 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32, battery=None,
         for name in battery.strategy_names():
             for n in upper_half(horizon):
                 dom = fam.domain_at(n)
-                xn = battery.point(name, xb, dom, n)
-                pn = battery.point(name, x0, dom, n)
+                xn = battery_point(battery, name, xb, dom, n)
+                pn = battery_point(battery, name, x0, dom, n)
                 checked += 1
                 if not large_le(fam.map.value(xn, n), fam.map.value(pn, n), ctx):
                     return Verdict.fails(

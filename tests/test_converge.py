@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference
 from reference import pk_cluster_oracle
 
-from setorder import converge
+from setorder import converge, solve
 from setorder.converge import (
     DEFAULT_HORIZON,
     EPS_FLOOR,
@@ -236,6 +236,118 @@ class TestBattery:
                 for n, p in zip(tail, sub):
                     assert p.dtype == pts[n].dtype
                     assert p.tobytes() == pts[n].tobytes(), (name, v, n)
+
+
+    @given(data=st.data(), seed=st.integers(0, 50), count=st.integers(1, 3),
+           horizon=st.integers(8, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_sequences_match_the_one_point_reference(self, data, seed, count,
+                                                     horizon):
+        # each array row equals the former per-point generator bit for bit,
+        # on hi_open windows, explicit point lists and domains moving with n
+        dim = data.draw(st.integers(1, 2), label="dim")
+        coord = st.one_of(st.sampled_from([0.0, -0.0, 1.0]),
+                          st.floats(-1.5, 1.5, allow_nan=False))
+        if data.draw(st.booleans(), label="windows"):
+            def window():
+                a = data.draw(st.sampled_from([-0.0, 0.0, 0.25]))
+                return Window(a, a + data.draw(st.sampled_from([0.5, 1.0])),
+                              data.draw(st.sampled_from([0.05, 0.125, 0.25])),
+                              hi_open=data.draw(st.booleans()))
+            doms = [Domain.from_windows([window() for _ in range(dim)])
+                    for _ in range(data.draw(st.integers(1, 3)))]
+        else:
+            doms = [Domain.from_points(data.draw(
+                st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=1, max_size=12), label="points"))]
+        target = np.array(data.draw(st.lists(coord, min_size=dim,
+                                             max_size=dim), label="target"))
+        margin = data.draw(st.sampled_from(
+            [None, lambda x, n: float(np.sin(7.0 * x.sum() + n))]))
+        indices = data.draw(st.sampled_from([None, upper_half(horizon)]))
+        domain_at = lambda n: doms[n % len(doms)]
+        bat = SeqGenBattery(seed=seed, count=count)
+        for name, v, pts in bat.sequences(target, domain_at, horizon,
+                                          margin=margin, indices=indices):
+            wanted = range(horizon) if indices is None else indices
+            assert pts.shape == (len(wanted), dim) and pts.dtype == np.float64
+            for n, row in zip(wanted, pts):
+                m = (lambda x, _n=n: margin(x, _n)) if margin else None
+                want = reference.battery_point(bat, name, target, domain_at(n),
+                                               n, margin=m, variant=v)
+                assert row.tobytes() == want.tobytes(), (name, v, n)
+                one = bat.point(name, target, domain_at(n), n, margin=m,
+                                variant=v)
+                assert one.tobytes() == want.tobytes(), (name, v, n)
+
+    def test_random_draws_are_made_once(self, monkeypatch):
+        made = []
+        real = np.random.default_rng
+
+        def rng(seed):
+            made.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        bat = SeqGenBattery(seed=5)
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.1)])
+        for t in (0.2, 0.7):
+            list(bat.sequences(np.array([t]), lambda n: dom, 16))
+        assert sorted(made) == sorted((5, v, n, 17) for v in range(2)
+                                      for n in range(16))
+
+
+class TestCluster:
+    """_cluster finds the groups of the all-pairs loop in tests/reference.py
+    from the pairs an infinity-norm prefilter keeps."""
+
+    @staticmethod
+    def groups(gs):
+        return [[(n, p.tobytes()) for n, p in g] for g in gs]
+
+    @given(data=st.data(), dim=st.integers(1, 3),
+           radius=st.sampled_from([0.0, 2e-9, 0.5, 1.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_random_tagged_sets(self, data, dim, radius):
+        # lattice points put many pairs at exactly radius, sqrt(2)·radius
+        # and 0 apart
+        k = st.integers(-3, 3)
+        pts = data.draw(st.lists(st.lists(k, min_size=dim, max_size=dim),
+                                 max_size=40), label="lattice")
+        step = radius if radius else 1.0
+        tagged = [(i % 5, np.array(p, dtype=float) * step) for i, p in enumerate(pts)]
+        got = converge._cluster(tagged, radius)
+        assert self.groups(got) == self.groups(reference.cluster(tagged, radius))
+
+    def test_pairs_at_the_radius(self):
+        r = 0.1
+        for gap in (r, np.nextafter(r, 1.0), 0.30000000000000004 - 0.2):
+            tagged = [(0, np.array([0.2])), (1, np.array([0.2 + gap])),
+                      (2, np.array([0.2 + 2 * gap]))]
+            got = converge._cluster(tagged, r)
+            assert self.groups(got) == self.groups(reference.cluster(tagged, r))
+
+    def test_underflowing_norms(self):
+        # the norm of a 1e-200 difference squares to 0, so the loop joins
+        # such points even at radius 0
+        tagged = [(0, np.array([0.0, 1.0])), (1, np.array([1e-200, 1.0])),
+                  (2, np.array([1e-100, 1.0]))]
+        for r in (0.0, 1e-300):
+            got = converge._cluster(tagged, r)
+            assert self.groups(got) == self.groups(reference.cluster(tagged, r))
+            assert len(got) == 2
+
+    def test_a_full_tail_of_minimal_sets(self):
+        # 100 minimal points at each of 32 tail indices, jittered inside
+        # the radius, plus 200 strays
+        rng = np.random.default_rng(0)
+        base = rng.uniform(0.0, 1.0, size=(100, 2))
+        tagged = [(n, base[i] + rng.uniform(-1e-9, 1e-9, size=2))
+                  for n in range(32, 64) for i in range(100)]
+        tagged[::16] = [(n, rng.uniform(0.0, 1.0, size=2)) for n, _ in tagged[::16]]
+        assert len(tagged) == 3200
+        got = converge._cluster(tagged, 2e-9)
+        assert self.groups(got) == self.groups(reference.cluster(tagged, 2e-9))
 
 
 class TestPkLimits:
@@ -753,9 +865,9 @@ class TestTablesMatchPairLoops:
                 return family_at(fam, n).map.value(tuple(x), n)
 
             for mode in ("lsc", "usc"):
-                args = (value, t, Fx, battery, ctx, horizon, fam.domain_at, mode)
-                got = converge._tail_scan(*args)
-                assert got == reference.tail_scan(*args), (seed, mode)
+                args = (t, Fx, battery, ctx, horizon, fam.domain_at, mode)
+                got = converge._tail_scan(fam.map, lambda n: n, *args)
+                assert got == reference.tail_scan(value, *args), (seed, mode)
                 seen["break" if got else "clean"] += 1
             args = (fam, t, Fx, battery, ctx, horizon, fam.domain_at)
             if fam.recovery_hint is None:
@@ -800,16 +912,18 @@ class TestTablesMatchPairLoops:
         t = np.array([0.5])
         for raise_from, breaks in ((36, True), (32, False)):
             tm = self.odd_shift(-0.25, raise_from)
-            args = (tm.value, t, box([0.5], [1.5]), battery, ctx1, 64,
-                    lambda n: dom, "lsc")
+            args = (t, box([0.5], [1.5]), battery, ctx1, 64, lambda n: dom,
+                    "lsc")
+            scans = (lambda: converge._tail_scan(tm, lambda n: n, *args),
+                     lambda: reference.tail_scan(tm.value, *args))
             if breaks:
-                ce = converge._tail_scan(*args)
-                assert ce == reference.tail_scan(*args)
+                ce = scans[0]()
+                assert ce == scans[1]()
                 assert (ce["n"], ce["eps"]) == (33, 0.25)
             else:
-                for scan in (converge._tail_scan, reference.tail_scan):
+                for scan in scans:
                     with pytest.raises(SetSpecError, match="n = 32"):
-                        scan(*args)
+                        scan()
 
     def test_gamma_upper_reports_a_break_before_an_error(self, ctx1, battery):
         dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
@@ -867,13 +981,14 @@ class TestTailOnlyWork:
 
     @pytest.fixture()
     def counted(self, monkeypatch):
+        # a strategy generates all its indices in one sequence call
         seen = {"points": [], "scored": []}
-        real_point = SeqGenBattery.point
+        real_sequence = SeqGenBattery.sequence
         real_sequences = SeqGenBattery.sequences
 
-        def point(self, name, target, domain, n, **kwargs):
-            seen["points"].append(n)
-            return real_point(self, name, target, domain, n, **kwargs)
+        def sequence(self, name, target, domains, ns, **kwargs):
+            seen["points"].extend(ns)
+            return real_sequence(self, name, target, domains, ns, **kwargs)
 
         def sequences(self, target, domain_at, horizon, margin=None,
                       indices=None):
@@ -884,7 +999,7 @@ class TestTailOnlyWork:
                                   margin=scored if margin else None,
                                   indices=indices)
 
-        monkeypatch.setattr(SeqGenBattery, "point", point)
+        monkeypatch.setattr(SeqGenBattery, "sequence", sequence)
         monkeypatch.setattr(SeqGenBattery, "sequences", sequences)
         return seen
 
@@ -916,18 +1031,20 @@ class TestTailOnlyWork:
         fam = load_builtin("sop_sin")
         built.clear()
         asked = {"domains": [], "values": []}
-        real_domain_at, real_value = fam.domain_at, fam.map.value
+        real_domain_at, real_table = fam.domain_at, solve.tail_table
 
         def domain_at(n):
             asked["domains"].append(n)
             return real_domain_at(n)
 
-        def value(x, n):
-            asked["values"].append(n)
-            return real_value(x, n)
+        # values along a tail are asked in one tail_table call
+        def tail_table(map, X, ns, ctx, **kwargs):
+            if map is fam.map:
+                asked["values"].extend(ns)
+            return real_table(map, X, ns, ctx, **kwargs)
 
         monkeypatch.setattr(fam, "domain_at", domain_at)
-        monkeypatch.setattr(fam.map, "value", value)
+        monkeypatch.setattr(solve, "tail_table", tail_table)
         v = seq_lower_converse(fam, sop_ctx, battery=battery, horizon=16)
         assert v.is_holds
         assert set(asked["domains"]) == set(upper_half(16))
@@ -938,6 +1055,19 @@ class TestTailOnlyWork:
 class TestMemberBuilds:
     """Values at single points come from the member map; a member is built
     only where its grid values are read."""
+
+    def test_stability_builds_the_members_each_direction_reads(
+            self, sop_ctx, battery, built):
+        # external reads the tail members' minimal sets; internal also
+        # needs every prefix member nonempty
+        fam = load_builtin("sop_sin")
+        built.clear()
+        stability_experiment(fam, "Relaxed", "external", sop_ctx,
+                             battery=battery)
+        assert sorted(n for n, _ in built) == list(upper_half(DEFAULT_HORIZON))
+        stability_experiment(fam, "Relaxed", "internal", sop_ctx,
+                             battery=battery)
+        assert sorted(n for n, _ in built) == list(range(DEFAULT_HORIZON))
 
     def test_levelset_builds_one_base_grid_member_per_tail_index(
             self, ctx1, battery, built):

@@ -1,14 +1,19 @@
-"""Expression language: parsing, precedence, evaluation, round-trips."""
+"""Expression language: parsing, precedence, evaluation, round-trips, and
+evaluation over arrays of points."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setorder.cone import Cone
 from setorder.errors import DomainError, ExprSyntaxError, UnboundVariable
-from setorder.expr import (MAX_DEPTH, BinOp, Call, Lit, Neg, Var, evaluate, parse,
-                           unparse, variables)
+from setorder.expr import (MAX_DEPTH, BinOp, Call, Lit, Neg, Var, evaluate,
+                           evaluate_rows, parse, unparse, variables)
+from setorder.order import OrderCtx, corner_table
+from setorder.problem import AxisSpec, Guard, Piece, PieceMap, tail_table
 
 
 def ev(src, x=(), n=None):
@@ -202,3 +207,119 @@ class TestTotality:
         except DomainError:
             return
         assert not math.isnan(v)
+
+
+# ------------------------------------------------ evaluation over rows
+
+_row_leaf = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 700.5, 1e300]).map(Lit),
+    st.sampled_from([Var("x1"), Var("x2"), Var("x3"), Var("n"),
+                     Lit(math.pi), Lit(math.e), Lit(math.inf)]),
+)
+_row_ast = st.recursive(_row_leaf, _node, max_leaves=10)
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, 710.0]),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _rows(draw):
+    """(X, ns): up to 6 points in R^3 and an index per row, or n unbound."""
+    T = draw(st.integers(1, 6))
+    X = np.array([[draw(_coord) for _ in range(3)] for _ in range(T)])
+    ns = draw(st.one_of(st.none(), st.lists(st.integers(0, 1000),
+                                            min_size=T, max_size=T)))
+    return X, ns
+
+
+def _scalar(e, X, ns, i):
+    env = {"x": tuple(float(c) for c in X[i])}
+    if ns is not None:
+        env["n"] = ns[i]
+    return evaluate(e, env)
+
+
+class TestRowEvaluation:
+    """evaluate_rows is evaluate bit for bit wherever it does not flag a row,
+    and it flags every row where evaluate raises."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_row_ast, _rows())
+    def test_rows_match_evaluate_bit_for_bit(self, e, rows):
+        X, ns = rows
+        got, suspect = evaluate_rows(e, X, None if ns is None
+                                     else np.asarray(ns, dtype=float))
+        assert got.shape == suspect.shape == (len(X),)
+        for i in range(len(X)):
+            try:
+                want = _scalar(e, X, ns, i)
+            except (DomainError, UnboundVariable):
+                assert suspect[i], (unparse(e), X[i])
+                continue
+            if not suspect[i]:
+                assert got[i].tobytes() == np.float64(want).tobytes(), \
+                    (unparse(e), X[i], got[i], want)
+
+    @pytest.mark.parametrize("src", [
+        "sin(x1)", "cos(x1*x2)", "exp(x1)", "exp(x1*x2 - n)", "x1^x2",
+        "abs(x1)^(x2/3)", "sqrt(abs(x1))/x2", "-x1^2 + e*cos(pi*n)"])
+    def test_math_functions_match_on_random_points(self, src):
+        # NumPy's own exp and power differ from math's on a few percent of
+        # inputs, and its sin and cos may differ under another SIMD dispatch
+        rng = np.random.default_rng(len(src))
+        X = rng.uniform(-30.0, 30.0, size=(5000, 2))
+        ns = rng.integers(0, 200, size=5000)
+        e = parse(src)
+        got, suspect = evaluate_rows(e, X, ns.astype(float))
+        for i in range(len(X)):
+            try:
+                want = _scalar(e, X, ns.tolist(), i)
+            except DomainError:
+                assert suspect[i]
+                continue
+            assert suspect[i] or got[i].tobytes() == np.float64(want).tobytes()
+        assert (~suspect).sum() > 2000
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_row_ast, min_size=5, max_size=5), _rows(),
+           st.sampled_from(["points", "box", "closed-singleton", "guarded",
+                            "guard-only"]),
+           st.booleans(), st.booleans())
+    def test_tail_table_raises_as_value_does(self, es, rows, kind, lo_open,
+                                             hi_open):
+        # the table holds the rows before the first row whose value raises,
+        # and returns that row's exception, type and message
+        X, ns = rows
+        ns = [None] * len(X) if ns is None else ns
+        hi = es[0] if kind == "closed-singleton" else es[1]
+        axis = AxisSpec(es[0], hi, lo_open, hi_open)
+        guard = Guard(((es[2], "<", es[3]),), "guard")
+        pieces = {
+            "points": [Piece(Guard.parse("true"), point_vectors=((es[0],),))],
+            "box": [Piece(Guard.parse("true"), box_axes=(axis,))],
+            "guarded": [Piece(guard, point_vectors=((es[4],),)),
+                        Piece(Guard.parse("true"), box_axes=(axis,))],
+            "guard-only": [Piece(guard, box_axes=(axis,))],
+        }
+        pieces["closed-singleton"] = pieces["box"]
+        m = PieceMap(pieces[kind], 1)
+        ctx = OrderCtx(Cone.orthant(1))
+        tab, err = tail_table(m, X, ns, ctx)
+        vals, want_err = [], None
+        for i in range(len(X)):
+            try:
+                vals.append(m.value(tuple(X[i]), ns[i]))
+            except Exception as exc:
+                want_err = exc
+                break
+        assert len(tab.h) == len(vals)
+        if vals:
+            for a, b in zip(tab, corner_table(vals, ctx)):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+        if want_err is None:
+            assert err is None
+        else:
+            assert (type(err), str(err)) == (type(want_err), str(want_err))

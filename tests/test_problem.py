@@ -1,4 +1,5 @@
-"""Problem layer: grids, guarded pieces, families, load-time validation."""
+"""Problem layer: grids, guarded pieces, families, load-time validation,
+tail tables."""
 
 import math
 
@@ -9,10 +10,12 @@ import reference
 from setorder import problem, setrep
 from setorder.cone import Cone
 from setorder.errors import HorizonExceeded, ProblemLoadError
+from setorder.order import CornerTable, OrderCtx, corner_table
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
-                              load_builtin, load_dict)
-from setorder.setrep import BoxUnion, PointCloud, box, is_c_proper, points
+                              load_builtin, load_dict, tail_table)
+from setorder.setrep import (BoxUnion, PointCloud, box, is_c_proper, points,
+                             translate)
 
 
 def spec(label="t", cone=None, domain=None, pieces=None, family=None):
@@ -338,3 +341,102 @@ class TestProperness:
             lambda x: box([0.0, 0.0], [1.0, 1.0]) if x[0] else points([[0.0, 0.0]]), 2),
             cone, Domain.from_points([[0.0], [1.0]]))
         assert isinstance(mixed.value(0), PointCloud)
+
+
+# ------------------------------------------------------------ tail tables
+
+def values_until_error(m, X, ns):
+    """map.value at each row until one raises, the way tail_table reads them."""
+    vals = []
+    for x, n in zip(X, ns):
+        try:
+            vals.append(m.value(tuple(x), n))
+        except Exception as exc:
+            return vals, exc
+    return vals, None
+
+
+def assert_same_table(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def check_tail_table(m, X, ns, ctx):
+    """tail_table against corner_table over map.value, unshifted and under
+    the eps shifts of a usc scan; returns the error that ended the rows."""
+    vals, want_err = values_until_error(m, X, ns)
+    shifts = np.array([-e * ctx.u for e in (1.0, 0.25, 2.0 ** -10)])
+    for shift in (None, shifts):
+        tab, err = tail_table(m, X, ns, ctx, shift=shift)
+        assert (type(err), str(err)) == (type(want_err), str(want_err))
+        if shift is None:
+            assert len(tab.h) == len(vals)
+            if vals:
+                assert_same_table(tab, corner_table(vals, ctx))
+        elif vals:
+            moved = corner_table([translate(v, s) for s in shift for v in vals], ctx)
+            assert_same_table(tab, CornerTable(*(
+                x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved)))
+    return want_err
+
+
+class TestTailTable:
+    """A tail's values as one corner table equal corner_table over
+    map.value bit for bit, and the first raising row ends the table."""
+
+    @pytest.mark.parametrize("name", ["geff_vs_reff", "sop_sin", "gamma_cos"])
+    def test_shipped_maps(self, name):
+        P = load_builtin(name)
+        fam = P if isinstance(P, PerturbedFamily) else None
+        base = P.base if fam else P
+        ctx = OrderCtx(base.cone)
+        rng = np.random.default_rng(7)
+        pts = base.domain.points
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        X = np.vstack([pts, rng.uniform(lo - 0.5, hi + 0.5, size=(40, pts.shape[1])),
+                       -0.0 * pts[:1]])
+        check_tail_table(base.map, X, [None] * len(X), ctx)
+        if fam is not None:
+            ns = rng.integers(0, 64, size=len(X)).tolist()
+            check_tail_table(fam.map, X, ns, ctx)
+
+    def test_clouds_under_a_general_cone(self):
+        cone = Cone.from_halfspaces(np.array([[1.0, 0.2], [-0.3, 1.0], [1.0, 1.0]]))
+        m = load_dict(spec(
+            cone={"kind": "halfspaces", "rows": cone.halfspaces.tolist()},
+            domain={"windows": [{"a": -1, "b": 1, "step": 0.5}] * 2},
+            pieces=[{"guard": "x1 < 0.25",
+                     "points": [["x1", "sin(x2)"], ["x1*x2", "1/(1 + x1^2)"]]},
+                    {"guard": "true", "points": [["exp(x2)", "x1"]]}])).map
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(30, 2))
+        assert check_tail_table(m, X, [None] * len(X), OrderCtx(cone)) is None
+
+    def test_random_families(self):
+        for seed in range(40):
+            fam, t = reference.random_family(np.random.default_rng(seed))
+            ctx = OrderCtx(fam.base.cone)
+            X = fam.base.domain.points
+            ns = [int(n) for n in np.random.default_rng(seed).integers(0, 40, len(X))]
+            check_tail_table(fam.map, X, ns, ctx)
+
+    def test_rows_end_at_the_first_raise(self, ctx1):
+        # the table map refuses n >= 20; the expression map takes the sqrt
+        # of a negative number at x = 0, the last row
+        def fn(x, n):
+            if n >= 20:
+                raise ProblemLoadError(f"no value at n = {n}")
+            return box([x[0] * n], [x[0] * n + 1])
+
+        fam = load_dict(spec(
+            pieces=[{"guard": "true", "box": [{"lo": "x1", "hi": "x1 + 1"}]}],
+            family={"subst": "n", "n_max": 64, "map_n": {"pieces": [
+                {"guard": "true",
+                 "box": [{"lo": "sqrt(x1 - 1/(n+1)^3)", "hi": "x1 + 2"}]}]}}))
+        X = np.array([[3.0 - k / 10] for k in range(31)])
+        ns = list(range(31))
+        err = check_tail_table(TableMap(fn, 1), X, ns, ctx1)
+        assert str(err) == "no value at n = 20"
+        err = check_tail_table(fam.map, X, ns, ctx1)
+        assert str(err).startswith("sqrt of a negative number")
+        assert len(tail_table(fam.map, X, ns, ctx1)[0].h) == 30
