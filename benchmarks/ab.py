@@ -1,18 +1,23 @@
-"""A/B comparison of a base commit and the working tree on perfbench.
+"""A/B comparison of two commits on perfbench.
 
 Run from the repository root:
 
-    python3 benchmarks/ab.py --base <rev> --slug <name> [--pairs 3]
-        [--seconds 25] [--seed 1] [--workloads experiments,solve-grid,order-laws]
+    python3 benchmarks/ab.py --base <rev> --slug <name> [--tree HEAD]
+        [--pairs 10] [--seconds 25] [--seed 1]
+        [--workloads experiments,solve-grid,order-laws]
 
-The base commit is exported with ``git archive`` into a temporary
+Both commits are exported with ``git archive`` into one temporary
 directory (local only; nothing is fetched), which is removed afterwards,
-also when a run fails. For each workload the tool runs
-``perfbench/run.py --trace 0`` in pairs, once on the base and once on the
-tree, alternating which side goes first, and writes ``BENCH_<slug>.json``:
-both sides' environment records, every pair's metrics, per metric the
-median and quartiles of each side, and how many pairs the tree won.
-Uses the standard library only.
+also when a run fails. Measuring commits, not the working tree, ties
+every number to a SHA, and both sides run from the same kind of
+directory. Uncommitted changes are not measured: commit them first. For
+each workload the tool runs ``perfbench/run.py --trace 0`` in pairs, once
+on the base and once on the tree, alternating which side goes first, and
+writes ``BENCH_<slug>.json``: both sides' environment records (with
+``git_sha`` set to the exported commit, which an export cannot report
+itself), every pair's metrics, per metric the median and quartiles of
+each side, and how many pairs the tree won. Uses the standard library
+only.
 """
 
 from __future__ import annotations
@@ -96,8 +101,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="base commit (any git revision)")
+    ap.add_argument("--tree", default="HEAD", help="commit to compare against the base")
     ap.add_argument("--slug", required=True, help="names BENCH_<slug>.json")
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--workloads", default=",".join(WORKLOADS))
@@ -106,18 +112,14 @@ def main(argv=None) -> int:
     workloads = args.workloads.split(",")
     better = {m["name"]: m["better"] for m in
               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                          text=True).stdout.strip()
-    dirty = bool(subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"],
-                                cwd=ROOT, capture_output=True, text=True).stdout.strip())
 
     workdir = Path(tempfile.mkdtemp(prefix="setorder-ab-"))
     try:
-        base_sha = export(args.base, workdir)
-        sides = {"base": workdir, "tree": ROOT}
-        report = {"base": {"rev": args.base, "sha": base_sha},
-                  "tree": {"head": head, "dirty": dirty},
-                  "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+        sides, report = {}, {"seed": args.seed, "seconds": args.seconds,
+                             "workloads": {}}
+        for side, rev in (("base", args.base), ("tree", args.tree)):
+            sides[side] = workdir / side
+            report[side] = {"rev": rev, "sha": export(rev, sides[side])}
         for workload in workloads:
             env, pairs = {}, []
             for k in range(args.pairs):
@@ -126,6 +128,7 @@ def main(argv=None) -> int:
                 for side in order:
                     env[side], pair[side] = run_once(sides[side], workload,
                                                      args.seed, args.seconds)
+                    env[side]["git_sha"] = report[side]["sha"]
                     print(f"{workload} pair {k + 1}/{args.pairs} {side}: "
                           f"run_s {pair[side].get('run_s')}", file=sys.stderr)
                 pairs.append(pair)

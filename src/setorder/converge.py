@@ -90,8 +90,8 @@ class SeqGenBattery:
     margin.
 
     Each strategy is written once over an array of indices (``sequence``);
-    ``sequences`` yields every strategy's points as one (T, d) array, and
-    ``point`` is the one-index case. random-in-ball's draws depend only on
+    ``sequences`` yields every strategy's points as one (T, d) array. The
+    ball radius at n is ``radius``. random-in-ball's draws depend only on
     (seed, variant, n, d), so they are memoized per battery.
     """
 
@@ -145,9 +145,7 @@ class SeqGenBattery:
         t = np.asarray(target, dtype=float).reshape(-1)
         d = t.shape[0]
         ns = list(ns)
-        # R / 2.0 ** min(n, 1000), exactly: the power of two is exact
-        r = (np.array([dom.extent for dom in domains], dtype=float)
-             / np.ldexp(1.0, np.minimum(np.asarray(ns, dtype=np.int64), 1000)))
+        r = np.array([self.radius(dom, n) for dom, n in zip(domains, ns)])
         e = np.ones(d) / math.sqrt(d)
         if name == "constant":
             raw = np.broadcast_to(t, (len(ns), d))
@@ -165,13 +163,6 @@ class SeqGenBattery:
         else:
             raise ValueError(f"unknown strategy {name!r}")
         return self.clamp(raw, domains)
-
-    def point(self, name: str, target, domain: Domain, n: int,
-              margin: Optional[Callable[[np.ndarray], float]] = None,
-              variant: int = 0) -> np.ndarray:
-        m = (lambda x, _n: margin(x)) if margin else None
-        return self.sequence(name, target, [domain], [n], margin=m,
-                             variant=variant)[0]
 
     def _adversarial(self, t: np.ndarray, domains: Sequence[Domain],
                      ns: list, r: np.ndarray,
@@ -986,20 +977,8 @@ class StabilityReport:
 
 
 def _cluster(points: list, radius: float):
-    """Union-find agglomeration: points within radius share a cluster.
-
-    Tagged points (n, p) join when ``np.linalg.norm`` of their difference
-    is at most radius. Only pairs whose largest coordinate difference is
-    within radius·(1 + 1e-9) can pass that test, and the slack keeps every
-    pair the norm accepts despite rounding; below 2^-500 the squares in the
-    norm underflow, so such pairs are always kept. Those pairs come from one
-    sort along the first axis. Unions run in (a, b) order and join the
-    larger root to the smaller, so each group lists its points by index,
-    group[0] first, and the groups come in the order of their first points.
-    """
+    """Union-find agglomeration: points within radius share a cluster."""
     n = len(points)
-    if not n:
-        return []
     parent = list(range(n))
 
     def find(a):
@@ -1008,38 +987,16 @@ def _cluster(points: list, radius: float):
             a = parent[a]
         return a
 
-    for a, b in _close_pairs(np.array([p for _, p in points]).reshape(n, -1),
-                             max(radius * (1 + 1e-9), 2.0 ** -500)):
-        ra, rb = find(a), find(b)
-        # a pair inside one cluster already would change nothing
-        if ra != rb and np.linalg.norm(points[a][1] - points[b][1]) <= radius:
-            parent[max(ra, rb)] = min(ra, rb)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list] = {}
     for a in range(n):
         groups.setdefault(find(a), []).append(points[a])
     return list(groups.values())
-
-
-def _close_pairs(P: np.ndarray, lim: float):
-    """Yield the pairs a < b of rows with max |P[a] - P[b]| <= lim, in (a, b)
-    order, a block of rows a at a time so that memory stays bounded."""
-    order = np.argsort(P[:, 0], kind="stable")
-    xs = P[order, 0]
-    # every row within lim of row a on axis 0 lies in its window of the
-    # sorted axis; the 2·lim margin absorbs the rounding of x ± 2·lim
-    lo = np.searchsorted(xs, P[:, 0] - 2 * lim, side="left")
-    width = np.searchsorted(xs, P[:, 0] + 2 * lim, side="right") - lo
-    step = max(1, 2 ** 18 // max(int(width.max(initial=0)), 1))
-    for start in range(0, len(P), step):
-        rows = np.arange(start, min(start + step, len(P)))
-        w = width[rows]
-        a = np.repeat(rows, w)
-        b = order[np.repeat(lo[rows] - np.cumsum(w) + w, w) + np.arange(len(a))]
-        a, b = a[b > a], b[b > a]
-        keep = np.abs(P[a] - P[b]).max(axis=1, initial=0.0) <= lim
-        a, b = a[keep], b[keep]
-        idx = np.lexsort((b, a))
-        yield from zip(a[idx].tolist(), b[idx].tolist())
 
 
 def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,

@@ -9,8 +9,7 @@ convergence check as its own pairwise predicate call, and every value as
 its own map.value call, the way the package did before it asked whole
 tails and eps schedules through corner tables. They share the battery's
 sequences, the schedule helpers and the pair sampling with the package.
-``battery_point`` is the battery's former one-point-at-a-time generator,
-and ``cluster`` the former all-pairs clustering loop.
+``battery_point`` is the battery's former one-point-at-a-time generator.
 """
 
 from __future__ import annotations
@@ -294,29 +293,6 @@ def battery_point(battery, name: str, target, domain: Domain, n: int,
     else:
         raise ValueError(f"unknown strategy {name!r}")
     return clamp_point(raw, domain)
-
-
-def cluster(points: list, radius: float):
-    """converge._cluster as an all-pairs loop, one norm per pair."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list] = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(points[a])
-    return list(groups.values())
 
 
 def largest_failing_eps(cond, ctx: OrderCtx) -> float:

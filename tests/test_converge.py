@@ -237,7 +237,6 @@ class TestBattery:
                     assert p.dtype == pts[n].dtype
                     assert p.tobytes() == pts[n].tobytes(), (name, v, n)
 
-
     @given(data=st.data(), seed=st.integers(0, 50), count=st.integers(1, 3),
            horizon=st.integers(8, 40))
     @settings(max_examples=60, deadline=None)
@@ -276,8 +275,8 @@ class TestBattery:
                 want = reference.battery_point(bat, name, target, domain_at(n),
                                                n, margin=m, variant=v)
                 assert row.tobytes() == want.tobytes(), (name, v, n)
-                one = bat.point(name, target, domain_at(n), n, margin=m,
-                                variant=v)
+                one = bat.sequence(name, target, [domain_at(n)], [n],
+                                   margin=margin, variant=v)[0]
                 assert one.tobytes() == want.tobytes(), (name, v, n)
 
     def test_random_draws_are_made_once(self, monkeypatch):
@@ -295,59 +294,6 @@ class TestBattery:
             list(bat.sequences(np.array([t]), lambda n: dom, 16))
         assert sorted(made) == sorted((5, v, n, 17) for v in range(2)
                                       for n in range(16))
-
-
-class TestCluster:
-    """_cluster finds the groups of the all-pairs loop in tests/reference.py
-    from the pairs an infinity-norm prefilter keeps."""
-
-    @staticmethod
-    def groups(gs):
-        return [[(n, p.tobytes()) for n, p in g] for g in gs]
-
-    @given(data=st.data(), dim=st.integers(1, 3),
-           radius=st.sampled_from([0.0, 2e-9, 0.5, 1.0]))
-    @settings(max_examples=80, deadline=None)
-    def test_random_tagged_sets(self, data, dim, radius):
-        # lattice points put many pairs at exactly radius, sqrt(2)·radius
-        # and 0 apart
-        k = st.integers(-3, 3)
-        pts = data.draw(st.lists(st.lists(k, min_size=dim, max_size=dim),
-                                 max_size=40), label="lattice")
-        step = radius if radius else 1.0
-        tagged = [(i % 5, np.array(p, dtype=float) * step) for i, p in enumerate(pts)]
-        got = converge._cluster(tagged, radius)
-        assert self.groups(got) == self.groups(reference.cluster(tagged, radius))
-
-    def test_pairs_at_the_radius(self):
-        r = 0.1
-        for gap in (r, np.nextafter(r, 1.0), 0.30000000000000004 - 0.2):
-            tagged = [(0, np.array([0.2])), (1, np.array([0.2 + gap])),
-                      (2, np.array([0.2 + 2 * gap]))]
-            got = converge._cluster(tagged, r)
-            assert self.groups(got) == self.groups(reference.cluster(tagged, r))
-
-    def test_underflowing_norms(self):
-        # the norm of a 1e-200 difference squares to 0, so the loop joins
-        # such points even at radius 0
-        tagged = [(0, np.array([0.0, 1.0])), (1, np.array([1e-200, 1.0])),
-                  (2, np.array([1e-100, 1.0]))]
-        for r in (0.0, 1e-300):
-            got = converge._cluster(tagged, r)
-            assert self.groups(got) == self.groups(reference.cluster(tagged, r))
-            assert len(got) == 2
-
-    def test_a_full_tail_of_minimal_sets(self):
-        # 100 minimal points at each of 32 tail indices, jittered inside
-        # the radius, plus 200 strays
-        rng = np.random.default_rng(0)
-        base = rng.uniform(0.0, 1.0, size=(100, 2))
-        tagged = [(n, base[i] + rng.uniform(-1e-9, 1e-9, size=2))
-                  for n in range(32, 64) for i in range(100)]
-        tagged[::16] = [(n, rng.uniform(0.0, 1.0, size=2)) for n, _ in tagged[::16]]
-        assert len(tagged) == 3200
-        got = converge._cluster(tagged, 2e-9)
-        assert self.groups(got) == self.groups(reference.cluster(tagged, 2e-9))
 
 
 class TestPkLimits:
@@ -508,6 +454,19 @@ class TestSemicontinuity:
         p = sop.base
         assert lsc_check(p, [0.3], battery, sop_ctx).is_holds
         assert usc_check(p, [0.3], battery, sop_ctx).is_holds
+
+    def test_usc_shifts_thin_open_values_as_corners(self, battery, ctx1):
+        # [0, 1e-17) moved by -eps rounds to [-eps, -eps), which is no Box;
+        # the usc scan shifts the values' lower corners in the table, so it
+        # gives a verdict instead of refusing the rounded translate
+        P = load_dict({"label": "thin", "cone": {"kind": "orthant", "dim": 1},
+                       "domain": {"windows": [{"a": 0, "b": 1, "step": 0.25}]},
+                       "map": {"pieces": [{"guard": "true", "box": [
+                           {"lo": 0, "hi": 1e-17, "hi_open": True}]}]}})
+        with pytest.raises(SetSpecError, match="degenerate interval"):
+            translate(P.value(0), [-0.25])
+        v = usc_check(P, [0.5], battery, ctx1, 16)
+        assert v.is_holds
 
 
 class TestGammaCheck:
