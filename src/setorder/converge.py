@@ -13,6 +13,9 @@ points; the prefix of a sequence is never built or scored.
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
+Every eps-shift, of F(x̄), of a tail value or of a level-set target, moves
+lower corners inside a corner table (order.corner_table and
+problem.tail_table with ``shift``); no shifted set is built.
 A sequence's tail is one array program: one (T, d) array of battery
 points, one evaluation of the map over it straight into a corner table
 (problem.tail_table), and one comparison over the floored eps schedule
@@ -49,8 +52,8 @@ from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
                     shift_margin, table_rel)
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
                       tail_table)
-from .setrep import SetRep, translate
-from .solve import _values_above, eff, hypothesis_h, strong_level_set
+from .setrep import SetRep
+from .solve import eff, hypothesis_h, strong_level_set, value_table
 from .verdict import Status, Verdict
 
 DEFAULT_HORIZON = 64
@@ -430,12 +433,9 @@ def _eps_shifts(sign: int, ctx: OrderCtx) -> np.ndarray:
 
 
 def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
-    """Table of translate(S, sign·e·u), e along floored_eps(ctx) as rows (the
-    floored eps last) and S along columns."""
-    shifts = _eps_shifts(sign, ctx)
-    tab = corner_table([translate(S, v) for v in shifts for S in sets], ctx)
-    return CornerTable(*(x.reshape((len(shifts), len(sets)) + x.shape[1:])
-                         for x in tab))
+    """Table of S + sign·e·u, e along floored_eps(ctx) as rows (the floored
+    eps last) and S along columns."""
+    return corner_table(sets, ctx, shift=_eps_shifts(sign, ctx))
 
 
 def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
@@ -577,13 +577,14 @@ class GammaReport:
 
 def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
                               ctx: OrderCtx, fam: PerturbedFamily, horizon: int):
-    shifted = translate(Fx, -floored_eps(ctx)[-1] * ctx.u)
+    # F(x̄) - eps·u at the floored eps, the last row of the shifted table
+    shifted = CornerTable(*(x[-1] for x in _shifted([Fx], -1, ctx)))
     base = fam.base
     pts = base.domain.points
     ok = np.ones(len(pts), dtype=bool)
     for n in upper_half(horizon):
         # the value table is memoized per member, so checks at many points share it
-        ok &= _values_above(shifted, family_at(fam, n), ctx, STRICT)
+        ok &= table_rel(shifted, value_table(family_at(fam, n), ctx), (STRICT,))[0]
     dists = np.linalg.norm(pts - t, axis=1)
     bad = ~ok
     bad_dist = float(dists[bad].min()) if bad.any() else math.inf

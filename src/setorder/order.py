@@ -13,6 +13,10 @@ the ray eps = t*u, u the cone's interior direction.
 
 A relation is asked for one pair of sets (``_rel``, the predicates above)
 or over two corner tables of sets (``table_rel``); both use one kernel rule.
+``corner_table`` makes a table of sets; with a shift (E, dim) it holds each
+set moved by each shift vector, its lower corners moved in the table
+(``table_from_corners``, which problem.tail_table ends in too). That move
+is the only set arithmetic the package does.
 
 Universal epsilon quantifiers everywhere in the package are instantiated
 along that same ray, on a strictly decreasing schedule.
@@ -20,17 +24,15 @@ along that same ray, on a strictly decreasing schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT, covered, rel_corners, shift_bound
 from .cone import DEFAULT_TOL, Cone
 from .setrep import SetRep, _corner_data
-from .verdict import Verdict
-from . import setrep
 
 DEFAULT_EPS_SCHEDULE: tuple[float, ...] = tuple(2.0 ** -k for k in range(21))
 
@@ -79,14 +81,50 @@ class CornerTable(NamedTuple):
     t: np.ndarray
 
 
-def corner_table(values: Sequence[SetRep], ctx: OrderCtx) -> CornerTable:
-    """A nonempty sequence of sets as one table with leading axis (N,)."""
-    hs, flags, clouds = zip(*(_corner_data(v, ctx.cone) for v in values))
-    h = np.full((len(hs), max(map(len, hs)), hs[0].shape[1]), np.inf)
-    o = np.zeros(h.shape, dtype=np.uint8)
-    for i, (hi, oi) in enumerate(zip(hs, flags)):
-        h[i, :len(hi)], o[i, :len(hi)] = hi, oi
-    return CornerTable(h, o, np.array(clouds), np.where(clouds, ctx.tol, 0.0))
+def corner_table(values: Sequence[SetRep], ctx: OrderCtx,
+                 shift: Optional[np.ndarray] = None) -> CornerTable:
+    """A nonempty sequence of sets as one table with leading axis (N,), or
+    (E, N) with each set moved by each row of ``shift`` (E, dim)."""
+    data = [_corner_data(v, ctx.cone, h_coords=False) for v in values]
+    count = np.array([len(c) for c, _, _ in data], dtype=np.intp)
+    corners = np.full((len(data), int(count.max()), ctx.cone.dim), np.inf)
+    flags = np.zeros(corners.shape, dtype=np.uint8)
+    for i, (c, o, _) in enumerate(data):
+        corners[i, :len(c)], flags[i, :len(c)] = c, o
+    cloud = np.array([c for _, _, c in data], dtype=bool)
+    return table_from_corners(corners, flags, cloud, count, ctx, shift)
+
+
+def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray,
+                       count: np.ndarray, ctx: OrderCtx,
+                       shift: Optional[np.ndarray] = None) -> CornerTable:
+    """N sets' lower corners (N, K, dim), padded with +inf, as a table.
+
+    ``flags`` are the corners' uint8 lower-openness (zero for a cloud),
+    ``cloud`` and ``count`` (N) each set's representation and corner count.
+    The corners are cut to the largest count. With ``shift`` (E, dim) the
+    table has leading axes (E, N) and each set's corners are moved by each
+    shift vector: an eps-shift of a set is this move of its lower corners,
+    written once, here. Under a general cone each set's moved corners go
+    through ``Cone.h_coords`` once, as ``_corner_data`` takes them.
+    """
+    K = int(count.max(initial=0))
+    corners, flags = corners[:, :K], flags[:, :K]
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
+        corners = corners[None] + shift[:, None, None, :]
+        flags = np.broadcast_to(flags, corners.shape)
+        cloud = np.broadcast_to(cloud, corners.shape[:-2])
+    cone = ctx.cone
+    if cone.kind == "orthant":
+        h, o = corners, np.array(flags)
+    else:
+        h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
+        for idx in np.ndindex(corners.shape[:-2]):
+            k = count[idx[-1]]
+            h[idx][:k] = cone.h_coords(corners[idx][:k])
+        o = np.zeros(h.shape, dtype=np.uint8)
+    return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))
 
 
 def table_rel(a: CornerTable, b: CornerTable,
@@ -131,29 +169,3 @@ def shift_margin(A: SetRep, B: SetRep, ctx: OrderCtx) -> tuple[float, int]:
     ha, _, _ = _corner_data(A, ctx.cone)
     hb, _, _ = _corner_data(B, ctx.cone)
     return shift_bound(ha, hb, ctx.w)
-
-
-def not_proper_witness(A: SetRep, ctx: OrderCtx) -> Verdict:
-    """Self-consistency probe for C-properness.
-
-    Computes properness twice: geometrically (a point outside A + C) and
-    through the order (no strict self-domination). The two must agree.
-    """
-    proper = setrep.is_c_proper(A, ctx.cone)
-    try:
-        self_strict = strict_lt(A, A, ctx)
-    except Exception:
-        self_strict = None
-    if self_strict is None or proper.is_inconclusive:
-        return Verdict.inconclusive("properness undecidable for this representation/cone pair")
-    if proper.is_holds and not self_strict:
-        return Verdict.holds("A + C is a proper subset and A is not strictly below itself",
-                             certificate=dict(proper.certificate))
-    if proper.is_holds and self_strict:
-        return Verdict.fails("strict self-domination on a C-proper set",
-                             counterexample={"set": setrep.set_to_json(A)})
-    if proper.is_fails and self_strict:  # pragma: no cover - unreachable for our reps
-        return Verdict.fails("A + C covers the space (consistent: A strictly below itself)",
-                             counterexample={"set": setrep.set_to_json(A)})
-    return Verdict.fails("properness routes disagree",  # pragma: no cover
-                         counterexample={"set": setrep.set_to_json(A)})

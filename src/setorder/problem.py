@@ -33,9 +33,10 @@ from . import expr as ex
 from ._kernels import LARGE
 from .cone import Cone
 from .errors import ExprError, HorizonExceeded, ProblemLoadError, SetSpecError
-from .order import CornerTable, OrderCtx, corner_table, table_rel
-from .setrep import (EXTERIOR_INSIDE, Box, BoxUnion, PointCloud, SetRep,
-                     _corner_data, exterior_point, points)
+from .order import (CornerTable, OrderCtx, corner_table, table_from_corners,
+                    table_rel)
+from .setrep import (Box, BoxUnion, PointCloud, SetRep, _corner_data,
+                     exterior_point, points)
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
 # exp(n) values from overflowing later arithmetic while changing nothing
@@ -47,6 +48,9 @@ _HI_CAP = 1e15
 #: N x N relation matrices take 0.3 GB (0.8 GB); the solvers need such
 #: quadratic memory, so much larger grids would exhaust a desktop machine.
 MAX_GRID_POINTS = 2 ** 14
+
+#: why a value whose exterior point lies in cl(A + C) is refused
+EXTERIOR_INSIDE = "constructed exterior point landed inside A + C"
 
 
 # ---------------------------------------------------------------- domains
@@ -403,12 +407,11 @@ def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
     The table holds the rows before the first row whose value raises, and
     that exception is returned with it (None when every row has a value),
     so a caller can still report what the earlier rows show. With
-    ``shift`` (E, dim) the table has leading axes (E, rows) and holds each
-    value translated by each shift vector. The table equals
-    ``corner_table`` over the same values bit for bit: a PieceMap is
-    evaluated over arrays and only its suspect rows go through ``value``;
-    under a general cone each cloud's corners go through ``Cone.h_coords``
-    once per value, as ``_corner_data`` does.
+    ``shift`` (E, dim) the table has leading axes (E, rows), each value's
+    lower corners moved by each shift vector. The table equals
+    ``corner_table(values, ctx, shift)`` over the same values bit for bit:
+    a PieceMap is evaluated over arrays and only its suspect rows go
+    through ``value``, and both end in ``order.table_from_corners``.
     """
     X = np.asarray(X, dtype=float)
     T, cone = len(X), ctx.cone
@@ -430,35 +433,18 @@ def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
         except Exception as e:
             stop, err = i, e
             break
-    data = {i: _corner_data(v, cone) for i, v in got.items()}
-    extra = max((len(h) for h, _, _ in data.values()), default=0) - corners.shape[1]
+    data = {i: _corner_data(v, cone, h_coords=False) for i, v in got.items()}
+    extra = max((len(c) for c, _, _ in data.values()), default=0) - corners.shape[1]
     if extra > 0:
         corners = np.concatenate([corners, np.full((T, extra, cone.dim), np.inf)], axis=1)
         flags = np.concatenate([flags, np.zeros((T, extra, cone.dim), np.uint8)], axis=1)
-    for i, (h, o, c) in data.items():
-        k = len(h)
+    for i, (c, o, is_cloud) in data.items():
+        k = len(c)
         corners[i], flags[i] = np.inf, 0
-        corners[i, :k] = got[i].points if c else h
-        flags[i, :k] = 0 if c else o
-        cloud[i], count[i] = c, k
-
-    K = int(count[:stop].max(initial=0))
-    corners, flags = corners[:stop, :K], flags[:stop, :K]
-    cloud, count = cloud[:stop], count[:stop]
-    if shift is not None:
-        shift = np.asarray(shift, dtype=float)
-        corners = corners[None] + shift[:, None, None, :]
-        flags = np.broadcast_to(flags, corners.shape)
-        cloud = np.broadcast_to(cloud, corners.shape[:-2])
-    if cone.kind == "orthant":
-        h, o = corners, np.array(flags)
-    else:
-        h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
-        for idx in np.ndindex(corners.shape[:-2]):
-            k = count[idx[-1]]
-            h[idx][:k] = cone.h_coords(corners[idx][:k].copy())
-        o = np.zeros(h.shape, dtype=np.uint8)
-    return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0)), err
+        corners[i, :k], flags[i, :k] = c, o
+        cloud[i], count[i] = is_cloud, k
+    return table_from_corners(corners[:stop], flags[:stop], cloud[:stop],
+                              count[:stop], ctx, shift), err
 
 
 # ---------------------------------------------------------------- problem
@@ -501,13 +487,6 @@ class Problem:
                     f"(certificate {dict(point=zs[i])})")
 
     def value(self, i: int) -> SetRep:
-        return self._values[i]
-
-    def value_at(self, x) -> SetRep:
-        i = self.domain.index_of(x)
-        if i is None:
-            raise ProblemLoadError(
-                f"x = {tuple(float(c) for c in np.atleast_1d(x))} is not a grid point")
         return self._values[i]
 
     def values(self) -> tuple[SetRep, ...]:
@@ -568,12 +547,17 @@ class PerturbedFamily:
         return out
 
     def domain_at(self, n: int) -> Domain:
-        """D_n, without evaluating the map over its grid."""
+        """D_n, without evaluating the map over its grid; refused unless it
+        has the base domain's dimension."""
         if not (0 <= n <= self.n_max):
             raise HorizonExceeded(f"n = {n} outside [0, {self.n_max}]")
         got = self._domain_cache.get(n)
         if got is None:
-            got = self._domain_cache[n] = self.domains(n)
+            got = self.domains(n)
+            if got.dim != self.base.domain.dim:
+                raise ProblemLoadError(
+                    f"D_{n} has dimension {got.dim}, the base domain {self.base.domain.dim}")
+            self._domain_cache[n] = got
         return got
 
 

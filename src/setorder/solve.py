@@ -5,8 +5,8 @@ over the grid (one per preorder flavor); the matrices are computed once
 per (problem, context) pair and cached on the problem, and representants
 and Hypothesis (H) read their level sets off them. A level set at an
 arbitrary target S is one order.table_rel call between the problem's
-memoized value table and S, as is its mirror, S against every grid value;
-the matrices and seq_lower_converse's tail comparisons use table_rel too.
+memoized value table and S; the matrices, seq_lower_converse's tail
+comparisons and converge's neighbourhood check use table_rel too.
 It shares one kernel rule with the pairwise predicates.
 """
 
@@ -83,11 +83,6 @@ def value_table(P: Problem, ctx: OrderCtx) -> CornerTable:
 def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray:
     """rel(F_i, S) for every grid index i, as one (N,) kernel call."""
     return table_rel(value_table(P, ctx), corner_table([S], ctx), (mode,))[0]
-
-
-def _values_above(S: SetRep, P: Problem, ctx: OrderCtx, mode: int) -> np.ndarray:
-    """rel(S, F_j) for every grid index j, as one (N,) kernel call."""
-    return table_rel(corner_table([S], ctx), value_table(P, ctx), (mode,))[0]
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:

@@ -3,6 +3,8 @@
 The minimality oracles are written straight from the definitions using
 only the public pairwise order predicates. No matrices, no caching, no
 shared code with setorder.solve beyond the order module itself.
+``is_c_proper`` and ``sample_points`` are per-value oracles for the
+properness check and for drawing points of a set.
 
 The tail-scan references further down ask every (n, eps) pair of a
 convergence check as its own pairwise predicate call, and every value as
@@ -19,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from setorder import setrep
 from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
@@ -30,6 +33,7 @@ from setorder.converge import (
 from setorder.errors import NoRecoveryFound
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
+    EXTERIOR_INSIDE,
     Domain,
     PerturbedFamily,
     Problem,
@@ -65,6 +69,45 @@ def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:
 def strict_lt_by_search(A, B, ctx: OrderCtx) -> bool:
     """Existential form of strict_lt along the ray eps = t*u."""
     return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in ctx.eps_schedule)
+
+
+def is_c_proper(A, C: Cone) -> Verdict:
+    """A + C != R^d, certified by an explicit point outside cl(A + C).
+
+    The per-value form of the properness check that Problem makes over all
+    its values in one table call. ``exterior_point`` is looked up on the
+    setrep module, so a test that patches it there reaches this check too.
+    """
+    z = setrep.exterior_point(A, C)
+    if z is None:
+        return Verdict.inconclusive("box-union sets under a general cone are unsupported")
+    if large_le(A, points(z), OrderCtx(C)):
+        return Verdict.fails(EXTERIOR_INSIDE, counterexample={"point": z})
+    return Verdict.holds("found a point outside cl(A + C)", certificate={"point": z})
+
+
+def sample_points(A, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw points of A itself (not of A + C).
+
+    Box sampling stays strictly inside open ends and caps unbounded axes.
+    """
+    if isinstance(A, PointCloud):
+        idx = rng.integers(0, A.points.shape[0], size=count)
+        return A.points[idx]
+    out = np.empty((count, A.dim))
+    which = rng.integers(0, len(A.boxes), size=count)
+    for i in range(count):
+        b = A.boxes[which[i]]
+        for j in range(A.dim):
+            lo, hi = b.lo[j], b.hi[j]
+            if hi == math.inf:
+                hi = lo + 2.0
+            if lo == hi:
+                out[i, j] = lo
+                continue
+            frac = rng.uniform(0.25, 0.75)
+            out[i, j] = lo + frac * (hi - lo)
+    return out
 
 
 def brute_level_set(P: Problem, S, ctx: OrderCtx, rel) -> tuple[int, ...]:

@@ -374,6 +374,52 @@ class TestLevelsetConv:
         assert exp["conclusions"]["lower"]["status"] == "Holds"
         assert exp["conclusions"]["upper"]["status"] == "Inconclusive"
 
+    def test_output_is_the_benchmark_snapshot(self, capsys, monkeypatch):
+        # perfbench checks this command's stdout against the snapshot file
+        monkeypatch.delenv("SETORDER_THREADS", raising=False)
+        snapshot = (Path(__file__).resolve().parents[1] / "perfbench" / "snapshots"
+                    / "levelset-conv-sop_sin-at-50.json").read_text()
+        code, out, _ = run(capsys, "levelset-conv", "sop_sin", "--at", "50")
+        assert code == 1
+        assert out == snapshot
+
+
+class TestFamilyDocuments:
+    @staticmethod
+    def write(tmp_path, box, **family):
+        doc = {"label": "fam", "cone": {"kind": "orthant", "dim": 1},
+               "domain": {"windows": [{"a": 0, "b": 1, "step": 0.25}]},
+               "map": {"pieces": [{"guard": "true", "box": [box]}]},
+               "family": {"subst": "n", "n_max": 64, **family}}
+        p = tmp_path / "fam.json"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["gamma", "--at", "0.5"], ["levelset-conv", "--at", "0.5"],
+        ["stability", "--kind", "Relaxed", "--direction", "external"]])
+    def test_thin_open_values_get_a_report(self, capsys, tmp_path, argv):
+        # [0, 1e-17) moved by -eps rounds to a degenerate interval; the eps
+        # shifts move lower corners only, so the value is not refused
+        p = self.write(tmp_path, {"lo": 0, "hi": 1e-17, "hi_open": True})
+        code, out, err = run(capsys, argv[0], p, *argv[1:])
+        assert "Traceback" not in err
+        report = json.loads(out)
+        jsonschema.validate(report, SCHEMA)
+        assert code == exit_code_for(report) in (0, 1, 2)
+
+    def test_domain_n_of_the_wrong_dimension_is_usage_error(self, capsys, tmp_path):
+        window = {"a": 0, "b": 1, "step": 0.25}
+        p = self.write(tmp_path, {"lo": "x1", "hi": "x1 + 1"},
+                       domain_n={"windows": [window, window]},
+                       recovery_hint=["x1"])
+        for argv in (["gamma", p, "--at", "0.5"], ["pk", p],
+                     ["stability", p, "--kind", "Relaxed", "--direction", "external"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EX_USAGE, ""), argv
+            assert "has dimension 2, the base domain 1" in err
+            assert "Traceback" not in err
+
 
 class TestOutputPlumbing:
     def test_json_is_deterministic(self, capsys):

@@ -457,8 +457,9 @@ class TestSemicontinuity:
 
     def test_usc_shifts_thin_open_values_as_corners(self, battery, ctx1):
         # [0, 1e-17) moved by -eps rounds to [-eps, -eps), which is no Box;
-        # the usc scan shifts the values' lower corners in the table, so it
-        # gives a verdict instead of refusing the rounded translate
+        # both scans shift lower corners in the table (the usc scan the
+        # values, the lsc scan F(x̄)), so they give verdicts instead of
+        # refusing the rounded translate
         P = load_dict({"label": "thin", "cone": {"kind": "orthant", "dim": 1},
                        "domain": {"windows": [{"a": 0, "b": 1, "step": 0.25}]},
                        "map": {"pieces": [{"guard": "true", "box": [
@@ -466,6 +467,8 @@ class TestSemicontinuity:
         with pytest.raises(SetSpecError, match="degenerate interval"):
             translate(P.value(0), [-0.25])
         v = usc_check(P, [0.5], battery, ctx1, 16)
+        assert v.is_holds
+        v = lsc_check(P, [0.5], battery, ctx1, 16)
         assert v.is_holds
 
 

@@ -9,22 +9,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from setorder._kernels import LARGE, LOWER, STRICT
 from setorder.cone import Cone
 from setorder.errors import DimensionMismatch, Unsupported
 from setorder.order import (
+    CornerTable,
     OrderCtx,
     corner_table,
     equiv,
     large_le,
     lower_le,
-    not_proper_witness,
     shift_margin,
     strict_lt,
+    table_rel,
 )
 from setorder.setrep import box, points, translate
 
 from conftest import EXACT_SCALES, lattice_cloud, lattice_set, scale_set
-from reference import strict_lt_by_search
+from reference import is_c_proper, strict_lt_by_search
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
@@ -78,20 +80,30 @@ class TestFrozenExamples:
 
 
 class TestNotProperWitness:
+    """Properness two ways, which must agree: a point outside cl(A + C)
+    exists (reference.is_c_proper), and A is not strictly below itself."""
+
     def test_point(self):
-        assert not_proper_witness(points([[0.0, 0.0]]), CTX2).is_holds
+        A = points([[0.0, 0.0]])
+        assert is_c_proper(A, CTX2.cone).is_holds
+        assert not strict_lt(A, A, CTX2)
 
     def test_box(self):
-        assert not_proper_witness(box([0.0, 0.0], [1.0, 1.0]), CTX2).is_holds
+        A = box([0.0, 0.0], [1.0, 1.0])
+        assert is_c_proper(A, CTX2.cone).is_holds
+        assert not strict_lt(A, A, CTX2)
 
     @given(lattice_cloud(dim=2))
     @settings(max_examples=100)
     def test_random_clouds(self, A):
-        assert not_proper_witness(A, CTX2).is_holds
+        assert is_c_proper(A, CTX2.cone).is_holds
+        assert not strict_lt(A, A, CTX2)
 
     def test_unsupported_pair_inconclusive(self):
-        v = not_proper_witness(box([0.0, 0.0], [1.0, 1.0]), ABS_CTX)
-        assert v.is_inconclusive
+        A = box([0.0, 0.0], [1.0, 1.0])
+        assert is_c_proper(A, ABS_CTX.cone).is_inconclusive
+        with pytest.raises(Unsupported):
+            strict_lt(A, A, ABS_CTX)
 
 
 class TestPreorderLaws:
@@ -178,6 +190,20 @@ class TestGeneralCone:
     def test_box_raises_unsupported(self):
         with pytest.raises(Unsupported):
             lower_le(box([0.0, 0.0], [1.0, 1.0]), points([[1.0, 1.0]]), ABS_CTX)
+
+    def test_pairs_match_tables_with_more_rows_than_axes(self):
+        # three halfspace rows in R^2: a cloud's corners have 3 coordinates
+        ctx = OrderCtx(Cone.from_halfspaces([[1.0, 0.2], [-0.3, 1.0], [1.0, 1.0]]))
+        rng = np.random.default_rng(11)
+        sets = [points(rng.integers(-3, 4, (rng.integers(1, 4), 2)) * 0.5)
+                for _ in range(12)]
+        tab = corner_table(sets, ctx)
+        got = table_rel(CornerTable(*(x[:, None] for x in tab)), tab,
+                        (LOWER, LARGE, STRICT))
+        for i, A in enumerate(sets):
+            for j, B in enumerate(sets):
+                want = (lower_le(A, B, ctx), large_le(A, B, ctx), strict_lt(A, B, ctx))
+                assert tuple(bool(m[i, j]) for m in got) == want, (i, j)
 
 
 class TestDimensionMismatch:

@@ -14,8 +14,7 @@ from setorder.order import CornerTable, OrderCtx, corner_table
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
                               load_builtin, load_dict, tail_table)
-from setorder.setrep import (BoxUnion, PointCloud, box, is_c_proper, points,
-                             translate)
+from setorder.setrep import PointCloud, box, points, translate
 
 
 def spec(label="t", cone=None, domain=None, pieces=None, family=None):
@@ -175,7 +174,7 @@ class TestBuiltinProblems:
         P = load_builtin("geff_vs_reff")
         assert P.value(7) is P.value(7)
         for i in range(len(P)):
-            assert is_c_proper(P.value(i), P.cone).is_holds
+            assert reference.is_c_proper(P.value(i), P.cone).is_holds
 
 
 class TestLoadValidation:
@@ -264,14 +263,6 @@ class TestProgrammaticProblems:
         with pytest.raises(ProblemLoadError, match=">= 8"):
             PerturbedFamily(base, base.map, lambda n: dom, n_max=4)
 
-    def test_value_at_requires_exact_grid_point(self):
-        P = load_builtin("gamma_cos")
-        assert isinstance(P, PerturbedFamily)
-        B = P.base
-        assert isinstance(B.value_at([0.0]), BoxUnion)
-        with pytest.raises(ProblemLoadError, match="not a grid point"):
-            B.value_at([0.0001])
-
 
 def point_inside(A, C):
     """A point on the boundary of cl(A + C): the first point or box lower corner."""
@@ -280,7 +271,8 @@ def point_inside(A, C):
 
 def move_inside(monkeypatch, chosen):
     """Make the exterior-point helper answer from inside cl(A + C) for the
-    values in ``chosen`` (by identity), for Problem and is_c_proper alike."""
+    values in ``chosen`` (by identity), for Problem and reference.is_c_proper
+    alike."""
     real = setrep.exterior_point
 
     def fake(A, C):
@@ -299,12 +291,12 @@ class TestProperness:
         raised = 0
         for _ in range(30):
             P = reference.random_problem(rng, max_points=12)
-            assert all(is_c_proper(v, P.cone).is_holds for v in P.values())
+            assert all(reference.is_c_proper(v, P.cone).is_holds for v in P.values())
             vals = P.values()
             chosen = [v for v in vals if rng.random() < 0.2]
             with monkeypatch.context() as m:
                 move_inside(m, chosen)
-                verdicts = [is_c_proper(v, P.cone) for v in vals]
+                verdicts = [reference.is_c_proper(v, P.cone) for v in vals]
                 bad = [i for i, v in enumerate(verdicts) if v.is_fails]
                 assert bad == [i for i, v in enumerate(vals)
                                if any(v is c for c in chosen)]
@@ -336,7 +328,7 @@ class TestProperness:
         cone = Cone.from_halfspaces([[1.0, 0.0], [1.0, 1.0]])
         P = Problem("t", TableMap(lambda x: box([x[0], 0.0], [x[0] + 1, 1.0]), 2),
                     cone, Domain.from_points([[0.0], [1.0]]))
-        assert all(is_c_proper(v, cone).is_inconclusive for v in P.values())
+        assert all(reference.is_c_proper(v, cone).is_inconclusive for v in P.values())
         mixed = Problem("t", TableMap(
             lambda x: box([0.0, 0.0], [1.0, 1.0]) if x[0] else points([[0.0, 0.0]]), 2),
             cone, Domain.from_points([[0.0], [1.0]]))
@@ -364,7 +356,9 @@ def assert_same_table(got, want):
 
 def check_tail_table(m, X, ns, ctx):
     """tail_table against corner_table over map.value, unshifted and under
-    the eps shifts of a usc scan; returns the error that ended the rows."""
+    the eps shifts of a usc scan, where corner_table(shift=) is checked too;
+    the shifted tables equal corner_table over translated values. Returns
+    the error that ended the rows."""
     vals, want_err = values_until_error(m, X, ns)
     shifts = np.array([-e * ctx.u for e in (1.0, 0.25, 2.0 ** -10)])
     for shift in (None, shifts):
@@ -376,8 +370,10 @@ def check_tail_table(m, X, ns, ctx):
                 assert_same_table(tab, corner_table(vals, ctx))
         elif vals:
             moved = corner_table([translate(v, s) for s in shift for v in vals], ctx)
-            assert_same_table(tab, CornerTable(*(
-                x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved)))
+            want = CornerTable(*(
+                x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved))
+            assert_same_table(tab, want)
+            assert_same_table(corner_table(vals, ctx, shift=shift), want)
     return want_err
 
 

@@ -14,20 +14,10 @@ from hypothesis import given, settings
 from setorder.cone import Cone
 from setorder.errors import DimensionMismatch, SetSpecError, Unsupported
 from setorder.order import OrderCtx, large_le, lower_le
-from setorder.setrep import (
-    Box,
-    BoxUnion,
-    PointCloud,
-    box,
-    is_c_proper,
-    points,
-    sample_points,
-    set_from_json,
-    set_to_json,
-    translate,
-)
+from setorder.setrep import Box, BoxUnion, PointCloud, box, points, translate
 
 from conftest import lattice_box_union, lattice_set
+from reference import is_c_proper, sample_points
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
@@ -253,25 +243,3 @@ class TestInteriorProposition:
                 assert in_closed_upset(A, z, EXACT2)
                 zu = z + u
                 assert any(R2.dominates(c, zu, strict=True, tol=0.0) for c in corners)
-
-
-class TestJson:
-    def test_cloud_round_trip(self):
-        A = points([[0.0, 1.5], [2.0, -3.0]])
-        B = set_from_json(set_to_json(A))
-        assert np.array_equal(A.points, B.points)
-
-    def test_box_round_trip_with_inf(self):
-        A = box([0.0, 1.0], [1.0, math.inf], [True, False], [False, True])
-        B = set_from_json(set_to_json(A))
-        assert B.boxes[0].lo == A.boxes[0].lo
-        assert B.boxes[0].hi == A.boxes[0].hi
-        assert B.boxes[0].lo_open == A.boxes[0].lo_open
-
-    def test_flags_default_closed(self):
-        B = set_from_json({"boxes": [{"lo": [0.0], "hi": [1.0]}]})
-        assert B.boxes[0].lo_open == (False,)
-
-    def test_bad_literal(self):
-        with pytest.raises(SetSpecError):
-            set_from_json({"nope": 1})

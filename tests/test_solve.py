@@ -20,12 +20,12 @@ from reference import (
 from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
 from setorder.cone import Cone
 from setorder.errors import InternalCheckError
-from setorder.order import OrderCtx, large_le, lower_le, strict_lt
+from setorder.order import (OrderCtx, corner_table, large_le, lower_le, strict_lt,
+                            table_rel)
 from setorder.problem import Domain, Problem, TableMap, load_builtin
 from setorder.setrep import PointCloud, _corner_data, box, points, translate
 from setorder.solve import (
     KINDS,
-    _values_above,
     EffResult,
     NoFiniteRepresentant,
     Representant,
@@ -36,6 +36,7 @@ from setorder.solve import (
     relation_matrices,
     representants,
     strong_level_set,
+    value_table,
 )
 
 
@@ -247,7 +248,9 @@ class TestLevelSets:
                     brute_level_set(P, S, ctx, lower_le), where
                 for mode, rel in ((LOWER, lower_le), (LARGE, large_le),
                                   (STRICT, strict_lt)):
-                    got = tuple(np.flatnonzero(_values_above(S, P, ctx, mode)))
+                    above, = table_rel(corner_table([S], ctx), value_table(P, ctx),
+                                       (mode,))
+                    got = tuple(np.flatnonzero(above))
                     assert got == brute_level_set_above(S, P, ctx, rel), (where, mode)
             for v in clouds[:3]:
                 y = v.points[0] - ctx.tol
