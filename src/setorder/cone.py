@@ -100,16 +100,18 @@ class Cone:
             return self.contains_interior(b - a, tol)
         return self.contains(b - a, tol)
 
-    def h_coords(self, points: np.ndarray) -> np.ndarray:
+    def h_coords(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Map points (k, dim) to halfspace coordinates (k, m).
 
         In these coordinates every cone comparison is a componentwise one;
-        for the orthant this is the identity.
+        for the orthant this is the identity and the points come back as
+        they are. Under any other cone ``out``, when given, receives the
+        coordinates.
         """
         points = np.asarray(points, dtype=float)
         if self.kind == "orthant":
             return points
-        return points @ self.halfspaces.T
+        return np.matmul(points, self.halfspaces.T, out=out)
 
     def _vec(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).reshape(-1)

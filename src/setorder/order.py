@@ -85,13 +85,13 @@ def corner_table(values: Sequence[SetRep], ctx: OrderCtx,
                  shift: Optional[np.ndarray] = None) -> CornerTable:
     """A nonempty sequence of sets as one table with leading axis (N,), or
     (E, N) with each set moved by each row of ``shift`` (E, dim)."""
-    data = [_corner_data(v, ctx.cone, h_coords=False) for v in values]
-    count = np.array([len(c) for c, _, _ in data], dtype=np.intp)
-    corners = np.full((len(data), int(count.max()), ctx.cone.dim), np.inf)
+    cs, fs, clouds = zip(*(_corner_data(v, ctx.cone, h_coords=False) for v in values))
+    count = np.array([len(c) for c in cs], dtype=np.intp)
+    filled = np.arange(count.max()) < count[:, None]
+    corners = np.full(filled.shape + (ctx.cone.dim,), np.inf)
     flags = np.zeros(corners.shape, dtype=np.uint8)
-    for i, (c, o, _) in enumerate(data):
-        corners[i, :len(c)], flags[i, :len(c)] = c, o
-    cloud = np.array([c for _, _, c in data], dtype=bool)
+    corners[filled], flags[filled] = np.concatenate(cs), np.concatenate(fs)
+    cloud = np.array(clouds, dtype=bool)
     return table_from_corners(corners, flags, cloud, count, ctx, shift)
 
 
@@ -120,9 +120,10 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
         h, o = corners, np.array(flags)
     else:
         h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
-        for idx in np.ndindex(corners.shape[:-2]):
-            k = count[idx[-1]]
-            h[idx][:k] = cone.h_coords(corners[idx][:k])
+        ks = np.broadcast_to(count, corners.shape[:-2]).ravel().tolist()
+        for hi, ci, k in zip(h.reshape(-1, K, len(ctx.w)),
+                             corners.reshape(-1, K, cone.dim), ks):
+            cone.h_coords(ci[:k], out=hi[:k])
         o = np.zeros(h.shape, dtype=np.uint8)
     return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))
 
