@@ -13,10 +13,9 @@ the ray eps = t*u, u the cone's interior direction.
 
 A relation is asked for one pair of sets (``_rel``, the predicates above)
 or over two corner tables of sets (``table_rel``); both use one kernel rule.
-``corner_table`` makes a table of sets; with a shift (E, dim) it holds each
-set moved by each shift vector, its lower corners moved in the table
-(``table_from_corners``, which problem.tail_table ends in too). That move
-is the only set arithmetic the package does.
+``corner_table(values, ctx, shift)`` and problem.tail_table both end in
+``table_from_corners``, where a shift (E, dim) moves each set's lower
+corners in the table: the only set arithmetic the package does.
 
 Universal epsilon quantifiers everywhere in the package are instantiated
 along that same ray, on a strictly decreasing schedule.
@@ -98,15 +97,12 @@ def corner_table(values: Sequence[SetRep], ctx: OrderCtx,
 def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray,
                        count: np.ndarray, ctx: OrderCtx,
                        shift: Optional[np.ndarray] = None) -> CornerTable:
-    """N sets' lower corners (N, K, dim), padded with +inf, as a table.
-
-    ``flags`` are the corners' uint8 lower-openness (zero for a cloud),
+    """N sets' lower corners (N, K, dim), padded with +inf, as a table cut
+    to the largest corner count; ``flags`` their uint8 lower-openness,
     ``cloud`` and ``count`` (N) each set's representation and corner count.
-    The corners are cut to the largest count. With ``shift`` (E, dim) the
-    table has leading axes (E, N) and each set's corners are moved by each
-    shift vector: an eps-shift of a set is this move of its lower corners,
-    written once, here. Under a general cone each set's moved corners go
-    through ``Cone.h_coords`` once, as ``_corner_data`` takes them.
+    With ``shift`` (E, dim) the leading axes are (E, N), each set's corners
+    moved by each shift vector. Under a general cone each set's corners go
+    through ``Cone.h_coords`` once, as in ``_corner_data``.
     """
     K = int(count.max(initial=0))
     corners, flags = corners[:, :K], flags[:, :K]

@@ -3,8 +3,8 @@
 The minimality oracles are written straight from the definitions using
 only the public pairwise order predicates. No matrices, no caching, no
 shared code with setorder.solve beyond the order module itself.
-``is_c_proper`` and ``sample_points`` are per-value oracles for the
-properness check and for drawing points of a set.
+``is_c_proper`` is the per-value properness check; ``sample_points``
+draws points of a set.
 
 The tail-scan references further down ask every (n, eps) pair of a
 convergence check as its own pairwise predicate call, and every value as
@@ -72,12 +72,8 @@ def strict_lt_by_search(A, B, ctx: OrderCtx) -> bool:
 
 
 def is_c_proper(A, C: Cone) -> Verdict:
-    """A + C != R^d, certified by an explicit point outside cl(A + C).
-
-    The per-value form of the properness check that Problem makes over all
-    its values in one table call. ``exterior_point`` is looked up on the
-    setrep module, so a test that patches it there reaches this check too.
-    """
+    """A + C != R^d, certified by a point outside cl(A + C), one value at a
+    time; ``exterior_point`` is looked up on setrep, so a patch there reaches it."""
     z = setrep.exterior_point(A, C)
     if z is None:
         return Verdict.inconclusive("box-union sets under a general cone are unsupported")

@@ -355,10 +355,9 @@ def assert_same_table(got, want):
 
 
 def check_tail_table(m, X, ns, ctx):
-    """tail_table against corner_table over map.value, unshifted and under
-    the eps shifts of a usc scan, where corner_table(shift=) is checked too;
-    the shifted tables equal corner_table over translated values. Returns
-    the error that ended the rows."""
+    """tail_table (and corner_table(shift=)) against corner_table over map.value,
+    unshifted and translated by the eps shifts of a usc scan; returns the
+    error that ended the rows."""
     vals, want_err = values_until_error(m, X, ns)
     shifts = np.array([-e * ctx.u for e in (1.0, 0.25, 2.0 ** -10)])
     for shift in (None, shifts):
