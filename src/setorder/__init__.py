@@ -16,6 +16,7 @@ from .converge import (
     levelset_convergence_experiment,
     lsc_check,
     pk_limits,
+    seq_lower_converse,
     stability_experiment,
     usc_check,
 )
@@ -43,7 +44,6 @@ from .solve import (
     hypothesis_h,
     l_set,
     representants,
-    seq_lower_converse,
     strong_level_set,
 )
 from .verdict import Status, Verdict

@@ -245,16 +245,13 @@ def _problem_block(obj) -> dict:
 
 
 def _envelope(command: str, args, result: dict,
-              problem: Optional[dict] = None, pinned: bool = False) -> dict:
-    config = {
-        "tol": DEFAULT_TOL if pinned else args.tol,
-        "horizon": DEFAULT_HORIZON if pinned else args.horizon,
-        "seed": 0 if pinned else args.seed,
-    }
-    if not pinned:
-        # the thread cap is environment-dependent, so pinned (golden)
-        # reports must not embed it
-        config["threads"] = _threads()
+              problem: Optional[dict] = None) -> dict:
+    # args None pins the configuration; the thread cap is environment-
+    # dependent, so pinned (golden) reports must not embed it
+    config = ({"tol": DEFAULT_TOL, "horizon": DEFAULT_HORIZON, "seed": 0}
+              if args is None else
+              {"tol": args.tol, "horizon": args.horizon, "seed": args.seed,
+               "threads": _threads()})
     out = {
         "tool": {"name": "setorder", "version": __version__},
         "command": command,
@@ -474,13 +471,7 @@ def _repro_report(example_id: str) -> dict:
     else:
         raise ProblemLoadError(f"unknown repro id {example_id!r}")
 
-    class _Pinned:
-        tol = DEFAULT_TOL
-        horizon = DEFAULT_HORIZON
-        seed = 0
-
-    return _envelope("repro", _Pinned, {"example": example_id, **result},
-                     problem, pinned=True)
+    return _envelope("repro", None, {"example": example_id, **result}, problem)
 
 
 def _cmd_repro(args) -> int:

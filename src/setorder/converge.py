@@ -13,16 +13,16 @@ points; the prefix of a sequence is never built or scored.
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
-Every eps-shift, of F(x̄), of a tail value or of a level-set target, moves
-lower corners inside a corner table (order.corner_table and
-problem.tail_table with ``shift``); no shifted set is built.
+Every eps-shift moves lower corners inside a corner table (``shift`` of
+order.corner_table and problem.tail_table); no shifted set is built.
 A sequence's tail is one array program: one (T, d) array of battery
 points, one evaluation of the map over it straight into a corner table
 (problem.tail_table), and one comparison over the floored eps schedule
-(order.table_rel). The recovery tail, each recovery ball and the
-level-set targets are asked the same way. A break is the first failing
-index in (strategy, variant, n) order, as a pair-at-a-time scan would find
-it, and a value that raises past a break does not hide it.
+(order.table_rel). The recovery tail, each recovery ball, the level-set
+targets and seq_lower_converse's paired tails are asked the same way. A
+break is the first failing index in (strategy, variant, n) order, as a
+pair-at-a-time scan would find it, and a value that raises past a break
+does not hide it.
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -53,7 +53,8 @@ from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
                       tail_table)
 from .setrep import SetRep
-from .solve import eff, hypothesis_h, strong_level_set, value_table
+from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
+                    representants, strong_level_set, value_table)
 from .verdict import Status, Verdict
 
 DEFAULT_HORIZON = 64
@@ -423,6 +424,12 @@ def _min_gap(pts: np.ndarray) -> float:
     d[d == 0] = np.inf
     g = float(d.min())
     return g if np.isfinite(g) else 1.0
+
+
+def _grid_step(domain: Domain) -> float:
+    """The smallest window step, or _min_gap of an explicit point list."""
+    steps = domain.step_summary()
+    return min(steps) if isinstance(steps, list) else _min_gap(domain.points)
 
 
 # ------------------------------------------------- semicontinuity probes
@@ -893,8 +900,7 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     # conclusions via set limits of the level sets on the base grid
     lev_limit = set(strong_level_set(base, omega, ctx))
     lev_pts = base.domain.points[sorted(lev_limit)]
-    steps = base.domain.step_summary()
-    step = min(steps) if isinstance(steps, list) else _min_gap(base.domain.points)
+    step = _grid_step(base.domain)
     tol_const = max(EPS_FLOOR, step / 2)
 
     levs = {n: base.domain.points[list(strong_level_set(family_at(shared, n), w, ctx))]
@@ -1000,6 +1006,72 @@ def _cluster(points: list, radius: float):
     return list(groups.values())
 
 
+# ----------------------------------------------- sequential lower converse
+
+def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
+                       battery=None, horizon: int = DEFAULT_HORIZON) -> Verdict:
+    """Sampled falsification of order preservation along convergent pairs.
+
+    For target pairs (x̄, x₀) with F(x̄) large-below F(x₀), every generated
+    pair of sequences must keep F_n(x_n) large-below F_n(φ_n) through the
+    tail. Holds is sampled evidence only; Fails is definitive.
+    """
+    battery = battery or SeqGenBattery()
+    base = fam.base
+    pairs = np.argwhere(relation_matrices(base, ctx)[1])
+    rng = np.random.default_rng(battery.seed + 7)
+    if len(pairs) > samples:
+        pairs = pairs[rng.choice(len(pairs), size=samples, replace=False)]
+    tail = upper_half(horizon)
+    names = battery.strategy_names()
+
+    # the rows end where D_n, F_n(x_n) or F_n(phi_n) first raises; at one n
+    # they are asked in that order, so the earliest (row, order) error is
+    # the one a pair-at-a-time scan would meet
+    doms, dom_err = [], None
+    if len(pairs):
+        for n in tail:
+            try:
+                doms.append(fam.domain_at(n))
+            except Exception as e:
+                dom_err = e
+                break
+    ns = list(tail)[:len(doms)]
+
+    for i, j in pairs:
+        xb, x0 = base.domain.points[int(i)], base.domain.points[int(j)]
+        for name in names:
+            xs = battery.sequence(name, xb, doms, ns)
+            ps = battery.sequence(name, x0, doms, ns)
+            ta, err_a = tail_table(fam.map, xs, ns, ctx)
+            tb, err_b = tail_table(fam.map, ps, ns, ctx)
+            # a table without an error has every row, so D_n's end wins
+            cut, _, err = min((len(doms), 0, dom_err), (len(ta.h), 1, err_a),
+                              (len(tb.h), 2, err_b), key=lambda end: end[:2])
+            # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
+            ok, = table_rel(CornerTable(*(x[:cut] for x in ta)),
+                            CornerTable(*(x[:cut] for x in tb)), (LARGE,))
+            brk = _break_or_raise(ok[None], err, ctx)
+            if brk is not None:
+                k = brk[0]
+                return Verdict.fails(
+                    reason=f"order between indices {int(i)} and {int(j)} breaks "
+                           f"at n = {tail[k]} under strategy {name}",
+                    counterexample={
+                        "n": tail[k], "strategy": name,
+                        "xbar_index": int(i), "x0_index": int(j),
+                        "x_n": [float(v) for v in xs[k]],
+                        "phi_n": [float(v) for v in ps[k]]},
+                    sampled=True)
+    checked = len(pairs) * len(names) * len(tail)
+    return Verdict.holds(
+        reason=f"order preserved along {checked} tail comparisons "
+               f"({len(pairs)} target pairs)",
+        certificate={"pairs": int(len(pairs)), "comparisons": checked,
+                     "seed": battery.seed, "horizon": horizon},
+        sampled=True)
+
+
 def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
                          ctx: OrderCtx,
                          battery: Optional[SeqGenBattery] = None,
@@ -1034,7 +1106,6 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
         certificate={"points": len(base), "seed": battery.seed})
 
     if direction == "external" and kind == "Geoffroy":
-        from .solve import seq_lower_converse
         hypotheses["seq_lower_converse"] = seq_lower_converse(
             fam, ctx, battery=battery, horizon=horizon)
 
@@ -1072,7 +1143,6 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
                           sampled=True))
 
     if kind == "Geoffroy":
-        from .solve import NoFiniteRepresentant, representants
         rep = representants(base, ctx)
         hypotheses["representants"] = (
             Verdict.fails(reason="no finite representant decomposition",
@@ -1083,8 +1153,7 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
                           certificate={"reps": list(rep.reps)}))
 
     # tail solution points and their clusters
-    steps = base.domain.step_summary()
-    step = min(steps) if isinstance(steps, list) else _min_gap(base.domain.points)
+    step = _grid_step(base.domain)
     tagged = [(n, p) for n in tail
               for p in fam.domain_at(n).points[list(en[n])]]
     clusters_raw = _cluster(tagged, 2.0 * ctx.tol)

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT, covered, rel_corners, shift_bound
 from .cone import DEFAULT_TOL, Cone
-from .setrep import SetRep, _corner_data
+from .setrep import SetRep, _corner_data, _refuse_boxes
 
 DEFAULT_EPS_SCHEDULE: tuple[float, ...] = tuple(2.0 ** -k for k in range(21))
 
@@ -102,8 +102,11 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     ``cloud`` and ``count`` (N) each set's representation and corner count.
     With ``shift`` (E, dim) the leading axes are (E, N), each set's corners
     moved by each shift vector. Under a general cone each set's corners go
-    through ``Cone.h_coords`` once, as in ``_corner_data``.
+    through ``Cone.h_coords`` once, as in ``_corner_data``, and a box union
+    is refused.
     """
+    if not cloud.all():
+        _refuse_boxes(ctx.cone)
     K = int(count.max(initial=0))
     corners, flags = corners[:, :K], flags[:, :K]
     if shift is not None:

@@ -3,14 +3,15 @@
 A Problem bundles a set-valued objective over a finite grid with an
 ordering cone. It is validated eagerly when built: guard coverage, value
 well-formedness, and properness of every grid value, so the solvers can
-assume a total, memoized ``value``.
+assume a total ``value``.
 
 A PerturbedFamily adds the members F_n = ``map(·, n)`` on the domains
 D_n = ``domains(n)``, under the base cone. ``family_at`` builds a member
 as a Problem, for the callers that read its grid values; a value at one
-point is ``fam.map.value(x, n)`` and builds no member. Values along a
-sequence tail go straight into a corner table (``tail_table``): one array
-evaluation of the map over all the tail's points.
+point is ``fam.map.value(x, n)`` and builds no member. Values at many
+points take one path, ``value_rows``: one array evaluation of the map,
+straight into padded corner arrays, which a Problem keeps for its grid and
+a sequence tail turns into a corner table (``tail_table``).
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -33,10 +34,8 @@ from . import expr as ex
 from ._kernels import LARGE
 from .cone import Cone
 from .errors import ExprError, HorizonExceeded, ProblemLoadError, SetSpecError
-from .order import (CornerTable, OrderCtx, corner_table, table_from_corners,
-                    table_rel)
-from .setrep import (Box, BoxUnion, PointCloud, SetRep, _corner_data,
-                     exterior_point, points)
+from .order import CornerTable, OrderCtx, table_from_corners, table_rel
+from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
 # exp(n) values from overflowing later arithmetic while changing nothing
@@ -257,7 +256,7 @@ class Piece:
 class PieceMap:
     """First-matching-piece expression map x -> SetRep.
 
-    ``value`` evaluates at one point. ``tail_table`` evaluates guards and
+    ``value`` evaluates at one point. ``value_rows`` evaluates guards and
     expressions over arrays of points instead (``_rows``) and sends a row
     back through ``value`` when it is suspect: when some expression of the
     row is suspect in ``expr.evaluate_rows`` (a NaN or infinite
@@ -381,7 +380,7 @@ def _eval_piece(piece: Piece, k: int, env, image_dim: int) -> SetRep:
 class TableMap:
     """Programmatic map for crafted test families: a callable per point.
 
-    Nothing is known of its values ahead of a call, so ``tail_table``
+    Nothing is known of its values ahead of a call, so ``value_rows``
     treats every row as suspect and asks ``value`` for each.
     """
 
@@ -399,32 +398,21 @@ class TableMap:
 SetValuedMap = Union[PieceMap, TableMap]
 
 
-def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
-               shift: Optional[np.ndarray] = None
-               ) -> tuple[CornerTable, Optional[Exception]]:
-    """map.value(X[i], ns[i]) for the rows of X as one corner table.
-
-    The table holds the rows before the first row whose value raises, and
-    that exception is returned with it (None when every row has a value),
-    so a caller can still report what the earlier rows show. With
-    ``shift`` (E, dim) the table has leading axes (E, rows), each value's
-    lower corners moved by each shift vector. The table equals
-    ``corner_table(values, ctx, shift)`` over the same values bit for bit:
-    a PieceMap is evaluated over arrays and only its suspect rows go
-    through ``value``, and both end in ``order.table_from_corners``.
+def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
+    """((corners, flags, cloud, count), err): map.value(X[i], ns[i]) for the
+    rows of X before the first whose value raises, laid out as in
+    ``PieceMap._rows``, and that exception (or None). A row holds
+    ``_corner_data(value, cone, h_coords=False)`` bit for bit, which reads
+    only the cone's dimension; only a PieceMap's suspect rows call ``value``.
     """
     X = np.asarray(X, dtype=float)
-    T, cone = len(X), ctx.cone
+    T = len(X)
     if isinstance(map, PieceMap) and map.image_dim == cone.dim:
         corners, flags, cloud, count, suspect = map._rows(X, ns)
-        if cone.kind != "orthant":
-            suspect |= ~cloud   # _corner_data refuses boxes under this cone
     else:
         corners = np.full((T, 0, cone.dim), np.inf)
-        flags = np.zeros(corners.shape, dtype=np.uint8)
-        cloud = np.zeros(T, dtype=bool)
-        count = np.zeros(T, dtype=np.intp)
-        suspect = np.ones(T, dtype=bool)
+        flags = np.zeros(corners.shape, np.uint8)
+        cloud, count, suspect = np.zeros(T, bool), np.zeros(T, np.intp), np.ones(T, bool)
 
     stop, err, got = T, None, {}
     for i in np.flatnonzero(suspect).tolist():
@@ -443,14 +431,44 @@ def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
         corners[i], flags[i] = np.inf, 0
         corners[i, :k], flags[i, :k] = c, o
         cloud[i], count[i] = is_cloud, k
-    return table_from_corners(corners[:stop], flags[:stop], cloud[:stop],
-                              count[:stop], ctx, shift), err
+    return (corners[:stop], flags[:stop], cloud[:stop], count[:stop]), err
+
+
+def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
+               shift: Optional[np.ndarray] = None
+               ) -> tuple[CornerTable, Optional[Exception]]:
+    """``value_rows`` as one corner table, and the error that ended the rows.
+
+    With ``shift`` (E, dim) the leading axes are (E, rows). The table equals
+    ``corner_table(values, ctx, shift)`` over the same values bit for bit.
+    """
+    rows, err = value_rows(map, X, ns, ctx.cone)
+    return table_from_corners(*rows, ctx, shift), err
+
+
+def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
+    """(checked, z): the rows checked for properness and a point z outside
+    cl(A + C) for each, A's componentwise least corner pushed along -u until
+    the first halfspace row rules out domination (by 1 under the orthant);
+    under a general cone only clouds are checked."""
+    corners, _, cloud, count = rows
+    if cone.kind == "orthant":
+        return np.arange(len(count)), corners.min(axis=1) - 1.0
+    checked = np.flatnonzero(cloud)
+    z = np.empty((len(checked), cone.dim))
+    for r, i in enumerate(checked.tolist()):
+        pts = corners[i, :count[i]]
+        pmin = pts.min(axis=0)
+        t = 1.0 + float(cone.h_coords(pmin[None])[0, 0] - cone.h_coords(pts)[:, 0].min())
+        z[r] = pmin - t * cone.interior_direction
+    return checked, z
 
 
 # ---------------------------------------------------------------- problem
 
 class Problem:
-    """SetValuedMap + Cone + Domain, fully validated and memoized on the grid."""
+    """SetValuedMap + Cone + Domain, fully validated on the grid; ``rows``
+    holds the grid's values (``value_rows``), ``value(i)`` evaluates anew."""
 
     def __init__(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
                  n: Optional[int] = None):
@@ -462,35 +480,34 @@ class Problem:
         self.cone = cone
         self.domain = domain
         self.n = n
-        values = []
-        for x in domain.points:
-            try:
-                v = map.value(x, n)
-            except (SetSpecError, ExprError) as e:
-                raise ProblemLoadError(
-                    f"value at x = {tuple(float(c) for c in x)}: {e}") from e
-            values.append(v)
-        self._values = tuple(values)
+        rows, err = value_rows(map, domain.points, [n] * len(domain), cone)
+        if isinstance(err, (SetSpecError, ExprError)):
+            x = tuple(float(c) for c in domain.points[len(rows[3])])
+            raise ProblemLoadError(f"value at x = {x}: {err}") from err
+        if err is not None:
+            raise err
+        self.rows = rows
         # properness: one LARGE query pairs each value with its exterior point
-        zs = [exterior_point(v, cone) for v in values]
-        checked = [i for i, z in enumerate(zs) if z is not None]
-        if checked:
-            ctx = OrderCtx(cone)
-            inside, = table_rel(corner_table([values[i] for i in checked], ctx),
-                                corner_table([points(zs[i]) for i in checked], ctx),
-                                (LARGE,))
+        checked, zs = _exterior_rows(rows, cone)
+        if len(checked):
+            ctx, z = OrderCtx(cone), zs[:, None]
+            inside, = table_rel(
+                table_from_corners(*(x[checked] for x in rows), ctx),
+                table_from_corners(z, np.zeros(z.shape, np.uint8),
+                                   np.ones(len(z), bool), np.ones(len(z), np.intp), ctx),
+                (LARGE,))
             if inside.any():
-                i = checked[int(np.argmax(inside))]
+                r = int(np.argmax(inside))
                 raise ProblemLoadError(
-                    f"value at x = {tuple(domain.points[i])} is not proper "
+                    f"value at x = {tuple(domain.points[checked[r]])} is not proper "
                     f"for the cone: {EXTERIOR_INSIDE} "
-                    f"(certificate {dict(point=zs[i])})")
+                    f"(certificate {dict(point=zs[r])})")
 
     def value(self, i: int) -> SetRep:
-        return self._values[i]
+        return self.map.value(self.domain.points[i], self.n)
 
     def values(self) -> tuple[SetRep, ...]:
-        return self._values
+        return tuple(self.value(i) for i in range(len(self)))
 
     def __len__(self) -> int:
         return len(self.domain)

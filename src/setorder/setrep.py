@@ -8,10 +8,7 @@ to lower-corner sweeps in halfspace coordinates: ``_corner_data``
 supplies the corners, and the order module's relations and corner tables
 ask the questions (an eps-shift moves corners in the table). Whether a
 point z lies in A + C, or in cl(A + C), is lower_le(A, points([z]), ctx),
-or large_le.
-Besides the representations, this module holds ``translate``, the shift of
-a set by a vector, and ``exterior_point``, a point outside cl(A + C) that
-the problem layer's properness check asks about.
+or large_le. ``translate`` shifts a set by a vector.
 
 Structural equality between SetReps is intentionally not defined; compare
 through the order module's equivalence relation.
@@ -121,13 +118,19 @@ def points(pts: Sequence[Sequence[float]]) -> PointCloud:
     return PointCloud(arr.shape[1], arr)
 
 
+def _refuse_boxes(C: Cone) -> None:
+    if C.kind != "orthant":
+        raise Unsupported("box-union sets require the orthant cone; "
+                          "sample to a point cloud for general cones")
+
+
 def _corner_data(A: SetRep, C: Cone, h_coords: bool = True
                  ) -> tuple[np.ndarray, np.ndarray, bool]:
     """(lower corners, lo_open flags, is_cloud) for a set under a cone.
 
     A cloud's corners are its points, in halfspace coordinates unless
-    ``h_coords`` is False, with all-zero flags; a box union's are its
-    boxes' lower corners (the orthant only, where h_coords is the identity).
+    ``h_coords`` is False, with all-zero flags; a box union's are its boxes'
+    lower corners, in halfspace coordinates under the orthant only.
     """
     if A.dim != C.dim:
         raise DimensionMismatch(f"set dim {A.dim} against cone dim {C.dim}")
@@ -135,9 +138,8 @@ def _corner_data(A: SetRep, C: Cone, h_coords: bool = True
         h = np.ascontiguousarray(C.h_coords(A.points)) if h_coords else A.points
         return h, np.zeros(h.shape, dtype=np.uint8), True
     if isinstance(A, BoxUnion):
-        if C.kind != "orthant":
-            raise Unsupported("box-union sets require the orthant cone; "
-                              "sample to a point cloud for general cones")
+        if h_coords:
+            _refuse_boxes(C)
         c, o = A.lower_corners()
         return np.ascontiguousarray(c), np.ascontiguousarray(o), False
     raise TypeError(f"not a SetRep: {A!r}")
@@ -155,17 +157,3 @@ def translate(A: SetRep, v: Sequence[float] | np.ndarray) -> SetRep:
             b.lo_open, b.hi_open)
         for b in A.boxes)
     return BoxUnion(A.dim, moved)
-
-
-def exterior_point(A: SetRep, C: Cone) -> np.ndarray | None:
-    """A point z outside cl(A + C), or None for a box union under a general cone."""
-    if A.dim != C.dim:
-        raise DimensionMismatch(f"set dim {A.dim} against cone dim {C.dim}")
-    if isinstance(A, BoxUnion):
-        return A.lower_corners()[0].min(axis=0) - 1.0 if C.kind == "orthant" else None
-    # push far enough along -u that the first halfspace row rules out
-    # domination by every point of A
-    pmin = A.points.min(axis=0)
-    h0 = C.h_coords(A.points)[:, 0]
-    t = 1.0 + float(C.h_coords(pmin.reshape(1, -1))[0, 0] - h0.min())
-    return pmin - t * C.interior_direction

@@ -5,9 +5,8 @@ over the grid (one per preorder flavor); the matrices are computed once
 per (problem, context) pair and cached on the problem, and representants
 and Hypothesis (H) read their level sets off them. A level set at an
 arbitrary target S is one order.table_rel call between the problem's
-memoized value table and S; the matrices, seq_lower_converse's tail
-comparisons and converge's neighbourhood check use table_rel too.
-It shares one kernel rule with the pairwise predicates.
+value table, built once from its grid rows, and S; the matrices use
+table_rel too. It shares one kernel rule with the pairwise predicates.
 """
 
 from __future__ import annotations
@@ -19,8 +18,9 @@ import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT
 from .errors import InternalCheckError
-from .order import CornerTable, OrderCtx, corner_table, lower_le, table_rel
-from .problem import PieceMap, Problem, tail_table
+from .order import (CornerTable, OrderCtx, corner_table, lower_le, table_from_corners,
+                    table_rel)
+from .problem import PieceMap, Problem
 from .setrep import PointCloud, SetRep
 from .verdict import Verdict
 
@@ -72,11 +72,11 @@ _BLOCK_ELEMENTS = 2 ** 16
 
 
 def value_table(P: Problem, ctx: OrderCtx) -> CornerTable:
-    """P's values as one corner table, memoized on P per ctx."""
+    """P's values as one corner table, from its rows, memoized on P per ctx."""
     cache = vars(P).setdefault("_table_cache", {})
     got = cache.get(ctx)
     if got is None:
-        got = cache[ctx] = corner_table(P.values(), ctx)
+        got = cache[ctx] = table_from_corners(*P.rows, ctx)
     return got
 
 
@@ -219,74 +219,6 @@ def hypothesis_h(P: Problem, kind: str, xbar, ctx: OrderCtx) -> Verdict:
         reason=f"no {kind}-minimal point reaches the level set at index {i}",
         counterexample={"xbar_index": i, "kind": kind,
                         "eff_indices": list(eff_idx), "level_set": sorted(lev)})
-
-
-# ----------------------------------------------- sequential lower converse
-
-def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
-                       battery=None, horizon: int = 64) -> Verdict:
-    """Sampled falsification of order preservation along convergent pairs.
-
-    For target pairs (x̄, x₀) with F(x̄) large-below F(x₀), every generated
-    pair of sequences must keep F_n(x_n) large-below F_n(φ_n) through the
-    tail. Holds is sampled evidence only; Fails is definitive.
-    """
-    from .converge import SeqGenBattery, _break_or_raise, upper_half
-
-    battery = battery or SeqGenBattery()
-    base = fam.base
-    pairs = np.argwhere(relation_matrices(base, ctx)[1])
-    rng = np.random.default_rng(battery.seed + 7)
-    if len(pairs) > samples:
-        pairs = pairs[rng.choice(len(pairs), size=samples, replace=False)]
-    tail = upper_half(horizon)
-    names = battery.strategy_names()
-
-    # the rows end where D_n, F_n(x_n) or F_n(phi_n) first raises; at one n
-    # they are asked in that order, so the earliest (row, order) error is
-    # the one a pair-at-a-time scan would meet
-    doms, dom_err = [], None
-    if len(pairs):
-        for n in tail:
-            try:
-                doms.append(fam.domain_at(n))
-            except Exception as e:
-                dom_err = e
-                break
-    ns = list(tail)[:len(doms)]
-
-    for i, j in pairs:
-        xb, x0 = base.domain.points[int(i)], base.domain.points[int(j)]
-        for name in names:
-            xs = battery.sequence(name, xb, doms, ns)
-            ps = battery.sequence(name, x0, doms, ns)
-            ta, err_a = tail_table(fam.map, xs, ns, ctx)
-            tb, err_b = tail_table(fam.map, ps, ns, ctx)
-            # a table without an error has every row, so D_n's end wins
-            cut, _, err = min((len(doms), 0, dom_err), (len(ta.h), 1, err_a),
-                              (len(tb.h), 2, err_b), key=lambda end: end[:2])
-            # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
-            ok, = table_rel(CornerTable(*(x[:cut] for x in ta)),
-                            CornerTable(*(x[:cut] for x in tb)), (LARGE,))
-            brk = _break_or_raise(ok[None], err, ctx)
-            if brk is not None:
-                k = brk[0]
-                return Verdict.fails(
-                    reason=f"order between indices {int(i)} and {int(j)} breaks "
-                           f"at n = {tail[k]} under strategy {name}",
-                    counterexample={
-                        "n": tail[k], "strategy": name,
-                        "xbar_index": int(i), "x0_index": int(j),
-                        "x_n": [float(v) for v in xs[k]],
-                        "phi_n": [float(v) for v in ps[k]]},
-                    sampled=True)
-    checked = len(pairs) * len(names) * len(tail)
-    return Verdict.holds(
-        reason=f"order preserved along {checked} tail comparisons "
-               f"({len(pairs)} target pairs)",
-        certificate={"pairs": int(len(pairs)), "comparisons": checked,
-                     "seed": battery.seed, "horizon": horizon},
-        sampled=True)
 
 
 # ------------------------------------------------------------- L(y) of §5

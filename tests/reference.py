@@ -3,8 +3,8 @@
 The minimality oracles are written straight from the definitions using
 only the public pairwise order predicates. No matrices, no caching, no
 shared code with setorder.solve beyond the order module itself.
-``is_c_proper`` is the per-value properness check; ``sample_points``
-draws points of a set.
+``is_c_proper`` is the per-value properness check, on
+``exterior_point``; ``sample_points`` draws points of a set.
 
 The tail-scan references further down ask every (n, eps) pair of a
 convergence check as its own pairwise predicate call, and every value as
@@ -21,7 +21,6 @@ from itertools import combinations
 
 import numpy as np
 
-from setorder import setrep
 from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
@@ -30,7 +29,7 @@ from setorder.converge import (
     io_threshold,
     upper_half,
 )
-from setorder.errors import NoRecoveryFound
+from setorder.errors import DimensionMismatch, NoRecoveryFound
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
     EXTERIOR_INSIDE,
@@ -71,10 +70,25 @@ def strict_lt_by_search(A, B, ctx: OrderCtx) -> bool:
     return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in ctx.eps_schedule)
 
 
+def exterior_point(A, C: Cone) -> np.ndarray | None:
+    """A point z outside cl(A + C), or None for a box union under a general
+    cone; one value at a time, the reference for problem._exterior_rows."""
+    if A.dim != C.dim:
+        raise DimensionMismatch(f"set dim {A.dim} against cone dim {C.dim}")
+    if isinstance(A, BoxUnion):
+        return A.lower_corners()[0].min(axis=0) - 1.0 if C.kind == "orthant" else None
+    # push far enough along -u that the first halfspace row rules out
+    # domination by every point of A
+    pmin = A.points.min(axis=0)
+    h0 = C.h_coords(A.points)[:, 0]
+    t = 1.0 + float(C.h_coords(pmin.reshape(1, -1))[0, 0] - h0.min())
+    return pmin - t * C.interior_direction
+
+
 def is_c_proper(A, C: Cone) -> Verdict:
     """A + C != R^d, certified by a point outside cl(A + C), one value at a
-    time; ``exterior_point`` is looked up on setrep, so a patch there reaches it."""
-    z = setrep.exterior_point(A, C)
+    time; a patch of this module's ``exterior_point`` reaches it."""
+    z = exterior_point(A, C)
     if z is None:
         return Verdict.inconclusive("box-union sets under a general cone are unsupported")
     if large_le(A, points(z), OrderCtx(C)):
@@ -478,7 +492,7 @@ def target_hypotheses(omega_n, omega, ctx: OrderCtx, horizon: int):
 
 def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32, battery=None,
                        horizon: int = 64) -> Verdict:
-    """solve.seq_lower_converse with one large_le call per tail index."""
+    """converge.seq_lower_converse with one large_le call per tail index."""
     base = fam.base
     pairs = np.argwhere(relation_matrices(base, ctx)[1])
     rng = np.random.default_rng(battery.seed + 7)

@@ -35,6 +35,7 @@ from setorder.converge import (
     levelset_convergence_experiment,
     lsc_check,
     pk_limits,
+    seq_lower_converse,
     stability_experiment,
     usc_check,
 )
@@ -51,7 +52,6 @@ from setorder.solve import (
     classical_level_set,
     eff,
     hypothesis_h,
-    seq_lower_converse,
     strong_level_set,
 )
 from setorder.verdict import Status

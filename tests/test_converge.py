@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import reference
 from reference import pk_cluster_oracle
 
-from setorder import converge, solve
+from setorder import converge
 from setorder.converge import (
     DEFAULT_HORIZON,
     EPS_FLOOR,
@@ -35,6 +35,7 @@ from setorder.converge import (
     levelset_convergence_experiment,
     lsc_check,
     pk_limits,
+    seq_lower_converse,
     stability_experiment,
     upper_half,
     usc_check,
@@ -53,7 +54,6 @@ from setorder.problem import (
     load_dict,
 )
 from setorder.setrep import box, translate
-from setorder.solve import seq_lower_converse
 from setorder.verdict import Status, Verdict
 
 PROBLEM_DIR = Path(load_dict.__module__ and __file__).parent.parent \
@@ -993,7 +993,7 @@ class TestTailOnlyWork:
         fam = load_builtin("sop_sin")
         built.clear()
         asked = {"domains": [], "values": []}
-        real_domain_at, real_table = fam.domain_at, solve.tail_table
+        real_domain_at, real_table = fam.domain_at, converge.tail_table
 
         def domain_at(n):
             asked["domains"].append(n)
@@ -1006,7 +1006,7 @@ class TestTailOnlyWork:
             return real_table(map, X, ns, ctx, **kwargs)
 
         monkeypatch.setattr(fam, "domain_at", domain_at)
-        monkeypatch.setattr(solve, "tail_table", tail_table)
+        monkeypatch.setattr(converge, "tail_table", tail_table)
         v = seq_lower_converse(fam, sop_ctx, battery=battery, horizon=16)
         assert v.is_holds
         assert set(asked["domains"]) == set(upper_half(16))

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 import reference
-from setorder import problem, setrep
+from setorder import problem
 from setorder.cone import Cone
-from setorder.errors import HorizonExceeded, ProblemLoadError
+from setorder.errors import (DimensionMismatch, HorizonExceeded, ProblemLoadError,
+                             SetSpecError)
 from setorder.order import CornerTable, OrderCtx, corner_table
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
                               load_builtin, load_dict, tail_table)
 from setorder.setrep import PointCloud, box, points, translate
+from setorder.solve import value_table
 
 
 def spec(label="t", cone=None, domain=None, pieces=None, family=None):
@@ -172,7 +174,6 @@ class TestBuiltinProblems:
 
     def test_values_memoized_and_proper(self):
         P = load_builtin("geff_vs_reff")
-        assert P.value(7) is P.value(7)
         for i in range(len(P)):
             assert reference.is_c_proper(P.value(i), P.cone).is_holds
 
@@ -256,6 +257,22 @@ class TestProgrammaticProblems:
         with pytest.raises(ProblemLoadError, match="image dim 2 != cone dim 1"):
             family_at(fam2, 0)
 
+    def test_wrong_dimension_before_a_raising_row(self, ctx1):
+        # grid and tail rows take one path: a value of the wrong dimension
+        # ends it before a later row's error is wrapped
+        def fn(x):
+            if x[0] == 1.0:
+                raise SetSpecError("no value at 1")
+            return box([0.0, 0.0], [1.0, 1.0]) if x[0] == 0.0 else box([x[0]], [x[0] + 1])
+
+        m, dom = TableMap(fn, 1), Domain.from_points([[0.0], [1.0], [2.0]])
+        with pytest.raises(DimensionMismatch, match="set dim 2 against cone dim 1"):
+            Problem("t", m, Cone.orthant(1), dom)
+        with pytest.raises(DimensionMismatch, match="set dim 2 against cone dim 1"):
+            tail_table(m, dom.points, [None] * 3, ctx1)
+        with pytest.raises(ProblemLoadError, match=r"x = \(1\.0,\): no value at 1"):
+            Problem("t", m, Cone.orthant(1), Domain.from_points([[2.0], [1.0]]))
+
     def test_direct_horizon_floor(self):
         dom = Domain.from_points([[0.0]])
         base = Problem("t", TableMap(lambda x: box([0.0], [1.0]), 1),
@@ -269,17 +286,24 @@ def point_inside(A, C):
     return A.points[0] if isinstance(A, PointCloud) else np.array(A.boxes[0].lo)
 
 
-def move_inside(monkeypatch, chosen):
-    """Make the exterior-point helper answer from inside cl(A + C) for the
-    values in ``chosen`` (by identity), for Problem and reference.is_c_proper
-    alike."""
-    real = setrep.exterior_point
+def move_inside(monkeypatch, vals, chosen):
+    """Make the exterior point of each value vals[i], i in ``chosen``, answer
+    from inside cl(A + C): for reference.is_c_proper asked on those objects,
+    and for grid row i of every Problem built meanwhile."""
+    real_point, real_rows = reference.exterior_point, problem._exterior_rows
 
-    def fake(A, C):
-        return point_inside(A, C) if any(A is v for v in chosen) else real(A, C)
+    def point(A, C):
+        return point_inside(A, C) if any(A is vals[i] for i in chosen) else real_point(A, C)
 
-    monkeypatch.setattr(setrep, "exterior_point", fake)
-    monkeypatch.setattr(problem, "exterior_point", fake)
+    def rows(grid_rows, cone):
+        checked, z = real_rows(grid_rows, cone)
+        for r, i in enumerate(checked.tolist()):
+            if i in chosen:
+                z[r] = grid_rows[0][i, 0]
+        return checked, z
+
+    monkeypatch.setattr(reference, "exterior_point", point)
+    monkeypatch.setattr(problem, "_exterior_rows", rows)
 
 
 class TestProperness:
@@ -293,13 +317,12 @@ class TestProperness:
             P = reference.random_problem(rng, max_points=12)
             assert all(reference.is_c_proper(v, P.cone).is_holds for v in P.values())
             vals = P.values()
-            chosen = [v for v in vals if rng.random() < 0.2]
+            chosen = [i for i in range(len(vals)) if rng.random() < 0.2]
             with monkeypatch.context() as m:
-                move_inside(m, chosen)
+                move_inside(m, vals, chosen)
                 verdicts = [reference.is_c_proper(v, P.cone) for v in vals]
                 bad = [i for i, v in enumerate(verdicts) if v.is_fails]
-                assert bad == [i for i, v in enumerate(vals)
-                               if any(v is c for c in chosen)]
+                assert bad == chosen
                 if not bad:
                     Problem(P.label, P.map, P.cone, P.domain)
                     continue
@@ -316,7 +339,7 @@ class TestProperness:
     def test_improper_value_names_the_first_bad_x(self, monkeypatch):
         dom = Domain.from_points([[0.0], [1.0], [2.0], [3.0]])
         vals = [box([x], [x + 1.0]) for x in range(4)]
-        move_inside(monkeypatch, [vals[2], vals[3]])
+        move_inside(monkeypatch, vals, [2, 3])
         with pytest.raises(ProblemLoadError) as err:
             Problem("t", TableMap(lambda x: vals[int(x[0])], 1), Cone.orthant(1), dom)
         assert str(err.value) == (
@@ -333,6 +356,56 @@ class TestProperness:
             lambda x: box([0.0, 0.0], [1.0, 1.0]) if x[0] else points([[0.0, 0.0]]), 2),
             cone, Domain.from_points([[0.0], [1.0]]))
         assert isinstance(mixed.value(0), PointCloud)
+
+
+class TestGridRows:
+    """A problem's grid goes through value_rows: its exterior points and its
+    value table equal the per-value references bit for bit, and an
+    expression map's grid makes no per-point value call."""
+
+    @staticmethod
+    def check_rows(P):
+        checked, z = problem._exterior_rows(P.rows, P.cone)
+        vals = P.values()
+        want = [reference.exterior_point(v, P.cone) for v in vals]
+        assert checked.tolist() == [i for i, w in enumerate(want) if w is not None]
+        for r, i in enumerate(checked.tolist()):
+            assert z[r].tobytes() == want[i].tobytes()
+        ctx = OrderCtx(P.cone)
+        assert_same_table(value_table(P, ctx), corner_table(vals, ctx))
+
+    def test_random_problems(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(30):
+            P = reference.random_problem(rng, max_points=12)
+            self.check_rows(P)
+            kinds |= {P.cone.kind} | {type(v).__name__ for v in P.values()}
+        assert kinds == {"orthant", "general", "BoxUnion", "PointCloud"}
+
+    @pytest.mark.parametrize("name", ["geff_vs_reff", "sop_sin", "gamma_cos"])
+    def test_shipped_members(self, name):
+        P = load_builtin(name)
+        members = ([P.base] + [family_at(P, n) for n in range(P.n_max + 1)]
+                   if isinstance(P, PerturbedFamily) else [P])
+        for M in members:
+            self.check_rows(M)
+
+    def test_expression_grids_make_no_value_calls(self, monkeypatch):
+        calls = []
+        real = problem.PieceMap.value
+
+        def counted(self, x, n=None):
+            calls.append((tuple(x), n))
+            return real(self, x, n)
+
+        monkeypatch.setattr(problem.PieceMap, "value", counted)
+        built = [load_builtin("geff_vs_reff")]
+        for name in ("gamma_cos", "sop_sin"):
+            fam = load_builtin(name)
+            built += [fam.base] + [family_at(fam, n) for n in range(fam.n_max + 1)]
+        assert len(built) == 1 + 2 * 130
+        assert calls == []
 
 
 # ------------------------------------------------------------ tail tables
