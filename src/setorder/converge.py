@@ -15,14 +15,20 @@ comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
 Every eps-shift moves lower corners inside a corner table (``shift`` of
 order.corner_table and problem.tail_table); no shifted set is built.
-A sequence's tail is one array program: one (T, d) array of battery
-points, one evaluation of the map over it straight into a corner table
-(problem.tail_table), and one comparison over the floored eps schedule
-(order.table_rel). The recovery tail, each recovery ball, the level-set
-targets and seq_lower_converse's paired tails are asked the same way. A
-break is the first failing index in (strategy, variant, n) order, as a
-pair-at-a-time scan would find it, and a value that raises past a break
-does not hide it.
+A grid-wide hypothesis is asked in blocks of grid points, each route one
+array program per block: the battery yields one (G·T, d) array of points
+per sequence for the block's G targets, the map is evaluated once over all
+of them straight into corner arrays (problem.value_rows), and one
+comparison covers every (eps, point, sequence, n) (order.table_rel). F(x̄),
+the hinted recovery tails and the neighbourhood masks are asked the same
+way, and a one-point check is a block of one; each recovery ball, the
+level-set targets and seq_lower_converse's paired tails are one table
+each. A break is the first failing index in (strategy, variant, n) order,
+as a pair-at-a-time scan would find it, and a value that raises past a
+break does not hide it. Errors are data until a fold reaches the point
+that raised them: a fold that stops at a failing point surfaces no later
+point's error, and rows a raising value cut are asked again only if the
+fold gets past it (_by_blocks).
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -49,9 +55,9 @@ from .errors import (
     Unsupported,
 )
 from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
-                    shift_margin, table_rel)
+                    shift_margin, table_from_corners, table_rel)
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
-                      tail_table)
+                      tail_table, value_rows)
 from .setrep import SetRep
 from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
                     representants, strong_level_set, value_table)
@@ -62,6 +68,10 @@ DEFAULT_HORIZON = 64
 EPS_FLOOR = 2.0 ** -10
 MAX_BALL_SPLITS = 20
 RECOVERY_BUDGET = 10_000
+#: elements of the largest array a block of grid points builds per corner
+#: pair: the (eps, point, battery row) comparison, the (point, grid point)
+#: neighbourhood masks and battery distances
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 def upper_half(horizon: int) -> range:
@@ -93,10 +103,12 @@ class SeqGenBattery:
     strategy: it picks the in-ball grid point minimizing a caller-supplied
     margin.
 
-    Each strategy is written once over an array of indices (``sequence``);
-    ``sequences`` yields every strategy's points as one (T, d) array. The
-    ball radius at n is ``radius``. random-in-ball's draws depend only on
-    (seed, variant, n, d), so they are memoized per battery.
+    Each strategy is written once over arrays of targets and indices
+    (``sequence``): a (G, d) array of targets gives one (G·T, d) array of
+    points, rows in (target, n) order, and a single target is the G = 1
+    case. ``sequences`` yields every strategy's points so. The ball radius
+    at n is ``radius``. random-in-ball's draws depend only on (seed,
+    variant, n, d), so they are memoized per battery.
     """
 
     seed: int = 0
@@ -107,6 +119,10 @@ class SeqGenBattery:
     def strategy_names(self) -> tuple[str, ...]:
         return ("constant", "radial-shrink", "boundary-hugging",
                 "random-in-ball", "adversarial-worst")
+
+    def variants(self, name: str) -> int:
+        """How many sequences a strategy yields."""
+        return self.count if name == "random-in-ball" else 1
 
     def radius(self, domain: Domain, n: int) -> float:
         return domain.extent / (2.0 ** min(n, 1000))
@@ -123,36 +139,44 @@ class SeqGenBattery:
         return got
 
     def clamp(self, X: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
-        """Row i of X moved into domains[i]: clamped per window axis, or the
-        nearest listed point of an explicit domain."""
+        """X (..., len(domains), d) with X[..., i, :] moved into domains[i]:
+        clamped per window axis, or the nearest listed point of an explicit
+        domain."""
         out = np.array(X, dtype=float)
         boxes = [dom.bounds for dom in domains]
         rows = [i for i, b in enumerate(boxes) if b is not None]
         if rows:
             lo = np.array([boxes[i][0] for i in rows])
             hi = np.array([boxes[i][1] for i in rows])
-            x = out[rows, :lo.shape[1]]
+            x = out[..., rows, :lo.shape[1]]
             # Python's max/min tie rule: on a tie x is kept, signed zero too
             x = np.where(lo > x, lo, x)
-            out[rows, :lo.shape[1]] = np.where(hi < x, hi, x)
+            out[..., rows, :lo.shape[1]] = np.where(hi < x, hi, x)
         for i, b in enumerate(boxes):
             if b is None:
-                out[i] = domains[i].points[domains[i].nearest_index(X[i])]
+                pts = domains[i].points
+                # Domain.nearest_index at each point: the lowest index at
+                # the least distance
+                near = np.argmin(np.linalg.norm(pts - out[..., i, None, :], axis=-1),
+                                 axis=-1)
+                out[..., i, :] = pts[near]
         return out
 
-    def sequence(self, name: str, target, domains: Sequence[Domain],
+    def sequence(self, name: str, targets, domains: Sequence[Domain],
                  ns: Sequence[int],
-                 margin: Optional[Callable[[np.ndarray, int], float]] = None,
+                 margin: Optional[Callable[[np.ndarray, int, int], float]] = None,
                  variant: int = 0) -> np.ndarray:
-        """The strategy's points at the indices ns, ns[i] inside domains[i],
-        as a (len(ns), d) array."""
-        t = np.asarray(target, dtype=float).reshape(-1)
-        d = t.shape[0]
+        """The strategy's points toward each row of ``targets`` (G, d), or
+        the one target, at the indices ns, ns[i] inside domains[i], as a
+        (G·len(ns), d) array in (target, n) order."""
+        T = np.atleast_2d(np.asarray(targets, dtype=float))
+        G, d = T.shape
         ns = list(ns)
         r = np.array([self.radius(dom, n) for dom, n in zip(domains, ns)])
         e = np.ones(d) / math.sqrt(d)
+        t = T[:, None, :]
         if name == "constant":
-            raw = np.broadcast_to(t, (len(ns), d))
+            raw = np.broadcast_to(t, (G, len(ns), d))
         elif name == "radial-shrink":
             raw = t + r[:, None] * e
         elif name == "boundary-hugging":
@@ -163,63 +187,75 @@ class SeqGenBattery:
             frac = np.array([f for _, f in draws])
             raw = t + (r * frac)[:, None] * vec
         elif name == "adversarial-worst":
-            return self._adversarial(t, domains, ns, r, margin)
+            raw = self._adversarial(T, domains, ns, r, margin)
         else:
             raise ValueError(f"unknown strategy {name!r}")
-        return self.clamp(raw, domains)
+        if name != "adversarial-worst":
+            raw = self.clamp(raw, domains)
+        return raw.reshape(G * len(ns), d)
 
-    def _adversarial(self, t: np.ndarray, domains: Sequence[Domain],
+    def _adversarial(self, T: np.ndarray, domains: Sequence[Domain],
                      ns: list, r: np.ndarray,
-                     margin: Optional[Callable[[np.ndarray, int], float]]) -> np.ndarray:
+                     margin: Optional[Callable[[np.ndarray, int, int], float]]
+                     ) -> np.ndarray:
         # the ball must shrink with n or the emitted sequence would not
         # converge to the target; an empty ball degrades to the clamped
         # continuous point. The nearest grid point is the lowest index at
-        # the least distance, which a stable sort puts first
-        out = np.empty((len(ns), t.shape[0]))
-        near: dict[int, tuple] = {}
-        empty = []
-        for i, (dom, n) in enumerate(zip(domains, ns)):
-            got = near.get(id(dom))
-            if got is None:
-                dists = np.linalg.norm(dom.points - t, axis=1)
-                order = np.argsort(dists, kind="stable")
-                got = near[id(dom)] = (dists, order, dists[order])
-            dists, order, ranked = got
-            ball = r[i] + 1e-12
-            inside = int(np.searchsorted(ranked, ball, side="right"))
-            if inside == 0:
-                empty.append(i)
-            elif margin is None or inside == 1:
-                out[i] = dom.points[order[0]]
-            else:
-                cand = np.flatnonzero(dists <= ball)
-                best = min((float(margin(dom.points[j], n)), float(dists[j]), int(j))
-                           for j in cand)
-                out[i] = dom.points[best[2]]
-        if empty:
-            out[empty] = self.clamp(np.broadcast_to(t, (len(empty), t.shape[0])),
-                                    [domains[i] for i in empty])
+        # the least distance. The distances to a domain's points are taken
+        # once per domain, for a bounded number of targets at a time
+        G, d = T.shape
+        out = np.empty((G, len(ns), d))
+        empty = np.zeros((G, len(ns)), dtype=bool)
+        scored = []
+        groups: dict[int, list[int]] = {}
+        for i, dom in enumerate(domains):
+            groups.setdefault(id(dom), []).append(i)
+        for rows in groups.values():
+            pts = domains[rows[0]].points
+            step = max(1, _BLOCK_ELEMENTS // (len(pts) * d))
+            for lo in range(0, G, step):
+                dists = np.linalg.norm(pts - T[lo:lo + step, None, :], axis=-1)
+                near = pts[np.argmin(dists, axis=1)]
+                for i in rows:
+                    within = dists <= r[i] + 1e-12
+                    inside = within.sum(axis=1)
+                    out[lo:lo + step, i] = near
+                    empty[lo:lo + step, i] = inside == 0
+                    if margin is not None:
+                        scored += [(lo + k, i, pts, dists[k], np.flatnonzero(within[k]))
+                                   for k in np.flatnonzero(inside > 1).tolist()]
+        # the margin is asked target by target, along n, as one target
+        # alone would ask it
+        for g, i, pts, dists, cand in sorted(scored, key=lambda s: s[:2]):
+            best = min((float(margin(pts[j], ns[i], g)), float(dists[j]), int(j))
+                       for j in cand)
+            out[g, i] = pts[best[2]]
+        if empty.any():
+            out[empty] = self.clamp(np.broadcast_to(T[:, None, :], out.shape),
+                                    domains)[empty]
         return out
 
-    def sequences(self, target, domain_at: Callable[[int], Domain],
+    def sequences(self, targets, domain_at: Callable[[int], Domain],
                   horizon: int,
-                  margin: Optional[Callable[[np.ndarray, int], float]] = None,
+                  margin: Optional[Callable[[np.ndarray, int, int], float]] = None,
                   indices: Optional[Sequence[int]] = None):
-        """Yield (strategy, variant, points), points a (T, d) array with the
-        point at each requested index in its row, in the order given.
+        """Yield (strategy, variant, points), points a (G·T, d) array
+        holding, for each target in turn, the point at each requested index
+        in its row, in the order given.
 
         ``indices`` defaults to ``range(horizon)``, the full sequence.
-        Every strategy is index-local (random-in-ball seeds per (seed,
-        variant, n), adversarial-worst scores its own ball at n), so a point
-        is the same whichever other indices are requested. Sequences are
-        generated one at a time, as they are consumed.
+        ``margin(x, n, g)`` scores a candidate x in the ball at n around
+        target g. Every strategy is index-local (random-in-ball seeds per
+        (seed, variant, n), adversarial-worst scores its own ball at n), so
+        a point is the same whichever other indices or targets are
+        requested. Sequences are generated one at a time, as they are
+        consumed.
         """
         wanted = list(range(horizon) if indices is None else indices)
         domains = [domain_at(n) for n in wanted]
         for name in self.strategy_names():
-            variants = self.count if name == "random-in-ball" else 1
-            for v in range(variants):
-                yield name, v, self.sequence(name, target, domains, wanted,
+            for v in range(self.variants(name)):
+                yield name, v, self.sequence(name, targets, domains, wanted,
                                              margin=margin, variant=v)
 
 
@@ -445,6 +481,40 @@ def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
     return corner_table(sets, ctx, shift=_eps_shifts(sign, ctx))
 
 
+def _take(tab: CornerTable, key) -> CornerTable:
+    """The sets of a table at ``key``, an index into its leading axes."""
+    return CornerTable(*(x[key] for x in tab))
+
+
+def _per_row(tab: CornerTable) -> CornerTable:
+    """A table with a unit leading axis appended, so that each of its sets
+    meets one row of another table's sets."""
+    h, o, cloud, t = tab
+    return CornerTable(h[..., None, :, :], o[..., None, :, :], cloud[..., None],
+                       t[..., None])
+
+
+def _split(tab: CornerTable, G: int) -> CornerTable:
+    """A table's last leading axis, of G·R sets, as (G, R)."""
+    *lead, rows = tab.cloud.shape
+    lead = (*lead, G, rows // G)
+    h, o, cloud, t = tab
+    return CornerTable(h.reshape(lead + h.shape[-2:]), o.reshape(lead + o.shape[-2:]),
+                       cloud.reshape(lead), t.reshape(lead))
+
+
+def _placed(rows, at: np.ndarray, size: int, dim: int):
+    """``value_rows`` arrays placed at the rows ``at`` of ``size`` rows; the
+    others hold no corner, which no comparison reads as a break."""
+    corners, flags, cloud, count = rows
+    shape = (size, corners.shape[1], dim)
+    out = (np.full(shape, np.inf), np.zeros(shape, np.uint8),
+           np.ones(size, dtype=bool), np.zeros(size, dtype=np.intp))
+    for full, part in zip(out, rows):
+        full[at] = part
+    return out
+
+
 def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
     """(j, eps) for the first column of an (eps, j) mask failing at the
     floored eps, eps the largest scheduled one failing there; or None."""
@@ -469,74 +539,171 @@ def _break_or_raise(ok: np.ndarray, err: Optional[Exception],
     return brk
 
 
-def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
-               t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
-               ctx: OrderCtx, horizon: int,
-               domain_at: Callable[[int], Domain], mode: str) -> Optional[dict]:
-    """First tail break of the eps-shifted strict comparison, or None.
+def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
+                grid: int) -> int:
+    """Grid points per block: the (eps, point, battery row) comparison and
+    the (point, grid point) neighbourhood masks stay within _BLOCK_ELEMENTS
+    per corner pair."""
+    seqs = sum(battery.variants(name) for name in battery.strategy_names())
+    rows = len(floored_eps(ctx)) * seqs * len(upper_half(horizon))
+    return max(1, _BLOCK_ELEMENTS // (max(rows, grid) * len(ctx.w)))
 
-    The value at x_n is ``map.value(x_n, index(n))``. The "lsc" orientation
-    asks F(x̄) - eps·u strictly below that value, which is also the lower
-    condition of variational convergence; "usc" asks the value - eps·u
-    strictly below F(x̄). Each battery sequence inside ``domain_at(n)`` is
-    one array of tail points, one ``tail_table`` and one (eps, n) table
-    comparison; a break is the first tail index failing at the floored
-    eps, with the largest scheduled eps failing there too. Only the tail
-    points are generated, since no verdict reads the prefix.
+
+def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]):
+    """Yield the outcome at each row of X, in order, asking ``block`` for
+    up to ``size`` rows at a time, and raise an outcome that is an
+    exception.
+
+    ``block`` yields the outcomes of a prefix of its rows; it stops early
+    where a raising value left later rows unevaluated, and those are asked
+    again in the next block. Nothing past the consumer's last request is
+    evaluated beyond the block that holds it.
+    """
+    start = 0
+    while start < len(X):
+        for out in block(X[start:start + size]):
+            if isinstance(out, Exception):
+                raise out
+            start += 1
+            yield out
+
+
+def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
+               X: np.ndarray, fx: CornerTable, Fx_at: Callable[[int], SetRep],
+               battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
+               domain_at: Callable[[int], Domain], mode: str) -> list:
+    """First tail break of the eps-shifted strict comparison at each target.
+
+    The targets are the rows of X (G, d), and the value at x_n is
+    ``map.value(x_n, index(n))``. The "lsc" orientation asks F(x̄) - eps·u
+    strictly below that value, which is also the lower condition of
+    variational convergence; "usc" asks the value - eps·u strictly below
+    F(x̄). ``fx`` holds F(x̄) per target, (eps, G) shifted down for "lsc"
+    and (G,) for "usc"; ``Fx_at(g)`` is the set itself, which only the
+    adversarial margin reads. All the targets' battery rows are one
+    ``value_rows`` evaluation and one (eps, G, row) comparison. Only the
+    tail points are generated, since no verdict reads the prefix.
+
+    Returns, per target, the break (the first tail index failing at the
+    floored eps in (strategy, variant, n) order, with the largest scheduled
+    eps failing there), None, or the exception that ends the scan there: a
+    value raising before any break, or else a raising margin. The list
+    ends at the target whose raising value cut the rows, since later
+    targets' rows are not evaluated.
     """
     lsc = mode == "lsc"
     tail = upper_half(horizon)
-    ns = [index(n) for n in tail]
-    # the lsc left side depends on eps only, so shift it once
-    fx = _shifted([Fx], -1, ctx) if lsc else corner_table([Fx], ctx)
-    down = None if lsc else _eps_shifts(-1, ctx)
+    ns = np.array([index(n) for n in tail], dtype=object)
+    G, T = len(X), len(tail)
+    seqs: list = []
+    failed: dict[int, tuple[Exception, int]] = {}
 
-    def margin(x: np.ndarray, n: int) -> float:
-        Fn = map.value(tuple(x), index(n))
-        return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
+    def margin(x: np.ndarray, n: int, g: int) -> float:
+        # a raising margin ends its target's scan at the sequence being
+        # generated; the target's later margins are not asked
+        if g in failed:
+            return 0.0
+        try:
+            Fx, Fn = Fx_at(g), map.value(tuple(x), index(n))
+            return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
+        except Exception as e:
+            failed[g] = (e, len(seqs))
+            return 0.0
 
-    for name, variant, pts in battery.sequences(t, domain_at, horizon,
-                                                margin=margin, indices=tail):
-        tab, err = tail_table(map, pts, ns, ctx, shift=down)
-        ok, = table_rel(fx, tab, (STRICT,)) if lsc else table_rel(tab, fx, (STRICT,))
-        brk = _break_or_raise(ok, err, ctx)
+    # the margin reads len(seqs) while the next sequence is generated
+    for item in battery.sequences(X, domain_at, horizon, margin=margin,
+                                  indices=tail):
+        seqs.append(item)
+    pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
+    asked = np.ones(pts.shape[:3], dtype=bool)
+    for g, (_, s) in failed.items():
+        asked[g, s:] = False
+    at = np.flatnonzero(asked)
+    rows, err = value_rows(map, pts.reshape(-1, pts.shape[-1])[at], ns[at % T],
+                           ctx.cone)
+    done = at[:len(rows[3])]
+    tab = _split(table_from_corners(*_placed(rows, done, asked.size, ctx.cone.dim),
+                                    ctx, None if lsc else _eps_shifts(-1, ctx)), G)
+    ok, = (table_rel(_per_row(fx), tab, (STRICT,)) if lsc
+           else table_rel(tab, _per_row(fx), (STRICT,)))
+    evaluated = np.zeros(asked.size, dtype=bool)
+    evaluated[done] = True
+    ok[:, ~evaluated.reshape(G, -1)] = True
+
+    cut = G if err is None else int(at[len(done)]) // asked[0].size
+    out = []
+    for g in range(G if err is None else cut + 1):
+        brk = _first_break(ok[:, g], ctx)
         if brk is not None:
-            j, eps = brk
-            return {"strategy": name, "variant": variant, "n": tail[j],
-                    "x_n": [float(v) for v in pts[j]], "eps": float(eps)}
-    return None
+            s, k = divmod(brk[0], T)
+            name, variant, _ = seqs[s]
+            out.append({"strategy": name, "variant": variant, "n": tail[k],
+                        "x_n": [float(v) for v in pts[g, s, k]],
+                        "eps": float(brk[1])})
+        elif g == cut:
+            out.append(err)
+        else:
+            out.append(failed[g][0] if g in failed else None)
+    return out
 
 
-def _sc_check(P: Problem, xbar, battery: SeqGenBattery, ctx: OrderCtx,
-              horizon: int, mode: str) -> Verdict:
-    t = np.asarray(xbar, dtype=float).reshape(-1)
-    Fx = P.map.value(tuple(t), P.n)
-    ce = _tail_scan(P.map, lambda n: P.n, t, Fx, battery, ctx, horizon,
-                    lambda n: P.domain, mode)
-    if ce is not None:
-        return Verdict.fails(
-            reason=f"{mode} comparison breaks at n = {ce['n']} under "
-                   f"strategy {ce['strategy']} with eps = {ce['eps']:.6g}",
-            counterexample=ce, sampled=True)
-    return Verdict.holds(
-        reason=f"{mode} inequality held on every tail index of every "
-               "generated sequence",
-        certificate={"seed": battery.seed, "horizon": horizon,
-                     "eps_floor": floored_eps(ctx)[-1],
-                     "strategies": list(battery.strategy_names())},
-        sampled=True)
+def _one(xbar) -> np.ndarray:
+    """A point as the one row of a (1, d) array."""
+    return np.asarray(xbar, dtype=float).reshape(1, -1)
+
+
+def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
+              horizon: int, mode: str):
+    """The lsc or usc verdict, or the exception it raises, at each of a
+    prefix of the rows of X, in order (see _by_blocks)."""
+    rows, err = value_rows(P.map, X, [P.n] * len(X), ctx.cone)
+    G = len(rows[3])
+    found = []
+    if G:
+        fx = table_from_corners(*rows, ctx, _eps_shifts(-1, ctx) if mode == "lsc"
+                                else None)
+        found = _tail_scan(P.map, lambda n: P.n, X[:G], fx,
+                           lambda g: P.map.value(tuple(X[g]), P.n), battery, ctx,
+                           horizon, lambda n: P.domain, mode)
+    for ce in found:
+        if ce is None:
+            yield Verdict.holds(
+                reason=f"{mode} inequality held on every tail index of every "
+                       "generated sequence",
+                certificate={"seed": battery.seed, "horizon": horizon,
+                             "eps_floor": floored_eps(ctx)[-1],
+                             "strategies": list(battery.strategy_names())},
+                sampled=True)
+        elif isinstance(ce, Exception):
+            yield ce
+        else:
+            yield Verdict.fails(
+                reason=f"{mode} comparison breaks at n = {ce['n']} under "
+                       f"strategy {ce['strategy']} with eps = {ce['eps']:.6g}",
+                counterexample=ce, sampled=True)
+    if len(found) == G and err is not None:
+        yield err
+
+
+def _sc_verdicts(P: Problem, X: np.ndarray, battery: SeqGenBattery,
+                 ctx: OrderCtx, horizon: int, mode: str):
+    """The lsc or usc verdict at each row of X, in order, as they are
+    consumed; raises at the first point whose check raises."""
+    size = _block_size(ctx, battery, horizon, 1)
+    return _by_blocks(X, size, lambda B: _sc_block(P, B, battery, ctx, horizon,
+                                                   mode))
 
 
 def lsc_check(P: Problem, xbar, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Sampled falsification of sequential lower semicontinuity at a point."""
-    return _sc_check(P, xbar, battery, ctx, horizon, "lsc")
+    return next(_sc_verdicts(P, _one(xbar), battery, ctx, horizon, "lsc"))
 
 
 def usc_check(P: Problem, xbar, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int = DEFAULT_HORIZON) -> Verdict:
     """Sampled falsification of sequential upper semicontinuity at a point."""
-    return _sc_check(P, xbar, battery, ctx, horizon, "usc")
+    return next(_sc_verdicts(P, _one(xbar), battery, ctx, horizon, "usc"))
 
 
 # ------------------------------------------------------ variational limits
@@ -582,17 +749,29 @@ class GammaReport:
         return out
 
 
-def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
-                              ctx: OrderCtx, fam: PerturbedFamily, horizon: int):
-    # F(x̄) - eps·u at the floored eps, the last row of the shifted table
-    shifted = CornerTable(*(x[-1] for x in _shifted([Fx], -1, ctx)))
+def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
+                        fam: PerturbedFamily, horizon: int):
+    """[g, i]: the floored-eps shift F(x̄_g) - eps·u, the sets of
+    ``fx_floor`` (G,), strictly below F_n at base grid point i for every
+    tail n, one comparison per member against its memoized value table; or
+    the exception a member build raises, which is every point's."""
+    ok = np.ones((len(fx_floor.cloud), len(fam.base)), dtype=bool)
+    try:
+        for n in upper_half(horizon):
+            ok &= table_rel(_per_row(fx_floor), value_table(family_at(fam, n), ctx),
+                            (STRICT,))[0]
+    except Exception as e:
+        return e
+    return ok
+
+
+def _gamma_lower_neighborhood(t: np.ndarray, ok: np.ndarray,
+                              battery: SeqGenBattery, fam: PerturbedFamily):
+    """The shrinking-neighbourhood route at x̄ = t, ``ok`` its row of
+    _neighborhood_masks: it passes when some ball of radius R/2^j,
+    j <= MAX_BALL_SPLITS, holds no failing grid point."""
     base = fam.base
-    pts = base.domain.points
-    ok = np.ones(len(pts), dtype=bool)
-    for n in upper_half(horizon):
-        # the value table is memoized per member, so checks at many points share it
-        ok &= table_rel(shifted, value_table(family_at(fam, n), ctx), (STRICT,))[0]
-    dists = np.linalg.norm(pts - t, axis=1)
+    dists = np.linalg.norm(base.domain.points - t, axis=1)
     bad = ~ok
     bad_dist = float(dists[bad].min()) if bad.any() else math.inf
     R = battery.radius(base.domain, 0)
@@ -604,12 +783,12 @@ def _gamma_lower_neighborhood(t: np.ndarray, Fx: SetRep, battery: SeqGenBattery,
                    "bad_distance": bad_dist, "max_j": MAX_BALL_SPLITS}
 
 
-def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
+def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
                      battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                      domain_at: Callable[[int], Domain]):
     """Grid search for x*_n minimizing theta, the largest scheduled eps with
-    F_n(x*_n) not largely below F(x̄) + eps·u (0 if none), per tail n."""
-    fx_up = _shifted([Fx], 1, ctx)
+    F_n(x*_n) not largely below F(x̄) + eps·u (0 if none), per tail n;
+    ``fx_up`` is the (eps, 1) table of F(x̄) + eps·u."""
     eps = np.array(floored_eps(ctx))
     best: dict[int, tuple[float, np.ndarray]] = {}
     spent = 0
@@ -634,28 +813,10 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
     return best
 
 
-def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
-                 battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
-                 domain_at: Callable[[int], Domain]):
-    flo = floored_eps(ctx)[-1]
-    hint = fam.recovery_hint is not None
-
-    if hint:
-        ns = list(upper_half(horizon))
-        seq = battery.clamp(fam.recovery_points(t, ns), [domain_at(n) for n in ns])
-    else:
-        try:
-            found = _recovery_search(fam, t, Fx, battery, ctx, horizon, domain_at)
-        except NoRecoveryFound as err:
-            v = Verdict.inconclusive(
-                reason=f"recovery sequence not determined: {err}",
-                sampled=True)
-            return v, ()
-        ns = sorted(found)
-        seq = np.array([found[n][1] for n in ns])
-
-    tab, err = tail_table(fam.map, seq, ns, ctx)
-    ok, = table_rel(tab, _shifted([Fx], 1, ctx), (LARGE,))
+def _upper_verdict(ok: np.ndarray, err: Optional[Exception], ns: list,
+                   seq: np.ndarray, hint: bool, ctx: OrderCtx):
+    """The upper verdict and recovery points used, from the (eps, n) mask
+    of a recovery tail against F(x̄) + eps·u; ``err`` ended its rows."""
     brk = _break_or_raise(ok, err, ctx)
     used = ns if brk is None else ns[:brk[0] + 1]
     recovery_used = tuple((n, tuple(float(v) for v in x))
@@ -664,7 +825,7 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
         return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
                    "the shifted limit value",
-            certificate={"via_hint": hint, "eps_floor": flo},
+            certificate={"via_hint": hint, "eps_floor": floored_eps(ctx)[-1]},
             sampled=not hint), recovery_used
     n, eps = used[-1], float(brk[1])
     return Verdict.fails(
@@ -675,51 +836,164 @@ def _gamma_upper(fam: PerturbedFamily, t: np.ndarray, Fx: SetRep,
         sampled=False), recovery_used
 
 
-def _gamma(fam: PerturbedFamily, xbar, battery: SeqGenBattery, ctx: OrderCtx,
-           limit: Optional[Problem], horizon: int,
-           domain_at: Callable[[int], Domain], neighborhood: bool,
-           domains_verdict: Optional[Verdict] = None) -> GammaReport:
-    """Both conditions of variational convergence at x̄, F(x̄) from ``limit``.
+def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
+                 battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
+                 domain_at: Callable[[int], Domain]):
+    """Yield the upper verdict and recovery points used at each row of X
+    (G, d), or the exception that ends that point's route; ``fx_up`` is
+    the (eps, G) table of F(x̄) + eps·u.
+
+    With a recovery hint, every point's recovery tail is one hint
+    evaluation, one clamp, one ``tail_table`` and one comparison, made at
+    the first request; the points end after the one whose raising value
+    cut the rows. Without a hint, each point's grid search runs when its
+    verdict is requested.
+    """
+    ns = list(upper_half(horizon))
+    if fam.recovery_hint is None:
+        for g, t in enumerate(X):
+            fx = _take(fx_up, (slice(None), [g]))
+            try:
+                found = _recovery_search(fam, t, fx, battery, ctx, horizon,
+                                         domain_at)
+            except NoRecoveryFound as err:
+                yield Verdict.inconclusive(
+                    reason=f"recovery sequence not determined: {err}",
+                    sampled=True), ()
+                continue
+            except Exception as e:
+                yield e
+                return
+            used = sorted(found)
+            seq = np.array([found[n][1] for n in used])
+            tab, err = tail_table(fam.map, seq, used, ctx)
+            ok, = table_rel(tab, fx, (LARGE,))
+            try:
+                yield _upper_verdict(ok, err, used, seq, False, ctx)
+            except Exception as e:
+                yield e
+                return
+        return
+
+    T = len(ns)
+    pts, hint_err = fam.recovery_points(X, ns)
+    G = len(pts) // T       # the points whose whole hinted tail is there
+    if G:
+        seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
+                            [domain_at(n) for n in ns])
+        rows, err = value_rows(fam.map, seq.reshape(G * T, -1), ns * G, ctx.cone)
+        m = len(rows[3])
+        tab = _split(table_from_corners(
+            *_placed(rows, np.arange(m), G * T, ctx.cone.dim), ctx), G)
+        fx = _per_row(_take(fx_up, (slice(None), slice(G))))
+        ok, = table_rel(tab, fx, (LARGE,))
+        ok.reshape(len(ok), -1)[:, m:] = True
+        last = G - 1 if err is None else m // T
+        for g in range(last + 1):
+            try:
+                yield _upper_verdict(ok[:, g], err if g == last else None, ns,
+                                     seq[g], True, ctx)
+            except Exception as e:
+                yield e
+                return
+        if err is not None:
+            return
+    if hint_err is not None:
+        yield hint_err
+
+
+def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
+                 ctx: OrderCtx, limit: Problem, horizon: int,
+                 domain_at: Callable[[int], Domain], neighborhood: bool,
+                 domains_verdict: Optional[Verdict]):
+    """GammaReport, or the exception it raises, at each of a prefix of the
+    rows of X, in order (see _by_blocks).
+
+    Each point's stages come in the order of a one-point check: F(x̄), the
+    lower scan, the neighbourhood route, the upper route; the first to
+    raise is the point's outcome. Each stage is one array program over
+    the block.
+    """
+    rows, err = value_rows(limit.map, X, [limit.n] * len(X), ctx.cone)
+    G = len(rows[3])
+    if not G:
+        yield err
+        return
+    X = X[:G]
+    flo = floored_eps(ctx)[-1]
+    fx_down = table_from_corners(*rows, ctx, _eps_shifts(-1, ctx))
+    lower = _tail_scan(fam.map, lambda n: n, X, fx_down,
+                       lambda g: limit.map.value(tuple(X[g]), limit.n), battery,
+                       ctx, horizon, domain_at, "lsc")
+    L = len(lower)
+    near = (_neighborhood_masks(_take(fx_down, (-1, slice(L))), ctx, fam, horizon)
+            if neighborhood else None)
+    uppers = _gamma_upper(fam, X[:L],
+                          table_from_corners(*(x[:L] for x in rows), ctx,
+                                             _eps_shifts(1, ctx)),
+                          battery, ctx, horizon, domain_at)
+    for g, ce in enumerate(lower):
+        t = X[g]
+        if isinstance(ce, Exception):
+            yield ce
+            return
+        reason = "lower inequality held along every in-domain sequence"
+        certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
+        if neighborhood:
+            if isinstance(near, Exception):
+                yield near
+                return
+            ok_n, found = _gamma_lower_neighborhood(t, near[g], battery, fam)
+            if ok_n != (ce is None):
+                yield InternalCheckError(
+                    f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
+                    f"{ce is None}, neighborhoods say {ok_n}; the characterization "
+                    "lemma makes these equivalent")
+                return
+            reason = "both lower routes pass on the floored eps schedule"
+            certificate["neighborhood_j"] = found.get("j")
+        if ce is None:
+            lower_v = Verdict.holds(reason=reason, certificate=certificate,
+                                    sampled=True)
+        else:
+            ce = {"route": "battery", **ce}
+            lower_v = Verdict.fails(reason="lower inequality falsified",
+                                    counterexample=ce, sampled=False)
+        up = next(uppers, None)
+        if up is None:
+            return
+        if isinstance(up, Exception):
+            yield up
+            return
+        upper_v, recovery = up
+        if ce is None:
+            ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
+        yield GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
+                          floored_eps(ctx), ce, domains_verdict, horizon,
+                          battery.seed)
+    if L == len(rows[3]) and err is not None:
+        yield err
+
+
+def _gamma_reports(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
+                   ctx: OrderCtx, limit: Optional[Problem], horizon: int,
+                   domain_at: Callable[[int], Domain], neighborhood: bool,
+                   domains_verdict: Optional[Verdict] = None):
+    """Both conditions of variational convergence at each row of X, in
+    order, as the reports are consumed; F(x̄) from ``limit``.
 
     Lower: the lsc-oriented tail scan of the family along every battery
     sequence inside ``domain_at(n)``; with ``neighborhood`` the shrinking
     grid-neighborhood route runs too, and the two must agree, since the
     theorem they operationalize states their equivalence, so disagreement
     is an internal error, not a verdict. Upper: a recovery sequence.
+    Raises at the first point whose check raises.
     """
     limit = limit or fam.base
-    t = np.asarray(xbar, dtype=float).reshape(-1)
-    Fx = limit.map.value(tuple(t), limit.n)
-    flo = floored_eps(ctx)[-1]
-
-    ce = _tail_scan(fam.map, lambda n: n, t, Fx, battery, ctx, horizon,
-                    domain_at, "lsc")
-    reason = "lower inequality held along every in-domain sequence"
-    certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
-    if neighborhood:
-        ok_n, found = _gamma_lower_neighborhood(t, Fx, battery, ctx, fam,
-                                                horizon)
-        if ok_n != (ce is None):
-            raise InternalCheckError(
-                f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
-                f"{ce is None}, neighborhoods say {ok_n}; the characterization "
-                "lemma makes these equivalent")
-        reason = "both lower routes pass on the floored eps schedule"
-        certificate["neighborhood_j"] = found.get("j")
-    if ce is None:
-        lower_v = Verdict.holds(reason=reason, certificate=certificate,
-                                sampled=True)
-    else:
-        ce = {"route": "battery", **ce}
-        lower_v = Verdict.fails(reason="lower inequality falsified",
-                                counterexample=ce, sampled=False)
-
-    upper_v, recovery = _gamma_upper(fam, t, Fx, battery, ctx, horizon, domain_at)
-    if ce is None:
-        ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
-    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                       floored_eps(ctx), ce, domains_verdict, horizon,
-                       battery.seed)
+    size = _block_size(ctx, battery, horizon, len(fam.base) if neighborhood else 1)
+    return _by_blocks(X, size, lambda B: _gamma_block(
+        fam, B, battery, ctx, limit, horizon, domain_at, neighborhood,
+        domains_verdict))
 
 
 def on_base_domain(fam: PerturbedFamily, horizon: int) -> bool:
@@ -733,6 +1007,17 @@ def on_base_domain(fam: PerturbedFamily, horizon: int) -> bool:
                for n in (0, *upper_half(horizon)))
 
 
+def _fixed_domain_reports(fam: PerturbedFamily, X: np.ndarray,
+                          battery: SeqGenBattery, ctx: OrderCtx,
+                          limit: Optional[Problem], horizon: int):
+    base = fam.base
+    if not on_base_domain(fam, horizon):
+        raise Unsupported("gamma_check requires the family to live on the "
+                          "base domain; use gamma_seq_check for moving domains")
+    return _gamma_reports(fam, X, battery, ctx, limit, horizon,
+                          lambda n: base.domain, neighborhood=True)
+
+
 def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
                 ctx: OrderCtx, limit: Optional[Problem] = None,
                 horizon: int = DEFAULT_HORIZON) -> GammaReport:
@@ -741,12 +1026,8 @@ def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
     The lower condition runs twice (sequence battery and shrinking grid
     neighborhoods) and the two routes must agree.
     """
-    base = fam.base
-    if not on_base_domain(fam, horizon):
-        raise Unsupported("gamma_check requires the family to live on the "
-                          "base domain; use gamma_seq_check for moving domains")
-    return _gamma(fam, xbar, battery, ctx, limit, horizon,
-                  lambda n: base.domain, neighborhood=True)
+    return next(_fixed_domain_reports(fam, _one(xbar), battery, ctx, limit,
+                                      horizon))
 
 
 def gamma_seq_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
@@ -763,8 +1044,9 @@ def gamma_seq_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
     dv = domains_verdict
     if dv is None:
         dv = kuratowski_pair(fam.domain_at, fam.base.domain, horizon)
-    return _gamma(fam, xbar, battery, ctx, limit, horizon, fam.domain_at,
-                  neighborhood=False, domains_verdict=dv)
+    return next(_gamma_reports(fam, _one(xbar), battery, ctx, limit, horizon,
+                               fam.domain_at, neighborhood=False,
+                               domains_verdict=dv))
 
 
 # -------------------------------------------------- level-set convergence
@@ -886,8 +1168,8 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
 
     # hypothesis (a): variational convergence on the shared grid; every
     # point runs, so the lower-route cross-check covers the grid
-    reports = [gamma_check(shared, base.domain.points[i], battery, ctx,
-                           horizon=horizon) for i in range(len(base))]
+    reports = list(_fixed_domain_reports(shared, base.domain.points, battery,
+                                         ctx, None, horizon))
     hyp_gamma = _grid_gamma_hypothesis(
         reports, "variational convergence",
         holds=f"variational convergence holds at all {len(base)} grid points",
@@ -934,8 +1216,8 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     extras: Dict[str, object] = {}
     if hyp_gamma.is_holds:
         # the variational limit is lower semicontinuous; record, never raise
-        checks = ((i, lsc_check(base, x, battery, ctx, horizon))
-                  for i, x in enumerate(base.domain.points))
+        checks = enumerate(_sc_verdicts(base, base.domain.points, battery, ctx,
+                                        horizon, "lsc"))
         bad = next(((i, v) for i, v in checks if not v.is_holds), None)
         extras["lsc_cross"] = (
             Verdict.holds(reason="limit map lsc at every grid point",
@@ -1096,9 +1378,9 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
 
     # shared gate: sequential variational convergence at every base point
     dv = kuratowski_pair(fam.domain_at, base.domain, horizon)
-    reports = (gamma_seq_check(fam, base.domain.points[i], battery, ctx,
-                               horizon=horizon, domains_verdict=dv)
-               for i in range(len(base)))
+    reports = _gamma_reports(fam, base.domain.points, battery, ctx, None,
+                             horizon, fam.domain_at, neighborhood=False,
+                             domains_verdict=dv)
     hypotheses["gamma_seq"] = _grid_gamma_hypothesis(
         reports, "sequential variational convergence",
         holds=f"sequential variational convergence at all {len(base)} "

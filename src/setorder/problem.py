@@ -24,7 +24,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -123,8 +123,6 @@ class Domain:
         pts.setflags(write=False)
         self.points = pts
         self.windows = windows
-        self._index: dict[tuple[float, ...], int] = {
-            tuple(p): i for i, p in enumerate(pts)}
 
     @classmethod
     def from_windows(cls, windows: Sequence[Window]) -> "Domain":
@@ -157,8 +155,14 @@ class Domain:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    @cached_property
+    def _index(self) -> dict[tuple[float, ...], int]:
+        # a repeated point maps to its last index
+        return {tuple(p): i for i, p in enumerate(self.points)}
+
     def index_of(self, x) -> Optional[int]:
-        """Exact-match grid index, or None."""
+        """Exact-match grid index, or None; the lookup table is built on
+        the first call."""
         return self._index.get(tuple(np.asarray(x, dtype=np.float64)))
 
     def nearest_index(self, x) -> int:
@@ -546,22 +550,32 @@ class PerturbedFamily:
         env = {"x": tuple(x), "n": n}
         return np.array([ex.evaluate(h, env) for h in self.recovery_hint])
 
-    def recovery_points(self, x, ns: Sequence[int]) -> np.ndarray:
-        """recovery_point(x, n) for each n in ns, as rows of one array.
+    def recovery_points(self, X, ns: Sequence[int]
+                        ) -> tuple[np.ndarray, Optional[Exception]]:
+        """(points, err): recovery_point(x, n) for each row x of X (G, d),
+        or the one point X, and each n in ns, as rows of one array in
+        (x, n) order, up to the first row whose recovery_point raises, and
+        that exception (or None).
 
         The hint is evaluated over the array; suspect rows are asked of
-        recovery_point, in order, so the first failing index raises.
+        recovery_point, in order.
         """
-        X = np.broadcast_to(np.asarray(x, dtype=float).reshape(1, -1), (len(ns), len(x)))
-        cols, suspect = [], np.zeros(len(ns), dtype=bool)
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        T = len(ns)
+        rows = np.repeat(X, T, axis=0)
+        n = np.tile(np.asarray(ns, dtype=float), len(X))
+        cols, suspect = [], np.zeros(len(rows), dtype=bool)
         for h in self.recovery_hint:
-            v, bad = ex.evaluate_rows(h, X, np.asarray(ns, dtype=float))
+            v, bad = ex.evaluate_rows(h, rows, n)
             cols.append(v)
             suspect |= bad
         out = np.stack(cols, axis=1)
         for i in np.flatnonzero(suspect).tolist():
-            out[i] = self.recovery_point(x, ns[i])
-        return out
+            try:
+                out[i] = self.recovery_point(X[i // T], ns[i % T])
+            except Exception as e:
+                return out[:i], e
+        return out, None
 
     def domain_at(self, n: int) -> Domain:
         """D_n, without evaluating the map over its grid; refused unless it
@@ -593,15 +607,21 @@ def _data_dir(kind: str):
     return resources.files("setorder") / "data" / kind
 
 
-def _schema():
-    return json.loads((_data_dir("schema") / "problem.schema.json").read_text())
+@cache
+def _validator():
+    """The problem schema's validator, its schema checked once per process."""
+    import jsonschema
+    schema = json.loads((_data_dir("schema") / "problem.schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _validate_schema(doc: dict) -> None:
     import jsonschema
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as e:
+    # the error jsonschema.validate would raise: the best match, not the first
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path)
         raise ProblemLoadError(f"schema: {e.message} (at {path or 'root'})") from e
 

@@ -12,6 +12,8 @@ its own map.value call, the way the package did before it asked whole
 tails and eps schedules through corner tables. They share the battery's
 sequences, the schedule helpers and the pair sampling with the package.
 ``battery_point`` is the battery's former one-point-at-a-time generator.
+``gamma_report`` and ``lsc_verdict`` are the one-point checks built on
+those scans, which the package now asks for blocks of grid points at once.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
     RECOVERY_BUDGET,
+    GammaReport,
     floored_eps,
     io_threshold,
     upper_half,
 )
-from setorder.errors import DimensionMismatch, NoRecoveryFound
+from setorder.errors import DimensionMismatch, InternalCheckError, NoRecoveryFound
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
     EXTERIOR_INSIDE,
@@ -38,6 +41,7 @@ from setorder.problem import (
     Problem,
     TableMap,
     Window,
+    family_at,
 )
 from setorder.setrep import BoxUnion, Box, PointCloud, box, points, translate
 from setorder.solve import relation_matrices
@@ -368,7 +372,7 @@ def tail_scan(value, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at,
             return strict_lt(fx_down[e], Fn, ctx)
         return strict_lt(translate(Fn, -e * u), Fx, ctx)
 
-    def margin(x, n):
+    def margin(x, n, g):
         Fn = value(x, n)
         return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
 
@@ -452,6 +456,76 @@ def gamma_upper(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
                    f"for eps up to {fails['eps']:.6g}",
             counterexample=fails, sampled=False)
     return v, tuple(recovery_used)
+
+
+def neighborhood_route(fam, t, Fx, battery, ctx: OrderCtx, horizon: int):
+    """converge's shrinking-neighbourhood route at x̄ = t, one strict_lt
+    call per (tail member, grid point): (passes, j or None)."""
+    members = [family_at(fam, n) for n in upper_half(horizon)]
+    shifted = translate(Fx, -floored_eps(ctx)[-1] * ctx.u)
+    pts = fam.base.domain.points
+    dists = np.linalg.norm(pts - t, axis=1)
+    bad_dist = min((float(dists[i]) for i in range(len(pts))
+                    if not all(strict_lt(shifted, Pn.value(i), ctx)
+                               for Pn in members)), default=math.inf)
+    R = battery_radius(fam.base.domain, 0)
+    j = next((j for j in range(MAX_BALL_SPLITS + 1) if R / 2 ** j < bad_dist),
+             None)
+    return j is not None, j
+
+
+def gamma_report(fam, t, battery, ctx: OrderCtx, horizon: int, domain_at,
+                 neighborhood: bool, domains_verdict=None) -> GammaReport:
+    """converge's variational-convergence check at the one point t, F(x̄)
+    from the base problem, on the pair-at-a-time scans above."""
+    t = np.asarray(t, dtype=float)
+    flo = floored_eps(ctx)[-1]
+    Fx = fam.base.map.value(tuple(t), fam.base.n)
+    ce = tail_scan(lambda x, n: fam.map.value(tuple(x), n), t, Fx, battery, ctx,
+                   horizon, domain_at, "lsc")
+    reason = "lower inequality held along every in-domain sequence"
+    certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
+    if neighborhood:
+        ok_n, j = neighborhood_route(fam, t, Fx, battery, ctx, horizon)
+        if ok_n != (ce is None):
+            raise InternalCheckError(
+                f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
+                f"{ce is None}, neighborhoods say {ok_n}; the characterization "
+                "lemma makes these equivalent")
+        reason = "both lower routes pass on the floored eps schedule"
+        certificate["neighborhood_j"] = j
+    if ce is None:
+        lower_v = Verdict.holds(reason=reason, certificate=certificate,
+                                sampled=True)
+    else:
+        ce = {"route": "battery", **ce}
+        lower_v = Verdict.fails(reason="lower inequality falsified",
+                                counterexample=ce, sampled=False)
+    upper_v, recovery = gamma_upper(fam, t, Fx, battery, ctx, horizon, domain_at)
+    if ce is None:
+        ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
+    return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
+                       floored_eps(ctx), ce, domains_verdict, horizon,
+                       battery.seed)
+
+
+def lsc_verdict(P: Problem, t, battery, ctx: OrderCtx, horizon: int) -> Verdict:
+    """converge.lsc_check at the one point t, on tail_scan."""
+    Fx = P.map.value(tuple(t), P.n)
+    ce = tail_scan(lambda x, n: P.map.value(tuple(x), P.n), t, Fx, battery, ctx,
+                   horizon, lambda n: P.domain, "lsc")
+    if ce is None:
+        return Verdict.holds(
+            reason="lsc inequality held on every tail index of every "
+                   "generated sequence",
+            certificate={"seed": battery.seed, "horizon": horizon,
+                         "eps_floor": floored_eps(ctx)[-1],
+                         "strategies": list(battery.strategy_names())},
+            sampled=True)
+    return Verdict.fails(
+        reason=f"lsc comparison breaks at n = {ce['n']} under "
+               f"strategy {ce['strategy']} with eps = {ce['eps']:.6g}",
+        counterexample=ce, sampled=True)
 
 
 def target_hypotheses(omega_n, omega, ctx: OrderCtx, horizon: int):

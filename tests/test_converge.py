@@ -41,7 +41,7 @@ from setorder.converge import (
     usc_check,
 )
 from setorder.errors import InternalCheckError, SetSpecError, Unsupported
-from setorder.order import OrderCtx
+from setorder.order import OrderCtx, corner_table
 from setorder.expr import parse
 from setorder.problem import (
     Domain,
@@ -125,6 +125,29 @@ def built(monkeypatch):
 
     monkeypatch.setattr(Problem, "__init__", init)
     return seen
+
+
+def tail_scan_at(map, t, Fx, battery, ctx, horizon, domain_at, mode):
+    """converge._tail_scan at the one target t, F(x̄) = Fx and the value at
+    x_n from map(x_n, n); raises the exception it reports."""
+    shift = converge._eps_shifts(-1, ctx) if mode == "lsc" else None
+    got, = converge._tail_scan(map, lambda n: n, np.reshape(t, (1, -1)),
+                               corner_table([Fx], ctx, shift), lambda g: Fx,
+                               battery, ctx, horizon, domain_at, mode)
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def gamma_upper_at(fam, t, Fx, battery, ctx, horizon, domain_at):
+    """converge._gamma_upper at the one point t, F(x̄) = Fx; raises the
+    exception it reports."""
+    got = next(converge._gamma_upper(fam, np.reshape(t, (1, -1)),
+                                     converge._shifted([Fx], 1, ctx), battery,
+                                     ctx, horizon, domain_at))
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 class TestScheduleHelpers:
@@ -222,7 +245,7 @@ class TestBattery:
         target = np.array(data.draw(
             st.lists(st.floats(-0.5, 1.5, allow_nan=False),
                      min_size=dim, max_size=dim), label="target"))
-        margin = lambda x, n: float(np.sin(7.0 * x.sum() + n))
+        margin = lambda x, n, g: float(np.sin(7.0 * x.sum() + n))
         bat = SeqGenBattery(seed=seed, count=count)
         tail = upper_half(horizon)
         for m in (None, margin):
@@ -262,7 +285,7 @@ class TestBattery:
         target = np.array(data.draw(st.lists(coord, min_size=dim,
                                              max_size=dim), label="target"))
         margin = data.draw(st.sampled_from(
-            [None, lambda x, n: float(np.sin(7.0 * x.sum() + n))]))
+            [None, lambda x, n, g: float(np.sin(7.0 * x.sum() + n))]))
         indices = data.draw(st.sampled_from([None, upper_half(horizon)]))
         domain_at = lambda n: doms[n % len(doms)]
         bat = SeqGenBattery(seed=seed, count=count)
@@ -271,7 +294,7 @@ class TestBattery:
             wanted = range(horizon) if indices is None else indices
             assert pts.shape == (len(wanted), dim) and pts.dtype == np.float64
             for n, row in zip(wanted, pts):
-                m = (lambda x, _n=n: margin(x, _n)) if margin else None
+                m = (lambda x, _n=n: margin(x, _n, 0)) if margin else None
                 want = reference.battery_point(bat, name, target, domain_at(n),
                                                n, margin=m, variant=v)
                 assert row.tobytes() == want.tobytes(), (name, v, n)
@@ -828,17 +851,18 @@ class TestTablesMatchPairLoops:
 
             for mode in ("lsc", "usc"):
                 args = (t, Fx, battery, ctx, horizon, fam.domain_at, mode)
-                got = converge._tail_scan(fam.map, lambda n: n, *args)
+                got = tail_scan_at(fam.map, *args)
                 assert got == reference.tail_scan(value, *args), (seed, mode)
                 seen["break" if got else "clean"] += 1
             args = (fam, t, Fx, battery, ctx, horizon, fam.domain_at)
             if fam.recovery_hint is None:
                 # theta per candidate, not only the chosen point, must agree
-                got = converge._recovery_search(*args)
+                got = converge._recovery_search(
+                    fam, t, converge._shifted([Fx], 1, ctx), *args[3:])
                 want = reference.recovery_search(*args)
                 assert {n: (th, x.tolist()) for n, (th, x) in got.items()} == \
                     {n: (th, x.tolist()) for n, (th, x) in want.items()}, seed
-            v, used = converge._gamma_upper(*args)
+            v, used = gamma_upper_at(*args)
             want_v, want_used = reference.gamma_upper(*args)
             assert (v.to_json(), used) == (want_v.to_json(), want_used), seed
             seen["break" if v.is_fails else "clean"] += 1
@@ -876,7 +900,7 @@ class TestTablesMatchPairLoops:
             tm = self.odd_shift(-0.25, raise_from)
             args = (t, box([0.5], [1.5]), battery, ctx1, 64, lambda n: dom,
                     "lsc")
-            scans = (lambda: converge._tail_scan(tm, lambda n: n, *args),
+            scans = (lambda: tail_scan_at(tm, *args),
                      lambda: reference.tail_scan(tm.value, *args))
             if breaks:
                 ce = scans[0]()
@@ -897,12 +921,12 @@ class TestTablesMatchPairLoops:
                                   recovery_hint=(parse("x1"),))
             args = (fam, t, box([0.5], [1.5]), battery, ctx1, 64, fam.domain_at)
             if breaks:
-                v, used = converge._gamma_upper(*args)
+                v, used = gamma_upper_at(*args)
                 want_v, want_used = reference.gamma_upper(*args)
                 assert (v.to_json(), used) == (want_v.to_json(), want_used)
                 assert v.counterexample["n"] == 33 and used[-1][0] == 33
             else:
-                for check in (converge._gamma_upper, reference.gamma_upper):
+                for check in (gamma_upper_at, reference.gamma_upper):
                     with pytest.raises(Exception, match="n = 33"):
                         check(*args)
 
@@ -954,9 +978,9 @@ class TestTailOnlyWork:
 
         def sequences(self, target, domain_at, horizon, margin=None,
                       indices=None):
-            def scored(x, n):
+            def scored(x, n, g):
                 seen["scored"].append(n)
-                return margin(x, n)
+                return margin(x, n, g)
             return real_sequences(self, target, domain_at, horizon,
                                   margin=scored if margin else None,
                                   indices=indices)
@@ -1123,20 +1147,268 @@ class TestGridGammaHypothesis:
 
     def test_stability_scans_past_inconclusive_to_first_failure(
             self, tiny_budget, ctx1, battery, monkeypatch):
-        calls = []
-        real = converge.gamma_seq_check
+        # far_drop, except that past x = 0.92 the map refuses every
+        # off-grid point, so the check at each grid index after 18 raises;
+        # the fold stops at the failure at index 18, so those errors never
+        # surface and no upper route runs past it
+        far = self.far_drop()
+        pts = far.base.domain.points
+        grid = set(pts[:, 0].tolist())
 
-        def gamma_seq(fam, xbar, *args, **kwargs):
-            calls.append(float(xbar[0]))
-            return real(fam, xbar, *args, **kwargs)
+        def value(x, n):
+            if x[0] > 0.92:
+                if x[0] not in grid:
+                    raise SetSpecError(f"no value at x = {x[0]}")
+                return box([x[0]], [x[0] + 1.0])
+            return far.map.value(x, n)
 
-        monkeypatch.setattr(converge, "gamma_seq_check", gamma_seq)
-        fam = self.far_drop()
+        fam = PerturbedFamily(far.base, TableMap(value, 1), far.domain_at,
+                              far.n_max)
+        with pytest.raises(SetSpecError, match="no value"):
+            gamma_seq_check(fam, pts[19], battery, ctx1)
+        searched = []
+        real = converge._recovery_search
+
+        def search(fam, t, *args):
+            searched.append(float(t[0]))
+            return real(fam, t, *args)
+
+        monkeypatch.setattr(converge, "_recovery_search", search)
         rep = stability_experiment(fam, "Relaxed", "internal", ctx1,
                                    battery=battery)
         hyp = rep.hypotheses["gamma_seq"]
         assert hyp.is_fails
         assert hyp.reason == ("sequential variational convergence fails at "
                               "grid index 18")
-        assert len(calls) == 19          # the scan stops at the failure
+        assert searched == pts[:19, 0].tolist()
         assert rep.conclusion.is_inconclusive
+
+
+class TestBlockFoldsMatchPointFolds:
+    """The grid folds (stability's gamma_seq hypothesis, levelset-conv's
+    gamma hypothesis and its lsc_cross) ask their checks in blocks of grid
+    points. Run with the one-point checks of tests/reference.py in their
+    place, the same consumers must give the same report or raise the same
+    exception, for any block size, also when values raise at a grid point
+    before, at or after the first failing one."""
+
+    @staticmethod
+    def point_folds(monkeypatch):
+        """Swap the block generators for folds of the one-point references."""
+        def reports(fam, X, battery, ctx, limit, horizon, domain_at,
+                    neighborhood, domains_verdict=None):
+            assert limit is None
+            for x in X:
+                yield reference.gamma_report(fam, x, battery, ctx, horizon,
+                                             domain_at, neighborhood,
+                                             domains_verdict)
+
+        def verdicts(P, X, battery, ctx, horizon, mode):
+            assert mode == "lsc"
+            for x in X:
+                yield reference.lsc_verdict(P, x, battery, ctx, horizon)
+
+        monkeypatch.setattr(converge, "_gamma_reports", reports)
+        monkeypatch.setattr(converge, "_sc_verdicts", verdicts)
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run()
+        except Exception as e:
+            return type(e), str(e)
+
+    def consumers(self, fam, omega, ctx, battery, horizon, levelset=True):
+        out = {"stability": self.outcome(lambda: stability_experiment(
+            fam, "Relaxed", "external", ctx, battery=battery,
+            horizon=horizon).to_json())}
+        if levelset:
+            out["levelset"] = self.outcome(lambda: levelset_convergence_experiment(
+                fam, lambda n: omega, omega, ctx, battery=battery,
+                horizon=horizon).to_json())
+        return out
+
+    def check(self, fam, omega, ctx, battery, horizon, levelset=True):
+        """Block folds at several block sizes against the point folds;
+        returns the point folds' outcome."""
+        got = []
+        with pytest.MonkeyPatch.context() as mp:
+            self.point_folds(mp)
+            want = self.consumers(fam, omega, ctx, battery, horizon, levelset)
+        for size in (None, 1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if size is not None:
+                    # blocks of `size` points; the battery's distances one
+                    # target at a time
+                    mp.setattr(converge, "_block_size", lambda *a, k=size: k)
+                    mp.setattr(converge, "_BLOCK_ELEMENTS", 1)
+                got = self.consumers(fam, omega, ctx, battery, horizon, levelset)
+            assert got == want, size
+        return want
+
+    @staticmethod
+    def raising(fam, kind: str, p: int):
+        """fam with values raising at grid point p: in the battery rows
+        around it ("lower"), in F(x̄) ("limit"), in the members at one
+        tail index ("member") or in its recovery hint ("hint")."""
+        pts = fam.base.domain.points
+        at = pts[p]
+
+        def near(x):
+            return float(np.abs(np.asarray(x) - at).max()) < 0.01
+
+        if kind == "lower":
+            real = fam.map
+
+            def value(x, n):
+                if near(x) and not np.array_equal(x, at):
+                    raise SetSpecError(f"no value near grid point {p}")
+                return real.value(x, n)
+            fam.map = TableMap(value, real.image_dim)
+        elif kind == "limit":
+            real_base = fam.base.map
+
+            def value0(x):
+                if np.array_equal(x, at):
+                    raise SetSpecError(f"no limit value at grid point {p}")
+                return real_base.value(x)
+            fam.base.map = TableMap(value0, real_base.image_dim)
+        elif kind == "member":
+            real = fam.map
+
+            def value(x, n):
+                if np.array_equal(x, at) and n == 6:
+                    raise SetSpecError(f"no value at grid point {p}, n = 6")
+                return real.value(x, n)
+            fam.map = TableMap(value, real.image_dim)
+        elif kind == "hint":
+            fam.recovery_hint = tuple(
+                parse(f"x{k + 1} + 0.3/(n + 1) + 0*sqrt(abs(x1 - "
+                      f"({float(at[0])!r})) - 0.001)") for k in range(len(at)))
+        return fam
+
+    def test_random_families(self):
+        seen = {"fails": 0, "raises": 0, "holds": 0}
+        kinds = ("none", "lower", "limit", "member", "hint")
+        for seed in range(40):
+            rng = np.random.default_rng(500 + seed)
+            fam, _ = reference.random_family(rng, n_max=16)
+            if rng.random() < 0.4:
+                fam.recovery_hint = tuple(
+                    parse(f"x{k + 1} + 0.3/(n + 1)")
+                    for k in range(fam.base.domain.dim))
+            ctx = OrderCtx(fam.base.cone)
+            battery = SeqGenBattery(seed=seed)
+            horizon = int(rng.choice([8, 13]))
+            omega = fam.base.value(0)
+            pts = fam.base.domain.points
+            # a raising point before, at or after the first failing one
+            gate = stability_experiment(fam, "Relaxed", "external", ctx,
+                                        battery=battery,
+                                        horizon=horizon).hypotheses["gamma_seq"]
+            first = gate.counterexample["index"] if gate.is_fails else len(pts) // 2
+            p = min(max(first + seed % 3 - 1, 0), len(pts) - 1)
+            fam = self.raising(fam, kinds[seed % len(kinds)], p)
+            want = self.check(fam, omega, ctx, battery, horizon,
+                              levelset=len(pts) <= 25)
+            for v in want.values():
+                seen["raises" if isinstance(v, tuple) else
+                     "fails" if "fails" in json.dumps(v) else "holds"] += 1
+        assert min(seen.values()) >= 5, seen
+
+    def test_odd_shift_and_far_drop(self, ctx1, battery):
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
+        for shift, raise_from in ((-0.25, 36), (-0.25, 32), (0.25, 40)):
+            tm = TestTablesMatchPairLoops.odd_shift(shift, raise_from)
+            base = Problem("odd", tm, ctx1.cone, dom, n=0)
+            fam = PerturbedFamily(base, tm, lambda n: dom, 64,
+                                  recovery_hint=(parse("x1"),))
+            self.check(fam, base.value(2), ctx1, battery, 64)
+        for lo, limit_raises, fails in ((0.3, False, False), (0.88, False, True),
+                                        (0.88, True, True), (0.92, False, True)):
+            # off-grid points past lo refused, so the checks from grid point
+            # 6, 18 or 19 on raise; at 18 the break comes first. Past 0.92
+            # the values stay [x, x + 1], so only the refusal ends those
+            # checks; F(x̄) may refuse the last point too
+            far = TestGridGammaHypothesis.far_drop()
+            pts = far.base.domain.points
+            grid = set(pts[:, 0].tolist())
+
+            def value(x, n, lo=lo, real=far.map):
+                if x[0] > lo and x[0] not in grid:
+                    raise SetSpecError(f"no value at x = {x[0]}")
+                if x[0] > 0.92:
+                    return box([x[0]], [x[0] + 1.0])
+                return real.value(x, n)
+
+            omega = far.base.value(5)
+            if limit_raises:
+                self.raising(far, "limit", len(pts) - 1)
+            fam = PerturbedFamily(far.base, TableMap(value, 1), far.domain_at,
+                                  far.n_max)
+            want = self.check(fam, omega, ctx1, battery, 64)
+            assert isinstance(want["stability"], tuple) != fails, lo
+            assert isinstance(want["levelset"], tuple), lo
+
+    def test_lsc_check_with_raising_margins(self, ctx1, battery):
+        # at j = 20 the value jumps up, so lsc breaks along radial-shrink
+        # before adversarial-worst, whose balls of several grid points ask
+        # the margin at the refusing point j = 21
+        dom = Domain.from_windows([Window(0.0, 1.0, 1 / 64)])
+        jump, refused = dom.points[20], dom.points[21]
+
+        def value(x):
+            if np.array_equal(x, refused):
+                raise SetSpecError(f"no value at x = {x[0]}")
+            return box([1.0], [2.0]) if np.array_equal(x, jump) else box([0.0], [1.0])
+
+        P = Problem("jump", TableMap(lambda x: box([0.0], [1.0]), 1), ctx1.cone,
+                    dom)
+        P.map = TableMap(value, 1)
+        seen = set()
+        for x in dom.points:
+            got = self.outcome(lambda: lsc_check(P, x, battery, ctx1, 8).to_json())
+            want = self.outcome(lambda: reference.lsc_verdict(
+                P, x, battery, ctx1, 8).to_json())
+            assert got == want, x
+            seen.add(type(got))
+        assert seen == {tuple, dict}
+
+    @given(data=st.data(), seed=st.integers(0, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_battery_targets_match_the_one_point_reference(self, data, seed):
+        # each row of a many-target sequence equals the former per-point
+        # generator at its target bit for bit, the adversarial distances
+        # taken for a few targets at a time
+        dim = data.draw(st.integers(1, 2), label="dim")
+        coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                          st.floats(-1.5, 1.5, allow_nan=False))
+        if data.draw(st.booleans(), label="windows"):
+            step = data.draw(st.sampled_from([0.0625, 0.125, 0.25]))
+            doms = [Domain.from_windows([Window(0.0, b, step, hi_open=o)] * dim)
+                    for b, o in ((1.0, False), (0.75, True))]
+        else:
+            doms = [Domain.from_points(data.draw(
+                st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                         min_size=1, max_size=12), label="points"))]
+        targets = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=dim, max_size=dim), min_size=1,
+            max_size=5), label="targets"))
+        horizon = data.draw(st.integers(8, 24), label="horizon")
+        margin = lambda x, n, g: float(np.sin(7.0 * x.sum() + n + g))
+        domain_at = lambda n: doms[n % len(doms)]
+        bat = SeqGenBattery(seed=seed)
+        G, T = len(targets), len(upper_half(horizon))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "_BLOCK_ELEMENTS",
+                       data.draw(st.sampled_from([1, 40, 2 ** 16])))
+            runs = list(bat.sequences(targets, domain_at, horizon, margin=margin,
+                                      indices=upper_half(horizon)))
+        for name, v, pts in runs:
+            assert pts.shape == (G * T, dim)
+            for row, (g, n) in zip(pts, ((g, n) for g in range(G)
+                                         for n in upper_half(horizon))):
+                want = reference.battery_point(
+                    bat, name, targets[g], domain_at(n), n,
+                    margin=lambda x, _n=n, _g=g: margin(x, _n, _g), variant=v)
+                assert row.tobytes() == want.tobytes(), (name, v, g, n)

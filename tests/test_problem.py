@@ -80,6 +80,16 @@ class TestWindowGrid:
         assert d.index_of([0.5, 0.5]) is None
         assert d.nearest_index([0.9, 1.9]) == 5
 
+    def test_index_of_explicit_points_with_a_duplicate(self):
+        # the exact-match table is built on the first lookup; a repeated
+        # point answers with its last index
+        d = Domain.from_points([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [-0.0, 5.0]])
+        assert d.index_of([0.0, 1.0]) == 2
+        assert d.index_of(np.array([2.0, 3.0])) == 1
+        assert d.index_of([0.0, 5.0]) == 3          # -0.0 == 0.0
+        assert d.index_of([2.0, 3.5]) is None
+        assert d.index_of((2, 3)) == 1
+
     def test_truncation_flag(self):
         d = Domain.from_windows([Window(0, 1, 1, truncated=True)])
         assert d.truncated
@@ -221,6 +231,34 @@ class TestLoadValidation:
         doc["map"]["pieces"][0]["points"] = [["0"]]   # box and points together
         with pytest.raises(ProblemLoadError, match="schema"):
             load_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        spec(label=7),                                         # wrong type
+        {"cone": {"kind": "orthant", "dim": 1}, "domain": {"points": [[0]]},
+         "map": {"pieces": []}},                               # missing field
+        spec(cone={"kind": "wedge", "dim": 2}),                # bad enum
+        spec(pieces=[{"guard": "true", "box": [{"lo": 0, "hi": 1,
+                                                 "lo_open": "yes"}]}]),
+        spec(pieces=[{"guard": "true", "points": [[0], ["1", None]]}]),
+        spec(family={"subst": "m", "n_max": 4}),
+        ["not", "an", "object"],
+        # nested in a oneOf: the best match is not the first error
+        spec(domain={"windows": [{"a": "x", "b": 1}]}),
+        spec(cone={"kind": "halfspaces", "rows": [["a"]]}),
+    ], ids=["label-type", "no-label", "cone-kind", "nested-flag",
+            "nested-point", "family", "array", "window", "cone-row"])
+    def test_schema_message_is_jsonschema_validate_s(self, doc):
+        # the validator is built once; the message is still the error
+        # jsonschema.validate raises, its best match
+        import jsonschema
+        schema = problem._validator().schema
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, schema)
+        e = want.value
+        path = "/".join(str(p) for p in e.absolute_path)
+        with pytest.raises(ProblemLoadError) as got:
+            load_dict(doc)
+        assert str(got.value) == f"schema: {e.message} (at {path or 'root'})"
 
     def test_dim_mismatch(self):
         doc = spec(cone={"kind": "orthant", "dim": 2})
