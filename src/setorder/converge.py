@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -597,6 +598,7 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     G, T = len(X), len(tail)
     seqs: list = []
     failed: dict[int, tuple[Exception, int]] = {}
+    Fx_at = cache(Fx_at)    # one F(x̄) per target, however many margins
 
     def margin(x: np.ndarray, n: int, g: int) -> float:
         # a raising margin ends its target's scan at the sequence being
