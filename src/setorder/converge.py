@@ -59,7 +59,7 @@ from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
                     shift_margin, table_from_corners, table_rel)
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
                       tail_table, value_rows)
-from .setrep import SetRep
+from .setrep import SetRep, _refuse_boxes
 from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
                     representants, strong_level_set, value_table)
 from .verdict import Status, Verdict
@@ -516,6 +516,22 @@ def _placed(rows, at: np.ndarray, size: int, dim: int):
     return out
 
 
+def _block_rows(map: SetValuedMap, X: np.ndarray, ns, ctx: OrderCtx, run: int):
+    """``value_rows`` over a block's rows, ended as one table per ``run``
+    rows would end them: a run holding a box under a general cone is
+    refused whole (``table_from_corners``), so the rows stop at its start
+    with that refusal."""
+    rows, err = value_rows(map, X, ns, ctx.cone)
+    boxes = np.flatnonzero(~rows[2])
+    if boxes.size and ctx.cone.kind != "orthant":
+        try:
+            _refuse_boxes(ctx.cone)
+        except Unsupported as e:
+            stop = boxes[0] // run * run
+            rows, err = tuple(x[:stop] for x in rows), e
+    return rows, err
+
+
 def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
     """(j, eps) for the first column of an (eps, j) mask failing at the
     floored eps, eps the largest scheduled one failing there; or None."""
@@ -621,8 +637,8 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     for g, (_, s) in failed.items():
         asked[g, s:] = False
     at = np.flatnonzero(asked)
-    rows, err = value_rows(map, pts.reshape(-1, pts.shape[-1])[at], ns[at % T],
-                           ctx.cone)
+    rows, err = _block_rows(map, pts.reshape(-1, pts.shape[-1])[at], ns[at % T],
+                            ctx, T)
     done = at[:len(rows[3])]
     tab = _split(table_from_corners(*_placed(rows, done, asked.size, ctx.cone.dim),
                                     ctx, None if lsc else _eps_shifts(-1, ctx)), G)
@@ -658,7 +674,7 @@ def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str):
     """The lsc or usc verdict, or the exception it raises, at each of a
     prefix of the rows of X, in order (see _by_blocks)."""
-    rows, err = value_rows(P.map, X, [P.n] * len(X), ctx.cone)
+    rows, err = _block_rows(P.map, X, [P.n] * len(X), ctx, 1)
     G = len(rows[3])
     found = []
     if G:
@@ -883,7 +899,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
     if G:
         seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
                             [domain_at(n) for n in ns])
-        rows, err = value_rows(fam.map, seq.reshape(G * T, -1), ns * G, ctx.cone)
+        rows, err = _block_rows(fam.map, seq.reshape(G * T, -1), ns * G, ctx, T)
         m = len(rows[3])
         tab = _split(table_from_corners(
             *_placed(rows, np.arange(m), G * T, ctx.cone.dim), ctx), G)
@@ -916,7 +932,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
     raise is the point's outcome. Each stage is one array program over
     the block.
     """
-    rows, err = value_rows(limit.map, X, [limit.n] * len(X), ctx.cone)
+    rows, err = _block_rows(limit.map, X, [limit.n] * len(X), ctx, 1)
     G = len(rows[3])
     if not G:
         yield err

@@ -120,8 +120,9 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     else:
         h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
         ks = np.broadcast_to(count, corners.shape[:-2]).ravel().tolist()
-        for hi, ci, k in zip(h.reshape(-1, K, len(ctx.w)),
-                             corners.reshape(-1, K, cone.dim), ks):
+        # the set count, not -1: with no corners (K = 0) it cannot be inferred
+        for hi, ci, k in zip(h.reshape(len(ks), K, len(ctx.w)),
+                             corners.reshape(len(ks), K, cone.dim), ks):
             cone.h_coords(ci[:k], out=hi[:k])
         o = np.zeros(h.shape, dtype=np.uint8)
     return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))

@@ -53,7 +53,8 @@ from setorder.problem import (
     load_builtin,
     load_dict,
 )
-from setorder.setrep import box, translate
+from setorder.cone import Cone
+from setorder.setrep import box, points, translate
 from setorder.verdict import Status, Verdict
 
 PROBLEM_DIR = Path(load_dict.__module__ and __file__).parent.parent \
@@ -1349,6 +1350,38 @@ class TestBlockFoldsMatchPointFolds:
             want = self.check(fam, omega, ctx1, battery, 64)
             assert isinstance(want["stability"], tuple) != fails, lo
             assert isinstance(want["levelset"], tuple), lo
+
+    def test_boxes_under_a_general_cone(self, battery):
+        # a general cone refuses box values, which start at x = 0.75; in
+        # the stability fold the value refused around grid point 1 comes
+        # first, while the level-set fold's neighbourhood route reads every
+        # member at grid point 0 already
+        cone = Cone.from_halfspaces(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        assert cone.kind != "orthant"
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
+
+        def value(x, n=0):
+            if 0.2 < x[0] < 0.3 and x[0] != 0.25:
+                raise SetSpecError(f"no value at x = {x[0]}")
+            if x[0] >= 0.7:
+                return box([x[0], x[0]], [x[0] + 1.0, x[0] + 1.0])
+            return points([[x[0], x[0]]])
+
+        base = Problem("mixed", TableMap(lambda x: value(x), 2), cone, dom)
+        fam = PerturbedFamily(base, TableMap(value, 2), lambda n: dom, 64)
+        want = self.check(fam, base.value(0), OrderCtx(cone), battery, 64)
+        assert want["stability"][0] is SetSpecError
+        assert want["levelset"][0] is Unsupported
+
+        # the scan's very first row refused: a table of no corners at all
+        def refuse_half(x, n=0):
+            if x[0] == 0.5 and n:
+                raise SetSpecError("no value at x = 0.5")
+            return value(x, n)
+
+        fam = PerturbedFamily(base, TableMap(refuse_half, 2), lambda n: dom, 64)
+        with pytest.raises(SetSpecError, match="x = 0.5"):
+            gamma_seq_check(fam, [0.5], battery, OrderCtx(cone))
 
     def test_lsc_check_with_raising_margins(self, ctx1, battery):
         # at j = 20 the value jumps up, so lsc breaks along radial-shrink
