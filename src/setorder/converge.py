@@ -861,8 +861,8 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
     (G, d), or the exception that ends that point's route; ``fx_up`` is
     the (eps, G) table of F(x̄) + eps·u.
 
-    With a recovery hint, every point's recovery tail is one hint
-    evaluation, one clamp, one ``tail_table`` and one comparison, made at
+    With a recovery hint, all the points' recovery tails are one hint
+    evaluation, one clamp, one map evaluation and one comparison, made at
     the first request; the points end after the one whose raising value
     cut the rows. Without a hint, each point's grid search runs when its
     verdict is requested.
