@@ -34,8 +34,12 @@ Variational convergence has one core with two routes: fixed domain
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
 inside D_n and the domains get a Kuratowski-pair verdict. The level-set
 experiment runs the fixed-domain route on a family with the same member
-map over the base grid. Values at single points come from the member map;
-a member is built (``family_at``) only where its grid values are read.
+map over the base grid. The stability experiment's shared gate (the
+Kuratowski-pair verdict and sequential variational convergence at every
+base point) reads neither the minimality kind nor the direction, so it is
+decided once per (family, ctx, battery, horizon) and kept on the family.
+Values at single points come from the member map; a member is built
+(``family_at``) only where its grid values are read.
 """
 
 from __future__ import annotations
@@ -1382,6 +1386,11 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     for the base problem. Internal: every base minimal point must be the
     limit of a tail subsequence of minimal solutions whose value matches
     it (equivalently for the Geoffroy notion, largely-below for Relaxed).
+
+    The shared gate, hypothesis ``gamma_seq``, is decided once per (family,
+    ctx, battery, horizon): ctx by identity, the battery by its type, seed
+    and count. Later calls with another kind or direction reuse its verdict
+    (``PerturbedFamily._gate_cache``); a gate that raised is asked again.
     """
     if kind not in ("Geoffroy", "Relaxed"):
         raise ValueError(f"stability kind must be Geoffroy or Relaxed, got {kind!r}")
@@ -1395,15 +1404,19 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     hypotheses: Dict[str, Verdict] = {}
 
     # shared gate: sequential variational convergence at every base point
-    dv = kuratowski_pair(fam.domain_at, base.domain, horizon)
-    reports = _gamma_reports(fam, base.domain.points, battery, ctx, None,
-                             horizon, fam.domain_at, neighborhood=False,
-                             domains_verdict=dv)
-    hypotheses["gamma_seq"] = _grid_gamma_hypothesis(
-        reports, "sequential variational convergence",
-        holds=f"sequential variational convergence at all {len(base)} "
-              "base grid points",
-        certificate={"points": len(base), "seed": battery.seed})
+    gates = fam._gate_cache
+    key = (ctx, type(battery), battery.seed, battery.count, horizon)
+    if key not in gates:
+        dv = kuratowski_pair(fam.domain_at, base.domain, horizon)
+        reports = _gamma_reports(fam, base.domain.points, battery, ctx, None,
+                                 horizon, fam.domain_at, neighborhood=False,
+                                 domains_verdict=dv)
+        gates[key] = _grid_gamma_hypothesis(
+            reports, "sequential variational convergence",
+            holds=f"sequential variational convergence at all {len(base)} "
+                  "base grid points",
+            certificate={"points": len(base), "seed": battery.seed})
+    hypotheses["gamma_seq"] = gates[key]
 
     if direction == "external" and kind == "Geoffroy":
         hypotheses["seq_lower_converse"] = seq_lower_converse(

@@ -295,7 +295,7 @@ class PieceMap:
         rows whose arrays are not to be trusted (see the class docstring).
         """
         T, dim = len(X), self.image_dim
-        n = None if any(k is None for k in ns) else np.asarray(ns, dtype=float)
+        n = None if None in ns else np.asarray(ns, dtype=float)
         suspect = np.zeros(T, dtype=bool)
         which = np.full(T, -1)
         unmatched = np.ones(T, dtype=bool)
@@ -526,7 +526,11 @@ class PerturbedFamily:
     member, with its grid values and properness check, for callers that
     read those values; a value at one point is ``map.value(x, n)`` and
     builds nothing. ``domain_at`` caches D_n and ``family_at`` the
-    members; neither cache ever drops an entry.
+    members. ``converge.stability_experiment`` keeps the verdict of its
+    shared gate (the domains' Kuratowski pair and sequential gamma
+    convergence at every base point) in ``_gate_cache``, keyed on the
+    ``OrderCtx`` by identity, the battery's type, seed and count, and the
+    horizon; a gate that raises is not kept. No cache ever drops an entry.
     """
 
     def __init__(self, base: Problem, map: SetValuedMap,
@@ -543,6 +547,7 @@ class PerturbedFamily:
         self.label = label or base.label
         self._cache: dict[int, Problem] = {}
         self._domain_cache: dict[int, Domain] = {}
+        self._gate_cache: dict[tuple, object] = {}
 
     def recovery_point(self, x, n: int) -> Optional[np.ndarray]:
         if self.recovery_hint is None:
@@ -626,26 +631,27 @@ def _validate_schema(doc: dict) -> None:
         raise ProblemLoadError(f"schema: {e.message} (at {path or 'root'})") from e
 
 
-def _num_or_expr(v, env) -> float:
+def _num_or_expr(v, env, parse: Callable[[str], ex.Expr]) -> float:
     if isinstance(v, (int, float)):
         return float(v)
-    return ex.evaluate(ex.parse(v), env)
+    return ex.evaluate(parse(v), env)
 
 
-def _build_window(spec: dict, env) -> Window:
+def _build_window(spec: dict, env, parse: Callable[[str], ex.Expr]) -> Window:
     return Window(
-        a=_num_or_expr(spec["a"], env),
-        b=_num_or_expr(spec["b"], env),
-        step=_num_or_expr(spec["step"], env),
+        a=_num_or_expr(spec["a"], env, parse),
+        b=_num_or_expr(spec["b"], env, parse),
+        step=_num_or_expr(spec["step"], env, parse),
         truncated=bool(spec.get("truncated", False)),
         hi_open=bool(spec.get("hi_open", False)),
     )
 
 
-def _build_domain(spec: dict, env) -> Domain:
+def _build_domain(spec: dict, env, parse: Callable[[str], ex.Expr]) -> Domain:
     if "points" in spec:
         return Domain.from_points(spec["points"])
-    return Domain.from_windows([_build_window(w, env) for w in spec["windows"]])
+    return Domain.from_windows([_build_window(w, env, parse)
+                                for w in spec["windows"]])
 
 
 def _parse_endpoint(v) -> ex.Expr:
@@ -680,7 +686,10 @@ def load_dict(doc: dict) -> Union[Problem, PerturbedFamily]:
     _validate_schema(doc)
     cone = Cone.from_json(doc["cone"])
     label = doc["label"]
-    base_domain = _build_domain(doc["domain"], env={})
+    # each window string is parsed once, on first use, and its tree reused
+    # for every n; a malformed domain_n string raises at the first domain_at
+    parse = cache(ex.parse)
+    base_domain = _build_domain(doc["domain"], {}, parse)
     base_map = _build_map(doc["map"], cone.dim)
     base = Problem(label, base_map, cone, base_domain)
 
@@ -693,7 +702,7 @@ def load_dict(doc: dict) -> Union[Problem, PerturbedFamily]:
              if "map_n" in fam_spec else base_map)
 
     def domains(n: int) -> Domain:
-        return _build_domain(dom_n_spec, env={"n": n})
+        return _build_domain(dom_n_spec, {"n": n}, parse)
 
     hint = fam_spec.get("recovery_hint")
     hint_exprs = tuple(ex.parse(h) for h in hint) if hint else None

@@ -408,6 +408,17 @@ class TestFamilyDocuments:
         jsonschema.validate(report, SCHEMA)
         assert code == exit_code_for(report) in (0, 1, 2)
 
+    def test_malformed_domain_n_is_refused_where_it_is_read(self, capsys, tmp_path):
+        # D_n is parsed when first asked: solve reads only the base problem
+        p = self.write(tmp_path, {"lo": "x1", "hi": "x1 + 1"}, domain_n={
+            "windows": [{"a": 0, "b": "1 + 1/(n+1", "step": 0.25}]})
+        code, out, err = run(capsys, "solve", p, "--kind", "Relaxed")
+        assert code == 0 and "Traceback" not in err
+        code, out, err = run(capsys, "stability", p, "--kind", "Relaxed",
+                             "--direction", "external")
+        assert (code, out) == (EX_USAGE, "")
+        assert "expected ')'" in err and "Traceback" not in err
+
     def test_domain_n_of_the_wrong_dimension_is_usage_error(self, capsys, tmp_path):
         window = {"a": 0, "b": 1, "step": 0.25}
         p = self.write(tmp_path, {"lo": "x1", "hi": "x1 + 1"},

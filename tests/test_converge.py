@@ -1081,6 +1081,123 @@ class TestMemberBuilds:
         assert built == []
 
 
+class TestStabilityGate:
+    """The gamma_seq gate reads the family, ctx, battery and horizon but
+    neither the kind nor the direction, so a family decides it once per
+    (ctx, battery type, seed, count, horizon)."""
+
+    @pytest.fixture()
+    def gate_calls(self, monkeypatch):
+        calls = {"reports": 0, "domains": 0}
+        real_reports, real_pair = converge._gamma_reports, converge.kuratowski_pair
+
+        def reports(*args, **kwargs):
+            calls["reports"] += 1
+            return real_reports(*args, **kwargs)
+
+        def pair(*args, **kwargs):
+            calls["domains"] += 1
+            return real_pair(*args, **kwargs)
+
+        monkeypatch.setattr(converge, "_gamma_reports", reports)
+        monkeypatch.setattr(converge, "kuratowski_pair", pair)
+        return calls
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return run().to_json()
+        except Exception as e:
+            return type(e), str(e)
+
+    @pytest.mark.parametrize("kind", ["Relaxed", "Geoffroy"])
+    def test_sop_directions_match_fresh_families(self, kind, sop_ctx, battery):
+        fam = load_builtin("sop_sin")
+        for direction in ("external", "internal"):
+            got = stability_experiment(fam, kind, direction, sop_ctx,
+                                       battery=battery)
+            want = stability_experiment(load_builtin("sop_sin"), kind,
+                                        direction, sop_ctx, battery=battery)
+            assert got.to_json() == want.to_json(), direction
+
+    def test_random_families_match_fresh_families(self):
+        statuses = set()
+        for k, seed in enumerate((0, 4, 6, 7, 10, 11)):
+            kind = ("Relaxed", "Geoffroy")[k % 2]
+            fam, _ = reference.random_family(np.random.default_rng(700 + seed),
+                                             n_max=16)
+            ctx = OrderCtx(fam.base.cone)
+            for direction in ("external", "internal"):
+                fresh, _ = reference.random_family(
+                    np.random.default_rng(700 + seed), n_max=16)
+                fresh_ctx = OrderCtx(fresh.base.cone)
+                got = self.outcome(lambda: stability_experiment(
+                    fam, kind, direction, ctx, battery=SeqGenBattery(seed=seed),
+                    horizon=13))
+                want = self.outcome(lambda: stability_experiment(
+                    fresh, kind, direction, fresh_ctx,
+                    battery=SeqGenBattery(seed=seed), horizon=13))
+                assert got == want, (seed, direction)
+                statuses.add(got["hypotheses"]["gamma_seq"]["status"]
+                             if isinstance(got, dict) else "raises")
+        assert {"Holds", "Fails"} <= statuses, statuses
+
+    def test_both_kinds_and_directions_decide_the_gate_once(self, gate_calls,
+                                                             sop_ctx):
+        fam = load_builtin("sop_sin")
+        for kind in ("Relaxed", "Geoffroy"):
+            for direction in ("external", "internal"):
+                # an equal battery, not the same object, finds the verdict
+                stability_experiment(fam, kind, direction, sop_ctx,
+                                     battery=SeqGenBattery(seed=11))
+        assert gate_calls == {"reports": 1, "domains": 1}
+
+    def test_another_key_decides_the_gate_again(self, gate_calls, sop_ctx):
+        class OtherBattery(SeqGenBattery):
+            pass
+
+        fam = load_builtin("sop_sin")
+        runs = [(sop_ctx, SeqGenBattery(seed=11), 64),
+                (sop_ctx, SeqGenBattery(seed=12), 64),
+                (sop_ctx, SeqGenBattery(seed=11, count=3), 64),
+                (sop_ctx, SeqGenBattery(seed=11), 32),
+                (OrderCtx(fam.base.cone), SeqGenBattery(seed=11), 64),
+                (sop_ctx, OtherBattery(seed=11), 64)]
+        for ctx, battery, horizon in runs:
+            before = gate_calls["reports"]
+            got = stability_experiment(fam, "Relaxed", "external", ctx,
+                                       battery=battery, horizon=horizon)
+            assert gate_calls["reports"] == before + 1, (battery, horizon)
+            want = stability_experiment(load_builtin("sop_sin"), "Relaxed",
+                                        "external", ctx, battery=battery,
+                                        horizon=horizon)
+            assert got.to_json() == want.to_json(), (battery, horizon)
+        before = gate_calls["reports"]
+        for ctx, battery, horizon in runs:
+            stability_experiment(fam, "Relaxed", "internal", ctx,
+                                 battery=battery, horizon=horizon)
+        assert gate_calls["reports"] == before
+        assert len(fam._gate_cache) == len(runs)
+
+    def test_a_raising_gate_raises_again(self, gate_calls, ctx1, battery):
+        lin = linear_family(step=0.25)
+
+        def value(x, n):
+            raise SetSpecError(f"no value at x = {x[0]}, n = {n}")
+
+        fam = PerturbedFamily(lin.base, TableMap(value, 1), lin.domain_at,
+                              lin.n_max)
+        errors = []
+        for direction in ("external", "internal"):
+            with pytest.raises(SetSpecError, match="no value") as info:
+                stability_experiment(fam, "Relaxed", direction, ctx1,
+                                     battery=battery)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert gate_calls["reports"] == 2
+        assert fam._gate_cache == {}
+
+
 class TestGridGammaHypothesis:
     """An Inconclusive gamma point leaves the hypothesis Inconclusive; only a
     failing point makes it Fails, wherever it sits on the grid."""
@@ -1220,6 +1337,7 @@ class TestBlockFoldsMatchPointFolds:
             return type(e), str(e)
 
     def consumers(self, fam, omega, ctx, battery, horizon, levelset=True):
+        fam._gate_cache.clear()     # each fold decides stability's gate itself
         out = {"stability": self.outcome(lambda: stability_experiment(
             fam, "Relaxed", "external", ctx, battery=battery,
             horizon=horizon).to_json())}

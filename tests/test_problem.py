@@ -1,6 +1,7 @@
 """Problem layer: grids, guarded pieces, families, load-time validation,
 tail tables."""
 
+import json
 import math
 
 import numpy as np
@@ -181,6 +182,35 @@ class TestBuiltinProblems:
     def test_family_at_memoized(self):
         fam = load_builtin("gamma_cos")
         assert family_at(fam, 3) is family_at(fam, 3)
+
+    @pytest.mark.parametrize("name", ["geff_vs_reff", "sop_sin", "gamma_cos"])
+    def test_domains_parse_each_window_string_once(self, name, monkeypatch):
+        doc = json.loads((problem._data_dir("problems") / f"{name}.json").read_text())
+        specs = [doc["domain"]]
+        if "family" in doc:
+            specs.append(doc["family"].get("domain_n", doc["domain"]))
+        strings = {v for spec in specs for w in spec["windows"]
+                   for v in (w["a"], w["b"], w["step"]) if isinstance(v, str)}
+        real, parsed = problem.ex.parse, []
+
+        def counted(src):
+            parsed.append(src)
+            return real(src)
+
+        monkeypatch.setattr(problem.ex, "parse", counted)
+        P = load_dict(doc)
+        # the domains a load without the parse memo builds
+        if isinstance(P, PerturbedFamily):
+            got = [P.base.domain] + [P.domain_at(n) for n in range(P.n_max + 1)]
+            want = [problem._build_domain(specs[0], {}, real)] + [
+                problem._build_domain(specs[1], {"n": n}, real)
+                for n in range(P.n_max + 1)]
+        else:
+            got, want = [P.domain], [problem._build_domain(specs[0], {}, real)]
+        for a, b in zip(got, want, strict=True):
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.windows == b.windows
+        assert sorted(s for s in parsed if s in strings) == sorted(strings)
 
     def test_values_memoized_and_proper(self):
         P = load_builtin("geff_vs_reff")
