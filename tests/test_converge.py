@@ -1103,13 +1103,6 @@ class TestStabilityGate:
         monkeypatch.setattr(converge, "kuratowski_pair", pair)
         return calls
 
-    @staticmethod
-    def outcome(run):
-        try:
-            return run().to_json()
-        except Exception as e:
-            return type(e), str(e)
-
     @pytest.mark.parametrize("kind", ["Relaxed", "Geoffroy"])
     def test_sop_directions_match_fresh_families(self, kind, sop_ctx, battery):
         fam = load_builtin("sop_sin")
@@ -1131,12 +1124,13 @@ class TestStabilityGate:
                 fresh, _ = reference.random_family(
                     np.random.default_rng(700 + seed), n_max=16)
                 fresh_ctx = OrderCtx(fresh.base.cone)
-                got = self.outcome(lambda: stability_experiment(
+                outcome = TestBlockFoldsMatchPointFolds.outcome
+                got = outcome(lambda: stability_experiment(
                     fam, kind, direction, ctx, battery=SeqGenBattery(seed=seed),
-                    horizon=13))
-                want = self.outcome(lambda: stability_experiment(
+                    horizon=13).to_json())
+                want = outcome(lambda: stability_experiment(
                     fresh, kind, direction, fresh_ctx,
-                    battery=SeqGenBattery(seed=seed), horizon=13))
+                    battery=SeqGenBattery(seed=seed), horizon=13).to_json())
                 assert got == want, (seed, direction)
                 statuses.add(got["hypotheses"]["gamma_seq"]["status"]
                              if isinstance(got, dict) else "raises")
