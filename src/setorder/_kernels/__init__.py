@@ -37,16 +37,19 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
     vary with the B set only.
     Per axis, LARGE is B >= A - t and STRICT is B > A + t; LOWER is STRICT
     where A's end is open and B's closed (a cloud B counts as closed
-    whatever its flags), LARGE elsewhere. Each comparison is made at most
-    once, and only when a requested mode reads it. With t = 0 this is exact
-    box logic. A corner of +inf covers no finite corner and is covered by
-    any finite one, so ragged corner lists are padded with +inf, not masked.
+    whatever its flags), LARGE elsewhere; so where no A-corner is open,
+    LOWER is LARGE, and STRICT is then compared only if asked for itself.
+    Each comparison is made at most once, and only when a requested mode
+    reads it. With t = 0 this is exact box logic. A corner of +inf covers
+    no finite corner and is covered by any finite one, so ragged corner
+    lists are padded with +inf, not masked.
     """
     exact = not isinstance(t, np.ndarray) and t == 0
+    open_a = LOWER in modes and oa.any()
     large = strict = None
     if LARGE in modes or LOWER in modes:
         large = B >= (A if exact else A - t)
-    if STRICT in modes or LOWER in modes:
+    if STRICT in modes or open_a:
         strict = B > (A if exact else A + t)
     out = []
     for mode in modes:
@@ -55,7 +58,8 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
         elif mode == STRICT:
             axes = strict
         elif mode == LOWER:
-            axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
+            axes = (np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
+                    if open_a else large)
         else:
             raise ValueError(f"unknown relation mode {mode}")
         out.append(axes.all(axis=-1).any(axis=-1))

@@ -530,7 +530,10 @@ class PerturbedFamily:
     shared gate (the domains' Kuratowski pair and sequential gamma
     convergence at every base point) in ``_gate_cache``, keyed on the
     ``OrderCtx`` by identity, the battery's type, seed and count, and the
-    horizon; a gate that raises is not kept. No cache ever drops an entry.
+    horizon; a gate that raises is not kept. No cache ever drops an entry,
+    so the parts they are built from (``base``, ``map``, ``domains`` and
+    ``recovery_hint``) are read-only: a family with other parts is a new
+    ``PerturbedFamily``.
     """
 
     def __init__(self, base: Problem, map: SetValuedMap,
@@ -539,15 +542,31 @@ class PerturbedFamily:
                  label: Optional[str] = None):
         if n_max < 8:
             raise ProblemLoadError(f"family horizon n_max = {n_max} must be >= 8")
-        self.base = base
-        self.map = map
-        self.domains = domains
+        self._base = base
+        self._map = map
+        self._domains = domains
         self.n_max = int(n_max)
-        self.recovery_hint = recovery_hint
+        self._recovery_hint = recovery_hint
         self.label = label or base.label
         self._cache: dict[int, Problem] = {}
         self._domain_cache: dict[int, Domain] = {}
         self._gate_cache: dict[tuple, object] = {}
+
+    @property
+    def base(self) -> Problem:
+        return self._base
+
+    @property
+    def map(self) -> SetValuedMap:
+        return self._map
+
+    @property
+    def domains(self) -> Callable[[int], Domain]:
+        return self._domains
+
+    @property
+    def recovery_hint(self) -> Optional[tuple[ex.Expr, ...]]:
+        return self._recovery_hint
 
     def recovery_point(self, x, n: int) -> Optional[np.ndarray]:
         if self.recovery_hint is None:

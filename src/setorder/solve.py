@@ -7,6 +7,10 @@ and Hypothesis (H) read their level sets off them. A level set at an
 arbitrary target S is one order.table_rel call between the problem's
 value table, built once from its grid rows, and S; the matrices use
 table_rel too. It shares one kernel rule with the pairwise predicates.
+When values have several corners, only the pairs that pass an exact
+necessary test on the sets' per-axis minima (``_candidates``) reach the
+kernel; with one corner per value that test is LARGE itself, and every
+pair does.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ class LSetResult:
 # ------------------------------------------------------- relation matrices
 
 # elements of the largest boolean block one kernel call builds; keeps the
-# temporaries of relation_matrices O(N) in memory rather than O(N^2)
+# temporaries of relation_matrices O(N) in memory rather than O(N^2). With
+# several corner slots a row block's candidate test and its gathered
+# candidate pairs are no larger than the dense block; with one slot the
+# block goes to the kernel whole, since the test would be LARGE itself
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -86,11 +93,18 @@ def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.flatnonzero(mask))
+    return tuple(np.flatnonzero(mask).tolist())
 
 
 def relation_matrices(P: Problem, ctx: OrderCtx):
-    """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j)."""
+    """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j).
+
+    Row blocks of the value table go to the kernel against the whole table.
+    When values have more than one corner slot, a pair reaches the kernel
+    only if it passes the necessary test of ``_candidates``; every other
+    entry is False. With one slot that test is LARGE itself, so the block
+    goes to the kernel whole.
+    """
     cache = vars(P).setdefault("_rel_cache", {})
     got = cache.get(ctx)
     if got is not None:
@@ -99,16 +113,40 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     tab = value_table(P, ctx)
     n, k, m = tab.h.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * k * k * m))
-    out = tuple(np.empty((n, n), dtype=bool) for _ in range(3))
+    out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
+    ideal = tab.h.min(axis=1)
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
-        block = CornerTable(*(x[blk, None] for x in tab))
-        for mat, ok in zip(out, table_rel(block, tab, (LOWER, LARGE, STRICT))):
-            mat[blk] = ok
+        if k == 1:
+            at, a, b = blk, CornerTable(*(x[blk, None] for x in tab)), tab
+        else:
+            ii, jj = np.nonzero(_candidates(ideal[blk], ideal, tab.t))
+            at = (ii + i, jj)
+            a = CornerTable(*(x[at[0]] for x in tab))
+            b = CornerTable(*(x[jj] for x in tab))
+        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT))):
+            mat[at] = ok
 
     cache[ctx] = out
     _assert_geff_in_reff(out[1], out[2], P)
     return out
+
+
+def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
+
+    ideal_a (I, m) and ideal_b (N, m) are the per-axis minima of the sets'
+    H-corners, t (N) the B sets' tolerances. All three relations need, for
+    each B-corner b, some A-corner a with b >= fl(a - t) on every axis:
+    LARGE compares exactly that, STRICT gives it by b > fl(a + t) >= a >=
+    fl(a - t), and LOWER takes STRICT or LARGE per axis. fl(. - t) is
+    monotone and ideal <= a, so b >= fl(ideal - t), which is this test:
+    exact in floating point, not up to rounding. B's +inf padding passes
+    it, and A's never lowers the ideal, since every value has a corner. It
+    reads the same H-coordinates as the kernel, so it holds under general
+    cones too.
+    """
+    return (ideal_b >= ideal_a[:, None] - t[:, None]).all(axis=-1)
 
 
 def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:
@@ -141,8 +179,8 @@ def eff(P: Problem, kind: str, ctx: OrderCtx) -> EffResult:
     excl = _excluders(large, strict, kind, lower)
     mask = ~excl.any(axis=0)
     # each excluded index's witness is its lowest excluder
-    first = excl.argmax(axis=0)
-    witness = {int(i): int(first[i]) for i in np.flatnonzero(~mask)}
+    excluded = np.flatnonzero(~mask)
+    witness = dict(zip(excluded.tolist(), excl.argmax(axis=0)[excluded].tolist()))
     return EffResult(kind, _indices(mask), witness)
 
 

@@ -239,6 +239,13 @@ def random_family(rng: np.random.Generator, n_max: int = 40):
     return fam, dom.points[int(rng.integers(0, len(dom)))]
 
 
+def with_parts(fam: PerturbedFamily, **parts) -> PerturbedFamily:
+    """A fresh family with fam's parts, some replaced: its caches start empty."""
+    kw = dict(base=fam.base, map=fam.map, domains=fam.domains, n_max=fam.n_max,
+              recovery_hint=fam.recovery_hint, label=fam.label)
+    return PerturbedFamily(**{**kw, **parts})
+
+
 def pk_cluster_oracle(phase_sets, n0, candidates, N, tol_fn, need):
     """Li/Ls of an eventually periodic set sequence, by phase arithmetic.
 

@@ -589,8 +589,7 @@ class TestGammaCheck:
                                                        monkeypatch):
         # without the hint the upper route searches the grid; a budget of
         # 3 candidates runs out in the first tail ball
-        fam = load_builtin("gamma_cos")
-        fam.recovery_hint = None
+        fam = reference.with_parts(load_builtin("gamma_cos"), recovery_hint=None)
         monkeypatch.setattr(converge, "RECOVERY_BUDGET", 3)
         rep = gamma_check(fam, [0.0], battery, OrderCtx(fam.base.cone))
         assert rep.lower_verdict.is_holds
@@ -836,8 +835,8 @@ class TestTablesMatchPairLoops:
             rng = np.random.default_rng(seed)
             fam, t = reference.random_family(rng)
             if rng.random() < 0.3:
-                fam.recovery_hint = tuple(
-                    parse(f"x{k + 1} + 0.3/(n + 1)") for k in range(len(t)))
+                fam = reference.with_parts(fam, recovery_hint=tuple(
+                    parse(f"x{k + 1} + 0.3/(n + 1)") for k in range(len(t))))
             ctx = OrderCtx(fam.base.cone)
             battery = SeqGenBattery(seed=seed)
             horizon = int(rng.choice([8, 16, 33]))
@@ -1331,7 +1330,8 @@ class TestBlockFoldsMatchPointFolds:
             return type(e), str(e)
 
     def consumers(self, fam, omega, ctx, battery, horizon, levelset=True):
-        fam._gate_cache.clear()     # each fold decides stability's gate itself
+        # a fresh family: each fold decides stability's gate itself
+        fam = reference.with_parts(fam)
         out = {"stability": self.outcome(lambda: stability_experiment(
             fam, "Relaxed", "external", ctx, battery=battery,
             horizon=horizon).to_json())}
@@ -1361,9 +1361,10 @@ class TestBlockFoldsMatchPointFolds:
 
     @staticmethod
     def raising(fam, kind: str, p: int):
-        """fam with values raising at grid point p: in the battery rows
-        around it ("lower"), in F(x̄) ("limit"), in the members at one
-        tail index ("member") or in its recovery hint ("hint")."""
+        """A fresh family of fam's parts, with values raising at grid point
+        p: in the battery rows around it ("lower"), in F(x̄) ("limit"), in
+        the members at one tail index ("member") or in its recovery hint
+        ("hint")."""
         pts = fam.base.domain.points
         at = pts[p]
 
@@ -1377,7 +1378,7 @@ class TestBlockFoldsMatchPointFolds:
                 if near(x) and not np.array_equal(x, at):
                     raise SetSpecError(f"no value near grid point {p}")
                 return real.value(x, n)
-            fam.map = TableMap(value, real.image_dim)
+            return reference.with_parts(fam, map=TableMap(value, real.image_dim))
         elif kind == "limit":
             real_base = fam.base.map
 
@@ -1385,7 +1386,9 @@ class TestBlockFoldsMatchPointFolds:
                 if np.array_equal(x, at):
                     raise SetSpecError(f"no limit value at grid point {p}")
                 return real_base.value(x)
+            # the base keeps its grid values; only x̄'s value raises when asked
             fam.base.map = TableMap(value0, real_base.image_dim)
+            return reference.with_parts(fam)
         elif kind == "member":
             real = fam.map
 
@@ -1393,11 +1396,11 @@ class TestBlockFoldsMatchPointFolds:
                 if np.array_equal(x, at) and n == 6:
                     raise SetSpecError(f"no value at grid point {p}, n = 6")
                 return real.value(x, n)
-            fam.map = TableMap(value, real.image_dim)
+            return reference.with_parts(fam, map=TableMap(value, real.image_dim))
         elif kind == "hint":
-            fam.recovery_hint = tuple(
+            return reference.with_parts(fam, recovery_hint=tuple(
                 parse(f"x{k + 1} + 0.3/(n + 1) + 0*sqrt(abs(x1 - "
-                      f"({float(at[0])!r})) - 0.001)") for k in range(len(at)))
+                      f"({float(at[0])!r})) - 0.001)") for k in range(len(at))))
         return fam
 
     def test_random_families(self):
@@ -1407,9 +1410,9 @@ class TestBlockFoldsMatchPointFolds:
             rng = np.random.default_rng(500 + seed)
             fam, _ = reference.random_family(rng, n_max=16)
             if rng.random() < 0.4:
-                fam.recovery_hint = tuple(
+                fam = reference.with_parts(fam, recovery_hint=tuple(
                     parse(f"x{k + 1} + 0.3/(n + 1)")
-                    for k in range(fam.base.domain.dim))
+                    for k in range(fam.base.domain.dim)))
             ctx = OrderCtx(fam.base.cone)
             battery = SeqGenBattery(seed=seed)
             horizon = int(rng.choice([8, 13]))

@@ -123,6 +123,53 @@ class TestCovered:
                     want = brute_rel(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
                     assert mats[r][i, j] == want, (mode, i, j)
 
+    def test_general_cone_clouds_in_ragged_blocks(self, monkeypatch):
+        # 3-corner clouds go through the candidate test before the kernel;
+        # 29 rows in blocks of 3 leave a ragged last block
+        rng = np.random.default_rng(29)
+        n, d = 29, 3
+        cone = Cone.from_halfspaces(np.eye(d) + rng.uniform(-0.3, 0.3, size=(d, d)))
+        assert cone.kind == "general"
+        vals = [points(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)) * 0.5)
+                for _ in range(n)]
+        pts = np.arange(n, dtype=float)[:, None]
+        keyed = {float(p[0]): v for p, v in zip(pts, vals)}
+        P = Problem("table", TableMap(lambda x: keyed[float(x[0])], d), cone,
+                    Domain.from_points(pts))
+        ctx = OrderCtx(cone)
+        data = [_corner_data(v, cone) for v in vals]
+        _, k, m = solve.value_table(P, ctx).h.shape
+        assert k == 3
+        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 3 * n * k * k * m)
+        mats = solve.relation_matrices(P, ctx)
+        assert mats[1].any() and not mats[1].all()
+        for r, mode in enumerate((LOWER, LARGE, STRICT)):
+            for i, (ca, oa, _) in enumerate(data):
+                for j, (cb, ob, b_cloud) in enumerate(data):
+                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
+                    assert mats[r][i, j] == want, (mode, i, j)
+
+    @pytest.mark.parametrize("open_corner", [False, True])
+    def test_lower_matches_the_where_form(self, open_corner):
+        # with every A-corner closed LOWER is LARGE without a STRICT pass;
+        # one open A-corner brings the per-axis choice back
+        rng = np.random.default_rng(3 + open_corner)
+        for i in range(300):
+            ca, oa, cb, ob = random_case(rng, lattice=i % 2 == 0)
+            oa[:] = 0
+            if open_corner:
+                oa[rng.integers(len(oa)), rng.integers(oa.shape[1])] = 1
+            b_cloud = bool(i % 3)
+            t = 1e-9 if b_cloud else 0.0
+            A, B = ca, cb[:, None, :]
+            where = np.where((oa != 0) & ((ob[:, None, :] == 0) | b_cloud),
+                             B > A + t, B >= A - t).all(axis=-1).any(axis=-1)
+            for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
+                got = _kernels.covered(A, oa, B, ob[:, None, :], b_cloud, t, modes)[0]
+                np.testing.assert_array_equal(got, where)
+            assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == \
+                brute_rel(ca, oa, cb, ob, LOWER, b_cloud, 1e-9)
+
 
 class TestShiftBound:
     def test_matches_brute_force(self):

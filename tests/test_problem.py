@@ -348,6 +348,16 @@ class TestProgrammaticProblems:
         with pytest.raises(ProblemLoadError, match=">= 8"):
             PerturbedFamily(base, base.map, lambda n: dom, n_max=4)
 
+    @pytest.mark.parametrize("part", ["base", "map", "domains", "recovery_hint"])
+    def test_family_parts_are_read_only(self, part):
+        # members, domains and the stability gate are cached from the parts
+        # and never invalidated, so a part cannot be swapped under them
+        fam = load_builtin("sop_sin")
+        before = getattr(fam, part)
+        with pytest.raises(AttributeError):
+            setattr(fam, part, None)
+        assert getattr(fam, part) is before
+
 
 def point_inside(A, C):
     """A point on the boundary of cl(A + C): the first point or box lower corner."""

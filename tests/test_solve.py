@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (
     brute_eff,
@@ -17,13 +19,14 @@ from reference import (
     validate_witnesses,
 )
 
+from setorder import solve
 from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
-from setorder.cone import Cone
+from setorder.cone import DEFAULT_TOL, Cone
 from setorder.errors import InternalCheckError
 from setorder.order import (OrderCtx, corner_table, large_le, lower_le, strict_lt,
                             table_rel)
 from setorder.problem import Domain, Problem, TableMap, load_builtin
-from setorder.setrep import PointCloud, _corner_data, box, points, translate
+from setorder.setrep import Box, BoxUnion, PointCloud, _corner_data, box, points, translate
 from setorder.solve import (
     KINDS,
     EffResult,
@@ -118,6 +121,31 @@ class TestMinimalSets:
         assert c[0] is not a[0]
 
 
+@st.composite
+def multi_corner_problems(draw):
+    """Up to 8 values of 1-3 corners on a half-step lattice, some a tol off
+    it: clouds under the orthant or a general cone, or (orthant only) box
+    unions with random open lower ends."""
+    d = draw(st.integers(1, 3))
+    general = d > 1 and draw(st.booleans())
+    cone = (Cone.from_halfspaces(np.eye(d) + 0.25 * np.eye(d, k=1)) if general
+            else Cone.orthant(d))
+    coord = st.builds(lambda v, e: 0.5 * v + e, st.integers(-3, 3),
+                      st.sampled_from([0.0, DEFAULT_TOL, -DEFAULT_TOL]))
+    corners = st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=3)
+    flags = st.lists(st.booleans(), min_size=d, max_size=d)
+    vals = []
+    for _ in range(draw(st.integers(2, 8))):
+        lo = draw(corners)
+        if general or draw(st.booleans()):
+            vals.append(points(lo))
+        else:
+            vals.append(BoxUnion(d, tuple(
+                Box(tuple(r), tuple(v + 1.0 for v in r), tuple(draw(flags)), (False,) * d)
+                for r in lo)))
+    return table_problem(vals, cone)
+
+
 def per_pair_matrices(P, ctx):
     """(lower, large, strict) from one rel_corners call per pair and relation."""
     data = [_corner_data(v, ctx.cone) for v in P.values()]
@@ -156,6 +184,45 @@ class TestRelationMatrices:
             np.testing.assert_array_equal(got, per_pair_matrices(P, ctx),
                                           err_msg=f"trial {trial}, {P.label}")
         assert multi >= 15
+
+    @pytest.mark.parametrize("cone", [Cone.orthant(2),
+                                      Cone.from_halfspaces([[1.0, 0.0], [0.3, 1.0]])],
+                             ids=["orthant", "general"])
+    def test_candidate_boundary_is_exact(self, cone):
+        # A's ideal is its first corner; H-axis 0 is x under both cones. A
+        # B-corner exactly at ideal - tol on that axis is LARGE-related to A
+        # and must stay a candidate; one ulp below, it is neither
+        ctx = OrderCtx(cone)
+        at = 0.3 - ctx.tol
+        vals = [points([[0.3, 0.2], [1.1, 0.25]]), points([[at, 0.7]]),
+                points([[np.nextafter(at, -np.inf), 0.7]])]
+        P = table_problem(vals, cone)
+        tab = value_table(P, ctx)
+        ideal = tab.h.min(axis=1)
+        assert tab.h.shape[1] == 2 and ideal[1, 0] == ideal[0, 0] - ctx.tol
+        assert solve._candidates(ideal, ideal, tab.t)[0, 1:].tolist() == [True, False]
+        got = np.array(relation_matrices(P, ctx))
+        np.testing.assert_array_equal(got, per_pair_matrices(P, ctx))
+        assert got[1, 0, 1:].tolist() == [True, False]
+
+    def test_one_and_three_corner_values(self):
+        rng = np.random.default_rng(5)
+        vals = [points(rng.integers(-3, 4, size=(k, 2)) * 0.5)
+                for k in rng.choice([1, 3], size=30)]
+        vals += [box([0.0, 0.0], [1.0, 1.0]), box([0.5, -1.0], [2.0, 0.5])]
+        P = table_problem(vals, Cone.orthant(2))
+        ctx = OrderCtx(P.cone)
+        assert {len(_corner_data(v, P.cone)[0]) for v in vals} == {1, 3}
+        assert value_table(P, ctx).h.shape[1] == 3
+        np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
+                                      per_pair_matrices(P, ctx))
+
+    @settings(max_examples=80, deadline=None)
+    @given(multi_corner_problems())
+    def test_candidates_keep_every_related_pair(self, P):
+        ctx = OrderCtx(P.cone)
+        np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
+                                      per_pair_matrices(P, ctx))
 
 
 class TestBruteForceAgreement:
