@@ -9,8 +9,9 @@ Conventions of the one-pair kernels:
   * ca/cb: (na, m) / (nb, m) float64 lower corners in halfspace coordinates;
   * oa/ob: matching uint8 openness flags (1 = open lower end); point clouds
     pass all-zero flags;
-  * b_cloud: True when B is a point cloud, which is the only case where tol
-    enters (box-vs-box corner logic is exact);
+  * b_cloud: True when B is a point cloud (a cloud counts as closed);
+  * tol: the pair's tolerance, the context's when A or B is a point cloud,
+    0 for two box unions (box-vs-box corner logic is exact);
   * returns (ok, bad_b) with bad_b the first uncovered B-corner, -1 if ok.
 """
 
@@ -32,13 +33,17 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
 
     A and oa end in (ka, m), B and ob in (kb, 1, m), and their leading axes
     broadcast; each result is that leading shape plus kb. ``b_cloud`` and
-    the tolerance ``t`` (tol for a cloud B, 0 for a box) are scalars, or
-    arrays of B's rank with size 1 on its last three axes, so that they
-    vary with the B set only.
-    Per axis, LARGE is B >= A - t and STRICT is B > A + t; LOWER is STRICT
-    where A's end is open and B's closed (a cloud B counts as closed
-    whatever its flags), LARGE elsewhere; so where no A-corner is open,
-    LOWER is LARGE, and STRICT is then compared only if asked for itself.
+    the pair's tolerance ``t`` (tol when A or B is a cloud, 0 for two
+    boxes) are scalars, or arrays of B's rank with size 1 on its last three
+    axes, so that they vary with the pair of sets only.
+    Per axis, LARGE is fl(B + t) >= A and STRICT is B > fl(A + t). So
+    strict_lt(A, B) and large_le(B, A) never both hold, even in floating
+    point: together they would give b > fl(a + t) >= b' along a strictly
+    decreasing chain of B's corners, which a finite set cannot hold.
+    LOWER is STRICT where A's end is open and B's closed (a cloud B counts
+    as closed whatever its flags), LARGE elsewhere; so where no A-corner is
+    open, LOWER is LARGE, and STRICT is then compared only if asked for
+    itself.
     Each comparison is made at most once, and only when a requested mode
     reads it. With t = 0 this is exact box logic. A corner of +inf covers
     no finite corner and is covered by any finite one, so ragged corner
@@ -48,7 +53,7 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
     open_a = LOWER in modes and oa.any()
     large = strict = None
     if LARGE in modes or LOWER in modes:
-        large = B >= (A if exact else A - t)
+        large = (B if exact else B + t) >= A
     if STRICT in modes or open_a:
         strict = B > (A if exact else A + t)
     out = []
@@ -68,8 +73,7 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
 
 def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
                 mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
-    ok, = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud,
-                  tol if b_cloud else 0.0, (mode,))
+    ok, = covered(ca, oa, cb[:, None, :], ob[:, None, :], b_cloud, tol, (mode,))
     if ok.all():
         return True, -1
     return False, int(np.flatnonzero(~ok)[0])

@@ -18,17 +18,19 @@ order.corner_table and problem.tail_table); no shifted set is built.
 A grid-wide hypothesis is asked in blocks of grid points, each route one
 array program per block: the battery yields one (G·T, d) array of points
 per sequence for the block's G targets, the map is evaluated once over all
-of them straight into corner arrays (problem.value_rows), and one
+of them straight into one corner table (problem.tail_table), and one
 comparison covers every (eps, point, sequence, n) (order.table_rel). F(x̄),
 the hinted recovery tails and the neighbourhood masks are asked the same
 way, and a one-point check is a block of one; each recovery ball, the
 level-set targets and seq_lower_converse's paired tails are one table
-each. A break is the first failing index in (strategy, variant, n) order,
-as a pair-at-a-time scan would find it, and a value that raises past a
-break does not hide it. Errors are data until a fold reaches the point
-that raised them: a fold that stops at a failing point surfaces no later
-point's error, and rows a raising value cut are asked again only if the
-fold gets past it (_by_blocks).
+each. Errors are data, one per row: each evaluated row holds either its
+value's corners or the exception asking it raised (a box under a general
+cone raises Unsupported, as comparing it would), and a target's outcome
+is whichever comes first in its row order: the first row failing at the
+floored eps (a break, in (strategy, variant, n) order, as a pair-at-a-time
+scan would find it) or the first raising row. So a value that raises past
+a break does not hide it, and a fold that stops at a point's outcome reads
+no later point's (_by_blocks).
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -60,10 +62,10 @@ from .errors import (
     Unsupported,
 )
 from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
-                    shift_margin, table_from_corners, table_rel)
+                    shift_margin, table_rel)
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
-                      tail_table, value_rows)
-from .setrep import SetRep, _refuse_boxes
+                      tail_table)
+from .setrep import SetRep
 from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
                     representants, strong_level_set, value_table)
 from .verdict import Status, Verdict
@@ -508,56 +510,27 @@ def _split(tab: CornerTable, G: int) -> CornerTable:
                        cloud.reshape(lead), t.reshape(lead))
 
 
-def _placed(rows, at: np.ndarray, size: int, dim: int):
-    """``value_rows`` arrays placed at the rows ``at`` of ``size`` rows; the
-    others hold no corner, which no comparison reads as a break."""
-    corners, flags, cloud, count = rows
-    shape = (size, corners.shape[1], dim)
-    out = (np.full(shape, np.inf), np.zeros(shape, np.uint8),
-           np.ones(size, dtype=bool), np.zeros(size, dtype=np.intp))
-    for full, part in zip(out, rows):
-        full[at] = part
-    return out
+def _by_target(errs: dict, G: int, rows: int) -> list[dict]:
+    """``errs`` over G targets' rows, ``rows`` each in (target, row) order,
+    as one dict per target keyed by the row within it."""
+    per: list[dict] = [{} for _ in range(G)]
+    for r, e in errs.items():
+        per[r // rows][r % rows] = e
+    return per
 
 
-def _block_rows(map: SetValuedMap, X: np.ndarray, ns, ctx: OrderCtx, run: int):
-    """``value_rows`` over a block's rows, ended as one table per ``run``
-    rows would end them: a run holding a box under a general cone is
-    refused whole (``table_from_corners``), so the rows stop at its start
-    with that refusal."""
-    rows, err = value_rows(map, X, ns, ctx.cone)
-    boxes = np.flatnonzero(~rows[2])
-    if boxes.size and ctx.cone.kind != "orthant":
-        try:
-            _refuse_boxes(ctx.cone)
-        except Unsupported as e:
-            stop = boxes[0] // run * run
-            rows, err = tuple(x[:stop] for x in rows), e
-    return rows, err
-
-
-def _first_break(ok: np.ndarray, ctx: OrderCtx) -> Optional[tuple[int, float]]:
-    """(j, eps) for the first column of an (eps, j) mask failing at the
-    floored eps, eps the largest scheduled one failing there; or None."""
-    bad = np.flatnonzero(~ok[-1])
-    if not bad.size:
-        return None
-    j = int(bad[0])
-    return j, floored_eps(ctx)[int(np.argmin(ok[:, j]))]
-
-
-def _break_or_raise(ok: np.ndarray, err: Optional[Exception],
-                    ctx: OrderCtx) -> Optional[tuple[int, float]]:
-    """_first_break of an (eps, j) mask over the rows tail_table returned.
-
-    ``err`` is the exception that ended those rows. A break among them is
-    what a pair-at-a-time scan would reach first, so it is reported;
-    otherwise the error propagates.
-    """
-    brk = _first_break(ok, ctx)
-    if brk is None and err is not None:
-        raise err
-    return brk
+def _first_break(ok: np.ndarray, ctx: OrderCtx, errs: Optional[dict] = None):
+    """The outcome of the rows along the columns of an (eps, j) mask:
+    whichever comes first of the first column failing at the floored eps,
+    as (j, eps) with eps the largest scheduled one failing there, and the
+    first raising row's exception, ``errs`` keyed by column; or None."""
+    errs = errs or {}
+    first = min(errs, default=ok.shape[-1])
+    bad = np.flatnonzero(~ok[-1, :first])
+    if bad.size:
+        j = int(bad[0])
+        return j, floored_eps(ctx)[int(np.argmin(ok[:, j]))]
+    return errs.get(first)
 
 
 def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
@@ -575,17 +548,14 @@ def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]
     up to ``size`` rows at a time, and raise an outcome that is an
     exception.
 
-    ``block`` yields the outcomes of a prefix of its rows; it stops early
-    where a raising value left later rows unevaluated, and those are asked
-    again in the next block. Nothing past the consumer's last request is
-    evaluated beyond the block that holds it.
+    ``block`` yields one outcome per row it was given, or ends at its
+    first exception; no row is asked twice, and nothing past the
+    consumer's last request is evaluated beyond the block that holds it.
     """
-    start = 0
-    while start < len(X):
+    for start in range(0, len(X), size):
         for out in block(X[start:start + size]):
             if isinstance(out, Exception):
                 raise out
-            start += 1
             yield out
 
 
@@ -602,34 +572,32 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     F(x̄). ``fx`` holds F(x̄) per target, (eps, G) shifted down for "lsc"
     and (G,) for "usc"; ``Fx_at(g)`` is the set itself, which only the
     adversarial margin reads. All the targets' battery rows are one
-    ``value_rows`` evaluation and one (eps, G, row) comparison. Only the
+    ``tail_table`` evaluation and one (eps, G, row) comparison. Only the
     tail points are generated, since no verdict reads the prefix.
 
-    Returns, per target, the break (the first tail index failing at the
-    floored eps in (strategy, variant, n) order, with the largest scheduled
-    eps failing there), None, or the exception that ends the scan there: a
-    value raising before any break, or else a raising margin. The list
-    ends at the target whose raising value cut the rows, since later
-    targets' rows are not evaluated.
+    Returns, per target, the outcome of its rows in (strategy, variant, n)
+    order (_first_break): the break, None, or the exception of the first
+    raising row. A raising value is an error at its row, and a raising
+    adversarial margin at the first row of the sequence being generated
+    for its target, since it is asked before that sequence's values.
     """
     lsc = mode == "lsc"
     tail = upper_half(horizon)
-    ns = np.array([index(n) for n in tail], dtype=object)
+    ns = [index(n) for n in tail]
     G, T = len(X), len(tail)
     seqs: list = []
-    failed: dict[int, tuple[Exception, int]] = {}
+    raised: dict[int, tuple[int, Exception]] = {}
     Fx_at = cache(Fx_at)    # one F(x̄) per target, however many margins
 
     def margin(x: np.ndarray, n: int, g: int) -> float:
-        # a raising margin ends its target's scan at the sequence being
-        # generated; the target's later margins are not asked
-        if g in failed:
+        # the target's later margins are not asked
+        if g in raised:
             return 0.0
         try:
             Fx, Fn = Fx_at(g), map.value(tuple(x), index(n))
             return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
         except Exception as e:
-            failed[g] = (e, len(seqs))
+            raised[g] = (len(seqs) * T, e)
             return 0.0
 
     # the margin reads len(seqs) while the next sequence is generated
@@ -637,35 +605,26 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
                                   indices=tail):
         seqs.append(item)
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
-    asked = np.ones(pts.shape[:3], dtype=bool)
-    for g, (_, s) in failed.items():
-        asked[g, s:] = False
-    at = np.flatnonzero(asked)
-    rows, err = _block_rows(map, pts.reshape(-1, pts.shape[-1])[at], ns[at % T],
-                            ctx, T)
-    done = at[:len(rows[3])]
-    tab = _split(table_from_corners(*_placed(rows, done, asked.size, ctx.cone.dim),
-                                    ctx, None if lsc else _eps_shifts(-1, ctx)), G)
-    ok, = (table_rel(_per_row(fx), tab, (STRICT,)) if lsc
-           else table_rel(tab, _per_row(fx), (STRICT,)))
-    evaluated = np.zeros(asked.size, dtype=bool)
-    evaluated[done] = True
-    ok[:, ~evaluated.reshape(G, -1)] = True
+    R = len(seqs) * T
+    tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx,
+                           None if lsc else _eps_shifts(-1, ctx))
+    ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,)) if lsc
+           else table_rel(_split(tab, G), _per_row(fx), (STRICT,)))
+    per = _by_target(errs, G, R)
+    for g, (row, e) in raised.items():
+        per[g][row] = e
 
-    cut = G if err is None else int(at[len(done)]) // asked[0].size
     out = []
-    for g in range(G if err is None else cut + 1):
-        brk = _first_break(ok[:, g], ctx)
-        if brk is not None:
-            s, k = divmod(brk[0], T)
-            name, variant, _ = seqs[s]
-            out.append({"strategy": name, "variant": variant, "n": tail[k],
-                        "x_n": [float(v) for v in pts[g, s, k]],
-                        "eps": float(brk[1])})
-        elif g == cut:
-            out.append(err)
-        else:
-            out.append(failed[g][0] if g in failed else None)
+    for g in range(G):
+        brk = _first_break(ok[:, g], ctx, per[g])
+        if brk is None or isinstance(brk, Exception):
+            out.append(brk)
+            continue
+        s, k = divmod(brk[0], T)
+        name, variant, _ = seqs[s]
+        out.append({"strategy": name, "variant": variant, "n": tail[k],
+                    "x_n": [float(v) for v in pts[g, s, k]],
+                    "eps": float(brk[1])})
     return out
 
 
@@ -676,18 +635,15 @@ def _one(xbar) -> np.ndarray:
 
 def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str):
-    """The lsc or usc verdict, or the exception it raises, at each of a
-    prefix of the rows of X, in order (see _by_blocks)."""
-    rows, err = _block_rows(P.map, X, [P.n] * len(X), ctx, 1)
-    G = len(rows[3])
-    found = []
-    if G:
-        fx = table_from_corners(*rows, ctx, _eps_shifts(-1, ctx) if mode == "lsc"
-                                else None)
-        found = _tail_scan(P.map, lambda n: P.n, X[:G], fx,
-                           lambda g: P.map.value(tuple(X[g]), P.n), battery, ctx,
-                           horizon, lambda n: P.domain, mode)
-    for ce in found:
+    """The lsc or usc verdict, or the exception it raises, at each row of
+    X, in order (see _by_blocks); F(x̄) is asked before the scan."""
+    fx, fx_errs = tail_table(P.map, X, [P.n] * len(X), ctx,
+                             _eps_shifts(-1, ctx) if mode == "lsc" else None)
+    found = _tail_scan(P.map, lambda n: P.n, X, fx,
+                       lambda g: P.map.value(tuple(X[g]), P.n), battery, ctx,
+                       horizon, lambda n: P.domain, mode)
+    for g, ce in enumerate(found):
+        ce = fx_errs.get(g, ce)
         if ce is None:
             yield Verdict.holds(
                 reason=f"{mode} inequality held on every tail index of every "
@@ -703,8 +659,6 @@ def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
                 reason=f"{mode} comparison breaks at n = {ce['n']} under "
                        f"strategy {ce['strategy']} with eps = {ce['eps']:.6g}",
                 counterexample=ce, sampled=True)
-    if len(found) == G and err is not None:
-        yield err
 
 
 def _sc_verdicts(P: Problem, X: np.ndarray, battery: SeqGenBattery,
@@ -809,10 +763,12 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
                      battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                      domain_at: Callable[[int], Domain]):
     """Grid search for x*_n minimizing theta, the largest scheduled eps with
-    F_n(x*_n) not largely below F(x̄) + eps·u (0 if none), per tail n;
-    ``fx_up`` is the (eps, 1) table of F(x̄) + eps·u."""
+    F_n(x*_n) not largely below F(x̄) + eps·u (0 if none), per tail n, as
+    (theta, x*_n, its (eps,) column of that LARGE mask); ``fx_up`` is the
+    (eps, 1) table of F(x̄) + eps·u. Raises the first error in candidate
+    order."""
     eps = np.array(floored_eps(ctx))
-    best: dict[int, tuple[float, np.ndarray]] = {}
+    best: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     spent = 0
     for n in upper_half(horizon):
         dom = domain_at(n)
@@ -823,23 +779,26 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
         if spent + len(cand) > RECOVERY_BUDGET:
             raise NoRecoveryFound(
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
-                best={k: (th, [float(v) for v in x]) for k, (th, x) in best.items()})
+                best={k: (th, [float(v) for v in x]) for k, (th, x, _) in best.items()})
         spent += len(cand)
-        tab, err = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx)
-        if err is not None:
-            raise err
+        tab, errs = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx)
+        if errs:
+            raise next(iter(errs.values()))
         ok, = table_rel(tab, fx_up, (LARGE,))
         theta = np.where(ok.all(axis=0), 0.0, eps[np.argmin(ok, axis=0)])
-        th, _, idx = min(zip(theta.tolist(), dists[cand].tolist(), cand.tolist()))
-        best[n] = (th, dom.points[idx])
+        th, _, k = min(zip(theta.tolist(), dists[cand].tolist(), range(len(cand))))
+        best[n] = (th, dom.points[cand[k]], ok[:, k])
     return best
 
 
-def _upper_verdict(ok: np.ndarray, err: Optional[Exception], ns: list,
+def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
                    seq: np.ndarray, hint: bool, ctx: OrderCtx):
     """The upper verdict and recovery points used, from the (eps, n) mask
-    of a recovery tail against F(x̄) + eps·u; ``err`` ended its rows."""
-    brk = _break_or_raise(ok, err, ctx)
+    of a recovery tail against F(x̄) + eps·u; or the exception of its
+    first raising row, ``errs`` keyed by column, if that comes first."""
+    brk = _first_break(ok, ctx, errs)
+    if isinstance(brk, Exception):
+        return brk
     used = ns if brk is None else ns[:brk[0] + 1]
     recovery_used = tuple((n, tuple(float(v) for v in x))
                           for n, x in zip(used, seq))
@@ -867,17 +826,18 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
 
     With a recovery hint, all the points' recovery tails are one hint
     evaluation, one clamp, one map evaluation and one comparison, made at
-    the first request; the points end after the one whose raising value
-    cut the rows. Without a hint, each point's grid search runs when its
-    verdict is requested.
+    the first request. A point's whole hinted tail is asked before its
+    values, so a raising hint is the point's outcome, and the points end
+    there. Without a hint, each point's grid search runs when its verdict
+    is requested, and the chosen candidates' columns of its LARGE masks
+    are the recovery tail's.
     """
     ns = list(upper_half(horizon))
     if fam.recovery_hint is None:
         for g, t in enumerate(X):
-            fx = _take(fx_up, (slice(None), [g]))
             try:
-                found = _recovery_search(fam, t, fx, battery, ctx, horizon,
-                                         domain_at)
+                found = _recovery_search(fam, t, _take(fx_up, (slice(None), [g])),
+                                         battery, ctx, horizon, domain_at)
             except NoRecoveryFound as err:
                 yield Verdict.inconclusive(
                     reason=f"recovery sequence not determined: {err}",
@@ -886,76 +846,53 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
             except Exception as e:
                 yield e
                 return
-            used = sorted(found)
-            seq = np.array([found[n][1] for n in used])
-            tab, err = tail_table(fam.map, seq, used, ctx)
-            ok, = table_rel(tab, fx, (LARGE,))
-            try:
-                yield _upper_verdict(ok, err, used, seq, False, ctx)
-            except Exception as e:
-                yield e
-                return
+            seq = np.array([found[n][1] for n in ns])
+            ok = np.stack([found[n][2] for n in ns], axis=1)
+            yield _upper_verdict(ok, None, ns, seq, False, ctx)
         return
 
     T = len(ns)
-    pts, hint_err = fam.recovery_points(X, ns)
-    G = len(pts) // T       # the points whose whole hinted tail is there
+    pts, hint_errs = fam.recovery_points(X, ns)
+    G = min(hint_errs, default=len(pts)) // T
     if G:
         seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
                             [domain_at(n) for n in ns])
-        rows, err = _block_rows(fam.map, seq.reshape(G * T, -1), ns * G, ctx, T)
-        m = len(rows[3])
-        tab = _split(table_from_corners(
-            *_placed(rows, np.arange(m), G * T, ctx.cone.dim), ctx), G)
-        fx = _per_row(_take(fx_up, (slice(None), slice(G))))
-        ok, = table_rel(tab, fx, (LARGE,))
-        ok.reshape(len(ok), -1)[:, m:] = True
-        last = G - 1 if err is None else m // T
-        for g in range(last + 1):
-            try:
-                yield _upper_verdict(ok[:, g], err if g == last else None, ns,
-                                     seq[g], True, ctx)
-            except Exception as e:
-                yield e
-                return
-        if err is not None:
-            return
-    if hint_err is not None:
-        yield hint_err
+        tab, errs = tail_table(fam.map, seq.reshape(G * T, -1), ns * G, ctx)
+        ok, = table_rel(_split(tab, G),
+                        _per_row(_take(fx_up, (slice(None), slice(G)))), (LARGE,))
+        for g, row_errs in enumerate(_by_target(errs, G, T)):
+            yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True, ctx)
+    if hint_errs:
+        yield next(iter(hint_errs.values()))
 
 
 def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
                  ctx: OrderCtx, limit: Problem, horizon: int,
                  domain_at: Callable[[int], Domain], neighborhood: bool,
                  domains_verdict: Optional[Verdict]):
-    """GammaReport, or the exception it raises, at each of a prefix of the
-    rows of X, in order (see _by_blocks).
+    """GammaReport, or the exception it raises, at each row of X, in order
+    (see _by_blocks).
 
     Each point's stages come in the order of a one-point check: F(x̄), the
     lower scan, the neighbourhood route, the upper route; the first to
     raise is the point's outcome. Each stage is one array program over
-    the block.
+    the block; F(x̄) - eps·u and F(x̄) + eps·u are one table.
     """
-    rows, err = _block_rows(limit.map, X, [limit.n] * len(X), ctx, 1)
-    G = len(rows[3])
-    if not G:
-        yield err
-        return
-    X = X[:G]
+    E = len(floored_eps(ctx))
     flo = floored_eps(ctx)[-1]
-    fx_down = table_from_corners(*rows, ctx, _eps_shifts(-1, ctx))
+    fx, fx_errs = tail_table(limit.map, X, [limit.n] * len(X), ctx, np.concatenate(
+        [_eps_shifts(-1, ctx), _eps_shifts(1, ctx)]))
+    fx_down = _take(fx, slice(E))
     lower = _tail_scan(fam.map, lambda n: n, X, fx_down,
                        lambda g: limit.map.value(tuple(X[g]), limit.n), battery,
                        ctx, horizon, domain_at, "lsc")
-    L = len(lower)
-    near = (_neighborhood_masks(_take(fx_down, (-1, slice(L))), ctx, fam, horizon)
+    near = (_neighborhood_masks(_take(fx_down, -1), ctx, fam, horizon)
             if neighborhood else None)
-    uppers = _gamma_upper(fam, X[:L],
-                          table_from_corners(*(x[:L] for x in rows), ctx,
-                                             _eps_shifts(1, ctx)),
-                          battery, ctx, horizon, domain_at)
+    uppers = _gamma_upper(fam, X, _take(fx, slice(E, None)), battery, ctx,
+                          horizon, domain_at)
     for g, ce in enumerate(lower):
         t = X[g]
+        ce = fx_errs.get(g, ce)
         if isinstance(ce, Exception):
             yield ce
             return
@@ -981,9 +918,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
             ce = {"route": "battery", **ce}
             lower_v = Verdict.fails(reason="lower inequality falsified",
                                     counterexample=ce, sampled=False)
-        up = next(uppers, None)
-        if up is None:
-            return
+        up = next(uppers)
         if isinstance(up, Exception):
             yield up
             return
@@ -993,8 +928,6 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
         yield GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
                           floored_eps(ctx), ce, domains_verdict, horizon,
                           battery.seed)
-    if L == len(rows[3]) and err is not None:
-        yield err
 
 
 def _gamma_reports(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
@@ -1329,16 +1262,15 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
     tail = upper_half(horizon)
     names = battery.strategy_names()
 
-    # the rows end where D_n, F_n(x_n) or F_n(phi_n) first raises; at one n
-    # they are asked in that order, so the earliest (row, order) error is
-    # the one a pair-at-a-time scan would meet
-    doms, dom_err = [], None
+    # D_n is asked once, by the first pair and strategy reaching n, and
+    # its error ends every sequence there
+    doms, dom_err = [], {}
     if len(pairs):
         for n in tail:
             try:
                 doms.append(fam.domain_at(n))
             except Exception as e:
-                dom_err = e
+                dom_err = {len(doms): e}
                 break
     ns = list(tail)[:len(doms)]
 
@@ -1349,13 +1281,16 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
             ps = battery.sequence(name, x0, doms, ns)
             ta, err_a = tail_table(fam.map, xs, ns, ctx)
             tb, err_b = tail_table(fam.map, ps, ns, ctx)
-            # a table without an error has every row, so D_n's end wins
-            cut, _, err = min((len(doms), 0, dom_err), (len(ta.h), 1, err_a),
-                              (len(tb.h), 2, err_b), key=lambda end: end[:2])
+            # at one n F_n(x_n) is asked, then F_n(phi_n), then they are
+            # compared, which is where a box is refused (tail_table)
+            errs = {**err_b, **err_a, **dom_err}
+            errs.update((k, e) for k, e in err_b.items()
+                        if isinstance(errs[k], Unsupported))
             # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
-            ok, = table_rel(CornerTable(*(x[:cut] for x in ta)),
-                            CornerTable(*(x[:cut] for x in tb)), (LARGE,))
-            brk = _break_or_raise(ok[None], err, ctx)
+            ok, = table_rel(ta, tb, (LARGE,))
+            brk = _first_break(ok[None], ctx, errs)
+            if isinstance(brk, Exception):
+                raise brk
             if brk is not None:
                 k = brk[0]
                 return Verdict.fails(

@@ -64,16 +64,19 @@ class OrderCtx:
 
 
 def _rel(A: SetRep, B: SetRep, ctx: OrderCtx, mode: int) -> bool:
-    ha, oa, _ = _corner_data(A, ctx.cone)
+    ha, oa, a_cloud = _corner_data(A, ctx.cone)
     hb, ob, b_cloud = _corner_data(B, ctx.cone)
-    ok, _ = rel_corners(ha, oa, hb, ob, mode, b_cloud, ctx.tol)
+    ok, _ = rel_corners(ha, oa, hb, ob, mode, b_cloud,
+                        ctx.tol if a_cloud or b_cloud else 0.0)
     return ok
 
 
 class CornerTable(NamedTuple):
     """Sets along leading axes L: h (L, K, m) lower corners in H-coordinates,
     padded with +inf to the largest corner count K, o their uint8 openness
-    flags, cloud (L) marking point clouds and t (L) their tolerance."""
+    flags, cloud (L) marking point clouds and t (L) their tolerance (tol for
+    a cloud, 0 for a box union); a pair of sets is compared at the larger
+    of its two."""
     h: np.ndarray
     o: np.ndarray
     cloud: np.ndarray
@@ -135,7 +138,7 @@ def table_rel(a: CornerTable, b: CornerTable,
     per_set = (..., None, None, None)
     got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
                   b.h[..., None, :], b.o[..., None, :],
-                  b.cloud[per_set], b.t[per_set], modes)
+                  b.cloud[per_set], np.maximum(a.t[per_set], b.t[per_set]), modes)
     return tuple(ok.all(axis=-1) for ok in got)
 
 

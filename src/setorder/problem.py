@@ -33,9 +33,10 @@ import numpy as np
 from . import expr as ex
 from ._kernels import LARGE
 from .cone import Cone
-from .errors import ExprError, HorizonExceeded, ProblemLoadError, SetSpecError
+from .errors import (ExprError, HorizonExceeded, ProblemLoadError, SetSpecError,
+                     Unsupported)
 from .order import CornerTable, OrderCtx, table_from_corners, table_rel
-from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data
+from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data, _refuse_boxes
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
 # exp(n) values from overflowing later arithmetic while changing nothing
@@ -403,11 +404,12 @@ SetValuedMap = Union[PieceMap, TableMap]
 
 
 def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
-    """((corners, flags, cloud, count), err): map.value(X[i], ns[i]) for the
-    rows of X before the first whose value raises, laid out as in
-    ``PieceMap._rows``, and that exception (or None). A row holds
+    """((corners, flags, cloud, count), errs): map.value(X[i], ns[i]) at
+    every row of X, laid out as in ``PieceMap._rows``, and errs, each
+    raising row's exception keyed by its row, in row order. A raising row
+    holds no corner (count 0, marked a cloud); every other row holds
     ``_corner_data(value, cone, h_coords=False)`` bit for bit, which reads
-    only the cone's dimension; only a PieceMap's suspect rows call ``value``.
+    only the cone's dimension. Only a PieceMap's suspect rows call ``value``.
     """
     X = np.asarray(X, dtype=float)
     T = len(X)
@@ -418,14 +420,12 @@ def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
         flags = np.zeros(corners.shape, np.uint8)
         cloud, count, suspect = np.zeros(T, bool), np.zeros(T, np.intp), np.ones(T, bool)
 
-    stop, err, got = T, None, {}
+    data, errs = {}, {}
     for i in np.flatnonzero(suspect).tolist():
         try:
-            got[i] = map.value(tuple(X[i]), ns[i])
+            data[i] = _corner_data(map.value(tuple(X[i]), ns[i]), cone, h_coords=False)
         except Exception as e:
-            stop, err = i, e
-            break
-    data = {i: _corner_data(v, cone, h_coords=False) for i, v in got.items()}
+            errs[i] = e
     extra = max((len(c) for c, _, _ in data.values()), default=0) - corners.shape[1]
     if extra > 0:
         corners = np.concatenate([corners, np.full((T, extra, cone.dim), np.inf)], axis=1)
@@ -435,19 +435,32 @@ def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
         corners[i], flags[i] = np.inf, 0
         corners[i, :k], flags[i, :k] = c, o
         cloud[i], count[i] = is_cloud, k
-    return (corners[:stop], flags[:stop], cloud[:stop], count[:stop]), err
+    bad = list(errs)
+    corners[bad], flags[bad], cloud[bad], count[bad] = np.inf, 0, True, 0
+    return (corners, flags, cloud, count), errs
 
 
 def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
                shift: Optional[np.ndarray] = None
-               ) -> tuple[CornerTable, Optional[Exception]]:
-    """``value_rows`` as one corner table, and the error that ended the rows.
+               ) -> tuple[CornerTable, dict[int, Exception]]:
+    """``value_rows`` as one corner table of every row, and each raising
+    row's exception keyed by its row, in row order.
 
-    With ``shift`` (E, dim) the leading axes are (E, rows). The table equals
-    ``corner_table(values, ctx, shift)`` over the same values bit for bit.
+    Under a general cone a box row is raising too: it holds no corner, and
+    its error is the ``Unsupported`` that comparing it would raise. With
+    ``shift`` (E, dim) the leading axes are (E, rows). The rows that do not
+    raise equal ``corner_table(values, ctx, shift)`` over their values bit
+    for bit.
     """
-    rows, err = value_rows(map, X, ns, ctx.cone)
-    return table_from_corners(*rows, ctx, shift), err
+    (corners, flags, cloud, count), errs = value_rows(map, X, ns, ctx.cone)
+    if not cloud.all() and ctx.cone.kind != "orthant":
+        boxes = np.flatnonzero(~cloud).tolist()
+        try:
+            _refuse_boxes(ctx.cone)
+        except Unsupported as e:
+            errs = dict(sorted({**dict.fromkeys(boxes, e), **errs}.items()))
+        corners[boxes], cloud[boxes], count[boxes] = np.inf, True, 0
+    return table_from_corners(corners, flags, cloud, count, ctx, shift), errs
 
 
 def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
@@ -484,11 +497,12 @@ class Problem:
         self.cone = cone
         self.domain = domain
         self.n = n
-        rows, err = value_rows(map, domain.points, [n] * len(domain), cone)
-        if isinstance(err, (SetSpecError, ExprError)):
-            x = tuple(float(c) for c in domain.points[len(rows[3])])
-            raise ProblemLoadError(f"value at x = {x}: {err}") from err
-        if err is not None:
+        rows, errs = value_rows(map, domain.points, [n] * len(domain), cone)
+        if errs:
+            i, err = next(iter(errs.items()))
+            if isinstance(err, (SetSpecError, ExprError)):
+                x = tuple(float(c) for c in domain.points[i])
+                raise ProblemLoadError(f"value at x = {x}: {err}") from err
             raise err
         self.rows = rows
         # properness: one LARGE query pairs each value with its exterior point
@@ -575,11 +589,11 @@ class PerturbedFamily:
         return np.array([ex.evaluate(h, env) for h in self.recovery_hint])
 
     def recovery_points(self, X, ns: Sequence[int]
-                        ) -> tuple[np.ndarray, Optional[Exception]]:
-        """(points, err): recovery_point(x, n) for each row x of X (G, d),
+                        ) -> tuple[np.ndarray, dict[int, Exception]]:
+        """(points, errs): recovery_point(x, n) for each row x of X (G, d),
         or the one point X, and each n in ns, as rows of one array in
-        (x, n) order, up to the first row whose recovery_point raises, and
-        that exception (or None).
+        (x, n) order, and each raising row's exception keyed by its row, in
+        row order; a raising row holds NaN.
 
         The hint is evaluated over the array; suspect rows are asked of
         recovery_point, in order.
@@ -593,13 +607,13 @@ class PerturbedFamily:
             v, bad = ex.evaluate_rows(h, rows, n)
             cols.append(v)
             suspect |= bad
-        out = np.stack(cols, axis=1)
+        out, errs = np.stack(cols, axis=1), {}
         for i in np.flatnonzero(suspect).tolist():
             try:
                 out[i] = self.recovery_point(X[i // T], ns[i % T])
             except Exception as e:
-                return out[:i], e
-        return out, None
+                out[i], errs[i] = np.nan, e
+        return out, errs
 
     def domain_at(self, n: int) -> Domain:
         """D_n, without evaluating the map over its grid; refused unless it

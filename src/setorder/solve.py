@@ -120,7 +120,8 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
         if k == 1:
             at, a, b = blk, CornerTable(*(x[blk, None] for x in tab)), tab
         else:
-            ii, jj = np.nonzero(_candidates(ideal[blk], ideal, tab.t))
+            ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
+                                            np.maximum(tab.t[blk, None], tab.t)))
             at = (ii + i, jj)
             a = CornerTable(*(x[at[0]] for x in tab))
             b = CornerTable(*(x[jj] for x in tab))
@@ -136,17 +137,17 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t: np.ndarray) -> np.n
     """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
 
     ideal_a (I, m) and ideal_b (N, m) are the per-axis minima of the sets'
-    H-corners, t (N) the B sets' tolerances. All three relations need, for
-    each B-corner b, some A-corner a with b >= fl(a - t) on every axis:
-    LARGE compares exactly that, STRICT gives it by b > fl(a + t) >= a >=
-    fl(a - t), and LOWER takes STRICT or LARGE per axis. fl(. - t) is
-    monotone and ideal <= a, so b >= fl(ideal - t), which is this test:
-    exact in floating point, not up to rounding. B's +inf padding passes
-    it, and A's never lowers the ideal, since every value has a corner. It
-    reads the same H-coordinates as the kernel, so it holds under general
-    cones too.
+    H-corners, t the pairs' tolerances, (I, N) or broadcast to it. All
+    three relations need, for each B-corner b, some A-corner a with
+    fl(b + t) >= a on every axis: LARGE compares exactly that, STRICT gives
+    it by b > fl(a + t) >= a, and LOWER takes STRICT or LARGE per axis.
+    Since a >= ideal_a, the B-corner that attains ideal_b on an axis gives
+    fl(ideal_b + t) >= ideal_a there, which is this test: exact in floating
+    point, not up to rounding. B's +inf padding passes it, and A's never
+    lowers the ideal, since every value has a corner. It reads the same
+    H-coordinates as the kernel, so it holds under general cones too.
     """
-    return (ideal_b >= ideal_a[:, None] - t[:, None]).all(axis=-1)
+    return (ideal_b + np.asarray(t)[..., None] >= ideal_a[:, None]).all(axis=-1)
 
 
 def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:

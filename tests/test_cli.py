@@ -193,6 +193,20 @@ class TestSolve:
         sets = {tuple(v["indices"]) for v in rep["result"].values()}
         assert sets == {tuple(range(5))}
 
+    def test_cloud_and_box_a_tolerance_apart(self, capsys, tmp_path):
+        # {0} and the closed box [tol, 1] are largely equivalent, so neither
+        # is strictly below the other and every point is minimal
+        doc = {"label": "tol", "cone": {"kind": "orthant", "dim": 1},
+               "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 1.0}]},
+               "map": {"pieces": [
+                   {"guard": "x1 < 0.5", "points": [["0"]]},
+                   {"guard": "true", "box": [{"lo": "0.000000001", "hi": "1"}]}]}}
+        p = tmp_path / "tol.json"
+        p.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "solve", str(p), "--kind", "all")
+        assert code == 0
+        assert {tuple(v["indices"]) for v in rep["result"].values()} == {(0, 1)}
+
     def test_unknown_problem_is_usage_error(self, capsys):
         code, _, err = run(capsys, "solve", "no-such-problem")
         assert code == EX_USAGE

@@ -860,7 +860,7 @@ class TestTablesMatchPairLoops:
                 got = converge._recovery_search(
                     fam, t, converge._shifted([Fx], 1, ctx), *args[3:])
                 want = reference.recovery_search(*args)
-                assert {n: (th, x.tolist()) for n, (th, x) in got.items()} == \
+                assert {n: (th, x.tolist()) for n, (th, x, _) in got.items()} == \
                     {n: (th, x.tolist()) for n, (th, x) in want.items()}, seed
             v, used = gamma_upper_at(*args)
             want_v, want_used = reference.gamma_upper(*args)
@@ -959,6 +959,87 @@ class TestTablesMatchPairLoops:
                                             horizon=16)
         assert v.to_json() == want.to_json()
         assert v.is_fails and v.counterexample["n"] == 9
+
+
+    # a general cone refuses box values; each of the next three checks
+    # breaks at a tail index before a box row of the same tail, and must
+    # report that break
+    @pytest.fixture()
+    def tilted(self):
+        return OrderCtx(Cone.from_halfspaces(np.array([[1.0, 0.3], [0.3, 1.0]])))
+
+    def test_scan_reports_a_break_before_a_refused_box(self, tilted):
+        # lsc at 0.5: radial-shrink reaches the box only past n = 40
+        def value(x):
+            d = x[0] - 0.5
+            if 0 < d < 2.0 ** -40:
+                return box([5.0, 5.0], [6.0, 6.0])
+            return points([[-1.0, -1.0]]) if d > 0 else points([[0.0, 0.0]])
+
+        battery = SeqGenBattery(seed=0)
+        P = Problem("lsc", TableMap(value, 2), tilted.cone,
+                    Domain.from_windows([Window(0.0, 1.0, 0.25)]))
+        v = lsc_check(P, [0.5], battery, tilted, 64)
+        want = reference.lsc_verdict(P, [0.5], battery, tilted, 64)
+        assert v.to_json() == want.to_json()
+        ce = v.counterexample
+        assert (ce["n"], ce["strategy"], ce["eps"]) == (32, "radial-shrink", 1.0)
+
+    def test_gamma_upper_reports_a_break_before_a_refused_box(self, tilted):
+        # the hinted recovery value is far above F(x̄) at n = 33, a box from
+        # n = 40 on
+        def value(x, n):
+            if n >= 40:
+                return box([0.0, 0.0], [1.0, 1.0])
+            return points([[5.0, 5.0]] if n == 33 else [[0.0, 0.0]])
+
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.25)])
+        base = Problem("upper", TableMap(lambda x: points([[0.0, 0.0]]), 2),
+                       tilted.cone, dom)
+        fam = PerturbedFamily(base, TableMap(value, 2), lambda n: dom, 64,
+                              recovery_hint=(parse("x1"),))
+        args = (fam, np.array([0.5]), points([[0.0, 0.0]]), SeqGenBattery(seed=0),
+                tilted, 64, fam.domain_at)
+        v, used = gamma_upper_at(*args)
+        want_v, want_used = reference.gamma_upper(*args)
+        assert (v.to_json(), used) == (want_v.to_json(), want_used)
+        assert v.is_fails and v.counterexample["n"] == 33
+
+    def test_seq_lower_converse_reports_a_break_before_a_refused_box(self, tilted):
+        # the order between x = 0 and x = 0.25 breaks at n = 33; from
+        # n = 40 on the value at 0.25 is a box
+        def value(x, n):
+            if n >= 40 and x[0] >= 0.2:
+                return box([x[0], x[0]], [x[0] + 1.0, x[0] + 1.0])
+            s = -x[0] if n == 33 else x[0]
+            return points([[s, s]])
+
+        dom = Domain.from_points([[0.0], [0.25]])
+        base = Problem("pairs", TableMap(lambda x: value(x, 0), 2), tilted.cone, dom)
+        fam = PerturbedFamily(base, TableMap(value, 2), lambda n: dom, 64)
+        battery = SeqGenBattery(seed=0)
+        v = seq_lower_converse(fam, tilted, battery=battery, horizon=64)
+        want = reference.seq_lower_converse(fam, tilted, battery=battery, horizon=64)
+        assert v.to_json() == want.to_json()
+        ce = v.counterexample
+        assert (ce["n"], ce["strategy"], ce["xbar_index"], ce["x0_index"]) == \
+            (33, "constant", 0, 1)
+
+        # seed 2 samples the one pair (0, 1); from n = 36 on F_n(x_n) is a
+        # box and F_n(phi_n) raises, and both values are asked before they
+        # are compared
+        def mixed(x, n):
+            if n >= 36 and x[0] >= 0.2:
+                raise SetSpecError(f"no value at x = {x[0]}, n = {n}")
+            if n >= 36:
+                return box([x[0], x[0]], [x[0] + 1.0, x[0] + 1.0])
+            return points([[x[0], x[0]]])
+
+        fam = PerturbedFamily(base, TableMap(mixed, 2), lambda n: dom, 64)
+        for check in (seq_lower_converse, reference.seq_lower_converse):
+            with pytest.raises(SetSpecError, match="x = 0.25, n = 36"):
+                check(fam, tilted, samples=1, battery=SeqGenBattery(seed=2),
+                      horizon=64)
 
 
 class TestTailOnlyWork:

@@ -289,8 +289,8 @@ class TestRowEvaluation:
            st.booleans(), st.booleans())
     def test_tail_table_raises_as_value_does(self, es, rows, kind, lo_open,
                                              hi_open):
-        # the table holds the rows before the first row whose value raises,
-        # and returns that row's exception, type and message
+        # the table holds every row: a raising row holds that row's
+        # exception, type and message, and no corner
         X, ns = rows
         ns = [None] * len(X) if ns is None else ns
         hi = es[0] if kind == "closed-singleton" else es[1]
@@ -306,20 +306,19 @@ class TestRowEvaluation:
         pieces["closed-singleton"] = pieces["box"]
         m = PieceMap(pieces[kind], 1)
         ctx = OrderCtx(Cone.orthant(1))
-        tab, err = tail_table(m, X, ns, ctx)
-        vals, want_err = [], None
+        tab, errs = tail_table(m, X, ns, ctx)
+        vals, want_errs = [], {}
         for i in range(len(X)):
             try:
                 vals.append(m.value(tuple(X[i]), ns[i]))
             except Exception as exc:
-                want_err = exc
-                break
-        assert len(tab.h) == len(vals)
+                want_errs[i] = (type(exc), str(exc))
+        assert {i: (type(e), str(e)) for i, e in errs.items()} == want_errs
+        assert list(errs) == sorted(errs) and len(tab.h) == len(X)
+        assert np.isinf(tab.h[list(errs)]).all()
         if vals:
+            keep = [i for i in range(len(X)) if i not in errs]
             for a, b in zip(tab, corner_table(vals, ctx)):
+                a = a[keep]
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
-        if want_err is None:
-            assert err is None
-        else:
-            assert (type(err), str(err)) == (type(want_err), str(want_err))

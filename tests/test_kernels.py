@@ -12,7 +12,8 @@ from setorder.setrep import Box, BoxUnion, _corner_data, points
 
 
 def brute_rel(ca, oa, cb, ob, mode, b_cloud, tol):
-    """Direct transcription of the per-axis rule, scalar loops only."""
+    """Direct transcription of the per-axis rule, scalar loops only; tol is
+    the pair's tolerance."""
     nb, na, m = cb.shape[0], ca.shape[0], ca.shape[1]
     for b in range(nb):
         covered = False
@@ -20,15 +21,14 @@ def brute_rel(ca, oa, cb, ob, mode, b_cloud, tol):
             ok = True
             for j in range(m):
                 va, vb = ca[a, j], cb[b, j]
+                strict, large = vb > va + tol, vb + tol >= va
                 if mode == STRICT:
-                    ok = vb > va + tol if b_cloud else vb > va
+                    ok = strict
                 elif mode == LARGE:
-                    ok = vb >= va - tol if b_cloud else vb >= va
+                    ok = large
                 else:
-                    if b_cloud:
-                        ok = vb > va + tol if oa[a, j] else vb >= va - tol
-                    else:
-                        ok = vb > va or (vb == va and (not oa[a, j] or bool(ob[b, j])))
+                    # an open A-end against a closed B-end (a cloud is closed)
+                    ok = strict if oa[a, j] and (b_cloud or not ob[b, j]) else large
                 if not ok:
                     break
             if ok:
@@ -118,9 +118,10 @@ class TestCovered:
         monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 4 * n * k * k * m)
         mats = solve.relation_matrices(P, ctx)
         for r, mode in enumerate((LOWER, LARGE, STRICT)):
-            for i, (ca, oa, _) in enumerate(data):
+            for i, (ca, oa, a_cloud) in enumerate(data):
                 for j, (cb, ob, b_cloud) in enumerate(data):
-                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
+                    t = ctx.tol if a_cloud or b_cloud else 0.0
+                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, t)[0]
                     assert mats[r][i, j] == want, (mode, i, j)
 
     def test_general_cone_clouds_in_ragged_blocks(self, monkeypatch):
@@ -163,7 +164,7 @@ class TestCovered:
             t = 1e-9 if b_cloud else 0.0
             A, B = ca, cb[:, None, :]
             where = np.where((oa != 0) & ((ob[:, None, :] == 0) | b_cloud),
-                             B > A + t, B >= A - t).all(axis=-1).any(axis=-1)
+                             B > A + t, B + t >= A).all(axis=-1).any(axis=-1)
             for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
                 got = _kernels.covered(A, oa, B, ob[:, None, :], b_cloud, t, modes)[0]
                 np.testing.assert_array_equal(got, where)

@@ -10,13 +10,13 @@ import pytest
 import reference
 from setorder import problem
 from setorder.cone import Cone
-from setorder.errors import (DimensionMismatch, HorizonExceeded, ProblemLoadError,
-                             SetSpecError)
+from setorder.errors import (DimensionMismatch, DomainError, HorizonExceeded,
+                             ProblemLoadError, SetSpecError, Unsupported)
 from setorder.order import CornerTable, OrderCtx, corner_table
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
                               load_builtin, load_dict, tail_table)
-from setorder.setrep import PointCloud, box, points, translate
+from setorder.setrep import PointCloud, _corner_data, box, points, translate
 from setorder.solve import value_table
 
 
@@ -327,7 +327,7 @@ class TestProgrammaticProblems:
 
     def test_wrong_dimension_before_a_raising_row(self, ctx1):
         # grid and tail rows take one path: a value of the wrong dimension
-        # ends it before a later row's error is wrapped
+        # is its row's error, and a grid raises the first row's error
         def fn(x):
             if x[0] == 1.0:
                 raise SetSpecError("no value at 1")
@@ -336,8 +336,10 @@ class TestProgrammaticProblems:
         m, dom = TableMap(fn, 1), Domain.from_points([[0.0], [1.0], [2.0]])
         with pytest.raises(DimensionMismatch, match="set dim 2 against cone dim 1"):
             Problem("t", m, Cone.orthant(1), dom)
-        with pytest.raises(DimensionMismatch, match="set dim 2 against cone dim 1"):
-            tail_table(m, dom.points, [None] * 3, ctx1)
+        _, errs = tail_table(m, dom.points, [None] * 3, ctx1)
+        assert [(i, type(e)) for i, e in errs.items()] == [(0, DimensionMismatch),
+                                                           (1, SetSpecError)]
+        assert str(errs[0]) == "set dim 2 against cone dim 1"
         with pytest.raises(ProblemLoadError, match=r"x = \(1\.0,\): no value at 1"):
             Problem("t", m, Cone.orthant(1), Domain.from_points([[2.0], [1.0]]))
 
@@ -488,15 +490,19 @@ class TestGridRows:
 
 # ------------------------------------------------------------ tail tables
 
-def values_until_error(m, X, ns):
-    """map.value at each row until one raises, the way tail_table reads them."""
-    vals = []
+def row_outcomes(m, X, ns, cone):
+    """map.value at each row, or the exception asking it raises, where a
+    value also raises what comparing it would (a wrong dimension, a box
+    under a general cone): the way tail_table reads them."""
+    out = []
     for x, n in zip(X, ns):
         try:
-            vals.append(m.value(tuple(x), n))
+            v = m.value(tuple(x), n)
+            _corner_data(v, cone)
+            out.append(v)
         except Exception as exc:
-            return vals, exc
-    return vals, None
+            out.append(exc)
+    return out
 
 
 def assert_same_table(got, want):
@@ -505,31 +511,45 @@ def assert_same_table(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def table_rows(tab, rows):
+    """The sets of a table at ``rows`` of its last leading axis."""
+    h, o, cloud, t = tab
+    return CornerTable(h[..., rows, :, :], o[..., rows, :, :], cloud[..., rows],
+                       t[..., rows])
+
+
 def check_tail_table(m, X, ns, ctx):
     """tail_table (and corner_table(shift=)) against corner_table over map.value,
-    unshifted and translated by the eps shifts of a usc scan; returns the
-    error that ended the rows."""
-    vals, want_err = values_until_error(m, X, ns)
+    unshifted and translated by the eps shifts of a usc scan: a raising row
+    holds its exception and no corner, every other row its value; returns
+    the first row's exception, or None."""
+    got = row_outcomes(m, X, ns, ctx.cone)
+    want_errs = {i: (type(v), str(v)) for i, v in enumerate(got)
+                 if isinstance(v, Exception)}
+    keep = [i for i in range(len(got)) if i not in want_errs]
+    vals = [got[i] for i in keep]
     shifts = np.array([-e * ctx.u for e in (1.0, 0.25, 2.0 ** -10)])
     for shift in (None, shifts):
-        tab, err = tail_table(m, X, ns, ctx, shift=shift)
-        assert (type(err), str(err)) == (type(want_err), str(want_err))
+        tab, errs = tail_table(m, X, ns, ctx, shift=shift)
+        assert list(errs) == list(want_errs)
+        assert {i: (type(e), str(e)) for i, e in errs.items()} == want_errs
+        assert tab.cloud.shape[-1] == len(X)
+        assert np.isinf(table_rows(tab, list(want_errs)).h).all()
         if shift is None:
-            assert len(tab.h) == len(vals)
             if vals:
-                assert_same_table(tab, corner_table(vals, ctx))
+                assert_same_table(table_rows(tab, keep), corner_table(vals, ctx))
         elif vals:
             moved = corner_table([translate(v, s) for s in shift for v in vals], ctx)
             want = CornerTable(*(
                 x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved))
-            assert_same_table(tab, want)
+            assert_same_table(table_rows(tab, keep), want)
             assert_same_table(corner_table(vals, ctx, shift=shift), want)
-    return want_err
+    return next((v for v in got if isinstance(v, Exception)), None)
 
 
 class TestTailTable:
     """A tail's values as one corner table equal corner_table over
-    map.value bit for bit, and the first raising row ends the table."""
+    map.value bit for bit, and each raising row holds its exception."""
 
     @pytest.mark.parametrize("name", ["geff_vs_reff", "sop_sin", "gamma_cos"])
     def test_shipped_maps(self, name):
@@ -558,6 +578,23 @@ class TestTailTable:
         X = np.random.default_rng(3).uniform(-1.0, 1.0, size=(30, 2))
         assert check_tail_table(m, X, [None] * len(X), OrderCtx(cone)) is None
 
+    def test_boxes_under_a_general_cone_are_row_errors(self):
+        # boxes from x1 = 0 on, a raising sqrt below x1 = -0.5, clouds between
+        cone = Cone.from_halfspaces(np.array([[1.0, 0.3], [0.3, 1.0]]))
+        m = load_dict(spec(
+            cone={"kind": "halfspaces", "rows": cone.halfspaces.tolist()},
+            domain={"windows": [{"a": -0.5, "b": 1, "step": 0.5}]},
+            pieces=[{"guard": "x1 < 0", "points": [["x1", "sqrt(x1 + 0.5)"]]},
+                    {"guard": "true", "box": [{"lo": "x1", "hi": "x1 + 1"},
+                                              {"lo": 0, "hi": 1}]}])).map
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 1))
+        ctx = OrderCtx(cone)
+        check_tail_table(m, X, [None] * len(X), ctx)
+        _, errs = tail_table(m, X, [None] * len(X), ctx)
+        kinds = {type(e) for e in errs.values()}
+        assert kinds == {Unsupported, DomainError}
+        assert len(errs) < len(X)
+
     def test_random_families(self):
         for seed in range(40):
             fam, t = reference.random_family(np.random.default_rng(seed))
@@ -566,7 +603,7 @@ class TestTailTable:
             ns = [int(n) for n in np.random.default_rng(seed).integers(0, 40, len(X))]
             check_tail_table(fam.map, X, ns, ctx)
 
-    def test_rows_end_at_the_first_raise(self, ctx1):
+    def test_rows_past_a_raise_are_kept(self, ctx1):
         # the table map refuses n >= 20; the expression map takes the sqrt
         # of a negative number at x = 0, the last row
         def fn(x, n):
@@ -585,4 +622,5 @@ class TestTailTable:
         assert str(err) == "no value at n = 20"
         err = check_tail_table(fam.map, X, ns, ctx1)
         assert str(err).startswith("sqrt of a negative number")
-        assert len(tail_table(fam.map, X, ns, ctx1)[0].h) == 30
+        tab, errs = tail_table(fam.map, X, ns, ctx1)
+        assert len(tab.h) == 31 and list(errs) == [30]

@@ -147,14 +147,16 @@ def multi_corner_problems(draw):
 
 
 def per_pair_matrices(P, ctx):
-    """(lower, large, strict) from one rel_corners call per pair and relation."""
+    """(lower, large, strict) from one rel_corners call per pair and relation,
+    at the pair's tolerance: tol when either set is a cloud, 0 for two boxes."""
     data = [_corner_data(v, ctx.cone) for v in P.values()]
     n = len(data)
     out = np.empty((3, n, n), dtype=bool)
-    for i, (ca, oa, _) in enumerate(data):
+    for i, (ca, oa, a_cloud) in enumerate(data):
         for j, (cb, ob, b_cloud) in enumerate(data):
+            t = ctx.tol if a_cloud or b_cloud else 0.0
             for r, mode in enumerate((LOWER, LARGE, STRICT)):
-                out[r, i, j] = rel_corners(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
+                out[r, i, j] = rel_corners(ca, oa, cb, ob, mode, b_cloud, t)[0]
     return out
 
 
@@ -216,6 +218,24 @@ class TestRelationMatrices:
         assert value_table(P, ctx).h.shape[1] == 3
         np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
                                       per_pair_matrices(P, ctx))
+
+    @pytest.mark.parametrize("vals", [
+        # a cloud and a closed box one tolerance above it
+        [points([[0.0]]), box([DEFAULT_TOL], [1.0])],
+        # b and fl(b - tol), where fl(fl(b - tol) + tol) < b
+        [points([[2.3643249400513434e-11]]),
+         points([[2.3643249400513434e-11 - DEFAULT_TOL]])],
+    ], ids=["cloud-and-box", "clouds-a-rounding-apart"])
+    def test_tolerance_never_makes_strict_and_reverse_large(self, vals):
+        # both pairs used to come out strictly below one way and largely
+        # below the other, which the Geoffroy-in-Relaxed cross-check refused
+        P = table_problem(vals, Cone.orthant(1))
+        ctx = OrderCtx(P.cone)
+        _, large, strict = got = relation_matrices(P, ctx)
+        assert not (strict & large.T).any()
+        np.testing.assert_array_equal(np.array(got), per_pair_matrices(P, ctx))
+        for kind in KINDS:
+            assert eff(P, kind, ctx).indices == brute_eff(P, kind, ctx), kind
 
     @settings(max_examples=80, deadline=None)
     @given(multi_corner_problems())
