@@ -131,14 +131,27 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))
 
 
+def _pair_tol(ta: np.ndarray, tb: np.ndarray):
+    """Each pair's tolerance, the larger of its two sets' (``CornerTable.t``
+    of one ctx, broadcast): 0 when neither side holds a cloud, which keeps
+    box tables on the kernel's exact path, and a side's own when every set
+    on it is a cloud, since no set's tolerance exceeds a cloud's."""
+    if not (ta.any() or tb.any()):
+        return 0.0
+    for t in (ta, tb):
+        if t.all():
+            return t
+    return np.maximum(ta, tb)
+
+
 def table_rel(a: CornerTable, b: CornerTable,
               modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """rel(A, B) per mode, over the broadcast leading axes of two tables."""
-    # (leading, b-corner, a-corner, axis); B's per-set scalars on leading axes
+    # (leading, b-corner, a-corner, axis); per-set scalars on leading axes
     per_set = (..., None, None, None)
     got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
                   b.h[..., None, :], b.o[..., None, :],
-                  b.cloud[per_set], np.maximum(a.t[per_set], b.t[per_set]), modes)
+                  b.cloud[per_set], _pair_tol(a.t[per_set], b.t[per_set]), modes)
     return tuple(ok.all(axis=-1) for ok in got)
 
 

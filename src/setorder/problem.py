@@ -435,8 +435,9 @@ def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
         corners[i], flags[i] = np.inf, 0
         corners[i, :k], flags[i, :k] = c, o
         cloud[i], count[i] = is_cloud, k
-    bad = list(errs)
-    corners[bad], flags[bad], cloud[bad], count[bad] = np.inf, 0, True, 0
+    if errs:
+        bad = list(errs)
+        corners[bad], flags[bad], cloud[bad], count[bad] = np.inf, 0, True, 0
     return (corners, flags, cloud, count), errs
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT
 from .errors import InternalCheckError
-from .order import (CornerTable, OrderCtx, corner_table, lower_le, table_from_corners,
-                    table_rel)
+from .order import (CornerTable, OrderCtx, _pair_tol, corner_table, lower_le,
+                    table_from_corners, table_rel)
 from .problem import PieceMap, Problem
 from .setrep import PointCloud, SetRep
 from .verdict import Verdict
@@ -121,7 +121,7 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
             at, a, b = blk, CornerTable(*(x[blk, None] for x in tab)), tab
         else:
             ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
-                                            np.maximum(tab.t[blk, None], tab.t)))
+                                            _pair_tol(tab.t[blk, None], tab.t)))
             at = (ii + i, jj)
             a = CornerTable(*(x[at[0]] for x in tab))
             b = CornerTable(*(x[jj] for x in tab))
