@@ -5,6 +5,14 @@ Every preorder query between two finitely-represented sets reduces to a
 halfspace coordinates. ``covered`` states the rule once, for broadcast
 blocks of sets (``order.table_rel``); ``rel_corners`` is its one-pair case.
 
+The sweep ends in boolean reductions over short last axes: all over the m
+H-axes, any over the A-corners, all over the B-corners. NumPy reduces a
+short last axis one outer element at a time, which on a large block costs
+far more than one whole-array pass per slice of the axis. ``reduce_last``
+makes those passes, in place, once the block has ``_FOLD_OUTER`` outer
+elements, and keeps ``op.reduce`` below that, where the passes' fixed cost
+is larger: one-pair calls on small sets stay on it.
+
 Conventions of the one-pair kernels:
   * ca/cb: (na, m) / (nb, m) float64 lower corners in halfspace coordinates;
   * oa/ob: matching uint8 openness flags (1 = open lower end); point clouds
@@ -25,6 +33,24 @@ BACKEND = "pure"
 LOWER = 0
 LARGE = 1
 STRICT = 2
+
+#: outer elements (the size without the last axis) from which
+#: ``reduce_last`` folds; on 2 vCPU a (k, 3) boolean block reduces faster
+#: below about 64 rows and folds faster above, 11x faster at 37,260 rows
+_FOLD_OUTER = 64
+
+
+def reduce_last(x: np.ndarray, op) -> np.ndarray:
+    """``op.reduce(x, axis=-1)`` for a boolean x and op np.logical_and or
+    np.logical_or, the same booleans; from ``_FOLD_OUTER`` outer elements on,
+    folded one last-axis slice at a time into a copy of the first."""
+    n = x.shape[-1]
+    if n == 0 or x.size < _FOLD_OUTER * n:
+        return op.reduce(x, axis=-1)
+    out = x[..., 0].copy()
+    for j in range(1, n):
+        op(out, x[..., j], out=out)
+    return out
 
 
 def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
@@ -48,6 +74,9 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
     reads it. With t = 0 this is exact box logic. A corner of +inf covers
     no finite corner and is covered by any finite one, so ragged corner
     lists are padded with +inf, not masked.
+    The all over the m axes and the any over the A-corners go through
+    ``reduce_last``: NumPy reduces a short last axis one outer element at
+    a time, so a large block folds them slice by slice instead.
     """
     exact = not isinstance(t, np.ndarray) and t == 0
     open_a = LOWER in modes and oa.any()
@@ -67,7 +96,7 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
                     if open_a else large)
         else:
             raise ValueError(f"unknown relation mode {mode}")
-        out.append(axes.all(axis=-1).any(axis=-1))
+        out.append(reduce_last(reduce_last(axes, np.logical_and), np.logical_or))
     return tuple(out)
 
 

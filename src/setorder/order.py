@@ -29,7 +29,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT, covered, rel_corners, shift_bound
+from ._kernels import (LARGE, LOWER, STRICT, covered, reduce_last, rel_corners,
+                       shift_bound)
 from .cone import DEFAULT_TOL, Cone
 from .setrep import SetRep, _corner_data, _refuse_boxes
 
@@ -152,7 +153,7 @@ def table_rel(a: CornerTable, b: CornerTable,
     got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
                   b.h[..., None, :], b.o[..., None, :],
                   b.cloud[per_set], _pair_tol(a.t[per_set], b.t[per_set]), modes)
-    return tuple(ok.all(axis=-1) for ok in got)
+    return tuple(reduce_last(ok, np.logical_and) for ok in got)
 
 
 def lower_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:

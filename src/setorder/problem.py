@@ -403,13 +403,17 @@ class TableMap:
 SetValuedMap = Union[PieceMap, TableMap]
 
 
-def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
+def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone,
+               first_error: bool = False):
     """((corners, flags, cloud, count), errs): map.value(X[i], ns[i]) at
     every row of X, laid out as in ``PieceMap._rows``, and errs, each
     raising row's exception keyed by its row, in row order. A raising row
     holds no corner (count 0, marked a cloud); every other row holds
     ``_corner_data(value, cone, h_coords=False)`` bit for bit, which reads
     only the cone's dimension. Only a PieceMap's suspect rows call ``value``.
+    With ``first_error`` the first suspect row that raises ends the asking:
+    errs holds its exception alone and later rows are left unevaluated, for
+    a caller that only raises that error.
     """
     X = np.asarray(X, dtype=float)
     T = len(X)
@@ -426,6 +430,8 @@ def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone):
             data[i] = _corner_data(map.value(tuple(X[i]), ns[i]), cone, h_coords=False)
         except Exception as e:
             errs[i] = e
+            if first_error:
+                break
     extra = max((len(c) for c, _, _ in data.values()), default=0) - corners.shape[1]
     if extra > 0:
         corners = np.concatenate([corners, np.full((T, extra, cone.dim), np.inf)], axis=1)
@@ -498,7 +504,8 @@ class Problem:
         self.cone = cone
         self.domain = domain
         self.n = n
-        rows, errs = value_rows(map, domain.points, [n] * len(domain), cone)
+        rows, errs = value_rows(map, domain.points, [n] * len(domain), cone,
+                                first_error=True)
         if errs:
             i, err = next(iter(errs.items()))
             if isinstance(err, (SetSpecError, ExprError)):

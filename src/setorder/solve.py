@@ -10,7 +10,10 @@ table_rel too. It shares one kernel rule with the pairwise predicates.
 When values have several corners, only the pairs that pass an exact
 necessary test on the sets' per-axis minima (``_candidates``) reach the
 kernel; with one corner per value that test is LARGE itself, and every
-pair does.
+pair does. The test and the kernel end in boolean reductions over short
+last axes; NumPy reduces a short last axis one outer element at a time,
+so on row blocks they go through ``_kernels.reduce_last``, which folds
+the axis one slice at a time instead.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT
+from ._kernels import LARGE, LOWER, STRICT, reduce_last
 from .errors import InternalCheckError
 from .order import (CornerTable, OrderCtx, _pair_tol, corner_table, lower_le,
                     table_from_corners, table_rel)
@@ -147,7 +150,8 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t: np.ndarray) -> np.n
     lowers the ideal, since every value has a corner. It reads the same
     H-coordinates as the kernel, so it holds under general cones too.
     """
-    return (ideal_b + np.asarray(t)[..., None] >= ideal_a[:, None]).all(axis=-1)
+    return reduce_last(ideal_b + np.asarray(t)[..., None] >= ideal_a[:, None],
+                       np.logical_and)
 
 
 def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:

@@ -14,6 +14,9 @@ sequences, the schedule helpers and the pair sampling with the package.
 ``battery_point`` is the battery's former one-point-at-a-time generator.
 ``gamma_report`` and ``lsc_verdict`` are the one-point checks built on
 those scans, which the package now asks for blocks of grid points at once.
+
+``each_reduction`` runs a test body on both sides of the kernel's size
+switch between folding and reducing a short last axis.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 
+from setorder import _kernels
 from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
@@ -46,6 +51,15 @@ from setorder.problem import (
 from setorder.setrep import BoxUnion, Box, PointCloud, box, points, translate
 from setorder.solve import relation_matrices
 from setorder.verdict import Verdict
+
+
+def each_reduction():
+    """Yields "fold", then "reduce": for the body of each loop turn every
+    ``_kernels.reduce_last`` call folds its last axis, then none does."""
+    for side, outer in (("fold", 0), ("reduce", 2 ** 62)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_FOLD_OUTER", outer)
+            yield side
 
 
 def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import each_reduction
 
 from setorder import _kernels, solve
 from setorder._kernels import LARGE, LOWER, STRICT
@@ -97,6 +98,34 @@ def random_value(rng, m, lattice: bool):
     return BoxUnion(m, tuple(boxes))
 
 
+def brute_matrices(data, tol):
+    """(lower, large, strict) of every ordered pair of _corner_data tuples,
+    from brute_rel at the pair's tolerance."""
+    out = np.empty((3, len(data), len(data)), dtype=bool)
+    for r, mode in enumerate((LOWER, LARGE, STRICT)):
+        for i, (ca, oa, a_cloud) in enumerate(data):
+            for j, (cb, ob, b_cloud) in enumerate(data):
+                t = tol if a_cloud or b_cloud else 0.0
+                out[r, i, j] = brute_rel(ca, oa, cb, ob, mode, b_cloud, t)[0]
+    return out
+
+
+def keyed_problem(vals, cone):
+    pts = np.arange(len(vals), dtype=float)[:, None]
+    keyed = {float(p[0]): v for p, v in zip(pts, vals)}
+    return Problem("table", TableMap(lambda x: keyed[float(x[0])], cone.dim), cone,
+                   Domain.from_points(pts))
+
+
+def blocked_matrices(P, rows, monkeypatch):
+    """relation_matrices in row blocks of ``rows``, once per side of the
+    fold switch, each side under a fresh context so nothing is cached."""
+    n, k, m = solve.value_table(P, OrderCtx(P.cone)).h.shape
+    monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * k * k * m)
+    return {side: np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
+            for side in each_reduction()}
+
+
 class TestCovered:
     @pytest.mark.parametrize("lattice", [True, False])
     def test_blocked_matrices_match_brute_force(self, lattice, monkeypatch):
@@ -106,23 +135,13 @@ class TestCovered:
         rng = np.random.default_rng(11 + lattice)
         n, m = 23, 2
         vals = [random_value(rng, m, lattice) for _ in range(n)]
-        pts = np.arange(n, dtype=float)[:, None]
-        keyed = {float(p[0]): v for p, v in zip(pts, vals)}
-        P = Problem("table", TableMap(lambda x: keyed[float(x[0])], m),
-                    Cone.orthant(m), Domain.from_points(pts))
-        ctx = OrderCtx(P.cone)
+        P = keyed_problem(vals, Cone.orthant(m))
         data = [_corner_data(v, P.cone) for v in vals]
         assert {len(h) for h, _, _ in data} == {1, 2, 3}
         assert {b_cloud for _, _, b_cloud in data} == {False, True}
-        k = solve.value_table(P, ctx)[0].shape[1]
-        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 4 * n * k * k * m)
-        mats = solve.relation_matrices(P, ctx)
-        for r, mode in enumerate((LOWER, LARGE, STRICT)):
-            for i, (ca, oa, a_cloud) in enumerate(data):
-                for j, (cb, ob, b_cloud) in enumerate(data):
-                    t = ctx.tol if a_cloud or b_cloud else 0.0
-                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, t)[0]
-                    assert mats[r][i, j] == want, (mode, i, j)
+        want = brute_matrices(data, OrderCtx(P.cone).tol)
+        for side, got in blocked_matrices(P, 4, monkeypatch).items():
+            np.testing.assert_array_equal(got, want, err_msg=side)
 
     def test_general_cone_clouds_in_ragged_blocks(self, monkeypatch):
         # 3-corner clouds go through the candidate test before the kernel;
@@ -133,22 +152,39 @@ class TestCovered:
         assert cone.kind == "general"
         vals = [points(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)) * 0.5)
                 for _ in range(n)]
-        pts = np.arange(n, dtype=float)[:, None]
-        keyed = {float(p[0]): v for p, v in zip(pts, vals)}
-        P = Problem("table", TableMap(lambda x: keyed[float(x[0])], d), cone,
-                    Domain.from_points(pts))
-        ctx = OrderCtx(cone)
-        data = [_corner_data(v, cone) for v in vals]
-        _, k, m = solve.value_table(P, ctx).h.shape
-        assert k == 3
-        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 3 * n * k * k * m)
-        mats = solve.relation_matrices(P, ctx)
-        assert mats[1].any() and not mats[1].all()
-        for r, mode in enumerate((LOWER, LARGE, STRICT)):
-            for i, (ca, oa, _) in enumerate(data):
-                for j, (cb, ob, b_cloud) in enumerate(data):
-                    want = brute_rel(ca, oa, cb, ob, mode, b_cloud, ctx.tol)[0]
-                    assert mats[r][i, j] == want, (mode, i, j)
+        P = keyed_problem(vals, cone)
+        assert solve.value_table(P, OrderCtx(cone)).h.shape[1] == 3
+        want = brute_matrices([_corner_data(v, cone) for v in vals], OrderCtx(cone).tol)
+        assert want[1].any() and not want[1].all()
+        for side, got in blocked_matrices(P, 3, monkeypatch).items():
+            np.testing.assert_array_equal(got, want, err_msg=side)
+
+    @pytest.mark.parametrize("case", ["one-corner", "open-a-corner"])
+    def test_single_corners_and_open_a_corners_in_blocks(self, case, monkeypatch):
+        # one corner per value (kb = ka = 1) folds axes of length 1 on the
+        # kernel's dense path; one open lower end among closed boxes makes
+        # LOWER take the STRICT side on that corner's axis only
+        rng = np.random.default_rng(7)
+        m, vals = 2, []
+        for i in range(40):
+            k = 1 if case == "one-corner" else int(rng.integers(1, 4))
+            lo = rng.integers(-2, 3, size=(k, m)) * 0.5
+            if case == "one-corner" and i % 2:
+                vals.append(points(lo))
+                continue
+            vals.append(BoxUnion(m, tuple(
+                Box(tuple(r), tuple(r + 1.0), (False,) * m, (False,) * m) for r in lo)))
+        if case == "open-a-corner":
+            vals[0] = BoxUnion(m, (Box((0.0, 0.0), (1.0, 1.0), (True, False), (False,) * m),))
+        P = keyed_problem(vals, Cone.orthant(m))
+        data = [_corner_data(v, P.cone) for v in vals]
+        assert max(len(h) for h, _, _ in data) == (1 if case == "one-corner" else 3)
+        want = brute_matrices(data, OrderCtx(P.cone).tol)
+        if case == "open-a-corner":
+            assert sum(int(o.sum()) for _, o, _ in data) == 1
+            assert (want[0] != want[1]).any()
+        for side, got in blocked_matrices(P, 5, monkeypatch).items():
+            np.testing.assert_array_equal(got, want, err_msg=side)
 
     @pytest.mark.parametrize("open_corner", [False, True])
     def test_lower_matches_the_where_form(self, open_corner):
@@ -165,11 +201,21 @@ class TestCovered:
             A, B = ca, cb[:, None, :]
             where = np.where((oa != 0) & ((ob[:, None, :] == 0) | b_cloud),
                              B > A + t, B + t >= A).all(axis=-1).any(axis=-1)
-            for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
-                got = _kernels.covered(A, oa, B, ob[:, None, :], b_cloud, t, modes)[0]
-                np.testing.assert_array_equal(got, where)
-            assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == \
-                brute_rel(ca, oa, cb, ob, LOWER, b_cloud, 1e-9)
+            want = brute_rel(ca, oa, cb, ob, LOWER, b_cloud, 1e-9)
+            for side in each_reduction():
+                for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
+                    got = _kernels.covered(A, oa, B, ob[:, None, :], b_cloud, t, modes)[0]
+                    np.testing.assert_array_equal(got, where, err_msg=side)
+                assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == want
+
+    @pytest.mark.parametrize("shape", [(70, 3), (70, 1), (5, 14, 2), (3,), (70, 0), (0, 3)])
+    def test_reduce_last_is_numpys_reduction(self, shape):
+        x = np.random.default_rng(len(shape)).random(shape) < 0.6
+        for side in each_reduction():
+            for op, want in ((np.logical_and, x.all(axis=-1)), (np.logical_or, x.any(axis=-1))):
+                got = _kernels.reduce_last(x, op)
+                assert got.dtype == bool and got.shape == want.shape, side
+                np.testing.assert_array_equal(got, want, err_msg=side)
 
 
 class TestShiftBound:

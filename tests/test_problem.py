@@ -224,6 +224,32 @@ class TestLoadValidation:
         with pytest.raises(ProblemLoadError, match=r"x = \(2\.0,\)"):
             load_dict(doc)
 
+    def test_load_stops_at_the_first_raising_row(self, monkeypatch, capsys, tmp_path):
+        # the guard holds on the grid's first column only; the loader asks
+        # the suspect rows in row order and raises at the first, without
+        # asking the other 16,255
+        from setorder.cli import EX_USAGE, main
+        calls = []
+        real = problem.PieceMap.value
+
+        def counted(self, x, n=None):
+            calls.append(tuple(x))
+            return real(self, x, n)
+
+        monkeypatch.setattr(problem.PieceMap, "value", counted)
+        window = {"a": 0, "b": 127 / 64, "step": 1 / 64}
+        doc = spec(cone={"kind": "orthant", "dim": 2},
+                   domain={"windows": [window, dict(window)]},
+                   pieces=[{"guard": "x1 < 0.01",
+                            "box": [{"lo": 0, "hi": 1}, {"lo": 0, "hi": 1}]}])
+        path = tmp_path / "guarded.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", str(path)]) == EX_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "setorder: no piece matches x = (0.015625, 0.0)\n"
+        assert calls == [(0.015625, 0.0)]
+
     def test_open_degenerate_names_piece_and_axis(self):
         doc = spec(pieces=[{"guard": "true",
                             "box": [{"lo": "x1", "hi": 3, "lo_open": True}]}])

@@ -15,6 +15,7 @@ from reference import (
     brute_eff,
     brute_level_set,
     brute_level_set_above,
+    each_reduction,
     random_problem,
     validate_witnesses,
 )
@@ -240,9 +241,12 @@ class TestRelationMatrices:
     @settings(max_examples=80, deadline=None)
     @given(multi_corner_problems())
     def test_candidates_keep_every_related_pair(self, P):
-        ctx = OrderCtx(P.cone)
-        np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
-                                      per_pair_matrices(P, ctx))
+        # the oracle is asked once, outside the forced switch
+        want = per_pair_matrices(P, OrderCtx(P.cone))
+        for side in each_reduction():
+            # a fresh context per side, so the matrices are not cached
+            np.testing.assert_array_equal(
+                np.array(relation_matrices(P, OrderCtx(P.cone))), want, err_msg=side)
 
 
 class TestBruteForceAgreement:
