@@ -96,7 +96,12 @@ def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
                     if open_a else large)
         else:
             raise ValueError(f"unknown relation mode {mode}")
-        out.append(reduce_last(reduce_last(axes, np.logical_and), np.logical_or))
+        if axes.size < _FOLD_OUTER * axes.shape[-1]:
+            # both reductions below the switch, tested once: the one-pair
+            # calls of small sets pay no more than NumPy's reductions
+            out.append(np.logical_or.reduce(np.logical_and.reduce(axes, -1), -1))
+        else:
+            out.append(reduce_last(reduce_last(axes, np.logical_and), np.logical_or))
     return tuple(out)
 
 
