@@ -113,14 +113,13 @@ def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
     return False, int(np.flatnonzero(~ok)[0])
 
 
-def shift_bound(ha: np.ndarray, hb: np.ndarray, w: np.ndarray) -> tuple[float, int]:
-    """Largest s with ha + s*w componentwise-below hb in the forall-exists sense.
-
-    Openness flags are deliberately ignored: the bound is consumed only where
-    a strict epsilon of slack exists on at least one side. Returns (s, b) with
-    b the index of the tightest B-corner.
-    """
-    diff = (hb[:, None, :] - ha[None, :, :]) / w   # (nb, na, m)
-    per_b = diff.min(axis=2).max(axis=1)           # (nb,)
-    b = int(np.argmin(per_b))
-    return float(per_b[b]), b
+def shift_bound(ha: np.ndarray, hb: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Largest s with ha + s*w componentwise-below hb in the forall-exists
+    sense, over the broadcast leading axes of ha (..., na, m), hb (..., nb, m).
+    Corners padded with +inf are ignored, and so is the NaN of padding
+    against padding. Openness flags are deliberately ignored: the bound is
+    consumed only where a strict epsilon of slack exists on at least one side."""
+    with np.errstate(invalid="ignore"):
+        diff = (hb[..., :, None, :] - ha[..., None, :, :]) / w   # (..., nb, na, m)
+    per_b = np.fmax.reduce(diff.min(axis=-1), axis=-1, initial=-np.inf)
+    return per_b.min(axis=-1, initial=np.inf)

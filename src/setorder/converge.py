@@ -19,18 +19,20 @@ A grid-wide hypothesis is asked in blocks of grid points, each route one
 array program per block: the battery yields one (G·T, d) array of points
 per sequence for the block's G targets, the map is evaluated once over all
 of them straight into one corner table (problem.tail_table), and one
-comparison covers every (eps, point, sequence, n) (order.table_rel). F(x̄),
-the hinted recovery tails and the neighbourhood masks are asked the same
-way, and a one-point check is a block of one; each recovery ball, the
-level-set targets and seq_lower_converse's paired tails are one table
-each. Errors are data, one per row: each evaluated row holds either its
-value's corners or the exception asking it raised (a box under a general
-cone raises Unsupported, as comparing it would), and a target's outcome
-is whichever comes first in its row order: the first row failing at the
-floored eps (a break, in (strategy, variant, n) order, as a pair-at-a-time
-scan would find it) or the first raising row. So a value that raises past
-a break does not hide it, and a fold that stops at a point's outcome reads
-no later point's (_by_blocks).
+comparison covers every (eps, point, sequence, n) (order.table_rel).
+F(x̄), the adversarial candidates (one margin call per sequence, a bound
+of _kernels.shift_bound per candidate), the hinted recovery tails and the
+neighbourhood masks are asked the same way, and a one-point check is a
+block of one; each recovery ball, the level-set targets and
+seq_lower_converse's paired tails are one table each. Errors are data, one
+per row: each evaluated row holds either its value's corners or the
+exception asking it raised (a box under a general cone raises Unsupported,
+as comparing it would), and a target's outcome is whichever comes first in
+its row order: the first row failing at the floored eps (a break, in
+(strategy, variant, n) order, as a pair-at-a-time scan would find it) or
+the first raising row. So a value that raises past a break does not hide
+it, and a fold that stops at a point's outcome reads no later point's
+(_by_blocks).
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -48,12 +50,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import LARGE, STRICT
+from ._kernels import LARGE, STRICT, shift_bound
 from .errors import (
     HorizonExceeded,
     InternalCheckError,
@@ -61,8 +62,7 @@ from .errors import (
     SetSpecError,
     Unsupported,
 )
-from .order import (CornerTable, OrderCtx, corner_table, equiv, large_le,
-                    shift_margin, table_rel)
+from .order import CornerTable, OrderCtx, corner_table, equiv, large_le, table_rel
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
                       tail_table)
 from .setrep import SetRep
@@ -108,7 +108,7 @@ class SeqGenBattery:
     expression maps is actually exercised. Explicit point lists fall back
     to the nearest listed point. adversarial-worst is the one grid-bound
     strategy: it picks the in-ball grid point minimizing a caller-supplied
-    margin.
+    margin, which scores all of a sequence's candidates in one call.
 
     Each strategy is written once over arrays of targets and indices
     (``sequence``): a (G, d) array of targets gives one (G·T, d) array of
@@ -170,8 +170,7 @@ class SeqGenBattery:
         return out
 
     def sequence(self, name: str, targets, domains: Sequence[Domain],
-                 ns: Sequence[int],
-                 margin: Optional[Callable[[np.ndarray, int, int], float]] = None,
+                 ns: Sequence[int], margin: Optional[Callable[..., np.ndarray]] = None,
                  variant: int = 0) -> np.ndarray:
         """The strategy's points toward each row of ``targets`` (G, d), or
         the one target, at the indices ns, ns[i] inside domains[i], as a
@@ -203,8 +202,7 @@ class SeqGenBattery:
 
     def _adversarial(self, T: np.ndarray, domains: Sequence[Domain],
                      ns: list, r: np.ndarray,
-                     margin: Optional[Callable[[np.ndarray, int, int], float]]
-                     ) -> np.ndarray:
+                     margin: Optional[Callable[..., np.ndarray]]) -> np.ndarray:
         # the ball must shrink with n or the emitted sequence would not
         # converge to the target; an empty ball degrades to the clamped
         # continuous point. The nearest grid point is the lowest index at
@@ -229,14 +227,21 @@ class SeqGenBattery:
                     out[lo:lo + step, i] = near
                     empty[lo:lo + step, i] = inside == 0
                     if margin is not None:
-                        scored += [(lo + k, i, pts, dists[k], np.flatnonzero(within[k]))
-                                   for k in np.flatnonzero(inside > 1).tolist()]
-        # the margin is asked target by target, along n, as one target
-        # alone would ask it
-        for g, i, pts, dists, cand in sorted(scored, key=lambda s: s[:2]):
-            best = min((float(margin(pts[j], ns[i], g)), float(dists[j]), int(j))
-                       for j in cand)
-            out[g, i] = pts[best[2]]
+                        for k in np.flatnonzero(inside > 1).tolist():
+                            c = np.flatnonzero(within[k])
+                            scored.append((lo + k, i, c, pts[c], dists[k, c]))
+        if scored:
+            # one margin call scores every candidate of every ball, in
+            # (target, n, grid index) order; each ball keeps its least
+            # (margin, distance, grid index)
+            scored.sort(key=lambda s: s[:2])
+            g, i, cand, x, dist = zip(*scored)
+            size = [len(c) for c in cand]
+            x = np.concatenate(x)
+            m = margin(x, np.repeat([ns[k] for k in i], size), np.repeat(g, size))
+            ball = np.repeat(np.arange(len(size)), size)
+            order = np.lexsort((np.concatenate(cand), np.concatenate(dist), m, ball))
+            out[g, i] = x[order[np.cumsum(size) - size]]
         if empty.any():
             out[empty] = self.clamp(np.broadcast_to(T[:, None, :], out.shape),
                                     domains)[empty]
@@ -244,19 +249,20 @@ class SeqGenBattery:
 
     def sequences(self, targets, domain_at: Callable[[int], Domain],
                   horizon: int,
-                  margin: Optional[Callable[[np.ndarray, int, int], float]] = None,
+                  margin: Optional[Callable[..., np.ndarray]] = None,
                   indices: Optional[Sequence[int]] = None):
         """Yield (strategy, variant, points), points a (G·T, d) array
         holding, for each target in turn, the point at each requested index
         in its row, in the order given.
 
         ``indices`` defaults to ``range(horizon)``, the full sequence.
-        ``margin(x, n, g)`` scores a candidate x in the ball at n around
-        target g. Every strategy is index-local (random-in-ball seeds per
-        (seed, variant, n), adversarial-worst scores its own ball at n), so
-        a point is the same whichever other indices or targets are
-        requested. Sequences are generated one at a time, as they are
-        consumed.
+        ``margin(x, n, g)``, asked once per sequence, returns the (C,)
+        margins of every candidate x[c] in the ball at n[c] around target
+        g[c], for each ball of more than one grid point, rows in (target, n,
+        grid index) order. Every strategy is index-local (random-in-ball
+        seeds per (seed, variant, n), adversarial-worst scores its own ball
+        at n), so a point is the same whichever other indices or targets are
+        requested. Sequences are generated one at a time, as consumed.
         """
         wanted = list(range(horizon) if indices is None else indices)
         domains = [domain_at(n) for n in wanted]
@@ -560,59 +566,55 @@ def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]
 
 
 def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
-               X: np.ndarray, fx: CornerTable, Fx_at: Callable[[int], SetRep],
+               X: np.ndarray, fx: CornerTable,
+               fx_at: Callable[[np.ndarray], CornerTable],
                battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                domain_at: Callable[[int], Domain], mode: str) -> list:
     """First tail break of the eps-shifted strict comparison at each target.
 
-    The targets are the rows of X (G, d), and the value at x_n is
-    ``map.value(x_n, index(n))``. The "lsc" orientation asks F(x̄) - eps·u
+    The targets are the rows of X (G, d), and the value at x_n is the
+    map's at (x_n, index(n)). The "lsc" orientation asks F(x̄) - eps·u
     strictly below that value, which is also the lower condition of
     variational convergence; "usc" asks the value - eps·u strictly below
     F(x̄). ``fx`` holds F(x̄) per target, (eps, G) shifted down for "lsc"
-    and (G,) for "usc"; ``Fx_at(g)`` is the set itself, which only the
-    adversarial margin reads. All the targets' battery rows are one
-    ``tail_table`` evaluation and one (eps, G, row) comparison. Only the
-    tail points are generated, since no verdict reads the prefix.
+    and (G,) for "usc"; ``fx_at(g)`` is the unshifted table of F(x̄) at the
+    targets g, which only the adversarial margin reads. All the targets'
+    battery rows are one ``tail_table`` evaluation and one (eps, G, row)
+    comparison, and the adversarial candidates one table and one
+    ``shift_bound``. Only the tail points are generated.
 
     Returns, per target, the outcome of its rows in (strategy, variant, n)
     order (_first_break): the break, None, or the exception of the first
-    raising row. A raising value is an error at its row, and a raising
-    adversarial margin at the first row of the sequence being generated
-    for its target, since it is asked before that sequence's values.
+    raising row. A raising value is an error at its row, and a target's
+    first raising adversarial candidate one at the first row of the
+    sequence being generated, since it is asked before that sequence's values.
     """
     lsc = mode == "lsc"
     tail = upper_half(horizon)
     ns = [index(n) for n in tail]
     G, T = len(X), len(tail)
+    R = sum(battery.variants(name) for name in battery.strategy_names()) * T
     seqs: list = []
-    raised: dict[int, tuple[int, Exception]] = {}
-    Fx_at = cache(Fx_at)    # one F(x̄) per target, however many margins
+    raised: dict[int, Exception] = {}   # keyed by row, as the value errors
 
-    def margin(x: np.ndarray, n: int, g: int) -> float:
-        # the target's later margins are not asked
-        if g in raised:
-            return 0.0
-        try:
-            Fx, Fn = Fx_at(g), map.value(tuple(x), index(n))
-            return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
-        except Exception as e:
-            raised[g] = (len(seqs) * T, e)
-            return 0.0
+    def margin(x: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
+        fn, errs = tail_table(map, x, [index(k) for k in n.tolist()], ctx)
+        for r, e in errs.items():
+            raised.setdefault(int(g[r]) * R + len(seqs) * T, e)
+        targets, at = np.unique(g, return_inverse=True)
+        a = _take(fx_at(targets), at)
+        return shift_bound(a.h, fn.h, ctx.w) if lsc else shift_bound(fn.h, a.h, ctx.w)
 
     # the margin reads len(seqs) while the next sequence is generated
     for item in battery.sequences(X, domain_at, horizon, margin=margin,
                                   indices=tail):
         seqs.append(item)
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
-    R = len(seqs) * T
     tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx,
                            None if lsc else _eps_shifts(-1, ctx))
     ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,)) if lsc
            else table_rel(_split(tab, G), _per_row(fx), (STRICT,)))
-    per = _by_target(errs, G, R)
-    for g, (row, e) in raised.items():
-        per[g][row] = e
+    per = _by_target({**errs, **raised}, G, R)
 
     out = []
     for g in range(G):
@@ -640,8 +642,8 @@ def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
     fx, fx_errs = tail_table(P.map, X, [P.n] * len(X), ctx,
                              _eps_shifts(-1, ctx) if mode == "lsc" else None)
     found = _tail_scan(P.map, lambda n: P.n, X, fx,
-                       lambda g: P.map.value(tuple(X[g]), P.n), battery, ctx,
-                       horizon, lambda n: P.domain, mode)
+                       lambda g: tail_table(P.map, X[g], [P.n] * len(g), ctx)[0],
+                       battery, ctx, horizon, lambda n: P.domain, mode)
     for g, ce in enumerate(found):
         ce = fx_errs.get(g, ce)
         if ce is None:
@@ -883,9 +885,10 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
     fx, fx_errs = tail_table(limit.map, X, [limit.n] * len(X), ctx, np.concatenate(
         [_eps_shifts(-1, ctx), _eps_shifts(1, ctx)]))
     fx_down = _take(fx, slice(E))
-    lower = _tail_scan(fam.map, lambda n: n, X, fx_down,
-                       lambda g: limit.map.value(tuple(X[g]), limit.n), battery,
-                       ctx, horizon, domain_at, "lsc")
+    lower = _tail_scan(
+        fam.map, lambda n: n, X, fx_down,
+        lambda g: tail_table(limit.map, X[g], [limit.n] * len(g), ctx)[0],
+        battery, ctx, horizon, domain_at, "lsc")
     near = (_neighborhood_masks(_take(fx_down, -1), ctx, fam, horizon)
             if neighborhood else None)
     uppers = _gamma_upper(fam, X, _take(fx, slice(E, None)), battery, ctx,

@@ -176,14 +176,12 @@ def equiv(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:
     return large_le(A, B, ctx) and large_le(B, A, ctx)
 
 
-def shift_margin(A: SetRep, B: SetRep, ctx: OrderCtx) -> tuple[float, int]:
-    """Largest s with translate(A, s*u) largely below B, flags aside.
-
-    Positive s measures slack, negative s measures violation; the second
-    component is the index of the tightest corner/point of B. Exact for
-    point-cloud B; for box B it ignores endpoint flags, so consume it only
-    where a strictly positive epsilon of slack is in play.
+def shift_margin(A: SetRep, B: SetRep, ctx: OrderCtx) -> float:
+    """Largest s with translate(A, s*u) largely below B, flags aside: the
+    one-pair case of ``shift_bound``. Positive s measures slack, negative s
+    violation. Exact for point-cloud B; for box B it ignores endpoint flags,
+    so consume it only where a strictly positive epsilon of slack is in play.
     """
     ha, _, _ = _corner_data(A, ctx.cone)
     hb, _, _ = _corner_data(B, ctx.cone)
-    return shift_bound(ha, hb, ctx.w)
+    return float(shift_bound(ha, hb, ctx.w))

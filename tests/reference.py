@@ -11,7 +11,9 @@ convergence check as its own pairwise predicate call, and every value as
 its own map.value call, the way the package did before it asked whole
 tails and eps schedules through corner tables. They share the battery's
 sequences, the schedule helpers and the pair sampling with the package.
-``battery_point`` is the battery's former one-point-at-a-time generator.
+``battery_point`` is the battery's former one-point-at-a-time generator,
+and ``batched`` asks a per-candidate margin the way the battery asks its
+one margin call per sequence.
 ``gamma_report`` and ``lsc_verdict`` are the one-point checks built on
 those scans, which the package now asks for blocks of grid points at once.
 
@@ -373,6 +375,16 @@ def battery_point(battery, name: str, target, domain: Domain, n: int,
     return clamp_point(raw, domain)
 
 
+def batched(margin):
+    """A per-candidate margin(x, n, g) as the battery's one call per
+    sequence over the rows of x (C, d), n (C,) and g (C,), asked row by row
+    in order, so that the first raising candidate raises."""
+    def scores(x, n, g):
+        return np.array([float(margin(xc, nc, gc))
+                         for xc, nc, gc in zip(x, n.tolist(), g.tolist())])
+    return scores
+
+
 def largest_failing_eps(cond, ctx: OrderCtx) -> float:
     for t in floored_eps(ctx):
         if not cond(t):
@@ -395,11 +407,12 @@ def tail_scan(value, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at,
 
     def margin(x, n, g):
         Fn = value(x, n)
-        return (shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx))[0]
+        return shift_margin(Fx, Fn, ctx) if lsc else shift_margin(Fn, Fx, ctx)
 
     tail = upper_half(horizon)
     for name, variant, pts in battery.sequences(t, domain_at, horizon,
-                                                margin=margin, indices=tail):
+                                                margin=batched(margin),
+                                                indices=tail):
         for n, x in zip(tail, pts):
             Fn = value(x, n)
             if not holds(Fn, flo):

@@ -9,6 +9,7 @@ tests pin statuses and certificate shapes, never wall-clock behavior.
 import json
 import math
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from setorder.expr import parse
 from setorder.problem import (
     Domain,
     PerturbedFamily,
+    PieceMap,
     Problem,
     TableMap,
     Window,
@@ -133,7 +135,8 @@ def tail_scan_at(map, t, Fx, battery, ctx, horizon, domain_at, mode):
     x_n from map(x_n, n); raises the exception it reports."""
     shift = converge._eps_shifts(-1, ctx) if mode == "lsc" else None
     got, = converge._tail_scan(map, lambda n: n, np.reshape(t, (1, -1)),
-                               corner_table([Fx], ctx, shift), lambda g: Fx,
+                               corner_table([Fx], ctx, shift),
+                               lambda g: corner_table([Fx] * len(g), ctx),
                                battery, ctx, horizon, domain_at, mode)
     if isinstance(got, Exception):
         raise got
@@ -246,7 +249,7 @@ class TestBattery:
         target = np.array(data.draw(
             st.lists(st.floats(-0.5, 1.5, allow_nan=False),
                      min_size=dim, max_size=dim), label="target"))
-        margin = lambda x, n, g: float(np.sin(7.0 * x.sum() + n))
+        margin = reference.batched(lambda x, n, g: float(np.sin(7.0 * x.sum() + n)))
         bat = SeqGenBattery(seed=seed, count=count)
         tail = upper_half(horizon)
         for m in (None, margin):
@@ -290,8 +293,9 @@ class TestBattery:
         indices = data.draw(st.sampled_from([None, upper_half(horizon)]))
         domain_at = lambda n: doms[n % len(doms)]
         bat = SeqGenBattery(seed=seed, count=count)
+        scores = margin and reference.batched(margin)
         for name, v, pts in bat.sequences(target, domain_at, horizon,
-                                          margin=margin, indices=indices):
+                                          margin=scores, indices=indices):
             wanted = range(horizon) if indices is None else indices
             assert pts.shape == (len(wanted), dim) and pts.dtype == np.float64
             for n, row in zip(wanted, pts):
@@ -300,8 +304,18 @@ class TestBattery:
                                                n, margin=m, variant=v)
                 assert row.tobytes() == want.tobytes(), (name, v, n)
                 one = bat.sequence(name, target, [domain_at(n)], [n],
-                                   margin=margin, variant=v)[0]
+                                   margin=scores, variant=v)[0]
                 assert one.tobytes() == want.tobytes(), (name, v, n)
+
+    def test_margin_ties_go_to_the_nearest_then_the_lowest_index(self):
+        # every candidate scores the same, so each ball keeps its nearest
+        # grid point: 0.5 itself, and the lower of two at one distance
+        dom = Domain.from_windows([Window(0.0, 1.0, 1 / 16)])
+        flat = reference.batched(lambda x, n, g: 0.0)
+        targets = np.array([[0.5], [0.5 + 1 / 32]])
+        pts = SeqGenBattery().sequence("adversarial-worst", targets, [dom], [4],
+                                       margin=flat)
+        assert pts.ravel().tolist() == [0.5, 0.5]
 
     def test_random_draws_are_made_once(self, monkeypatch):
         made = []
@@ -1049,7 +1063,7 @@ class TestTailOnlyWork:
     @pytest.fixture()
     def counted(self, monkeypatch):
         # a strategy generates all its indices in one sequence call
-        seen = {"points": [], "scored": []}
+        seen = {"points": [], "scored": [], "margin_calls": 0}
         real_sequence = SeqGenBattery.sequence
         real_sequences = SeqGenBattery.sequences
 
@@ -1060,7 +1074,8 @@ class TestTailOnlyWork:
         def sequences(self, target, domain_at, horizon, margin=None,
                       indices=None):
             def scored(x, n, g):
-                seen["scored"].append(n)
+                seen["margin_calls"] += 1
+                seen["scored"].extend(n.tolist())
                 return margin(x, n, g)
             return real_sequences(self, target, domain_at, horizon,
                                   margin=scored if margin else None,
@@ -1088,10 +1103,37 @@ class TestTailOnlyWork:
         assert len(counted["points"]) == per_scan * len(tail)
         assert set(counted["points"]) == set(tail)
         assert all(n >= math.ceil(horizon / 2) for n in counted["scored"])
+        # one margin call per adversarial sequence, however many balls
+        assert counted["margin_calls"] <= 1
         if horizon == 8:
             # tail balls at n = 4..7 hold several grid points, so the
             # adversarial strategy does score candidates
             assert counted["scored"]
+
+    def test_fine_grid_scans_make_no_value_calls(self, battery, monkeypatch):
+        # sop_sin refined to step pi/4096: tail balls at n = 4..7 hold many
+        # grid points, and every candidate is scored through tail tables
+        doc = (PROBLEM_DIR / "sop_sin.json").read_text()
+        fam = load_dict(json.loads(doc.replace('"step": "pi/400"',
+                                               '"step": "pi/4096"')))
+        ctx, x = OrderCtx(fam.base.cone), [0.0]
+        dv = kuratowski_pair(fam.domain_at, fam.base.domain, 8)
+        want = (reference.lsc_verdict(fam.base, x, battery, ctx, 8).to_json(),
+                reference.gamma_report(fam, x, battery, ctx, 8, fam.domain_at,
+                                       False, dv).to_json())
+        calls = []
+        real = PieceMap.value
+
+        def value(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PieceMap, "value", value)
+        got = (lsc_check(fam.base, x, battery, ctx, 8).to_json(),
+               gamma_seq_check(fam, x, battery, ctx, horizon=8,
+                               domains_verdict=dv).to_json())
+        assert calls == []
+        assert got == want
 
     def test_seq_lower_converse_asks_only_tail_values(self, sop_ctx, battery,
                                                       built, monkeypatch):
@@ -1579,29 +1621,52 @@ class TestBlockFoldsMatchPointFolds:
         with pytest.raises(SetSpecError, match="x = 0.5"):
             gamma_seq_check(fam, [0.5], battery, OrderCtx(cone))
 
-    def test_lsc_check_with_raising_margins(self, ctx1, battery):
-        # at j = 20 the value jumps up, so lsc breaks along radial-shrink
-        # before adversarial-worst, whose balls of several grid points ask
-        # the margin at the refusing point j = 21
+    def raising_margins(self, ctx1, refused: Sequence[int]) -> Problem:
+        """On a 1/64 grid: the value jumps up at j = 20 and the grid points
+        j in ``refused`` raise, each with its own message."""
         dom = Domain.from_windows([Window(0.0, 1.0, 1 / 64)])
-        jump, refused = dom.points[20], dom.points[21]
+        jump = dom.points[20]
 
         def value(x):
-            if np.array_equal(x, refused):
+            if any(np.array_equal(x, dom.points[j]) for j in refused):
                 raise SetSpecError(f"no value at x = {x[0]}")
             return box([1.0], [2.0]) if np.array_equal(x, jump) else box([0.0], [1.0])
 
         P = Problem("jump", TableMap(lambda x: box([0.0], [1.0]), 1), ctx1.cone,
                     dom)
         P.map = TableMap(value, 1)
-        seen = set()
-        for x in dom.points:
-            got = self.outcome(lambda: lsc_check(P, x, battery, ctx1, 8).to_json())
-            want = self.outcome(lambda: reference.lsc_verdict(
-                P, x, battery, ctx1, 8).to_json())
-            assert got == want, x
-            seen.add(type(got))
-        assert seen == {tuple, dict}
+        return P
+
+    def block_matches_points(self, P, battery, ctx1) -> list:
+        """Each grid point's lsc outcome, asked point by point, by the
+        reference and as one block of the whole grid, which must agree."""
+        want = [self.outcome(lambda: reference.lsc_verdict(
+            P, x, battery, ctx1, 8).to_json()) for x in P.domain.points]
+        for x, w in zip(P.domain.points, want):
+            assert self.outcome(lambda: lsc_check(P, x, battery, ctx1, 8).to_json()) == w, x
+        block = converge._sc_block(P, P.domain.points, battery, ctx1, 8, "lsc")
+        assert [(type(o), str(o)) if isinstance(o, Exception) else o.to_json()
+                for o in block] == want
+        return want
+
+    def test_lsc_check_with_raising_margins(self, ctx1, battery):
+        # at j = 20 the value jumps up, so lsc breaks along radial-shrink
+        # before adversarial-worst, whose balls of several grid points ask
+        # the margin at the refusing point j = 21; as one block, several
+        # targets raise in the one margin call of the adversarial sequence
+        want = self.block_matches_points(self.raising_margins(ctx1, [21]),
+                                         battery, ctx1)
+        assert {type(w) for w in want} == {tuple, dict}
+        assert sum(isinstance(w, tuple) for w in want) >= 2
+
+    def test_each_target_keeps_its_first_raising_candidate(self, ctx1, battery):
+        # j = 21 and 27 refuse with their own messages. From j = 24 the
+        # radial and boundary strategies step 4, 2, 1 and 1/2 grid points,
+        # so only adversarial-worst reaches them, in its ball at n = 4; the
+        # first in (n, grid index) order is the target's outcome
+        want = self.block_matches_points(self.raising_margins(ctx1, [21, 27]),
+                                         battery, ctx1)
+        assert want[24] == (SetSpecError, "no value at x = 0.328125")
 
     @given(data=st.data(), seed=st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
@@ -1631,7 +1696,8 @@ class TestBlockFoldsMatchPointFolds:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(converge, "_BLOCK_ELEMENTS",
                        data.draw(st.sampled_from([1, 40, 2 ** 16])))
-            runs = list(bat.sequences(targets, domain_at, horizon, margin=margin,
+            runs = list(bat.sequences(targets, domain_at, horizon,
+                                      margin=reference.batched(margin),
                                       indices=upper_half(horizon)))
         for name, v, pts in runs:
             assert pts.shape == (G * T, dim)

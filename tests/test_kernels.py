@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import each_reduction
 
 from setorder import _kernels, solve
 from setorder._kernels import LARGE, LOWER, STRICT
 from setorder.cone import Cone
-from setorder.order import OrderCtx
+from setorder.order import OrderCtx, shift_margin
 from setorder.problem import Domain, Problem, TableMap
 from setorder.setrep import Box, BoxUnion, _corner_data, points
 
@@ -47,8 +49,7 @@ def brute_shift(ha, hb, w):
         for a in range(ha.shape[0]):
             best = max(best, min((hb[b, j] - ha[a, j]) / w[j] for j in range(ha.shape[1])))
         per_b.append(best)
-    s = min(per_b)
-    return s, per_b.index(s)
+    return min(per_b, default=np.inf)
 
 
 def random_case(rng, lattice: bool):
@@ -224,13 +225,45 @@ class TestShiftBound:
         for _ in range(400):
             ca, _, cb, _ = random_case(rng, lattice=False)
             w = rng.uniform(1.0, 3.0, size=ca.shape[1])
-            assert _kernels.shift_bound(ca, cb, w) == brute_shift(ca, cb, w)
+            assert float(_kernels.shift_bound(ca, cb, w)) == brute_shift(ca, cb, w)
 
     def test_single_pair_semantics(self):
         # A={0}, B={3}: can shift A up by 3 before cl-domination breaks
-        s, b = _kernels.shift_bound(np.array([[0.0]]), np.array([[3.0]]), np.ones(1))
-        assert (s, b) == (3.0, 0)
+        s = _kernels.shift_bound(np.array([[0.0]]), np.array([[3.0]]), np.ones(1))
+        assert s.shape == () and s == 3.0
 
     def test_negative_bound_measures_violation(self):
-        s, _ = _kernels.shift_bound(np.array([[2.0]]), np.array([[-1.0]]), np.ones(1))
+        s = _kernels.shift_bound(np.array([[2.0]]), np.array([[-1.0]]), np.ones(1))
         assert s == -3.0
+
+    @given(data=st.data(), m=st.integers(1, 3), lattice=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_broadcast_rows_match_brute_force(self, data, m, lattice):
+        # rows of sets padded with +inf to ragged corner counts, A's rows
+        # against B's rows over broadcast leading axes; a row of no corners
+        # is all padding, which must not crash
+        coord = (st.integers(-6, 6).map(lambda v: v * 0.5) if lattice
+                 else st.floats(-4.0, 4.0, allow_nan=False))
+
+        def rows(label):
+            sets = data.draw(st.lists(st.lists(
+                st.lists(coord, min_size=m, max_size=m), max_size=4),
+                min_size=1, max_size=4), label=label)
+            h = np.full((len(sets), max(map(len, sets)), m), np.inf)
+            for r, corners in enumerate(sets):
+                h[r, :len(corners)] = np.reshape(corners, (-1, m))
+            return sets, h
+
+        (sa, ha), (sb, hb) = rows("A"), rows("B")
+        ctx = OrderCtx(Cone.orthant(m))
+        got = _kernels.shift_bound(ha[:, None], hb[None], ctx.w)
+        assert got.shape == (len(sa), len(sb))
+        for i, a in enumerate(sa):
+            for j, b in enumerate(sb):
+                if not (a or b):
+                    continue
+                ca, cb = np.reshape(a, (-1, m)), np.reshape(b, (-1, m))
+                assert got[i, j] == brute_shift(ca, cb, ctx.w), (i, j)
+                if a and b:
+                    # the one-pair case is shift_margin
+                    assert got[i, j] == shift_margin(points(a), points(b), ctx)
