@@ -3,14 +3,14 @@
 Run from the repository root:
 
     python3 benchmarks/fine.py --step pi/16384 [--horizon 8]
-        [--kind Relaxed] [--direction external]
 
 Loads the shipped ``sop_sin`` document with the grid step of its base
 domain and of its moving domains replaced by ``--step`` (``pi/400``
 ships: 100 points; ``pi/4096`` gives 1,025 and ``pi/16384`` 4,097), and
-runs ``setorder stability`` on it in-process at the given horizon. At
-horizon 8 the battery's tail balls hold many grid points, so the
-adversarial-worst strategy scores its candidates on every base point.
+runs ``setorder stability --kind Relaxed --direction external`` on it
+in-process at the given horizon. At horizon 8 the battery's tail balls
+hold many grid points, so the adversarial-worst strategy scores its
+candidates on every base point.
 The document is written to a temporary directory; no shipped file is
 edited. Prints one JSON line: the grid points, the command's seconds,
 the number of ``PieceMap.value`` calls, the process's peak RSS in MB, the
@@ -49,7 +49,7 @@ def refined(step: str) -> dict:
     return json.loads(text.replace(SHIPPED_STEP, json.dumps({"step": step})[1:-1]))
 
 
-def probe(step: str, horizon: int, kind: str, direction: str) -> dict:
+def probe(step: str, horizon: int) -> dict:
     doc = refined(step)
     calls = 0
     real = PieceMap.value
@@ -67,15 +67,15 @@ def probe(step: str, horizon: int, kind: str, direction: str) -> dict:
         try:
             start = perf_counter()
             with contextlib.redirect_stdout(out):
-                code = cli.main(["stability", str(path), "--kind", kind,
-                                 "--direction", direction,
+                code = cli.main(["stability", str(path), "--kind", "Relaxed",
+                                 "--direction", "external",
                                  "--horizon", str(horizon)])
             seconds = perf_counter() - start
         finally:
             PieceMap.value = real
     report = out.getvalue()
     return {
-        "step": step, "horizon": horizon, "kind": kind, "direction": direction,
+        "step": step, "horizon": horizon,
         "points": json.loads(report)["problem"]["points"],
         "seconds": round(seconds, 3),
         "piecemap_value_calls": calls,
@@ -89,10 +89,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--step", required=True, help="grid step expression, e.g. pi/16384")
     ap.add_argument("--horizon", type=int, default=8)
-    ap.add_argument("--kind", choices=("Geoffroy", "Relaxed"), default="Relaxed")
-    ap.add_argument("--direction", choices=("external", "internal"), default="external")
     args = ap.parse_args(argv)
-    print(json.dumps(probe(args.step, args.horizon, args.kind, args.direction)))
+    print(json.dumps(probe(args.step, args.horizon)))
     return 0
 
 

@@ -593,14 +593,13 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     tail = upper_half(horizon)
     ns = [index(n) for n in tail]
     G, T = len(X), len(tail)
-    R = sum(battery.variants(name) for name in battery.strategy_names()) * T
     seqs: list = []
-    raised: dict[int, Exception] = {}   # keyed by row, as the value errors
+    raised: dict[int, tuple] = {}   # target -> (sequence, first margin error)
 
     def margin(x: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
-        fn, errs = tail_table(map, x, [index(k) for k in n.tolist()], ctx)
+        fn, errs = tail_table(map, x, [ns[tail.index(k)] for k in n.tolist()], ctx)
         for r, e in errs.items():
-            raised.setdefault(int(g[r]) * R + len(seqs) * T, e)
+            raised.setdefault(int(g[r]), (len(seqs), e))
         targets, at = np.unique(g, return_inverse=True)
         a = _take(fx_at(targets), at)
         return shift_bound(a.h, fn.h, ctx.w) if lsc else shift_bound(fn.h, a.h, ctx.w)
@@ -609,12 +608,13 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     for item in battery.sequences(X, domain_at, horizon, margin=margin,
                                   indices=tail):
         seqs.append(item)
+    R = len(seqs) * T
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
     tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx,
                            None if lsc else _eps_shifts(-1, ctx))
     ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,)) if lsc
            else table_rel(_split(tab, G), _per_row(fx), (STRICT,)))
-    per = _by_target({**errs, **raised}, G, R)
+    per = _by_target({**errs, **{g * R + s * T: e for g, (s, e) in raised.items()}}, G, R)
 
     out = []
     for g in range(G):
