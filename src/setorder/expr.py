@@ -13,13 +13,18 @@ than unary minus, so -x1^2 is -(x1^2)):
 VAR is x1..xd (domain coordinates) or n (perturbation index). NAME is one
 of sin, cos, exp, abs, sqrt. Parsing and evaluation recurse, so factor
 nesting and tree height are capped at MAX_DEPTH (ExprSyntaxError beyond).
-Evaluation is IEEE double: exp overflow saturates to +inf, while
-NaN-producing operations (0/0, sqrt of a negative, inf - inf) raise
-DomainError — no NaN ever escapes.
+Evaluation is IEEE double: exp overflow saturates to +inf, and a power
+that overflows is infinite as IEEE gives it (-inf for a negative base and
+an odd integer exponent, +inf otherwise), while NaN-producing operations
+(0/0, sqrt of a negative, inf - inf) raise DomainError — no NaN ever
+escapes.
 
 ``evaluate_rows`` evaluates one expression over many points at once. It
 gives ``evaluate``'s value bit for bit on every row it does not flag as
-suspect, and flags every row where ``evaluate`` could raise.
+suspect, and flags every row where ``evaluate`` could raise. It checks
+finiteness only where a non-finite value can turn finite again, which
+flags the same rows as a check at every node, and it calls sin, cos, exp
+and ^ once per distinct n where their operands read n and no coordinate.
 """
 
 from __future__ import annotations
@@ -318,7 +323,9 @@ def _pow(a: float, b: float) -> float:
     try:
         return math.pow(a, b)
     except OverflowError:
-        return math.inf if a > 1 else 0.0
+        # raised only when the magnitude overflows; a negative base has an
+        # integer exponent here, and an odd one keeps the sign
+        return -math.inf if a < 0 and math.fmod(b, 2.0) != 0.0 else math.inf
     except ValueError:
         raise DomainError(f"invalid power {a} ^ {b}") from None
 
@@ -338,6 +345,9 @@ _ROW_CALLS = {"sin": np.frompyfunc(math.sin, 1, 1),
               "exp": np.frompyfunc(_exp, 1, 1)}
 _ROW_POW = np.frompyfunc(_pow_or_nan, 2, 1)
 
+# what a subtree reads: no variable, n alone, or some coordinate
+_CONST, _N, _X = 0, 1, 2
+
 
 def evaluate_rows(e: Expr, x: np.ndarray,
                   n: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
@@ -348,52 +358,94 @@ def evaluate_rows(e: Expr, x: np.ndarray,
     argument is negative, a power raises or a variable is unbound; every
     row where ``evaluate`` raises is among them. On the other rows the value
     is ``evaluate``'s, bit for bit.
+
+    Finiteness is checked only where a non-finite value can vanish: at the
+    argument of sin, cos and exp (replaced by 0, since math.sin(inf)
+    raises), at a divisor (a/inf = 0), at both operands of ^ (1^nan = 1,
+    2^-inf = 0) and at the root. NaN and infinities survive + - *, a
+    dividend, negation, abs and sqrt, so a non-finite intermediate reaches
+    one of those checks on every path up, and the mask is the one a check
+    at every node would give. A sin, cos, exp or ^ whose operands read n
+    and no coordinate is called once per distinct n (by bit pattern) and
+    gathered back to the rows.
     """
     suspect = np.zeros(x.shape[0], dtype=bool)
     with np.errstate(all="ignore"):
-        v = _eval_rows(e, x, n, suspect)
+        v, _ = _eval_rows(e, x, n, suspect, [])
+        _flag(~np.isfinite(v), suspect)
     return np.broadcast_to(np.asarray(v, dtype=float), suspect.shape), suspect
 
 
+def _flag(bad, suspect: np.ndarray) -> None:
+    """suspect |= bad, with no pass over the rows for one False."""
+    if np.ndim(bad):
+        suspect |= bad
+    elif bad:
+        suspect[:] = True
+
+
+def _per_n(f, n: np.ndarray, distinct: list, *args):
+    """f(*args) at the first row of each distinct n, gathered to every row.
+
+    Exact: operands that read n alone are the same bits wherever n is, and
+    n's bit pattern keeps +0.0 and -0.0 apart. ``distinct`` caches the
+    rows of one ``evaluate_rows`` call.
+    """
+    if not distinct:
+        _, first, inverse = np.unique(n.view(np.int64), return_index=True,
+                                      return_inverse=True)
+        distinct += (first, inverse.reshape(-1))
+    first, inverse = distinct
+    return np.asarray(f(*(a[first] if isinstance(a, np.ndarray) and a.ndim
+                          else a for a in args)), dtype=float)[inverse]
+
+
 def _eval_rows(e: Expr, x: np.ndarray, n: Optional[np.ndarray],
-               suspect: np.ndarray):
+               suspect: np.ndarray, distinct: list):
+    """(value, reads): the value over the rows and _CONST, _N or _X."""
     if isinstance(e, Lit):
-        v = e.value
-    elif isinstance(e, Var):
+        return e.value, _CONST
+    if isinstance(e, Var):
         if e.name == "n":
-            v = n
-        else:
-            k = int(e.name[1:]) - 1
-            v = x[:, k] if k < x.shape[1] else None
-        if v is None:
-            suspect[:] = True   # unbound, so evaluate raises on every row
-            return 0.0
-    elif isinstance(e, Neg):
-        v = -_eval_rows(e.arg, x, n, suspect)
-    elif isinstance(e, Call):
-        a = _eval_rows(e.arg, x, n, suspect)
-        if e.func in _ROW_CALLS:
-            # non-finite arguments are already suspect; math.sin(inf) raises
-            v = np.asarray(_ROW_CALLS[e.func](np.where(np.isfinite(a), a, 0.0)),
-                           dtype=float)
-        elif e.func == "abs":
-            v = np.abs(a)
-        else:
-            suspect |= a < 0
-            v = np.sqrt(a)
-    else:
-        a = _eval_rows(e.left, x, n, suspect)
-        b = _eval_rows(e.right, x, n, suspect)
-        if e.op == "+":
-            v = np.add(a, b)
-        elif e.op == "-":
-            v = np.subtract(a, b)
-        elif e.op == "*":
-            v = np.multiply(a, b)
-        elif e.op == "/":
-            suspect |= np.equal(b, 0.0)
-            v = np.divide(a, b)
-        else:
-            v = np.asarray(_ROW_POW(a, b), dtype=float)
-    suspect |= ~np.isfinite(v)
-    return v
+            if n is not None:
+                return n, _N
+        elif (k := int(e.name[1:]) - 1) < x.shape[1]:
+            return x[:, k], _X
+        suspect[:] = True   # unbound, so evaluate raises on every row
+        return 0.0, _CONST
+    if isinstance(e, Neg):
+        a, reads = _eval_rows(e.arg, x, n, suspect, distinct)
+        return -a, reads
+    if isinstance(e, Call):
+        a, reads = _eval_rows(e.arg, x, n, suspect, distinct)
+        if e.func == "abs":
+            return np.abs(a), reads
+        if e.func == "sqrt":
+            _flag(np.less(a, 0.0), suspect)
+            return np.sqrt(a), reads
+        finite = np.isfinite(a)
+        if not finite.all():
+            suspect |= ~finite
+            a = np.where(finite, a, 0.0)   # math.sin(inf) raises
+        f = _ROW_CALLS[e.func]
+        if reads == _N:
+            return _per_n(f, n, distinct, a), reads
+        return np.asarray(f(a), dtype=float), reads
+    a, ra = _eval_rows(e.left, x, n, suspect, distinct)
+    b, rb = _eval_rows(e.right, x, n, suspect, distinct)
+    reads = max(ra, rb)
+    if e.op == "+":
+        return np.add(a, b), reads
+    if e.op == "-":
+        return np.subtract(a, b), reads
+    if e.op == "*":
+        return np.multiply(a, b), reads
+    if e.op == "/":
+        _flag(np.equal(b, 0.0), suspect)
+        _flag(~np.isfinite(b), suspect)
+        return np.divide(a, b), reads
+    _flag(~np.isfinite(a), suspect)
+    _flag(~np.isfinite(b), suspect)
+    if reads == _N:
+        return _per_n(_ROW_POW, n, distinct, a, b), reads
+    return np.asarray(_ROW_POW(a, b), dtype=float), reads

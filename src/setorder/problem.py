@@ -269,6 +269,8 @@ class PieceMap:
     power, an unbound variable), no guard matches it, or an endpoint check
     fails. So every row whose ``value`` raises is re-run and raises the same
     exception, and every other row holds ``value``'s corners bit for bit.
+    A piece that matches every row is evaluated on X and n as they are,
+    with no gather of its rows and no scatter of its results.
     """
 
     def __init__(self, pieces: Sequence[Piece], image_dim: int):
@@ -314,6 +316,7 @@ class PieceMap:
         suspect |= unmatched
 
         used = [k for k in range(len(self.pieces)) if (which == k).any()]
+        every = len(used) == 1 and not unmatched.any()
         K = max((1 if self.pieces[k].box_axes is not None
                  else len(self.pieces[k].point_vectors) for k in used), default=0)
         corners = np.full((T, K, dim), np.inf)
@@ -322,7 +325,7 @@ class PieceMap:
         count = np.zeros(T, dtype=np.intp)
         for k in used:
             piece = self.pieces[k]
-            rows = np.flatnonzero(which == k)
+            rows = slice(None) if every else np.flatnonzero(which == k)
             Xk, nk = X[rows], None if n is None else n[rows]
             if piece.box_axes is not None:
                 if len(piece.box_axes) != dim:
@@ -331,8 +334,9 @@ class PieceMap:
                 for axis, spec in enumerate(piece.box_axes):
                     a, bad_a = ex.evaluate_rows(spec.lo, Xk, nk)
                     b, bad_b = ex.evaluate_rows(spec.hi, Xk, nk)
-                    b_open = spec.hi_open | (b > _HI_CAP)
-                    b = np.where(b > _HI_CAP, np.inf, b)
+                    capped = b > _HI_CAP
+                    b_open = spec.hi_open | capped
+                    b = np.where(capped, np.inf, b)
                     suspect[rows] |= (bad_a | bad_b | (b < a)
                                       | ((b == a) & (spec.lo_open | b_open)))
                     corners[rows, 0, axis] = a

@@ -19,6 +19,11 @@ those scans, which the package now asks for blocks of grid points at once.
 
 ``each_reduction`` runs a test body on both sides of the kernel's size
 switch between folding and reducing a short last axis.
+
+``evaluate_rows`` is the expression evaluator's former row path: it checks
+finiteness at every node and calls the per-element math functions on
+every row, which the package now does only where a non-finite value can
+vanish, and once per distinct n where an argument reads n alone.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from setorder.converge import (
     upper_half,
 )
 from setorder.errors import DimensionMismatch, InternalCheckError, NoRecoveryFound
+from setorder.expr import _ROW_CALLS, _ROW_POW, BinOp, Call, Lit, Neg, Var
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
     EXTERIOR_INSIDE,
@@ -62,6 +68,57 @@ def each_reduction():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_FOLD_OUTER", outer)
             yield side
+
+
+def evaluate_rows(e, x: np.ndarray, n=None) -> tuple[np.ndarray, np.ndarray]:
+    """(values, suspect) as ``setorder.expr.evaluate_rows`` gives them."""
+    suspect = np.zeros(x.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):
+        v = _eval_rows(e, x, n, suspect)
+    return np.broadcast_to(np.asarray(v, dtype=float), suspect.shape), suspect
+
+
+def _eval_rows(e, x, n, suspect):
+    if isinstance(e, Lit):
+        v = e.value
+    elif isinstance(e, Var):
+        if e.name == "n":
+            v = n
+        else:
+            k = int(e.name[1:]) - 1
+            v = x[:, k] if k < x.shape[1] else None
+        if v is None:
+            suspect[:] = True
+            return 0.0
+    elif isinstance(e, Neg):
+        v = -_eval_rows(e.arg, x, n, suspect)
+    elif isinstance(e, Call):
+        a = _eval_rows(e.arg, x, n, suspect)
+        if e.func in _ROW_CALLS:
+            v = np.asarray(_ROW_CALLS[e.func](np.where(np.isfinite(a), a, 0.0)),
+                           dtype=float)
+        elif e.func == "abs":
+            v = np.abs(a)
+        else:
+            suspect |= a < 0
+            v = np.sqrt(a)
+    else:
+        assert isinstance(e, BinOp)
+        a = _eval_rows(e.left, x, n, suspect)
+        b = _eval_rows(e.right, x, n, suspect)
+        if e.op == "+":
+            v = np.add(a, b)
+        elif e.op == "-":
+            v = np.subtract(a, b)
+        elif e.op == "*":
+            v = np.multiply(a, b)
+        elif e.op == "/":
+            suspect |= np.equal(b, 0.0)
+            v = np.divide(a, b)
+        else:
+            v = np.asarray(_ROW_POW(a, b), dtype=float)
+    suspect |= ~np.isfinite(v)
+    return v
 
 
 def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:

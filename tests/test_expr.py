@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setorder import expr
 from setorder.cone import Cone
 from setorder.errors import DomainError, ExprSyntaxError, UnboundVariable
 from setorder.expr import (MAX_DEPTH, BinOp, Call, Lit, Neg, Var, evaluate,
                            evaluate_rows, parse, unparse, variables)
 from setorder.order import OrderCtx, corner_table
 from setorder.problem import AxisSpec, Guard, Piece, PieceMap, tail_table
+
+import reference
 
 
 def ev(src, x=(), n=None):
@@ -41,6 +44,15 @@ class TestFrozenExamples:
 
     def test_power_of_negative(self):
         assert ev("x1^2", x=(-2.0,)) == 4.0
+
+    @pytest.mark.parametrize("src, x, want", [
+        ("0.5^-2000", (), math.inf), ("(-10)^310", (), math.inf),
+        ("(-10)^309", (), -math.inf), ("x1^-2000", (0.5,), math.inf)])
+    def test_power_overflow_is_infinite(self, src, x, want):
+        # IEEE: the magnitude overflows, the sign is the base's for odd powers
+        assert ev(src, x=x) == want
+        got, suspect = evaluate_rows(parse(src), np.array([x or (0.0,)]))
+        assert got[0] == want and suspect[0]
 
 
 class TestPrecedence:
@@ -322,3 +334,75 @@ class TestRowEvaluation:
                 a = a[keep]
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
+
+
+# ------------------------------------ row evaluation against the row reference
+
+_n_subtree = st.sampled_from([parse(src) for src in (
+    "1/exp(1000*n)", "x1/(n-n)", "sqrt(-n)", "2^(-inf*n)", "sin(0*-n)",
+    "(inf*n)^0", "exp(n)", "n^n", "cos(n/3)")])
+_exact_ast = st.recursive(st.one_of(_row_leaf, _n_subtree), _node,
+                          max_leaves=10)
+_n_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, -7.0, 40.0, 1000.0])
+
+
+@st.composite
+def _shared_n_rows(draw):
+    """(X, n): up to 8 points in R^3 and, unless unbound, an n per row drawn
+    from a few values, so that rows share n, with both signs of zero."""
+    T = draw(st.integers(1, 8))
+    X = np.array([[draw(_coord) for _ in range(3)] for _ in range(T)])
+    n = draw(st.one_of(st.none(), st.lists(_n_value, min_size=T, max_size=T)))
+    return X, None if n is None else np.array(n)
+
+
+def _assert_as_reference(e, X, n):
+    got, suspect = evaluate_rows(e, X, n)
+    want, want_suspect = reference.evaluate_rows(e, X, n)
+    assert got.tobytes() == want.tobytes(), (unparse(e), got, want)
+    assert (suspect == want_suspect).all(), (unparse(e), suspect, want_suspect)
+
+
+class TestRowsAsReference:
+    """evaluate_rows gives the reference's values and its suspect mask
+    byte for byte, on suspect rows too: a mask with extra rows would send
+    them through map.value, a mask with fewer would hide raising rows."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_exact_ast, _shared_n_rows())
+    def test_values_and_mask_equal_the_reference(self, e, rows):
+        _assert_as_reference(e, *rows)
+
+    @pytest.mark.parametrize("src", [
+        "sin(inf*x1)", "exp(x1/(n-n))", "1/exp(1000*n)", "x2/exp(1000*x1)",
+        "(inf*x1)^0", "1^(x1*inf)", "2^(-inf*n)", "x1*inf", "inf",
+        "x1/(n-n)", "sqrt(-n)", "sin(0*-n)", "n^(1/(n-1))", "(-10)^(309+n)",
+        "3 + exp(n)", "x1^-2000"])
+    def test_each_vanishing_point_is_checked(self, src):
+        # each case turns a non-finite intermediate finite at one place
+        X = np.array([[0.0, 1.0], [0.5, -2.0], [-3.0, 0.0], [1.0, 1e300],
+                      [2.0, 0.0], [0.0, 0.0]])
+        _assert_as_reference(parse(src), X, np.array([0.0, -0.0, 1.0, 1.0, -1.0, 2.0]))
+        _assert_as_reference(parse(src), X, None)
+
+    def test_exp_of_n_is_called_once_per_distinct_n(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return expr._exp(a)
+
+        monkeypatch.setitem(expr._ROW_CALLS, "exp",
+                            np.frompyfunc(counting, 1, 1))
+        X = np.linspace(0.0, 1.0, 512)[:, None]
+        n = np.tile(np.arange(32.0), 16)
+        got, suspect = evaluate_rows(parse("3 + exp(n)"), X, n)
+        assert len(calls) == 32
+        calls.clear()
+        want, want_suspect = reference.evaluate_rows(parse("3 + exp(n)"), X, n)
+        assert len(calls) == 512
+        assert got.tobytes() == want.tobytes()
+        assert (suspect == want_suspect).all()
+        calls.clear()
+        evaluate_rows(parse("exp(x1 + n)"), X, n)
+        assert len(calls) == 512
