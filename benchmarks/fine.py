@@ -13,9 +13,10 @@ hold many grid points, so the adversarial-worst strategy scores its
 candidates on every base point.
 The document is written to a temporary directory; no shipped file is
 edited. Prints one JSON line: the grid points, the command's seconds,
-the number of ``PieceMap.value`` calls, the process's peak RSS in MB, the
-exit code and the SHA-256 of the report, so that two trees can be checked
-for identical answers by running this file in each.
+the number of ``PieceMap.value`` and ``problem.value_rows`` calls, the
+process's peak RSS in MB, the exit code and the SHA-256 of the report, so
+that two trees can be checked for identical answers by running this file
+in each.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from setorder import cli  # noqa: E402
-from setorder.problem import PieceMap  # noqa: E402
+from setorder import cli, problem  # noqa: E402
 
 SHIPPED = ROOT / "src" / "setorder" / "data" / "problems" / "sop_sin.json"
 SHIPPED_STEP = '"step": "pi/400"'
@@ -51,19 +51,24 @@ def refined(step: str) -> dict:
 
 def probe(step: str, horizon: int) -> dict:
     doc = refined(step)
-    calls = 0
-    real = PieceMap.value
+    calls = {"value": 0, "value_rows": 0}
 
-    def value(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(self, *args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # value_rows is called through the problem module's global name
+    patches = [(problem.PieceMap, "value"), (problem, "value_rows")]
+    real = [getattr(owner, name) for owner, name in patches]
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sop_sin_fine.json"
         path.write_text(json.dumps(doc))
         out = io.StringIO()
-        PieceMap.value = value
+        for (owner, name), fn in zip(patches, real):
+            setattr(owner, name, counted(name, fn))
         try:
             start = perf_counter()
             with contextlib.redirect_stdout(out):
@@ -72,13 +77,15 @@ def probe(step: str, horizon: int) -> dict:
                                  "--horizon", str(horizon)])
             seconds = perf_counter() - start
         finally:
-            PieceMap.value = real
+            for (owner, name), fn in zip(patches, real):
+                setattr(owner, name, fn)
     report = out.getvalue()
     return {
         "step": step, "horizon": horizon,
         "points": json.loads(report)["problem"]["points"],
         "seconds": round(seconds, 3),
-        "piecemap_value_calls": calls,
+        "piecemap_value_calls": calls["value"],
+        "value_rows_calls": calls["value_rows"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "exit": code,
         "report_sha256": hashlib.sha256(report.encode()).hexdigest(),

@@ -43,7 +43,8 @@ Kuratowski-pair verdict and sequential variational convergence at every
 base point) reads neither the minimality kind nor the direction, so it is
 decided once per (family, ctx, battery, horizon) and kept on the family.
 Values at single points come from the member map; a member is built
-(``family_at``) only where its grid values are read.
+(``family_at``) only where its grid values are read, and a loop over the
+tail's members builds them in one batch first (``problem._members``).
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .errors import (
     Unsupported,
 )
 from .order import CornerTable, OrderCtx, corner_table, equiv, large_le, table_rel
-from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, family_at,
-                      tail_table)
+from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, _members,
+                      family_at, tail_table)
 from .setrep import SetRep
 from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
                     representants, strong_level_set, value_table)
@@ -732,12 +733,12 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
     """[g, i]: the floored-eps shift F(x̄_g) - eps·u, the sets of
     ``fx_floor`` (G,), strictly below F_n at base grid point i for every
     tail n, one comparison per member against its memoized value table; or
-    the exception a member build raises, which is every point's."""
+    the exception a member build raises, which is every point's. The tail
+    members are built in one batch."""
     ok = np.ones((len(fx_floor.cloud), len(fam.base)), dtype=bool)
     try:
-        for n in upper_half(horizon):
-            ok &= table_rel(_per_row(fx_floor), value_table(family_at(fam, n), ctx),
-                            (STRICT,))[0]
+        for P in _members(fam, upper_half(horizon)):
+            ok &= table_rel(_per_row(fx_floor), value_table(P, ctx), (STRICT,))[0]
     except Exception as e:
         return e
     return ok
@@ -802,8 +803,8 @@ def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
     if isinstance(brk, Exception):
         return brk
     used = ns if brk is None else ns[:brk[0] + 1]
-    recovery_used = tuple((n, tuple(float(v) for v in x))
-                          for n, x in zip(used, seq))
+    recovery_used = tuple((n, tuple(x))
+                          for n, x in zip(used, seq[:len(used)].tolist()))
     if brk is None:
         return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
@@ -1143,8 +1144,8 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     step = _grid_step(base.domain)
     tol_const = max(EPS_FLOOR, step / 2)
 
-    levs = {n: base.domain.points[list(strong_level_set(family_at(shared, n), w, ctx))]
-            for n, w in zip(tail, targets)}
+    levs = {n: base.domain.points[list(strong_level_set(P, w, ctx))]
+            for n, w, P in zip(tail, targets, _members(shared, tail))}
 
     empties = [n for n in tail if levs[n].shape[0] == 0]
     if empties:
@@ -1224,7 +1225,17 @@ class StabilityReport:
 
 
 def _cluster(points: list, radius: float):
-    """Union-find agglomeration: points within radius share a cluster."""
+    """Union-find agglomeration: points within radius share a cluster.
+
+    The clusters are the connected components of the pairs (n, p), (m, q)
+    of ``points`` with ``np.linalg.norm(p - q) <= radius``, listed by their
+    first point, each in the order of ``points``. Points are swept in order
+    of their first coordinate, and only the pairs within ``w`` on every
+    coordinate, not yet in one cluster, take the norm test. That drops no
+    pair the test accepts: the norm is at least fl(sqrt(fl(d*d))) for each
+    coordinate difference d, which is |d| unless d*d underflows (or inf if
+    it overflows), and |d| > w >= 2^-511 keeps d*d from underflowing.
+    """
     n = len(points)
     parent = list(range(n))
 
@@ -1234,11 +1245,23 @@ def _cluster(points: list, radius: float):
             a = parent[a]
         return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
+    if n:
+        w = max(radius, 2.0 ** -511)
+        pts = np.array([p for _, p in points], dtype=float).reshape(n, -1)
+        order = np.argsort(pts[:, 0], kind="stable")
+        pts, first, order = pts[order], pts[order, 0].tolist(), order.tolist()
+        end = 0
+        for s, a in enumerate(order):
+            end = max(end, s + 1)
+            while end < n and first[end] - first[s] <= w:
+                end += 1
+            if end == s + 1:
+                continue
+            near = np.abs(pts[s + 1:end] - pts[s]).max(axis=1) <= w
+            for t in (s + 1 + np.flatnonzero(near)).tolist():
+                b = order[t]
                 ra, rb = find(a), find(b)
-                if ra != rb:
+                if ra != rb and np.linalg.norm(points[a][1] - points[b][1]) <= radius:
                     parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list] = {}
     for a in range(n):
@@ -1363,7 +1386,7 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     base_eff = eff(base, kind, ctx)
     # the external direction reads only the tail members' minimal sets
     read = tail if direction == "external" else range(horizon)
-    en = {n: eff(family_at(fam, n), kind, ctx).indices for n in read}
+    en = {n: eff(P, kind, ctx).indices for n, P in zip(read, _members(fam, read))}
 
     if direction == "internal":
         empty_n = next((n for n in range(horizon) if not en[n]), None)

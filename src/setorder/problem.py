@@ -7,11 +7,13 @@ assume a total ``value``.
 
 A PerturbedFamily adds the members F_n = ``map(·, n)`` on the domains
 D_n = ``domains(n)``, under the base cone. ``family_at`` builds a member
-as a Problem, for the callers that read its grid values; a value at one
-point is ``fam.map.value(x, n)`` and builds no member. Values at many
-points take one path, ``value_rows``: one array evaluation of the map,
-straight into padded corner arrays, which a Problem keeps for its grid and
-a sequence tail turns into a corner table (``tail_table``).
+as a Problem, for the callers that read its grid values, and ``_members``
+builds a range of them as one batch; a value at one point is
+``fam.map.value(x, n)`` and builds no member. Values at many points take
+one path, ``value_rows``: one array evaluation of the map, straight into
+padded corner arrays, which a Problem keeps for its grid and a sequence
+tail turns into a corner table (``tail_table``). A Problem and a batch of
+members check their grids on one path too, ``_checked_rows``.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -23,10 +25,12 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
-from typing import Callable, Mapping, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -492,6 +496,59 @@ def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
     return checked, z
 
 
+def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
+                  ns: Sequence[Optional[int]]) -> list:
+    """The grid rows of each member, F = ``map(·, ns[j])`` on ``domains[j]``,
+    checked as a Problem checks them, in member order up to the first
+    member whose check fails: its exception, the one that member's Problem
+    raises, ends the list.
+
+    The members' grids are one ``value_rows``, which stops at its first
+    raising row, and the members wholly before that row one LARGE
+    properness query; the first improper member among them fails first. A
+    member's rows are cut to its own largest corner count, so they do not
+    depend on the other members.
+    """
+    if map.image_dim != cone.dim:
+        return [ProblemLoadError(f"map image dim {map.image_dim} != cone dim {cone.dim}")]
+    # member j holds rows starts[j]:starts[j + 1]
+    starts = [0, *accumulate(len(d) for d in domains)]
+    X = (domains[0].points if len(domains) == 1
+         else np.concatenate([d.points for d in domains]))
+    rows, errs = value_rows(map, X, [n for d, n in zip(domains, ns) for _ in range(len(d))],
+                            cone, first_error=True)
+    bad = min(errs, default=len(X))
+    err = errs.get(bad)
+    if isinstance(err, (SetSpecError, ExprError)):
+        err = ProblemLoadError(f"value at x = {tuple(float(c) for c in X[bad])}: {err}")
+        err.__cause__ = errs[bad]
+    # the members wholly before the raising row, each value paired with its
+    # exterior point in one LARGE query; one of them may be improper
+    whole = bisect_right(starts, bad) - 1
+    head = tuple(x[:starts[whole]] for x in rows)
+    checked, zs = _exterior_rows(head, cone) if whole else ((), None)
+    if len(checked):
+        ctx, z = OrderCtx(cone), zs[:, None]
+        inside, = table_rel(
+            table_from_corners(*(x[checked] for x in head), ctx),
+            table_from_corners(z, np.zeros(z.shape, np.uint8),
+                               np.ones(len(z), bool), np.ones(len(z), np.intp), ctx),
+            (LARGE,))
+        if inside.any():
+            r = int(np.argmax(inside))
+            whole = bisect_right(starts, checked[r]) - 1
+            err = ProblemLoadError(
+                f"value at x = {tuple(X[checked[r]])} is not proper "
+                f"for the cone: {EXTERIOR_INSIDE} "
+                f"(certificate {dict(point=zs[r])})")
+    corners, flags, cloud, count = rows
+    out: list = []
+    for lo, hi in zip(starts[:whole], starts[1:whole + 1]):
+        k = int(count[lo:hi].max())
+        out.append((corners[lo:hi, :k], flags[lo:hi, :k], cloud[lo:hi], count[lo:hi]))
+    return out if err is None else out + [err]
+
+
 # ---------------------------------------------------------------- problem
 
 class Problem:
@@ -500,38 +557,20 @@ class Problem:
 
     def __init__(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
                  n: Optional[int] = None):
-        if map.image_dim != cone.dim:
-            raise ProblemLoadError(
-                f"map image dim {map.image_dim} != cone dim {cone.dim}")
+        got, = _checked_rows(map, cone, [domain], [n])
+        if isinstance(got, Exception):
+            raise got
+        self._hold(label, map, cone, domain, n, got)
+
+    def _hold(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
+              n: Optional[int], rows) -> "Problem":
         self.label = label
         self.map = map
         self.cone = cone
         self.domain = domain
         self.n = n
-        rows, errs = value_rows(map, domain.points, [n] * len(domain), cone,
-                                first_error=True)
-        if errs:
-            i, err = next(iter(errs.items()))
-            if isinstance(err, (SetSpecError, ExprError)):
-                x = tuple(float(c) for c in domain.points[i])
-                raise ProblemLoadError(f"value at x = {x}: {err}") from err
-            raise err
         self.rows = rows
-        # properness: one LARGE query pairs each value with its exterior point
-        checked, zs = _exterior_rows(rows, cone)
-        if len(checked):
-            ctx, z = OrderCtx(cone), zs[:, None]
-            inside, = table_rel(
-                table_from_corners(*(x[checked] for x in rows), ctx),
-                table_from_corners(z, np.zeros(z.shape, np.uint8),
-                                   np.ones(len(z), bool), np.ones(len(z), np.intp), ctx),
-                (LARGE,))
-            if inside.any():
-                r = int(np.argmax(inside))
-                raise ProblemLoadError(
-                    f"value at x = {tuple(domain.points[checked[r]])} is not proper "
-                    f"for the cone: {EXTERIOR_INSIDE} "
-                    f"(certificate {dict(point=zs[r])})")
+        return self
 
     def value(self, i: int) -> SetRep:
         return self.map.value(self.domain.points[i], self.n)
@@ -551,12 +590,16 @@ class PerturbedFamily:
     Members share the base cone by construction. ``family_at`` builds a
     member, with its grid values and properness check, for callers that
     read those values; a value at one point is ``map.value(x, n)`` and
-    builds nothing. ``domain_at`` caches D_n and ``family_at`` the
-    members. ``converge.stability_experiment`` keeps the verdict of its
-    shared gate (the domains' Kuratowski pair and sequential gamma
-    convergence at every base point) in ``_gate_cache``, keyed on the
-    ``OrderCtx`` by identity, the battery's type, seed and count, and the
-    horizon; a gate that raises is not kept. No cache ever drops an entry,
+    builds nothing. A caller that reads a range of members asks for them
+    through ``_members``, which builds those not yet cached in one batch:
+    one row evaluation over their grids and one properness query, each
+    member equal to its build alone. ``domain_at`` caches D_n and
+    ``_cache`` the members; a member whose build raises is not kept.
+    ``converge.stability_experiment`` keeps the verdict of its shared gate
+    (the domains' Kuratowski pair and sequential gamma convergence at every
+    base point) in ``_gate_cache``, keyed on the ``OrderCtx`` by identity,
+    the battery's type, seed and count, and the horizon; a gate that raises
+    is not kept. No cache ever drops an entry,
     so the parts they are built from (``base``, ``map``, ``domains`` and
     ``recovery_hint``) are read-only: a family with other parts is a new
     ``PerturbedFamily``.
@@ -642,13 +685,58 @@ class PerturbedFamily:
         return got
 
 
+def _build_members(fam: PerturbedFamily, ns: Iterable[int]
+                   ) -> Optional[tuple[int, Exception]]:
+    """Build every member F_n, n in ns, that ``fam`` has not cached, in one
+    batch, and cache it. Each equals ``Problem(f"{fam.label}[n={n}]",
+    fam.map, fam.base.cone, fam.domain_at(n), n=n)`` built alone.
+
+    The batch is one ``domain_at`` per n and one ``_checked_rows`` over
+    their grids. It stops at the first member, in the order of ns, whose
+    domain or build raises, and returns that n with the exception its
+    build alone raises; that member and those after it are not cached.
+    """
+    todo = [n for n in dict.fromkeys(ns) if n not in fam._cache]
+    domains: list[Domain] = []
+    failed = None
+    for n in todo:
+        try:
+            domains.append(fam.domain_at(n))
+        except Exception as e:
+            failed = n, e
+            break
+    if domains:
+        cone = fam.base.cone
+        for n, dom, got in zip(todo, domains, _checked_rows(fam.map, cone, domains, todo)):
+            if isinstance(got, Exception):
+                return n, got
+            fam._cache[n] = Problem.__new__(Problem)._hold(
+                f"{fam.label}[n={n}]", fam.map, cone, dom, n, got)
+    return failed
+
+
 def family_at(fam: PerturbedFamily, n: int) -> Problem:
-    """The n-th member, F_n on D_n, built and checked once."""
+    """The n-th member, F_n on D_n, built and checked once: a batch of one
+    member (``_build_members``)."""
     got = fam._cache.get(n)
     if got is None:
-        got = fam._cache[n] = Problem(f"{fam.label}[n={n}]", fam.map,
-                                      fam.base.cone, fam.domain_at(n), n=n)
+        failed = _build_members(fam, (n,))
+        if failed is not None:
+            raise failed[1]
+        got = fam._cache[n]
     return got
+
+
+def _members(fam: PerturbedFamily, ns: Sequence[int]) -> Iterator[Problem]:
+    """``family_at(fam, n)`` for each n of ns in order, every member not
+    yet cached built first in one batch. A member whose build raises
+    raises that exception when it is reached, so a caller's own work on
+    the members before it comes first, as in a loop over ``family_at``."""
+    failed = _build_members(fam, ns)
+    for n in ns:
+        if failed is not None and n == failed[0]:
+            raise failed[1]
+        yield family_at(fam, n)
 
 
 # ------------------------------------------------------------ JSON loader

@@ -20,6 +20,10 @@ those scans, which the package now asks for blocks of grid points at once.
 ``each_reduction`` runs a test body on both sides of the kernel's size
 switch between folding and reducing a short last axis.
 
+``cluster`` is the stability experiment's former all-pairs clustering,
+which tests every pair of tail points; the package sweeps them in order of
+their first coordinate.
+
 ``evaluate_rows`` is the expression evaluator's former row path: it checks
 finiteness at every node and calls the per-element math functions on
 every row, which the package now does only where a non-finite value can
@@ -689,3 +693,26 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32, battery=None,
         certificate={"pairs": int(len(pairs)), "comparisons": checked,
                      "seed": battery.seed, "horizon": horizon},
         sampled=True)
+
+
+def cluster(points: list, radius: float):
+    """Union-find agglomeration: points within radius share a cluster."""
+    n = len(points)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if np.linalg.norm(points[a][1] - points[b][1]) <= radius:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list] = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(points[a])
+    return list(groups.values())

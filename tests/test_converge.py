@@ -118,15 +118,16 @@ def ctx1():
 
 @pytest.fixture()
 def built(monkeypatch):
-    """(n, domain) of every Problem built while the test runs."""
+    """(n, domain) of every Problem built while the test runs, alone or as
+    a family member in a batch: both end in Problem._hold."""
     seen = []
-    real = Problem.__init__
+    real = Problem._hold
 
-    def init(self, label, map, cone, domain, n=None):
+    def hold(self, label, map, cone, domain, n, rows):
         seen.append((n, domain))
-        real(self, label, map, cone, domain, n=n)
+        return real(self, label, map, cone, domain, n, rows)
 
-    monkeypatch.setattr(Problem, "__init__", init)
+    monkeypatch.setattr(Problem, "_hold", hold)
     return seen
 
 
@@ -806,6 +807,50 @@ class TestStabilityExperiment:
                                    battery=battery)
         blob = json.dumps(rep.to_json(), sort_keys=True)
         assert "clusters" in blob
+
+
+class TestCluster:
+    """The swept clustering gives the all-pairs reference's clusters, in
+    its order: each point is tagged with its position in the input."""
+
+    @staticmethod
+    def check(pts, radius):
+        tagged = [(i, np.asarray(p, dtype=float)) for i, p in enumerate(pts)]
+        got = converge._cluster(tagged, radius)
+        want = reference.cluster(tagged, radius)
+        assert [[i for i, _ in g] for g in got] == [[i for i, _ in g] for g in want]
+        return got
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            d = int(rng.integers(1, 4))
+            pts = rng.uniform(-1, 1, (int(rng.integers(0, 80)), d))
+            # snap to a coarse grid so that many points coincide or line up
+            if trial % 2:
+                pts = np.round(pts * 4) / 4
+            self.check(pts, float(rng.choice([0.0, 0.05, 0.25, 0.6])))
+
+    def test_duplicates_and_exact_radius_distances(self):
+        r = 0.25
+        up = np.nextafter(r, np.inf)
+        # a chain of steps of exactly r, a step one ulp longer, duplicates
+        line = [[0.0], [r], [2 * r], [2 * r], [2 * r + up + 0.25], [0.0], [r]]
+        assert len(self.check(line, r)) == 2
+        # exact distances off the first axis, and the diagonal 3-4-5 triangle
+        plane = [[0.0, 0.0], [0.0, r], [0.0, 2 * r + up], [0.15, 0.2],
+                 [0.15, 0.2], [0.0, -up], [1.0, 1.0]]
+        self.check(plane, r)
+        self.check(plane, 0.0)
+
+    def test_tiny_differences_join_at_radius_zero(self):
+        # d*d underflows to 0, so the norm test joins points 1e-200 apart
+        got = self.check([[0.0], [1e-200], [2e-200], [1.0]], 0.0)
+        assert len(got) == 2
+
+    def test_empty_and_single(self):
+        assert self.check([], 0.1) == []
+        assert len(self.check([[0.5, 0.5]], 0.1)) == 1
 
 
 class TestSeqLowerConverse:

@@ -89,3 +89,17 @@ def test_hostile_expression_exits_with_a_contract_code(tmp_path, capsys,
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 64), (argv[0], path, code, err)
             assert "Traceback" not in err, (argv[0], path, err)
+
+
+def test_n_as_a_member_lower_end_at_the_default_horizon(tmp_path, capsys):
+    # with lower end n every grid point of a member is minimal, so the
+    # default horizon's tail holds thousands of points to cluster
+    path = ("family", "map_n", "pieces", 0, "box", 0, "lo")
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(_mutated("sop_sin", path, "n")))
+    code = cli.main(["stability", str(f), "--kind", "Relaxed",
+                     "--direction", "external"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 64), (code, err)
+    assert "Traceback" not in err
+    assert json.loads(out)["result"]["meta"]["tail_points"] == 3490

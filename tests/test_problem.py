@@ -650,3 +650,152 @@ class TestTailTable:
         assert str(err).startswith("sqrt of a negative number")
         tab, errs = tail_table(fam.map, X, ns, ctx1)
         assert len(tab.h) == 31 and list(errs) == [30]
+
+
+# ------------------------------------------------------- member batches
+
+MOVING = spec(
+    label="moving", cone={"kind": "orthant", "dim": 2},
+    domain={"windows": [{"a": 0, "b": 1, "step": 0.25}]},
+    pieces=[{"guard": "true", "box": [{"lo": "x1", "hi": "x1 + 1"},
+                                      {"lo": 0, "hi": 1}]}],
+    # the domain grows and refines with n; the members' corner counts
+    # differ (3, 2 or 1), so a batch's corner axis is wider than most
+    family={"subst": "n", "n_max": 16,
+            "domain_n": {"windows": [{"a": 0, "b": "1 + 1/(n+1)",
+                                      "step": "0.25/(n+1)"}]},
+            "map_n": {"pieces": [
+                {"guard": "n < 4",
+                 "points": [["x1", "n"], ["x1 + 1", "n - 1"], ["n", "x1"]]},
+                {"guard": "x1 < 0.5 and n < 10",
+                 "points": [["x1", "1/(n+1)"], ["-x1", "2"]]},
+                {"guard": "true",
+                 "box": [{"lo": "x1", "hi": "x1 + n"}, {"lo": "-x1", "hi": 1}]}]}})
+
+
+def shipped_and_moving_families():
+    geff = json.loads((problem._data_dir("problems") / "geff_vs_reff.json").read_text())
+    geff["family"] = {"subst": "n", "n_max": 8}
+    fams = [load_builtin("sop_sin"), load_builtin("gamma_cos"), load_dict(geff),
+            load_dict(MOVING)]
+    return fams + [reference.random_family(np.random.default_rng(seed), n_max=8)[0]
+                   for seed in range(6)]
+
+
+def alone(fam, n):
+    return Problem(f"{fam.label}[n={n}]", fam.map, fam.base.cone, fam.domain_at(n), n=n)
+
+
+def raised(call):
+    """(type, message, type of the cause) of the exception call() raises."""
+    with pytest.raises(Exception) as err:
+        call()
+    return type(err.value), str(err.value), type(err.value.__cause__)
+
+
+class TestMemberBatches:
+    """Members built in one batch equal their builds alone: label, domain,
+    n and row arrays bit for bit, or the exception at the same n."""
+
+    def test_every_member_equals_its_build_alone(self):
+        cones = set()
+        for fam in shipped_and_moving_families():
+            cones.add(fam.base.cone.kind)
+            ns = range(fam.n_max + 1)
+            assert problem._build_members(fam, ns) is None
+            assert sorted(fam._cache) == list(ns)
+            for n in ns:
+                M, A = fam._cache[n], alone(fam, n)
+                assert (M.label, M.domain, M.n, M.map, M.cone) == (
+                    A.label, A.domain, A.n, A.map, A.cone)
+                for got, want in zip(M.rows, A.rows):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                    assert got.tobytes() == want.tobytes()
+                TestGridRows.check_rows(M)
+        assert cones == {"orthant", "general"}
+        counts = {int(family_at(load_dict(MOVING), n).rows[3].max()) for n in range(17)}
+        assert counts == {1, 2, 3}
+
+    @pytest.mark.parametrize("raising, improper, empty, first", [
+        (5, None, None, 5), (None, 3, None, 3), (5, 3, None, 3), (3, 5, None, 3),
+        (8, None, 6, 6), (None, 7, 6, 6), (2, None, 6, 2)])
+    def test_errors_at_the_same_n(self, monkeypatch, raising, improper, empty,
+                                  first):
+        # member `raising` has no value at x = 0.5, member `improper` is made
+        # to fail the properness check, and D_empty has no point
+        dom = Domain.from_points([[0.0], [0.25], [0.5], [0.75]])
+
+        def fn(x, n):
+            if n == raising and x[0] == 0.5:
+                raise SetSpecError(f"no value at n = {n}")
+            return box([x[0] + n], [x[0] + n + 1])
+
+        def domains(n):
+            return Domain.from_points([]) if n == empty else dom
+
+        real = problem._exterior_rows
+
+        def rows(grid_rows, cone):
+            checked, z = real(grid_rows, cone)
+            lo = grid_rows[0][checked, 0, 0]
+            hit = np.flatnonzero((lo >= (improper or -9)) & (lo < (improper or -9) + 1))
+            z[hit] = grid_rows[0][checked[hit], 0]
+            return checked, z
+
+        monkeypatch.setattr(problem, "_exterior_rows", rows)
+
+        def family():
+            base = Problem("t", TableMap(lambda x: box([x[0]], [x[0] + 1]), 1),
+                           Cone.orthant(1), dom)
+            return PerturbedFamily(base, TableMap(fn, 1), domains, n_max=16)
+
+        if first == empty:
+            want = (ProblemLoadError, "domain must contain at least one point",
+                    type(None))
+        elif first == raising:
+            want = (ProblemLoadError, f"value at x = (0.5,): no value at n = {first}",
+                    SetSpecError)
+        else:
+            want = (ProblemLoadError, (
+                f"value at x = {tuple(dom.points[0])} is not proper for the cone: "
+                "constructed exterior point landed inside A + C "
+                f"(certificate {{'point': {np.array([float(first)])!r}}})"), type(None))
+        fam, seen = family(), []
+        assert raised(lambda: family_at(family(), first)) == want
+        if empty != first:
+            assert raised(lambda: alone(family(), first)) == want
+        got = raised(lambda: seen.extend(M.n for M in problem._members(fam, range(12))))
+        assert got == want
+        assert seen == sorted(fam._cache) == list(range(first))
+        # the failed member is not cached: asking again raises again
+        assert raised(lambda: family_at(fam, first)) == want
+
+    def test_an_all_raising_family_costs_one_value_call_per_batch(self, monkeypatch):
+        calls = {"value": 0, "value_rows": 0}
+        real_value, real_rows = problem.PieceMap.value, problem.value_rows
+
+        def value(self, x, n=None):
+            calls["value"] += 1
+            return real_value(self, x, n)
+
+        def rows(*args, **kwargs):
+            calls["value_rows"] += 1
+            return real_rows(*args, **kwargs)
+
+        monkeypatch.setattr(problem.PieceMap, "value", value)
+        monkeypatch.setattr(problem, "value_rows", rows)
+        doc = spec(family={"subst": "n", "n_max": 64, "map_n": {"pieces": [
+            {"guard": "true", "box": [{"lo": "x1/(n-n)", "hi": "x1 + 1"}]}]}})
+        fam = load_dict(doc)
+        calls.update(value=0, value_rows=0)
+        with pytest.raises(ProblemLoadError) as err:
+            list(problem._members(fam, range(32, 64)))
+        assert calls == {"value": 1, "value_rows": 1}
+        assert fam._cache == {}
+        assert (type(err.value), str(err.value)) == raised(
+            lambda: family_at(load_dict(doc), 32))[:2]
+
+        ok = load_dict(spec(family={"subst": "n", "n_max": 64}))
+        calls.update(value=0, value_rows=0)
+        assert [M.n for M in problem._members(ok, range(32, 64))] == list(range(32, 64))
+        assert calls == {"value": 0, "value_rows": 1}
