@@ -1249,7 +1249,8 @@ def _cluster(points: list, radius: float):
         w = max(radius, 2.0 ** -511)
         pts = np.array([p for _, p in points], dtype=float).reshape(n, -1)
         order = np.argsort(pts[:, 0], kind="stable")
-        pts, first, order = pts[order], pts[order, 0].tolist(), order.tolist()
+        pts = pts[order]
+        first, order = pts[:, 0].tolist(), order.tolist()
         end = 0
         for s, a in enumerate(order):
             end = max(end, s + 1)
