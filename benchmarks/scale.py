@@ -8,10 +8,11 @@ Builds ``perfbench/gen.py``'s ``solve_grid_problem`` (slot 0, clouds of 2
 or 3 points in R^3) on a side x side grid under the given cone class,
 loads it, times ``solve.relation_matrices`` and then asks ``eff`` for the
 four kinds off the cached matrices. Prints one JSON line: the grid points,
-the ``relation_matrices`` seconds, the process's peak RSS in MB, and
-SHA-256 digests of the three matrices and of all four ``eff`` results
-(indices and witnesses), so that two trees can be checked for identical
-answers by running this file in each.
+the ``load_dict`` seconds (grid evaluation and properness check), the
+``relation_matrices`` seconds, the process's peak RSS in MB, and SHA-256
+digests of the three matrices and of all four ``eff`` results (indices
+and witnesses), so that two trees can be checked for identical answers by
+running this file in each.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from setorder import solve  # noqa: E402
 
 def probe(side: int, cone_class: str, seed: int) -> dict:
     doc = gen.solve_grid_problem(np.random.default_rng(seed), 0, cone_class, side)
+    start = perf_counter()
     P = so.load_dict(doc)
+    load_s = perf_counter() - start
     ctx = so.OrderCtx(P.cone)
     start = perf_counter()
     mats = solve.relation_matrices(P, ctx)
@@ -45,6 +48,7 @@ def probe(side: int, cone_class: str, seed: int) -> dict:
     eff_doc = {k: [list(r.indices), sorted(r.witness.items())] for k, r in effs.items()}
     return {
         "side": side, "cone": cone_class, "seed": seed, "points": len(P),
+        "load_s": round(load_s, 4),
         "relation_matrices_s": round(seconds, 4),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "matrices_sha256": hashlib.sha256(

@@ -106,7 +106,10 @@ class Cone:
         In these coordinates every cone comparison is a componentwise one;
         for the orthant this is the identity and the points come back as
         they are. Under any other cone ``out``, when given, receives the
-        coordinates.
+        coordinates. A row's bits can depend on the shape of the call (how
+        many rows share one product), so a set's coordinates are those of
+        a call on its corners alone; callers that map many sets at once go
+        through ``order._h_rows``, which keeps those bits.
         """
         points = np.asarray(points, dtype=float)
         if self.kind == "orthant":

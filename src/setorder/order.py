@@ -105,9 +105,9 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     to the largest corner count; ``flags`` their uint8 lower-openness,
     ``cloud`` and ``count`` (N) each set's representation and corner count.
     With ``shift`` (E, dim) the leading axes are (E, N), each set's corners
-    moved by each shift vector. Under a general cone each set's corners go
-    through ``Cone.h_coords`` once, as in ``_corner_data``, and a box union
-    is refused.
+    moved by each shift vector. Under a general cone the corners go to
+    H-coordinates through ``_h_rows``, each set's bit for bit as
+    ``_corner_data`` maps it alone, and a box union is refused.
     """
     if not cloud.all():
         _refuse_boxes(ctx.cone)
@@ -122,14 +122,32 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     if cone.kind == "orthant":
         h, o = corners, np.array(flags)
     else:
-        h = np.full(corners.shape[:-1] + (len(ctx.w),), np.inf)
-        ks = np.broadcast_to(count, corners.shape[:-2]).ravel().tolist()
-        # the set count, not -1: with no corners (K = 0) it cannot be inferred
-        for hi, ci, k in zip(h.reshape(len(ks), K, len(ctx.w)),
-                             corners.reshape(len(ks), K, cone.dim), ks):
-            cone.h_coords(ci[:k], out=hi[:k])
+        h = _h_rows(cone, corners, count)
         o = np.zeros(h.shape, dtype=np.uint8)
     return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))
+
+
+def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
+    """Sets' lower corners (L, K, dim) under a general cone in H-coordinates
+    (L, K, m): each set's first ``count`` corners (count broadcast to L)
+    mapped as ``cone.h_coords`` maps them alone, bit for bit, the rest +inf.
+
+    A row's bits can depend on how many rows its matmul holds, so one
+    product over every set's corners would not do. NumPy's stacked matmul
+    runs its per-matrix routine on each (k, dim) slice, so one stacked
+    product per corner count k does; sets with no corner stay +inf.
+    """
+    *lead, K, dim = corners.shape
+    # the set count, not -1: with no corners (K = 0) it cannot be inferred
+    ks = np.broadcast_to(count, lead).ravel()
+    c = corners.reshape(len(ks), K, dim)
+    m = len(cone.halfspaces)
+    h = np.full((len(ks), K, m), np.inf)
+    for k in range(1, K + 1):
+        at = np.flatnonzero(ks == k)
+        if len(at):
+            h[at, :k] = np.matmul(c[at, :k], cone.halfspaces.T)
+    return h.reshape(*lead, K, m)
 
 
 def _pair_tol(ta: np.ndarray, tb: np.ndarray):

@@ -39,7 +39,7 @@ from ._kernels import LARGE
 from .cone import Cone
 from .errors import (ExprError, HorizonExceeded, ProblemLoadError, SetSpecError,
                      Unsupported)
-from .order import CornerTable, OrderCtx, table_from_corners, table_rel
+from .order import CornerTable, OrderCtx, _h_rows, table_from_corners, table_rel
 from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data, _refuse_boxes
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
@@ -482,18 +482,18 @@ def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
     """(checked, z): the rows checked for properness and a point z outside
     cl(A + C) for each, A's componentwise least corner pushed along -u until
     the first halfspace row rules out domination (by 1 under the orthant);
-    under a general cone only clouds are checked."""
+    under a general cone only clouds are checked, all in whole-array
+    passes: H-coordinates through ``order._h_rows``, each row's bits those
+    of ``Cone.h_coords`` on that value alone."""
     corners, _, cloud, count = rows
     if cone.kind == "orthant":
         return np.arange(len(count)), corners.min(axis=1) - 1.0
     checked = np.flatnonzero(cloud)
-    z = np.empty((len(checked), cone.dim))
-    for r, i in enumerate(checked.tolist()):
-        pts = corners[i, :count[i]]
-        pmin = pts.min(axis=0)
-        t = 1.0 + float(cone.h_coords(pmin[None])[0, 0] - cone.h_coords(pts)[:, 0].min())
-        z[r] = pmin - t * cone.interior_direction
-    return checked, z
+    pts, k = corners[checked], count[checked]
+    pmin = pts.min(axis=1)
+    low = _h_rows(cone, pts, k)[..., 0].min(axis=1)
+    t = 1.0 + (_h_rows(cone, pmin[:, None], 1)[:, 0, 0] - low)
+    return checked, pmin - t[:, None] * cone.interior_direction
 
 
 def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
@@ -538,7 +538,7 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
             r = int(np.argmax(inside))
             whole = bisect_right(starts, checked[r]) - 1
             err = ProblemLoadError(
-                f"value at x = {tuple(X[checked[r]])} is not proper "
+                f"value at x = {tuple(float(c) for c in X[checked[r]])} is not proper "
                 f"for the cone: {EXTERIOR_INSIDE} "
                 f"(certificate {dict(point=zs[r])})")
     corners, flags, cloud, count = rows

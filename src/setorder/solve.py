@@ -73,11 +73,11 @@ class LSetResult:
 
 # ------------------------------------------------------- relation matrices
 
-# elements of the largest boolean block one kernel call builds; keeps the
-# temporaries of relation_matrices O(N) in memory rather than O(N^2). With
-# several corner slots a row block's candidate test and its gathered
-# candidate pairs are no larger than the dense block; with one slot the
-# block goes to the kernel whole, since the test would be LARGE itself
+# elements of the largest boolean block one array pass of relation_matrices
+# builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
+# O(N^2). Two budgets share it: a row block's test, (rows, N, m) for the
+# candidate test or (rows, N, 1, 1, m) for the kernel with one corner slot,
+# and one kernel call on candidate pairs, (pairs, k, k, m)
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -102,11 +102,14 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
 def relation_matrices(P: Problem, ctx: OrderCtx):
     """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j).
 
-    Row blocks of the value table go to the kernel against the whole table.
-    When values have more than one corner slot, a pair reaches the kernel
-    only if it passes the necessary test of ``_candidates``; every other
-    entry is False. With one slot that test is LARGE itself, so the block
-    goes to the kernel whole.
+    Row blocks of the value table are tested against the whole table,
+    rows * N * m elements at a time. When values have more than one corner
+    slot, a pair reaches the kernel only if it passes the necessary test of
+    ``_candidates``; every other entry is False. A block's candidate pairs
+    go to the kernel in chunks of at most ``_BLOCK_ELEMENTS // (k * k * m)``
+    pairs, so the kernel's calls follow the candidates, not the dense
+    block, and no temporary outgrows the budget. With one slot that test is
+    LARGE itself, so the block goes to the kernel whole.
     """
     cache = vars(P).setdefault("_rel_cache", {})
     got = cache.get(ctx)
@@ -115,21 +118,26 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
 
     tab = value_table(P, ctx)
     n, k, m = tab.h.shape
-    rows = max(1, _BLOCK_ELEMENTS // (n * k * k * m))
+    rows = max(1, _BLOCK_ELEMENTS // (n * m))
+    pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
     out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
+
+    def fill(at, a: CornerTable, b: CornerTable) -> None:
+        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT))):
+            mat[at] = ok
+
     ideal = tab.h.min(axis=1)
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
         if k == 1:
-            at, a, b = blk, CornerTable(*(x[blk, None] for x in tab)), tab
-        else:
-            ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
-                                            _pair_tol(tab.t[blk, None], tab.t)))
-            at = (ii + i, jj)
-            a = CornerTable(*(x[at[0]] for x in tab))
-            b = CornerTable(*(x[jj] for x in tab))
-        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT))):
-            mat[at] = ok
+            fill(blk, CornerTable(*(x[blk, None] for x in tab)), tab)
+            continue
+        ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
+                                        _pair_tol(tab.t[blk, None], tab.t)))
+        ii += i
+        for c in range(0, len(ii), pairs):
+            at = (ii[c:c + pairs], jj[c:c + pairs])
+            fill(at, *(CornerTable(*(x[idx] for x in tab)) for idx in at))
 
     cache[ctx] = out
     _assert_geff_in_reff(out[1], out[2], P)

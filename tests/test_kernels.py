@@ -120,11 +120,33 @@ def keyed_problem(vals, cone):
 
 def blocked_matrices(P, rows, monkeypatch):
     """relation_matrices in row blocks of ``rows``, once per side of the
-    fold switch, each side under a fresh context so nothing is cached."""
+    fold switch, each side under a fresh context so nothing is cached.
+    With several corner slots the same budget cuts each block's candidate
+    pairs into kernel calls of rows * N // k^2 pairs; the calls must show
+    several row blocks, full pair chunks and a ragged last one."""
     n, k, m = solve.value_table(P, OrderCtx(P.cone)).h.shape
-    monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * k * k * m)
-    return {side: np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
-            for side in each_reduction()}
+    monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * m)
+    blocks, pairs = [], []
+    real_candidates, real_table_rel = solve._candidates, solve.table_rel
+
+    def candidates(ideal_a, *rest):
+        blocks.append(len(ideal_a))
+        return real_candidates(ideal_a, *rest)
+
+    def table_rel(a, *rest):
+        pairs.append(len(a.h))
+        return real_table_rel(a, *rest)
+
+    monkeypatch.setattr(solve, "_candidates", candidates)
+    monkeypatch.setattr(solve, "table_rel", table_rel)
+    got = {side: np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
+           for side in each_reduction()}
+    if k > 1:
+        chunk = rows * n // (k * k)
+        assert blocks == 2 * ([rows] * (n // rows) + [n % rows] * (n % rows > 0))
+        assert len(blocks) > 2 and max(pairs) == chunk
+        assert any(0 < size < chunk for size in pairs)
+    return got
 
 
 class TestCovered:

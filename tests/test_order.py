@@ -7,7 +7,8 @@ violation is a real bug, never float noise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from setorder._kernels import LARGE, LOWER, STRICT
 from setorder.cone import Cone
@@ -20,13 +21,16 @@ from setorder.order import (
     large_le,
     lower_le,
     shift_margin,
+    _h_rows,
     strict_lt,
+    table_from_corners,
     table_rel,
 )
-from setorder.setrep import box, points, translate
+from setorder.problem import _exterior_rows
+from setorder.setrep import _corner_data, box, points, translate
 
-from conftest import EXACT_SCALES, lattice_cloud, lattice_set, scale_set
-from reference import is_c_proper, strict_lt_by_search
+from conftest import EXACT_SCALES, lattice_cloud, lattice_set, random_solid_cone, scale_set
+from reference import exterior_point, is_c_proper, strict_lt_by_search
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
@@ -204,6 +208,77 @@ class TestGeneralCone:
             for j, B in enumerate(sets):
                 want = (lower_le(A, B, ctx), large_le(A, B, ctx), strict_lt(A, B, ctx))
                 assert tuple(bool(m[i, j]) for m in got) == want, (i, j)
+
+
+def corner_case(seed: int, dim: int, rows: int, counts: list[int], pad: int,
+                shifts: int):
+    """(cone, corners, count, shift): a general cone, clouds of ``counts``
+    corners each (0 for a raising row) in an (N, K, dim) array padded with
+    +inf to K = max(counts) + pad, and None or (shifts, dim) shift vectors."""
+    rng = np.random.default_rng(seed)
+    cone = random_solid_cone(rng, dim, rows)
+    count = np.array(counts, dtype=np.intp)
+    corners = np.full((len(counts), count.max() + pad, dim), np.inf)
+    for i, k in enumerate(counts):
+        corners[i, :k] = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-3, 4)
+    shift = rng.standard_normal((shifts, dim)) if shifts else None
+    return cone, corners, count, shift
+
+
+@st.composite
+def corner_cases(draw):
+    dim = draw(st.integers(2, 4))
+    return corner_case(draw(st.integers(0, 2 ** 32 - 1)), dim,
+                       draw(st.integers(dim, dim + 3)),
+                       draw(st.lists(st.integers(0, 5), min_size=1, max_size=12)),
+                       draw(st.integers(0, 2)), draw(st.integers(0, 3)))
+
+
+class TestHRows:
+    """Under a general cone, the corner tables' H-coordinates equal each
+    set's own ``_corner_data`` bit for bit, though they are computed in one
+    stacked product per corner count."""
+
+    @given(corner_cases())
+    @settings(max_examples=150, deadline=None)
+    @example(corner_case(1, 3, 5, [1, 3, 0, 2, 1, 3], 1, 2))   # ragged, raising, shifted
+    @example(corner_case(2, 2, 3, [0, 0, 0], 0, 0))            # K = 0
+    @example(corner_case(3, 2, 4, [0, 0], 2, 3))               # K = 0, shifted
+    def test_tables_match_per_set_corner_data(self, case):
+        cone, corners, count, shift = case
+        assume(cone.kind == "general")
+        ctx, n, m = OrderCtx(cone), len(count), len(cone.halfspaces)
+        cloud = np.ones(n, dtype=bool)
+        tab = table_from_corners(corners, np.zeros(corners.shape, np.uint8), cloud,
+                                 count, ctx, shift)
+        moves = [None] if shift is None else list(shift)
+        lead = (n,) if shift is None else (len(shift), n)
+        assert tab.h.shape == lead + (int(count.max()), m)
+        assert not tab.o.any() and tab.cloud.shape == lead
+        h_all = _h_rows(cone, corners if shift is None
+                        else corners[None] + shift[:, None, None], count)
+        for h in (tab.h, h_all):
+            h = h.reshape(len(moves), n, -1, m)
+            for e, move in enumerate(moves):
+                for i, k in enumerate(count.tolist()):
+                    assert np.isposinf(h[e, i, k:]).all()
+                    if k:
+                        A = points(corners[i, :k])
+                        want = _corner_data(A if move is None else translate(A, move),
+                                            cone)[0]
+                        assert h[e, i, :k].tobytes() == want.tobytes(), (e, i)
+
+    @given(corner_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_exterior_points_match_per_value(self, case):
+        cone, corners, count, _ = case
+        assume(cone.kind == "general" and count.all())
+        rows = (corners, np.zeros(corners.shape, np.uint8),
+                np.ones(len(count), dtype=bool), count)
+        checked, z = _exterior_rows(rows, cone)
+        assert checked.tolist() == list(range(len(count)))
+        for i, k in enumerate(count.tolist()):
+            assert z[i].tobytes() == exterior_point(points(corners[i, :k]), cone).tobytes()
 
 
 class TestDimensionMismatch:

@@ -437,7 +437,7 @@ class TestProperness:
                 # the text of the check that asked one value at a time
                 i, v = bad[0], verdicts[bad[0]]
                 assert str(err.value) == (
-                    f"value at x = {tuple(P.domain.points[i])} is not proper "
+                    f"value at x = {tuple(map(float, P.domain.points[i]))} is not proper "
                     f"for the cone: {v.reason} (certificate {v.counterexample})")
                 raised += 1
         assert raised >= 10
@@ -449,7 +449,7 @@ class TestProperness:
         with pytest.raises(ProblemLoadError) as err:
             Problem("t", TableMap(lambda x: vals[int(x[0])], 1), Cone.orthant(1), dom)
         assert str(err.value) == (
-            f"value at x = {tuple(dom.points[2])} is not proper for the cone: "
+            f"value at x = {tuple(map(float, dom.points[2]))} is not proper for the cone: "
             "constructed exterior point landed inside A + C "
             f"(certificate {{'point': {np.array([2.0])!r}}})")
 
@@ -757,7 +757,7 @@ class TestMemberBatches:
                     SetSpecError)
         else:
             want = (ProblemLoadError, (
-                f"value at x = {tuple(dom.points[0])} is not proper for the cone: "
+                f"value at x = {tuple(map(float, dom.points[0]))} is not proper for the cone: "
                 "constructed exterior point landed inside A + C "
                 f"(certificate {{'point': {np.array([float(first)])!r}}})"), type(None))
         fam, seen = family(), []
