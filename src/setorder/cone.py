@@ -100,13 +100,12 @@ class Cone:
             return self.contains_interior(b - a, tol)
         return self.contains(b - a, tol)
 
-    def h_coords(self, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def h_coords(self, points: np.ndarray) -> np.ndarray:
         """Map points (k, dim) to halfspace coordinates (k, m).
 
         In these coordinates every cone comparison is a componentwise one;
         for the orthant this is the identity and the points come back as
-        they are. Under any other cone ``out``, when given, receives the
-        coordinates. A row's bits can depend on the shape of the call (how
+        they are. A row's bits can depend on the shape of the call (how
         many rows share one product), so a set's coordinates are those of
         a call on its corners alone; callers that map many sets at once go
         through ``order._h_rows``, which keeps those bits.
@@ -114,7 +113,7 @@ class Cone:
         points = np.asarray(points, dtype=float)
         if self.kind == "orthant":
             return points
-        return np.matmul(points, self.halfspaces.T, out=out)
+        return np.matmul(points, self.halfspaces.T)
 
     def _vec(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float).reshape(-1)
