@@ -63,7 +63,7 @@ from .errors import (
     SetSpecError,
     Unsupported,
 )
-from .order import CornerTable, OrderCtx, corner_table, equiv, large_le, table_rel
+from .order import CornerTable, OrderCtx, corner_table, table_rel
 from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, _members,
                       family_at, tail_table)
 from .setrep import SetRep
@@ -492,7 +492,7 @@ def _eps_shifts(sign: int, ctx: OrderCtx) -> np.ndarray:
 def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
     """Table of S + sign·e·u, e along floored_eps(ctx) as rows (the floored
     eps last) and S along columns."""
-    return corner_table(sets, ctx, shift=_eps_shifts(sign, ctx))
+    return corner_table(sets, ctx.cone, shift=_eps_shifts(sign, ctx))
 
 
 def _take(tab: CornerTable, key) -> CornerTable:
@@ -503,18 +503,17 @@ def _take(tab: CornerTable, key) -> CornerTable:
 def _per_row(tab: CornerTable) -> CornerTable:
     """A table with a unit leading axis appended, so that each of its sets
     meets one row of another table's sets."""
-    h, o, cloud, t = tab
-    return CornerTable(h[..., None, :, :], o[..., None, :, :], cloud[..., None],
-                       t[..., None])
+    h, o, cloud = tab
+    return CornerTable(h[..., None, :, :], o[..., None, :, :], cloud[..., None])
 
 
 def _split(tab: CornerTable, G: int) -> CornerTable:
     """A table's last leading axis, of G·R sets, as (G, R)."""
     *lead, rows = tab.cloud.shape
     lead = (*lead, G, rows // G)
-    h, o, cloud, t = tab
+    h, o, cloud = tab
     return CornerTable(h.reshape(lead + h.shape[-2:]), o.reshape(lead + o.shape[-2:]),
-                       cloud.reshape(lead), t.reshape(lead))
+                       cloud.reshape(lead))
 
 
 def _by_target(errs: dict, G: int, rows: int) -> list[dict]:
@@ -598,7 +597,7 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     raised: dict[int, tuple] = {}   # target -> (sequence, first margin error)
 
     def margin(x: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
-        fn, errs = tail_table(map, x, [ns[tail.index(k)] for k in n.tolist()], ctx)
+        fn, errs = tail_table(map, x, [ns[tail.index(k)] for k in n.tolist()], ctx.cone)
         for r, e in errs.items():
             raised.setdefault(int(g[r]), (len(seqs), e))
         targets, at = np.unique(g, return_inverse=True)
@@ -611,10 +610,10 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
         seqs.append(item)
     R = len(seqs) * T
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
-    tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx,
+    tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx.cone,
                            None if lsc else _eps_shifts(-1, ctx))
-    ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,)) if lsc
-           else table_rel(_split(tab, G), _per_row(fx), (STRICT,)))
+    ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,), ctx.tol) if lsc
+           else table_rel(_split(tab, G), _per_row(fx), (STRICT,), ctx.tol))
     per = _by_target({**errs, **{g * R + s * T: e for g, (s, e) in raised.items()}}, G, R)
 
     out = []
@@ -640,10 +639,10 @@ def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str):
     """The lsc or usc verdict, or the exception it raises, at each row of
     X, in order (see _by_blocks); F(x̄) is asked before the scan."""
-    fx, fx_errs = tail_table(P.map, X, [P.n] * len(X), ctx,
+    fx, fx_errs = tail_table(P.map, X, [P.n] * len(X), ctx.cone,
                              _eps_shifts(-1, ctx) if mode == "lsc" else None)
     found = _tail_scan(P.map, lambda n: P.n, X, fx,
-                       lambda g: tail_table(P.map, X[g], [P.n] * len(g), ctx)[0],
+                       lambda g: tail_table(P.map, X[g], [P.n] * len(g), ctx.cone)[0],
                        battery, ctx, horizon, lambda n: P.domain, mode)
     for g, ce in enumerate(found):
         ce = fx_errs.get(g, ce)
@@ -732,13 +731,13 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
                         fam: PerturbedFamily, horizon: int):
     """[g, i]: the floored-eps shift F(x̄_g) - eps·u, the sets of
     ``fx_floor`` (G,), strictly below F_n at base grid point i for every
-    tail n, one comparison per member against its memoized value table; or
+    tail n, one comparison per member against its value table; or
     the exception a member build raises, which is every point's. The tail
     members are built in one batch."""
     ok = np.ones((len(fx_floor.cloud), len(fam.base)), dtype=bool)
     try:
         for P in _members(fam, upper_half(horizon)):
-            ok &= table_rel(_per_row(fx_floor), value_table(P, ctx), (STRICT,))[0]
+            ok &= table_rel(_per_row(fx_floor), value_table(P), (STRICT,), ctx.tol)[0]
     except Exception as e:
         return e
     return ok
@@ -784,10 +783,10 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
                 f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
                 best={k: (th, [float(v) for v in x]) for k, (th, x, _) in best.items()})
         spent += len(cand)
-        tab, errs = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx)
+        tab, errs = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx.cone)
         if errs:
             raise next(iter(errs.values()))
-        ok, = table_rel(tab, fx_up, (LARGE,))
+        ok, = table_rel(tab, fx_up, (LARGE,), ctx.tol)
         theta = np.where(ok.all(axis=0), 0.0, eps[np.argmin(ok, axis=0)])
         th, _, k = min(zip(theta.tolist(), dists[cand].tolist(), range(len(cand))))
         best[n] = (th, dom.points[cand[k]], ok[:, k])
@@ -860,9 +859,9 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
     if G:
         seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
                             [domain_at(n) for n in ns])
-        tab, errs = tail_table(fam.map, seq.reshape(G * T, -1), ns * G, ctx)
+        tab, errs = tail_table(fam.map, seq.reshape(G * T, -1), ns * G, ctx.cone)
         ok, = table_rel(_split(tab, G),
-                        _per_row(_take(fx_up, (slice(None), slice(G)))), (LARGE,))
+                        _per_row(_take(fx_up, (slice(None), slice(G)))), (LARGE,), ctx.tol)
         for g, row_errs in enumerate(_by_target(errs, G, T)):
             yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True, ctx)
     if hint_errs:
@@ -883,12 +882,12 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
     """
     E = len(floored_eps(ctx))
     flo = floored_eps(ctx)[-1]
-    fx, fx_errs = tail_table(limit.map, X, [limit.n] * len(X), ctx, np.concatenate(
+    fx, fx_errs = tail_table(limit.map, X, [limit.n] * len(X), ctx.cone, np.concatenate(
         [_eps_shifts(-1, ctx), _eps_shifts(1, ctx)]))
     fx_down = _take(fx, slice(E))
     lower = _tail_scan(
         fam.map, lambda n: n, X, fx_down,
-        lambda g: tail_table(limit.map, X[g], [limit.n] * len(g), ctx)[0],
+        lambda g: tail_table(limit.map, X[g], [limit.n] * len(g), ctx.cone)[0],
         battery, ctx, horizon, domain_at, "lsc")
     near = (_neighborhood_masks(_take(fx_down, -1), ctx, fam, horizon)
             if neighborhood else None)
@@ -1076,8 +1075,8 @@ def _target_hypotheses(targets: Sequence[SetRep], omega: SetRep,
     """Level-set hypotheses (b), upper and lower, over the tail targets."""
     need = io_threshold(horizon)
     flo = floored_eps(ctx)[-1]
-    omega_t = corner_table([omega], ctx)
-    hits_at = table_rel(_shifted(targets, -1, ctx), omega_t, (LARGE,))[0].sum(axis=1)
+    omega_t = corner_table([omega], ctx.cone)
+    hits_at = table_rel(_shifted(targets, -1, ctx), omega_t, (LARGE,), ctx.tol)[0].sum(axis=1)
     hits = int(hits_at[-1])
     if hits >= need:
         hyp_up = Verdict.holds(
@@ -1093,7 +1092,7 @@ def _target_hypotheses(targets: Sequence[SetRep], omega: SetRep,
             counterexample={"hits": hits, "needed": need, "eps": float(eps_bad)},
             sampled=True)
 
-    below, = table_rel(omega_t, corner_table(targets, ctx), (STRICT,))
+    below, = table_rel(omega_t, corner_table(targets, ctx.cone), (STRICT,), ctx.tol)
     if below.all():
         hyp_lo = Verdict.holds(
             reason="limit target strictly below every tail target set",
@@ -1306,15 +1305,15 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
         for name in names:
             xs = battery.sequence(name, xb, doms, ns)
             ps = battery.sequence(name, x0, doms, ns)
-            ta, err_a = tail_table(fam.map, xs, ns, ctx)
-            tb, err_b = tail_table(fam.map, ps, ns, ctx)
+            ta, err_a = tail_table(fam.map, xs, ns, ctx.cone)
+            tb, err_b = tail_table(fam.map, ps, ns, ctx.cone)
             # at one n F_n(x_n) is asked, then F_n(phi_n), then they are
             # compared, which is where a box is refused (tail_table)
             errs = {**err_b, **err_a, **dom_err}
             errs.update((k, e) for k, e in err_b.items()
                         if isinstance(errs[k], Unsupported))
             # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
-            ok, = table_rel(ta, tb, (LARGE,))
+            ok, = table_rel(ta, tb, (LARGE,), ctx.tol)
             brk = _first_break(ok[None], ctx, errs)
             if isinstance(brk, Exception):
                 raise brk
@@ -1482,13 +1481,17 @@ def _external_conclusion(clusters, base_eff, step: float, ctx: OrderCtx) -> Verd
 
 def _internal_conclusion(clusters, base_eff, base: Problem, kind: str,
                          need: int, step: float, ctx: OrderCtx) -> Verdict:
+    """A cluster's value matches base minimal index i when it lies largely
+    below F(i) (Relaxed) or is equivalent to it (Geoffroy), read off the
+    LARGE matrix that ``base_eff`` was solved from."""
     matches = {}
-    value_matches = equiv if kind == "Geoffroy" else large_le
+    large = relation_matrices(base, ctx)[1]
+    both = kind == "Geoffroy"
     near = [c for c in clusters
             if c["span"] >= need and c["dist"] <= step / 2 + ctx.tol]
     for i in base_eff.indices:
-        found = next((c for c in near if value_matches(
-            base.value(c["base_index"]), base.value(i), ctx)), None)
+        found = next((c for c in near if large[c["base_index"], i]
+                      and (not both or large[i, c["base_index"]])), None)
         if found is None:
             return Verdict.fails(
                 reason=f"base minimal index {i} is not approached by any "

@@ -244,18 +244,6 @@ def _unparse(e: Expr, ctx: int) -> str:
     return f"({s})" if p < ctx else s
 
 
-def variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Neg):
-        return variables(e.arg)
-    if isinstance(e, Call):
-        return variables(e.arg)
-    if isinstance(e, BinOp):
-        return variables(e.left) | variables(e.right)
-    return set()
-
-
 def evaluate(e: Expr, env: Mapping[str, object]) -> float:
     """env binds 'x' to a coordinate sequence and optionally 'n' to an int."""
     v = _eval(e, env)

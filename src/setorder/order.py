@@ -13,9 +13,13 @@ the ray eps = t*u, u the cone's interior direction.
 
 A relation is asked for one pair of sets (``_rel``, the predicates above)
 or over two corner tables of sets (``table_rel``); both use one kernel rule.
-``corner_table(values, ctx, shift)`` and problem.tail_table both end in
-``table_from_corners``, where a shift (E, dim) moves each set's lower
-corners in the table: the only set arithmetic the package does.
+A table holds the sets under a cone and nothing of a context: the
+tolerance enters at the comparison, where ``table_rel`` gives each pair
+its own from the two sets' cloud flags (``_pair_tol``), so one table
+serves every context on its cone. ``corner_table(values, cone, shift)``
+and problem.tail_table both end in ``table_from_corners``, where a shift
+(E, dim) moves each set's lower corners in the table: the only set
+arithmetic the package does.
 
 Universal epsilon quantifiers everywhere in the package are instantiated
 along that same ray, on a strictly decreasing schedule.
@@ -73,33 +77,30 @@ def _rel(A: SetRep, B: SetRep, ctx: OrderCtx, mode: int) -> bool:
 
 
 class CornerTable(NamedTuple):
-    """Sets along leading axes L: h (L, K, m) lower corners in H-coordinates,
-    padded with +inf to the largest corner count K, o their uint8 openness
-    flags, cloud (L) marking point clouds and t (L) their tolerance (tol for
-    a cloud, 0 for a box union); a pair of sets is compared at the larger
-    of its two."""
+    """Sets along leading axes L under one cone: h (L, K, m) lower corners in
+    H-coordinates, padded with +inf to the largest corner count K, o their
+    uint8 openness flags and cloud (L) marking point clouds."""
     h: np.ndarray
     o: np.ndarray
     cloud: np.ndarray
-    t: np.ndarray
 
 
-def corner_table(values: Sequence[SetRep], ctx: OrderCtx,
+def corner_table(values: Sequence[SetRep], cone: Cone,
                  shift: Optional[np.ndarray] = None) -> CornerTable:
     """A nonempty sequence of sets as one table with leading axis (N,), or
     (E, N) with each set moved by each row of ``shift`` (E, dim)."""
-    cs, fs, clouds = zip(*(_corner_data(v, ctx.cone, h_coords=False) for v in values))
+    cs, fs, clouds = zip(*(_corner_data(v, cone, h_coords=False) for v in values))
     count = np.array([len(c) for c in cs], dtype=np.intp)
     filled = np.arange(count.max()) < count[:, None]
-    corners = np.full(filled.shape + (ctx.cone.dim,), np.inf)
+    corners = np.full(filled.shape + (cone.dim,), np.inf)
     flags = np.zeros(corners.shape, dtype=np.uint8)
     corners[filled], flags[filled] = np.concatenate(cs), np.concatenate(fs)
     cloud = np.array(clouds, dtype=bool)
-    return table_from_corners(corners, flags, cloud, count, ctx, shift)
+    return table_from_corners(corners, flags, cloud, count, cone, shift)
 
 
 def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray,
-                       count: np.ndarray, ctx: OrderCtx,
+                       count: np.ndarray, cone: Cone,
                        shift: Optional[np.ndarray] = None) -> CornerTable:
     """N sets' lower corners (N, K, dim), padded with +inf, as a table cut
     to the largest corner count; ``flags`` their uint8 lower-openness,
@@ -110,7 +111,7 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     ``_corner_data`` maps it alone, and a box union is refused.
     """
     if not cloud.all():
-        _refuse_boxes(ctx.cone)
+        _refuse_boxes(cone)
     K = int(count.max(initial=0))
     corners, flags = corners[:, :K], flags[:, :K]
     if shift is not None:
@@ -118,13 +119,12 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
         corners = corners[None] + shift[:, None, None, :]
         flags = np.broadcast_to(flags, corners.shape)
         cloud = np.broadcast_to(cloud, corners.shape[:-2])
-    cone = ctx.cone
     if cone.kind == "orthant":
         h, o = corners, np.array(flags)
     else:
         h = _h_rows(cone, corners, count)
         o = np.zeros(h.shape, dtype=np.uint8)
-    return CornerTable(h, o, np.array(cloud), np.where(cloud, ctx.tol, 0.0))
+    return CornerTable(h, o, np.array(cloud))
 
 
 def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
@@ -135,7 +135,7 @@ def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
     A row's bits can depend on how many rows its matmul holds, so one
     product over every set's corners would not do. NumPy's stacked matmul
     runs its per-matrix routine on each (k, dim) slice, so one stacked
-    product per corner count k does; sets with no corner stay +inf.
+    ``h_coords`` call per corner count k does; sets with no corner stay +inf.
     """
     *lead, K, dim = corners.shape
     # the set count, not -1: with no corners (K = 0) it cannot be inferred
@@ -146,31 +146,32 @@ def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
     for k in range(1, K + 1):
         at = np.flatnonzero(ks == k)
         if len(at):
-            h[at, :k] = np.matmul(c[at, :k], cone.halfspaces.T)
+            h[at, :k] = cone.h_coords(c[at, :k])
     return h.reshape(*lead, K, m)
 
 
-def _pair_tol(ta: np.ndarray, tb: np.ndarray):
-    """Each pair's tolerance, the larger of its two sets' (``CornerTable.t``
-    of one ctx, broadcast): 0 when neither side holds a cloud, which keeps
-    box tables on the kernel's exact path, and a side's own when every set
-    on it is a cloud, since no set's tolerance exceeds a cloud's."""
-    if not (ta.any() or tb.any()):
+def _pair_tol(a_cloud: np.ndarray, b_cloud: np.ndarray, tol: float):
+    """Each pair's tolerance from its two sets' cloud flags (broadcast): tol
+    when either set is a cloud, 0 for two box unions. A scalar where one
+    value serves every pair: 0 when neither side holds a cloud, which keeps
+    box tables on the kernel's exact path, and tol when every set on one
+    side is a cloud."""
+    if not (a_cloud.any() or b_cloud.any()):
         return 0.0
-    for t in (ta, tb):
-        if t.all():
-            return t
-    return np.maximum(ta, tb)
+    if a_cloud.all() or b_cloud.all():
+        return tol
+    return np.where(a_cloud | b_cloud, tol, 0.0)
 
 
-def table_rel(a: CornerTable, b: CornerTable,
-              modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """rel(A, B) per mode, over the broadcast leading axes of two tables."""
+def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
+              tol: float) -> tuple[np.ndarray, ...]:
+    """rel(A, B) per mode, over the broadcast leading axes of two tables of
+    one cone, each pair at its tolerance under ``tol`` (``_pair_tol``)."""
     # (leading, b-corner, a-corner, axis); per-set scalars on leading axes
     per_set = (..., None, None, None)
     got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
-                  b.h[..., None, :], b.o[..., None, :],
-                  b.cloud[per_set], _pair_tol(a.t[per_set], b.t[per_set]), modes)
+                  b.h[..., None, :], b.o[..., None, :], b.cloud[per_set],
+                  _pair_tol(a.cloud[per_set], b.cloud[per_set], tol), modes)
     return tuple(reduce_last(ok, np.logical_and) for ok in got)
 
 

@@ -13,7 +13,8 @@ builds a range of them as one batch; a value at one point is
 one path, ``value_rows``: one array evaluation of the map, straight into
 padded corner arrays, which a Problem keeps for its grid and a sequence
 tail turns into a corner table (``tail_table``). A Problem and a batch of
-members check their grids on one path too, ``_checked_rows``.
+members check their grids on one path too, ``_checked_rows``, whose
+properness table gives each Problem its value table.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -25,7 +26,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
@@ -36,10 +37,10 @@ import numpy as np
 
 from . import expr as ex
 from ._kernels import LARGE
-from .cone import Cone
+from .cone import DEFAULT_TOL, Cone
 from .errors import (ExprError, HorizonExceeded, ProblemLoadError, SetSpecError,
                      Unsupported)
-from .order import CornerTable, OrderCtx, _h_rows, table_from_corners, table_rel
+from .order import CornerTable, _h_rows, table_from_corners, table_rel
 from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data, _refuse_boxes
 
 # finite upper endpoints beyond this are treated as unbounded; keeps huge
@@ -89,22 +90,30 @@ class Window:
         """Point count, found without building the points.
 
         a + j*step never falls as j grows, so the count is the first j
-        whose point lies outside: double an upper bound, then bisect.
+        whose point lies outside, and a window whose point j = 2^53 lies
+        inside is refused. The quotient (b - a) / step is the last point's
+        index up to rounding: the search starts there, gallops (doubling
+        its distance) to a bracket and bisects it, three or four
+        ``_holds`` calls on a usual window. Rounding can put the count far
+        from the quotient when |a| is large against the step, since
+        a + j*step then stays at a for many j; the gallop keeps that to a
+        few dozen calls.
         """
-        hi = 1
-        while self._holds(hi):
-            if hi > 2 ** 53:
-                raise ProblemLoadError(
-                    f"window [{self.a}, {self.b}] step {self.step} has over 2^53 points")
-            hi *= 2
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._holds(mid):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        if self._holds(2 ** 53):
+            raise ProblemLoadError(
+                f"window [{self.a}, {self.b}] step {self.step} has over 2^53 points")
+        # b - a can overflow to inf; the count is at most 2^53 here
+        j, d = int(min((self.b - self.a) / self.step, 2 ** 53)), 1
+        if self._holds(j):
+            while self._holds(j + d):
+                d *= 2
+            lo, hi = j + d // 2 + 1, j + d
+        else:
+            while j - d >= 0 and not self._holds(j - d):
+                d *= 2
+            lo, hi = max(j - d + 1, 0), j - d // 2
+        # the count is in [lo, hi]: the first j there whose point is outside
+        return lo + bisect_left(range(lo, hi), True, key=lambda i: not self._holds(i))
 
     def points(self) -> np.ndarray:
         # the same single rounding of a + j*step as in _holds
@@ -273,8 +282,6 @@ class PieceMap:
     power, an unbound variable), no guard matches it, or an endpoint check
     fails. So every row whose ``value`` raises is re-run and raises the same
     exception, and every other row holds ``value``'s corners bit for bit.
-    A piece that matches every row is evaluated on X and n as they are,
-    with no gather of its rows and no scatter of its results.
     """
 
     def __init__(self, pieces: Sequence[Piece], image_dim: int):
@@ -320,7 +327,6 @@ class PieceMap:
         suspect |= unmatched
 
         used = [k for k in range(len(self.pieces)) if (which == k).any()]
-        every = len(used) == 1 and not unmatched.any()
         K = max((1 if self.pieces[k].box_axes is not None
                  else len(self.pieces[k].point_vectors) for k in used), default=0)
         corners = np.full((T, K, dim), np.inf)
@@ -329,7 +335,7 @@ class PieceMap:
         count = np.zeros(T, dtype=np.intp)
         for k in used:
             piece = self.pieces[k]
-            rows = slice(None) if every else np.flatnonzero(which == k)
+            rows = np.flatnonzero(which == k)
             Xk, nk = X[rows], None if n is None else n[rows]
             if piece.box_axes is not None:
                 if len(piece.box_axes) != dim:
@@ -455,7 +461,7 @@ def value_rows(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone,
     return (corners, flags, cloud, count), errs
 
 
-def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
+def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone,
                shift: Optional[np.ndarray] = None
                ) -> tuple[CornerTable, dict[int, Exception]]:
     """``value_rows`` as one corner table of every row, and each raising
@@ -464,50 +470,54 @@ def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], ctx: OrderCtx,
     Under a general cone a box row is raising too: it holds no corner, and
     its error is the ``Unsupported`` that comparing it would raise. With
     ``shift`` (E, dim) the leading axes are (E, rows). The rows that do not
-    raise equal ``corner_table(values, ctx, shift)`` over their values bit
+    raise equal ``corner_table(values, cone, shift)`` over their values bit
     for bit.
     """
-    (corners, flags, cloud, count), errs = value_rows(map, X, ns, ctx.cone)
-    if not cloud.all() and ctx.cone.kind != "orthant":
+    (corners, flags, cloud, count), errs = value_rows(map, X, ns, cone)
+    if not cloud.all() and cone.kind != "orthant":
         boxes = np.flatnonzero(~cloud).tolist()
         try:
-            _refuse_boxes(ctx.cone)
+            _refuse_boxes(cone)
         except Unsupported as e:
             errs = dict(sorted({**dict.fromkeys(boxes, e), **errs}.items()))
         corners[boxes], cloud[boxes], count[boxes] = np.inf, True, 0
-    return table_from_corners(corners, flags, cloud, count, ctx, shift), errs
+    return table_from_corners(corners, flags, cloud, count, cone, shift), errs
 
 
-def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, np.ndarray]:
-    """(checked, z): the rows checked for properness and a point z outside
-    cl(A + C) for each, A's componentwise least corner pushed along -u until
-    the first halfspace row rules out domination (by 1 under the orthant);
-    under a general cone only clouds are checked, all in whole-array
-    passes: H-coordinates through ``order._h_rows``, each row's bits those
-    of ``Cone.h_coords`` on that value alone."""
+def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, CornerTable, np.ndarray]:
+    """(checked, tab, z): the rows checked for properness, their corner
+    table, and a point z outside cl(A + C) for each, A's componentwise
+    least corner pushed along -u until the first halfspace row rules out
+    domination (by 1 under the orthant). Under a general cone only clouds
+    are checked, all in whole-array passes that read the table's
+    H-coordinates, each row's bits those of ``Cone.h_coords`` on that value
+    alone (``order._h_rows``)."""
     corners, _, cloud, count = rows
-    if cone.kind == "orthant":
-        return np.arange(len(count)), corners.min(axis=1) - 1.0
-    checked = np.flatnonzero(cloud)
-    pts, k = corners[checked], count[checked]
-    pmin = pts.min(axis=1)
-    low = _h_rows(cone, pts, k)[..., 0].min(axis=1)
+    orthant = cone.kind == "orthant"
+    checked = np.arange(len(count)) if orthant else np.flatnonzero(cloud)
+    tab = table_from_corners(*(x[checked] for x in rows), cone)
+    if orthant:
+        return checked, tab, tab.h.min(axis=1) - 1.0
+    pmin = corners[checked].min(axis=1)
+    low = tab.h[..., 0].min(axis=1, initial=np.inf)   # no corner axis without clouds
     t = 1.0 + (_h_rows(cone, pmin[:, None], 1)[:, 0, 0] - low)
-    return checked, pmin - t[:, None] * cone.interior_direction
+    return checked, tab, pmin - t[:, None] * cone.interior_direction
 
 
 def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
                   ns: Sequence[Optional[int]]) -> list:
     """The grid rows of each member, F = ``map(·, ns[j])`` on ``domains[j]``,
-    checked as a Problem checks them, in member order up to the first
-    member whose check fails: its exception, the one that member's Problem
-    raises, ends the list.
+    checked as a Problem checks them, each with its value table, in member
+    order up to the first member whose check fails: its exception, the one
+    that member's Problem raises, ends the list.
 
     The members' grids are one ``value_rows``, which stops at its first
-    raising row, and the members wholly before that row one LARGE
-    properness query; the first improper member among them fails first. A
-    member's rows are cut to its own largest corner count, so they do not
-    depend on the other members.
+    raising row, and the members wholly before that row one properness
+    table (``_exterior_rows``) and one LARGE query on it; the first
+    improper member among them fails first. A member's rows, and its slice
+    of that table, are cut to its own largest corner count, so they do not
+    depend on the other members; its table is None when some row was not
+    mapped (a box under a general cone).
     """
     if map.image_dim != cone.dim:
         return [ProblemLoadError(f"map image dim {map.image_dim} != cone dim {cone.dim}")]
@@ -525,15 +535,14 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
     # the members wholly before the raising row, each value paired with its
     # exterior point in one LARGE query; one of them may be improper
     whole = bisect_right(starts, bad) - 1
-    head = tuple(x[:starts[whole]] for x in rows)
-    checked, zs = _exterior_rows(head, cone) if whole else ((), None)
+    if not whole:
+        return [err]
+    checked, tab, zs = _exterior_rows(tuple(x[:starts[whole]] for x in rows), cone)
     if len(checked):
-        ctx, z = OrderCtx(cone), zs[:, None]
-        inside, = table_rel(
-            table_from_corners(*(x[checked] for x in head), ctx),
-            table_from_corners(z, np.zeros(z.shape, np.uint8),
-                               np.ones(len(z), bool), np.ones(len(z), np.intp), ctx),
-            (LARGE,))
+        z = zs[:, None]
+        inside, = table_rel(tab, table_from_corners(
+            z, np.zeros(z.shape, np.uint8), np.ones(len(z), bool), np.ones(len(z), np.intp),
+            cone), (LARGE,), DEFAULT_TOL)
         if inside.any():
             r = int(np.argmax(inside))
             whole = bisect_right(starts, checked[r]) - 1
@@ -542,10 +551,14 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
                 f"for the cone: {EXTERIOR_INSIDE} "
                 f"(certificate {dict(point=zs[r])})")
     corners, flags, cloud, count = rows
+    # member j's rows in the table are at[j]:at[j + 1]
+    at = np.searchsorted(checked, starts).tolist()
     out: list = []
-    for lo, hi in zip(starts[:whole], starts[1:whole + 1]):
+    for lo, hi, a, b in zip(starts[:whole], starts[1:whole + 1], at, at[1:]):
         k = int(count[lo:hi].max())
-        out.append((corners[lo:hi, :k], flags[lo:hi, :k], cloud[lo:hi], count[lo:hi]))
+        out.append(((corners[lo:hi, :k], flags[lo:hi, :k], cloud[lo:hi], count[lo:hi]),
+                    CornerTable(tab.h[a:b, :k], tab.o[a:b, :k], tab.cloud[a:b])
+                    if b - a == hi - lo else None))
     return out if err is None else out + [err]
 
 
@@ -553,23 +566,26 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
 
 class Problem:
     """SetValuedMap + Cone + Domain, fully validated on the grid; ``rows``
-    holds the grid's values (``value_rows``), ``value(i)`` evaluates anew."""
+    holds the grid's values (``value_rows``), ``_table`` their corner table
+    from the properness check (``_checked_rows``; None for a box under a
+    general cone), and ``value(i)`` evaluates anew."""
 
     def __init__(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
                  n: Optional[int] = None):
         got, = _checked_rows(map, cone, [domain], [n])
         if isinstance(got, Exception):
             raise got
-        self._hold(label, map, cone, domain, n, got)
+        self._hold(label, map, cone, domain, n, *got)
 
     def _hold(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
-              n: Optional[int], rows) -> "Problem":
+              n: Optional[int], rows, table: Optional[CornerTable]) -> "Problem":
         self.label = label
         self.map = map
         self.cone = cone
         self.domain = domain
         self.n = n
         self.rows = rows
+        self._table = table
         return self
 
     def value(self, i: int) -> SetRep:
@@ -711,7 +727,7 @@ def _build_members(fam: PerturbedFamily, ns: Iterable[int]
             if isinstance(got, Exception):
                 return n, got
             fam._cache[n] = Problem.__new__(Problem)._hold(
-                f"{fam.label}[n={n}]", fam.map, cone, dom, n, got)
+                f"{fam.label}[n={n}]", fam.map, cone, dom, n, *got)
     return failed
 
 

@@ -2,11 +2,13 @@
 
 All four minimality notions reduce to three pairwise relation matrices
 over the grid (one per preorder flavor); the matrices are computed once
-per (problem, context) pair and cached on the problem, and representants
-and Hypothesis (H) read their level sets off them. A level set at an
-arbitrary target S is one order.table_rel call between the problem's
-value table, built once from its grid rows, and S; the matrices use
-table_rel too. It shares one kernel rule with the pairwise predicates.
+per (problem, context) pair, since the context's tolerance enters them,
+and cached on the problem, and representants and Hypothesis (H) read
+their level sets off them. A level set at an arbitrary target S is one
+order.table_rel call between the problem's value table and S; the
+matrices use table_rel too. The value table holds the sets alone, so a
+problem has one, kept from its properness check. table_rel shares one
+kernel rule with the pairwise predicates.
 When values have several corners, only the pairs that pass an exact
 necessary test on the sets' per-axis minima (``_candidates``) reach the
 kernel; with one corner per value that test is LARGE itself, and every
@@ -25,10 +27,9 @@ import numpy as np
 
 from ._kernels import LARGE, LOWER, STRICT, reduce_last
 from .errors import InternalCheckError
-from .order import (CornerTable, OrderCtx, _pair_tol, corner_table, lower_le,
-                    table_from_corners, table_rel)
+from .order import CornerTable, OrderCtx, _pair_tol, corner_table, lower_le, table_rel
 from .problem import PieceMap, Problem
-from .setrep import PointCloud, SetRep
+from .setrep import PointCloud, SetRep, _refuse_boxes
 from .verdict import Verdict
 
 KINDS = ("Strong", "Pareto", "Geoffroy", "Relaxed")
@@ -81,18 +82,17 @@ class LSetResult:
 _BLOCK_ELEMENTS = 2 ** 16
 
 
-def value_table(P: Problem, ctx: OrderCtx) -> CornerTable:
-    """P's values as one corner table, from its rows, memoized on P per ctx."""
-    cache = vars(P).setdefault("_table_cache", {})
-    got = cache.get(ctx)
-    if got is None:
-        got = cache[ctx] = table_from_corners(*P.rows, ctx)
-    return got
+def value_table(P: Problem) -> CornerTable:
+    """P's values as one corner table, the one its properness check built;
+    a box value under a general cone is refused, as comparing it would be."""
+    if P._table is None:
+        _refuse_boxes(P.cone)
+    return P._table
 
 
 def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray:
     """rel(F_i, S) for every grid index i, as one (N,) kernel call."""
-    return table_rel(value_table(P, ctx), corner_table([S], ctx), (mode,))[0]
+    return table_rel(value_table(P), corner_table([S], ctx.cone), (mode,), ctx.tol)[0]
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
@@ -116,14 +116,14 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     if got is not None:
         return got
 
-    tab = value_table(P, ctx)
+    tab = value_table(P)
     n, k, m = tab.h.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * m))
     pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
     out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
 
     def fill(at, a: CornerTable, b: CornerTable) -> None:
-        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT))):
+        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT), ctx.tol)):
             mat[at] = ok
 
     ideal = tab.h.min(axis=1)
@@ -133,7 +133,7 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
             fill(blk, CornerTable(*(x[blk, None] for x in tab)), tab)
             continue
         ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
-                                        _pair_tol(tab.t[blk, None], tab.t)))
+                                        _pair_tol(tab.cloud[blk, None], tab.cloud, ctx.tol)))
         ii += i
         for c in range(0, len(ii), pairs):
             at = (ii[c:c + pairs], jj[c:c + pairs])
@@ -144,11 +144,12 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     return out
 
 
-def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
 
     ideal_a (I, m) and ideal_b (N, m) are the per-axis minima of the sets'
-    H-corners, t the pairs' tolerances, (I, N) or broadcast to it. All
+    H-corners, t the pairs' tolerances (``order._pair_tol``), a scalar or
+    (I, N) or broadcast to it. All
     three relations need, for each B-corner b, some A-corner a with
     fl(b + t) >= a on every axis: LARGE compares exactly that, STRICT gives
     it by b > fl(a + t) >= a, and LOWER takes STRICT or LARGE per axis.

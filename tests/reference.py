@@ -24,6 +24,10 @@ switch between folding and reducing a short last axis.
 which tests every pair of tail points; the package sweeps them in order of
 their first coordinate.
 
+``window_count`` is a grid window's former point count: it doubles an
+upper bound and bisects, where the package starts from the quotient
+(b - a) / step.
+
 ``evaluate_rows`` is the expression evaluator's former row path: it checks
 finiteness at every node and calls the per-element math functions on
 every row, which the package now does only where a non-finite value can
@@ -48,7 +52,8 @@ from setorder.converge import (
     io_threshold,
     upper_half,
 )
-from setorder.errors import DimensionMismatch, InternalCheckError, NoRecoveryFound
+from setorder.errors import (DimensionMismatch, InternalCheckError, NoRecoveryFound,
+                             ProblemLoadError)
 from setorder.expr import _ROW_CALLS, _ROW_POW, BinOp, Call, Lit, Neg, Var
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
@@ -72,6 +77,26 @@ def each_reduction():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_FOLD_OUTER", outer)
             yield side
+
+
+def window_count(w: Window) -> int:
+    """The first j whose point a + j*step lies outside the window, by
+    doubling an upper bound and bisecting; refused once a point past 2^53
+    lies inside."""
+    hi = 1
+    while w._holds(hi):
+        if hi > 2 ** 53:
+            raise ProblemLoadError(
+                f"window [{w.a}, {w.b}] step {w.step} has over 2^53 points")
+        hi *= 2
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if w._holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def evaluate_rows(e, x: np.ndarray, n=None) -> tuple[np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ from setorder.converge import (
     usc_check,
 )
 from setorder.errors import InternalCheckError, SetSpecError, Unsupported
-from setorder.order import OrderCtx, corner_table
+from setorder.order import OrderCtx, corner_table, equiv, large_le
 from setorder.expr import parse
 from setorder.problem import (
     Domain,
@@ -57,6 +57,7 @@ from setorder.problem import (
 )
 from setorder.cone import Cone
 from setorder.setrep import box, points, translate
+from setorder.solve import eff
 from setorder.verdict import Status, Verdict
 
 PROBLEM_DIR = Path(load_dict.__module__ and __file__).parent.parent \
@@ -123,9 +124,9 @@ def built(monkeypatch):
     seen = []
     real = Problem._hold
 
-    def hold(self, label, map, cone, domain, n, rows):
+    def hold(self, label, map, cone, domain, n, *rows):
         seen.append((n, domain))
-        return real(self, label, map, cone, domain, n, rows)
+        return real(self, label, map, cone, domain, n, *rows)
 
     monkeypatch.setattr(Problem, "_hold", hold)
     return seen
@@ -136,8 +137,8 @@ def tail_scan_at(map, t, Fx, battery, ctx, horizon, domain_at, mode):
     x_n from map(x_n, n); raises the exception it reports."""
     shift = converge._eps_shifts(-1, ctx) if mode == "lsc" else None
     got, = converge._tail_scan(map, lambda n: n, np.reshape(t, (1, -1)),
-                               corner_table([Fx], ctx, shift),
-                               lambda g: corner_table([Fx] * len(g), ctx),
+                               corner_table([Fx], ctx.cone, shift),
+                               lambda g: corner_table([Fx] * len(g), ctx.cone),
                                battery, ctx, horizon, domain_at, mode)
     if isinstance(got, Exception):
         raise got
@@ -1192,10 +1193,10 @@ class TestTailOnlyWork:
             return real_domain_at(n)
 
         # values along a tail are asked in one tail_table call
-        def tail_table(map, X, ns, ctx, **kwargs):
+        def tail_table(map, X, ns, cone, **kwargs):
             if map is fam.map:
                 asked["values"].extend(ns)
-            return real_table(map, X, ns, ctx, **kwargs)
+            return real_table(map, X, ns, cone, **kwargs)
 
         monkeypatch.setattr(fam, "domain_at", domain_at)
         monkeypatch.setattr(converge, "tail_table", tail_table)
@@ -1461,6 +1462,33 @@ class TestGridGammaHypothesis:
                               "grid index 18")
         assert searched == pts[:19, 0].tolist()
         assert rep.conclusion.is_inconclusive
+
+
+class TestInternalConclusion:
+    """A cluster matches base minimal index i when its base value is
+    largely below F(i) (Relaxed) or equivalent to it (Geoffroy), read off
+    the base problem's LARGE matrix at [cluster, i]."""
+
+    def test_one_way_large_reads_the_cluster_row(self, ctx1):
+        # F = {0}, {1}, {0}: LARGE holds 0 -> 1 and 2 -> 1 but not back, so
+        # both minimal sets are {0, 2}, and a cluster at index 1 matches
+        # neither; read transposed, it would match both under Relaxed
+        vals = [points([[0.0]]), points([[1.0]]), points([[0.0]])]
+        base = Problem("one-way", TableMap(lambda x: vals[int(x[0])], 1),
+                       Cone.orthant(1), Domain.from_points([[0.0], [1.0], [2.0]]))
+        for kind in ("Relaxed", "Geoffroy"):
+            base_eff = eff(base, kind, ctx1)
+            assert base_eff.indices == (0, 2)
+            for at in range(3):
+                c = {"point": (float(at),), "span": 4, "base_index": at, "dist": 0.0}
+                got = converge._internal_conclusion([c], base_eff, base, kind, 4,
+                                                    1.0, ctx1)
+                # the former rule, one predicate call per pair of values
+                rel = equiv if kind == "Geoffroy" else large_le
+                want = all(rel(vals[at], vals[i], ctx1) for i in base_eff.indices)
+                assert got.is_holds == want == (at != 1), (kind, at)
+                if at == 1:
+                    assert got.counterexample["base_index"] == 0
 
 
 class TestBlockFoldsMatchPointFolds:

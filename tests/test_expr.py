@@ -12,7 +12,7 @@ from setorder import expr
 from setorder.cone import Cone
 from setorder.errors import DomainError, ExprSyntaxError, UnboundVariable
 from setorder.expr import (MAX_DEPTH, BinOp, Call, Lit, Neg, Var, evaluate,
-                           evaluate_rows, parse, unparse, variables)
+                           evaluate_rows, parse, unparse)
 from setorder.order import OrderCtx, corner_table
 from setorder.problem import AxisSpec, Guard, Piece, PieceMap, tail_table
 
@@ -94,11 +94,6 @@ class TestConstantsAndVariables:
 
     def test_higher_coordinates(self):
         assert ev("x2 - x1", x=(1.5, 4.0)) == 2.5
-
-    def test_variables_helper(self):
-        e = parse("sin(x1*(1+1/(n+1))) + x3")
-        assert variables(e) == {"x1", "x3", "n"}
-        assert variables(parse("2 + pi")) == set()
 
     def test_unbound(self):
         with pytest.raises(UnboundVariable):
@@ -318,7 +313,7 @@ class TestRowEvaluation:
         pieces["closed-singleton"] = pieces["box"]
         m = PieceMap(pieces[kind], 1)
         ctx = OrderCtx(Cone.orthant(1))
-        tab, errs = tail_table(m, X, ns, ctx)
+        tab, errs = tail_table(m, X, ns, ctx.cone)
         vals, want_errs = [], {}
         for i in range(len(X)):
             try:
@@ -330,7 +325,7 @@ class TestRowEvaluation:
         assert np.isinf(tab.h[list(errs)]).all()
         if vals:
             keep = [i for i in range(len(X)) if i not in errs]
-            for a, b in zip(tab, corner_table(vals, ctx)):
+            for a, b in zip(tab, corner_table(vals, ctx.cone)):
                 a = a[keep]
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()

@@ -124,7 +124,7 @@ def blocked_matrices(P, rows, monkeypatch):
     With several corner slots the same budget cuts each block's candidate
     pairs into kernel calls of rows * N // k^2 pairs; the calls must show
     several row blocks, full pair chunks and a ragged last one."""
-    n, k, m = solve.value_table(P, OrderCtx(P.cone)).h.shape
+    n, k, m = solve.value_table(P).h.shape
     monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * m)
     blocks, pairs = [], []
     real_candidates, real_table_rel = solve._candidates, solve.table_rel
@@ -176,7 +176,7 @@ class TestCovered:
         vals = [points(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)) * 0.5)
                 for _ in range(n)]
         P = keyed_problem(vals, cone)
-        assert solve.value_table(P, OrderCtx(cone)).h.shape[1] == 3
+        assert solve.value_table(P).h.shape[1] == 3
         want = brute_matrices([_corner_data(v, cone) for v in vals], OrderCtx(cone).tol)
         assert want[1].any() and not want[1].all()
         for side, got in blocked_matrices(P, 3, monkeypatch).items():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from setorder._kernels import LARGE, LOWER, STRICT
+from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
 from setorder.cone import Cone
 from setorder.errors import DimensionMismatch, Unsupported
 from setorder.order import (
     CornerTable,
     OrderCtx,
+    _pair_tol,
     corner_table,
     equiv,
     large_le,
@@ -27,7 +28,7 @@ from setorder.order import (
     table_rel,
 )
 from setorder.problem import _exterior_rows
-from setorder.setrep import _corner_data, box, points, translate
+from setorder.setrep import Box, BoxUnion, _corner_data, box, points, translate
 
 from conftest import EXACT_SCALES, lattice_cloud, lattice_set, random_solid_cone, scale_set
 from reference import exterior_point, is_c_proper, strict_lt_by_search
@@ -201,13 +202,76 @@ class TestGeneralCone:
         rng = np.random.default_rng(11)
         sets = [points(rng.integers(-3, 4, (rng.integers(1, 4), 2)) * 0.5)
                 for _ in range(12)]
-        tab = corner_table(sets, ctx)
+        tab = corner_table(sets, ctx.cone)
         got = table_rel(CornerTable(*(x[:, None] for x in tab)), tab,
-                        (LOWER, LARGE, STRICT))
+                        (LOWER, LARGE, STRICT), ctx.tol)
         for i, A in enumerate(sets):
             for j, B in enumerate(sets):
                 want = (lower_le(A, B, ctx), large_le(A, B, ctx), strict_lt(A, B, ctx))
                 assert tuple(bool(m[i, j]) for m in got) == want, (i, j)
+
+
+def quarter_sets(rng, kind: str, count: int) -> list:
+    """``count`` sets in R^2 on the quarter lattice: box unions (one or two
+    boxes, random lower-open flags), clouds of one to three points, or
+    both, alternating, for kind "box", "cloud" or "mixed"."""
+    out = []
+    for i in range(count):
+        cloud = kind == "cloud" or (kind == "mixed" and i % 2 == 1)
+        lo = rng.integers(-4, 5, size=(int(rng.integers(1, 4 if cloud else 3)), 2)) / 4
+        out.append(points(lo) if cloud else BoxUnion(2, tuple(
+            Box(tuple(c.tolist()), tuple((c + 1.0).tolist()),
+                tuple((rng.random(2) < 0.3).tolist()), (False, False))
+            for c in lo)))
+    return out
+
+
+class TestPairTol:
+    """table_rel gives each pair its tolerance from the two sets' cloud
+    flags: 0 for two box unions (the kernel's exact path), tol when one
+    side is all clouds, an array otherwise. Every answer equals
+    ``rel_corners`` on that pair at the tolerance ``_rel`` gives it."""
+
+    @pytest.mark.parametrize("a_kind, b_kind, branch", [
+        ("box", "box", "exact"), ("cloud", "mixed", "scalar"),
+        ("mixed", "cloud", "scalar"), ("cloud", "box", "scalar"),
+        ("mixed", "mixed", "array"), ("box", "mixed", "array")])
+    def test_each_branch_matches_rel_corners(self, a_kind, b_kind, branch):
+        # a tolerance of a quarter straddles the quarter lattice
+        ctx = OrderCtx(R2, tol=0.25)
+        rng = np.random.default_rng(3)
+        A, B = quarter_sets(rng, a_kind, 12), quarter_sets(rng, b_kind, 12)
+        ta, tb = corner_table(A, R2), corner_table(B, R2)
+        t = _pair_tol(ta.cloud[:, None], tb.cloud, ctx.tol)
+        if branch == "array":
+            assert isinstance(t, np.ndarray) and t.shape == (12, 12)
+            assert set(t.ravel().tolist()) == {0.0, 0.25}
+        else:
+            assert type(t) is float and t == (0.0 if branch == "exact" else 0.25)
+        got = table_rel(CornerTable(*(x[:, None] for x in ta)), tb,
+                        (LOWER, LARGE, STRICT), ctx.tol)
+        seen = set()
+        for i, a in enumerate(A):
+            ha, oa, a_cloud = _corner_data(a, R2)
+            for j, b in enumerate(B):
+                hb, ob, b_cloud = _corner_data(b, R2)
+                tol = ctx.tol if a_cloud or b_cloud else 0.0
+                for mode, mat in zip((LOWER, LARGE, STRICT), got):
+                    want, _ = rel_corners(ha, oa, hb, ob, mode, b_cloud, tol)
+                    assert bool(mat[i, j]) == want, (i, j, mode)
+                    seen.add(want)
+        assert seen == {True, False}
+
+    def test_tolerance_decides_pairs(self):
+        # at tol 0.25 a cloud a quarter above a box's corner is largely
+        # below it, two boxes a quarter apart are not: each pair's own rule
+        ctx = OrderCtx(R2, tol=0.25)
+        low, high = box([0.25, 0.25], [1.0, 1.0]), box([0.0, 0.0], [1.0, 1.0])
+        cloud = points([[0.25, 0.25]])
+        tab = corner_table([low, cloud], R2)
+        large, = table_rel(tab, corner_table([high], R2), (LARGE,), ctx.tol)
+        assert large.tolist() == [False, True]
+        assert [large_le(v, high, ctx) for v in (low, cloud)] == [False, True]
 
 
 def corner_case(seed: int, dim: int, rows: int, counts: list[int], pad: int,
@@ -247,10 +311,10 @@ class TestHRows:
     def test_tables_match_per_set_corner_data(self, case):
         cone, corners, count, shift = case
         assume(cone.kind == "general")
-        ctx, n, m = OrderCtx(cone), len(count), len(cone.halfspaces)
+        n, m = len(count), len(cone.halfspaces)
         cloud = np.ones(n, dtype=bool)
         tab = table_from_corners(corners, np.zeros(corners.shape, np.uint8), cloud,
-                                 count, ctx, shift)
+                                 count, cone, shift)
         moves = [None] if shift is None else list(shift)
         lead = (n,) if shift is None else (len(shift), n)
         assert tab.h.shape == lead + (int(count.max()), m)
@@ -275,7 +339,7 @@ class TestHRows:
         assume(cone.kind == "general" and count.all())
         rows = (corners, np.zeros(corners.shape, np.uint8),
                 np.ones(len(count), dtype=bool), count)
-        checked, z = _exterior_rows(rows, cone)
+        checked, _, z = _exterior_rows(rows, cone)
         assert checked.tolist() == list(range(len(count)))
         for i, k in enumerate(count.tolist()):
             assert z[i].tobytes() == exterior_point(points(corners[i, :k]), cone).tobytes()
@@ -290,7 +354,7 @@ class TestDimensionMismatch:
             with pytest.raises(DimensionMismatch, match="set dim 1"):
                 rel(A, B, ctx)
         with pytest.raises(DimensionMismatch, match="set dim 1"):
-            corner_table([B, A], ctx)
+            corner_table([B, A], ctx.cone)
 
 
 class TestShiftMargin:

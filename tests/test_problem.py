@@ -6,18 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reference
 from setorder import problem
 from setorder.cone import Cone
 from setorder.errors import (DimensionMismatch, DomainError, HorizonExceeded,
                              ProblemLoadError, SetSpecError, Unsupported)
-from setorder.order import CornerTable, OrderCtx, corner_table
+from setorder.order import CornerTable, OrderCtx, corner_table, table_from_corners
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
                               load_builtin, load_dict, tail_table)
 from setorder.setrep import PointCloud, _corner_data, box, points, translate
-from setorder.solve import value_table
+from setorder.solve import relation_matrices, strong_level_set, value_table
 
 
 def spec(label="t", cone=None, domain=None, pieces=None, family=None):
@@ -30,6 +32,26 @@ def spec(label="t", cone=None, domain=None, pieces=None, family=None):
     if family:
         doc["family"] = family
     return doc
+
+
+@st.composite
+def window_ends(draw):
+    """(a, b, step, hi_open) of a window: equal ends, spans of a few ulps,
+    short grids, and counts near 2^53, under steps down to 1e-300."""
+    a = draw(st.one_of(st.floats(-1e3, 1e3),
+                       st.sampled_from([0.0, 1.0, -1e16, 1e16, 2.0 ** 60])))
+    step = draw(st.one_of(st.sampled_from([1e-9, 1e-300, 1.0, 0.1, math.pi / 400]),
+                          st.floats(1e-12, 10.0)))
+    span = draw(st.sampled_from(["equal", "ulps", "count", "near 2^53"]))
+    b = a
+    if span == "ulps":
+        for _ in range(draw(st.integers(1, 4))):
+            b = math.nextafter(b, math.inf)
+    elif span == "count":
+        b = a + draw(st.integers(0, 10 ** 4)) * step
+    elif span == "near 2^53":
+        b = a + (2 ** 53 + draw(st.integers(-4, 4))) * step
+    return a, b, step, draw(st.booleans())
 
 
 class TestWindowGrid:
@@ -53,6 +75,40 @@ class TestWindowGrid:
             assert len(w) == len(w.points())
         assert len(Window(0, 0, 1, hi_open=True)) == 0
         assert len(Window(0, math.pi / 4, 1e-9)) == 785398164
+
+    @given(window_ends())
+    @settings(max_examples=300, deadline=None)
+    @example((0.0, 2.0 ** 53, 1.0, False))
+    @example((0.0, 2.0 ** 53 - 1.0, 1.0, True))
+    @example((0.0, 2.0 ** 53 * 1e-9, 1e-9, False))
+    @example((1e16, 1e16 + 4.0, 1e-9, False))          # count far above the quotient
+    @example((-1e308, 1e308, 1e300, False))            # b - a overflows
+    @example((1.0, math.nextafter(1.0, 2.0), 1e-9, True))
+    @example((0.5, 0.5, 1e-300, True))
+    def test_count_matches_the_bisection(self, ends):
+        # the quotient-started count against the former doubling search,
+        # which refused only past 2^54 points
+        w = Window(*ends[:3], hi_open=ends[3])
+        try:
+            want = reference.window_count(w)
+        except ProblemLoadError:
+            want = math.inf
+        if want <= 2 ** 53:
+            assert len(w) == want
+        else:
+            with pytest.raises(ProblemLoadError, match=r"has over 2\^53 points"):
+                len(w)
+
+    @pytest.mark.parametrize("a, b, step", [
+        (0.0, 1.0, 1e-300), (0.0, 2.0 ** 53, 1.0), (-1e308, 1e308, 1.0),
+        (1.0, 1.0, 1e-300), (1.0, math.nextafter(1.0, 2.0), 1e-300)])
+    def test_over_2_53_points_is_refused(self, a, b, step):
+        # (1, 1, 1e-300) has quotient 0, but 1 + j*1e-300 stays 1 for
+        # j up to about 1e284
+        with pytest.raises(ProblemLoadError, match=r"has over 2\^53 points"):
+            len(Window(a, b, step))
+        with pytest.raises(ProblemLoadError, match=r"has over 2\^53 points"):
+            Domain.from_windows([Window(a, b, step)])
 
     def test_grid_budget_is_inclusive(self):
         side = Window(0, 127, 1)
@@ -362,7 +418,7 @@ class TestProgrammaticProblems:
         m, dom = TableMap(fn, 1), Domain.from_points([[0.0], [1.0], [2.0]])
         with pytest.raises(DimensionMismatch, match="set dim 2 against cone dim 1"):
             Problem("t", m, Cone.orthant(1), dom)
-        _, errs = tail_table(m, dom.points, [None] * 3, ctx1)
+        _, errs = tail_table(m, dom.points, [None] * 3, ctx1.cone)
         assert [(i, type(e)) for i, e in errs.items()] == [(0, DimensionMismatch),
                                                            (1, SetSpecError)]
         assert str(errs[0]) == "set dim 2 against cone dim 1"
@@ -402,11 +458,11 @@ def move_inside(monkeypatch, vals, chosen):
         return point_inside(A, C) if any(A is vals[i] for i in chosen) else real_point(A, C)
 
     def rows(grid_rows, cone):
-        checked, z = real_rows(grid_rows, cone)
+        checked, tab, z = real_rows(grid_rows, cone)
         for r, i in enumerate(checked.tolist()):
             if i in chosen:
                 z[r] = grid_rows[0][i, 0]
-        return checked, z
+        return checked, tab, z
 
     monkeypatch.setattr(reference, "exterior_point", point)
     monkeypatch.setattr(problem, "_exterior_rows", rows)
@@ -471,14 +527,13 @@ class TestGridRows:
 
     @staticmethod
     def check_rows(P):
-        checked, z = problem._exterior_rows(P.rows, P.cone)
+        checked, _, z = problem._exterior_rows(P.rows, P.cone)
         vals = P.values()
         want = [reference.exterior_point(v, P.cone) for v in vals]
         assert checked.tolist() == [i for i, w in enumerate(want) if w is not None]
         for r, i in enumerate(checked.tolist()):
             assert z[r].tobytes() == want[i].tobytes()
-        ctx = OrderCtx(P.cone)
-        assert_same_table(value_table(P, ctx), corner_table(vals, ctx))
+        assert_same_table(value_table(P), corner_table(vals, P.cone))
 
     def test_random_problems(self):
         rng = np.random.default_rng(11)
@@ -539,9 +594,8 @@ def assert_same_table(got, want):
 
 def table_rows(tab, rows):
     """The sets of a table at ``rows`` of its last leading axis."""
-    h, o, cloud, t = tab
-    return CornerTable(h[..., rows, :, :], o[..., rows, :, :], cloud[..., rows],
-                       t[..., rows])
+    h, o, cloud = tab
+    return CornerTable(h[..., rows, :, :], o[..., rows, :, :], cloud[..., rows])
 
 
 def check_tail_table(m, X, ns, ctx):
@@ -556,20 +610,20 @@ def check_tail_table(m, X, ns, ctx):
     vals = [got[i] for i in keep]
     shifts = np.array([-e * ctx.u for e in (1.0, 0.25, 2.0 ** -10)])
     for shift in (None, shifts):
-        tab, errs = tail_table(m, X, ns, ctx, shift=shift)
+        tab, errs = tail_table(m, X, ns, ctx.cone, shift=shift)
         assert list(errs) == list(want_errs)
         assert {i: (type(e), str(e)) for i, e in errs.items()} == want_errs
         assert tab.cloud.shape[-1] == len(X)
         assert np.isinf(table_rows(tab, list(want_errs)).h).all()
         if shift is None:
             if vals:
-                assert_same_table(table_rows(tab, keep), corner_table(vals, ctx))
+                assert_same_table(table_rows(tab, keep), corner_table(vals, ctx.cone))
         elif vals:
-            moved = corner_table([translate(v, s) for s in shift for v in vals], ctx)
+            moved = corner_table([translate(v, s) for s in shift for v in vals], ctx.cone)
             want = CornerTable(*(
                 x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved))
             assert_same_table(table_rows(tab, keep), want)
-            assert_same_table(corner_table(vals, ctx, shift=shift), want)
+            assert_same_table(corner_table(vals, ctx.cone, shift=shift), want)
     return next((v for v in got if isinstance(v, Exception)), None)
 
 
@@ -616,7 +670,7 @@ class TestTailTable:
         X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(30, 1))
         ctx = OrderCtx(cone)
         check_tail_table(m, X, [None] * len(X), ctx)
-        _, errs = tail_table(m, X, [None] * len(X), ctx)
+        _, errs = tail_table(m, X, [None] * len(X), ctx.cone)
         kinds = {type(e) for e in errs.values()}
         assert kinds == {Unsupported, DomainError}
         assert len(errs) < len(X)
@@ -648,7 +702,7 @@ class TestTailTable:
         assert str(err) == "no value at n = 20"
         err = check_tail_table(fam.map, X, ns, ctx1)
         assert str(err).startswith("sqrt of a negative number")
-        tab, errs = tail_table(fam.map, X, ns, ctx1)
+        tab, errs = tail_table(fam.map, X, ns, ctx1.cone)
         assert len(tab.h) == 31 and list(errs) == [30]
 
 
@@ -736,11 +790,11 @@ class TestMemberBatches:
         real = problem._exterior_rows
 
         def rows(grid_rows, cone):
-            checked, z = real(grid_rows, cone)
+            checked, tab, z = real(grid_rows, cone)
             lo = grid_rows[0][checked, 0, 0]
             hit = np.flatnonzero((lo >= (improper or -9)) & (lo < (improper or -9) + 1))
             z[hit] = grid_rows[0][checked[hit], 0]
-            return checked, z
+            return checked, tab, z
 
         monkeypatch.setattr(problem, "_exterior_rows", rows)
 
@@ -799,3 +853,78 @@ class TestMemberBatches:
         calls.update(value=0, value_rows=0)
         assert [M.n for M in problem._members(ok, range(32, 64))] == list(range(32, 64))
         assert calls == {"value": 0, "value_rows": 1}
+
+
+# --------------------------------------------------------- value tables
+
+GENERAL = spec(
+    label="general", cone={"kind": "halfspaces", "rows": [[1.0, 0.2], [0.1, 1.0]]},
+    domain={"windows": [{"a": 0, "b": 1, "step": 0.125}]},
+    pieces=[{"guard": "true", "points": [["x1", "1 - x1"]]}],
+    # by n: clouds of 3 points; a box on half the grid, which a general
+    # cone refuses; clouds of 2 points, then of 1; boxes
+    family={"subst": "n", "n_max": 63, "map_n": {"pieces": [
+        {"guard": "n < 40",
+         "points": [["x1", "n/64"], ["x1 + 1", "-x1"], ["1/(n+1)", "x1"]]},
+        {"guard": "n < 44 and x1 < 0.5",
+         "box": [{"lo": "x1", "hi": "x1 + 1"}, {"lo": 0, "hi": 1}]},
+        {"guard": "n < 52", "points": [["x1", "1/(n+1)"], ["-x1", "2"]]},
+        {"guard": "n < 60", "points": [["x1 - n/64", "sin(x1)"]]},
+        {"guard": "true", "box": [{"lo": "x1", "hi": "x1 + 1"}, {"lo": 0, "hi": 1}]}]}})
+
+
+class TestValueTables:
+    """A problem's value table is its slice of the properness table of
+    its build, equal bit for bit to ``table_from_corners`` of its own rows;
+    a problem holding a box under a general cone has none, and asking for
+    it raises the Unsupported that comparing the box raises."""
+
+    @staticmethod
+    def check(P):
+        if P.cone.kind != "orthant" and not P.rows[2].all():
+            with pytest.raises(Unsupported, match="box-union sets require the orthant"):
+                value_table(P)
+            return "refused"
+        assert_same_table(value_table(P), table_from_corners(*P.rows, P.cone))
+        return P.cone.kind
+
+    def test_single_problems(self):
+        rng = np.random.default_rng(13)
+        seen = {self.check(reference.random_problem(rng, max_points=12))
+                for _ in range(30)}
+        seen |= {self.check(load_dict(GENERAL).base)}
+        seen |= {self.check(P if isinstance(P, Problem) else P.base)
+                 for P in map(load_builtin, builtin_names())}
+        assert seen == {"orthant", "general"}
+
+    def test_members_of_batches(self):
+        # the 32-member tail batches of a horizon of 64 (orthant families
+        # with boxes, and a general-cone family whose cloud members hold 3,
+        # 2 or 1 points, between members holding boxes), and one batch of
+        # orthant members holding 3, 2 or 1 corners
+        for fam, ns, want in (
+                (load_builtin("sop_sin"), range(32, 64), {"orthant": 32}),
+                (load_builtin("gamma_cos"), range(32, 64), {"orthant": 32}),
+                (load_dict(GENERAL), range(32, 64), {"general": 24, "refused": 8}),
+                (load_dict(MOVING), range(17), {"orthant": 17})):
+            members = list(problem._members(fam, ns))
+            seen = [self.check(M) for M in members]
+            assert {k: seen.count(k) for k in set(seen)} == want
+            if fam.label in ("general", "moving"):
+                assert {int(M.rows[3].max()) for M in members
+                        if M._table is not None} == {1, 2, 3}
+
+    def test_boxes_under_a_general_cone_are_refused(self):
+        cone = Cone.from_halfspaces([[1.0, 0.0], [1.0, 1.0]])
+        dom = Domain.from_points([[0.0], [1.0]])
+        ctx = OrderCtx(cone)
+        for fn in (lambda x: box([x[0], 0.0], [x[0] + 1, 1.0]),
+                   lambda x: box([0.0, 0.0], [1.0, 1.0]) if x[0] else points([[0.0, 0.0]])):
+            P = Problem("t", TableMap(fn, 2), cone, dom)
+            assert P._table is None
+            for ask in (lambda: value_table(P), lambda: relation_matrices(P, ctx),
+                        lambda: strong_level_set(P, points([[0.0, 0.0]]), ctx)):
+                with pytest.raises(Unsupported) as err:
+                    ask()
+                assert str(err.value) == ("box-union sets require the orthant cone; "
+                                          "sample to a point cloud for general cones")

@@ -200,10 +200,10 @@ class TestRelationMatrices:
         vals = [points([[0.3, 0.2], [1.1, 0.25]]), points([[at, 0.7]]),
                 points([[np.nextafter(at, -np.inf), 0.7]])]
         P = table_problem(vals, cone)
-        tab = value_table(P, ctx)
+        tab = value_table(P)
         ideal = tab.h.min(axis=1)
         assert tab.h.shape[1] == 2 and ideal[1, 0] == ideal[0, 0] - ctx.tol
-        assert solve._candidates(ideal, ideal, tab.t)[0, 1:].tolist() == [True, False]
+        assert solve._candidates(ideal, ideal, ctx.tol)[0, 1:].tolist() == [True, False]
         got = np.array(relation_matrices(P, ctx))
         np.testing.assert_array_equal(got, per_pair_matrices(P, ctx))
         assert got[1, 0, 1:].tolist() == [True, False]
@@ -216,7 +216,7 @@ class TestRelationMatrices:
         P = table_problem(vals, Cone.orthant(2))
         ctx = OrderCtx(P.cone)
         assert {len(_corner_data(v, P.cone)[0]) for v in vals} == {1, 3}
-        assert value_table(P, ctx).h.shape[1] == 3
+        assert value_table(P).h.shape[1] == 3
         np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
                                       per_pair_matrices(P, ctx))
 
@@ -339,8 +339,8 @@ class TestLevelSets:
                     brute_level_set(P, S, ctx, lower_le), where
                 for mode, rel in ((LOWER, lower_le), (LARGE, large_le),
                                   (STRICT, strict_lt)):
-                    above, = table_rel(corner_table([S], ctx), value_table(P, ctx),
-                                       (mode,))
+                    above, = table_rel(corner_table([S], P.cone), value_table(P),
+                                       (mode,), ctx.tol)
                     got = tuple(np.flatnonzero(above))
                     assert got == brute_level_set_above(S, P, ctx, rel), (where, mode)
             for v in clouds[:3]:
