@@ -92,7 +92,7 @@ def value_table(P: Problem) -> CornerTable:
 
 def _values_below(P: Problem, S: SetRep, ctx: OrderCtx, mode: int) -> np.ndarray:
     """rel(F_i, S) for every grid index i, as one (N,) kernel call."""
-    return table_rel(value_table(P), corner_table([S], ctx.cone), (mode,), ctx.tol)[0]
+    return table_rel(value_table(P), corner_table([S], P.cone), (mode,), ctx.tol)[0]
 
 
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
