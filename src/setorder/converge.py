@@ -10,6 +10,12 @@ below 8 are rejected, so no verdict rests on an empty or degenerate tail.
 Since verdicts read only the tail, the battery generates only the tail
 points; the prefix of a sequence is never built or scored.
 
+The strict order needs some interior shift, which order decides pointwise;
+the semicontinuity, variational-convergence and level-set conditions hold
+for every eps, and they are instantiated as shifts e·u, u the cone's
+interior direction and e along one fixed, strictly decreasing schedule,
+EPS, whose last entry is EPS_FLOOR.
+
 One tail scan walks the battery, checking an eps-shifted strict
 comparison against F(x̄) in the lsc or the usc orientation; lsc_check,
 usc_check and the lower condition of variational convergence all use it.
@@ -23,16 +29,17 @@ comparison covers every (eps, point, sequence, n) (order.table_rel).
 F(x̄), the adversarial candidates (one margin call per sequence, a bound
 of _kernels.shift_bound per candidate), the hinted recovery tails and the
 neighbourhood masks are asked the same way, and a one-point check is a
-block of one; each recovery ball, the level-set targets and
-seq_lower_converse's paired tails are one table each. Errors are data, one
-per row: each evaluated row holds either its value's corners or the
-exception asking it raised (a box under a general cone raises Unsupported,
-as comparing it would), and a target's outcome is whichever comes first in
-its row order: the first row failing at the floored eps (a break, in
-(strategy, variant, n) order, as a pair-at-a-time scan would find it) or
-the first raising row. So a value that raises past a break does not hide
-it, and a fold that stops at a point's outcome reads no later point's
-(_by_blocks).
+block of one. F(x̄) is one table per block, moved down and up along EPS
+and not moved (_fx_table), which every stage of the block reads; each
+recovery ball, the level-set targets and seq_lower_converse's paired tails
+are one table each. Errors are data, one per row: each evaluated row
+holds either its value's corners or the exception asking it raised (a box
+under a general cone raises Unsupported, as comparing it would), and a
+target's outcome is whichever comes first in its row order: the first row
+failing at the floored eps (a break, in (strategy, variant, n) order, as a
+pair-at-a-time scan would find it) or the first raising row. So a value
+that raises past a break does not hide it, and a fold that stops at a
+point's outcome reads no later point's (_by_blocks).
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -72,8 +79,10 @@ from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
 from .verdict import Status, Verdict
 
 DEFAULT_HORIZON = 64
-#: epsilon values below this are dominated by grid resolution at desk scale
-EPS_FLOOR = 2.0 ** -10
+#: the e of every shift e·u instantiating a for-all-eps condition, strictly
+#: decreasing; smaller values are dominated by grid resolution at desk scale
+EPS = tuple(2.0 ** -k for k in range(11))
+EPS_FLOOR = EPS[-1]
 MAX_BALL_SPLITS = 20
 RECOVERY_BUDGET = 10_000
 #: elements of the largest array a block of grid points builds per corner
@@ -91,11 +100,6 @@ def upper_half(horizon: int) -> range:
 
 def io_threshold(horizon: int) -> int:
     return math.ceil(len(upper_half(horizon)) / 4)
-
-
-def floored_eps(ctx: OrderCtx) -> tuple[float, ...]:
-    kept = tuple(t for t in ctx.eps_schedule if t >= EPS_FLOOR)
-    return kept if kept else (ctx.eps_schedule[0],)
 
 
 # -------------------------------------------------------- sequence battery
@@ -485,13 +489,13 @@ def _grid_step(domain: Domain) -> float:
 # ------------------------------------------------- semicontinuity probes
 
 def _eps_shifts(sign: int, ctx: OrderCtx) -> np.ndarray:
-    """The translations sign·e·u, e along floored_eps(ctx), as rows."""
-    return np.array([sign * e * ctx.u for e in floored_eps(ctx)])
+    """The translations sign·e·u, e along EPS, as rows."""
+    return np.array([sign * e * ctx.u for e in EPS])
 
 
 def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
-    """Table of S + sign·e·u, e along floored_eps(ctx) as rows (the floored
-    eps last) and S along columns."""
+    """Table of S + sign·e·u, e along EPS as rows (the floored eps last) and
+    S along columns."""
     return corner_table(sets, ctx.cone, shift=_eps_shifts(sign, ctx))
 
 
@@ -525,7 +529,7 @@ def _by_target(errs: dict, G: int, rows: int) -> list[dict]:
     return per
 
 
-def _first_break(ok: np.ndarray, ctx: OrderCtx, errs: Optional[dict] = None):
+def _first_break(ok: np.ndarray, errs: Optional[dict] = None):
     """The outcome of the rows along the columns of an (eps, j) mask:
     whichever comes first of the first column failing at the floored eps,
     as (j, eps) with eps the largest scheduled one failing there, and the
@@ -535,7 +539,7 @@ def _first_break(ok: np.ndarray, ctx: OrderCtx, errs: Optional[dict] = None):
     bad = np.flatnonzero(~ok[-1, :first])
     if bad.size:
         j = int(bad[0])
-        return j, floored_eps(ctx)[int(np.argmin(ok[:, j]))]
+        return j, EPS[int(np.argmin(ok[:, j]))]
     return errs.get(first)
 
 
@@ -545,7 +549,7 @@ def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
     the (point, grid point) neighbourhood masks stay within _BLOCK_ELEMENTS
     per corner pair."""
     seqs = sum(battery.variants(name) for name in battery.strategy_names())
-    rows = len(floored_eps(ctx)) * seqs * len(upper_half(horizon))
+    rows = len(EPS) * seqs * len(upper_half(horizon))
     return max(1, _BLOCK_ELEMENTS // (max(rows, grid) * len(ctx.w)))
 
 
@@ -565,9 +569,19 @@ def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]
             yield out
 
 
+def _fx_table(limit: Problem, X: np.ndarray, ctx: OrderCtx
+              ) -> tuple[CornerTable, dict[int, Exception]]:
+    """F(x̄) = limit's value at each row of X (G, d) as one table with
+    leading axes (2E + 1, G), E = len(EPS): moved by -e·u along EPS, then
+    by +e·u along EPS, then not moved; and each raising target's exception
+    keyed by its row of X."""
+    shift = np.concatenate([_eps_shifts(-1, ctx), _eps_shifts(1, ctx),
+                            np.zeros((1, ctx.cone.dim))])
+    return tail_table(limit.map, X, [limit.n] * len(X), ctx.cone, shift)
+
+
 def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
-               X: np.ndarray, fx: CornerTable,
-               fx_at: Callable[[np.ndarray], CornerTable],
+               X: np.ndarray, fx: CornerTable, fx_errs: dict[int, Exception],
                battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                domain_at: Callable[[int], Domain], mode: str) -> list:
     """First tail break of the eps-shifted strict comparison at each target.
@@ -576,20 +590,23 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     map's at (x_n, index(n)). The "lsc" orientation asks F(x̄) - eps·u
     strictly below that value, which is also the lower condition of
     variational convergence; "usc" asks the value - eps·u strictly below
-    F(x̄). ``fx`` holds F(x̄) per target, (eps, G) shifted down for "lsc"
-    and (G,) for "usc"; ``fx_at(g)`` is the unshifted table of F(x̄) at the
-    targets g, which only the adversarial margin reads. All the targets'
-    battery rows are one ``tail_table`` evaluation and one (eps, G, row)
-    comparison, and the adversarial candidates one table and one
-    ``shift_bound``. Only the tail points are generated.
+    F(x̄). ``fx`` and ``fx_errs`` are F(x̄) at the targets as _fx_table
+    gives them: "lsc" reads the rows moved down, "usc" and the adversarial
+    margin the unmoved row. All the targets' battery rows are one
+    ``tail_table`` evaluation and one (eps, G, row) comparison, and the
+    adversarial candidates one table and one ``shift_bound``. Only the
+    tail points are generated.
 
-    Returns, per target, the outcome of its rows in (strategy, variant, n)
-    order (_first_break): the break, None, or the exception of the first
-    raising row. A raising value is an error at its row, and a target's
-    first raising adversarial candidate one at the first row of the
-    sequence being generated, since it is asked before that sequence's values.
+    Returns, per target, the exception F(x̄) raises there, since F(x̄) is
+    asked before the scan, or else the outcome of its rows in (strategy,
+    variant, n) order (_first_break): the break, None, or the exception of
+    the first raising row. A raising value is an error at its row, and a
+    target's first raising adversarial candidate one at the first row of
+    the sequence being generated, since it is asked before that sequence's
+    values.
     """
     lsc = mode == "lsc"
+    fx0 = _take(fx, -1)
     tail = upper_half(horizon)
     ns = [index(n) for n in tail]
     G, T = len(X), len(tail)
@@ -600,8 +617,7 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
         fn, errs = tail_table(map, x, [ns[tail.index(k)] for k in n.tolist()], ctx.cone)
         for r, e in errs.items():
             raised.setdefault(int(g[r]), (len(seqs), e))
-        targets, at = np.unique(g, return_inverse=True)
-        a = _take(fx_at(targets), at)
+        a = _take(fx0, g)
         return shift_bound(a.h, fn.h, ctx.w) if lsc else shift_bound(fn.h, a.h, ctx.w)
 
     # the margin reads len(seqs) while the next sequence is generated
@@ -612,13 +628,14 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
     tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx.cone,
                            None if lsc else _eps_shifts(-1, ctx))
-    ok, = (table_rel(_per_row(fx), _split(tab, G), (STRICT,), ctx.tol) if lsc
-           else table_rel(_split(tab, G), _per_row(fx), (STRICT,), ctx.tol))
+    vals = _split(tab, G)
+    lo, hi = (_per_row(_take(fx, slice(len(EPS)))), vals) if lsc else (vals, _per_row(fx0))
+    ok, = table_rel(lo, hi, (STRICT,), ctx.tol)
     per = _by_target({**errs, **{g * R + s * T: e for g, (s, e) in raised.items()}}, G, R)
 
     out = []
     for g in range(G):
-        brk = _first_break(ok[:, g], ctx, per[g])
+        brk = fx_errs[g] if g in fx_errs else _first_break(ok[:, g], per[g])
         if brk is None or isinstance(brk, Exception):
             out.append(brk)
             continue
@@ -638,20 +655,16 @@ def _one(xbar) -> np.ndarray:
 def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str):
     """The lsc or usc verdict, or the exception it raises, at each row of
-    X, in order (see _by_blocks); F(x̄) is asked before the scan."""
-    fx, fx_errs = tail_table(P.map, X, [P.n] * len(X), ctx.cone,
-                             _eps_shifts(-1, ctx) if mode == "lsc" else None)
-    found = _tail_scan(P.map, lambda n: P.n, X, fx,
-                       lambda g: tail_table(P.map, X[g], [P.n] * len(g), ctx.cone)[0],
-                       battery, ctx, horizon, lambda n: P.domain, mode)
-    for g, ce in enumerate(found):
-        ce = fx_errs.get(g, ce)
+    X, in order (see _by_blocks)."""
+    found = _tail_scan(P.map, lambda n: P.n, X, *_fx_table(P, X, ctx), battery,
+                       ctx, horizon, lambda n: P.domain, mode)
+    for ce in found:
         if ce is None:
             yield Verdict.holds(
                 reason=f"{mode} inequality held on every tail index of every "
                        "generated sequence",
                 certificate={"seed": battery.seed, "horizon": horizon,
-                             "eps_floor": floored_eps(ctx)[-1],
+                             "eps_floor": EPS_FLOOR,
                              "strategies": list(battery.strategy_names())},
                 sampled=True)
         elif isinstance(ce, Exception):
@@ -769,7 +782,7 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
     (theta, x*_n, its (eps,) column of that LARGE mask); ``fx_up`` is the
     (eps, 1) table of F(x̄) + eps·u. Raises the first error in candidate
     order."""
-    eps = np.array(floored_eps(ctx))
+    eps = np.array(EPS)
     best: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     spent = 0
     for n in upper_half(horizon):
@@ -794,11 +807,11 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
 
 
 def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
-                   seq: np.ndarray, hint: bool, ctx: OrderCtx):
+                   seq: np.ndarray, hint: bool):
     """The upper verdict and recovery points used, from the (eps, n) mask
     of a recovery tail against F(x̄) + eps·u; or the exception of its
     first raising row, ``errs`` keyed by column, if that comes first."""
-    brk = _first_break(ok, ctx, errs)
+    brk = _first_break(ok, errs)
     if isinstance(brk, Exception):
         return brk
     used = ns if brk is None else ns[:brk[0] + 1]
@@ -808,7 +821,7 @@ def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
         return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
                    "the shifted limit value",
-            certificate={"via_hint": hint, "eps_floor": floored_eps(ctx)[-1]},
+            certificate={"via_hint": hint, "eps_floor": EPS_FLOOR},
             sampled=not hint), recovery_used
     n, eps = used[-1], float(brk[1])
     return Verdict.fails(
@@ -850,7 +863,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
                 return
             seq = np.array([found[n][1] for n in ns])
             ok = np.stack([found[n][2] for n in ns], axis=1)
-            yield _upper_verdict(ok, None, ns, seq, False, ctx)
+            yield _upper_verdict(ok, None, ns, seq, False)
         return
 
     T = len(ns)
@@ -863,7 +876,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
         ok, = table_rel(_split(tab, G),
                         _per_row(_take(fx_up, (slice(None), slice(G)))), (LARGE,), ctx.tol)
         for g, row_errs in enumerate(_by_target(errs, G, T)):
-            yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True, ctx)
+            yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True)
     if hint_errs:
         yield next(iter(hint_errs.values()))
 
@@ -878,29 +891,25 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
     Each point's stages come in the order of a one-point check: F(x̄), the
     lower scan, the neighbourhood route, the upper route; the first to
     raise is the point's outcome. Each stage is one array program over
-    the block; F(x̄) - eps·u and F(x̄) + eps·u are one table.
+    the block, and all read one table of F(x̄) (_fx_table): the lower scan
+    its rows moved down, the neighbourhoods the one moved down by
+    EPS_FLOOR·u, the upper route those moved up.
     """
-    E = len(floored_eps(ctx))
-    flo = floored_eps(ctx)[-1]
-    fx, fx_errs = tail_table(limit.map, X, [limit.n] * len(X), ctx.cone, np.concatenate(
-        [_eps_shifts(-1, ctx), _eps_shifts(1, ctx)]))
-    fx_down = _take(fx, slice(E))
-    lower = _tail_scan(
-        fam.map, lambda n: n, X, fx_down,
-        lambda g: tail_table(limit.map, X[g], [limit.n] * len(g), ctx.cone)[0],
-        battery, ctx, horizon, domain_at, "lsc")
-    near = (_neighborhood_masks(_take(fx_down, -1), ctx, fam, horizon)
+    E = len(EPS)
+    fx, fx_errs = _fx_table(limit, X, ctx)
+    lower = _tail_scan(fam.map, lambda n: n, X, fx, fx_errs, battery, ctx,
+                       horizon, domain_at, "lsc")
+    near = (_neighborhood_masks(_take(fx, E - 1), ctx, fam, horizon)
             if neighborhood else None)
-    uppers = _gamma_upper(fam, X, _take(fx, slice(E, None)), battery, ctx,
+    uppers = _gamma_upper(fam, X, _take(fx, slice(E, 2 * E)), battery, ctx,
                           horizon, domain_at)
     for g, ce in enumerate(lower):
         t = X[g]
-        ce = fx_errs.get(g, ce)
         if isinstance(ce, Exception):
             yield ce
             return
         reason = "lower inequality held along every in-domain sequence"
-        certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": flo}
+        certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": EPS_FLOOR}
         if neighborhood:
             if isinstance(near, Exception):
                 yield near
@@ -929,7 +938,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
         if ce is None:
             ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
         yield GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                          floored_eps(ctx), ce, domains_verdict, horizon,
+                          EPS, ce, domains_verdict, horizon,
                           battery.seed)
 
 
@@ -965,27 +974,22 @@ def on_base_domain(fam: PerturbedFamily, horizon: int) -> bool:
                for n in (0, *upper_half(horizon)))
 
 
-def _fixed_domain_reports(fam: PerturbedFamily, X: np.ndarray,
-                          battery: SeqGenBattery, ctx: OrderCtx,
-                          limit: Optional[Problem], horizon: int):
-    base = fam.base
-    if not on_base_domain(fam, horizon):
-        raise Unsupported("gamma_check requires the family to live on the "
-                          "base domain; use gamma_seq_check for moving domains")
-    return _gamma_reports(fam, X, battery, ctx, limit, horizon,
-                          lambda n: base.domain, neighborhood=True)
-
-
 def gamma_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
                 ctx: OrderCtx, limit: Optional[Problem] = None,
                 horizon: int = DEFAULT_HORIZON) -> GammaReport:
     """Variational convergence at a point for families on a fixed domain.
 
     The lower condition runs twice (sequence battery and shrinking grid
-    neighborhoods) and the two routes must agree.
+    neighborhoods) and the two routes must agree; both read the shifts of
+    F(x̄) along EPS. A family whose D_n is not the base grid
+    (``on_base_domain``) is refused with Unsupported.
     """
-    return next(_fixed_domain_reports(fam, _one(xbar), battery, ctx, limit,
-                                      horizon))
+    if not on_base_domain(fam, horizon):
+        raise Unsupported("gamma_check requires the family to live on the "
+                          "base domain; use gamma_seq_check for moving domains")
+    base = fam.base
+    return next(_gamma_reports(fam, _one(xbar), battery, ctx, limit, horizon,
+                               lambda n: base.domain, neighborhood=True))
 
 
 def gamma_seq_check(fam: PerturbedFamily, xbar, battery: SeqGenBattery,
@@ -1074,7 +1078,6 @@ def _target_hypotheses(targets: Sequence[SetRep], omega: SetRep,
                        ctx: OrderCtx, horizon: int) -> tuple[Verdict, Verdict]:
     """Level-set hypotheses (b), upper and lower, over the tail targets."""
     need = io_threshold(horizon)
-    flo = floored_eps(ctx)[-1]
     omega_t = corner_table([omega], ctx.cone)
     hits_at = table_rel(_shifted(targets, -1, ctx), omega_t, (LARGE,), ctx.tol)[0].sum(axis=1)
     hits = int(hits_at[-1])
@@ -1082,10 +1085,10 @@ def _target_hypotheses(targets: Sequence[SetRep], omega: SetRep,
         hyp_up = Verdict.holds(
             reason=f"shifted target sets fall below the limit target on "
                    f"{hits}/{len(targets)} tail indices",
-            certificate={"hits": hits, "needed": need, "eps_floor": flo},
+            certificate={"hits": hits, "needed": need, "eps_floor": EPS_FLOOR},
             sampled=True)
     else:
-        _, eps_bad = _first_break((hits_at >= need)[:, None], ctx)
+        _, eps_bad = _first_break((hits_at >= need)[:, None])
         hyp_up = Verdict.fails(
             reason=f"no tail subsequence of shifted target sets stays below "
                    f"the limit target (eps = {eps_bad:.6g})",
@@ -1120,14 +1123,13 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
     battery = battery or SeqGenBattery()
     base = fam.base
     tail = list(upper_half(horizon))
-    flo = floored_eps(ctx)[-1]
     shared = PerturbedFamily(base, fam.map, lambda n: base.domain, fam.n_max,
                              recovery_hint=fam.recovery_hint, label=fam.label)
 
     # hypothesis (a): variational convergence on the shared grid; every
     # point runs, so the lower-route cross-check covers the grid
-    reports = list(_fixed_domain_reports(shared, base.domain.points, battery,
-                                         ctx, None, horizon))
+    reports = list(_gamma_reports(shared, base.domain.points, battery, ctx, None,
+                                  horizon, lambda n: base.domain, neighborhood=True))
     hyp_gamma = _grid_gamma_hypothesis(
         reports, "variational convergence",
         holds=f"variational convergence holds at all {len(base)} grid points",
@@ -1192,7 +1194,7 @@ def levelset_convergence_experiment(fam: PerturbedFamily,
                     "shift_lower": hyp_lo},
         conclusions=conclusions,
         extras=extras,
-        meta={"horizon": horizon, "eps_floor": flo, "tol": tol_const,
+        meta={"horizon": horizon, "eps_floor": EPS_FLOOR, "tol": tol_const,
               "seed": battery.seed, "io_threshold": io_threshold(horizon),
               "pk": pk.to_json() if pk is not None else None},
     )
@@ -1314,7 +1316,7 @@ def seq_lower_converse(fam, ctx: OrderCtx, *, samples: int = 32,
                         if isinstance(errs[k], Unsupported))
             # F_n(x_n) against F_n(phi_n), paired along the tail; one eps row
             ok, = table_rel(ta, tb, (LARGE,), ctx.tol)
-            brk = _first_break(ok[None], ctx, errs)
+            brk = _first_break(ok[None], errs)
             if isinstance(brk, Exception):
                 raise brk
             if brk is not None:

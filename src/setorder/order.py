@@ -21,8 +21,9 @@ and problem.tail_table both end in ``table_from_corners``, where a shift
 (E, dim) moves each set's lower corners in the table: the only set
 arithmetic the package does.
 
-Universal epsilon quantifiers everywhere in the package are instantiated
-along that same ray, on a strictly decreasing schedule.
+A context is a cone and a tolerance. Universal epsilon quantifiers are
+instantiated along that same ray, as shifts e·u with e along one strictly
+decreasing schedule, ``converge.EPS``.
 """
 
 from __future__ import annotations
@@ -38,24 +39,18 @@ from ._kernels import (LARGE, LOWER, STRICT, covered, reduce_last, rel_corners,
 from .cone import DEFAULT_TOL, Cone
 from .setrep import SetRep, _corner_data, _refuse_boxes
 
-DEFAULT_EPS_SCHEDULE: tuple[float, ...] = tuple(2.0 ** -k for k in range(21))
 
 
 @dataclass(frozen=True, eq=False)
 class OrderCtx:
+    """The ordering cone and the tolerance of comparisons with a cloud."""
     cone: Cone
     tol: float = DEFAULT_TOL
-    eps_schedule: tuple[float, ...] = DEFAULT_EPS_SCHEDULE
 
     def __post_init__(self):
-        if self.tol < 0:
+        # NaN compares false both ways, and a NaN tol breaks reflexivity
+        if not self.tol >= 0:
             raise ValueError("tol must be nonnegative")
-        sched = tuple(float(t) for t in self.eps_schedule)
-        if not sched or any(t <= 0 for t in sched):
-            raise ValueError("eps schedule must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])) or sched[-1] >= 1e-6:
-            raise ValueError("eps schedule must decrease strictly to below 1e-6")
-        object.__setattr__(self, "eps_schedule", sched)
 
     @cached_property
     def u(self) -> np.ndarray:

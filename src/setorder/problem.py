@@ -87,7 +87,11 @@ class Window:
         return v < self.b if self.hi_open else v <= self.b
 
     def __len__(self) -> int:
-        """Point count, found without building the points.
+        return self._count
+
+    @cached_property
+    def _count(self) -> int:
+        """Point count, found without building the points, once per window.
 
         a + j*step never falls as j grows, so the count is the first j
         whose point lies outside, and a window whose point j = 2^53 lies
@@ -117,7 +121,7 @@ class Window:
 
     def points(self) -> np.ndarray:
         # the same single rounding of a + j*step as in _holds
-        return self.a + np.arange(len(self), dtype=np.float64) * self.step
+        return self.a + np.arange(self._count, dtype=np.float64) * self.step
 
 
 class Domain:

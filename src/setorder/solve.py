@@ -298,7 +298,7 @@ def _closedness_probe(P: Problem, target: PointCloud, idx: tuple[int, ...],
         return None
     if P.domain.windows is None or len(P.domain.windows) != 1 or P.domain.dim != 1:
         return None
-    relaxed = OrderCtx(ctx.cone, tol=2.0 * ctx.tol, eps_schedule=ctx.eps_schedule)
+    relaxed = OrderCtx(ctx.cone, tol=2.0 * ctx.tol)
 
     def member(t: float, c: OrderCtx = ctx) -> bool:
         return lower_le(P.map.value((t,), P.n), target, c)

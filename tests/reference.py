@@ -47,8 +47,8 @@ from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
     RECOVERY_BUDGET,
+    EPS,
     GammaReport,
-    floored_eps,
     io_threshold,
     upper_half,
 )
@@ -171,9 +171,13 @@ def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:
     return tuple(keep)
 
 
+#: the shifts t of the existential-epsilon form of strict_lt, along t*u
+EPS_SCHEDULE = tuple(2.0 ** -k for k in range(21))
+
+
 def strict_lt_by_search(A, B, ctx: OrderCtx) -> bool:
     """Existential form of strict_lt along the ray eps = t*u."""
-    return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in ctx.eps_schedule)
+    return any(lower_le(translate(A, t * ctx.u), B, ctx) for t in EPS_SCHEDULE)
 
 
 def exterior_point(A, C: Cone) -> np.ndarray | None:
@@ -472,19 +476,19 @@ def batched(margin):
 
 
 def largest_failing_eps(cond, ctx: OrderCtx) -> float:
-    for t in floored_eps(ctx):
+    for t in EPS:
         if not cond(t):
             return t
-    return floored_eps(ctx)[-1]
+    return EPS[-1]
 
 
 def tail_scan(value, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at,
               mode: str):
     """converge._tail_scan with one strict_lt call per (n, eps)."""
     u = ctx.u
-    flo = floored_eps(ctx)[-1]
+    flo = EPS[-1]
     lsc = mode == "lsc"
-    fx_down = {e: translate(Fx, -e * u) for e in floored_eps(ctx)} if lsc else {}
+    fx_down = {e: translate(Fx, -e * u) for e in EPS} if lsc else {}
 
     def holds(Fn, e):
         if lsc:
@@ -511,7 +515,7 @@ def tail_scan(value, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at,
 def theta(Fn, Fx, ctx: OrderCtx) -> float:
     """Largest scheduled eps for which Fn is not largely below Fx + eps·u."""
     worst = 0.0
-    for e in floored_eps(ctx):
+    for e in EPS:
         if not large_le(Fn, translate(Fx, e * ctx.u), ctx):
             worst = max(worst, e)
     return worst
@@ -542,7 +546,7 @@ def recovery_search(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at)
 
 def gamma_upper(fam, t, Fx, battery, ctx: OrderCtx, horizon: int, domain_at):
     """converge._gamma_upper with one large_le call per (n, eps)."""
-    flo = floored_eps(ctx)[-1]
+    flo = EPS[-1]
     hint = fam.recovery_hint is not None
     if hint:
         seq = {n: clamp_point(np.asarray(fam.recovery_point(t, n), dtype=float),
@@ -582,7 +586,7 @@ def neighborhood_route(fam, t, Fx, battery, ctx: OrderCtx, horizon: int):
     """converge's shrinking-neighbourhood route at x̄ = t, one strict_lt
     call per (tail member, grid point): (passes, j or None)."""
     members = [family_at(fam, n) for n in upper_half(horizon)]
-    shifted = translate(Fx, -floored_eps(ctx)[-1] * ctx.u)
+    shifted = translate(Fx, -EPS[-1] * ctx.u)
     pts = fam.base.domain.points
     dists = np.linalg.norm(pts - t, axis=1)
     bad_dist = min((float(dists[i]) for i in range(len(pts))
@@ -599,7 +603,7 @@ def gamma_report(fam, t, battery, ctx: OrderCtx, horizon: int, domain_at,
     """converge's variational-convergence check at the one point t, F(x̄)
     from the base problem, on the pair-at-a-time scans above."""
     t = np.asarray(t, dtype=float)
-    flo = floored_eps(ctx)[-1]
+    flo = EPS[-1]
     Fx = fam.base.map.value(tuple(t), fam.base.n)
     ce = tail_scan(lambda x, n: fam.map.value(tuple(x), n), t, Fx, battery, ctx,
                    horizon, domain_at, "lsc")
@@ -625,7 +629,7 @@ def gamma_report(fam, t, battery, ctx: OrderCtx, horizon: int, domain_at,
     if ce is None:
         ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
     return GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,
-                       floored_eps(ctx), ce, domains_verdict, horizon,
+                       EPS, ce, domains_verdict, horizon,
                        battery.seed)
 
 
@@ -639,7 +643,7 @@ def lsc_verdict(P: Problem, t, battery, ctx: OrderCtx, horizon: int) -> Verdict:
             reason="lsc inequality held on every tail index of every "
                    "generated sequence",
             certificate={"seed": battery.seed, "horizon": horizon,
-                         "eps_floor": floored_eps(ctx)[-1],
+                         "eps_floor": EPS[-1],
                          "strategies": list(battery.strategy_names())},
             sampled=True)
     return Verdict.fails(
@@ -652,7 +656,7 @@ def target_hypotheses(omega_n, omega, ctx: OrderCtx, horizon: int):
     """Level-set hypotheses (b), upper and lower, one call per (n, eps)."""
     tail = list(upper_half(horizon))
     u = ctx.u
-    flo = floored_eps(ctx)[-1]
+    flo = EPS[-1]
     need = io_threshold(horizon)
     hits = sum(1 for n in tail
                if large_le(translate(omega_n(n), -flo * u), omega, ctx))

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import EXACT_SCALES, random_solid_cone, scale_set
 from reference import (
+    EPS_SCHEDULE,
     brute_eff,
     pk_cluster_oracle,
     random_problem,
@@ -288,7 +289,7 @@ def test_04_order_laws_on_ten_thousand_random_instances():
         # converse along the schedule, on exactly comparable data only
         if isinstance(A, BoxUnion) and isinstance(B, BoxUnion):
             if all(strict_lt(translate(A, -t * ctx.u), B, ctx)
-                   for t in ctx.eps_schedule):
+                   for t in EPS_SCHEDULE):
                 fired["lemma_b"] += 1
                 assert g_ab
 

@@ -19,16 +19,16 @@ from hypothesis import strategies as st
 import reference
 from reference import pk_cluster_oracle
 
-from setorder import converge
+from setorder import converge, problem
 from setorder.converge import (
     DEFAULT_HORIZON,
+    EPS,
     EPS_FLOOR,
     MAX_BALL_SPLITS,
     GammaReport,
     LevelsetReport,
     SeqGenBattery,
     StabilityReport,
-    floored_eps,
     gamma_check,
     gamma_seq_check,
     io_threshold,
@@ -135,10 +135,10 @@ def built(monkeypatch):
 def tail_scan_at(map, t, Fx, battery, ctx, horizon, domain_at, mode):
     """converge._tail_scan at the one target t, F(x̄) = Fx and the value at
     x_n from map(x_n, n); raises the exception it reports."""
-    shift = converge._eps_shifts(-1, ctx) if mode == "lsc" else None
+    shift = np.concatenate([converge._eps_shifts(-1, ctx), converge._eps_shifts(1, ctx),
+                            np.zeros((1, ctx.cone.dim))])
     got, = converge._tail_scan(map, lambda n: n, np.reshape(t, (1, -1)),
-                               corner_table([Fx], ctx.cone, shift),
-                               lambda g: corner_table([Fx] * len(g), ctx.cone),
+                               corner_table([Fx], ctx.cone, shift), {},
                                battery, ctx, horizon, domain_at, mode)
     if isinstance(got, Exception):
         raise got
@@ -173,13 +173,60 @@ class TestScheduleHelpers:
             io_threshold(0)
         assert list(upper_half(8)) == [4, 5, 6, 7]
 
-    def test_floored_eps_schedule(self, ctx1):
-        vals = floored_eps(ctx1)
+    def test_floored_eps_schedule(self):
+        vals = EPS
         assert vals[0] == 1.0
         assert vals[-1] == EPS_FLOOR == 2.0 ** -10
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v >= EPS_FLOOR for v in vals)
         assert len(vals) == 11
+
+    def test_eps_is_fixed_bit_for_bit(self):
+        want = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125,
+                0.00390625, 0.001953125, 0.0009765625)
+        assert type(EPS) is tuple
+        assert [e.hex() for e in EPS] == [e.hex() for e in want]
+
+
+class TestFxTable:
+    """F(x̄) is asked once per block, as one table every stage reads."""
+
+    @staticmethod
+    def asked_rows(monkeypatch, check) -> list:
+        """The row counts of the problem.value_rows calls ``check`` makes."""
+        real, rows = problem.value_rows, []
+
+        def counted(map, X, *args, **kwargs):
+            rows.append(len(X))
+            return real(map, X, *args, **kwargs)
+
+        monkeypatch.setattr(problem, "value_rows", counted)
+        check()
+        return rows
+
+    @pytest.fixture
+    def fam(self):
+        # 257 grid points, so at horizon 8 the adversarial balls hold several
+        tm = TableMap(lambda x, n=0: box([math.sin(3 * x[0]) + 1 / (n + 1)], [5.0]), 1)
+        dom = Domain.from_windows([Window(0.0, 1.0, 1 / 256)])
+        base = Problem("sin", tm, Cone.orthant(1), dom, n=0)
+        return PerturbedFamily(base, tm, lambda n: dom, 64)
+
+    @pytest.mark.parametrize("check", [lsc_check, usc_check])
+    def test_semicontinuity_asks_fx_once(self, monkeypatch, fam, battery, check):
+        ctx = OrderCtx(fam.base.cone)
+        rows = self.asked_rows(
+            monkeypatch, lambda: check(fam.base, 0.5, battery, ctx, horizon=8))
+        # F(x̄), the adversarial candidates, the battery's tail rows
+        assert len(rows) == 3 and rows[0] == 1 and rows[1] > 1, rows
+
+    def test_gamma_check_asks_fx_once(self, monkeypatch, fam, battery):
+        ctx = OrderCtx(fam.base.cone)
+        rows = self.asked_rows(
+            monkeypatch, lambda: gamma_check(fam, 0.5, battery, ctx, horizon=8))
+        # F(x̄) is the one single-row ask: the candidates, the tail rows, the
+        # members' grids and the recovery balls all hold several points
+        assert rows[0] == 1 and rows.count(1) == 1, rows
 
 
 class TestBattery:

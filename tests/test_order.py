@@ -5,6 +5,9 @@ are half-integers and scaling factors are exact in binary, so a single law
 violation is a real bug, never float noise.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,13 +34,32 @@ from setorder.problem import _exterior_rows
 from setorder.setrep import Box, BoxUnion, _corner_data, box, points, translate
 
 from conftest import EXACT_SCALES, lattice_cloud, lattice_set, random_solid_cone, scale_set
-from reference import exterior_point, is_c_proper, strict_lt_by_search
+from reference import EPS_SCHEDULE, exterior_point, is_c_proper, strict_lt_by_search
 
 R1 = Cone.orthant(1)
 R2 = Cone.orthant(2)
 CTX1 = OrderCtx(R1)
 CTX2 = OrderCtx(R2)
 ABS_CTX = OrderCtx(Cone.from_halfspaces([[-1.0, 1.0], [1.0, 1.0]]))
+
+
+class TestOrderCtx:
+    def test_a_context_is_a_cone_and_a_tolerance(self):
+        assert [f.name for f in dataclasses.fields(OrderCtx)] == ["cone", "tol"]
+        with pytest.raises(TypeError):
+            OrderCtx(R2, eps_schedule=(1.0, 0.5))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    def test_nan_or_negative_tol_is_refused(self, tol):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            OrderCtx(R2, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, math.inf])
+    def test_zero_or_infinite_tol_keeps_reflexivity(self, tol):
+        # an infinite tol is a doubled --tol 1e308 (solve._closedness_probe)
+        ctx = OrderCtx(R2, tol=tol)
+        A = points([[0.0, 1.0], [1.0, 0.0]])
+        assert ctx.tol == tol and large_le(A, A, ctx)
 
 
 class TestFrozenExamples:
@@ -173,7 +195,7 @@ class TestEpsilonLemmas:
     @settings(max_examples=200)
     def test_strict_along_schedule_gives_large(self, A, B):
         # Lemma (b): strictness at every shrinking downshift forces cl-domination
-        if all(strict_lt(translate(A, -t * CTX2.u), B, CTX2) for t in CTX2.eps_schedule):
+        if all(strict_lt(translate(A, -t * CTX2.u), B, CTX2) for t in EPS_SCHEDULE):
             assert large_le(A, B, CTX2)
 
     @given(lattice_set(dim=2), lattice_set(dim=2))

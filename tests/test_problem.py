@@ -110,6 +110,27 @@ class TestWindowGrid:
         with pytest.raises(ProblemLoadError, match=r"has over 2\^53 points"):
             Domain.from_windows([Window(a, b, step)])
 
+    def test_from_windows_counts_each_window_once(self, monkeypatch):
+        # the points reuse the count the budget check took
+        windows = [Window(0.0, 1.0, 0.1), Window(-0.95, 4.0, 0.1, hi_open=True),
+                   Window(1.0, 1.0, 0.5)]
+        real, asked = Window._holds, []
+
+        def holds(self, j):
+            asked.append(self)
+            return real(self, j)
+
+        monkeypatch.setattr(Window, "_holds", holds)
+        once = []
+        for w in windows:
+            asked.clear()
+            len(Window(w.a, w.b, w.step, hi_open=w.hi_open))
+            once.append(len(asked))
+        asked.clear()
+        d = Domain.from_windows(windows)
+        assert [sum(a is w for a in asked) for w in windows] == once
+        assert len(d) == 11 * 50 * 1
+
     def test_grid_budget_is_inclusive(self):
         side = Window(0, 127, 1)
         assert len(Domain.from_windows([side, side])) == MAX_GRID_POINTS
