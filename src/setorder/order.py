@@ -40,7 +40,6 @@ from .cone import DEFAULT_TOL, Cone
 from .setrep import SetRep, _corner_data, _refuse_boxes
 
 
-
 @dataclass(frozen=True, eq=False)
 class OrderCtx:
     """The ordering cone and the tolerance of comparisons with a cloud."""
