@@ -13,6 +13,14 @@ the ``load_dict`` seconds (grid evaluation and properness check), the
 digests of the three matrices and of all four ``eff`` results (indices
 and witnesses), so that two trees can be checked for identical answers by
 running this file in each.
+
+The line also says where the pairs went, counted while the matrices are
+built by wrapping the solver's helpers, not inside the package:
+``rejected`` pairs failed the necessary test (``solve._candidates``),
+``settled`` pairs passed the sufficient one (``solve._settled``),
+``asked_large`` pairs were asked LARGE of the kernel
+(``solve.table_rel``) and ``asked_lower_strict`` pairs LOWER or STRICT.
+Of the N^2 pairs, the first two never reach the kernel.
 """
 
 from __future__ import annotations
@@ -33,6 +41,34 @@ import numpy as np  # noqa: E402
 import gen  # noqa: E402
 import setorder as so  # noqa: E402
 from setorder import solve  # noqa: E402
+from setorder._kernels import LARGE, LOWER, STRICT  # noqa: E402
+
+
+def counted(counts: dict) -> dict:
+    """Wrappers of the solver's two tests and its kernel call that add the
+    pairs each one rejects, settles or is asked to ``counts``."""
+    candidates, settled, table_rel = solve._candidates, solve._settled, solve.table_rel
+
+    def count_candidates(*args):
+        ok = candidates(*args)
+        counts["rejected"] += ok.size - int(np.count_nonzero(ok))
+        return ok
+
+    def count_settled(*args):
+        ok = settled(*args)
+        counts["settled"] += int(np.count_nonzero(ok))
+        return ok
+
+    def count_table_rel(a, b, modes, tol):
+        got = table_rel(a, b, modes, tol)
+        if LARGE in modes:
+            counts["asked_large"] += got[0].size
+        if LOWER in modes or STRICT in modes:
+            counts["asked_lower_strict"] += got[0].size
+        return got
+
+    return {"_candidates": count_candidates, "_settled": count_settled,
+            "table_rel": count_table_rel}
 
 
 def probe(side: int, cone_class: str, seed: int) -> dict:
@@ -41,9 +77,15 @@ def probe(side: int, cone_class: str, seed: int) -> dict:
     P = so.load_dict(doc)
     load_s = perf_counter() - start
     ctx = so.OrderCtx(P.cone)
-    start = perf_counter()
-    mats = solve.relation_matrices(P, ctx)
-    seconds = perf_counter() - start
+    counts = dict.fromkeys(("rejected", "settled", "asked_large", "asked_lower_strict"), 0)
+    real = {name: getattr(solve, name) for name in ("_candidates", "_settled", "table_rel")}
+    vars(solve).update(counted(counts))
+    try:
+        start = perf_counter()
+        mats = solve.relation_matrices(P, ctx)
+        seconds = perf_counter() - start
+    finally:
+        vars(solve).update(real)
     effs = {kind: so.eff(P, kind, ctx) for kind in so.KINDS}
     eff_doc = {k: [list(r.indices), sorted(r.witness.items())] for k, r in effs.items()}
     return {
@@ -55,6 +97,7 @@ def probe(side: int, cone_class: str, seed: int) -> dict:
             b"".join(np.packbits(m).tobytes() for m in mats)).hexdigest(),
         "eff_sha256": hashlib.sha256(
             json.dumps(eff_doc, separators=(",", ":")).encode()).hexdigest(),
+        **counts,
     }
 
 

@@ -9,13 +9,17 @@ order.table_rel call between the problem's value table and S; the
 matrices use table_rel too. The value table holds the sets alone, so a
 problem has one, kept from its properness check. table_rel shares one
 kernel rule with the pairwise predicates.
-When values have several corners, only the pairs that pass an exact
-necessary test on the sets' per-axis minima (``_candidates``) reach the
-kernel; with one corner per value that test is LARGE itself, and every
-pair does. The test and the kernel end in boolean reductions over short
-last axes; NumPy reduces a short last axis one outer element at a time,
-so on row blocks they go through ``_kernels.reduce_last``, which folds
-the axis one slice at a time instead.
+When values have several corners, two exact tests on the sets' per-axis
+minima come first: a necessary one (``_candidates``) drops the pairs that
+no relation can hold for, and a sufficient one (``_settled``) marks the
+pairs all three hold for. Only the pairs between them reach the kernel,
+which is asked LARGE first and LOWER and STRICT only where LARGE holds,
+since each of them implies it. With one corner per value the necessary
+test is LARGE itself, and every pair reaches the kernel. NumPy runs its
+loops along the last axis, so the two tests hold their operands axis
+first and the sets last, where a (sets, axes) layout would run them a
+few elements at a time; the kernel folds its short last axes instead
+(``_kernels.reduce_last``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT, reduce_last
+from ._kernels import LARGE, LOWER, STRICT
 from .errors import InternalCheckError
 from .order import CornerTable, OrderCtx, _pair_tol, corner_table, lower_le, table_rel
 from .problem import PieceMap, Problem
@@ -78,7 +82,8 @@ class LSetResult:
 # builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
 # O(N^2). Two budgets share it: a row block's test, (rows, N, m) for the
 # candidate test or (rows, N, 1, 1, m) for the kernel with one corner slot,
-# and one kernel call on candidate pairs, (pairs, k, k, m)
+# and one chunk of a block's candidate pairs, (pairs, k, m) for the
+# sufficient test and (pairs, k, k, m) for one kernel call
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -103,13 +108,21 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j).
 
     Row blocks of the value table are tested against the whole table,
-    rows * N * m elements at a time. When values have more than one corner
-    slot, a pair reaches the kernel only if it passes the necessary test of
-    ``_candidates``; every other entry is False. A block's candidate pairs
-    go to the kernel in chunks of at most ``_BLOCK_ELEMENTS // (k * k * m)``
-    pairs, so the kernel's calls follow the candidates, not the dense
-    block, and no temporary outgrows the budget. With one slot that test is
-    LARGE itself, so the block goes to the kernel whole.
+    rows * N * m elements at a time. With one corner slot the necessary
+    test is LARGE itself, so the block goes to the kernel whole. With more,
+    a block's pairs pass three stages, each in chunks of at most
+    ``_BLOCK_ELEMENTS // (k * k * m)`` pairs, so no temporary outgrows the
+    budget and the kernel's calls follow the pairs it is asked, not the
+    dense block:
+
+    * a pair that fails the necessary test of ``_candidates`` is False in
+      all three matrices, and one that passes the sufficient test of
+      ``_settled`` is True in all three, without a kernel call;
+    * the kernel is asked LARGE alone on the candidates left;
+    * it is asked LOWER and STRICT only where LARGE holds. Each of them
+      implies LARGE, axis by axis: STRICT's b > fl(a + t) >= a gives
+      fl(b + t) >= b > a, and LOWER takes STRICT or LARGE per axis. So
+      where LARGE fails, they fail too.
     """
     cache = vars(P).setdefault("_rel_cache", {})
     got = cache.get(ctx)
@@ -120,36 +133,56 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
     n, k, m = tab.h.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * m))
     pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
-    out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
+    lower, large, strict = out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
 
-    def fill(at, a: CornerTable, b: CornerTable) -> None:
-        for mat, ok in zip(out, table_rel(a, b, (LOWER, LARGE, STRICT), ctx.tol)):
-            mat[at] = ok
+    def chunks(ii, jj):
+        for c in range(0, len(ii), pairs):
+            yield ii[c:c + pairs], jj[c:c + pairs]
 
-    ideal = tab.h.min(axis=1)
+    def take(at):
+        return (CornerTable(*(x.take(idx, axis=0) for x in tab)) for idx in at)
+
+    # the two tests' operands axis first, the sets last (see _candidates)
+    h = np.ascontiguousarray(tab.h.transpose(1, 2, 0))
+    ideal = h.min(axis=0)
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
         if k == 1:
-            fill(blk, CornerTable(*(x[blk, None] for x in tab)), tab)
+            a = CornerTable(*(x[blk, None] for x in tab))
+            for mat, ok in zip(out, table_rel(a, tab, (LOWER, LARGE, STRICT), ctx.tol)):
+                mat[blk] = ok
             continue
-        ii, jj = np.nonzero(_candidates(ideal[blk], ideal,
-                                        _pair_tol(tab.cloud[blk, None], tab.cloud, ctx.tol)))
-        ii += i
+        t = _pair_tol(tab.cloud[blk, None], tab.cloud, ctx.tol)
+        cand = _candidates(ideal[:, blk], ideal, t)
+        ii, jj = np.nonzero(cand)
+        settled = np.empty(len(ii), dtype=bool)
         for c in range(0, len(ii), pairs):
-            at = (ii[c:c + pairs], jj[c:c + pairs])
-            fill(at, *(CornerTable(*(x[idx] for x in tab)) for idx in at))
+            ia, ja = ii[c:c + pairs], jj[c:c + pairs]
+            settled[c:c + pairs] = _settled(h.take(ia + i, axis=2), ideal.take(ja, axis=1),
+                                            t[ia, ja] if np.ndim(t) else t)
+        # nonzero lists the candidates in row-major order, as cand[cand] does
+        cand[cand] = settled
+        for mat in out:
+            mat[blk] = cand
+        left = ~settled
+        ii, jj = ii[left] + i, jj[left]
+        for at in chunks(ii, jj):
+            large[at], = table_rel(*take(at), (LARGE,), ctx.tol)
+        held = large[ii, jj]
+        for at in chunks(ii[held], jj[held]):
+            lower[at], strict[at] = table_rel(*take(at), (LOWER, STRICT), ctx.tol)
 
     cache[ctx] = out
-    _assert_geff_in_reff(out[1], out[2], P)
+    _assert_geff_in_reff(large, strict, P)
     return out
 
 
 def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
 
-    ideal_a (I, m) and ideal_b (N, m) are the per-axis minima of the sets'
-    H-corners, t the pairs' tolerances (``order._pair_tol``), a scalar or
-    (I, N) or broadcast to it. All
+    ideal_a (m, I) and ideal_b (m, N) are the per-axis minima of the sets'
+    H-corners, axis first, and t the pairs' tolerances
+    (``order._pair_tol``), a scalar or (I, N). All
     three relations need, for each B-corner b, some A-corner a with
     fl(b + t) >= a on every axis: LARGE compares exactly that, STRICT gives
     it by b > fl(a + t) >= a, and LOWER takes STRICT or LARGE per axis.
@@ -158,9 +191,29 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     point, not up to rounding. B's +inf padding passes it, and A's never
     lowers the ideal, since every value has a corner. It reads the same
     H-coordinates as the kernel, so it holds under general cones too.
+    With the sets on the last axis, each comparison is one long run per
+    axis and the all over the axes reduces the leading one, where a
+    (pairs, m) layout would run NumPy's loops m elements at a time.
     """
-    return reduce_last(ideal_b + np.asarray(t)[..., None] >= ideal_a[:, None],
-                       np.logical_and)
+    return np.logical_and.reduce(ideal_b[:, None] + t >= ideal_a[..., None], axis=0)
+
+
+def _settled(h_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
+    """[p]: whether pair p is related in all three relations by this test.
+
+    h_a (k, m, P) holds the A-sets' H-corners and ideal_b (m, P) the
+    B-sets' per-axis minima, both gathered per pair with the pairs last as
+    in ``_candidates``, and t the pairs' tolerances, a scalar or (P,). The
+    test is that some A-corner a has fl(a + t) < ideal_b on every axis.
+    Every B-corner b has b >= ideal_b, so b > fl(a + t) on every axis:
+    that one a covers every b for STRICT, which is the kernel's comparison
+    itself, exact in floating point. With t >= 0, fl(a + t) >= a and
+    fl(b + t) >= b > a, so the same a covers b for LARGE, and LOWER, which
+    takes STRICT or LARGE per axis, holds too. B's +inf padding is above
+    any finite a + t, and A's padding, fl(inf + t) = inf, never passes.
+    """
+    below = h_a + t < ideal_b
+    return np.logical_or.reduce(np.logical_and.reduce(below, axis=1), axis=0)
 
 
 def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:

@@ -130,7 +130,7 @@ def blocked_matrices(P, rows, monkeypatch):
     real_candidates, real_table_rel = solve._candidates, solve.table_rel
 
     def candidates(ideal_a, *rest):
-        blocks.append(len(ideal_a))
+        blocks.append(ideal_a.shape[-1])
         return real_candidates(ideal_a, *rest)
 
     def table_rel(a, *rest):

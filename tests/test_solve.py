@@ -203,7 +203,7 @@ class TestRelationMatrices:
         tab = value_table(P)
         ideal = tab.h.min(axis=1)
         assert tab.h.shape[1] == 2 and ideal[1, 0] == ideal[0, 0] - ctx.tol
-        assert solve._candidates(ideal, ideal, ctx.tol)[0, 1:].tolist() == [True, False]
+        assert solve._candidates(ideal.T, ideal.T, ctx.tol)[0, 1:].tolist() == [True, False]
         got = np.array(relation_matrices(P, ctx))
         np.testing.assert_array_equal(got, per_pair_matrices(P, ctx))
         assert got[1, 0, 1:].tolist() == [True, False]
