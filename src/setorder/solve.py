@@ -11,15 +11,13 @@ problem has one, kept from its properness check. table_rel shares one
 kernel rule with the pairwise predicates.
 When values have several corners, two exact tests on the sets' per-axis
 minima come first: a necessary one (``_candidates``) drops the pairs that
-no relation can hold for, and a sufficient one (``_settled``) marks the
-pairs all three hold for. Only the pairs between them reach the kernel,
+no relation can hold for, and a sufficient one (``_settled``) finds
+pairs that all three hold for. Only the pairs between them reach the kernel,
 which is asked LARGE first and LOWER and STRICT only where LARGE holds,
 since each of them implies it. With one corner per value the necessary
-test is LARGE itself, and every pair reaches the kernel. NumPy runs its
-loops along the last axis, so the two tests hold their operands axis
-first and the sets last, where a (sets, axes) layout would run them a
-few elements at a time; the kernel folds its short last axes instead
-(``_kernels.reduce_last``).
+test is LARGE itself, and every pair reaches the kernel. The two tests
+hold their operands axis first and the sets last (see ``_candidates``);
+the kernel folds its short last axes instead (``_kernels.reduce_last``).
 """
 
 from __future__ import annotations
@@ -193,7 +191,7 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     H-coordinates as the kernel, so it holds under general cones too.
     With the sets on the last axis, each comparison is one long run per
     axis and the all over the axes reduces the leading one, where a
-    (pairs, m) layout would run NumPy's loops m elements at a time.
+    (sets, m) layout would run NumPy's loops m elements at a time.
     """
     return np.logical_and.reduce(ideal_b[:, None] + t >= ideal_a[..., None], axis=0)
 

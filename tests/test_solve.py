@@ -24,8 +24,8 @@ from setorder import solve
 from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
 from setorder.cone import DEFAULT_TOL, Cone
 from setorder.errors import InternalCheckError
-from setorder.order import (OrderCtx, corner_table, large_le, lower_le, strict_lt,
-                            table_rel)
+from setorder.order import (CornerTable, OrderCtx, _pair_tol, corner_table, large_le,
+                            lower_le, strict_lt, table_rel)
 from setorder.problem import Domain, Problem, TableMap, load_builtin
 from setorder.setrep import Box, BoxUnion, PointCloud, _corner_data, box, points, translate
 from setorder.solve import (
@@ -120,6 +120,44 @@ class TestMinimalSets:
         other = OrderCtx(geff.cone, tol=1e-6)
         c = relation_matrices(geff, other)
         assert c[0] is not a[0]
+
+
+def inject_matrices(monkeypatch, lower, large, strict):
+    """Makes the one-slot path of relation_matrices read these matrices: a
+    problem of single-point values goes to table_rel in one row block."""
+    def table_rel(a, b, modes, tol):
+        assert modes == (LOWER, LARGE, STRICT) and a.h.shape[:2] == (len(b.h), 1)
+        return tuple(np.array(x, dtype=bool) for x in (lower, large, strict))
+
+    monkeypatch.setattr(solve, "table_rel", table_rel)
+
+
+class TestCrossChecks:
+    """Both checks raise on matrices that break a theorem; each test feeds
+    its check such matrices, so deleting the check fails the test."""
+
+    def test_geoffroy_outside_relaxed_raises(self, monkeypatch):
+        # two incomparable values, both Geoffroy-minimal, with a STRICT
+        # entry that excludes index 1 from the relaxed-minimal set
+        P = table_problem([points([[0.0, 1.0]]), points([[1.0, 0.0]])], Cone.orthant(2))
+        eye = np.eye(2, dtype=bool)
+        inject_matrices(monkeypatch, eye, eye, [[False, True], [False, False]])
+        with pytest.raises(InternalCheckError,
+                           match="Geoffroy-minimal index 1 is not relaxed-minimal"):
+            relation_matrices(P, OrderCtx(P.cone))
+
+    def test_level_set_reaching_a_non_minimal_index_raises(self, monkeypatch):
+        # 2 is strictly below 1, which is equivalent to 0, yet 2 is not below
+        # 0: no preorder does that. So 1 is excluded, 0 and 2 are Geoffroy-
+        # minimal, and the level set at 0 reaches 1
+        P = table_problem([points([[float(i)]]) for i in range(3)], Cone.orthant(1))
+        large = [[True, True, False], [True, True, False], [False, True, True]]
+        inject_matrices(monkeypatch, large, large, np.zeros((3, 3), dtype=bool))
+        ctx = OrderCtx(P.cone)
+        assert eff(P, "Geoffroy", ctx).indices == (0, 2)
+        with pytest.raises(InternalCheckError,
+                           match="level set of minimal index 0 reaches non-minimal index 1"):
+            representants(P, ctx)
 
 
 @st.composite
@@ -242,12 +280,108 @@ class TestRelationMatrices:
     @given(multi_corner_problems())
     def test_candidates_keep_every_related_pair(self, P):
         # the oracle is asked once, outside the forced switch
-        want = per_pair_matrices(P, OrderCtx(P.cone))
+        ctx = OrderCtx(P.cone)
+        want = per_pair_matrices(P, ctx)
+        # the sufficient test on every ordered pair, gathered as the matrices
+        # gather a block's candidates, accepts no pair some relation refuses
+        tab = value_table(P)
+        h = np.ascontiguousarray(tab.h.transpose(1, 2, 0))
+        ii, jj = np.indices((len(P), len(P))).reshape(2, -1)
+        t = np.broadcast_to(_pair_tol(tab.cloud[ii], tab.cloud[jj], ctx.tol), ii.shape)
+        settled = solve._settled(h[:, :, ii], h.min(axis=0)[:, jj], t)
+        assert not (settled.reshape(len(P), -1) & ~want.all(axis=0)).any()
         for side in each_reduction():
             # a fresh context per side, so the matrices are not cached
             np.testing.assert_array_equal(
                 np.array(relation_matrices(P, OrderCtx(P.cone))), want, err_msg=side)
 
+    @pytest.mark.parametrize("case", ["orthant", "general", "orthant-boxes"])
+    def test_settled_boundary_is_exact(self, case):
+        # B's ideal is v on H-axis 0, which is x under both cones; a* is the
+        # least A-corner with fl(a* + t) >= v, so fl(a* + t) == v. One ulp
+        # below a* the pair is settled; at a* it is LARGE but not STRICT, so
+        # settling it, or the pair one ulp above, would change the matrices
+        cone = (Cone.from_halfspaces([[1.0, 0.0], [0.3, 1.0]]) if case == "general"
+                else Cone.orthant(2))
+        boxes = case == "orthant-boxes"
+        t = 0.0 if boxes else OrderCtx(cone).tol
+        v, a = 0.3, 0.3 - t
+        while a + t >= v:
+            a = np.nextafter(a, -np.inf)
+        while a + t < v:
+            a = np.nextafter(a, np.inf)
+        xs = [np.nextafter(a, -np.inf), a, np.nextafter(a, np.inf)]
+        assert a + t == v and xs[0] + t < v
+
+        def value(corners):
+            if not boxes:
+                return points(corners)
+            return BoxUnion(2, tuple(Box(tuple(c), tuple(x + 1.0 for x in c),
+                                         (False, False), (False, False)) for c in corners))
+
+        P = table_problem([value([[v, 0.7], [v + 0.8, 0.75]])]
+                          + [value([[x, -5.0]]) for x in xs], cone)
+        tab = value_table(P)
+        h = np.ascontiguousarray(tab.h.transpose(1, 2, 0))
+        ideal = h.min(axis=0)
+        assert tab.h.shape[1] == 2 and ideal[0, 0] == v and h[0, 0, 1:].tolist() == xs
+        got = solve._settled(h[:, :, 1:], ideal[:, [0, 0, 0]], t)
+        assert got.tolist() == [True, False, False]
+        ctx = OrderCtx(cone)
+        mats = np.array(relation_matrices(P, ctx))
+        np.testing.assert_array_equal(mats, per_pair_matrices(P, ctx))
+        assert mats[2, 1:, 0].tolist() == [True, False, False] and mats[1, 2, 0]
+
+    def test_kernel_is_asked_large_first(self, monkeypatch):
+        # 3-corner clouds under a general cone in row blocks of 4: in each
+        # block settled pairs never reach the kernel, LARGE is asked alone
+        # first, and LOWER and STRICT only of the pairs where LARGE holds
+        rng = np.random.default_rng(31)
+        d = 3
+        cone = Cone.from_halfspaces(np.eye(d) + rng.uniform(-0.3, 0.3, size=(d, d)))
+        vals = [points(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)) * 0.5)
+                for _ in range(26)]
+        P = table_problem(vals, cone)
+        tab = value_table(P)
+        n, k, m = tab.h.shape
+        assert k == 3 and cone.kind == "general"
+        ctx = OrderCtx(cone)
+
+        def settled(a, b):
+            # some A-corner a with fl(a + t) below B's ideal on every axis
+            t = np.where(a.cloud | b.cloud, ctx.tol, 0.0)[..., None, None]
+            return (a.h + t < b.h.min(axis=-2)[..., None, :]).all(axis=-1).any(axis=-1)
+
+        assert settled(CornerTable(*(x[:, None] for x in tab)), tab).sum() > n
+        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 4 * n * m)
+        blocks = []
+        real_candidates, real_table_rel = solve._candidates, solve.table_rel
+
+        def candidates(*args):
+            blocks.append([])
+            return real_candidates(*args)
+
+        def table_rel(a, b, modes, tol):
+            assert not settled(a, b).any()
+            got = real_table_rel(a, b, modes, tol)
+            if modes != (LARGE,):
+                assert modes == (LOWER, STRICT)
+                assert real_table_rel(a, b, (LARGE,), tol)[0].all()
+            blocks[-1].append((modes, len(a.h), int(got[0].sum())))
+            return got
+
+        monkeypatch.setattr(solve, "_candidates", candidates)
+        monkeypatch.setattr(solve, "table_rel", table_rel)
+        np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
+                                      per_pair_matrices(P, ctx))
+        assert len(blocks) == 7
+        for calls in blocks:
+            modes = [c[0] for c in calls]
+            assert modes == sorted(modes, key=len)
+        asked = [c for calls in blocks for c in calls]
+        large_held = sum(held for modes, _, held in asked if modes == (LARGE,))
+        assert large_held == sum(size for modes, size, _ in asked if modes != (LARGE,))
+        assert 0 < large_held < sum(size for modes, size, _ in asked if modes == (LARGE,))
 
 class TestBruteForceAgreement:
     def test_random_instances_match(self):
