@@ -16,8 +16,9 @@ on the base and once on the tree, alternating which side goes first, and
 writes ``BENCH_<slug>.json``: both sides' environment records (with
 ``git_sha`` set to the exported commit, which an export cannot report
 itself), every pair's metrics, per metric the median and quartiles of
-each side, and how many pairs the tree won. Uses the standard library
-only.
+each side, how many pairs the tree won, and whether the gain is resolved
+or the metric regressed past its ``BENCHMARK.json`` bound (see
+``summarize``). Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -45,28 +46,42 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
-    """Per metric: each side's quartiles and the pairs the tree won.
+def summarize(pairs: list[dict], metrics: dict[str, dict]) -> dict[str, dict]:
+    """Per metric: each side's quartiles, the pairs the tree won, and two
+    verdicts.
 
     ``pairs`` holds {"base": metrics, "tree": metrics} with metrics mapping
-    a name to a number; ``better`` maps a metric name to "lower" or
-    "higher". A pair is a win when the tree is strictly better, a loss
-    when the base is; metrics missing on either side of a pair are skipped.
+    a name to a number; ``metrics`` maps a metric name to its
+    ``BENCHMARK.json`` entry, of which "better" ("lower" or "higher") and
+    "bound" are read. A pair is a win when the tree is strictly better, a
+    loss when the base is; metrics missing on either side of a pair are
+    skipped. The verdicts:
+
+    * ``resolved``: the tree won at least 9 in 10 of the pairs, and its
+      median is better than the base's by more than the base's
+      interquartile range;
+    * ``regressed``: the tree's median is worse than the base's by more
+      than ``bound`` times the base's median.
     """
     out = {}
-    for name, sense in better.items():
+    for name, spec in metrics.items():
         got = [(p["base"][name], p["tree"][name]) for p in pairs
                if name in p["base"] and name in p["tree"]]
         if not got:
             continue
-        sign = 1 if sense == "lower" else -1
+        sign = 1 if spec["better"] == "lower" else -1
+        base, tree = quartiles([b for b, _ in got]), quartiles([t for _, t in got])
+        wins = sum(sign * (t - b) < 0 for b, t in got)
+        gain = sign * (base["median"] - tree["median"])
         out[name] = {
-            "better": sense,
-            "base": quartiles([b for b, _ in got]),
-            "tree": quartiles([t for _, t in got]),
-            "wins": sum(sign * (t - b) < 0 for b, t in got),
+            "better": spec["better"],
+            "base": base,
+            "tree": tree,
+            "wins": wins,
             "losses": sum(sign * (t - b) > 0 for b, t in got),
             "pairs": len(got),
+            "resolved": 10 * wins >= 9 * len(got) and gain > base["q3"] - base["q1"],
+            "regressed": -gain > spec["bound"] * abs(base["median"]),
         }
     return out
 
@@ -110,8 +125,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     workloads = args.workloads.split(",")
-    better = {m["name"]: m["better"] for m in
-              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
     workdir = Path(tempfile.mkdtemp(prefix="setorder-ab-"))
     try:
@@ -133,7 +148,7 @@ def main(argv=None) -> int:
                           f"run_s {pair[side].get('run_s')}", file=sys.stderr)
                 pairs.append(pair)
             report["workloads"][workload] = {
-                "env": env, "pairs": pairs, "summary": summarize(pairs, better)}
+                "env": env, "pairs": pairs, "summary": summarize(pairs, metrics)}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

@@ -46,6 +46,7 @@ class ExprSyntaxError(ExprError):
     def __init__(self, message: str, pos: int):
         # expressions live in single-line JSON strings, so line is always 1
         super().__init__(f"{message} (line 1, column {pos + 1})")
+        self.reason = message
         self.pos = pos
 
 

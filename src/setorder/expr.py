@@ -13,6 +13,9 @@ than unary minus, so -x1^2 is -(x1^2)):
 VAR is x1..xd (domain coordinates) or n (perturbation index). NAME is one
 of sin, cos, exp, abs, sqrt. Parsing and evaluation recurse, so factor
 nesting and tree height are capped at MAX_DEPTH (ExprSyntaxError beyond).
+``parse`` splits the string into tokens in one regex scan and descends
+over the token list. Every node of the tree takes a token of its own, so
+its height is measured only when there are more than MAX_DEPTH tokens.
 Evaluation is IEEE double: exp overflow saturates to +inf, and a power
 that overflows is infinite as IEEE gives it (-inf for a negative base and
 an odd integer exponent, +inf otherwise), while NaN-producing operations
@@ -25,12 +28,15 @@ suspect, and flags every row where ``evaluate`` could raise. It checks
 finiteness only where a non-finite value can turn finite again, which
 flags the same rows as a check at every node, and it calls sin, cos, exp
 and ^ once per distinct n where their operands read n and no coordinate.
+A ^ makes one math.pow pass over its operand arrays and falls back to an
+element-wise pass only when some element raises.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
 
@@ -39,10 +45,10 @@ import numpy as np
 from .errors import DomainError, ExprSyntaxError, UnboundVariable
 
 _TOKEN = re.compile(r"""
-    (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>[-+*/^()])
-  | (?P<ws>\s+)
+    \s*(?:(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?   # number
+          |[A-Za-z_][A-Za-z_0-9]*                              # name
+          |[-+*/^()])                                         # operator
+         |(\S))                                               # anything else
 """, re.VERBOSE)
 
 _FUNCTIONS = ("sin", "cos", "exp", "abs", "sqrt")
@@ -82,76 +88,72 @@ class BinOp:
 Expr = Union[Lit, Var, Neg, Call, BinOp]
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    out = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            out.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return out
+def _tokenize(src: str) -> tuple[list[str], list[int]]:
+    """(tokens, starts): the token texts and their offsets, in one scan,
+    closed by an empty end token at len(src)."""
+    tokens, starts = [], []
+    for m in _TOKEN.finditer(src):
+        if m.lastindex == 2:
+            raise ExprSyntaxError(f"unexpected character {m[2]!r}", m.start(2))
+        tokens.append(m[1])
+        starts.append(m.start(1))
+    tokens.append("")
+    starts.append(len(src))
+    return tokens, starts
+
+
+_ADD, _MUL, _OPERATORS = frozenset("+-"), frozenset("*/"), frozenset("-+*/^()")
+_NAME_START = frozenset(string.ascii_letters + "_")
 
 
 class _Parser:
+    """Recursive descent over the token list; ``i`` is the next token."""
+
     def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
+        self.tokens, self.starts = _tokenize(src)
         self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.src))
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
     def expect_op(self, op: str):
-        kind, text, pos = self.take()
-        if kind != "op" or text != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
+        if self.tokens[self.i] != op:
+            raise ExprSyntaxError(f"expected {op!r}", self.starts[self.i])
+        self.i += 1
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, text, pos = self.peek()
-        if kind is not None:
-            raise ExprSyntaxError(f"trailing input {text!r}", pos)
-        if _height(e) > MAX_DEPTH:
+        text = self.tokens[self.i]
+        if text:
+            raise ExprSyntaxError(f"trailing input {text!r}", self.starts[self.i])
+        # a node takes at least one token of its own, so the tree is no
+        # higher than the token count
+        if len(self.tokens) - 1 > MAX_DEPTH and _height(e) > MAX_DEPTH:
             raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.take()
-                e = BinOp(text, e, self.term())
-            else:
-                return e
+        tokens = self.tokens
+        while (text := tokens[self.i]) in _ADD:
+            self.i += 1
+            e = BinOp(text, e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.take()
-                e = BinOp(text, e, self.factor())
-            else:
-                return e
+        tokens = self.tokens
+        while (text := tokens[self.i]) in _MUL:
+            self.i += 1
+            e = BinOp(text, e, self.factor())
+        return e
 
     def factor(self) -> Expr:
         # every nested parse (parentheses, calls, unary minus, ^) comes here
-        kind, text, pos = self.peek()
         if self.depth == MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels",
+                                  self.starts[self.i])
         self.depth += 1
-        if kind == "op" and text == "-":
-            self.take()
+        if self.tokens[self.i] == "-":
+            self.i += 1
             e = Neg(self.factor())
         else:
             e = self.power()
@@ -160,17 +162,16 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.take()
+        if self.tokens[self.i] == "^":
+            self.i += 1
             return BinOp("^", base, self.factor())
         return base
 
     def atom(self) -> Expr:
-        kind, text, pos = self.take()
-        if kind == "num":
-            return Lit(float(text))
-        if kind == "name":
+        i = self.i
+        text = self.tokens[i]
+        self.i = i + 1
+        if text[:1] in _NAME_START:
             if text in _FUNCTIONS:
                 self.expect_op("(")
                 arg = self.expr()
@@ -180,13 +181,16 @@ class _Parser:
                 return Lit(_CONSTANTS[text])
             if _VAR.match(text):
                 return Var(text)
-            raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
+            raise ExprSyntaxError(f"unknown identifier {text!r}", self.starts[i])
+        if text == "(":
             e = self.expr()
             self.expect_op(")")
             return e
+        if text and text not in _OPERATORS:
+            return Lit(float(text))
         raise ExprSyntaxError(
-            f"expected a value, got {text!r}" if kind else "unexpected end of input", pos)
+            f"expected a value, got {text!r}" if text else "unexpected end of input",
+            self.starts[i])
 
 
 def _height(e: Expr) -> int:
@@ -331,7 +335,19 @@ def _pow_or_nan(a: float, b: float) -> float:
 _ROW_CALLS = {"sin": np.frompyfunc(math.sin, 1, 1),
               "cos": np.frompyfunc(math.cos, 1, 1),
               "exp": np.frompyfunc(_exp, 1, 1)}
-_ROW_POW = np.frompyfunc(_pow_or_nan, 2, 1)
+_MATH_POW = np.frompyfunc(math.pow, 2, 1)
+_POW_OR_NAN = np.frompyfunc(_pow_or_nan, 2, 1)
+
+
+def _row_pow(a, b):
+    """_pow_or_nan element by element: one pass of math.pow, which gives
+    _pow's bits wherever it returns, and a pass of _pow_or_nan only when
+    some element raises."""
+    try:
+        return _MATH_POW(a, b)
+    except (OverflowError, ValueError):
+        return _POW_OR_NAN(a, b)
+
 
 # what a subtree reads: no variable, n alone, or some coordinate
 _CONST, _N, _X = 0, 1, 2
@@ -435,5 +451,5 @@ def _eval_rows(e: Expr, x: np.ndarray, n: Optional[np.ndarray],
     _flag(~np.isfinite(a), suspect)
     _flag(~np.isfinite(b), suspect)
     if reads == _N:
-        return _per_n(_ROW_POW, n, distinct, a, b), reads
-    return np.asarray(_ROW_POW(a, b), dtype=float), reads
+        return _per_n(_row_pow, n, distinct, a, b), reads
+    return np.asarray(_row_pow(a, b), dtype=float), reads

@@ -38,8 +38,8 @@ import numpy as np
 from . import expr as ex
 from ._kernels import LARGE
 from .cone import DEFAULT_TOL, Cone
-from .errors import (ExprError, HorizonExceeded, ProblemLoadError, SetSpecError,
-                     Unsupported)
+from .errors import (ExprError, ExprSyntaxError, HorizonExceeded, ProblemLoadError,
+                     SetSpecError, Unsupported)
 from .order import CornerTable, _h_rows, table_from_corners, table_rel
 from .setrep import Box, BoxUnion, PointCloud, SetRep, _corner_data, _refuse_boxes
 
@@ -233,11 +233,13 @@ class Guard:
 
     @classmethod
     def parse(cls, src: str) -> "Guard":
-        src = src.strip()
-        if src in ("", "true"):
+        """A syntax error in a side reports its column in src."""
+        text = src.strip()
+        if text in ("", "true"):
             return cls((), "true")
         atoms = []
-        for clause in src.split(" and "):
+        at = len(src) - len(src.lstrip())   # where the clause starts in src
+        for clause in text.split(" and "):
             m = None
             # scan for the longest operator first so "<=" is not read as "<"
             for op in ("<=", ">=", "<", ">"):
@@ -247,12 +249,22 @@ class Guard:
             if m is None:
                 raise ProblemLoadError(f"guard clause {clause!r} has no comparison")
             lhs, rhs = clause.split(m, 1)
-            atoms.append((ex.parse(lhs), m, ex.parse(rhs)))
-        return cls(tuple(atoms), src)
+            atoms.append((_parse_at(lhs, at), m, _parse_at(rhs, at + len(lhs) + len(m))))
+            at += len(clause) + len(" and ")
+        return cls(tuple(atoms), text)
 
     def matches(self, env: Mapping[str, object]) -> bool:
         return all(_COMPARE[op](ex.evaluate(l, env), ex.evaluate(r, env))
                    for l, op, r in self.atoms)
+
+
+def _parse_at(src: str, start: int) -> ex.Expr:
+    """ex.parse(src) for src cut from a longer string at column start; a
+    syntax error counts its column in that string."""
+    try:
+        return ex.parse(src)
+    except ExprSyntaxError as e:
+        raise ExprSyntaxError(e.reason, start + e.pos) from None
 
 
 @dataclass(frozen=True)
@@ -767,12 +779,43 @@ def _data_dir(kind: str):
 
 @cache
 def _validator():
-    """The problem schema's validator, its schema checked once per process."""
+    """The problem schema's validator, built on the first load of a process.
+
+    The schema as written is checked against its metaschema; the validator
+    then runs on a copy with its ``$ref``s inlined (``_inline_refs``), so
+    validating a document resolves no reference. jsonschema reports an
+    error met through a ``$ref`` with the referenced subschema's message
+    and path and adds nothing for the ``$ref`` itself, so every error, and
+    the best match among them, is the one the schema as written gives.
+    """
     import jsonschema
     schema = json.loads((_data_dir("schema") / "problem.schema.json").read_text())
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    return cls(_inline_refs(schema))
+
+
+def _inline_refs(schema: dict) -> dict:
+    """A copy of schema without ``$defs``, each ``{"$ref": "#/$defs/<name>"}``
+    replaced by that definition, inlined in turn. Any other ``$ref`` (to
+    another document, with sibling keywords, or a recursive definition)
+    has no inlined form and is refused with a ValueError."""
+    defs = schema.get("$defs", {})
+
+    def inline(node, within: frozenset):
+        if isinstance(node, list):
+            return [inline(v, within) for v in node]
+        if not isinstance(node, dict):
+            return node
+        if "$ref" not in node:
+            return {k: inline(v, within) for k, v in node.items()}
+        ref = node["$ref"]
+        name = ref.removeprefix("#/$defs/") if isinstance(ref, str) else None
+        if name == ref or name not in defs or len(node) > 1 or name in within:
+            raise ValueError(f"problem schema: $ref {ref!r} cannot be inlined")
+        return inline(defs[name], within | {name})
+
+    return inline({k: v for k, v in schema.items() if k != "$defs"}, frozenset())
 
 
 def _validate_schema(doc: dict) -> None:

@@ -240,13 +240,20 @@ def _excluders(large, strict, kind, lower=None):
 # ------------------------------------------------------------ eff solvers
 
 def eff(P: Problem, kind: str, ctx: OrderCtx) -> EffResult:
+    """The kind-minimal grid indices, each excluded index's witness its
+    lowest excluder; kept per (ctx, kind) beside P's relation matrices,
+    so callers share one result and read its witness, never write it."""
+    cache = vars(P).setdefault("_eff_cache", {})
+    got = cache.get((ctx, kind))
+    if got is not None:
+        return got
     lower, large, strict = relation_matrices(P, ctx)
     excl = _excluders(large, strict, kind, lower)
     mask = ~excl.any(axis=0)
-    # each excluded index's witness is its lowest excluder
     excluded = np.flatnonzero(~mask)
     witness = dict(zip(excluded.tolist(), excl.argmax(axis=0)[excluded].tolist()))
-    return EffResult(kind, _indices(mask), witness)
+    got = cache[ctx, kind] = EffResult(kind, _indices(mask), witness)
+    return got
 
 
 def strong_level_set(P: Problem, omega: SetRep, ctx: OrderCtx) -> tuple[int, ...]:

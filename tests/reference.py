@@ -32,11 +32,19 @@ upper bound and bisects, where the package starts from the quotient
 finiteness at every node and calls the per-element math functions on
 every row, which the package now does only where a non-finite value can
 vanish, and once per distinct n where an argument reads n alone.
+Its ^ calls ``_pow_or_nan`` on every element, where the package makes one
+pass of math.pow and falls back to ``_pow_or_nan`` only when that raises.
+
+``parse`` is the expression parser's former token-at-a-time form: it
+matches one token per regex call, peeks a (kind, text, column) tuple per
+token and measures every tree's height, where the package scans the
+string once and measures the height only past ``MAX_DEPTH`` tokens.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -52,9 +60,10 @@ from setorder.converge import (
     io_threshold,
     upper_half,
 )
-from setorder.errors import (DimensionMismatch, InternalCheckError, NoRecoveryFound,
-                             ProblemLoadError)
-from setorder.expr import _ROW_CALLS, _ROW_POW, BinOp, Call, Lit, Neg, Var
+from setorder.errors import (DimensionMismatch, ExprSyntaxError, InternalCheckError,
+                             NoRecoveryFound, ProblemLoadError)
+from setorder.expr import (_CONSTANTS, _FUNCTIONS, _ROW_CALLS, _VAR, MAX_DEPTH, BinOp,
+                           Call, Lit, Neg, Var, _height, _pow_or_nan)
 from setorder.order import OrderCtx, large_le, lower_le, shift_margin, strict_lt
 from setorder.problem import (
     EXTERIOR_INSIDE,
@@ -148,6 +157,130 @@ def _eval_rows(e, x, n, suspect):
             v = np.asarray(_ROW_POW(a, b), dtype=float)
     suspect |= ~np.isfinite(v)
     return v
+
+
+_ROW_POW = np.frompyfunc(_pow_or_nan, 2, 1)
+
+
+_TOKEN = re.compile(r"""
+    (?P<num>\d+(\.\d*)?([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>[-+*/^()])
+  | (?P<ws>\s+)
+""", re.VERBOSE)
+
+
+def parse(src: str):
+    """``setorder.expr.parse`` as the token-at-a-time parser gives it."""
+    if not isinstance(src, str) or not src.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    return _Parser(src).parse()
+
+
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    out = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN.match(src, pos)
+        if m is None:
+            raise ExprSyntaxError(f"unexpected character {src[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            out.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    def __init__(self, src: str):
+        self.src = src
+        self.tokens = _tokenize(src)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.src))
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str):
+        kind, text, pos = self.take()
+        if kind != "op" or text != op:
+            raise ExprSyntaxError(f"expected {op!r}", pos)
+
+    def parse(self):
+        e = self.expr()
+        kind, text, pos = self.peek()
+        if kind is not None:
+            raise ExprSyntaxError(f"trailing input {text!r}", pos)
+        if _height(e) > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+        return e
+
+    def expr(self):
+        e = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.take()
+                e = BinOp(text, e, self.term())
+            else:
+                return e
+
+    def term(self):
+        e = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "*/":
+                self.take()
+                e = BinOp(text, e, self.factor())
+            else:
+                return e
+
+    def factor(self):
+        kind, text, pos = self.peek()
+        if self.depth == MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        self.depth += 1
+        if kind == "op" and text == "-":
+            self.take()
+            e = Neg(self.factor())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
+
+    def power(self):
+        base = self.atom()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.take()
+            return BinOp("^", base, self.factor())
+        return base
+
+    def atom(self):
+        kind, text, pos = self.take()
+        if kind == "num":
+            return Lit(float(text))
+        if kind == "name":
+            if text in _FUNCTIONS:
+                self.expect_op("(")
+                arg = self.expr()
+                self.expect_op(")")
+                return Call(text, arg)
+            if text in _CONSTANTS:
+                return Lit(_CONSTANTS[text])
+            if _VAR.match(text):
+                return Var(text)
+            raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
+        if kind == "op" and text == "(":
+            e = self.expr()
+            self.expect_op(")")
+            return e
+        raise ExprSyntaxError(
+            f"expected a value, got {text!r}" if kind else "unexpected end of input", pos)
 
 
 def brute_eff(P: Problem, kind: str, ctx: OrderCtx) -> tuple[int, ...]:

@@ -216,6 +216,61 @@ class TestTotality:
         assert not math.isnan(v)
 
 
+def _outcome(parser, src):
+    """The AST, or a syntax error's message and column."""
+    try:
+        return parser(src)
+    except ExprSyntaxError as e:
+        return "error", str(e), e.pos
+
+
+_PIECES = ["x1", "x2", "x0", "x01", "n", "pi", "e", "inf", "foo", "sin", "cos",
+           "exp", "abs", "sqrt", "1", "2.5", "1e3", ".5", "7.", "1e", "٣",
+           "+", "-", "*", "/", "^", "(", ")", " ", "\t", "$", "#", "=", ",", "x", ".."]
+
+
+class TestParserAsReference:
+    """parse gives the former token-at-a-time parser's AST, or raises
+    ExprSyntaxError with its message and column."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+    def test_token_soup(self, src):
+        assert _outcome(parse, src) == _outcome(reference.parse, src)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ast, st.sampled_from(["", " ", "(", ")", "$", "1", "+", "x9 1"]),
+           st.booleans())
+    def test_well_formed_and_spoiled(self, e, extra, before):
+        # an AST's text, and that text with a piece added at either end
+        src = unparse(e)
+        for s in (src, extra + src if before else src + extra):
+            assert _outcome(parse, s) == _outcome(reference.parse, s)
+
+    @pytest.mark.parametrize("src", [
+        "", "   ", "\t\n", None, "1 + $", "x1 ~ 2", "1 2", "sin(1) x1", "foo(1)",
+        "x0", "bar + 1", "(1", "((x1)", "x1)", "sin(1", "sin x1", "1 +", "-",
+        "^2", "٣+1"])
+    def test_each_kind_of_error(self, src):
+        assert _outcome(parse, src) == _outcome(reference.parse, src)
+
+    @pytest.mark.parametrize("src", [
+        # 100 and 101 tokens around the height check's cut
+        "-" * 99 + "1", "-" * 100 + "1", "1" + "+1" * 49, "1" + "+1" * 50,
+        "x1" + "*x1" * 50, "-" * 99 + "x1", "-" * 98 + "x1^2",
+        # long sums: heights 100 and 101 past 100 tokens
+        "1" + "+1" * 99, "1" + "+1" * 100, "1" + "-x1/2" * 50,
+        # heights 100 and 101 in about 100 tokens, under the nesting cap
+        "-" * 97 + "(1+1+1)", "-" * 98 + "(1+1+1)", "-" * 99 + "(1+1)",
+        *("(" * k + "x1" + ")" * k for k in (98, 99, 100, 101)),
+        *("2^" * k + "2" for k in (49, 50, 98, 99, 100, 101)),
+        *("x1^-" * k + "2" for k in (49, 50, 51)),
+        "(" * 99 + "x1" + ")" * 98, "(" * 100 + "x1",
+    ])
+    def test_depth_edges(self, src):
+        assert _outcome(parse, src) == _outcome(reference.parse, src)
+
+
 # ------------------------------------------------ evaluation over rows
 
 _row_leaf = st.one_of(

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import reference
 from setorder import problem
 from setorder.cone import Cone
-from setorder.errors import (DimensionMismatch, DomainError, HorizonExceeded,
-                             ProblemLoadError, SetSpecError, Unsupported)
+from setorder.errors import (DimensionMismatch, DomainError, ExprSyntaxError,
+                             HorizonExceeded, ProblemLoadError, SetSpecError,
+                             Unsupported)
 from setorder.order import CornerTable, OrderCtx, corner_table, table_from_corners
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
@@ -32,6 +33,79 @@ def spec(label="t", cone=None, domain=None, pieces=None, family=None):
     if family:
         doc["family"] = family
     return doc
+
+
+SCHEMA_AS_WRITTEN = json.loads(
+    (problem._data_dir("schema") / "problem.schema.json").read_text())
+SHIPPED_DOCS = [json.loads((problem._data_dir("problems") / f"{name}.json").read_text())
+                for name in builtin_names()]
+
+
+def schema_message(doc):
+    """load_dict's message for the error jsonschema.validate raises on the
+    schema as written, or None when it raises none."""
+    import jsonschema
+    try:
+        jsonschema.validate(doc, SCHEMA_AS_WRITTEN)
+    except jsonschema.ValidationError as e:
+        path = "/".join(str(p) for p in e.absolute_path)
+        return f"schema: {e.message} (at {path or 'root'})"
+    return None
+
+
+# each draw a fresh copy: a later mutation may write into it
+_JSON_VALUES = st.sampled_from([None, True, False, 0, -1, 3, 0.5, "", "x1", "n",
+                                "orthant", [], {}, [1], [[0]], [["x1"]], {"a": 1}]
+                               ).map(lambda v: json.loads(json.dumps(v)))
+
+
+def _slots(node):
+    """(container, key) of every value in a JSON document, root first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield node, key
+        yield from _slots(value)
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one or two values replaced, deleted or added beside."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = draw(_JSON_VALUES)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "guard", "box", "points", "family"]))] = \
+                draw(_JSON_VALUES)
+        else:
+            node.append(draw(_JSON_VALUES))
+    return doc
+
+
+@st.composite
+def cloud_documents(draw):
+    """A valid document whose map has several point-cloud pieces."""
+    d = draw(st.integers(1, 3))
+    coord = st.one_of(st.integers(-3, 3), st.sampled_from(["x1", "x1^2", "-x1 + 1",
+                                                           "sin(x1)"]))
+    pieces = [{"guard": draw(st.sampled_from(["x1 < 0", "x1 >= 0.5", "true"])),
+               "points": [[draw(coord) for _ in range(d)]
+                          for _ in range(draw(st.integers(1, 3)))]}
+              for _ in range(draw(st.integers(1, 3)))]
+    pieces[-1]["guard"] = "true"
+    cone = draw(st.sampled_from([{"kind": "orthant", "dim": d},
+                                 {"kind": "halfspaces", "rows": [[1.0] * d]}]))
+    return {"label": "clouds", "cone": cone,
+            "domain": {"windows": [{"a": -1, "b": 1, "step": 0.5}]},
+            "map": {"pieces": pieces}}
 
 
 @st.composite
@@ -381,17 +455,79 @@ class TestLoadValidation:
     ], ids=["label-type", "no-label", "cone-kind", "nested-flag",
             "nested-point", "family", "array", "window", "cone-row"])
     def test_schema_message_is_jsonschema_validate_s(self, doc):
-        # the validator is built once; the message is still the error
-        # jsonschema.validate raises, its best match
-        import jsonschema
-        schema = problem._validator().schema
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(doc, schema)
-        e = want.value
-        path = "/".join(str(p) for p in e.absolute_path)
+        # the validator is built once, with its $refs inlined; the message
+        # is still the error jsonschema.validate raises on the schema as
+        # written, its best match
+        want = schema_message(doc)
+        assert want is not None
         with pytest.raises(ProblemLoadError) as got:
             load_dict(doc)
-        assert str(got.value) == f"schema: {e.message} (at {path or 'root'})"
+        assert str(got.value) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_schema_message_on_mutated_documents(self, data):
+        doc = data.draw(st.one_of(st.sampled_from(SHIPPED_DOCS), cloud_documents()))
+        doc = data.draw(mutated(doc))
+        want = schema_message(doc)
+        if want is None:
+            problem._validate_schema(doc)
+            return
+        with pytest.raises(ProblemLoadError) as got:
+            load_dict(doc)
+        assert str(got.value) == want
+
+    def test_built_schema_holds_no_ref(self):
+        built = json.dumps(problem._validator().schema)
+        assert "$ref" not in built and "$defs" not in built
+        assert "$ref" in json.dumps(SCHEMA_AS_WRITTEN)
+
+    @pytest.mark.parametrize("ref", [
+        "other.schema.json#/$defs/domain", "#/properties/map", "#", "#/$defs/missing",
+        "#/$defs/loop", {"$defs": "domain"}])
+    def test_ref_outside_defs_is_refused(self, ref):
+        schema = {"$defs": {"s": {"type": "string"}, "loop": {"items": {"$ref": "#/$defs/loop"}}},
+                  "properties": {"a": {"$ref": ref}, "b": {"$ref": "#/$defs/s"}}}
+        with pytest.raises(ValueError, match="cannot be inlined"):
+            problem._inline_refs(schema)
+
+    def test_ref_with_siblings_is_refused_and_defs_inline(self):
+        schema = {"$defs": {"s": {"type": "string"}, "t": {"items": {"$ref": "#/$defs/s"}}},
+                  "properties": {"a": {"$ref": "#/$defs/t"}}}
+        assert problem._inline_refs(schema) == {
+            "properties": {"a": {"items": {"type": "string"}}}}
+        schema["properties"]["a"]["minItems"] = 1
+        with pytest.raises(ValueError, match="cannot be inlined"):
+            problem._inline_refs(schema)
+
+    def test_a_foreign_ref_is_refused_when_the_validator_is_built(self, tmp_path,
+                                                                  monkeypatch):
+        bad = {**SCHEMA_AS_WRITTEN, "properties": {
+            **SCHEMA_AS_WRITTEN["properties"], "label": {"$ref": "label.json"}}}
+        (tmp_path / "problem.schema.json").write_text(json.dumps(bad))
+        monkeypatch.setattr(problem, "_data_dir", lambda kind: tmp_path)
+        problem._validator.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="'label.json' cannot be inlined"):
+                problem._validator()
+        finally:
+            problem._validator.cache_clear()
+
+    @pytest.mark.parametrize("guard, column, reason", [
+        ("x1 > 0 and x2 < 1 + $", 21, "unexpected character '$'"),
+        ("x1 < 2 and x2 >= (", 19, "unexpected end of input"),
+        ("  x1 < 1 and x2 <= 1 and 2 > x1 +", 34, "unexpected end of input"),
+        (" (x2 < 1", 6, "expected ')'"),   # where its side ends
+    ])
+    def test_guard_syntax_error_names_its_column_in_the_guard(self, guard, column,
+                                                               reason):
+        doc = spec(domain={"windows": [{"a": 0, "b": 1, "step": 1}] * 2},
+                   pieces=[{"guard": guard, "box": [{"lo": 0, "hi": 1}]},
+                           {"guard": "true", "box": [{"lo": 0, "hi": 2}]}])
+        with pytest.raises(ExprSyntaxError) as got:
+            load_dict(doc)
+        assert str(got.value) == f"{reason} (line 1, column {column})"
+        assert got.value.pos == column - 1
 
     def test_dim_mismatch(self):
         doc = spec(cone={"kind": "orthant", "dim": 2})

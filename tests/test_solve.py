@@ -121,6 +121,24 @@ class TestMinimalSets:
         c = relation_matrices(geff, other)
         assert c[0] is not a[0]
 
+    def test_eff_kept_per_ctx_and_kind(self, monkeypatch):
+        P = table_problem([points([[float(i), 2.0 - i]]) for i in range(3)]
+                          + [points([[3.0, 3.0]])], Cone.orthant(2))
+        ctx = OrderCtx(P.cone)
+        asked = []
+        excluders = solve._excluders
+        monkeypatch.setattr(solve, "_excluders",
+                            lambda *a: asked.append(a[2]) or excluders(*a))
+        first = [eff(P, kind, ctx) for kind in KINDS]
+        # the relation matrices' cross-check asks Geoffroy's excluders too
+        assert asked == ["Geoffroy", *KINDS]
+        assert all(eff(P, kind, ctx) is got for kind, got in zip(KINDS, first))
+        assert asked == ["Geoffroy", *KINDS]
+        assert first[2].indices == (0, 1, 2) and first[2].witness == {3: 0}
+        other = eff(P, "Geoffroy", OrderCtx(P.cone, tol=1e-6))
+        assert other is not first[2] and other == first[2]
+        assert asked == ["Geoffroy", *KINDS, "Geoffroy", "Geoffroy"]
+
 
 def inject_matrices(monkeypatch, lower, large, strict):
     """Makes the one-slot path of relation_matrices read these matrices: a
