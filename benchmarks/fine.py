@@ -13,10 +13,10 @@ hold many grid points, so the adversarial-worst strategy scores its
 candidates on every base point.
 The document is written to a temporary directory; no shipped file is
 edited. Prints one JSON line: the grid points, the command's seconds,
-the number of ``PieceMap.value`` and ``problem.value_rows`` calls, the
-process's peak RSS in MB, the exit code and the SHA-256 of the report, so
-that two trees can be checked for identical answers by running this file
-in each.
+the number of ``PieceMap.value`` and ``problem.value_rows`` calls and of
+blocks of grid points started (``converge._by_blocks``), the process's
+peak RSS in MB, the exit code and the SHA-256 of the report, so that two
+trees can be checked for identical answers by running this file in each.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src")]
 
-from setorder import cli, problem  # noqa: E402
+from setorder import cli, converge, problem  # noqa: E402
 
 SHIPPED = ROOT / "src" / "setorder" / "data" / "problems" / "sop_sin.json"
 SHIPPED_STEP = '"step": "pi/400"'
@@ -51,7 +51,7 @@ def refined(step: str) -> dict:
 
 def probe(step: str, horizon: int) -> dict:
     doc = refined(step)
-    calls = {"value": 0, "value_rows": 0}
+    calls = {"value": 0, "value_rows": 0, "blocks": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -59,16 +59,21 @@ def probe(step: str, horizon: int) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    # value_rows is called through the problem module's global name
-    patches = [(problem.PieceMap, "value"), (problem, "value_rows")]
-    real = [getattr(owner, name) for owner, name in patches]
+    def by_blocks(X, size, block, real=converge._by_blocks):
+        return real(X, size, counted("blocks", block))
+
+    # value_rows and _by_blocks are called through their modules' global names
+    patches = {(problem.PieceMap, "value"): counted("value", problem.PieceMap.value),
+               (problem, "value_rows"): counted("value_rows", problem.value_rows),
+               (converge, "_by_blocks"): by_blocks}
+    real = {(owner, name): getattr(owner, name) for owner, name in patches}
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sop_sin_fine.json"
         path.write_text(json.dumps(doc))
         out = io.StringIO()
-        for (owner, name), fn in zip(patches, real):
-            setattr(owner, name, counted(name, fn))
+        for (owner, name), fn in patches.items():
+            setattr(owner, name, fn)
         try:
             start = perf_counter()
             with contextlib.redirect_stdout(out):
@@ -77,7 +82,7 @@ def probe(step: str, horizon: int) -> dict:
                                  "--horizon", str(horizon)])
             seconds = perf_counter() - start
         finally:
-            for (owner, name), fn in zip(patches, real):
+            for (owner, name), fn in real.items():
                 setattr(owner, name, fn)
     report = out.getvalue()
     return {
@@ -86,6 +91,7 @@ def probe(step: str, horizon: int) -> dict:
         "seconds": round(seconds, 3),
         "piecemap_value_calls": calls["value"],
         "value_rows_calls": calls["value_rows"],
+        "blocks": calls["blocks"],
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "exit": code,
         "report_sha256": hashlib.sha256(report.encode()).hexdigest(),

@@ -89,6 +89,9 @@ RECOVERY_BUDGET = 10_000
 #: pair: the (eps, point, battery row) comparison, the (point, grid point)
 #: neighbourhood masks and battery distances
 _BLOCK_ELEMENTS = 2 ** 16
+#: how many times the first block's grid points each later block of a
+#: fold holds (_by_blocks)
+_GROWTH = 4
 
 
 def upper_half(horizon: int) -> range:
@@ -545,9 +548,10 @@ def _first_break(ok: np.ndarray, errs: Optional[dict] = None):
 
 def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
                 grid: int) -> int:
-    """Grid points per block: the (eps, point, battery row) comparison and
-    the (point, grid point) neighbourhood masks stay within _BLOCK_ELEMENTS
-    per corner pair."""
+    """Grid points in a fold's first block: the (eps, point, battery row)
+    comparison and the (point, grid point) neighbourhood masks stay within
+    _BLOCK_ELEMENTS per corner pair. Each later block holds _GROWTH times
+    as many (_by_blocks)."""
     seqs = sum(battery.variants(name) for name in battery.strategy_names())
     rows = len(EPS) * seqs * len(upper_half(horizon))
     return max(1, _BLOCK_ELEMENTS // (max(rows, grid) * len(ctx.w)))
@@ -555,18 +559,27 @@ def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
 
 def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]):
     """Yield the outcome at each row of X, in order, asking ``block`` for
-    up to ``size`` rows at a time, and raise an outcome that is an
-    exception.
+    ``size`` rows first and for _GROWTH·size rows at a time after that, and
+    raise an outcome that is an exception.
 
     ``block`` yields one outcome per row it was given, or ends at its
     first exception; no row is asked twice, and nothing past the
     consumer's last request is evaluated beyond the block that holds it.
+    So a consumer that stops early wastes at most one block, and one that
+    reads all G rows starts 1 + ceil((G - size) / (_GROWTH·size)) blocks,
+    each paying the fixed costs of a block once. Only the later blocks
+    grow: a consumer that stops among the first rows (a gate failing early
+    on a fine grid) would pay for every row of a larger first block. With
+    4·_BLOCK_ELEMENTS for every block, benchmarks/fine.py at pi/4096 took
+    twice as long and 30 MB more at its peak, for the same report.
     """
-    for start in range(0, len(X), size):
-        for out in block(X[start:start + size]):
+    start, step = 0, size
+    while start < len(X):
+        for out in block(X[start:start + step]):
             if isinstance(out, Exception):
                 raise out
             yield out
+        start, step = start + step, _GROWTH * size
 
 
 def _fx_table(limit: Problem, X: np.ndarray, ctx: OrderCtx
@@ -609,12 +622,13 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     fx0 = _take(fx, -1)
     tail = upper_half(horizon)
     ns = [index(n) for n in tail]
+    at = np.array(ns, dtype=object)   # the map index of each tail index
     G, T = len(X), len(tail)
     seqs: list = []
     raised: dict[int, tuple] = {}   # target -> (sequence, first margin error)
 
     def margin(x: np.ndarray, n: np.ndarray, g: np.ndarray) -> np.ndarray:
-        fn, errs = tail_table(map, x, [ns[tail.index(k)] for k in n.tolist()], ctx.cone)
+        fn, errs = tail_table(map, x, at[n - tail.start].tolist(), ctx.cone)
         for r, e in errs.items():
             raised.setdefault(int(g[r]), (len(seqs), e))
         a = _take(fx0, g)
@@ -744,15 +758,27 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
                         fam: PerturbedFamily, horizon: int):
     """[g, i]: the floored-eps shift F(x̄_g) - eps·u, the sets of
     ``fx_floor`` (G,), strictly below F_n at base grid point i for every
-    tail n, one comparison per member against its value table; or
-    the exception a member build raises, which is every point's. The tail
-    members are built in one batch."""
-    ok = np.ones((len(fx_floor.cloud), len(fam.base)), dtype=bool)
+    tail n; or the exception a member build raises, which is every
+    point's. The tail members are built in one batch, and their value
+    tables, padded with +inf to one corner count, are compared as one
+    stack, as many members at a time as keep the (point, member, grid
+    point) comparison within _BLOCK_ELEMENTS per corner pair."""
     try:
-        for P in _members(fam, upper_half(horizon)):
-            ok &= table_rel(_per_row(fx_floor), value_table(P), (STRICT,), ctx.tol)[0]
+        tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
     except Exception as e:
         return e
+    G, N, m = len(fx_floor.cloud), len(fam.base), len(ctx.w)
+    h = np.full((len(tabs), N, max(t.h.shape[1] for t in tabs), m), np.inf)
+    o = np.zeros(h.shape, dtype=np.uint8)
+    for k, t in enumerate(tabs):
+        h[k, :, :t.h.shape[1]], o[k, :, :t.h.shape[1]] = t.h, t.o
+    stack = CornerTable(h, o, np.array([t.cloud for t in tabs]))
+    a = _per_row(_per_row(fx_floor))                   # (point, member, grid point)
+    step = max(1, _BLOCK_ELEMENTS // (G * N * m))
+    ok = np.ones((G, N), dtype=bool)
+    for lo in range(0, len(tabs), step):
+        ok &= table_rel(a, _take(stack, slice(lo, lo + step)), (STRICT,),
+                        ctx.tol)[0].all(axis=1)
     return ok
 
 

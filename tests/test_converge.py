@@ -1412,14 +1412,14 @@ class TestGridGammaHypothesis:
     failing point makes it Fails, wherever it sits on the grid."""
 
     @staticmethod
-    def far_drop():
+    def far_drop(step: float = 0.05):
         # F_n drops far below F at x >= 0.9, so the lower condition fails
-        # from grid index 18 on; no recovery hint, so the upper route
-        # searches the grid
+        # from grid index 18 on (at step 0.05); no recovery hint, so the
+        # upper route searches the grid
         return load_dict({
             "label": "far-drop",
             "cone": {"kind": "orthant", "dim": 1},
-            "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 0.05}]},
+            "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": step}]},
             "map": {"pieces": [{"guard": "true",
                                 "box": [{"lo": "x1", "hi": "x1 + 1"}]}]},
             "family": {"subst": "n", "n_max": 200, "map_n": {"pieces": [
@@ -1538,6 +1538,62 @@ class TestInternalConclusion:
                     assert got.counterexample["base_index"] == 0
 
 
+class TestBlockGrowth:
+    """A fold's first block keeps _block_size's points and each later one
+    holds _GROWTH times as many, so a fold that reads every point starts
+    few blocks, and one that stops early still starts none past the block
+    that holds its last request."""
+
+    @staticmethod
+    def gamma_blocks(monkeypatch) -> list:
+        """The number of points of each _gamma_block call, in order."""
+        sizes = []
+        real = converge._gamma_block
+
+        def block(fam, X, *args):
+            sizes.append(len(X))
+            return real(fam, X, *args)
+
+        monkeypatch.setattr(converge, "_gamma_block", block)
+        return sizes
+
+    def test_full_folds_on_sop_sin_take_two_blocks(self, monkeypatch):
+        # horizon 64: 11 eps x 6 sequences x 32 tail rows per point and one
+        # H-axis give a first block of 2**16 // 2112 = 31 points; the other
+        # 69 of the 100 fit in the second block of up to 124
+        fam = load_builtin("sop_sin")
+        ctx = OrderCtx(fam.base.cone)
+        sizes = self.gamma_blocks(monkeypatch)
+        rep = stability_experiment(fam, "Relaxed", "external", ctx,
+                                   battery=SeqGenBattery())
+        assert rep.hypotheses["gamma_seq"].is_holds
+        assert sizes == [31, 69]
+        sizes.clear()
+        omega = fam.base.value(50)
+        levelset_convergence_experiment(fam, lambda n: omega, omega, ctx,
+                                        battery=SeqGenBattery())
+        assert sizes == [31, 69]
+
+    def test_an_early_failure_starts_no_later_block(self, ctx1, battery,
+                                                    monkeypatch):
+        # 101 points failing from x = 0.9 on; with first blocks of 2 points
+        # the fold's blocks start at 0, 2, 10, ..., 82, 90, 98, and the
+        # one from 98 is never started
+        fam = TestGridGammaHypothesis.far_drop(0.01)
+        G = len(fam.base)
+        monkeypatch.setattr(converge, "_block_size", lambda *a: 2)
+        sizes = self.gamma_blocks(monkeypatch)
+        gate = stability_experiment(fam, "Relaxed", "external", ctx1,
+                                    battery=battery).hypotheses["gamma_seq"]
+        assert gate.is_fails
+        p = gate.counterexample["index"]
+        assert (G, p) == (101, 90)
+        assert sizes == TestBlockFoldsMatchPointFolds.blocks(G, 2)[:len(sizes)]
+        start = sum(sizes[:-1])
+        assert start <= p < start + sizes[-1]
+        assert sum(sizes) < G
+
+
 class TestBlockFoldsMatchPointFolds:
     """The grid folds (stability's gamma_seq hypothesis, levelset-conv's
     gamma hypothesis and its lsc_cross) ask their checks in blocks of grid
@@ -1584,22 +1640,54 @@ class TestBlockFoldsMatchPointFolds:
                 horizon=horizon).to_json())
         return out
 
+    @staticmethod
+    def blocks(G: int, first: int) -> list:
+        """The sizes of the blocks _by_blocks cuts G rows into: ``first``,
+        then _GROWTH times as many, the last one what is left."""
+        sizes, step = [], first
+        while sum(sizes) < G:
+            sizes.append(min(step, G - sum(sizes)))
+            step = converge._GROWTH * first
+        return sizes
+
+    @staticmethod
+    def record_blocks(mp) -> list:
+        """Record, per fold, the fold's length, its first block size and the
+        sizes of the blocks it started."""
+        folds = []
+        real = converge._by_blocks
+
+        def by_blocks(X, size, block):
+            seen = []
+            folds.append((len(X), size, seen))
+            return real(X, size, lambda B: seen.append(len(B)) or block(B))
+
+        mp.setattr(converge, "_by_blocks", by_blocks)
+        return folds
+
     def check(self, fam, omega, ctx, battery, horizon, levelset=True):
         """Block folds at several block sizes against the point folds;
-        returns the point folds' outcome."""
+        returns the point folds' outcome. A fold asked with a first block
+        of 1, 2 or 3 points starts blocks of that size first, then the
+        grown ones, as far as it is consumed."""
         got = []
         with pytest.MonkeyPatch.context() as mp:
             self.point_folds(mp)
             want = self.consumers(fam, omega, ctx, battery, horizon, levelset)
         for size in (None, 1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
+                folds = self.record_blocks(mp)
                 if size is not None:
-                    # blocks of `size` points; the battery's distances one
-                    # target at a time
+                    # first blocks of `size` points; the battery's distances
+                    # one target at a time
                     mp.setattr(converge, "_block_size", lambda *a, k=size: k)
                     mp.setattr(converge, "_BLOCK_ELEMENTS", 1)
                 got = self.consumers(fam, omega, ctx, battery, horizon, levelset)
             assert got == want, size
+            for G, first, seen in folds:
+                assert seen == self.blocks(G, first)[:len(seen)], (size, G)
+            if size is not None:
+                assert any(seen[:1] == [size] for _, _, seen in folds), size
         return want
 
     @staticmethod
