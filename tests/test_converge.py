@@ -1148,6 +1148,37 @@ class TestTablesMatchPairLoops:
                 check(fam, tilted, samples=1, battery=SeqGenBattery(seed=2),
                       horizon=64)
 
+    @given(seed=st.integers(0, 10_000), budget=st.sampled_from([1, 50, 2 ** 16]))
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_masks_match_the_member_loop(self, seed, budget):
+        # members whose values hold 1 to 3 points, so their value tables
+        # have ragged corner counts, compared a few members at a time
+        rng = np.random.default_rng(seed)
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.125)])
+        offsets = rng.uniform(-0.5, 0.5, size=(70, 3, 2))
+
+        def value(x, n=0):
+            return points(x[0] + offsets[n, :n % 3 + 1])
+
+        cone = Cone.orthant(2)
+        ctx = OrderCtx(cone)
+        base = Problem("ragged", TableMap(lambda x: value(x), 2), cone, dom)
+        fam = PerturbedFamily(base, TableMap(value, 2), lambda n: dom, 69)
+        horizon = int(rng.integers(8, 14))
+        # F(x̄) - EPS_FLOOR·u at each grid point, from a random member
+        fx = converge._take(corner_table(
+            [value(x, int(k)) for x, k in zip(dom.points, rng.integers(0, 70, len(dom)))],
+            cone, shift=-EPS_FLOOR * ctx.u[None]), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(converge, "_BLOCK_ELEMENTS", budget)
+            got = converge._neighborhood_masks(fx, ctx, fam, horizon)
+        # the former loop: one comparison per member against its value table
+        want = np.ones((len(dom), len(dom)), dtype=bool)
+        for P in problem._members(fam, upper_half(horizon)):
+            want &= converge.table_rel(converge._per_row(fx), converge.value_table(P),
+                                       (converge.STRICT,), ctx.tol)[0]
+        assert got.tolist() == want.tolist()
+
 
 class TestTailOnlyWork:
     """Verdicts read only the upper half of the horizon, so the battery
@@ -1252,6 +1283,39 @@ class TestTailOnlyWork:
         assert set(asked["domains"]) == set(upper_half(16))
         assert set(asked["values"]) == set(upper_half(16))
         assert built == []
+
+    def test_margin_asks_each_candidate_at_its_map_index(self, ctx1, battery,
+                                                         monkeypatch):
+        # on a 1/64 grid at horizon 8 the adversarial balls hold several
+        # grid points; with the map index 2n + 1, every candidate the
+        # margin scores is asked at 2n + 1 for its own tail index n
+        dom = Domain.from_windows([Window(0.0, 1.0, 1 / 64)])
+        tm = TableMap(lambda x, n: box([x[0] * n], [x[0] * n + 1.0]), 1)
+        P = Problem("ramp", tm, ctx1.cone, dom, n=0)
+        X = dom.points[::8]
+        pairs = []
+        real_table, real_sequences = converge.tail_table, SeqGenBattery.sequences
+
+        def tail_table(map, x, ns, cone, *args):
+            if pairs and len(pairs[-1]) == 1:
+                # the first evaluation after a margin is asked is its own
+                pairs[-1].append(list(ns))
+            return real_table(map, x, ns, cone, *args)
+
+        def sequences(self, target, domain_at, horizon, margin=None, indices=None):
+            def scored(x, n, g):
+                pairs.append([n.tolist()])
+                return margin(x, n, g)
+            return real_sequences(self, target, domain_at, horizon,
+                                  margin=scored if margin else None, indices=indices)
+
+        monkeypatch.setattr(converge, "tail_table", tail_table)
+        monkeypatch.setattr(SeqGenBattery, "sequences", sequences)
+        converge._tail_scan(tm, lambda n: 2 * n + 1, X, *converge._fx_table(P, X, ctx1),
+                            battery, ctx1, 8, lambda n: dom, "lsc")
+        assert pairs and all(len(n) > len(X) for n, _ in pairs)
+        for n, asked in pairs:
+            assert asked == [2 * k + 1 for k in n]
 
 
 class TestMemberBuilds:
