@@ -38,8 +38,11 @@ under a general cone raises Unsupported, as comparing it would), and a
 target's outcome is whichever comes first in its row order: the first row
 failing at the floored eps (a break, in (strategy, variant, n) order, as a
 pair-at-a-time scan would find it) or the first raising row. So a value
-that raises past a break does not hide it, and a fold that stops at a
-point's outcome reads no later point's (_by_blocks).
+that raises past a break does not hide it. That is the one rule for
+errors: inside a block's arrays an error is a value for its row, and the
+generators passing a block's outcomes on (_sc_block, _gamma_block,
+_gamma_upper) raise a point's error when their consumer reaches that
+point, so a fold that stops at a point reads no later point's (_by_blocks).
 Variational convergence has one core with two routes: fixed domain
 (gamma_check), where shrinking grid neighborhoods cross-check the lower
 scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
@@ -559,15 +562,15 @@ def _block_size(ctx: OrderCtx, battery: SeqGenBattery, horizon: int,
 
 def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]):
     """Yield the outcome at each row of X, in order, asking ``block`` for
-    ``size`` rows first and for _GROWTH·size rows at a time after that, and
-    raise an outcome that is an exception.
+    ``size`` rows first and for _GROWTH·size rows at a time after that.
 
-    ``block`` yields one outcome per row it was given, or ends at its
-    first exception; no row is asked twice, and nothing past the
-    consumer's last request is evaluated beyond the block that holds it.
-    So a consumer that stops early wastes at most one block, and one that
-    reads all G rows starts 1 + ceil((G - size) / (_GROWTH·size)) blocks,
-    each paying the fixed costs of a block once. Only the later blocks
+    ``block`` yields one outcome per row it was given and raises a row's
+    error when the consumer reaches that row, which ends the fold there.
+    No row is asked twice, and nothing past the consumer's last request is
+    evaluated beyond the block that holds it. So a consumer that stops
+    early wastes at most one block, and one that reads all G rows starts
+    1 + ceil((G - size) / (_GROWTH·size)) blocks, each paying the fixed
+    costs of a block once. Only the later blocks
     grow: a consumer that stops among the first rows (a gate failing early
     on a fine grid) would pay for every row of a larger first block. With
     4·_BLOCK_ELEMENTS for every block, benchmarks/fine.py at pi/4096 took
@@ -575,10 +578,7 @@ def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]
     """
     start, step = 0, size
     while start < len(X):
-        for out in block(X[start:start + step]):
-            if isinstance(out, Exception):
-                raise out
-            yield out
+        yield from block(X[start:start + step])
         start, step = start + step, _GROWTH * size
 
 
@@ -668,8 +668,9 @@ def _one(xbar) -> np.ndarray:
 
 def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
               horizon: int, mode: str):
-    """The lsc or usc verdict, or the exception it raises, at each row of
-    X, in order (see _by_blocks)."""
+    """The lsc or usc verdict at each row of X, in order; the first point
+    whose scan reports an error raises it when it is reached (see
+    _by_blocks)."""
     found = _tail_scan(P.map, lambda n: P.n, X, *_fx_table(P, X, ctx), battery,
                        ctx, horizon, lambda n: P.domain, mode)
     for ce in found:
@@ -682,7 +683,7 @@ def _sc_block(P: Problem, X: np.ndarray, battery: SeqGenBattery, ctx: OrderCtx,
                              "strategies": list(battery.strategy_names())},
                 sampled=True)
         elif isinstance(ce, Exception):
-            yield ce
+            raise ce
         else:
             yield Verdict.fails(
                 reason=f"{mode} comparison breaks at n = {ce['n']} under "
@@ -758,15 +759,13 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
                         fam: PerturbedFamily, horizon: int):
     """[g, i]: the floored-eps shift F(x̄_g) - eps·u, the sets of
     ``fx_floor`` (G,), strictly below F_n at base grid point i for every
-    tail n; or the exception a member build raises, which is every
-    point's. The tail members are built in one batch, and their value
-    tables, padded with +inf to one corner count, are compared as one
-    stack, as many members at a time as keep the (point, member, grid
-    point) comparison within _BLOCK_ELEMENTS per corner pair."""
-    try:
-        tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
-    except Exception as e:
-        return e
+    tail n. A member build that raises is every point's error, raised
+    here; _gamma_block asks the masks when the first point reaches the
+    neighbourhood stage. The tail members are built in one batch, and
+    their value tables, padded with +inf to one corner count, are compared
+    as one stack, as many members at a time as keep the (point, member,
+    grid point) comparison within _BLOCK_ELEMENTS per corner pair."""
+    tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
     G, N, m = len(fx_floor.cloud), len(fam.base), len(ctx.w)
     h = np.full((len(tabs), N, max(t.h.shape[1] for t in tabs), m), np.inf)
     o = np.zeros(h.shape, dtype=np.uint8)
@@ -819,8 +818,7 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
         cand = np.flatnonzero(dists <= r + 1e-12)
         if spent + len(cand) > RECOVERY_BUDGET:
             raise NoRecoveryFound(
-                f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}",
-                best={k: (th, [float(v) for v in x]) for k, (th, x, _) in best.items()})
+                f"recovery search budget {RECOVERY_BUDGET} exhausted at n = {n}")
         spent += len(cand)
         tab, errs = tail_table(fam.map, dom.points[cand], [n] * len(cand), ctx.cone)
         if errs:
@@ -835,11 +833,11 @@ def _recovery_search(fam: PerturbedFamily, t: np.ndarray, fx_up: CornerTable,
 def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
                    seq: np.ndarray, hint: bool):
     """The upper verdict and recovery points used, from the (eps, n) mask
-    of a recovery tail against F(x̄) + eps·u; or the exception of its
+    of a recovery tail against F(x̄) + eps·u; raises the exception of its
     first raising row, ``errs`` keyed by column, if that comes first."""
     brk = _first_break(ok, errs)
     if isinstance(brk, Exception):
-        return brk
+        raise brk
     used = ns if brk is None else ns[:brk[0] + 1]
     recovery_used = tuple((n, tuple(x))
                           for n, x in zip(used, seq[:len(used)].tolist()))
@@ -862,13 +860,13 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
                  battery: SeqGenBattery, ctx: OrderCtx, horizon: int,
                  domain_at: Callable[[int], Domain]):
     """Yield the upper verdict and recovery points used at each row of X
-    (G, d), or the exception that ends that point's route; ``fx_up`` is
-    the (eps, G) table of F(x̄) + eps·u.
+    (G, d); ``fx_up`` is the (eps, G) table of F(x̄) + eps·u. The error
+    that ends a point's route is raised when that point is requested.
 
     With a recovery hint, all the points' recovery tails are one hint
     evaluation, one clamp, one map evaluation and one comparison, made at
     the first request. A point's whole hinted tail is asked before its
-    values, so a raising hint is the point's outcome, and the points end
+    values, so a raising hint is the point's error, and the points end
     there. Without a hint, each point's grid search runs when its verdict
     is requested, and the chosen candidates' columns of its LARGE masks
     are the recovery tail's.
@@ -884,9 +882,6 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
                     reason=f"recovery sequence not determined: {err}",
                     sampled=True), ()
                 continue
-            except Exception as e:
-                yield e
-                return
             seq = np.array([found[n][1] for n in ns])
             ok = np.stack([found[n][2] for n in ns], axis=1)
             yield _upper_verdict(ok, None, ns, seq, False)
@@ -904,49 +899,44 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
         for g, row_errs in enumerate(_by_target(errs, G, T)):
             yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True)
     if hint_errs:
-        yield next(iter(hint_errs.values()))
+        raise next(iter(hint_errs.values()))
 
 
 def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
                  ctx: OrderCtx, limit: Problem, horizon: int,
                  domain_at: Callable[[int], Domain], neighborhood: bool,
                  domains_verdict: Optional[Verdict]):
-    """GammaReport, or the exception it raises, at each row of X, in order
-    (see _by_blocks).
+    """GammaReport at each row of X, in order (see _by_blocks).
 
     Each point's stages come in the order of a one-point check: F(x̄), the
     lower scan, the neighbourhood route, the upper route; the first to
-    raise is the point's outcome. Each stage is one array program over
-    the block, and all read one table of F(x̄) (_fx_table): the lower scan
-    its rows moved down, the neighbourhoods the one moved down by
-    EPS_FLOOR·u, the upper route those moved up.
+    raise raises its error when the point is reached. Each stage is one
+    array program over the block, and all read one table of F(x̄)
+    (_fx_table): the lower scan its rows moved down, the neighbourhoods
+    the one moved down by EPS_FLOOR·u, the upper route those moved up.
     """
     E = len(EPS)
     fx, fx_errs = _fx_table(limit, X, ctx)
     lower = _tail_scan(fam.map, lambda n: n, X, fx, fx_errs, battery, ctx,
                        horizon, domain_at, "lsc")
-    near = (_neighborhood_masks(_take(fx, E - 1), ctx, fam, horizon)
-            if neighborhood else None)
+    near = None
     uppers = _gamma_upper(fam, X, _take(fx, slice(E, 2 * E)), battery, ctx,
                           horizon, domain_at)
     for g, ce in enumerate(lower):
         t = X[g]
         if isinstance(ce, Exception):
-            yield ce
-            return
+            raise ce
         reason = "lower inequality held along every in-domain sequence"
         certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": EPS_FLOOR}
         if neighborhood:
-            if isinstance(near, Exception):
-                yield near
-                return
+            if near is None:
+                near = _neighborhood_masks(_take(fx, E - 1), ctx, fam, horizon)
             ok_n, found = _gamma_lower_neighborhood(t, near[g], battery, fam)
             if ok_n != (ce is None):
-                yield InternalCheckError(
+                raise InternalCheckError(
                     f"lower-route disagreement at x̄ = {t.tolist()}: battery says "
                     f"{ce is None}, neighborhoods say {ok_n}; the characterization "
                     "lemma makes these equivalent")
-                return
             reason = "both lower routes pass on the floored eps schedule"
             certificate["neighborhood_j"] = found.get("j")
         if ce is None:
@@ -956,11 +946,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
             ce = {"route": "battery", **ce}
             lower_v = Verdict.fails(reason="lower inequality falsified",
                                     counterexample=ce, sampled=False)
-        up = next(uppers)
-        if isinstance(up, Exception):
-            yield up
-            return
-        upper_v, recovery = up
+        upper_v, recovery = next(uppers)
         if ce is None:
             ce = dict(upper_v.counterexample) if upper_v.is_fails else {}
         yield GammaReport(tuple(float(v) for v in t), lower_v, upper_v, recovery,

@@ -69,10 +69,6 @@ class HorizonExceeded(SetOrderError):
 class NoRecoveryFound(SetOrderError):
     """Upper Gamma route exhausted its search budget without a recovery point."""
 
-    def __init__(self, message: str, best: object = None):
-        super().__init__(message)
-        self.best = best
-
 
 class InternalCheckError(SetOrderError):
     """A redundant cross-check disagreed with the primary computation."""

@@ -11,10 +11,10 @@ as a Problem, for the callers that read its grid values, and ``_members``
 builds a range of them as one batch; a value at one point is
 ``fam.map.value(x, n)`` and builds no member. Values at many points take
 one path, ``value_rows``: one array evaluation of the map, straight into
-padded corner arrays, which a Problem keeps for its grid and a sequence
-tail turns into a corner table (``tail_table``). A Problem and a batch of
-members check their grids on one path too, ``_checked_rows``, whose
-properness table gives each Problem its value table.
+padded corner arrays, which a sequence tail turns into a corner table
+(``tail_table``). A Problem and a batch of members check their grids on
+one path too, ``_checked_rows``, whose properness table gives each
+Problem its value table; the arrays of its grid are not kept.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that
@@ -522,18 +522,18 @@ def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, CornerTable, np.ndarra
 
 def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
                   ns: Sequence[Optional[int]]) -> list:
-    """The grid rows of each member, F = ``map(·, ns[j])`` on ``domains[j]``,
-    checked as a Problem checks them, each with its value table, in member
+    """The value table of each member, F = ``map(·, ns[j])`` on
+    ``domains[j]``, its grid checked as a Problem checks it, in member
     order up to the first member whose check fails: its exception, the one
     that member's Problem raises, ends the list.
 
     The members' grids are one ``value_rows``, which stops at its first
     raising row, and the members wholly before that row one properness
     table (``_exterior_rows``) and one LARGE query on it; the first
-    improper member among them fails first. A member's rows, and its slice
-    of that table, are cut to its own largest corner count, so they do not
-    depend on the other members; its table is None when some row was not
-    mapped (a box under a general cone).
+    improper member among them fails first. A member's slice of that
+    table is cut to its own largest corner count, so it does not depend on
+    the other members; its table is None when some row was not mapped (a
+    box under a general cone).
     """
     if map.image_dim != cone.dim:
         return [ProblemLoadError(f"map image dim {map.image_dim} != cone dim {cone.dim}")]
@@ -566,41 +566,39 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
                 f"value at x = {tuple(float(c) for c in X[checked[r]])} is not proper "
                 f"for the cone: {EXTERIOR_INSIDE} "
                 f"(certificate {dict(point=zs[r])})")
-    corners, flags, cloud, count = rows
+    count = rows[3]
     # member j's rows in the table are at[j]:at[j + 1]
     at = np.searchsorted(checked, starts).tolist()
     out: list = []
     for lo, hi, a, b in zip(starts[:whole], starts[1:whole + 1], at, at[1:]):
         k = int(count[lo:hi].max())
-        out.append(((corners[lo:hi, :k], flags[lo:hi, :k], cloud[lo:hi], count[lo:hi]),
-                    CornerTable(tab.h[a:b, :k], tab.o[a:b, :k], tab.cloud[a:b])
-                    if b - a == hi - lo else None))
+        out.append(CornerTable(tab.h[a:b, :k], tab.o[a:b, :k], tab.cloud[a:b])
+                   if b - a == hi - lo else None)
     return out if err is None else out + [err]
 
 
 # ---------------------------------------------------------------- problem
 
 class Problem:
-    """SetValuedMap + Cone + Domain, fully validated on the grid; ``rows``
-    holds the grid's values (``value_rows``), ``_table`` their corner table
-    from the properness check (``_checked_rows``; None for a box under a
-    general cone), and ``value(i)`` evaluates anew."""
+    """SetValuedMap + Cone + Domain, fully validated on the grid; ``_table``
+    holds the grid values' corner table from the properness check
+    (``_checked_rows``; None for a box under a general cone), and
+    ``value(i)`` evaluates anew."""
 
     def __init__(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
                  n: Optional[int] = None):
         got, = _checked_rows(map, cone, [domain], [n])
         if isinstance(got, Exception):
             raise got
-        self._hold(label, map, cone, domain, n, *got)
+        self._hold(label, map, cone, domain, n, got)
 
     def _hold(self, label: str, map: SetValuedMap, cone: Cone, domain: Domain,
-              n: Optional[int], rows, table: Optional[CornerTable]) -> "Problem":
+              n: Optional[int], table: Optional[CornerTable]) -> "Problem":
         self.label = label
         self.map = map
         self.cone = cone
         self.domain = domain
         self.n = n
-        self.rows = rows
         self._table = table
         return self
 
@@ -743,7 +741,7 @@ def _build_members(fam: PerturbedFamily, ns: Iterable[int]
             if isinstance(got, Exception):
                 return n, got
             fam._cache[n] = Problem.__new__(Problem)._hold(
-                f"{fam.label}[n={n}]", fam.map, cone, dom, n, *got)
+                f"{fam.label}[n={n}]", fam.map, cone, dom, n, got)
     return failed
 
 

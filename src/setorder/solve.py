@@ -270,7 +270,10 @@ def representants(P: Problem, ctx: OrderCtx) -> Union[Representant, NoFiniteRepr
     """Greedy level-set decomposition of the Geoffroy-minimal set.
 
     Each part is the full strong level set at its representant's value.
-    Disjointness and exact cover are re-verified rather than assumed.
+    Disjointness is re-verified rather than assumed. The parts cover the
+    Geoffroy-minimal set, since each lies inside it and holds its
+    representant: LARGE is reflexive, and a matrix whose diagonal misses a
+    minimal index raises InternalCheckError.
     """
     geff = set(eff(P, "Geoffroy", ctx).indices)
     large = relation_matrices(P, ctx)[1]
@@ -279,6 +282,10 @@ def representants(P: Problem, ctx: OrderCtx) -> Union[Representant, NoFiniteRepr
     parts: list[tuple[int, ...]] = []
     while remaining:
         r = min(remaining)
+        if not large[r, r]:
+            raise InternalCheckError(
+                f"LARGE misses the diagonal at minimal index {r} on {P.label}; "
+                "the relation is reflexive")
         lev = _indices(large[:, r])
         if not set(lev) <= geff:
             stray = min(set(lev) - geff)
@@ -293,10 +300,6 @@ def representants(P: Problem, ctx: OrderCtx) -> Union[Representant, NoFiniteRepr
             inter = set(parts[a]) & set(parts[b])
             if inter:
                 return NoFiniteRepresentant(overlap=(a, b), at_index=min(inter))
-    covered = set().union(*parts) if parts else set()
-    if covered != geff:
-        missing = min(geff ^ covered)
-        return NoFiniteRepresentant(overlap=(-1, -1), at_index=missing)
     return Representant(tuple(reps), tuple(parts))
 
 

@@ -80,7 +80,7 @@ def _jsonify(value: Any) -> Any:
     if isinstance(value, np.ndarray):
         return [_jsonify(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        return _jsonify(value.item())
     if isinstance(value, float) and value in (float("inf"), float("-inf")):
         return "inf" if value > 0 else "-inf"
     if isinstance(value, Verdict):

@@ -146,14 +146,10 @@ def tail_scan_at(map, t, Fx, battery, ctx, horizon, domain_at, mode):
 
 
 def gamma_upper_at(fam, t, Fx, battery, ctx, horizon, domain_at):
-    """converge._gamma_upper at the one point t, F(x̄) = Fx; raises the
-    exception it reports."""
-    got = next(converge._gamma_upper(fam, np.reshape(t, (1, -1)),
-                                     converge._shifted([Fx], 1, ctx), battery,
-                                     ctx, horizon, domain_at))
-    if isinstance(got, Exception):
-        raise got
-    return got
+    """converge._gamma_upper at the one point t, F(x̄) = Fx."""
+    return next(converge._gamma_upper(fam, np.reshape(t, (1, -1)),
+                                      converge._shifted([Fx], 1, ctx), battery,
+                                      ctx, horizon, domain_at))
 
 
 class TestScheduleHelpers:
@@ -1911,14 +1907,28 @@ class TestBlockFoldsMatchPointFolds:
 
     def block_matches_points(self, P, battery, ctx1) -> list:
         """Each grid point's lsc outcome, asked point by point, by the
-        reference and as one block of the whole grid, which must agree."""
+        reference and as one scan of the whole grid, which must agree; a
+        block of the whole grid yields the verdicts before the first
+        raising point and then raises that point's error."""
+        X = P.domain.points
         want = [self.outcome(lambda: reference.lsc_verdict(
-            P, x, battery, ctx1, 8).to_json()) for x in P.domain.points]
-        for x, w in zip(P.domain.points, want):
+            P, x, battery, ctx1, 8).to_json()) for x in X]
+        for x, w in zip(X, want):
             assert self.outcome(lambda: lsc_check(P, x, battery, ctx1, 8).to_json()) == w, x
-        block = converge._sc_block(P, P.domain.points, battery, ctx1, 8, "lsc")
-        assert [(type(o), str(o)) if isinstance(o, Exception) else o.to_json()
-                for o in block] == want
+        scan = converge._tail_scan(P.map, lambda n: P.n, X, *converge._fx_table(P, X, ctx1),
+                                   battery, ctx1, 8, lambda n: P.domain, "lsc")
+        for got, w in zip(scan, want):
+            if isinstance(got, Exception):
+                assert (type(got), str(got)) == w
+            else:
+                assert w["status"] == ("Holds" if got is None else "Fails")
+                assert w.get("counterexample") == got
+        first = next(g for g, w in enumerate(want) if isinstance(w, tuple))
+        block = converge._sc_block(P, X, battery, ctx1, 8, "lsc")
+        assert [next(block).to_json() for _ in range(first)] == want[:first]
+        with pytest.raises(want[first][0]) as err:
+            next(block)
+        assert str(err.value) == want[first][1]
         return want
 
     def test_lsc_check_with_raising_margins(self, ctx1, battery):

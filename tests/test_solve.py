@@ -177,6 +177,19 @@ class TestCrossChecks:
                            match="level set of minimal index 0 reaches non-minimal index 1"):
             representants(P, ctx)
 
+    def test_level_set_missing_its_representant_raises(self, monkeypatch):
+        # LARGE is reflexive, so every level set holds its representant and
+        # the greedy loop removes it; without the diagonal entry at 0 the
+        # loop would pick 0 again and again
+        P = table_problem([points([[0.0, 1.0]]), points([[1.0, 0.0]])], Cone.orthant(2))
+        large = [[False, False], [False, True]]
+        inject_matrices(monkeypatch, large, large, np.zeros((2, 2), dtype=bool))
+        ctx = OrderCtx(P.cone)
+        assert eff(P, "Geoffroy", ctx).indices == (0, 1)
+        with pytest.raises(InternalCheckError,
+                           match="LARGE misses the diagonal at minimal index 0"):
+            representants(P, ctx)
+
 
 @st.composite
 def multi_corner_problems(draw):
