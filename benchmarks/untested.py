@@ -35,19 +35,9 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "benchmarks")]
 
-
-def _docstrings(tree: ast.AST) -> set[int]:
-    """The ids of the docstring statements of a parsed module."""
-    out: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                out.add(id(first))
-    return out
+from loc import docstring_lines  # noqa: E402
 
 
 def _head(node: ast.stmt) -> range:
@@ -64,7 +54,7 @@ def unrun(source: str, ran: set[int]) -> list[int]:
     line order, given the lines ``ran``; docstrings, ``global`` and
     ``nonlocal`` (which run no code) are left out."""
     tree = ast.parse(source)
-    skip = _docstrings(tree)
+    docs = docstring_lines(tree)
     out: list[int] = []
 
     def visit(node: ast.AST) -> bool:
@@ -72,7 +62,7 @@ def unrun(source: str, ran: set[int]) -> list[int]:
         inner = [visit(c) for c in ast.iter_child_nodes(node)]
         if not isinstance(node, ast.stmt):
             return any(inner)
-        if id(node) in skip or isinstance(node, (ast.Global, ast.Nonlocal)):
+        if node.lineno in docs or isinstance(node, (ast.Global, ast.Nonlocal)):
             return False
         hit = any(inner) or not ran.isdisjoint(_head(node))
         if not hit:
@@ -116,15 +106,14 @@ def trace_tests(src: Path, pytest_args: list[str]) -> tuple[int, dict[str, set[i
 
 
 def report(src: Path, ran: dict[str, set[int]]) -> list[str]:
-    """``<file>:<line>: <text>`` for each statement under ``src`` that
-    never ran, files in path order, each path relative to ``src``."""
+    """``<file>:<line>: <text>`` for each statement of a module of ``src``
+    that never ran, modules in name order."""
     lines = []
-    for path in sorted(src.resolve().rglob("*.py")):
+    for path in sorted(src.resolve().glob("*.py")):
         source = path.read_text()
         text = source.splitlines()
-        name = path.relative_to(src.resolve())
         for i in unrun(source, ran.get(str(path), set())):
-            lines.append(f"{name}:{i}: {text[i - 1].strip()}")
+            lines.append(f"{path.name}:{i}: {text[i - 1].strip()}")
     return lines
 
 

@@ -14,7 +14,7 @@ one path, ``value_rows``: one array evaluation of the map, straight into
 padded corner arrays, which a sequence tail turns into a corner table
 (``tail_table``). A Problem and a batch of members check their grids on
 one path too, ``_checked_rows``, whose properness table gives each
-Problem its value table; the arrays of its grid are not kept.
+Problem its value table.
 
 Every universally quantified statement downstream ("for all x in D")
 ranges over the grid points stored here; reports carry the step so that

@@ -9,10 +9,12 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from setorder import cli
 from setorder.cli import EX_USAGE, exit_code_for, main
+from setorder.verdict import Verdict
 
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "data" / "schema" /
@@ -509,6 +511,21 @@ class TestOutputPlumbing:
         _, rep = run_json(capsys, "solve", "geff_vs_reff",
                           "--kind", "Strong")
         assert rep["config"]["threads"] == 4
+
+    def test_verdict_values_dump_as_plain_json(self):
+        # reports are dumped with allow_nan=False: an infinite value must
+        # become "inf" or "-inf", numpy values plain ones, and a nested
+        # verdict its own JSON
+        inner = Verdict.fails(reason="inner", counterexample={"n": np.int64(3)})
+        v = Verdict.holds(reason="outer", certificate={
+            "array": np.array([[1.0, np.inf]]), "count": np.int64(2),
+            "scalar": np.float64(-np.inf), "float": float("inf"),
+            "list": [np.float32(0.5)], "verdict": inner})
+        assert json.loads(cli._dump(v.to_json()))["certificate"] == {
+            "array": [[1.0, "inf"]], "count": 2, "scalar": "-inf", "float": "inf",
+            "list": [0.5],
+            "verdict": {"status": "Fails", "sampled": False, "reason": "inner",
+                        "counterexample": {"n": 3}}}
 
 
 class TestRepro:

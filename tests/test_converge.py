@@ -41,7 +41,8 @@ from setorder.converge import (
     upper_half,
     usc_check,
 )
-from setorder.errors import InternalCheckError, SetSpecError, Unsupported
+from setorder.errors import (HorizonExceeded, InternalCheckError, ProblemLoadError,
+                             SetSpecError, Unsupported)
 from setorder.order import OrderCtx, corner_table, equiv, large_le
 from setorder.expr import parse
 from setorder.problem import (
@@ -725,6 +726,28 @@ class TestGammaSeqCheck:
         assert set(low.certificate) == {"seed", "horizon", "eps_floor"}
         assert rep.domains_verdict.is_holds
 
+    def test_error_in_a_recovery_ball_reaches_the_caller(self, ctx1, battery):
+        # x̄ = 0.52 is 0.02 from grid point 0.5, which raises at tail n >= 6.
+        # From n = 6 the battery's balls (radius 2^-n) hold no grid point,
+        # so its points stay off the grid; the recovery ball, widened to
+        # the nearest grid point, asks 0.5 alone, and the hintless upper
+        # route raises its error
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.0625)])
+
+        def value(x, n=None):
+            if n is not None and n >= 6 and x[0] == 0.5:
+                raise SetSpecError(f"no value at x = 0.5, n = {n}")
+            return box([x[0]], [x[0] + 1.0])
+
+        base = Problem("gap", TableMap(lambda x: value(x), 1), ctx1.cone, dom)
+        fam = PerturbedFamily(base, TableMap(value, 1), lambda n: dom, 16)
+        with pytest.raises(SetSpecError, match="no value at x = 0.5, n = 6"):
+            gamma_seq_check(fam, [0.52], battery, ctx1, horizon=12)
+        # gamma_check's neighbourhood route builds the tail members on the
+        # grid before the upper route runs, so there the build fails first
+        with pytest.raises(ProblemLoadError, match=r"value at x = \(0.5,\)"):
+            gamma_check(fam, [0.52], battery, ctx1, horizon=12)
+
 
 class TestLevelsetExperiment:
     def test_small_up_shift_asserts_both_conclusions(self, ctx1, battery):
@@ -924,6 +947,24 @@ class TestSeqLowerConverse:
         assert set(ce) >= {"n", "strategy", "xbar_index", "x0_index",
                            "x_n", "phi_n"}
         assert ce["n"] % 2 == 1
+
+    def test_domain_error_at_a_tail_index_is_raised(self, ctx1, battery):
+        # n_max = 9 below the horizon: D_10 raises, and the order holds at
+        # n = 8 and 9, so the first pair's sequences end in that error
+        fam = linear_family(n_max=9)
+        with pytest.raises(HorizonExceeded, match="n = 10 outside"):
+            seq_lower_converse(fam, ctx1, battery=battery, horizon=16)
+
+    def test_break_before_the_domain_error_is_reported(self, ctx1):
+        # the members reverse the base order, so the first sampled pair
+        # (0.75, 1.0) breaks at n = 8, before D_10 raises
+        fam = linear_family(map_n=("0 - x1", "1 - x1"), n_max=9, step=0.25)
+        v = seq_lower_converse(fam, ctx1, battery=SeqGenBattery(seed=0),
+                               horizon=16, samples=2)
+        assert v.is_fails
+        assert v.counterexample == {"n": 8, "strategy": "constant",
+                                    "xbar_index": 3, "x0_index": 4,
+                                    "x_n": [0.75], "phi_n": [1.0]}
 
 
 class TestTablesMatchPairLoops:
@@ -1917,6 +1958,7 @@ class TestBlockFoldsMatchPointFolds:
             assert self.outcome(lambda: lsc_check(P, x, battery, ctx1, 8).to_json()) == w, x
         scan = converge._tail_scan(P.map, lambda n: P.n, X, *converge._fx_table(P, X, ctx1),
                                    battery, ctx1, 8, lambda n: P.domain, "lsc")
+        assert len(scan) == len(want)
         for got, w in zip(scan, want):
             if isinstance(got, Exception):
                 assert (type(got), str(got)) == w

@@ -15,6 +15,7 @@ from setorder.cone import Cone
 from setorder.errors import (DimensionMismatch, DomainError, ExprSyntaxError,
                              HorizonExceeded, ProblemLoadError, SetSpecError,
                              Unsupported)
+from setorder.expr import parse
 from setorder.order import CornerTable, OrderCtx, corner_table, table_from_corners
 from setorder.problem import (MAX_GRID_POINTS, Domain, PerturbedFamily, Problem,
                               TableMap, Window, builtin_names, family_at,
@@ -724,6 +725,23 @@ class TestGridRows:
             built += [fam.base] + [family_at(fam, n) for n in range(fam.n_max + 1)]
         assert len(built) == 1 + 2 * 130
         assert calls == []
+
+    def test_malformed_pieces_raise_what_value_raises(self):
+        # pieces no loaded document holds: a box of two axes in a map of
+        # one, and a point piece of no vectors. Their rows are suspect, so
+        # value_rows asks value there and keeps the exception it raises
+        axis = problem.AxisSpec(parse("x1"), parse("x1 + 1"))
+        pm = problem.PieceMap([
+            problem.Piece(problem.Guard.parse("x1 < 0.5"), box_axes=(axis, axis)),
+            problem.Piece(problem.Guard.parse("x1 < 1"), point_vectors=()),
+            problem.Piece(problem.Guard.parse("true"), box_axes=(axis,))], 1)
+        X = np.array([[0.0], [0.25], [0.5], [0.75], [1.0]])
+        rows, errs = problem.value_rows(pm, X, [None] * len(X), Cone.orthant(1))
+        assert sorted(errs) == [0, 1, 2, 3]
+        assert rows[3].tolist() == [0, 0, 0, 0, 1]
+        assert {type(e) for e in errs.values()} == {DimensionMismatch, SetSpecError}
+        for i, e in errs.items():
+            assert raised(lambda: pm.value(X[i]))[:2] == (type(e), str(e)), i
 
 
 # ------------------------------------------------------------ tail tables
