@@ -45,6 +45,7 @@ from .order import OrderCtx, equiv, large_le, lower_le, strict_lt
 from .problem import PerturbedFamily, Problem, builtin_names, load, load_builtin
 from .setrep import SetRep, box, points
 from .solve import KINDS, eff, l_set
+from .verdict import _jsonify
 
 EX_USAGE = 64
 
@@ -378,13 +379,9 @@ def _cmd_levelset(args) -> int:
     except ValueError:
         raise ProblemLoadError(f"cannot parse --y {args.y!r}") from None
     res = l_set(P, y, ctx)
-    result = {
-        "y": y,
-        "indices": list(res.indices),
-        "points": [list(map(float, P.domain.points[i])) for i in res.indices],
-        "closedness": None if res.closedness is None
-        else res.closedness.to_json(),
-    }
+    result = _jsonify({"y": y, "indices": res.indices,
+                       "points": P.domain.points[list(res.indices)],
+                       "closedness": res.closedness})
     return _emit(_envelope("levelset", args, result, _problem_block(obj)),
                  args)
 
@@ -435,7 +432,7 @@ def _cmd_levelset_conv(args) -> int:
     rep = levelset_convergence_experiment(fam, omega_n, omega, ctx,
                                           battery=battery,
                                           horizon=args.horizon)
-    result = {"at": [float(c) for c in xbar], "experiment": rep.to_json()}
+    result = _jsonify({"at": xbar, "experiment": rep.to_json()})
     return _emit(_envelope("levelset-conv", args, result,
                            _problem_block(fam)), args)
 

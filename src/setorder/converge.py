@@ -59,8 +59,9 @@ tail's members builds them in one batch first (``problem._members``).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -79,7 +80,7 @@ from .problem import (Domain, PerturbedFamily, Problem, SetValuedMap, _members,
 from .setrep import SetRep
 from .solve import (NoFiniteRepresentant, eff, hypothesis_h, relation_matrices,
                     representants, strong_level_set, value_table)
-from .verdict import Status, Verdict
+from .verdict import Status, Verdict, _jsonify
 
 DEFAULT_HORIZON = 64
 #: the e of every shift e·u instantiating a for-all-eps condition, strictly
@@ -110,7 +111,20 @@ def io_threshold(horizon: int) -> int:
 
 # -------------------------------------------------------- sequence battery
 
-@dataclass
+@functools.cache
+def _draw(seed: int, variant: int, n: int, d: int) -> tuple[np.ndarray, float]:
+    """random-in-ball's unit vector, read-only, and radius fraction at n.
+
+    They depend on (seed, variant, n, d) alone, so each is drawn once and
+    every battery of that seed reads the same values."""
+    rng = np.random.default_rng((seed, variant, n, 17))
+    vec = rng.normal(size=d)
+    vec /= max(np.linalg.norm(vec), 1e-300)
+    vec.flags.writeable = False
+    return vec, rng.uniform(0.0, 1.0)
+
+
+@dataclass(frozen=True)
 class SeqGenBattery:
     """Named generators for sequences x_n -> target inside prescribed domains.
 
@@ -125,14 +139,14 @@ class SeqGenBattery:
     (``sequence``): a (G, d) array of targets gives one (G·T, d) array of
     points, rows in (target, n) order, and a single target is the G = 1
     case. ``sequences`` yields every strategy's points so. The ball radius
-    at n is ``radius``. random-in-ball's draws depend only on (seed,
-    variant, n, d), so they are memoized per battery.
+    at n is ``radius``. A battery is a value, its seed and count: two
+    equal batteries yield the same sequences, and random-in-ball's draws,
+    which depend only on (seed, variant, n, d), are made once per process
+    (``_draw``).
     """
 
     seed: int = 0
     count: int = 2
-    _draws: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def strategy_names(self) -> tuple[str, ...]:
         return ("constant", "radial-shrink", "boundary-hugging",
@@ -144,17 +158,6 @@ class SeqGenBattery:
 
     def radius(self, domain: Domain, n: int) -> float:
         return domain.extent / (2.0 ** min(n, 1000))
-
-    def _draw(self, variant: int, n: int, d: int) -> tuple[np.ndarray, float]:
-        """random-in-ball's unit vector and radius fraction at n."""
-        key = (self.seed, variant, n, d)
-        got = self._draws.get(key)
-        if got is None:
-            rng = np.random.default_rng((self.seed, variant, n, 17))
-            vec = rng.normal(size=d)
-            vec /= max(np.linalg.norm(vec), 1e-300)
-            got = self._draws[key] = (vec, rng.uniform(0.0, 1.0))
-        return got
 
     def clamp(self, X: np.ndarray, domains: Sequence[Domain]) -> np.ndarray:
         """X (..., len(domains), d) with X[..., i, :] moved into domains[i]:
@@ -199,7 +202,7 @@ class SeqGenBattery:
         elif name == "boundary-hugging":
             raw = t - r[:, None] * e
         elif name == "random-in-ball":
-            draws = [self._draw(variant, n, d) for n in ns]
+            draws = [_draw(self.seed, variant, n, d) for n in ns]
             vec = np.array([v for v, _ in draws]).reshape(len(ns), d)
             frac = np.array([f for _, f in draws])
             raw = t + (r * frac)[:, None] * vec
@@ -295,14 +298,7 @@ class PKReport:
     upper_verdict: Verdict
 
     def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "tol_used": list(self.tol_used),
-            "li_estimate": [list(p) for p in self.li_estimate],
-            "ls_estimate": [list(p) for p in self.ls_estimate],
-            "lower_verdict": self.lower_verdict.to_json(),
-            "upper_verdict": self.upper_verdict.to_json(),
-        }
+        return _jsonify(vars(self))
 
 
 def _default_pk_tol(n: int) -> float:
@@ -737,22 +733,16 @@ class GammaReport:
         return Status.INCONCLUSIVE
 
     def to_json(self) -> dict:
-        out = {
-            "point": list(self.point),
-            "overall": self.overall.value,
-            "lower_verdict": self.lower_verdict.to_json(),
-            "upper_verdict": self.upper_verdict.to_json(),
-            "recovery_used": [{"n": n, "point": list(p)}
-                              for n, p in self.recovery_used],
-            "eps_probed": list(self.eps_probed),
-            "horizon": self.horizon,
-            "seed": self.seed,
-        }
-        if self.counterexample:
-            out["counterexample"] = self.counterexample
-        if self.domains_verdict is not None:
-            out["domains_verdict"] = self.domains_verdict.to_json()
-        return out
+        """The fields, with the computed ``overall``, each recovery point
+        an {"n", "point"} object, and no empty counterexample or absent
+        domains verdict."""
+        out = {**vars(self), "overall": self.overall.value,
+               "recovery_used": [{"n": n, "point": p} for n, p in self.recovery_used]}
+        if not self.counterexample:
+            del out["counterexample"]
+        if self.domains_verdict is None:
+            del out["domains_verdict"]
+        return _jsonify(out)
 
 
 def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
@@ -839,8 +829,7 @@ def _upper_verdict(ok: np.ndarray, errs: Optional[dict], ns: list,
     if isinstance(brk, Exception):
         raise brk
     used = ns if brk is None else ns[:brk[0] + 1]
-    recovery_used = tuple((n, tuple(x))
-                          for n, x in zip(used, seq[:len(used)].tolist()))
+    recovery_used = tuple(zip(used, map(tuple, seq[:len(used)].tolist())))
     if brk is None:
         return Verdict.holds(
             reason="recovery sequence keeps every tail value largely below "
@@ -1033,13 +1022,7 @@ class LevelsetReport:
     meta: Dict[str, object]
 
     def to_json(self) -> dict:
-        return {
-            "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
-            "conclusions": {k: v.to_json() for k, v in self.conclusions.items()},
-            "extras": {k: (v.to_json() if isinstance(v, Verdict) else v)
-                       for k, v in self.extras.items()},
-            "meta": dict(self.meta),
-        }
+        return _jsonify(vars(self))
 
 
 def _grid_gamma_hypothesis(reports: Iterable[GammaReport], what: str,
@@ -1224,17 +1207,10 @@ class StabilityReport:
     meta: Dict[str, object]
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "direction": self.direction,
-            "hypotheses": {k: v.to_json() for k, v in self.hypotheses.items()},
-            "conclusion": self.conclusion.to_json(),
-            "clusters": [
-                {"point": list(c["point"]), "span": c["span"],
-                 "base_index": c["base_index"]} for c in self.clusters
-            ],
-            "meta": dict(self.meta),
-        }
+        """The fields, each cluster without the ``dist`` the experiment
+        reads."""
+        return _jsonify({**vars(self), "clusters": [
+            {k: c[k] for k in ("point", "span", "base_index")} for c in self.clusters]})
 
 
 def _cluster(points: list, radius: float):
@@ -1363,9 +1339,10 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
     it (equivalently for the Geoffroy notion, largely-below for Relaxed).
 
     The shared gate, hypothesis ``gamma_seq``, is decided once per (family,
-    ctx, battery, horizon): ctx by identity, the battery by its type, seed
-    and count. Later calls with another kind or direction reuse its verdict
-    (``PerturbedFamily._gate_cache``); a gate that raised is asked again.
+    ctx, battery, horizon): ctx by identity, the battery by value, so an
+    equal battery of the same class finds it. Later calls with another kind
+    or direction reuse its verdict (``PerturbedFamily._gate_cache``); a
+    gate that raised is asked again.
     """
     if kind not in ("Geoffroy", "Relaxed"):
         raise ValueError(f"stability kind must be Geoffroy or Relaxed, got {kind!r}")
@@ -1380,7 +1357,7 @@ def stability_experiment(fam: PerturbedFamily, kind: str, direction: str,
 
     # shared gate: sequential variational convergence at every base point
     gates = fam._gate_cache
-    key = (ctx, type(battery), battery.seed, battery.count, horizon)
+    key = (ctx, battery, horizon)
     if key not in gates:
         dv = kuratowski_pair(fam.domain_at, base.domain, horizon)
         reports = _gamma_reports(fam, base.domain.points, battery, ctx, None,

@@ -628,7 +628,7 @@ class PerturbedFamily:
     ``converge.stability_experiment`` keeps the verdict of its shared gate
     (the domains' Kuratowski pair and sequential gamma convergence at every
     base point) in ``_gate_cache``, keyed on the ``OrderCtx`` by identity,
-    the battery's type, seed and count, and the horizon; a gate that raises
+    the battery, a frozen value, and the horizon; a gate that raises
     is not kept. No cache ever drops an entry,
     so the parts they are built from (``base``, ``map``, ``domains`` and
     ``recovery_hint``) are read-only: a family with other parts is a new

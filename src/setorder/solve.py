@@ -32,7 +32,7 @@ from .errors import InternalCheckError
 from .order import CornerTable, OrderCtx, _pair_tol, corner_table, lower_le, table_rel
 from .problem import PieceMap, Problem
 from .setrep import PointCloud, SetRep, _refuse_boxes
-from .verdict import Verdict
+from .verdict import Verdict, _jsonify
 
 KINDS = ("Strong", "Pareto", "Geoffroy", "Relaxed")
 
@@ -45,12 +45,9 @@ class EffResult:
     witness: dict[int, int]
 
     def to_json(self, P: Problem) -> dict:
-        return {
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "points": [list(map(float, P.domain.points[i])) for i in self.indices],
-            "witnesses": {str(k): v for k, v in sorted(self.witness.items())},
-        }
+        return _jsonify({"kind": self.kind, "indices": self.indices,
+                         "points": P.domain.points[list(self.indices)],
+                         "witnesses": self.witness})
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
             lower[at], strict[at] = table_rel(*take(at), (LOWER, STRICT), ctx.tol)
 
     cache[ctx] = out
-    _assert_geff_in_reff(large, strict, P)
+    _assert_geff_in_reff(P, ctx)
     return out
 
 
@@ -214,12 +211,14 @@ def _settled(h_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     return np.logical_or.reduce(np.logical_and.reduce(below, axis=1), axis=0)
 
 
-def _assert_geff_in_reff(large: np.ndarray, strict: np.ndarray, P: Problem) -> None:
-    geff = ~_excluders(large, strict, "Geoffroy").any(axis=0)
-    bad = geff & strict.any(axis=0)
-    if bad.any():
+def _assert_geff_in_reff(P: Problem, ctx: OrderCtx) -> None:
+    """Raise unless every Geoffroy-minimal index is relaxed-minimal, a
+    theorem. Both sets come from ``eff`` on the matrices just cached, and
+    stay kept for its later callers."""
+    bad = set(eff(P, "Geoffroy", ctx).indices) - set(eff(P, "Relaxed", ctx).indices)
+    if bad:
         raise InternalCheckError(
-            f"Geoffroy-minimal index {int(np.flatnonzero(bad)[0])} is not "
+            f"Geoffroy-minimal index {min(bad)} is not "
             f"relaxed-minimal on {P.label}; the inclusion is a theorem, so "
             "the relation matrices are inconsistent")
 
@@ -248,6 +247,10 @@ def eff(P: Problem, kind: str, ctx: OrderCtx) -> EffResult:
     if got is not None:
         return got
     lower, large, strict = relation_matrices(P, ctx)
+    # building the matrices keeps the Geoffroy and Relaxed results
+    got = cache.get((ctx, kind))
+    if got is not None:
+        return got
     excl = _excluders(large, strict, kind, lower)
     mask = ~excl.any(axis=0)
     excluded = np.flatnonzero(~mask)

@@ -70,7 +70,9 @@ class Verdict:
 
 
 def _jsonify(value: Any) -> Any:
-    """Recursively coerce numpy scalars/arrays into plain JSON values."""
+    """The serializer of every report value: mappings (keys as str),
+    tuples, lists, arrays, NumPy scalars and Verdicts become plain JSON
+    values, recursively, and ±inf the strings "inf" and "-inf"."""
     import numpy as np
 
     if isinstance(value, Mapping):

@@ -39,6 +39,11 @@ pass of math.pow and falls back to ``_pow_or_nan`` only when that raises.
 matches one token per regex call, peeks a (kind, text, column) tuple per
 token and measures every tree's height, where the package scans the
 string once and measures the height only past ``MAX_DEPTH`` tokens.
+
+``pk_json``, ``gamma_json``, ``levelset_json``, ``stability_json`` and
+``eff_json`` are the reports' former hand-written serializers, one
+conversion per field; the package writes every report through one
+serializer, ``verdict._jsonify``.
 """
 
 from __future__ import annotations
@@ -878,3 +883,66 @@ def cluster(points: list, radius: float):
     for a in range(n):
         groups.setdefault(find(a), []).append(points[a])
     return list(groups.values())
+
+
+def pk_json(rep) -> dict:
+    return {
+        "horizon": rep.horizon,
+        "tol_used": list(rep.tol_used),
+        "li_estimate": [list(p) for p in rep.li_estimate],
+        "ls_estimate": [list(p) for p in rep.ls_estimate],
+        "lower_verdict": rep.lower_verdict.to_json(),
+        "upper_verdict": rep.upper_verdict.to_json(),
+    }
+
+
+def gamma_json(rep) -> dict:
+    out = {
+        "point": list(rep.point),
+        "overall": rep.overall.value,
+        "lower_verdict": rep.lower_verdict.to_json(),
+        "upper_verdict": rep.upper_verdict.to_json(),
+        "recovery_used": [{"n": n, "point": list(p)}
+                          for n, p in rep.recovery_used],
+        "eps_probed": list(rep.eps_probed),
+        "horizon": rep.horizon,
+        "seed": rep.seed,
+    }
+    if rep.counterexample:
+        out["counterexample"] = rep.counterexample
+    if rep.domains_verdict is not None:
+        out["domains_verdict"] = rep.domains_verdict.to_json()
+    return out
+
+
+def levelset_json(rep) -> dict:
+    return {
+        "hypotheses": {k: v.to_json() for k, v in rep.hypotheses.items()},
+        "conclusions": {k: v.to_json() for k, v in rep.conclusions.items()},
+        "extras": {k: (v.to_json() if isinstance(v, Verdict) else v)
+                   for k, v in rep.extras.items()},
+        "meta": dict(rep.meta),
+    }
+
+
+def stability_json(rep) -> dict:
+    return {
+        "kind": rep.kind,
+        "direction": rep.direction,
+        "hypotheses": {k: v.to_json() for k, v in rep.hypotheses.items()},
+        "conclusion": rep.conclusion.to_json(),
+        "clusters": [
+            {"point": list(c["point"]), "span": c["span"],
+             "base_index": c["base_index"]} for c in rep.clusters
+        ],
+        "meta": dict(rep.meta),
+    }
+
+
+def eff_json(res, P: Problem) -> dict:
+    return {
+        "kind": res.kind,
+        "indices": list(res.indices),
+        "points": [list(map(float, P.domain.points[i])) for i in res.indices],
+        "witnesses": {str(k): v for k, v in sorted(res.witness.items())},
+    }

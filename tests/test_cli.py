@@ -128,6 +128,16 @@ class TestCompare:
         assert err.startswith("setorder: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("a,why", [
+        ([[1.0]], "set literal must be an object"),
+        ({"cloud": [[1.0]]}, "set literal needs a 'box' or 'points' field"),
+    ], ids=["list", "no-known-field"])
+    def test_literal_that_is_no_set_is_usage_error(self, capsys, tmp_path, a, why):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps({"cone": self.ORTHANT_1, "a": a, "b": self.POINT_1}))
+        code, out, err = run(capsys, "compare", str(p))
+        assert (code, out, err) == (EX_USAGE, "", f"setorder: {why}\n")
+
     def test_inf_upper_end_is_accepted(self, capsys, tmp_path):
         doc = {"cone": self.ORTHANT_1,
                "a": {"box": [{"lo": 0, "hi": "inf", "hi_open": True}]},
@@ -261,6 +271,20 @@ class TestLevelset:
         code, _, _ = run(capsys, "levelset", "sop_sin", "--y", "0.3,2.0")
         assert code == EX_USAGE
 
+    def test_two_dimensional_domain_has_no_closedness_probe(self, capsys,
+                                                           tmp_path):
+        doc = {"label": "plane", "cone": {"kind": "orthant", "dim": 1},
+               "domain": {"windows": [{"a": 0.0, "b": 1.0, "step": 0.5}] * 2},
+               "map": {"pieces": [{"guard": "true", "points": [["x1 + x2"]]}]}}
+        p = tmp_path / "plane.json"
+        p.write_text(json.dumps(doc))
+        code, rep = run_json(capsys, "levelset", str(p), "--y", "1")
+        assert code == 0
+        # the grid runs in (x1, x2) order; x1 + x2 <= 1 leaves out 5, 7, 8
+        assert rep["result"]["indices"] == [0, 1, 2, 3, 4, 6]
+        assert rep["result"]["points"][2:5] == [[0.0, 1.0], [0.5, 0.0], [0.5, 0.5]]
+        assert rep["result"]["closedness"] is None
+
 
 class TestGamma:
     def test_cos_family_fixed_domain_route(self, capsys):
@@ -299,6 +323,11 @@ class TestGamma:
     def test_out_of_range_index_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gamma", "sop_sin", "--at", "500")
         assert code == EX_USAGE
+
+    def test_unparsable_point_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "gamma", "sop_sin", "--at", "0.1x")
+        assert (code, out) == (EX_USAGE, "")
+        assert err == "setorder: cannot parse point '0.1x'\n"
 
     @pytest.mark.parametrize("cmd", ["gamma", "levelset-conv"])
     @pytest.mark.parametrize("at", ["1,2", "0.1,0.2,0.3"])
@@ -511,6 +540,12 @@ class TestOutputPlumbing:
         _, rep = run_json(capsys, "solve", "geff_vs_reff",
                           "--kind", "Strong")
         assert rep["config"]["threads"] == 4
+
+    def test_unreadable_threads_env_recorded_as_null(self, capsys, monkeypatch):
+        monkeypatch.setenv("SETORDER_THREADS", "many")
+        _, rep = run_json(capsys, "solve", "geff_vs_reff",
+                          "--kind", "Strong")
+        assert rep["config"]["threads"] is None
 
     def test_verdict_values_dump_as_plain_json(self):
         # reports are dumped with allow_nan=False: an infinite value must

@@ -364,6 +364,8 @@ class TestBattery:
         assert pts.ravel().tolist() == [0.5, 0.5]
 
     def test_random_draws_are_made_once(self, monkeypatch):
+        # the draws are kept per process, so earlier tests' draws go first
+        converge._draw.cache_clear()
         made = []
         real = np.random.default_rng
 
@@ -376,8 +378,17 @@ class TestBattery:
         dom = Domain.from_windows([Window(0.0, 1.0, 0.1)])
         for t in (0.2, 0.7):
             list(bat.sequences(np.array([t]), lambda n: dom, 16))
-        assert sorted(made) == sorted((5, v, n, 17) for v in range(2)
-                                      for n in range(16))
+        want = sorted((5, v, n, 17) for v in range(2) for n in range(16))
+        assert sorted(made) == want
+        # an equal battery reads the same draws, which nobody can write
+        list(SeqGenBattery(seed=5).sequences(np.array([0.4]), lambda n: dom, 16))
+        assert sorted(made) == want
+        assert not converge._draw(5, 0, 3, 1)[0].flags.writeable
+
+    def test_unknown_strategy_is_refused(self):
+        dom = Domain.from_windows([Window(0.0, 1.0, 0.1)])
+        with pytest.raises(ValueError, match="unknown strategy 'zigzag'"):
+            SeqGenBattery().sequence("zigzag", [0.5], [dom], [8])
 
 
 class TestPkLimits:
@@ -2031,3 +2042,70 @@ class TestBlockFoldsMatchPointFolds:
                     bat, name, targets[g], domain_at(n), n,
                     margin=lambda x, _n=n, _g=g: margin(x, _n, _g), variant=v)
                 assert row.tobytes() == want.tobytes(), (name, v, g, n)
+
+
+class TestReportJson:
+    """Every report is written by verdict._jsonify; each must equal its
+    former hand-written field list, kept in reference.py."""
+
+    def test_gamma_reports_on_both_routes(self, sop, sop_ctx, ctx1, battery,
+                                          monkeypatch):
+        cos = load_builtin("gamma_cos")
+        cos_ctx = OrderCtx(cos.base.cone)
+        holds = gamma_check(cos, [0.0], battery, cos_ctx)
+        fails = gamma_check(linear_family(map_n=("x1 + 0.5", "x1 + 1.5")),
+                            [0.5], battery, ctx1)
+        moving = gamma_seq_check(sop, sop.base.domain.points[25], battery, sop_ctx)
+        monkeypatch.setattr(converge, "RECOVERY_BUDGET", 3)
+        unsure = gamma_check(reference.with_parts(cos, recovery_hint=None), [0.0],
+                             battery, cos_ctx)
+        assert holds.recovery_used and holds.domains_verdict is None
+        assert fails.counterexample and fails.overall is Status.FAILS
+        assert moving.domains_verdict is not None
+        assert unsure.upper_verdict.is_inconclusive
+        assert unsure.recovery_used == () and unsure.counterexample == {}
+        for rep in (holds, fails, moving, unsure):
+            assert rep.to_json() == reference.gamma_json(rep)
+        assert "counterexample" not in unsure.to_json()
+        assert "domains_verdict" not in holds.to_json()
+
+    def test_stability_report_leaves_out_the_cluster_distance(self, sop, sop_ctx,
+                                                              battery):
+        for horizon in (16, 64):
+            rep = stability_experiment(sop, "Relaxed", "external", sop_ctx,
+                                       battery=battery, horizon=horizon)
+            assert rep.clusters and "dist" in rep.clusters[0]
+            got = rep.to_json()
+            assert got == reference.stability_json(rep)
+            assert all(set(c) == {"point", "span", "base_index"}
+                       for c in got["clusters"])
+
+    def test_pk_report_with_a_callable_tolerance(self):
+        cands = np.array([[0.0], [0.5], [1.0]])
+        rep = pk_limits(lambda n: np.array([[1.0 / (n + 1)], [1.0]]), cands, 20,
+                        tol_schedule=lambda n: 1.0 / n)
+        assert len(set(rep.tol_used)) == len(rep.tol_used)
+        assert rep.to_json() == reference.pk_json(rep)
+
+    def test_levelset_reports_with_and_without_pk(self, ctx1, battery):
+        fam = linear_family(step=0.1)
+        omega = fam.base.value(5)
+        far = points([[-10.0]])
+        with_pk = levelset_convergence_experiment(fam, lambda n: omega, omega,
+                                                  ctx1, battery=battery)
+        without = levelset_convergence_experiment(fam, lambda n: far, omega,
+                                                  ctx1, battery=battery)
+        assert with_pk.meta["pk"] is not None and "lsc_cross" in with_pk.extras
+        assert without.meta["pk"] is None
+        for rep in (with_pk, without):
+            assert rep.to_json() == reference.levelset_json(rep)
+
+    def test_an_infinite_value_is_written_as_inf(self):
+        # the former field list kept the float, which a report dump refuses
+        rep = pk_limits(lambda n: np.array([[0.0]]), np.array([[0.0]]), 16,
+                        tol_schedule=math.inf)
+        assert rep.tol_used == (math.inf,) * 8
+        with pytest.raises(ValueError):
+            json.dumps(reference.pk_json(rep), allow_nan=False)
+        got = json.loads(json.dumps(rep.to_json(), allow_nan=False))
+        assert got == {**reference.pk_json(rep), "tol_used": ["inf"] * 8}

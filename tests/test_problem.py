@@ -312,6 +312,10 @@ class TestBuiltinProblems:
         # the hint is exact: sin(x_n * (1 + 1/(n+1))) == sin(x)
         assert math.sin(xn * (1 + 1 / 8)) == pytest.approx(math.sin(x), abs=1e-15)
 
+    def test_no_recovery_hint_gives_no_point(self):
+        fam = reference.with_parts(load_builtin("sop_sin"), recovery_hint=None)
+        assert fam.recovery_point([0.5], 3) is None
+
     def test_cos_family(self):
         fam = load_builtin("gamma_cos")
         B = fam.base
