@@ -502,24 +502,25 @@ def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
 
 
 def _take(tab: CornerTable, key) -> CornerTable:
-    """The sets of a table at ``key``, an index into its leading axes."""
-    return CornerTable(*(x[key] for x in tab))
+    """The sets of a table at ``key``, an index into its set axes."""
+    key = key if isinstance(key, tuple) else (key,)
+    h, o, cloud = tab
+    return CornerTable(h[(slice(None), slice(None), *key)],
+                       o[(slice(None), slice(None), *key)], cloud[key])
 
 
 def _per_row(tab: CornerTable) -> CornerTable:
-    """A table with a unit leading axis appended, so that each of its sets
+    """A table with a unit set axis appended, so that each of its sets
     meets one row of another table's sets."""
-    h, o, cloud = tab
-    return CornerTable(h[..., None, :, :], o[..., None, :, :], cloud[..., None])
+    return CornerTable(*(x[..., None] for x in tab))
 
 
 def _split(tab: CornerTable, G: int) -> CornerTable:
-    """A table's last leading axis, of G·R sets, as (G, R)."""
-    *lead, rows = tab.cloud.shape
-    lead = (*lead, G, rows // G)
+    """A table's last set axis, of G·R sets, as (G, R)."""
     h, o, cloud = tab
-    return CornerTable(h.reshape(lead + h.shape[-2:]), o.reshape(lead + o.shape[-2:]),
-                       cloud.reshape(lead))
+    split = (G, cloud.shape[-1] // G)
+    return CornerTable(h.reshape(h.shape[:-1] + split), o.reshape(o.shape[:-1] + split),
+                       cloud.reshape(cloud.shape[:-1] + split))
 
 
 def _by_target(errs: dict, G: int, rows: int) -> list[dict]:
@@ -581,7 +582,7 @@ def _by_blocks(X: np.ndarray, size: int, block: Callable[[np.ndarray], Iterable]
 def _fx_table(limit: Problem, X: np.ndarray, ctx: OrderCtx
               ) -> tuple[CornerTable, dict[int, Exception]]:
     """F(x̄) = limit's value at each row of X (G, d) as one table with
-    leading axes (2E + 1, G), E = len(EPS): moved by -e·u along EPS, then
+    set axes (2E + 1, G), E = len(EPS): moved by -e·u along EPS, then
     by +e·u along EPS, then not moved; and each raising target's exception
     keyed by its row of X."""
     shift = np.concatenate([_eps_shifts(-1, ctx), _eps_shifts(1, ctx),
@@ -757,10 +758,10 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
     grid point) comparison within _BLOCK_ELEMENTS per corner pair."""
     tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
     G, N, m = len(fx_floor.cloud), len(fam.base), len(ctx.w)
-    h = np.full((len(tabs), N, max(t.h.shape[1] for t in tabs), m), np.inf)
+    h = np.full((max(len(t.h) for t in tabs), m, len(tabs), N), np.inf)
     o = np.zeros(h.shape, dtype=np.uint8)
-    for k, t in enumerate(tabs):
-        h[k, :, :t.h.shape[1]], o[k, :, :t.h.shape[1]] = t.h, t.o
+    for j, t in enumerate(tabs):
+        h[:len(t.h), :, j], o[:len(t.h), :, j] = t.h, t.o
     stack = CornerTable(h, o, np.array([t.cloud for t in tabs]))
     a = _per_row(_per_row(fx_floor))                   # (point, member, grid point)
     step = max(1, _BLOCK_ELEMENTS // (G * N * m))

@@ -34,8 +34,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._kernels import (LARGE, LOWER, STRICT, covered, reduce_last, rel_corners,
-                       shift_bound)
+from ._kernels import LARGE, LOWER, STRICT, covered, rel_corners, shift_bound
 from .cone import DEFAULT_TOL, Cone
 from .setrep import SetRep, _corner_data, _refuse_boxes
 
@@ -71,9 +70,11 @@ def _rel(A: SetRep, B: SetRep, ctx: OrderCtx, mode: int) -> bool:
 
 
 class CornerTable(NamedTuple):
-    """Sets along leading axes L under one cone: h (L, K, m) lower corners in
-    H-coordinates, padded with +inf to the largest corner count K, o their
-    uint8 openness flags and cloud (L) marking point clouds."""
+    """Sets along trailing axes L under one cone: h (K, m, *L) lower corners
+    in H-coordinates, padded with +inf to the largest corner count K, o
+    their uint8 openness flags and cloud (*L) marking point clouds. With
+    the sets last, a comparison of two tables runs along their sets and
+    reduces its corner and H-axes as leading axes (``_kernels.covered``)."""
     h: np.ndarray
     o: np.ndarray
     cloud: np.ndarray
@@ -81,7 +82,7 @@ class CornerTable(NamedTuple):
 
 def corner_table(values: Sequence[SetRep], cone: Cone,
                  shift: Optional[np.ndarray] = None) -> CornerTable:
-    """A nonempty sequence of sets as one table with leading axis (N,), or
+    """A nonempty sequence of sets as one table with set axis (N,), or
     (E, N) with each set moved by each row of ``shift`` (E, dim)."""
     cs, fs, clouds = zip(*(_corner_data(v, cone, h_coords=False) for v in values))
     count = np.array([len(c) for c in cs], dtype=np.intp)
@@ -99,7 +100,7 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
     """N sets' lower corners (N, K, dim), padded with +inf, as a table cut
     to the largest corner count; ``flags`` their uint8 lower-openness,
     ``cloud`` and ``count`` (N) each set's representation and corner count.
-    With ``shift`` (E, dim) the leading axes are (E, N), each set's corners
+    With ``shift`` (E, dim) the set axes are (E, N), each set's corners
     moved by each shift vector. Under a general cone the corners go to
     H-coordinates through ``_h_rows``, each set's bit for bit as
     ``_corner_data`` maps it alone, and a box union is refused.
@@ -114,7 +115,8 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
         flags = np.broadcast_to(flags, corners.shape)
         cloud = np.broadcast_to(cloud, corners.shape[:-2])
     if cone.kind == "orthant":
-        h, o = corners, np.array(flags)
+        h, o = (np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
+                for x in (corners, flags))
     else:
         h = _h_rows(cone, corners, count)
         o = np.zeros(h.shape, dtype=np.uint8)
@@ -122,9 +124,10 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
 
 
 def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
-    """Sets' lower corners (L, K, dim) under a general cone in H-coordinates
-    (L, K, m): each set's first ``count`` corners (count broadcast to L)
-    mapped as ``cone.h_coords`` maps them alone, bit for bit, the rest +inf.
+    """Sets' lower corners (*L, K, dim) under a general cone in
+    H-coordinates (K, m, *L): each set's first ``count`` corners (count
+    broadcast to L) mapped as ``cone.h_coords`` maps them alone, bit for
+    bit, the rest +inf.
 
     A row's bits can depend on how many rows its matmul holds, so one
     product over every set's corners would not do. NumPy's stacked matmul
@@ -136,12 +139,12 @@ def _h_rows(cone: Cone, corners: np.ndarray, count) -> np.ndarray:
     ks = np.broadcast_to(count, lead).ravel()
     c = corners.reshape(len(ks), K, dim)
     m = len(cone.halfspaces)
-    h = np.full((len(ks), K, m), np.inf)
+    h = np.full((K, m, len(ks)), np.inf)
     for k in range(1, K + 1):
         at = np.flatnonzero(ks == k)
         if len(at):
-            h[at, :k] = cone.h_coords(c[at, :k])
-    return h.reshape(*lead, K, m)
+            h[:k, :, at] = cone.h_coords(c[at, :k]).transpose(1, 2, 0)
+    return h.reshape(K, m, *lead)
 
 
 def _pair_tol(a_cloud: np.ndarray, b_cloud: np.ndarray, tol: float):
@@ -159,14 +162,16 @@ def _pair_tol(a_cloud: np.ndarray, b_cloud: np.ndarray, tol: float):
 
 def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
               tol: float) -> tuple[np.ndarray, ...]:
-    """rel(A, B) per mode, over the broadcast leading axes of two tables of
-    one cone, each pair at its tolerance under ``tol`` (``_pair_tol``)."""
-    # (leading, b-corner, a-corner, axis); per-set scalars on leading axes
-    per_set = (..., None, None, None)
-    got = covered(a.h[..., None, :, :], a.o[..., None, :, :],
-                  b.h[..., None, :], b.o[..., None, :], b.cloud[per_set],
-                  _pair_tol(a.cloud[per_set], b.cloud[per_set], tol), modes)
-    return tuple(reduce_last(ok, np.logical_and) for ok in got)
+    """rel(A, B) per mode, over the set axes of two tables of one cone,
+    broadcast from the right, each pair at its tolerance under ``tol``
+    (``_pair_tol``)."""
+    r = max(a.cloud.ndim, b.cloud.ndim)
+    # the table with fewer set axes gets unit ones before its own
+    (ha, oa), (hb, ob) = ([x.reshape(x.shape[:2] + (1,) * (r - t.cloud.ndim) + x.shape[2:])
+                           for x in t[:2]] for t in (a, b))
+    got = covered(ha[None], oa[None], hb[:, None], ob[:, None], b.cloud,
+                  _pair_tol(a.cloud, b.cloud, tol), modes)
+    return tuple(np.logical_and.reduce(ok, axis=0) for ok in got)
 
 
 def lower_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:

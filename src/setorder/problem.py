@@ -485,7 +485,7 @@ def tail_table(map: SetValuedMap, X, ns: Sequence[Optional[int]], cone: Cone,
 
     Under a general cone a box row is raising too: it holds no corner, and
     its error is the ``Unsupported`` that comparing it would raise. With
-    ``shift`` (E, dim) the leading axes are (E, rows). The rows that do not
+    ``shift`` (E, dim) the set axes are (E, rows). The rows that do not
     raise equal ``corner_table(values, cone, shift)`` over their values bit
     for bit.
     """
@@ -513,10 +513,10 @@ def _exterior_rows(rows, cone: Cone) -> tuple[np.ndarray, CornerTable, np.ndarra
     checked = np.arange(len(count)) if orthant else np.flatnonzero(cloud)
     tab = table_from_corners(*(x[checked] for x in rows), cone)
     if orthant:
-        return checked, tab, tab.h.min(axis=1) - 1.0
+        return checked, tab, tab.h.min(axis=0).T - 1.0
     pmin = corners[checked].min(axis=1)
-    low = tab.h[..., 0].min(axis=1, initial=np.inf)   # no corner axis without clouds
-    t = 1.0 + (_h_rows(cone, pmin[:, None], 1)[:, 0, 0] - low)
+    low = tab.h[:, 0].min(axis=0, initial=np.inf)   # no corner axis without clouds
+    t = 1.0 + (_h_rows(cone, pmin[:, None], 1)[0, 0] - low)
     return checked, tab, pmin - t[:, None] * cone.interior_direction
 
 
@@ -572,7 +572,7 @@ def _checked_rows(map: SetValuedMap, cone: Cone, domains: Sequence[Domain],
     out: list = []
     for lo, hi, a, b in zip(starts[:whole], starts[1:whole + 1], at, at[1:]):
         k = int(count[lo:hi].max())
-        out.append(CornerTable(tab.h[a:b, :k], tab.o[a:b, :k], tab.cloud[a:b])
+        out.append(CornerTable(tab.h[:k, :, a:b], tab.o[:k, :, a:b], tab.cloud[a:b])
                    if b - a == hi - lo else None)
     return out if err is None else out + [err]
 

@@ -16,8 +16,7 @@ pairs that all three hold for. Only the pairs between them reach the kernel,
 which is asked LARGE first and LOWER and STRICT only where LARGE holds,
 since each of them implies it. With one corner per value the necessary
 test is LARGE itself, and every pair reaches the kernel. The two tests
-hold their operands axis first and the sets last (see ``_candidates``);
-the kernel folds its short last axes instead (``_kernels.reduce_last``).
+read the value table as the kernel does, with the sets last.
 """
 
 from __future__ import annotations
@@ -75,10 +74,10 @@ class LSetResult:
 
 # elements of the largest boolean block one array pass of relation_matrices
 # builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
-# O(N^2). Two budgets share it: a row block's test, (rows, N, m) for the
-# candidate test or (rows, N, 1, 1, m) for the kernel with one corner slot,
-# and one chunk of a block's candidate pairs, (pairs, k, m) for the
-# sufficient test and (pairs, k, k, m) for one kernel call
+# O(N^2). Two budgets share it: a row block's test, (m, rows, N) for the
+# candidate test or (1, 1, m, rows, N) for the kernel with one corner slot,
+# and one chunk of a block's candidate pairs, (k, m, pairs) for the
+# sufficient test and (k, k, m, pairs) for one kernel call
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -125,7 +124,7 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
         return got
 
     tab = value_table(P)
-    n, k, m = tab.h.shape
+    k, m, n = tab.h.shape
     rows = max(1, _BLOCK_ELEMENTS // (n * m))
     pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
     lower, large, strict = out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
@@ -135,15 +134,13 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
             yield ii[c:c + pairs], jj[c:c + pairs]
 
     def take(at):
-        return (CornerTable(*(x.take(idx, axis=0) for x in tab)) for idx in at)
+        return (CornerTable(*(x.take(idx, axis=-1) for x in tab)) for idx in at)
 
-    # the two tests' operands axis first, the sets last (see _candidates)
-    h = np.ascontiguousarray(tab.h.transpose(1, 2, 0))
-    ideal = h.min(axis=0)
+    ideal = tab.h.min(axis=0)
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
         if k == 1:
-            a = CornerTable(*(x[blk, None] for x in tab))
+            a = CornerTable(*(x[..., blk, None] for x in tab))
             for mat, ok in zip(out, table_rel(a, tab, (LOWER, LARGE, STRICT), ctx.tol)):
                 mat[blk] = ok
             continue
@@ -153,7 +150,8 @@ def relation_matrices(P: Problem, ctx: OrderCtx):
         settled = np.empty(len(ii), dtype=bool)
         for c in range(0, len(ii), pairs):
             ia, ja = ii[c:c + pairs], jj[c:c + pairs]
-            settled[c:c + pairs] = _settled(h.take(ia + i, axis=2), ideal.take(ja, axis=1),
+            settled[c:c + pairs] = _settled(tab.h.take(ia + i, axis=-1),
+                                            ideal.take(ja, axis=-1),
                                             t[ia, ja] if np.ndim(t) else t)
         # nonzero lists the candidates in row-major order, as cand[cand] does
         cand[cand] = settled
@@ -176,7 +174,7 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
 
     ideal_a (m, I) and ideal_b (m, N) are the per-axis minima of the sets'
-    H-corners, axis first, and t the pairs' tolerances
+    H-corners, sets last as in the value table, and t the pairs' tolerances
     (``order._pair_tol``), a scalar or (I, N). All
     three relations need, for each B-corner b, some A-corner a with
     fl(b + t) >= a on every axis: LARGE compares exactly that, STRICT gives
@@ -186,9 +184,6 @@ def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
     point, not up to rounding. B's +inf padding passes it, and A's never
     lowers the ideal, since every value has a corner. It reads the same
     H-coordinates as the kernel, so it holds under general cones too.
-    With the sets on the last axis, each comparison is one long run per
-    axis and the all over the axes reduces the leading one, where a
-    (sets, m) layout would run NumPy's loops m elements at a time.
     """
     return np.logical_and.reduce(ideal_b[:, None] + t >= ideal_a[..., None], axis=0)
 
@@ -198,7 +193,7 @@ def _settled(h_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
 
     h_a (k, m, P) holds the A-sets' H-corners and ideal_b (m, P) the
     B-sets' per-axis minima, both gathered per pair with the pairs last as
-    in ``_candidates``, and t the pairs' tolerances, a scalar or (P,). The
+    in the value table, and t the pairs' tolerances, a scalar or (P,). The
     test is that some A-corner a has fl(a + t) < ideal_b on every axis.
     Every B-corner b has b >= ideal_b, so b > fl(a + t) on every axis:
     that one a covers every b for STRICT, which is the kernel's comparison

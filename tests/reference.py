@@ -17,9 +17,6 @@ one margin call per sequence.
 ``gamma_report`` and ``lsc_verdict`` are the one-point checks built on
 those scans, which the package now asks for blocks of grid points at once.
 
-``each_reduction`` runs a test body on both sides of the kernel's size
-switch between folding and reducing a short last axis.
-
 ``cluster`` is the stability experiment's former all-pairs clustering,
 which tests every pair of tail points; the package sweeps them in order of
 their first coordinate.
@@ -53,9 +50,7 @@ import re
 from itertools import combinations
 
 import numpy as np
-import pytest
 
-from setorder import _kernels
 from setorder.cone import Cone
 from setorder.converge import (
     MAX_BALL_SPLITS,
@@ -82,15 +77,6 @@ from setorder.problem import (
 from setorder.setrep import BoxUnion, Box, PointCloud, box, points, translate
 from setorder.solve import relation_matrices
 from setorder.verdict import Verdict
-
-
-def each_reduction():
-    """Yields "fold", then "reduce": for the body of each loop turn every
-    ``_kernels.reduce_last`` call folds its last axis, then none does."""
-    for side, outer in (("fold", 0), ("reduce", 2 ** 62)):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_kernels, "_FOLD_OUTER", outer)
-            yield side
 
 
 def window_count(w: Window) -> int:

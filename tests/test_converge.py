@@ -2044,6 +2044,12 @@ class TestBlockFoldsMatchPointFolds:
                 assert row.tobytes() == want.tobytes(), (name, v, g, n)
 
 
+class TestVerdict:
+    def test_has_no_truth_value(self):
+        with pytest.raises(TypeError, match="three-valued"):
+            bool(Verdict.holds(reason="held"))
+
+
 class TestReportJson:
     """Every report is written by verdict._jsonify; each must equal its
     former hand-written field list, kept in reference.py."""

@@ -376,12 +376,12 @@ class TestRowEvaluation:
             except Exception as exc:
                 want_errs[i] = (type(exc), str(exc))
         assert {i: (type(e), str(e)) for i, e in errs.items()} == want_errs
-        assert list(errs) == sorted(errs) and len(tab.h) == len(X)
-        assert np.isinf(tab.h[list(errs)]).all()
+        assert list(errs) == sorted(errs) and len(tab.cloud) == len(X)
+        assert np.isinf(tab.h[..., list(errs)]).all()
         if vals:
             keep = [i for i in range(len(X)) if i not in errs]
             for a, b in zip(tab, corner_table(vals, ctx.cone)):
-                a = a[keep]
+                a = a[..., keep]
                 assert a.shape == b.shape and a.dtype == b.dtype
                 assert a.tobytes() == b.tobytes()
 

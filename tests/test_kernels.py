@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import each_reduction
 
 from setorder import _kernels, solve
 from setorder._kernels import LARGE, LOWER, STRICT
 from setorder.cone import Cone
-from setorder.order import OrderCtx, shift_margin
+from setorder.order import OrderCtx, corner_table, shift_margin, table_rel
 from setorder.problem import Domain, Problem, TableMap
 from setorder.setrep import Box, BoxUnion, _corner_data, points
 
@@ -119,12 +118,11 @@ def keyed_problem(vals, cone):
 
 
 def blocked_matrices(P, rows, monkeypatch):
-    """relation_matrices in row blocks of ``rows``, once per side of the
-    fold switch, each side under a fresh context so nothing is cached.
-    With several corner slots the same budget cuts each block's candidate
-    pairs into kernel calls of rows * N // k^2 pairs; the calls must show
-    several row blocks, full pair chunks and a ragged last one."""
-    n, k, m = solve.value_table(P).h.shape
+    """relation_matrices in row blocks of ``rows``. With several corner
+    slots the same budget cuts each block's candidate pairs into kernel
+    calls of rows * N // k^2 pairs; the calls must show several row
+    blocks, full pair chunks and a ragged last one."""
+    k, m, n = solve.value_table(P).h.shape
     monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * m)
     blocks, pairs = [], []
     real_candidates, real_table_rel = solve._candidates, solve.table_rel
@@ -134,16 +132,15 @@ def blocked_matrices(P, rows, monkeypatch):
         return real_candidates(ideal_a, *rest)
 
     def table_rel(a, *rest):
-        pairs.append(len(a.h))
+        pairs.append(len(a.cloud))
         return real_table_rel(a, *rest)
 
     monkeypatch.setattr(solve, "_candidates", candidates)
     monkeypatch.setattr(solve, "table_rel", table_rel)
-    got = {side: np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
-           for side in each_reduction()}
+    got = np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
     if k > 1:
         chunk = rows * n // (k * k)
-        assert blocks == 2 * ([rows] * (n // rows) + [n % rows] * (n % rows > 0))
+        assert blocks == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
         assert len(blocks) > 2 and max(pairs) == chunk
         assert any(0 < size < chunk for size in pairs)
     return got
@@ -163,8 +160,7 @@ class TestCovered:
         assert {len(h) for h, _, _ in data} == {1, 2, 3}
         assert {b_cloud for _, _, b_cloud in data} == {False, True}
         want = brute_matrices(data, OrderCtx(P.cone).tol)
-        for side, got in blocked_matrices(P, 4, monkeypatch).items():
-            np.testing.assert_array_equal(got, want, err_msg=side)
+        np.testing.assert_array_equal(blocked_matrices(P, 4, monkeypatch), want)
 
     def test_general_cone_clouds_in_ragged_blocks(self, monkeypatch):
         # 3-corner clouds go through the candidate test before the kernel;
@@ -176,16 +172,15 @@ class TestCovered:
         vals = [points(rng.integers(-2, 3, size=(int(rng.integers(1, 4)), d)) * 0.5)
                 for _ in range(n)]
         P = keyed_problem(vals, cone)
-        assert solve.value_table(P).h.shape[1] == 3
+        assert len(solve.value_table(P).h) == 3
         want = brute_matrices([_corner_data(v, cone) for v in vals], OrderCtx(cone).tol)
         assert want[1].any() and not want[1].all()
-        for side, got in blocked_matrices(P, 3, monkeypatch).items():
-            np.testing.assert_array_equal(got, want, err_msg=side)
+        np.testing.assert_array_equal(blocked_matrices(P, 3, monkeypatch), want)
 
     @pytest.mark.parametrize("case", ["one-corner", "open-a-corner"])
     def test_single_corners_and_open_a_corners_in_blocks(self, case, monkeypatch):
-        # one corner per value (kb = ka = 1) folds axes of length 1 on the
-        # kernel's dense path; one open lower end among closed boxes makes
+        # one corner per value (kb = ka = 1) reduces corner axes of length 1
+        # on the kernel's dense path; one open lower end among closed boxes makes
         # LOWER take the STRICT side on that corner's axis only
         rng = np.random.default_rng(7)
         m, vals = 2, []
@@ -206,8 +201,7 @@ class TestCovered:
         if case == "open-a-corner":
             assert sum(int(o.sum()) for _, o, _ in data) == 1
             assert (want[0] != want[1]).any()
-        for side, got in blocked_matrices(P, 5, monkeypatch).items():
-            np.testing.assert_array_equal(got, want, err_msg=side)
+        np.testing.assert_array_equal(blocked_matrices(P, 5, monkeypatch), want)
 
     @pytest.mark.parametrize("open_corner", [False, True])
     def test_lower_matches_the_where_form(self, open_corner):
@@ -221,24 +215,20 @@ class TestCovered:
                 oa[rng.integers(len(oa)), rng.integers(oa.shape[1])] = 1
             b_cloud = bool(i % 3)
             t = 1e-9 if b_cloud else 0.0
-            A, B = ca, cb[:, None, :]
-            where = np.where((oa != 0) & ((ob[:, None, :] == 0) | b_cloud),
+            A, B = ca[None], cb[:, None]
+            where = np.where((oa != 0) & ((ob[:, None] == 0) | b_cloud),
                              B > A + t, B + t >= A).all(axis=-1).any(axis=-1)
             want = brute_rel(ca, oa, cb, ob, LOWER, b_cloud, 1e-9)
-            for side in each_reduction():
-                for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
-                    got = _kernels.covered(A, oa, B, ob[:, None, :], b_cloud, t, modes)[0]
-                    np.testing.assert_array_equal(got, where, err_msg=side)
-                assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == want
+            for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
+                got = _kernels.covered(A, oa[None], B, ob[:, None], b_cloud, t, modes)[0]
+                np.testing.assert_array_equal(got, where)
+            assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == want
 
-    @pytest.mark.parametrize("shape", [(70, 3), (70, 1), (5, 14, 2), (3,), (70, 0), (0, 3)])
-    def test_reduce_last_is_numpys_reduction(self, shape):
-        x = np.random.default_rng(len(shape)).random(shape) < 0.6
-        for side in each_reduction():
-            for op, want in ((np.logical_and, x.all(axis=-1)), (np.logical_or, x.any(axis=-1))):
-                got = _kernels.reduce_last(x, op)
-                assert got.dtype == bool and got.shape == want.shape, side
-                np.testing.assert_array_equal(got, want, err_msg=side)
+
+    def test_unknown_mode_is_refused(self):
+        tab = corner_table([points([[0.0]])], Cone.orthant(1))
+        with pytest.raises(ValueError, match="unknown relation mode 7"):
+            table_rel(tab, tab, (7,), 1e-9)
 
 
 class TestShiftBound:
@@ -271,14 +261,14 @@ class TestShiftBound:
             sets = data.draw(st.lists(st.lists(
                 st.lists(coord, min_size=m, max_size=m), max_size=4),
                 min_size=1, max_size=4), label=label)
-            h = np.full((len(sets), max(map(len, sets)), m), np.inf)
+            h = np.full((max(map(len, sets)), m, len(sets)), np.inf)
             for r, corners in enumerate(sets):
-                h[r, :len(corners)] = np.reshape(corners, (-1, m))
+                h[:len(corners), :, r] = np.reshape(corners, (-1, m))
             return sets, h
 
         (sa, ha), (sb, hb) = rows("A"), rows("B")
         ctx = OrderCtx(Cone.orthant(m))
-        got = _kernels.shift_bound(ha[:, None], hb[None], ctx.w)
+        got = _kernels.shift_bound(ha[..., None], hb[..., None, :], ctx.w)
         assert got.shape == (len(sa), len(sb))
         for i, a in enumerate(sa):
             for j, b in enumerate(sb):

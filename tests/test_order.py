@@ -225,7 +225,7 @@ class TestGeneralCone:
         sets = [points(rng.integers(-3, 4, (rng.integers(1, 4), 2)) * 0.5)
                 for _ in range(12)]
         tab = corner_table(sets, ctx.cone)
-        got = table_rel(CornerTable(*(x[:, None] for x in tab)), tab,
+        got = table_rel(CornerTable(*(x[..., None] for x in tab)), tab,
                         (LOWER, LARGE, STRICT), ctx.tol)
         for i, A in enumerate(sets):
             for j, B in enumerate(sets):
@@ -270,7 +270,7 @@ class TestPairTol:
             assert set(t.ravel().tolist()) == {0.0, 0.25}
         else:
             assert type(t) is float and t == (0.0 if branch == "exact" else 0.25)
-        got = table_rel(CornerTable(*(x[:, None] for x in ta)), tb,
+        got = table_rel(CornerTable(*(x[..., None] for x in ta)), tb,
                         (LOWER, LARGE, STRICT), ctx.tol)
         seen = set()
         for i, a in enumerate(A):
@@ -339,12 +339,12 @@ class TestHRows:
                                  count, cone, shift)
         moves = [None] if shift is None else list(shift)
         lead = (n,) if shift is None else (len(shift), n)
-        assert tab.h.shape == lead + (int(count.max()), m)
+        assert tab.h.shape == (int(count.max()), m) + lead
         assert not tab.o.any() and tab.cloud.shape == lead
         h_all = _h_rows(cone, corners if shift is None
                         else corners[None] + shift[:, None, None], count)
         for h in (tab.h, h_all):
-            h = h.reshape(len(moves), n, -1, m)
+            h = np.moveaxis(h, (0, 1), (-2, -1)).reshape(len(moves), n, -1, m)
             for e, move in enumerate(moves):
                 for i, k in enumerate(count.tolist()):
                     assert np.isposinf(h[e, i, k:]).all()

@@ -777,9 +777,8 @@ def assert_same_table(got, want):
 
 
 def table_rows(tab, rows):
-    """The sets of a table at ``rows`` of its last leading axis."""
-    h, o, cloud = tab
-    return CornerTable(h[..., rows, :, :], o[..., rows, :, :], cloud[..., rows])
+    """The sets of a table at ``rows`` of its last set axis."""
+    return CornerTable(*(x[..., rows] for x in tab))
 
 
 def check_tail_table(m, X, ns, ctx):
@@ -805,7 +804,7 @@ def check_tail_table(m, X, ns, ctx):
         elif vals:
             moved = corner_table([translate(v, s) for s in shift for v in vals], ctx.cone)
             want = CornerTable(*(
-                x.reshape((len(shift), len(vals)) + x.shape[1:]) for x in moved))
+                x.reshape(x.shape[:-1] + (len(shift), len(vals))) for x in moved))
             assert_same_table(table_rows(tab, keep), want)
             assert_same_table(corner_table(vals, ctx.cone, shift=shift), want)
     return next((v for v in got if isinstance(v, Exception)), None)
@@ -887,7 +886,7 @@ class TestTailTable:
         err = check_tail_table(fam.map, X, ns, ctx1)
         assert str(err).startswith("sqrt of a negative number")
         tab, errs = tail_table(fam.map, X, ns, ctx1.cone)
-        assert len(tab.h) == 31 and list(errs) == [30]
+        assert len(tab.cloud) == 31 and list(errs) == [30]
 
 
 # ------------------------------------------------------- member batches

@@ -74,6 +74,24 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             BoxUnion(2, (Box((0.0,), (1.0,), (False,), (False,)),))
 
+    def test_empty_endpoint_tuples_rejected(self):
+        with pytest.raises(SetSpecError, match="nonempty and of equal length"):
+            Box((), (), (), ())
+
+    def test_nan_upper_endpoint_rejected(self):
+        with pytest.raises(SetSpecError, match="upper endpoint is NaN"):
+            box([0.0], [math.nan])
+
+    def test_empty_union_rejected(self):
+        with pytest.raises(SetSpecError, match="at least one box"):
+            BoxUnion(1, ())
+
+    def test_bare_box_is_no_set(self):
+        # a Box has a dim, so it passes the dimension check, but only a
+        # BoxUnion or a PointCloud has corners
+        with pytest.raises(TypeError, match="not a SetRep"):
+            lower_le(Box((0.0,), (1.0,), (False,), (False,)), points([[1.0]]), CTX1)
+
 
 class TestUpset:
     def test_point_origin(self):
@@ -179,6 +197,10 @@ class TestTranslate:
         assert A.boxes[0].lo == (1.0,)
         assert A.boxes[0].hi == (2.0,)
         assert A.boxes[0].lo_open == (True,)
+
+    def test_shift_of_wrong_dimension_rejected(self):
+        with pytest.raises(DimensionMismatch, match="shift of dim 1 against set dim 2"):
+            translate(points([[1.0, 2.0]]), [1.0])
 
     def test_inverse(self):
         A = box([0.0, 0.5], [1.0, math.inf], [True, False], [False, True])
