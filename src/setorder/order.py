@@ -115,8 +115,8 @@ def table_from_corners(corners: np.ndarray, flags: np.ndarray, cloud: np.ndarray
         flags = np.broadcast_to(flags, corners.shape)
         cloud = np.broadcast_to(cloud, corners.shape[:-2])
     if cone.kind == "orthant":
-        h, o = (np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)))
-                for x in (corners, flags))
+        sets_last = (-2, -1, *range(corners.ndim - 2))
+        h, o = (np.ascontiguousarray(x.transpose(sets_last)) for x in (corners, flags))
     else:
         h = _h_rows(cone, corners, count)
         o = np.zeros(h.shape, dtype=np.uint8)
