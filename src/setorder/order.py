@@ -160,15 +160,19 @@ def _pair_tol(a_cloud: np.ndarray, b_cloud: np.ndarray, tol: float):
     return np.where(a_cloud | b_cloud, tol, 0.0)
 
 
+def _at_rank(tab: CornerTable, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A table's h and o with unit set axes put before its own, r in all."""
+    pad = (1,) * (r - tab.cloud.ndim)
+    return tuple(x.reshape(x.shape[:2] + pad + x.shape[2:]) for x in (tab.h, tab.o))
+
+
 def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
               tol: float) -> tuple[np.ndarray, ...]:
     """rel(A, B) per mode, over the set axes of two tables of one cone,
     broadcast from the right, each pair at its tolerance under ``tol``
     (``_pair_tol``)."""
     r = max(a.cloud.ndim, b.cloud.ndim)
-    # the table with fewer set axes gets unit ones before its own
-    (ha, oa), (hb, ob) = ([x.reshape(x.shape[:2] + (1,) * (r - t.cloud.ndim) + x.shape[2:])
-                           for x in t[:2]] for t in (a, b))
+    (ha, oa), (hb, ob) = _at_rank(a, r), _at_rank(b, r)
     got = covered(ha[None], oa[None], hb[:, None], ob[:, None], b.cloud,
                   _pair_tol(a.cloud, b.cloud, tol), modes)
     return tuple(np.logical_and.reduce(ok, axis=0) for ok in got)
