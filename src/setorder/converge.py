@@ -504,9 +504,8 @@ def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
 def _take(tab: CornerTable, key) -> CornerTable:
     """The sets of a table at ``key``, an index into its set axes."""
     key = key if isinstance(key, tuple) else (key,)
-    h, o, cloud = tab
-    return CornerTable(h[(slice(None), slice(None), *key)],
-                       o[(slice(None), slice(None), *key)], cloud[key])
+    at = (slice(None), slice(None), *key)
+    return CornerTable(tab.h[at], tab.o[at], tab.cloud[key])
 
 
 def _per_row(tab: CornerTable) -> CornerTable:
@@ -517,10 +516,8 @@ def _per_row(tab: CornerTable) -> CornerTable:
 
 def _split(tab: CornerTable, G: int) -> CornerTable:
     """A table's last set axis, of G·R sets, as (G, R)."""
-    h, o, cloud = tab
-    split = (G, cloud.shape[-1] // G)
-    return CornerTable(h.reshape(h.shape[:-1] + split), o.reshape(o.shape[:-1] + split),
-                       cloud.reshape(cloud.shape[:-1] + split))
+    split = (G, tab.cloud.shape[-1] // G)
+    return CornerTable(*(x.reshape(x.shape[:-1] + split) for x in tab))
 
 
 def _by_target(errs: dict, G: int, rows: int) -> list[dict]:

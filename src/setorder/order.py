@@ -160,10 +160,12 @@ def _pair_tol(a_cloud: np.ndarray, b_cloud: np.ndarray, tol: float):
     return np.where(a_cloud | b_cloud, tol, 0.0)
 
 
-def _at_rank(tab: CornerTable, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """A table's h and o with unit set axes put before its own, r in all."""
-    pad = (1,) * (r - tab.cloud.ndim)
-    return tuple(x.reshape(x.shape[:2] + pad + x.shape[2:]) for x in (tab.h, tab.o))
+def _block(tab: CornerTable, corners: tuple[int, int],
+           r: int) -> tuple[np.ndarray, np.ndarray]:
+    """A table's h and o as ``corners`` + (m,) + its set axes, with unit
+    set axes put before its own, r in all."""
+    shape = corners + tab.h.shape[1:2] + (1,) * (r - tab.cloud.ndim) + tab.cloud.shape
+    return tab.h.reshape(shape), tab.o.reshape(shape)
 
 
 def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
@@ -172,9 +174,8 @@ def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
     broadcast from the right, each pair at its tolerance under ``tol``
     (``_pair_tol``)."""
     r = max(a.cloud.ndim, b.cloud.ndim)
-    (ha, oa), (hb, ob) = _at_rank(a, r), _at_rank(b, r)
-    got = covered(ha[None], oa[None], hb[:, None], ob[:, None], b.cloud,
-                  _pair_tol(a.cloud, b.cloud, tol), modes)
+    (ha, oa), (hb, ob) = _block(a, (1, len(a.h)), r), _block(b, (len(b.h), 1), r)
+    got = covered(ha, oa, hb, ob, b.cloud, _pair_tol(a.cloud, b.cloud, tol), modes)
     return tuple(np.logical_and.reduce(ok, axis=0) for ok in got)
 
 

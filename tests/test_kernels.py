@@ -224,7 +224,6 @@ class TestCovered:
                 np.testing.assert_array_equal(got, where)
             assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == want
 
-
     def test_unknown_mode_is_refused(self):
         tab = corner_table([points([[0.0]])], Cone.orthant(1))
         with pytest.raises(ValueError, match="unknown relation mode 7"):

@@ -326,8 +326,7 @@ class TestRelationMatrices:
         want = per_pair_matrices(P, ctx)
         # the sufficient test on every ordered pair, gathered as the matrices
         # gather a block's candidates, accepts no pair some relation refuses
-        h = value_table(P).h
-        cloud = value_table(P).cloud
+        h, _, cloud = value_table(P)
         ii, jj = np.indices((len(P), len(P))).reshape(2, -1)
         t = np.broadcast_to(_pair_tol(cloud[ii], cloud[jj], ctx.tol), ii.shape)
         settled = solve._settled(h[:, :, ii], h.min(axis=0)[:, jj], t)
