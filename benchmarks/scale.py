@@ -15,13 +15,15 @@ and witnesses), so that two trees can be checked for identical answers by
 running this file in each.
 
 The line also says where the pairs went, counted while the matrices are
-built by wrapping the solver's helpers, not inside the package:
-``rejected`` pairs failed the necessary test (``solve._candidates``),
-``settled`` pairs passed the sufficient one (``solve._settled``),
-``asked_large`` pairs were asked LARGE of the kernel
-(``solve.table_rel``) and ``asked_lower_strict`` pairs LOWER or STRICT.
-Of the N^2 pairs, the first two never reach the kernel. The wrappers'
-counting passes are inside the timed region.
+built (``order.table_matrices``) by wrapping two of ``order``'s names, not
+inside the package. The two tests on the sets' ideal points are the
+kernel calls without openness flags (``order.covered``): ``rejected``
+pairs failed the necessary one, LARGE between the ideal points, and
+``settled`` pairs passed the sufficient one, STRICT of the A-set against
+B's ideal point. ``asked_large`` pairs were asked LARGE of a table
+comparison (``order.table_rel``) and ``asked_lower_strict`` pairs LOWER
+or STRICT. Of the N^2 pairs, the first two never reach a table
+comparison. The wrappers' counting passes are inside the timed region.
 """
 
 from __future__ import annotations
@@ -41,24 +43,25 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 import setorder as so  # noqa: E402
-from setorder import solve  # noqa: E402
+from setorder import order, solve  # noqa: E402
 from setorder._kernels import LARGE, LOWER, STRICT  # noqa: E402
 
 
 def counted(counts: dict) -> dict:
-    """Wrappers of the solver's two tests and its kernel call that add the
-    pairs each one rejects, settles or is asked to ``counts``."""
-    candidates, settled, table_rel = solve._candidates, solve._settled, solve.table_rel
+    """Wrappers of ``order``'s kernel rule and table comparison that add the
+    pairs the matrices' two ideal-point tests reject or settle, and the
+    pairs each table comparison is asked, to ``counts``."""
+    covered, table_rel = order.covered, order.table_rel
 
-    def count_candidates(*args):
-        ok = candidates(*args)
-        counts["rejected"] += ok.size - int(np.count_nonzero(ok))
-        return ok
-
-    def count_settled(*args):
-        ok = settled(*args)
-        counts["settled"] += int(np.count_nonzero(ok))
-        return ok
+    def count_covered(A, B, t, modes, flags=None):
+        got = covered(A, B, t, modes, flags)
+        if flags is None:
+            ok = got[0]
+            if modes == (LARGE,):
+                counts["rejected"] += ok.size - int(np.count_nonzero(ok))
+            else:
+                counts["settled"] += int(np.count_nonzero(ok))
+        return got
 
     def count_table_rel(a, b, modes, tol):
         got = table_rel(a, b, modes, tol)
@@ -68,8 +71,7 @@ def counted(counts: dict) -> dict:
             counts["asked_lower_strict"] += got[0].size
         return got
 
-    return {"_candidates": count_candidates, "_settled": count_settled,
-            "table_rel": count_table_rel}
+    return {"covered": count_covered, "table_rel": count_table_rel}
 
 
 def probe(side: int, cone_class: str, seed: int) -> dict:
@@ -80,14 +82,14 @@ def probe(side: int, cone_class: str, seed: int) -> dict:
     ctx = so.OrderCtx(P.cone)
     counts = dict.fromkeys(("rejected", "settled", "asked_large", "asked_lower_strict"), 0)
     wrappers = counted(counts)
-    real = {name: getattr(solve, name) for name in wrappers}
-    vars(solve).update(wrappers)
+    real = {name: getattr(order, name) for name in wrappers}
+    vars(order).update(wrappers)
     try:
         start = perf_counter()
         mats = solve.relation_matrices(P, ctx)
         seconds = perf_counter() - start
     finally:
-        vars(solve).update(real)
+        vars(order).update(real)
     effs = {kind: so.eff(P, kind, ctx) for kind in so.KINDS}
     eff_doc = {k: [list(r.indices), sorted(r.witness.items())] for k, r in effs.items()}
     return {

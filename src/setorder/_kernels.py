@@ -3,7 +3,9 @@
 Every preorder query between two finitely-represented sets reduces to a
 "for every B-corner there is an A-corner dominating it" sweep over
 halfspace coordinates. ``covered`` states the rule once, for broadcast
-blocks of sets (``order.table_rel``); ``rel_corners`` is its one-pair case.
+blocks of sets (``order.table_rel``) and for the relation matrices' tests
+on the sets' ideal points (``order.table_matrices``); ``rel_corners`` is
+its one-pair case.
 
 The corner axes come first and the sets last: a block of pairs is
 (B-corner, A-corner, H-axis, *sets). Each comparison then runs along the
@@ -32,54 +34,54 @@ LARGE = 1
 STRICT = 2
 
 
-def covered(A: np.ndarray, oa: np.ndarray, B: np.ndarray, ob: np.ndarray,
-            b_cloud, t, modes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def covered(A: np.ndarray, B: np.ndarray, t, modes: tuple[int, ...],
+            flags=None) -> tuple[np.ndarray, ...]:
     """Whether some A-corner covers each B-corner, once per mode in ``modes``.
 
-    A and oa are (1, ka, m, *L), B and ob (kb, 1, m, *L), with the sets on
-    the trailing axes L, which broadcast; each result is (kb, *L), the all
-    over axis 2 (the H-axes) and then the any over axis 1 (the A-corners).
-    ``b_cloud`` and the pair's tolerance ``t`` (tol when A or B is a
-    cloud, 0 for two boxes) are scalars or arrays of the set axes, which
-    broadcast from the right, so that they vary with the pair of sets only.
+    A is (1, ka, m, *L) and B (kb, 1, m, *L), with the sets on the trailing
+    axes L, which broadcast; each result is (kb, *L), the all over axis 2
+    (the H-axes) and then the any over axis 1 (the A-corners). The pair's
+    tolerance ``t`` (tol when A or B is a cloud, 0 for two boxes) is a
+    scalar or an array of the set axes, which broadcasts from the right, so
+    that it varies with the pair of sets only.
     Per axis, LARGE is fl(B + t) >= A and STRICT is B > fl(A + t). So
     strict_lt(A, B) and large_le(B, A) never both hold, even in floating
     point: together they would give b > fl(a + t) >= b' along a strictly
     decreasing chain of B's corners, which a finite set cannot hold.
-    LOWER is STRICT where A's end is open and B's closed (a cloud B counts
-    as closed whatever its flags), LARGE elsewhere; so where no A-corner is
-    open, LOWER is LARGE, and STRICT is then compared only if asked for
-    itself.
-    Each comparison is made at most once, and only when a requested mode
-    reads it. With t = 0 this is exact box logic. A corner of +inf covers
-    no finite corner and is covered by any finite one, so ragged corner
-    lists are padded with +inf, not masked.
+    LOWER is STRICT where A's end is open and B's closed, LARGE elsewhere;
+    it alone reads ``flags``, (oa, ob, b_cloud): A's and B's uint8
+    openness flags, shaped as A and B, and whether B is a cloud, which
+    counts as closed whatever its flags. Without flags, or where no
+    A-corner is open, LOWER is LARGE: both modes then get one result, and
+    STRICT is compared only if asked for itself.
+    Each comparison is made and reduced at most once, and only when a
+    requested mode reads it. With t = 0 this is exact box logic. A corner
+    of +inf covers no finite corner and is covered by any finite one, so
+    ragged corner lists are padded with +inf, not masked.
     """
     exact = not isinstance(t, np.ndarray) and t == 0
-    open_a = LOWER in modes and oa.any()
-    large = strict = None
-    if LARGE in modes or LOWER in modes:
-        large = (B if exact else B + t) >= A
-    if STRICT in modes or open_a:
-        strict = B > (A if exact else A + t)
-    out = []
-    for mode in modes:
-        if mode == LARGE:
+    open_a = LOWER in modes and flags is not None and flags[0].any()
+    keys = [LARGE if mode == LOWER and not open_a else mode for mode in modes]
+    large = ((B if exact else B + t) >= A) if LARGE in keys or open_a else None
+    strict = (B > (A if exact else A + t)) if STRICT in keys or open_a else None
+    out = {}
+    for key in dict.fromkeys(keys):
+        if key == LARGE:
             axes = large
-        elif mode == STRICT:
+        elif key == STRICT:
             axes = strict
-        elif mode == LOWER:
-            axes = (np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
-                    if open_a else large)
+        elif key == LOWER:
+            oa, ob, b_cloud = flags
+            axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
         else:
-            raise ValueError(f"unknown relation mode {mode}")
-        out.append(np.logical_or.reduce(np.logical_and.reduce(axes, axis=2), axis=1))
-    return tuple(out)
+            raise ValueError(f"unknown relation mode {key}")
+        out[key] = np.logical_or.reduce(np.logical_and.reduce(axes, axis=2), axis=1)
+    return tuple(out[key] for key in keys)
 
 
 def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,
                 mode: int, b_cloud: bool, tol: float) -> tuple[bool, int]:
-    ok, = covered(ca[None], oa[None], cb[:, None], ob[:, None], b_cloud, tol, (mode,))
+    ok, = covered(ca[None], cb[:, None], tol, (mode,), (oa[None], ob[:, None], b_cloud))
     if ok.all():
         return True, -1
     return False, int(np.flatnonzero(~ok)[0])

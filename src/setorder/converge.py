@@ -32,23 +32,24 @@ neighbourhood masks are asked the same way, and a one-point check is a
 block of one. F(x̄) is one table per block, moved down and up along EPS
 and not moved (_fx_table), which every stage of the block reads; each
 recovery ball, the level-set targets and seq_lower_converse's paired tails
-are one table each. Errors are data, one per row: each evaluated row
-holds either its value's corners or the exception asking it raised (a box
-under a general cone raises Unsupported, as comparing it would), and a
-target's outcome is whichever comes first in its row order: the first row
-failing at the floored eps (a break, in (strategy, variant, n) order, as a
-pair-at-a-time scan would find it) or the first raising row. So a value
-that raises past a break does not hide it. That is the one rule for
-errors: inside a block's arrays an error is a value for its row, and the
-generators passing a block's outcomes on (_sc_block, _gamma_block,
-_gamma_upper) raise a point's error when their consumer reaches that
-point, so a fold that stops at a point reads no later point's (_by_blocks).
-Variational convergence has one core with two routes: fixed domain
-(gamma_check), where shrinking grid neighborhoods cross-check the lower
-scan, and moving domains D_n -> D (gamma_seq_check), where the scan stays
-inside D_n and the domains get a Kuratowski-pair verdict. The level-set
-experiment runs the fixed-domain route on a family with the same member
-map over the base grid. The stability experiment's shared gate (the
+are one table each, and every selection, split or stack of a table is one
+of order.CornerTable's operations. Errors are data, one per row: each
+evaluated row holds either its value's corners or the exception asking it
+raised (a box under a general cone raises Unsupported, as comparing it
+would), and a target's outcome is whichever comes first in its row
+order: the first row failing at the floored eps (a break, in (strategy,
+variant, n) order, as a pair-at-a-time scan would find it) or the first
+raising row. So a value that raises past a break does not hide it. That is
+the one rule for errors: inside a block's arrays an error is a value for
+its row, and the generators passing a block's outcomes on (_sc_block,
+_gamma_block, _gamma_upper) raise a point's error when their consumer
+reaches that point, so a fold that stops at a point reads no later point's
+(_by_blocks). Variational convergence has one core with two routes: fixed
+domain (gamma_check), where shrinking grid neighborhoods cross-check the
+lower scan, and moving domains D_n -> D (gamma_seq_check), where the scan
+stays inside D_n and the domains get a Kuratowski-pair verdict. The
+level-set experiment runs the fixed-domain route on a family with the same
+member map over the base grid. The stability experiment's shared gate (the
 Kuratowski-pair verdict and sequential variational convergence at every
 base point) reads neither the minimality kind nor the direction, so it is
 decided once per (family, ctx, battery, horizon) and kept on the family.
@@ -501,25 +502,6 @@ def _shifted(sets: Sequence[SetRep], sign: int, ctx: OrderCtx) -> CornerTable:
     return corner_table(sets, ctx.cone, shift=_eps_shifts(sign, ctx))
 
 
-def _take(tab: CornerTable, key) -> CornerTable:
-    """The sets of a table at ``key``, an index into its set axes."""
-    key = key if isinstance(key, tuple) else (key,)
-    at = (slice(None), slice(None), *key)
-    return CornerTable(tab.h[at], tab.o[at], tab.cloud[key])
-
-
-def _per_row(tab: CornerTable) -> CornerTable:
-    """A table with a unit set axis appended, so that each of its sets
-    meets one row of another table's sets."""
-    return CornerTable(*(x[..., None] for x in tab))
-
-
-def _split(tab: CornerTable, G: int) -> CornerTable:
-    """A table's last set axis, of G·R sets, as (G, R)."""
-    split = (G, tab.cloud.shape[-1] // G)
-    return CornerTable(*(x.reshape(x.shape[:-1] + split) for x in tab))
-
-
 def _by_target(errs: dict, G: int, rows: int) -> list[dict]:
     """``errs`` over G targets' rows, ``rows`` each in (target, row) order,
     as one dict per target keyed by the row within it."""
@@ -613,7 +595,7 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     values.
     """
     lsc = mode == "lsc"
-    fx0 = _take(fx, -1)
+    fx0 = fx.sets(-1)
     tail = upper_half(horizon)
     ns = [index(n) for n in tail]
     at = np.array(ns, dtype=object)   # the map index of each tail index
@@ -625,7 +607,7 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
         fn, errs = tail_table(map, x, at[n - tail.start].tolist(), ctx.cone)
         for r, e in errs.items():
             raised.setdefault(int(g[r]), (len(seqs), e))
-        a = _take(fx0, g)
+        a = fx0.take(g)
         return shift_bound(a.h, fn.h, ctx.w) if lsc else shift_bound(fn.h, a.h, ctx.w)
 
     # the margin reads len(seqs) while the next sequence is generated
@@ -636,8 +618,8 @@ def _tail_scan(map: SetValuedMap, index: Callable[[int], Optional[int]],
     pts = np.stack([p.reshape(G, T, -1) for _, _, p in seqs], axis=1)
     tab, errs = tail_table(map, pts.reshape(G * R, -1), ns * (G * len(seqs)), ctx.cone,
                            None if lsc else _eps_shifts(-1, ctx))
-    vals = _split(tab, G)
-    lo, hi = (_per_row(_take(fx, slice(len(EPS)))), vals) if lsc else (vals, _per_row(fx0))
+    vals = tab.split(G)
+    lo, hi = (fx.sets(slice(len(EPS)), ..., None), vals) if lsc else (vals, fx0.sets(..., None))
     ok, = table_rel(lo, hi, (STRICT,), ctx.tol)
     per = _by_target({**errs, **{g * R + s * T: e for g, (s, e) in raised.items()}}, G, R)
 
@@ -754,17 +736,13 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
     as one stack, as many members at a time as keep the (point, member,
     grid point) comparison within _BLOCK_ELEMENTS per corner pair."""
     tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
-    G, N, m = len(fx_floor.cloud), len(fam.base), len(ctx.w)
-    h = np.full((max(len(t.h) for t in tabs), m, len(tabs), N), np.inf)
-    o = np.zeros(h.shape, dtype=np.uint8)
-    for j, t in enumerate(tabs):
-        h[:len(t.h), :, j], o[:len(t.h), :, j] = t.h, t.o
-    stack = CornerTable(h, o, np.array([t.cloud for t in tabs]))
-    a = _per_row(_per_row(fx_floor))                   # (point, member, grid point)
+    stack = CornerTable.stack(tabs)                    # (member, grid point)
+    (G,), N, m = fx_floor.shape, len(fam.base), len(ctx.w)
+    a = fx_floor.sets(..., None, None)                 # (point, member, grid point)
     step = max(1, _BLOCK_ELEMENTS // (G * N * m))
     ok = np.ones((G, N), dtype=bool)
     for lo in range(0, len(tabs), step):
-        ok &= table_rel(a, _take(stack, slice(lo, lo + step)), (STRICT,),
+        ok &= table_rel(a, stack.sets(slice(lo, lo + step)), (STRICT,),
                         ctx.tol)[0].all(axis=1)
     return ok
 
@@ -862,7 +840,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
     if fam.recovery_hint is None:
         for g, t in enumerate(X):
             try:
-                found = _recovery_search(fam, t, _take(fx_up, (slice(None), [g])),
+                found = _recovery_search(fam, t, fx_up.sets(slice(None), [g]),
                                          battery, ctx, horizon, domain_at)
             except NoRecoveryFound as err:
                 yield Verdict.inconclusive(
@@ -881,8 +859,8 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
         seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
                             [domain_at(n) for n in ns])
         tab, errs = tail_table(fam.map, seq.reshape(G * T, -1), ns * G, ctx.cone)
-        ok, = table_rel(_split(tab, G),
-                        _per_row(_take(fx_up, (slice(None), slice(G)))), (LARGE,), ctx.tol)
+        ok, = table_rel(tab.split(G), fx_up.sets(slice(None), slice(G), None), (LARGE,),
+                        ctx.tol)
         for g, row_errs in enumerate(_by_target(errs, G, T)):
             yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True)
     if hint_errs:
@@ -907,7 +885,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
     lower = _tail_scan(fam.map, lambda n: n, X, fx, fx_errs, battery, ctx,
                        horizon, domain_at, "lsc")
     near = None
-    uppers = _gamma_upper(fam, X, _take(fx, slice(E, 2 * E)), battery, ctx,
+    uppers = _gamma_upper(fam, X, fx.sets(slice(E, 2 * E)), battery, ctx,
                           horizon, domain_at)
     for g, ce in enumerate(lower):
         t = X[g]
@@ -917,7 +895,7 @@ def _gamma_block(fam: PerturbedFamily, X: np.ndarray, battery: SeqGenBattery,
         certificate = {"seed": battery.seed, "horizon": horizon, "eps_floor": EPS_FLOOR}
         if neighborhood:
             if near is None:
-                near = _neighborhood_masks(_take(fx, E - 1), ctx, fam, horizon)
+                near = _neighborhood_masks(fx.sets(E - 1), ctx, fam, horizon)
             ok_n, found = _gamma_lower_neighborhood(t, near[g], battery, fam)
             if ok_n != (ce is None):
                 raise InternalCheckError(

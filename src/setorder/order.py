@@ -21,6 +21,14 @@ and problem.tail_table both end in ``table_from_corners``, where a shift
 (E, dim) moves each set's lower corners in the table: the only set
 arithmetic the package does.
 
+This module owns the table layout, the sets on the trailing axes
+(``CornerTable``). Other modules select, gather, split, stack and cut
+tables and read their ideal points through ``CornerTable``'s operations,
+and never index a table's arrays, so a change of layout stays here and in
+the kernel. The relation matrices of a table's sets (``table_matrices``)
+are built here too, since their block loop is table work: each of its
+tests, the two on ideal points included, is a call of the one kernel rule.
+
 A context is a cone and a tolerance. Universal epsilon quantifiers are
 instantiated along that same ray, as shifts e·u with e along one strictly
 decreasing schedule, ``converge.EPS``.
@@ -74,10 +82,53 @@ class CornerTable(NamedTuple):
     in H-coordinates, padded with +inf to the largest corner count K, o
     their uint8 openness flags and cloud (*L) marking point clouds. With
     the sets last, a comparison of two tables runs along their sets and
-    reduces its corner and H-axes as leading axes (``_kernels.covered``)."""
+    reduces its corner and H-axes as leading axes (``_kernels.covered``).
+    This module owns that layout: other modules reshape, select and stack
+    tables only through the operations below."""
     h: np.ndarray
     o: np.ndarray
     cloud: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The set axes L."""
+        return self.cloud.shape
+
+    def sets(self, *key) -> "CornerTable":
+        """The sets at ``key``, an index into the set axes; a trailing
+        ``(..., None)`` appends a unit set axis, so that each set meets one
+        row of another table's sets."""
+        at = (slice(None), slice(None), *key)
+        return CornerTable(self.h[at], self.o[at], self.cloud[key])
+
+    def take(self, idx) -> "CornerTable":
+        """The sets at the indices ``idx`` of the last set axis."""
+        return CornerTable(*(x.take(idx, axis=-1) for x in self))
+
+    def split(self, G: int) -> "CornerTable":
+        """The last set axis, of G·R sets, as (G, R)."""
+        split = (G, self.cloud.shape[-1] // G)
+        return CornerTable(*(x.reshape(x.shape[:-1] + split) for x in self))
+
+    def cut(self, k: int) -> "CornerTable":
+        """The table cut to its first k corner slots."""
+        return CornerTable(self.h[:k], self.o[:k], self.cloud)
+
+    def ideal(self) -> np.ndarray:
+        """Each set's ideal point, the per-axis minimum of its H-corners,
+        (m, *L); +inf for a set with no corner."""
+        return self.h.min(axis=0, initial=np.inf)
+
+    @staticmethod
+    def stack(tabs: Sequence["CornerTable"]) -> "CornerTable":
+        """Tables of one set shape and H-axes as one, with a new first set
+        axis, each padded with +inf to the largest corner count."""
+        h = np.full((max(len(t.h) for t in tabs), tabs[0].h.shape[1], len(tabs),
+                     *tabs[0].cloud.shape), np.inf)
+        o = np.zeros(h.shape, dtype=np.uint8)
+        for j, t in enumerate(tabs):
+            h[:len(t.h), :, j], o[:len(t.h), :, j] = t.h, t.o
+        return CornerTable(h, o, np.array([t.cloud for t in tabs]))
 
 
 def corner_table(values: Sequence[SetRep], cone: Cone,
@@ -172,11 +223,96 @@ def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
               tol: float) -> tuple[np.ndarray, ...]:
     """rel(A, B) per mode, over the set axes of two tables of one cone,
     broadcast from the right, each pair at its tolerance under ``tol``
-    (``_pair_tol``)."""
+    (``_pair_tol``). Modes that share a result, LOWER and LARGE where no
+    A-corner is open, share one array; callers read it, never write it."""
     r = max(a.cloud.ndim, b.cloud.ndim)
     (ha, oa), (hb, ob) = _block(a, (1, len(a.h)), r), _block(b, (len(b.h), 1), r)
-    got = covered(ha, oa, hb, ob, b.cloud, _pair_tol(a.cloud, b.cloud, tol), modes)
-    return tuple(np.logical_and.reduce(ok, axis=0) for ok in got)
+    got = covered(ha, hb, _pair_tol(a.cloud, b.cloud, tol), modes, (oa, ob, b.cloud))
+    each = {id(ok): ok for ok in got}
+    each = {key: np.logical_and.reduce(ok, axis=0) for key, ok in each.items()}
+    return tuple(each[id(ok)] for ok in got)
+
+
+# elements of the largest boolean block one array pass of table_matrices
+# builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
+# O(N^2). Two budgets share it: a row block's test, (m, rows, N) for the
+# candidate test or (1, 1, m, rows, N) for the kernel with one corner slot,
+# and one chunk of a block's candidate pairs, (k, m, pairs) for the
+# sufficient test and (k, k, m, pairs) for one kernel call
+_BLOCK_ELEMENTS = 2 ** 16
+
+
+def table_matrices(tab: CornerTable, tol: float) -> tuple[np.ndarray, ...]:
+    """(lower, large, strict) boolean (N, N) matrices over a table with set
+    axis (N,); [i, j] = rel(set i, set j) at the pair's tolerance.
+
+    Row blocks of the table are tested against the whole table, rows * N
+    * m elements at a time. With one corner slot the block goes to the
+    kernel whole. With more, a block's pairs pass three stages, each in
+    chunks of at most ``_BLOCK_ELEMENTS // (k * k * m)`` pairs, so no
+    temporary outgrows the budget and the kernel's calls follow the pairs
+    it is asked, not the dense block:
+
+    * two kernel tests against ideal points (``CornerTable.ideal``), each
+      exact in floating point, not up to rounding, since each is one of the
+      kernel's own comparisons. A pair whose sets' ideal points fail LARGE
+      is False in all three matrices: all three relations need, for each
+      B-corner b, some A-corner a with fl(b + t) >= a on every axis (LARGE
+      compares exactly that, STRICT gives it by b > fl(a + t) >= a, and
+      LOWER takes STRICT or LARGE per axis), and since a >= A's ideal, the
+      B-corner that attains B's ideal on an axis gives LARGE of the ideals
+      there. A pair where A holds STRICT against B's ideal point is True in
+      all three: some A-corner a has ideal > fl(a + t) on every axis, so
+      b > fl(a + t) for every B-corner b >= ideal, which is STRICT; with
+      t >= 0, fl(b + t) >= b > a gives LARGE, and LOWER, which takes
+      STRICT or LARGE per axis, holds too. +inf padding passes neither
+      wrongly: B's padding lies above any finite a + t and never lowers
+      B's ideal, and A's, fl(inf + t) = inf, covers nothing;
+    * the kernel is asked LARGE alone on the candidates left;
+    * it is asked LOWER and STRICT only where LARGE holds. Each of them
+      implies LARGE, axis by axis: STRICT's b > fl(a + t) >= a gives
+      fl(b + t) >= b > a, and LOWER takes STRICT or LARGE per axis. So
+      where LARGE fails, they fail too.
+    """
+    k, m, n = tab.h.shape
+    rows = max(1, _BLOCK_ELEMENTS // (n * m))
+    pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
+    lower, large, strict = out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
+
+    def chunks(ii, jj):
+        for c in range(0, len(ii), pairs):
+            yield ii[c:c + pairs], jj[c:c + pairs]
+
+    ideal = tab.ideal()
+    for i in range(0, n, rows):
+        blk = slice(i, i + rows)
+        a = tab.sets(blk, None)
+        if k == 1:
+            for mat, ok in zip(out, table_rel(a, tab, (LOWER, LARGE, STRICT), tol)):
+                mat[blk] = ok
+            continue
+        t = _pair_tol(a.cloud, tab.cloud, tol)
+        cand = covered(ideal[None, None, :, blk, None], ideal[None, None, :, None],
+                       t, (LARGE,))[0][0]
+        ii, jj = np.nonzero(cand)
+        settled = np.empty(len(ii), dtype=bool)
+        for c in range(0, len(ii), pairs):
+            ia, ja = ii[c:c + pairs], jj[c:c + pairs]
+            settled[c:c + pairs] = covered(
+                tab.h.take(ia + i, axis=-1)[None], ideal.take(ja, axis=-1)[None, None],
+                t[ia, ja] if np.ndim(t) else t, (STRICT,))[0][0]
+        # nonzero lists the candidates in row-major order, as cand[cand] does
+        cand[cand] = settled
+        for mat in out:
+            mat[blk] = cand
+        left = ~settled
+        ii, jj = ii[left] + i, jj[left]
+        for at in chunks(ii, jj):
+            large[at], = table_rel(*map(tab.take, at), (LARGE,), tol)
+        held = large[ii, jj]
+        for at in chunks(ii[held], jj[held]):
+            lower[at], strict[at] = table_rel(*map(tab.take, at), (LOWER, STRICT), tol)
+    return out
 
 
 def lower_le(A: SetRep, B: SetRep, ctx: OrderCtx) -> bool:

@@ -5,18 +5,12 @@ over the grid (one per preorder flavor); the matrices are computed once
 per (problem, context) pair, since the context's tolerance enters them,
 and cached on the problem, and representants and Hypothesis (H) read
 their level sets off them. A level set at an arbitrary target S is one
-order.table_rel call between the problem's value table and S; the
-matrices use table_rel too. The value table holds the sets alone, so a
-problem has one, kept from its properness check. table_rel shares one
-kernel rule with the pairwise predicates.
-When values have several corners, two exact tests on the sets' per-axis
-minima come first: a necessary one (``_candidates``) drops the pairs that
-no relation can hold for, and a sufficient one (``_settled``) finds
-pairs that all three hold for. Only the pairs between them reach the kernel,
-which is asked LARGE first and LOWER and STRICT only where LARGE holds,
-since each of them implies it. With one corner per value the necessary
-test is LARGE itself, and every pair reaches the kernel. The two tests
-read the value table as the kernel does, with the sets last.
+order.table_rel call between the problem's value table and S, and the
+matrices are one order.table_matrices call on the value table. The value
+table holds the sets alone, so a problem has one, kept from its
+properness check. This module handles tables whole: their layout, and the
+block loop over it that builds the matrices, belong to order, and every
+comparison in them is the one kernel rule of the pairwise predicates.
 """
 
 from __future__ import annotations
@@ -26,9 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ._kernels import LARGE, LOWER, STRICT
+from ._kernels import LARGE, LOWER
 from .errors import InternalCheckError
-from .order import CornerTable, OrderCtx, _pair_tol, corner_table, lower_le, table_rel
+from .order import CornerTable, OrderCtx, corner_table, lower_le, table_matrices, table_rel
 from .problem import PieceMap, Problem
 from .setrep import PointCloud, SetRep, _refuse_boxes
 from .verdict import Verdict, _jsonify
@@ -72,15 +66,6 @@ class LSetResult:
 
 # ------------------------------------------------------- relation matrices
 
-# elements of the largest boolean block one array pass of relation_matrices
-# builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
-# O(N^2). Two budgets share it: a row block's test, (m, rows, N) for the
-# candidate test or (1, 1, m, rows, N) for the kernel with one corner slot,
-# and one chunk of a block's candidate pairs, (k, m, pairs) for the
-# sufficient test and (k, k, m, pairs) for one kernel call
-_BLOCK_ELEMENTS = 2 ** 16
-
-
 def value_table(P: Problem) -> CornerTable:
     """P's values as one corner table, the one its properness check built;
     a box value under a general cone is refused, as comparing it would be."""
@@ -99,111 +84,16 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
 
 
 def relation_matrices(P: Problem, ctx: OrderCtx):
-    """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j).
-
-    Row blocks of the value table are tested against the whole table,
-    rows * N * m elements at a time. With one corner slot the necessary
-    test is LARGE itself, so the block goes to the kernel whole. With more,
-    a block's pairs pass three stages, each in chunks of at most
-    ``_BLOCK_ELEMENTS // (k * k * m)`` pairs, so no temporary outgrows the
-    budget and the kernel's calls follow the pairs it is asked, not the
-    dense block:
-
-    * a pair that fails the necessary test of ``_candidates`` is False in
-      all three matrices, and one that passes the sufficient test of
-      ``_settled`` is True in all three, without a kernel call;
-    * the kernel is asked LARGE alone on the candidates left;
-    * it is asked LOWER and STRICT only where LARGE holds. Each of them
-      implies LARGE, axis by axis: STRICT's b > fl(a + t) >= a gives
-      fl(b + t) >= b > a, and LOWER takes STRICT or LARGE per axis. So
-      where LARGE fails, they fail too.
-    """
+    """(lower, large, strict) boolean (N, N) matrices; [i, j] = rel(F_i, F_j),
+    built by ``order.table_matrices`` from P's value table at the context's
+    tolerance, kept per context and checked against the Geoffroy ⊆ Relaxed
+    inclusion before they are returned."""
     cache = vars(P).setdefault("_rel_cache", {})
     got = cache.get(ctx)
-    if got is not None:
-        return got
-
-    tab = value_table(P)
-    k, m, n = tab.h.shape
-    rows = max(1, _BLOCK_ELEMENTS // (n * m))
-    pairs = max(1, _BLOCK_ELEMENTS // (k * k * m))
-    lower, large, strict = out = tuple(np.zeros((n, n), dtype=bool) for _ in range(3))
-
-    def chunks(ii, jj):
-        for c in range(0, len(ii), pairs):
-            yield ii[c:c + pairs], jj[c:c + pairs]
-
-    def take(at):
-        return (CornerTable(*(x.take(idx, axis=-1) for x in tab)) for idx in at)
-
-    ideal = tab.h.min(axis=0)
-    for i in range(0, n, rows):
-        blk = slice(i, i + rows)
-        if k == 1:
-            a = CornerTable(*(x[..., blk, None] for x in tab))
-            for mat, ok in zip(out, table_rel(a, tab, (LOWER, LARGE, STRICT), ctx.tol)):
-                mat[blk] = ok
-            continue
-        t = _pair_tol(tab.cloud[blk, None], tab.cloud, ctx.tol)
-        cand = _candidates(ideal[:, blk], ideal, t)
-        ii, jj = np.nonzero(cand)
-        settled = np.empty(len(ii), dtype=bool)
-        for c in range(0, len(ii), pairs):
-            ia, ja = ii[c:c + pairs], jj[c:c + pairs]
-            settled[c:c + pairs] = _settled(tab.h.take(ia + i, axis=-1),
-                                            ideal.take(ja, axis=-1),
-                                            t[ia, ja] if np.ndim(t) else t)
-        # nonzero lists the candidates in row-major order, as cand[cand] does
-        cand[cand] = settled
-        for mat in out:
-            mat[blk] = cand
-        left = ~settled
-        ii, jj = ii[left] + i, jj[left]
-        for at in chunks(ii, jj):
-            large[at], = table_rel(*take(at), (LARGE,), ctx.tol)
-        held = large[ii, jj]
-        for at in chunks(ii[held], jj[held]):
-            lower[at], strict[at] = table_rel(*take(at), (LOWER, STRICT), ctx.tol)
-
-    cache[ctx] = out
-    _assert_geff_in_reff(P, ctx)
-    return out
-
-
-def _candidates(ideal_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
-    """[i, j]: whether rel(F_i, F_j) can hold, for any of the three relations.
-
-    ideal_a (m, I) and ideal_b (m, N) are the per-axis minima of the sets'
-    H-corners, sets last as in the value table, and t the pairs' tolerances
-    (``order._pair_tol``), a scalar or (I, N). All
-    three relations need, for each B-corner b, some A-corner a with
-    fl(b + t) >= a on every axis: LARGE compares exactly that, STRICT gives
-    it by b > fl(a + t) >= a, and LOWER takes STRICT or LARGE per axis.
-    Since a >= ideal_a, the B-corner that attains ideal_b on an axis gives
-    fl(ideal_b + t) >= ideal_a there, which is this test: exact in floating
-    point, not up to rounding. B's +inf padding passes it, and A's never
-    lowers the ideal, since every value has a corner. It reads the same
-    H-coordinates as the kernel, so it holds under general cones too.
-    """
-    return np.logical_and.reduce(ideal_b[:, None] + t >= ideal_a[..., None], axis=0)
-
-
-def _settled(h_a: np.ndarray, ideal_b: np.ndarray, t) -> np.ndarray:
-    """[p]: whether pair p is related in all three relations by this test.
-
-    h_a (k, m, P) holds the A-sets' H-corners and ideal_b (m, P) the
-    B-sets' per-axis minima, both gathered per pair with the pairs last as
-    in the value table, and t the pairs' tolerances, a scalar or (P,). The
-    test is that some A-corner a has fl(a + t) < ideal_b on every axis.
-    Every B-corner b has b >= ideal_b, so b > fl(a + t) on every axis:
-    that one a covers every b for STRICT, which is the kernel's comparison
-    itself, exact in floating point. With t >= 0, fl(a + t) >= a and
-    fl(b + t) >= b > a, so the same a covers b for LARGE, and LOWER, which
-    takes STRICT or LARGE per axis, holds too. B's +inf padding is above
-    any finite a + t, and A's padding, fl(inf + t) = inf, never passes.
-    """
-    below = h_a + t < ideal_b
-    return np.logical_or.reduce(np.logical_and.reduce(below, axis=1), axis=0)
+    if got is None:
+        got = cache[ctx] = table_matrices(value_table(P), ctx.tol)
+        _assert_geff_in_reff(P, ctx)
+    return got
 
 
 def _assert_geff_in_reff(P: Problem, ctx: OrderCtx) -> None:

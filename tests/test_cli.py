@@ -602,6 +602,12 @@ class TestRepro:
         code, out, _ = run(capsys, "repro", "gamma-cos")
         assert code == 0
 
+    def test_out_writes_the_report(self, capsys, tmp_path):
+        out = tmp_path / "geff-example.json"
+        code, _, _ = run(capsys, "repro", "geff-example", "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (cli._GOLDEN_DIR / "geff-example.json").read_bytes()
+
     def test_unknown_id_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["repro", "beats-me"])

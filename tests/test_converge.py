@@ -1214,16 +1214,16 @@ class TestTablesMatchPairLoops:
         fam = PerturbedFamily(base, TableMap(value, 2), lambda n: dom, 69)
         horizon = int(rng.integers(8, 14))
         # F(x̄) - EPS_FLOOR·u at each grid point, from a random member
-        fx = converge._take(corner_table(
+        fx = corner_table(
             [value(x, int(k)) for x, k in zip(dom.points, rng.integers(0, 70, len(dom)))],
-            cone, shift=-EPS_FLOOR * ctx.u[None]), 0)
+            cone, shift=-EPS_FLOOR * ctx.u[None]).sets(0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(converge, "_BLOCK_ELEMENTS", budget)
             got = converge._neighborhood_masks(fx, ctx, fam, horizon)
         # the former loop: one comparison per member against its value table
         want = np.ones((len(dom), len(dom)), dtype=bool)
         for P in problem._members(fam, upper_half(horizon)):
-            want &= converge.table_rel(converge._per_row(fx), converge.value_table(P),
+            want &= converge.table_rel(fx.sets(..., None), converge.value_table(P),
                                        (converge.STRICT,), ctx.tol)[0]
         assert got.tolist() == want.tolist()
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setorder import _kernels, solve
+from setorder import _kernels, order, solve
 from setorder._kernels import LARGE, LOWER, STRICT
 from setorder.cone import Cone
 from setorder.order import OrderCtx, corner_table, shift_margin, table_rel
 from setorder.problem import Domain, Problem, TableMap
-from setorder.setrep import Box, BoxUnion, _corner_data, points
+from setorder.setrep import Box, BoxUnion, _corner_data, box, points
 
 
 def brute_rel(ca, oa, cb, ob, mode, b_cloud, tol):
@@ -123,20 +123,22 @@ def blocked_matrices(P, rows, monkeypatch):
     calls of rows * N // k^2 pairs; the calls must show several row
     blocks, full pair chunks and a ragged last one."""
     k, m, n = solve.value_table(P).h.shape
-    monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", rows * n * m)
+    monkeypatch.setattr(order, "_BLOCK_ELEMENTS", rows * n * m)
     blocks, pairs = [], []
-    real_candidates, real_table_rel = solve._candidates, solve.table_rel
+    real_covered, real_table_rel = order.covered, order.table_rel
 
-    def candidates(ideal_a, *rest):
-        blocks.append(ideal_a.shape[-1])
-        return real_candidates(ideal_a, *rest)
+    def covered(A, B, t, modes, flags=None):
+        # the candidate test: LARGE between ideal points (1, 1, m, rows, 1)
+        if flags is None and modes == (LARGE,):
+            blocks.append(A.shape[-2])
+        return real_covered(A, B, t, modes, flags)
 
     def table_rel(a, *rest):
         pairs.append(len(a.cloud))
         return real_table_rel(a, *rest)
 
-    monkeypatch.setattr(solve, "_candidates", candidates)
-    monkeypatch.setattr(solve, "table_rel", table_rel)
+    monkeypatch.setattr(order, "covered", covered)
+    monkeypatch.setattr(order, "table_rel", table_rel)
     got = np.array(solve.relation_matrices(P, OrderCtx(P.cone)))
     if k > 1:
         chunk = rows * n // (k * k)
@@ -220,9 +222,32 @@ class TestCovered:
                              B > A + t, B + t >= A).all(axis=-1).any(axis=-1)
             want = brute_rel(ca, oa, cb, ob, LOWER, b_cloud, 1e-9)
             for modes in ((LOWER,), (LOWER, LARGE, STRICT)):
-                got = _kernels.covered(A, oa[None], B, ob[:, None], b_cloud, t, modes)[0]
+                got = _kernels.covered(A, B, t, modes, (oa[None], ob[:, None], b_cloud))[0]
                 np.testing.assert_array_equal(got, where)
             assert _kernels.rel_corners(ca, oa, cb, ob, LOWER, b_cloud, 1e-9) == want
+
+    def test_lower_and_large_share_one_reduction_without_open_a_corners(self):
+        # with no open A-corner LOWER is LARGE: the kernel reduces that
+        # comparison once for both modes, and table_rel its result once;
+        # one open A-corner gives LOWER a reduction of its own
+        cone = Cone.orthant(2)
+        closed = corner_table([box([0.0, 0.0], [1.0, 1.0]),
+                               points([[0.5, -1.0], [0.0, 2.0]])], cone)
+        opened = corner_table([BoxUnion(2, (Box((0.0, 0.0), (1.0, 1.0), (True, False),
+                                                (False, False)),))], cone)
+        for a, shared in ((closed, True), (opened, False)):
+            lower, large, strict = got = table_rel(a.sets(..., None), closed,
+                                                   (LOWER, LARGE, STRICT), 1e-9)
+            assert (lower is large) == shared and strict is not large
+            ha, hb = a.h[None, :, :, :, None], closed.h[:, None, :, None]
+            kernel = _kernels.covered(ha, hb, 0.0, (LOWER, LARGE),
+                                      (a.o[None, :, :, :, None], closed.o[:, None, :, None],
+                                       closed.cloud))
+            assert (kernel[0] is kernel[1]) == shared
+            for mode, ok in zip((LOWER, LARGE, STRICT), got):
+                assert ok.tolist() == [
+                    [bool(table_rel(a.sets(i), closed.sets(j), (mode,), 1e-9)[0])
+                     for j in range(2)] for i in range(len(a.cloud))]
 
     def test_unknown_mode_is_refused(self):
         tab = corner_table([points([[0.0]])], Cone.orthant(1))

@@ -545,6 +545,50 @@ class TestLoadValidation:
             load_dict(doc)
 
 
+class TestConstructorChecks:
+    """Each input check of the problem layer's public constructors and
+    loaders refuses its input with a ProblemLoadError."""
+
+    def test_non_finite_domain_point(self):
+        with pytest.raises(ProblemLoadError, match="domain points must be finite"):
+            Domain(np.array([[0.0], [np.inf]]))
+
+    def test_window_without_grid_points(self):
+        # [0, 0) with its endpoint dropped holds no point
+        with pytest.raises(ProblemLoadError, match=r"window \[0.0, 0.0\] step 1.0 has no"):
+            Domain.from_windows([Window(0.0, 0.0, 1.0, hi_open=True)])
+
+    def test_guard_clause_without_comparison(self):
+        with pytest.raises(ProblemLoadError, match="guard clause 'x1' has no comparison"):
+            problem.Guard.parse("x1 < 1 and x1")
+
+    @pytest.mark.parametrize("parts", [{}, {"box_axes": (), "point_vectors": ()}],
+                             ids=["neither", "both"])
+    def test_piece_needs_one_of_box_and_points(self, parts):
+        with pytest.raises(ProblemLoadError, match="exactly one of box / points"):
+            problem.Piece(problem.Guard.parse("true"), **parts)
+
+    def test_map_without_pieces(self):
+        with pytest.raises(ProblemLoadError, match="map needs at least one piece"):
+            problem.PieceMap([], 1)
+
+    def test_point_vector_of_wrong_dimension(self):
+        doc = spec(pieces=[{"guard": "true", "points": [[0.0], [1.0, 2.0]]}])
+        with pytest.raises(ProblemLoadError,
+                           match="point vector has 2 coordinates, cone dim is 1"):
+            load_dict(doc)
+
+    def test_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"label": ')
+        with pytest.raises(ProblemLoadError, match="not valid JSON"):
+            problem.load(path)
+
+    def test_unknown_builtin(self):
+        with pytest.raises(ProblemLoadError, match="no builtin problem 'nope'; available: "):
+            load_builtin("nope")
+
+
 class TestProgrammaticProblems:
     def test_table_map_without_n(self):
         dom = Domain.from_points([[0.0], [1.0]])

@@ -20,8 +20,8 @@ from reference import (
     validate_witnesses,
 )
 
-from setorder import solve
-from setorder._kernels import LARGE, LOWER, STRICT, rel_corners
+from setorder import order, solve
+from setorder._kernels import LARGE, LOWER, STRICT, covered, rel_corners
 from setorder.cone import DEFAULT_TOL, Cone
 from setorder.errors import InternalCheckError
 from setorder.order import (CornerTable, OrderCtx, _pair_tol, corner_table, large_le,
@@ -154,12 +154,13 @@ class TestMinimalSets:
 
 def inject_matrices(monkeypatch, lower, large, strict):
     """Makes the one-slot path of relation_matrices read these matrices: a
-    problem of single-point values goes to table_rel in one row block."""
+    problem of single-point values goes to table_rel in one row block of
+    order.table_matrices."""
     def table_rel(a, b, modes, tol):
         assert modes == (LOWER, LARGE, STRICT) and a.cloud.shape == (len(b.cloud), 1)
         return tuple(np.array(x, dtype=bool) for x in (lower, large, strict))
 
-    monkeypatch.setattr(solve, "table_rel", table_rel)
+    monkeypatch.setattr(order, "table_rel", table_rel)
 
 
 class TestCrossChecks:
@@ -242,6 +243,31 @@ def per_pair_matrices(P, ctx):
     return out
 
 
+def ideal_strict(h_a, ideal_b, t):
+    """[p]: STRICT of A-set p, corners h_a (k, m, P), against B-set p's ideal
+    point, ideal_b (m, P), at the pairs' tolerances t: the sufficient test of
+    order.table_matrices, which settles a pair True in all three matrices."""
+    (got,), = covered(h_a[None], ideal_b[None, None], t, (STRICT,))
+    return got
+
+
+def ideal_tests(monkeypatch):
+    """(modes, result) of each ideal-point test order.table_matrices asks of
+    the kernel, in order: its kernel calls without openness flags, the
+    candidate test LARGE between two sets' ideal points, (rows, N) per row
+    block, and the sufficient test STRICT of each A-set against B's."""
+    asked, real = [], order.covered
+
+    def recorded(A, B, t, modes, flags=None):
+        got = real(A, B, t, modes, flags)
+        if flags is None:   # a copy: the candidate mask is then settled in place
+            asked.append((modes, got[0][0].copy()))
+        return got
+
+    monkeypatch.setattr(order, "covered", recorded)
+    return asked
+
+
 class TestRelationMatrices:
     def test_cloud_tolerance_boundary(self):
         # the second point sits just above the first plus tol; the matrices
@@ -272,7 +298,7 @@ class TestRelationMatrices:
     @pytest.mark.parametrize("cone", [Cone.orthant(2),
                                       Cone.from_halfspaces([[1.0, 0.0], [0.3, 1.0]])],
                              ids=["orthant", "general"])
-    def test_candidate_boundary_is_exact(self, cone):
+    def test_candidate_boundary_is_exact(self, cone, monkeypatch):
         # A's ideal is its first corner; H-axis 0 is x under both cones. A
         # B-corner exactly at ideal - tol on that axis is LARGE-related to A
         # and must stay a candidate; one ulp below, it is neither
@@ -282,10 +308,12 @@ class TestRelationMatrices:
                 points([[np.nextafter(at, -np.inf), 0.7]])]
         P = table_problem(vals, cone)
         tab = value_table(P)
-        ideal = tab.h.min(axis=0)
+        ideal = tab.ideal()
         assert len(tab.h) == 2 and ideal[0, 1] == ideal[0, 0] - ctx.tol
-        assert solve._candidates(ideal, ideal, ctx.tol)[0, 1:].tolist() == [True, False]
+        asked = ideal_tests(monkeypatch)
         got = np.array(relation_matrices(P, ctx))
+        modes, cand = asked[0]
+        assert modes == (LARGE,) and cand[0, 1:].tolist() == [True, False]
         np.testing.assert_array_equal(got, per_pair_matrices(P, ctx))
         assert got[1, 0, 1:].tolist() == [True, False]
 
@@ -326,10 +354,10 @@ class TestRelationMatrices:
         want = per_pair_matrices(P, ctx)
         # the sufficient test on every ordered pair, gathered as the matrices
         # gather a block's candidates, accepts no pair some relation refuses
-        h, _, cloud = value_table(P)
+        tab = value_table(P)
         ii, jj = np.indices((len(P), len(P))).reshape(2, -1)
-        t = np.broadcast_to(_pair_tol(cloud[ii], cloud[jj], ctx.tol), ii.shape)
-        settled = solve._settled(h[:, :, ii], h.min(axis=0)[:, jj], t)
+        t = np.broadcast_to(_pair_tol(tab.cloud[ii], tab.cloud[jj], ctx.tol), ii.shape)
+        settled = ideal_strict(tab.h[:, :, ii], tab.ideal()[:, jj], t)
         assert not (settled.reshape(len(P), -1) & ~want.all(axis=0)).any()
         np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)), want)
 
@@ -360,9 +388,9 @@ class TestRelationMatrices:
         P = table_problem([value([[v, 0.7], [v + 0.8, 0.75]])]
                           + [value([[x, -5.0]]) for x in xs], cone)
         h = value_table(P).h
-        ideal = h.min(axis=0)
+        ideal = value_table(P).ideal()
         assert len(h) == 2 and ideal[0, 0] == v and h[0, 0, 1:].tolist() == xs
-        got = solve._settled(h[:, :, 1:], ideal[:, [0, 0, 0]], t)
+        got = ideal_strict(h[:, :, 1:], ideal[:, [0, 0, 0]], t)
         assert got.tolist() == [True, False, False]
         ctx = OrderCtx(cone)
         mats = np.array(relation_matrices(P, ctx))
@@ -391,13 +419,15 @@ class TestRelationMatrices:
 
         assert settled(CornerTable(*(x[..., None] for x in tab)),
                        CornerTable(*(x[..., None, :] for x in tab))).sum() > n
-        monkeypatch.setattr(solve, "_BLOCK_ELEMENTS", 4 * n * m)
+        monkeypatch.setattr(order, "_BLOCK_ELEMENTS", 4 * n * m)
         blocks = []
-        real_candidates, real_table_rel = solve._candidates, solve.table_rel
+        real_covered, real_table_rel = order.covered, order.table_rel
 
-        def candidates(*args):
-            blocks.append([])
-            return real_candidates(*args)
+        def candidates(A, B, t, modes, flags=None):
+            # a row block starts with its candidate test, LARGE between ideal points
+            if flags is None and modes == (LARGE,):
+                blocks.append([])
+            return real_covered(A, B, t, modes, flags)
 
         def table_rel(a, b, modes, tol):
             assert not settled(a, b).any()
@@ -408,8 +438,8 @@ class TestRelationMatrices:
             blocks[-1].append((modes, len(a.cloud), int(got[0].sum())))
             return got
 
-        monkeypatch.setattr(solve, "_candidates", candidates)
-        monkeypatch.setattr(solve, "table_rel", table_rel)
+        monkeypatch.setattr(order, "covered", candidates)
+        monkeypatch.setattr(order, "table_rel", table_rel)
         np.testing.assert_array_equal(np.array(relation_matrices(P, ctx)),
                                       per_pair_matrices(P, ctx))
         assert len(blocks) == 7
