@@ -235,10 +235,10 @@ def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
 
 # elements of the largest boolean block one array pass of table_matrices
 # builds; keeps its temporaries O(_BLOCK_ELEMENTS) in memory rather than
-# O(N^2). Two budgets share it: a row block's test, (m, rows, N) for the
-# candidate test or (1, 1, m, rows, N) for the kernel with one corner slot,
-# and one chunk of a block's candidate pairs, (k, m, pairs) for the
-# sufficient test and (k, k, m, pairs) for one kernel call
+# O(N^2). Two budgets share it: a row block's test, (1, 1, m, rows, N) for
+# the candidate test or for the kernel with one corner slot, and one chunk
+# of a block's candidate pairs, (1, k, m, pairs) for the sufficient test and
+# (k, k, m, pairs) for one table comparison
 _BLOCK_ELEMENTS = 2 ** 16
 
 
@@ -265,9 +265,11 @@ def table_matrices(tab: CornerTable, tol: float) -> tuple[np.ndarray, ...]:
       all three: some A-corner a has ideal > fl(a + t) on every axis, so
       b > fl(a + t) for every B-corner b >= ideal, which is STRICT; with
       t >= 0, fl(b + t) >= b > a gives LARGE, and LOWER, which takes
-      STRICT or LARGE per axis, holds too. +inf padding passes neither
-      wrongly: B's padding lies above any finite a + t and never lowers
-      B's ideal, and A's, fl(inf + t) = inf, covers nothing;
+      STRICT or LARGE per axis, holds too. +inf padding changes neither
+      test: it never lowers an ideal point, since every set has a corner,
+      and an A-corner of padding, fl(inf + t) = inf, is below no ideal
+      point. Both read the kernel's H-coordinates, so they hold under
+      general cones too;
     * the kernel is asked LARGE alone on the candidates left;
     * it is asked LOWER and STRICT only where LARGE holds. Each of them
       implies LARGE, axis by axis: STRICT's b > fl(a + t) >= a gives
