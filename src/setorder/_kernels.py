@@ -61,22 +61,24 @@ def covered(A: np.ndarray, B: np.ndarray, t, modes: tuple[int, ...],
     """
     exact = not isinstance(t, np.ndarray) and t == 0
     open_a = LOWER in modes and flags is not None and flags[0].any()
-    keys = [LARGE if mode == LOWER and not open_a else mode for mode in modes]
-    large = ((B if exact else B + t) >= A) if LARGE in keys or open_a else None
-    strict = (B > (A if exact else A + t)) if STRICT in keys or open_a else None
-    out = {}
-    for key in dict.fromkeys(keys):
-        if key == LARGE:
-            axes = large
-        elif key == STRICT:
-            axes = strict
-        elif key == LOWER:
-            oa, ob, b_cloud = flags
-            axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
-        else:
-            raise ValueError(f"unknown relation mode {key}")
-        out[key] = np.logical_or.reduce(np.logical_and.reduce(axes, axis=2), axis=1)
-    return tuple(out[key] for key in keys)
+    large = ((B if exact else B + t) >= A) if LARGE in modes or LOWER in modes else None
+    strict = (B > (A if exact else A + t)) if STRICT in modes or open_a else None
+    out, got = {}, []
+    for mode in modes:
+        key = LARGE if mode == LOWER and not open_a else mode
+        if key not in out:
+            if key == LARGE:
+                axes = large
+            elif key == STRICT:
+                axes = strict
+            elif key == LOWER:
+                oa, ob, b_cloud = flags
+                axes = np.where((oa != 0) & ((ob == 0) | b_cloud), strict, large)
+            else:
+                raise ValueError(f"unknown relation mode {mode}")
+            out[key] = np.logical_or.reduce(np.logical_and.reduce(axes, axis=2), axis=1)
+        got.append(out[key])
+    return tuple(got)
 
 
 def rel_corners(ca: np.ndarray, oa: np.ndarray, cb: np.ndarray, ob: np.ndarray,

@@ -735,13 +735,12 @@ def _neighborhood_masks(fx_floor: CornerTable, ctx: OrderCtx,
     their value tables, padded with +inf to one corner count, are compared
     as one stack, as many members at a time as keep the (point, member,
     grid point) comparison within _BLOCK_ELEMENTS per corner pair."""
-    tabs = [value_table(P) for P in _members(fam, upper_half(horizon))]
-    stack = CornerTable.stack(tabs)                    # (member, grid point)
-    (G,), N, m = fx_floor.shape, len(fam.base), len(ctx.w)
+    stack = CornerTable.stack([value_table(P) for P in _members(fam, upper_half(horizon))])
+    (G,), (M, N), m = fx_floor.shape, stack.shape, len(ctx.w)   # M members
     a = fx_floor.sets(..., None, None)                 # (point, member, grid point)
     step = max(1, _BLOCK_ELEMENTS // (G * N * m))
     ok = np.ones((G, N), dtype=bool)
-    for lo in range(0, len(tabs), step):
+    for lo in range(0, M, step):
         ok &= table_rel(a, stack.sets(slice(lo, lo + step)), (STRICT,),
                         ctx.tol)[0].all(axis=1)
     return ok
@@ -840,7 +839,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
     if fam.recovery_hint is None:
         for g, t in enumerate(X):
             try:
-                found = _recovery_search(fam, t, fx_up.sets(slice(None), [g]),
+                found = _recovery_search(fam, t, fx_up.sets(..., [g]),
                                          battery, ctx, horizon, domain_at)
             except NoRecoveryFound as err:
                 yield Verdict.inconclusive(
@@ -859,8 +858,7 @@ def _gamma_upper(fam: PerturbedFamily, X: np.ndarray, fx_up: CornerTable,
         seq = battery.clamp(pts[:G * T].reshape(G, T, -1),
                             [domain_at(n) for n in ns])
         tab, errs = tail_table(fam.map, seq.reshape(G * T, -1), ns * G, ctx.cone)
-        ok, = table_rel(tab.split(G), fx_up.sets(slice(None), slice(G), None), (LARGE,),
-                        ctx.tol)
+        ok, = table_rel(tab.split(G), fx_up.sets(..., slice(G), None), (LARGE,), ctx.tol)
         for g, row_errs in enumerate(_by_target(errs, G, T)):
             yield _upper_verdict(ok[:, g], row_errs, ns, seq[g], True)
     if hint_errs:

@@ -228,9 +228,9 @@ def table_rel(a: CornerTable, b: CornerTable, modes: tuple[int, ...],
     r = max(a.cloud.ndim, b.cloud.ndim)
     (ha, oa), (hb, ob) = _block(a, (1, len(a.h)), r), _block(b, (len(b.h), 1), r)
     got = covered(ha, hb, _pair_tol(a.cloud, b.cloud, tol), modes, (oa, ob, b.cloud))
-    each = {id(ok): ok for ok in got}
-    each = {key: np.logical_and.reduce(ok, axis=0) for key, ok in each.items()}
-    return tuple(each[id(ok)] for ok in got)
+    seen = {}
+    return tuple([seen[id(ok)] if id(ok) in seen
+                  else seen.setdefault(id(ok), np.logical_and.reduce(ok, axis=0)) for ok in got])
 
 
 # elements of the largest boolean block one array pass of table_matrices
