@@ -247,15 +247,15 @@ def ideal_strict(h_a, ideal_b, t):
     """[p]: STRICT of A-set p, corners h_a (k, m, P), against B-set p's ideal
     point, ideal_b (m, P), at the pairs' tolerances t: the sufficient test of
     order.table_matrices, which settles a pair True in all three matrices."""
-    (got,), = covered(h_a[None], ideal_b[None, None], t, (STRICT,))
-    return got
+    return covered(h_a[None], ideal_b[None, None], t, (STRICT,))[0][0]
 
 
 def ideal_tests(monkeypatch):
-    """(modes, result) of each ideal-point test order.table_matrices asks of
-    the kernel, in order: its kernel calls without openness flags, the
-    candidate test LARGE between two sets' ideal points, (rows, N) per row
-    block, and the sufficient test STRICT of each A-set against B's."""
+    """Records (modes, result) of each ideal-point test order.table_matrices
+    asks of the kernel, in order. They are its kernel calls without openness
+    flags: per row block the candidate test, LARGE between two sets' ideal
+    points, (rows, N), and per chunk of its candidates the sufficient test,
+    STRICT of each A-set against B's ideal point, (pairs,)."""
     asked, real = [], order.covered
 
     def recorded(A, B, t, modes, flags=None):
@@ -387,8 +387,8 @@ class TestRelationMatrices:
 
         P = table_problem([value([[v, 0.7], [v + 0.8, 0.75]])]
                           + [value([[x, -5.0]]) for x in xs], cone)
-        h = value_table(P).h
-        ideal = value_table(P).ideal()
+        tab = value_table(P)
+        h, ideal = tab.h, tab.ideal()
         assert len(h) == 2 and ideal[0, 0] == v and h[0, 0, 1:].tolist() == xs
         got = ideal_strict(h[:, :, 1:], ideal[:, [0, 0, 0]], t)
         assert got.tolist() == [True, False, False]
